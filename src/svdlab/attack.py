@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defense, tinynn
-from .errors import InvalidConfig, InvalidInput, UndeterminedLabel
+from . import defense, linalg, schema, tinynn
+from .errors import DegenerateInput, InvalidConfig, InvalidInput, UndeterminedLabel
 from .tinynn import GradSet, KIND_RELU, ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
@@ -33,33 +33,21 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class AttackConfig:
-    distance: str = "l2"
-    iterations: int = 1000
-    lr: float = 0.1
-    tv_weight: float = 0.0
-    label_mode: str = "known"
-    adaptive: str = "none"
-    eot_samples: int = 1
-    seed: int = 0
-    defense: defense.DefenseConfig | None = None  # known to adaptive attackers
+    distance: str = field(default="l2", metadata={"choices": DISTANCES})
+    iterations: int = field(default=1000, metadata={"ge": 1})
+    lr: float = field(default=0.1, metadata={"gt": 0})
+    tv_weight: float = field(default=0.0, metadata={"ge": 0})
+    label_mode: str = field(default="known", metadata={"choices": LABEL_MODES})
+    adaptive: str = field(default="none", metadata={"choices": ADAPTIVE_MODES})
+    eot_samples: int = field(default=1, metadata={"ge": 1})
+    seed: int = field(default=0, metadata={"derived": "seed"})
+    # known to adaptive attackers
+    defense: defense.DefenseConfig | None = field(
+        default=None, metadata={"derived": "fl.defense"}
+    )
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.distance not in DISTANCES:
-            errors.append(f"attack.distance must be one of {DISTANCES}")
-        if self.iterations < 1:
-            errors.append("attack.iterations must be >= 1")
-        if self.lr <= 0.0:
-            errors.append("attack.lr must be > 0")
-        if self.tv_weight < 0.0:
-            errors.append("attack.tv_weight must be >= 0")
-        if self.label_mode not in LABEL_MODES:
-            errors.append(f"attack.label_mode must be one of {LABEL_MODES}")
-        if self.adaptive not in ADAPTIVE_MODES:
-            errors.append(f"attack.adaptive must be one of {ADAPTIVE_MODES}")
-        if self.adaptive == "eot" and self.eot_samples < 1:
-            errors.append("attack.eot_samples must be >= 1")
-        return errors
+        return schema.check(self)
 
 
 @dataclass
@@ -85,22 +73,7 @@ def grad_distance(observed: GradSet, dummy: GradSet, metric: str) -> float:
         raise InvalidConfig(f"unknown distance metric {metric!r}")
     if len(observed.layers) != len(dummy.layers):
         raise InvalidInput("gradient sets have different layer counts")
-    if metric == "l2":
-        total = 0.0
-        for o, d in zip(observed.layers, dummy.layers):
-            total += float(np.sum(np.square(d.weight_grad - o.weight_grad)))
-            total += float(np.sum(np.square(d.bias_grad - o.bias_grad)))
-        return total
-    total = 0.0
-    for o, d in zip(observed.layers, dummy.layers):
-        ov = _flatten_layer(o)
-        dv = _flatten_layer(d)
-        no = float(np.linalg.norm(ov))
-        nd = float(np.linalg.norm(dv))
-        if no == 0.0 or nd == 0.0:
-            continue
-        total += 1.0 - float(dv @ ov) / (nd * no)
-    return total
+    return _distance_with_sens(observed, dummy, metric)[0]
 
 
 def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str):
@@ -141,21 +114,12 @@ def _replay_projection(g: np.ndarray, cfg: defense.DefenseConfig):
     weights = defense.channel_weights(g)
     wg = weights[:, None] * g
     u, sig, _ = np.linalg.svd(wg, full_matrices=False)
-    if cfg.entropy_source == "unweighted":
-        sig_e = np.linalg.svd(g, compute_uv=False)
-    else:
-        sig_e = sig
-    energy = np.square(sig_e)
-    tot = float(energy.sum())
-    if tot <= 0.0:
+    sig_e = np.linalg.svd(g, compute_uv=False) if cfg.entropy_source == "unweighted" else sig
+    try:
+        entropy = linalg.singular_entropy(sig_e)
+        k, _ = linalg.energy_rank(sig, defense.adaptive_threshold(entropy, cfg.beta))
+    except DegenerateInput:
         return weights, u[:, :1] * 0.0
-    tilde = energy / tot
-    nz = tilde[tilde > 0.0]
-    entropy = float(-np.sum(nz * np.log(nz)))
-    threshold = defense.adaptive_threshold(entropy, cfg.beta)
-    fractions = np.cumsum(np.square(sig)) / max(float(np.sum(np.square(sig))), 1e-300)
-    k = int(np.searchsorted(fractions, threshold, side="right")) + 1
-    k = min(k, len(sig))
     return weights, u[:, :k]
 
 

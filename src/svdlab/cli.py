@@ -9,7 +9,6 @@ identical config + seed reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -20,8 +19,8 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import defense as defense_mod
-from . import flsim, metrics, tinynn
-from .errors import InvalidConfig, NumericalFailure
+from . import flsim, metrics, schema, tinynn
+from .errors import InvalidConfig, InvalidInput, NumericalFailure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,55 +41,35 @@ class AttackHarnessConfig:
     the lowest gradient distance.
     """
 
-    batch_size: int = 3
-    n_examples: int = 8
-    restarts: int = 3
+    batch_size: int = field(default=3, metadata={"ge": 1, "le": 4})
+    n_examples: int = field(default=8, metadata={"ge": 1})
+    restarts: int = field(default=3, metadata={"ge": 1})
 
     def validate(self) -> list[str]:
-        errors = []
-        if not 1 <= self.batch_size <= 4:
-            errors.append("attack.batch_size must be in [1, 4]")
-        if self.n_examples < 1:
-            errors.append("attack.n_examples must be >= 1")
-        if self.restarts < 1:
-            errors.append("attack.restarts must be >= 1")
-        return errors
+        return schema.check(self)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    seed: int = 0
+    """A whole config file. The harness shares the JSON `attack` section with
+    the attack config; load_spec copies the seed and fl.defense where used."""
+
+    seed: int = field(default=0, metadata={"ge": 0})
     data: flsim.DataConfig = field(default_factory=flsim.DataConfig)
     fl: flsim.FlConfig = field(default_factory=flsim.FlConfig)
     attack: attack_mod.AttackConfig = field(default_factory=attack_mod.AttackConfig)
-    harness: AttackHarnessConfig = field(default_factory=AttackHarnessConfig)
-    hidden_dims: tuple = (32,)
+    harness: AttackHarnessConfig = field(
+        default_factory=AttackHarnessConfig, metadata={"key": "attack"}
+    )
+    hidden_dims: tuple[int, ...] = field(
+        default=(32,), metadata={"key": "model.hidden_dims", "ge": 1}
+    )
 
-
-def _take_section(raw: dict, name: str, cls, errors: list[str], extra_keys=()):
-    """Build dataclass `cls` from raw[name], collecting unknown-key errors.
-
-    Returns (instance, leftover) where leftover holds the extra_keys values.
-    """
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        errors.append(f"config section '{name}' must be an object")
-        return cls(), {}
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    leftover = {}
-    for key, value in section.items():
-        if key in extra_keys:
-            leftover[key] = value
-        elif key in known:
-            kwargs[key] = value
-        else:
-            errors.append(f"unknown key '{name}.{key}'")
-    try:
-        return cls(**kwargs), leftover
-    except (TypeError, ValueError) as exc:
-        errors.append(f"bad value in section '{name}': {exc}")
-        return cls(), leftover
+    def validate(self) -> list[str]:
+        errors = schema.check(self)
+        if not errors and self.attack.label_mode == "inferred" and self.harness.batch_size != 1:
+            errors.append("attack.label_mode 'inferred' requires attack.batch_size = 1")
+        return errors
 
 
 def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
@@ -98,77 +77,29 @@ def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        return None, [f"config file not found: {path}"]
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        return None, [f"config file {path} cannot be read: {exc.strerror or exc}"]
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         return None, [f"config file {path} is not valid JSON: {exc}"]
     if not isinstance(raw, dict):
         return None, [f"config file {path} must hold a JSON object"]
 
     errors: list[str] = []
-    top_known = {"seed", "data", "model", "fl", "attack"}
-    for key in raw:
-        if key not in top_known:
-            errors.append(f"unknown key '{key}'")
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("'seed' must be an integer")
-        seed = 0
     env_seed = os.environ.get("SVDLAB_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            raw = {**raw, "seed": int(env_seed)}
         except ValueError:
             errors.append(f"SVDLAB_SEED must be an integer, got {env_seed!r}")
-
-    data_cfg, _ = _take_section(raw, "data", flsim.DataConfig, errors)
-
-    model_section = raw.get("model", {})
-    hidden_dims = (32,)
-    if isinstance(model_section, dict):
-        for key in model_section:
-            if key != "hidden_dims":
-                errors.append(f"unknown key 'model.{key}'")
-        dims = model_section.get("hidden_dims", [32])
-        if (
-            not isinstance(dims, list)
-            or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)
-        ):
-            errors.append("'model.hidden_dims' must be a non-empty list of positive ints")
-        else:
-            hidden_dims = tuple(dims)
-    else:
-        errors.append("config section 'model' must be an object")
-
-    fl_cfg, fl_extra = _take_section(raw, "fl", flsim.FlConfig, errors, extra_keys=("defense",))
-    defense_raw = {"fl": fl_extra.get("defense", {})}
-    defense_cfg, _ = _take_section(defense_raw, "fl", defense_mod.DefenseConfig, errors)
-    defense_cfg = replace(defense_cfg, seed=seed)
-    fl_cfg = replace(fl_cfg, defense=defense_cfg, seed=seed)
-
-    harness_keys = {f.name for f in dataclasses.fields(AttackHarnessConfig)}
-    attack_cfg, attack_extra = _take_section(
-        raw, "attack", attack_mod.AttackConfig, errors, extra_keys=tuple(harness_keys)
+    spec, structure_errors = schema.from_json(ExperimentSpec, raw)
+    errors.extend(structure_errors)
+    defense_cfg = replace(spec.fl.defense, seed=spec.seed)
+    spec = replace(
+        spec,
+        fl=replace(spec.fl, defense=defense_cfg, seed=spec.seed),
+        attack=replace(spec.attack, seed=spec.seed, defense=defense_cfg),
     )
-    try:
-        harness = AttackHarnessConfig(**attack_extra)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"bad value in section 'attack': {exc}")
-        harness = AttackHarnessConfig()
-    attack_cfg = replace(attack_cfg, seed=seed, defense=defense_cfg)
-
-    spec = ExperimentSpec(
-        seed=seed, data=data_cfg, fl=fl_cfg, attack=attack_cfg,
-        harness=harness, hidden_dims=hidden_dims,
-    )
-    errors.extend(spec.data.validate())
-    errors.extend(spec.fl.validate())
-    errors.extend(spec.attack.validate())
-    errors.extend(spec.harness.validate())
-    if spec.attack.label_mode == "inferred" and spec.harness.batch_size != 1:
-        errors.append("label_mode 'inferred' requires attack.batch_size = 1")
+    errors.extend(spec.validate())
     return spec, errors
 
 
@@ -274,6 +205,8 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
     train, _, _, built_model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
     if model is None:
         model = built_model
+    elif model.input_dim != train.input_dim:
+        raise InvalidInput(f"checkpoint input dim {model.input_dim} != {train.input_dim}")
     batches = pick_victim_batches(
         train, spec.harness.n_examples, spec.harness.batch_size, spec.seed
     )
@@ -304,26 +237,23 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
 
 
 def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
-    if axis == "beta":
-        defense_cfg = replace(spec.fl.defense, beta=value)
-    elif axis == "noise_scale":
-        defense_cfg = replace(spec.fl.defense, noise_scale=value)
-    elif axis == "prune_rate":
-        defense_cfg = replace(spec.fl.defense, prune_rate=value)
-    elif axis == "rho":
+    if axis == "rho":
         fl = replace(spec.fl, rho=value, partition_scheme="rho")
-        return replace(spec, fl=fl, attack=replace(spec.attack, defense=fl.defense))
+    elif axis in SWEEP_AXES:
+        fl = replace(spec.fl, defense=replace(spec.fl.defense, **{axis: value}))
     else:
         raise InvalidConfig(f"unknown sweep axis {axis!r}")
-    fl = replace(spec.fl, defense=defense_cfg)
-    return replace(spec, fl=fl, attack=replace(spec.attack, defense=defense_cfg))
+    return replace(spec, fl=fl, attack=replace(spec.attack, defense=fl.defense))
 
 
 def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str):
     """One train + attack per axis value; returns the summary rows."""
+    points = [_apply_axis(spec, axis, value) for value in values]
+    errors = [e for point in points for e in point.validate()]
+    if errors:
+        raise InvalidConfig("; ".join(errors))
     rows = []
-    for value in values:
-        point = _apply_axis(spec, axis, value)
+    for value, point in zip(values, points):
         point_dir = os.path.join(out_dir, f"{axis}_{value:g}")
         os.makedirs(point_dir, exist_ok=True)
         reports, model = run_train(point, point_dir)
@@ -348,16 +278,6 @@ def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str
     return rows
 
 
-def _prepare(args) -> tuple[ExperimentSpec | None, int]:
-    spec, errors = load_spec(args.config)
-    if errors:
-        for line in errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return None, EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
-    return spec, EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="svdlab",
@@ -379,10 +299,13 @@ def main(argv=None) -> int:
             p.add_argument("--values", required=True, help="comma-separated values")
     args = parser.parse_args(argv)
 
-    spec, code = _prepare(args)
-    if spec is None:
-        return code
+    spec, errors = load_spec(args.config)
+    for line in errors:
+        print(f"config error: {line}", file=sys.stderr)
+    if errors:
+        return EXIT_CONFIG
     try:
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "train":
             run_train(spec, args.out)
         elif args.command == "attack":
@@ -392,14 +315,15 @@ def main(argv=None) -> int:
             try:
                 values = [float(v) for v in args.values.split(",") if v.strip() != ""]
             except ValueError:
-                print(f"config error: bad sweep values {args.values!r}", file=sys.stderr)
-                return EXIT_CONFIG
+                raise InvalidConfig(f"bad sweep values {args.values!r}") from None
             if not values:
-                print("config error: empty sweep axis", file=sys.stderr)
-                return EXIT_CONFIG
+                raise InvalidConfig("empty sweep axis")
             run_sweep(spec, args.axis, values, args.out)
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (InvalidInput, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

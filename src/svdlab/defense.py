@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, schema
 from .errors import InvalidConfig, InvalidInput
 from .tinynn import GradSet, LayerGrads
 
@@ -27,38 +27,28 @@ KIND_RAW = "raw"
 KIND_SVD = "svd"
 _KIND_CODES = {KIND_RAW: 0, KIND_SVD: 1}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_RATE = {"ge": 0, "lt": 1}
+_HEADER_BYTES = 4 + 17  # total_len u32, then layer_id, kind, p, q, k
 
 
 @dataclass(frozen=True)
 class DefenseConfig:
-    method: str = "none"
-    beta: float = 0.3
-    noise_scale: float = 0.03
-    prune_rate: float = 0.9
-    dgp_small_rate: float = 0.75
-    dgp_large_rate: float = 0.05
-    defend_bias: str = "raw"  # raw | zero
-    entropy_source: str = "weighted"  # weighted | unweighted
-    seed: int = 0
+    method: str = field(default="none", metadata={"choices": METHODS})
+    beta: float = field(default=0.3, metadata={"gt": 0})
+    noise_scale: float = field(default=0.03, metadata={"ge": 0})
+    prune_rate: float = field(default=0.9, metadata=_RATE)
+    dgp_small_rate: float = field(default=0.75, metadata=_RATE)
+    dgp_large_rate: float = field(default=0.05, metadata=_RATE)
+    defend_bias: str = field(default="raw", metadata={"choices": ("raw", "zero")})
+    entropy_source: str = field(
+        default="weighted", metadata={"choices": ("weighted", "unweighted")}
+    )
+    seed: int = field(default=0, metadata={"derived": "seed"})
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.method not in METHODS:
-            errors.append(f"defense.method must be one of {METHODS}, got {self.method!r}")
-        if self.beta <= 0.0:
-            errors.append("defense.beta must be > 0")
-        if self.noise_scale < 0.0:
-            errors.append("defense.noise_scale must be >= 0")
-        for name in ("prune_rate", "dgp_small_rate", "dgp_large_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                errors.append(f"defense.{name} must be in [0, 1)")
-        if self.dgp_small_rate + self.dgp_large_rate >= 1.0:
-            errors.append("dgp rates must leave at least one survivor fraction")
-        if self.defend_bias not in ("raw", "zero"):
-            errors.append("defense.defend_bias must be 'raw' or 'zero'")
-        if self.entropy_source not in ("weighted", "unweighted"):
-            errors.append("defense.entropy_source must be 'weighted' or 'unweighted'")
+        errors = schema.check(self)
+        if not errors and self.dgp_small_rate + self.dgp_large_rate >= 1.0:
+            errors.append("dgp_small_rate + dgp_large_rate must be < 1")
         return errors
 
 
@@ -347,32 +337,30 @@ def serialize_packet(packet: DefensePacket) -> bytes:
 
 
 def deserialize_packet(blob: bytes) -> DefensePacket:
-    (total,) = struct.unpack_from("<I", blob, 0)
-    if total != len(blob):
+    """Inverse of serialize_packet; any malformed blob raises InvalidInput."""
+    if len(blob) < _HEADER_BYTES or struct.unpack_from("<I", blob, 0)[0] != len(blob):
         raise InvalidInput("packet length prefix does not match payload")
     layer_id, code, p, q, k = struct.unpack_from("<IBIII", blob, 4)
-    kind = _CODE_KINDS[code]
-    body = np.frombuffer(blob, dtype="<f8", offset=4 + 17)
+    kind = _CODE_KINDS.get(code)
+    if kind is None:
+        raise InvalidInput(f"unknown packet kind code {code}")
+    n_values = p * max(q, 1) if kind == KIND_RAW else p + p * k + k + k * q + 1
+    if len(blob) - _HEADER_BYTES != 8 * n_values or (kind == KIND_RAW and k != 0):
+        raise InvalidInput(f"packet payload does not hold the {n_values} values it declares")
+    body = np.frombuffer(blob, dtype="<f8", offset=_HEADER_BYTES).copy()
     if kind == KIND_RAW:
         shape = (p, q) if q > 0 else (p,)
-        return DefensePacket(
-            layer_id=layer_id, kind=kind, orig_shape=shape, values=body.copy()
-        )
-    off = 0
-    diag = body[off : off + p].copy(); off += p
-    u = body[off : off + p * k].reshape(p, k).copy(); off += p * k
-    sig = body[off : off + k].copy(); off += k
-    vt = body[off : off + k * q].reshape(k, q).copy(); off += k * q
-    entropy = float(body[off])
+        return DefensePacket(layer_id=layer_id, kind=kind, orig_shape=shape, values=body)
+    diag, u, sig, vt, entropy = np.split(body, np.cumsum([p, p * k, k, k * q]))
     return DefensePacket(
         layer_id=layer_id,
         kind=kind,
         orig_shape=(p, q),
         channel_weights=diag,
-        u_star=u,
+        u_star=u.reshape(p, k),
         sigma_star=sig,
-        vt_star=vt,
-        entropy=entropy,
+        vt_star=vt.reshape(k, q),
+        entropy=float(entropy[0]),
     )
 
 

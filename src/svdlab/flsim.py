@@ -10,14 +10,14 @@ experiment seed through fixed-purpose seed sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import data as data_mod
 from . import defense as defense_mod
-from . import tinynn
-from .errors import InvalidConfig, InvalidInput
+from . import schema, tinynn
+from .errors import InvalidConfig, InvalidInput, NumericalFailure
 from .tinynn import GradSet, LayerGrads, ModelParams
 
 # seed-sequence purpose tags
@@ -30,62 +30,44 @@ _TAG_CLIENT_BATCHES = 5
 _TAG_DEFENSE_NOISE = 6
 
 
+_AT_LEAST_1 = {"ge": 1}
+
+
 @dataclass(frozen=True)
 class DataConfig:
-    num_classes: int = 4
-    per_class: int = 40
-    per_class_test: int = 10
-    side: int = 8
+    num_classes: int = field(default=4, metadata={"ge": 2})
+    per_class: int = field(default=40, metadata=_AT_LEAST_1)
+    per_class_test: int = field(default=10, metadata=_AT_LEAST_1)
+    side: int = field(default=8, metadata={"ge": 4})
     # optional external dataset (IDX image/label pair) instead of synthetic
     idx_images: str | None = None
     idx_labels: str | None = None
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.num_classes < 2:
-            errors.append("data.num_classes must be >= 2")
-        if self.per_class < 1 or self.per_class_test < 1:
-            errors.append("data.per_class and data.per_class_test must be >= 1")
-        if self.side < 4:
-            errors.append("data.side must be >= 4")
-        if (self.idx_images is None) != (self.idx_labels is None):
-            errors.append("data.idx_images and data.idx_labels must be set together")
+        errors = schema.check(self)
+        if not errors and (self.idx_images is None) != (self.idx_labels is None):
+            errors.append("idx_images and idx_labels must be set together")
         return errors
 
 
 @dataclass(frozen=True)
 class FlConfig:
-    num_clients: int = 8
-    clients_per_round: int = 4
-    rounds: int = 10
-    local_epochs: int = 1
-    local_batch_size: int = 8
-    local_lr: float = 0.5
-    partition_scheme: str = "dirichlet"  # dirichlet | rho
-    dirichlet_alpha: float = 0.5
-    rho: float = 1.0
+    num_clients: int = field(default=8, metadata=_AT_LEAST_1)
+    clients_per_round: int = field(default=4, metadata=_AT_LEAST_1)
+    rounds: int = field(default=10, metadata=_AT_LEAST_1)
+    local_epochs: int = field(default=1, metadata=_AT_LEAST_1)
+    local_batch_size: int = field(default=8, metadata=_AT_LEAST_1)
+    local_lr: float = field(default=0.5, metadata={"gt": 0})
+    partition_scheme: str = field(default="dirichlet", metadata={"choices": ("dirichlet", "rho")})
+    dirichlet_alpha: float = field(default=0.5, metadata={"gt": 0})
+    rho: float = field(default=1.0, metadata={"gt": 0, "le": 1})
     defense: defense_mod.DefenseConfig = field(default_factory=defense_mod.DefenseConfig)
-    seed: int = 0
+    seed: int = field(default=0, metadata={"derived": "seed"})
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.num_clients < 1:
-            errors.append("fl.num_clients must be >= 1")
-        if not 1 <= self.clients_per_round <= self.num_clients:
-            errors.append("fl.clients_per_round must be in [1, num_clients]")
-        if self.rounds < 1:
-            errors.append("fl.rounds must be >= 1")
-        if self.local_epochs < 1 or self.local_batch_size < 1:
-            errors.append("fl.local_epochs and fl.local_batch_size must be >= 1")
-        if self.local_lr <= 0.0:
-            errors.append("fl.local_lr must be > 0")
-        if self.partition_scheme not in ("dirichlet", "rho"):
-            errors.append("fl.partition_scheme must be 'dirichlet' or 'rho'")
-        if self.dirichlet_alpha <= 0.0:
-            errors.append("fl.dirichlet_alpha must be > 0")
-        if not 0.0 < self.rho <= 1.0:
-            errors.append("fl.rho must be in (0, 1]")
-        errors.extend(self.defense.validate())
+        errors = schema.check(self)
+        if not errors and self.clients_per_round > self.num_clients:
+            errors.append("clients_per_round must be <= num_clients")
         return errors
 
 
@@ -153,6 +135,8 @@ def client_round(
             for g, l in zip(global_params.layers, local.layers)
         ]
     )
+    if not all(np.isfinite(t).all() for g in update.layers for t in (g.weight_grad, g.bias_grad)):
+        raise NumericalFailure(f"client {client_id} diverged in round {round_index}")
     noise_rng = _rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
     packets, new_residual = defense_mod.defend_update(
         update, cfg.defense, rng=noise_rng, residual=dgp_residual
@@ -237,12 +221,7 @@ def build_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
     if data_cfg.idx_images is not None:
         loaded = data_mod.load_idx(data_cfg.idx_images, data_cfg.idx_labels)
         train, test = _split_idx_dataset(loaded, data_cfg.per_class_test)
-        data_cfg = DataConfig(
-            num_classes=loaded.num_classes,
-            per_class=data_cfg.per_class,
-            per_class_test=data_cfg.per_class_test,
-            side=loaded.side,
-        )
+        data_cfg = replace(data_cfg, num_classes=loaded.num_classes, side=loaded.side)
     else:
         train_seed = int(_rng(fl.seed, _TAG_TRAIN_DATA).integers(2**31))
         test_seed = int(_rng(fl.seed, _TAG_TEST_DATA).integers(2**31))

@@ -48,10 +48,6 @@ class SvdFactors:
     sigma: np.ndarray
     vt: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return len(self.sigma)
-
     def assemble(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.vt
 
@@ -188,23 +184,30 @@ def svd(m) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma, vt=vr.T)
 
 
-def truncate_by_energy(f: SvdFactors, threshold: float) -> TruncatedFactors:
+def energy_rank(sigma, threshold: float) -> tuple[int, float]:
     """Smallest k whose cumulative squared-sigma fraction strictly exceeds
-    `threshold`; always keeps at least one triple."""
-    if not 0.0 <= threshold < 1.0:
-        raise InvalidInput(f"threshold must be in [0, 1), got {threshold}")
-    energy = np.square(f.sigma)
+    `threshold`, clamped to len(sigma) so that a threshold of 1 keeps full
+    rank. Returns (k, the fraction of squared-sigma mass the top k keep)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
+    energy = np.square(sigma)
     total = float(np.sum(energy))
     if total <= 0.0:
         raise DegenerateInput("all singular values are zero")
     fractions = np.cumsum(energy) / total
     k = int(np.searchsorted(fractions, threshold, side="right")) + 1
-    k = min(k, len(f.sigma))
+    k = min(k, len(sigma))
+    return k, float(fractions[k - 1])
+
+
+def truncate_by_energy(f: SvdFactors, threshold: float) -> TruncatedFactors:
+    """Top-k slice of `f`, k from energy_rank (always at least one triple)."""
+    k, retained = energy_rank(f.sigma, threshold)
     return TruncatedFactors(
         u_star=f.u[:, :k].copy(),
         sigma_star=f.sigma[:k].copy(),
         vt_star=f.vt[:k, :].copy(),
-        retained_energy_fraction=float(fractions[k - 1]),
+        retained_energy_fraction=retained,
     )
 
 

@@ -96,14 +96,6 @@ class GradSet:
             [LayerGrads(g.weight_grad.copy(), g.bias_grad.copy()) for g in self.layers]
         )
 
-    def tensors(self) -> list[np.ndarray]:
-        """Flat tensor list: weight then bias per layer."""
-        out = []
-        for g in self.layers:
-            out.append(g.weight_grad)
-            out.append(g.bias_grad)
-        return out
-
 
 @dataclass
 class LayerGrads:
@@ -270,17 +262,27 @@ def save_model(params: ModelParams, path) -> None:
 
 
 def load_model(path) -> ModelParams:
+    """Read a save_model checkpoint; a malformed file raises InvalidInput."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise InvalidInput(f"{path}: not a model checkpoint (bad magic)")
-        (n_layers,) = struct.unpack("<I", fh.read(4))
-        layers = []
-        for _ in range(n_layers):
-            code, out_dim, in_dim = struct.unpack("<BII", fh.read(9))
-            w = np.frombuffer(fh.read(8 * out_dim * in_dim), dtype="<f8").reshape(
-                out_dim, in_dim
-            )
-            b = np.frombuffer(fh.read(8 * out_dim), dtype="<f8").copy()
-            layers.append(LayerParams(w.astype(np.float64).copy(), b, _CODE_KINDS[code]))
+        blob = fh.read()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise InvalidInput(f"{path}: checkpoint is truncated")
+        pos += n
+        return blob[pos - n : pos]
+
+    if take(len(MODEL_MAGIC)) != MODEL_MAGIC:
+        raise InvalidInput(f"{path}: not a model checkpoint (bad magic)")
+    (n_layers,) = struct.unpack("<I", take(4))
+    layers = []
+    for _ in range(n_layers):
+        code, out_dim, in_dim = struct.unpack("<BII", take(9))
+        if code not in _CODE_KINDS:
+            raise InvalidInput(f"{path}: unknown layer kind code {code}")
+        w = np.frombuffer(take(8 * out_dim * in_dim), dtype="<f8").reshape(out_dim, in_dim)
+        b = np.frombuffer(take(8 * out_dim), dtype="<f8")
+        layers.append(LayerParams(w.astype(np.float64), b.astype(np.float64), _CODE_KINDS[code]))
     return ModelParams(layers)

@@ -2,10 +2,16 @@
 
 import json
 import os
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from svdlab import cli
+from svdlab import cli, tinynn
+from svdlab.attack import AttackConfig
+from svdlab.defense import DefenseConfig
+from svdlab.flsim import DataConfig, FlConfig
 
 BASE_CONFIG = {
     "seed": 3,
@@ -49,6 +55,18 @@ class TestConfigHandling:
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"{\"seed\": 1,}"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and str(path) in err
+
     def test_unknown_keys_listed(self, tmp_path, capsys):
         path = write_config(tmp_path, {"fl.typo_key": 1, "banana": 2})
         rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
@@ -73,6 +91,119 @@ class TestConfigHandling:
         monkeypatch.setenv("SVDLAB_SEED", "99")
         assert cli.main(["train", "--config", path, "--out", str(out_b)]) == 0
         assert (out_a / "rounds.csv").read_bytes() != (out_b / "rounds.csv").read_bytes()
+
+
+class TestConfigSchema:
+    # (overrides, the key the one error line must name)
+    BAD = {
+        "beta_str": ({"fl.defense.beta": "x"}, "fl.defense.beta"),
+        "beta_nan": ({"fl.defense.beta": float("nan")}, "fl.defense.beta"),
+        "beta_huge_int": ({"fl.defense.beta": 10**400}, "fl.defense.beta"),
+        "rounds_float": ({"fl.rounds": 1.5}, "fl.rounds"),
+        "side_float": ({"data.side": 4.0}, "data.side"),
+        "hidden_bool": ({"model.hidden_dims": [True]}, "model.hidden_dims"),
+        "hidden_empty": ({"model.hidden_dims": []}, "model.hidden_dims"),
+        "seed_bool": ({"seed": True}, "seed"),
+        "seed_negative": ({"seed": -1}, "seed"),
+        "iterations_bool": ({"attack.iterations": True}, "attack.iterations"),
+        "method_unknown": ({"fl.defense.method": "svd"}, "fl.defense.method"),
+        "method_number": ({"fl.defense.method": 3}, "fl.defense.method"),
+        "rate_range": ({"fl.defense.prune_rate": 1.0}, "fl.defense.prune_rate"),
+        "batch_range": ({"attack.batch_size": 5}, "attack.batch_size"),
+        "idx_number": ({"data.idx_images": 7, "data.idx_labels": "l.idx"}, "data.idx_images"),
+        "fl_seed": ({"fl.seed": 1}, "fl.seed"),
+        "defense_seed": ({"fl.defense.seed": 1}, "fl.defense.seed"),
+        "attack_seed": ({"attack.seed": 1}, "attack.seed"),
+        "attack_defense": ({"attack.defense": {"method": "none"}}, "attack.defense"),
+        "section_not_object": ({"fl.defense": "svdefense"}, "fl.defense"),
+        "model_not_object": ({"model": [32]}, "model"),
+        "unknown_nested": ({"model.depth": 2}, "model.depth"),
+        "cross_field_clients": ({"fl.clients_per_round": 5}, "fl.clients_per_round"),
+        "cross_field_dgp": (
+            {"fl.defense.dgp_small_rate": 0.6, "fl.defense.dgp_large_rate": 0.5},
+            "fl.defense.dgp_small_rate",
+        ),
+    }
+
+    @pytest.fixture(autouse=True)
+    def _no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("SVDLAB_SEED", raising=False)
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, case):
+        overrides, key = self.BAD[case]
+        path = write_config(tmp_path, overrides)
+        rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: {key} ")
+
+    def test_dotted_top_level_key_is_unknown(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"fl.rounds": 2}))
+        assert cli.load_spec(str(path))[1] == ["fl.rounds is not a known key"]
+
+    def test_readme_and_base_config_load_unchanged(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        (tmp_path / "readme.json").write_text(block)
+        spec, errors = cli.load_spec(str(tmp_path / "readme.json"))
+        assert errors == []
+        assert spec == replace(cli.ExperimentSpec(), attack=AttackConfig(defense=DefenseConfig()))
+
+        spec, errors = cli.load_spec(write_config(tmp_path))
+        assert errors == []
+        defense = DefenseConfig(method="none", seed=3)
+        assert spec == cli.ExperimentSpec(
+            seed=3,
+            data=DataConfig(num_classes=4, per_class=20, per_class_test=5, side=8),
+            fl=FlConfig(num_clients=4, clients_per_round=2, rounds=3, local_batch_size=8,
+                        local_lr=0.5, defense=defense, seed=3),
+            attack=AttackConfig(distance="neg_cosine_layerwise", iterations=60, lr=0.1,
+                                label_mode="known", seed=3, defense=defense),
+            harness=cli.AttackHarnessConfig(batch_size=3, n_examples=2, restarts=1),
+            hidden_dims=(32,),
+        )
+
+    def test_bad_sweep_value_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        rc = cli.main(["sweep", "--config", path, "--axis", "prune_rate", "--values", "0.5,1.5",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "fl.defense.prune_rate" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "prune_rate_0.5").exists()
+
+
+class TestExitCodes:
+    def test_saturated_threshold_keeps_full_rank(self, tmp_path):
+        path = write_config(tmp_path, {"fl.defense.method": "svdefense", "fl.defense.beta": 1000})
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("method", ["none", "svdefense"])
+    def test_divergence_exits_3(self, tmp_path, capsys, method):
+        path = write_config(tmp_path, {"fl.defense.method": method, "fl.local_lr": 1e308})
+        rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "diverged" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "rounds.csv").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "truncated", "input_dim"])
+    def test_bad_checkpoint_exits_2(self, tmp_path, capsys, case):
+        ckpt = tmp_path / "model.bin"
+        if case != "missing":
+            tinynn.save_model(tinynn.init_model(64 if case == "truncated" else 100, [32], 4), ckpt)
+        if case == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:200])
+        path = write_config(tmp_path)
+        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
+                       "--model", str(ckpt)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
 class TestTrain:

@@ -254,6 +254,19 @@ class TestPacketTransport:
         assert back.orig_shape == (5,)
         np.testing.assert_array_equal(back.values, pkt.values)
 
+    def test_rejects_malformed_blobs(self):
+        import struct
+
+        raw = serialize_packet(
+            defense.DefensePacket(layer_id=0, kind="raw", orig_shape=(12,), values=np.ones(12))
+        )
+        unknown_kind = raw[:8] + bytes([7]) + raw[9:]
+        # a declared 5x5 raw tensor over a 12-value payload
+        oversized = raw[:9] + struct.pack("<II", 5, 5) + raw[17:]
+        for blob in (unknown_kind, oversized, raw[:-8], raw[:10], b""):
+            with pytest.raises(InvalidInput):
+                deserialize_packet(blob)
+
     def test_parameter_count_formula(self):
         rng = np.random.default_rng(11)
         g = rng.normal(size=(8, 6))

@@ -6,7 +6,7 @@ import pytest
 from oracles import fedavg_reference
 from svdlab import data, defense, flsim, tinynn
 from svdlab.defense import DefenseConfig, DefensePacket
-from svdlab.errors import InvalidConfig, InvalidInput
+from svdlab.errors import InvalidConfig, InvalidInput, NumericalFailure
 from svdlab.flsim import (
     ClientUpdate,
     DataConfig,
@@ -81,6 +81,12 @@ class TestClientRound:
         back = defense.packets_to_gradset(update.packets)
         for layer in back.layers:
             assert np.max(np.abs(layer.weight_grad)) < 1e-290
+
+    def test_diverged_update_raises(self, tiny_setup):
+        fl, dc, train, test, part, model = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "local_lr": 1e308})
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+            client_round(model, train, part.client_shards[0], cfg, 0, 0)
 
     def test_defense_none_transmits_raw_update(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup

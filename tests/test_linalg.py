@@ -146,8 +146,16 @@ class TestTruncateByEnergy:
     def test_degenerate(self):
         with pytest.raises(DegenerateInput):
             truncate_by_energy(self._factors([0.0, 0.0]), 0.5)
-        with pytest.raises(InvalidInput):
-            truncate_by_energy(self._factors([1.0]), 1.0)
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(InvalidInput):
+                truncate_by_energy(self._factors([1.0]), bad)
+
+    def test_threshold_one_keeps_full_rank(self):
+        sigma = [4.0, 3.0, 1e-3]
+        t = truncate_by_energy(self._factors(sigma), 1.0)
+        assert t.retained_rank == 3
+        assert t.retained_energy_fraction == pytest.approx(1.0)
+        assert linalg.energy_rank(np.array(sigma), 1.0) == (3, t.retained_energy_fraction)
 
 
 class TestSingularEntropy:

@@ -218,3 +218,16 @@ class TestCheckpoint:
         good = tmp_path / "model.bin"
         tinynn.save_model(small_model(), good)
         assert good.read_bytes().startswith(b"SVDLAB-MODEL-v1\n")
+
+    def test_malformed_files(self, tmp_path):
+        good = tmp_path / "model.bin"
+        tinynn.save_model(small_model(), good)
+        blob = good.read_bytes()
+        bad_code = bytearray(blob)
+        bad_code[len(tinynn.MODEL_MAGIC) + 4] = 9  # first layer's kind code
+        for name, data in (("short", blob[:-1]), ("header_only", blob[:18]),
+                           ("bad_code", bytes(bad_code))):
+            path = tmp_path / f"{name}.bin"
+            path.write_bytes(data)
+            with pytest.raises(InvalidInput):
+                tinynn.load_model(path)
