@@ -118,13 +118,15 @@ def client_round(
         raise InvalidInput("client shard is empty")
     local = global_params.copy()
     batch_rng = _rng(cfg.seed, _TAG_CLIENT_BATCHES, round_index, client_id)
-    for _ in range(cfg.local_epochs):
-        order = batch_rng.permutation(len(shard))
-        for start in range(0, len(shard), cfg.local_batch_size):
-            chunk = order[start : start + cfg.local_batch_size]
-            batch = [ds.examples[shard[i]] for i in chunk]
-            _, grads = tinynn.loss_and_grad(local, batch)
-            local = tinynn.sgd_step(local, grads, cfg.local_lr)
+    # a diverging run overflows here; the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            order = batch_rng.permutation(len(shard))
+            for start in range(0, len(shard), cfg.local_batch_size):
+                chunk = order[start : start + cfg.local_batch_size]
+                batch = [ds.examples[shard[i]] for i in chunk]
+                _, grads = tinynn.loss_and_grad(local, batch)
+                local = tinynn.sgd_step(local, grads, cfg.local_lr)
 
     update = GradSet(
         [
@@ -166,21 +168,23 @@ def aggregation_weights(updates: list[ClientUpdate], tensor_id: int) -> np.ndarr
     return counts / counts.sum()
 
 
-def aggregate(global_params: ModelParams, updates: list[ClientUpdate]) -> ModelParams:
+def aggregate(global_params: ModelParams, updates: list[ClientUpdate], weights=None) -> ModelParams:
     """Weighted per-tensor sum of reconstructed updates, subtracted from the
     global parameters. Clients are folded in ascending id order so the
-    floating-point result does not depend on arrival order."""
+    floating-point result does not depend on arrival order; `weights`
+    (tensor id -> aggregation_weights in that order) is computed if absent."""
     updates = sorted(updates, key=lambda u: u.client_id)
     n_tensors = len(updates[0].packets)
     if any(len(u.packets) != n_tensors for u in updates):
         raise InvalidInput("updates disagree on tensor count")
+    if weights is None:
+        weights = {tid: aggregation_weights(updates, tid) for tid in range(n_tensors)}
     new_layers = []
     for l, layer in enumerate(global_params.layers):
         agg = {}
         for tensor_id, ref in ((2 * l, layer.weight), (2 * l + 1, layer.bias)):
-            weights = aggregation_weights(updates, tensor_id)
             total = np.zeros_like(ref)
-            for w, u in zip(weights, updates):
+            for w, u in zip(weights[tensor_id], updates):
                 rec = defense_mod.reconstruct_packet(u.packets[tensor_id])
                 if rec.shape != ref.shape:
                     raise InvalidInput(
@@ -268,19 +272,15 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             )
             if new_residual is not None:
                 dgp_residuals[cid] = new_residual
+            # the server counts and parses the bytes on the wire
+            blobs = [defense_mod.serialize_packet(p) for p in update.packets]
+            bytes_up += sum(len(b) for b in blobs)
+            update.packets = [defense_mod.deserialize_packet(b) for b in blobs]
             updates.append(update)
-            bytes_up += sum(defense_mod.packet_bytes(p) for p in update.packets)
-            svd_entropies = [
-                p.entropy for p in update.packets if p.kind == defense_mod.KIND_SVD
-            ]
-            client_entropies[cid] = (
-                float(np.mean(svd_entropies)) if svd_entropies else 0.0
-            )
-        agg_weights = {
-            tid: aggregation_weights(updates, tid).tolist()
-            for tid in range(len(updates[0].packets))
-        }
-        model = aggregate(model, updates)
+            svd_entropies = [p.entropy for p in update.packets if p.kind == defense_mod.KIND_SVD]
+            client_entropies[cid] = float(np.mean(svd_entropies)) if svd_entropies else 0.0
+        weights = {tid: aggregation_weights(updates, tid) for tid in range(len(updates[0].packets))}
+        model = aggregate(model, updates, weights)
         reports.append(
             RoundReport(
                 round_index=rnd,
@@ -289,7 +289,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
                 bytes_up=bytes_up,
                 bytes_down=download_unit * len(selected),
                 client_entropies=client_entropies,
-                aggregation_weights=agg_weights,
+                aggregation_weights={tid: w.tolist() for tid, w in weights.items()},
                 selected_clients=selected,
             )
         )

@@ -5,10 +5,12 @@ plain 2-D float64 numpy arrays. This module owns the singular value
 decomposition, energy-based rank truncation, and the entropy of a singular
 value spectrum.
 
-The SVD is a one-sided Jacobi iteration: plane rotations orthogonalize the
-columns of the (taller-oriented) matrix, which makes the result fully
-deterministic, accurate to machine precision for the small dense matrices we
-care about, and free of any library-specific convention.
+The SVD is a rank-revealing one-sided Jacobi iteration (Drmac & Veselic,
+2008): a column-pivoted Householder QR of the taller-oriented matrix deflates
+it to its numerical rank, then plane rotations, applied to disjoint pairs in
+round-robin order (Brent & Luk, 1985), orthogonalize the rows of R. The
+result is deterministic, accurate to machine precision for the small dense
+matrices we care about, and free of any library-specific convention.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidInput, NumericalFailure
 
-# Off-diagonal Gram products below OFFDIAG_TOL * ||a_i|| * ||a_j|| count as
-# orthogonal; MAX_SWEEPS caps the Jacobi iteration. Singular values below
-# RANK_TOL relative to sigma_max count as numerical-rank zero; dropping them
-# keeps reconstruction well inside the 1e-8 * ||input||_F contract.
+# Row pairs whose dot product is at most OFFDIAG_TOL * ||a_i|| * ||a_j|| count
+# as orthogonal; MAX_SWEEPS caps the Jacobi iteration. The QR stops once the
+# trailing block's Frobenius norm is <= RANK_TOL * |R_00|, and only singular
+# values strictly above RANK_TOL * sigma_max are kept; dropping the rest keeps
+# reconstruction well inside the 1e-8 * ||input||_F contract.
 OFFDIAG_TOL = 1e-12
 RANK_TOL = 1e-11
 MAX_SWEEPS = 100
@@ -74,113 +77,110 @@ def frobenius_norm(m) -> float:
     return float(np.sqrt(np.sum(np.square(as_matrix(m)))))
 
 
-def _converged(g: np.ndarray) -> bool:
-    diag = np.maximum(np.diag(g), 0.0)
-    limit = OFFDIAG_TOL * np.sqrt(np.outer(diag, diag))
-    off = np.abs(g - np.diag(np.diag(g)))
-    return bool(np.all(off <= limit))
+def _pivoted_qr(a: np.ndarray):
+    """Householder QR of `a` (p x q, p >= q) with dynamic column pivoting,
+    stopped at the numerical rank r, once the trailing block's Frobenius norm
+    is <= RANK_TOL * |R_00|. Returns the r reflectors (v, tau) of
+    Q = H_0 ... H_{r-1}, the r x q upper-trapezoidal R, and the column order
+    perm, with a[:, perm] = Q[:, :r] R up to the deflated trailing block."""
+    a = a.copy()
+    perm = np.arange(a.shape[1])
+    reflectors = []
+    tol = RANK_TOL * np.linalg.norm(a, axis=0).max()
+    for k in range(a.shape[1]):
+        norms2 = np.einsum("ij,ij->j", a[k:, k:], a[k:, k:])
+        if math.sqrt(norms2.sum()) <= tol:
+            break
+        j = k + int(np.argmax(norms2))
+        a[:, [k, j]], perm[[k, j]] = a[:, [j, k]], perm[[j, k]]
+        v = a[k:, k].copy()
+        v[0] += math.copysign(math.sqrt(norms2[j - k]), v[0])
+        tau = 2.0 / float(v @ v)
+        a[k:, k:] -= v[:, None] * (tau * (v @ a[k:, k:]))
+        reflectors.append((v, tau))
+    return reflectors, np.triu(a[: len(reflectors)]), perm
 
 
-def _jacobi_sweeps(at: np.ndarray):
-    """Orthogonalize the rows of `at` (q x p, q <= p) by plane rotations, in
-    place, accumulating the rotations in the rows of `vt`. Returns (at, vt).
+def _round_robin(n: int) -> np.ndarray:
+    """Brent & Luk's parallel ordering of the pairs of n indices, as a
+    (steps, 2, n // 2) array: each step holds disjoint pairs (i, j), and the
+    n - 1 steps (n for odd n) cover every pair once. Index m - 1 (m = n
+    rounded up to even) keeps its place while the others rotate, so for odd
+    n its pairs, in column 0, are dropped."""
+    m = n + n % 2
+    t = np.arange(m - 1)
+    ring = np.hstack([np.full((m - 1, 1), m - 1), (t[None, :] + t[:, None]) % (m - 1)])
+    return np.stack([ring[:, : m // 2], ring[:, ::-1][:, : m // 2]], axis=1)[:, :, n % 2 :]
 
-    Convergence: every off-diagonal Gram entry is <= OFFDIAG_TOL times the
-    product of the row norms. A fresh Gram is formed once per sweep for the
-    skip test and the convergence certificate; each applied rotation re-reads
-    its own dot products from the live data, so the rotation angles are
-    always accurate relative to the pair's own scale. (Dot products taken
-    from row data directly carry error of order eps * |row_i| * |row_j|,
-    which keeps the relative criterion attainable even for rows many orders
-    of magnitude below the dominant one.)
+
+def _jacobi_rows(w: np.ndarray, q: int) -> np.ndarray:
+    """Orthogonalize the rows of w[:, :q] by one-sided Jacobi, in place.
+
+    Each round-robin step rotates all its disjoint pairs of whole rows in one
+    numpy operation, so columns q: accumulate the rotations. A pair whose dot
+    product, re-read from the live rows, exceeds OFFDIAG_TOL times the
+    product of its row norms is rotated by the inner angle (|theta| <= pi/4);
+    a sweep that rotates nothing ends the iteration.
     """
-    q = at.shape[0]
-    vt = np.eye(q)
+    steps = _round_robin(w.shape[0])
     for _ in range(MAX_SWEEPS):
-        g = at @ at.T
-        if _converged(g):
-            return at, vt
-        # sweep-start snapshot decides which pairs are worth re-examining;
-        # the rotation itself always uses fresh dots
-        diag0 = np.maximum(np.diag(g), 0.0)
-        limit0 = OFFDIAG_TOL * np.sqrt(np.outer(diag0, diag0))
-        candidates = np.abs(g) > limit0
         rotated = False
-        for i in range(q - 1):
-            row_candidates = candidates[i]
-            for j in range(i + 1, q):
-                if not row_candidates[j]:
-                    continue
-                ri = at[i]
-                rj = at[j]
-                gij = float(ri @ rj)
-                gii = float(ri @ ri)
-                gjj = float(rj @ rj)
-                if abs(gij) <= OFFDIAG_TOL * math.sqrt(max(gii * gjj, 0.0)):
-                    continue
-                rotated = True
-                theta = 0.5 * math.atan2(2.0 * gij, gii - gjj)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                for m in (at, vt):
-                    mi = m[i].copy()
-                    mj = m[j]
-                    m[i] = c * mi + s * mj
-                    m[j] = -s * mi + c * mj
+        for pairs in steps:
+            x = w[pairs]
+            g = np.einsum("aik,bik->abi", x[:, :, :q], x[:, :, :q])
+            gii, gij, gjj = g[0, 0], g[0, 1], g[1, 1]
+            active = np.abs(gij) > OFFDIAG_TOL * np.sqrt(gii * gjj)
+            if not active.any():
+                continue
+            rotated = True
+            # tan(2 theta) = 2 gij / (gii - gjj); inactive pairs get theta = 0
+            y = np.where(gii < gjj, -2.0, 2.0) * active * gij
+            theta = 0.5 * np.arctan2(y, np.abs(gii - gjj))
+            c, s = np.cos(theta), np.sin(theta)
+            w[pairs] = np.einsum("abi,bik->aik", np.array([[c, s], [-s, c]]), x)
         if not rotated:
-            return at, vt
-    if _converged(at @ at.T):
-        return at, vt
+            return w
     raise NumericalFailure(f"Jacobi SVD did not converge within {MAX_SWEEPS} sweeps")
 
 
 def svd(m) -> SvdFactors:
     """Compact SVD of a finite 2-D matrix.
 
-    Singular values are returned in descending order; values at or below
-    DEFLATE_TOL relative to sigma_max count as numerical-rank zero and are
-    dropped (at least one triple is always kept, with sigma 0 for an all-zero
-    matrix). The sign of each left singular vector is fixed so its
-    largest-magnitude entry is non-negative, making factors comparable across
-    runs.
+    The taller orientation A (p x q) is factored as A[:, perm] = Q R by
+    _pivoted_qr, deflated to the numerical rank r, and _jacobi_rows turns the
+    r rows of R into B = J R with orthogonal rows: U = Q J^T, sigma = the row
+    norms of B, and V^T = B / sigma with the permutation undone. Singular
+    values come in descending order; only those strictly above
+    RANK_TOL * sigma_max are kept (at least one triple is always kept, with
+    sigma 0 for an all-zero matrix). The sign of each left singular vector is
+    fixed so its largest-magnitude entry is non-negative, making factors
+    comparable across runs.
     """
     m = as_matrix(m)
-    p, q = m.shape
-    transposed = p < q
+    transposed = m.shape[0] < m.shape[1]
     a = m.T if transposed else m
-
-    # rows of `at` are the columns being orthogonalized (contiguous access);
-    # the explicit copy matters: sweeps rotate in place
-    at, vt_rot = _jacobi_sweeps(a.T.copy())
-
-    norms = np.sqrt(np.sum(np.square(at), axis=1))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    at = at[order]
-    vt_rot = vt_rot[order]
-
-    cutoff = RANK_TOL * (norms[0] if norms.size else 0.0)
-    r = max(1, int(np.sum(norms > cutoff)))
-    sigma = norms[:r].copy()
-
-    u = np.zeros((a.shape[0], r))
-    for i in range(r):
-        if sigma[i] > 0.0:
-            u[:, i] = at[i] / sigma[i]
-        else:
-            u[0, i] = 1.0  # zero matrix: any unit vector completes the factor
-    vr = vt_rot[:r].T.copy()
-
+    p, q = a.shape
+    reflectors, rmat, perm = _pivoted_qr(a)
+    r = len(reflectors)
+    if r == 0:  # zero matrix: any unit vectors complete the factors
+        u, sigma, vr = np.eye(p, 1), np.zeros(1), np.eye(q, 1)
+    else:
+        w = _jacobi_rows(np.hstack([rmat, np.eye(r)]), q)
+        sigma = np.sqrt(np.einsum("ij,ij->i", w[:, :q], w[:, :q]))
+        order = np.argsort(-sigma, kind="stable")
+        order = order[sigma[order] > RANK_TOL * sigma[order[0]]]
+        sigma = sigma[order]
+        u = np.concatenate([w[order, q:].T, np.zeros((p - r, len(order)))])
+        for k in reversed(range(r)):  # U = H_0 ... H_{r-1} [J^T; 0]
+            v, tau = reflectors[k]
+            u[k:] -= v[:, None] * (tau * (v @ u[k:]))
+        vr = np.empty((q, len(order)))
+        vr[perm] = (w[order, :q] / sigma[:, None]).T
     if transposed:
         u, vr = vr, u
-
     # sign convention on left singular vectors
-    for i in range(r):
-        col = u[:, i]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            u[:, i] = -col
-            vr[:, i] = -vr[:, i]
-
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
+    u[:, flip], vr[:, flip] = -u[:, flip], -vr[:, flip]
     return SvdFactors(u=u, sigma=sigma, vt=vr.T)
 
 

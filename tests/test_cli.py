@@ -183,12 +183,13 @@ class TestExitCodes:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("method", ["none", "svdefense"])
-    def test_divergence_exits_3(self, tmp_path, capsys, method):
+    def test_divergence_exits_3(self, tmp_path, capsys, recwarn, method):
         path = write_config(tmp_path, {"fl.defense.method": method, "fl.local_lr": 1e308})
         rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 3
         assert "diverged" in err and "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o" / "rounds.csv").exists()
 
     @pytest.mark.parametrize("case", ["missing", "truncated", "input_dim"])

@@ -203,6 +203,38 @@ class TestRunExperiment:
         expected = sum(len(defense.serialize_packet(p)) for p in update.packets)
         assert expected == sum(defense.packet_bytes(p) for p in update.packets)
 
+    def test_aggregates_the_parsed_wire_bytes(self, tiny_setup, monkeypatch):
+        fl, dc, *_ = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method="svdefense")})
+        parse, rebuild = defense.deserialize_packet, defense.reconstruct_packet
+        parsed, aggregated, wire = [], [], []
+
+        def deserialize(blob):
+            wire.append(len(blob))
+            parsed.append(parse(blob))
+            return parsed[-1]
+
+        def reconstruct(packet):
+            aggregated.append(packet)
+            return rebuild(packet)
+
+        monkeypatch.setattr(defense, "deserialize_packet", deserialize)
+        monkeypatch.setattr(defense, "reconstruct_packet", reconstruct)
+        reports, _ = run_experiment(cfg, dc)
+        # every packet the server folds in is one it parsed from the wire
+        assert len(aggregated) == len(parsed) > 0
+        assert {id(p) for p in aggregated} == {id(p) for p in parsed}
+        assert sum(wire) == sum(r.bytes_up for r in reports)
+
+    def test_numerically_rank_one_update_trains(self):
+        # a 4x32 update whose second singular value is ~5e-17 of the first
+        # once stalled the Jacobi iteration (NumericalFailure)
+        seed = 5000015
+        cfg = FlConfig(rounds=3, seed=seed, defense=DefenseConfig(method="svdefense", seed=seed))
+        reports, model = run_experiment(cfg, DataConfig())
+        assert len(reports) == 3
+        assert all(np.isfinite(l.weight).all() for l in model.layers)
+
     def test_config_validation(self):
         bad = FlConfig(num_clients=2, clients_per_round=5)
         assert bad.validate()

@@ -59,6 +59,22 @@ class TestSvd:
             assert len(f.sigma) == rank
             assert np.linalg.norm(f.assemble() - m) <= 1e-8 * np.linalg.norm(m)
 
+    @pytest.mark.parametrize("shape, ranks", [((32, 64), range(1, 19)), ((4, 32), range(1, 5))])
+    def test_numerically_low_rank(self, shape, ranks):
+        # Gradient-like updates: weighted rows of delta @ ReLU activations,
+        # exactly rank r, with rounding-level noise from the float products.
+        rng = np.random.default_rng(0)
+        for rank in ranks:
+            acts = np.maximum(rng.normal(size=(rank, shape[1])), 0.0)
+            acts *= rng.random(acts.shape) < 0.2
+            acts[:, :rank] += np.eye(rank)
+            m = rng.normal(size=(shape[0], rank)) @ acts
+            m *= np.sqrt(np.sum(m * m, axis=1))[:, None]
+            f = svd(m)
+            assert len(f.sigma) == rank
+            np.testing.assert_allclose(f.sigma, gram_singular_values(m)[:rank], atol=1e-8)
+            assert np.linalg.norm(f.assemble() - m) <= 1e-8 * np.linalg.norm(m)
+
     def test_wide_matrix_transposes(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(3, 40))
