@@ -14,13 +14,14 @@ low-rank defense pipeline on the dummy gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import defense, linalg, schema, tinynn
 from .errors import DegenerateInput, InvalidConfig, InvalidInput, UndeterminedLabel
-from .tinynn import GradSet, KIND_RELU, ModelParams
+from .tinynn import GradSet, KIND_RELU, LayerGrads, ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
 ADAPTIVE_MODES = ("none", "prune_mask", "eot", "defense_replay")
@@ -58,11 +59,8 @@ class AttackResult:
     final_distance: float  # min over the trace
     best_iteration: int
     reconstructed_batch: np.ndarray  # all slots at the best iterate
+    restart: int  # index of the winning restart
     warnings: list[str] = field(default_factory=list)
-
-
-def _flatten_layer(layer: tinynn.LayerGrads) -> np.ndarray:
-    return np.concatenate([layer.weight_grad.ravel(), layer.bias_grad.ravel()])
 
 
 def grad_distance(observed: GradSet, dummy: GradSet, metric: str) -> float:
@@ -73,36 +71,38 @@ def grad_distance(observed: GradSet, dummy: GradSet, metric: str) -> float:
         raise InvalidConfig(f"unknown distance metric {metric!r}")
     if len(observed.layers) != len(dummy.layers):
         raise InvalidInput("gradient sets have different layer counts")
-    return _distance_with_sens(observed, dummy, metric)[0]
+    return float(_distance_with_sens(observed, dummy, metric)[0])
 
 
 def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str):
-    """Distance plus its gradient with respect to every dummy tensor."""
-    sens = defense.zero_grads_like(dummy)
-    if metric == "l2":
-        total = 0.0
-        for o, d, s in zip(observed.layers, dummy.layers, sens.layers):
+    """Distance plus its gradient with respect to every dummy tensor. Dummy
+    tensors may carry leading (restart) axes; the distance then has those
+    axes, each slice computed exactly as it would be alone."""
+    lead = dummy.layers[0].bias_grad.shape[:-1]
+    total = np.zeros(lead)
+    sens = []
+    for o, d in zip(observed.layers, dummy.layers):
+        if metric == "l2":
             dw = d.weight_grad - o.weight_grad
             db = d.bias_grad - o.bias_grad
-            total += float(np.sum(dw * dw)) + float(np.sum(db * db))
-            s.weight_grad[...] = 2.0 * dw
-            s.bias_grad[...] = 2.0 * db
-        return total, sens
-    total = 0.0
-    for o, d, s in zip(observed.layers, dummy.layers, sens.layers):
-        ov = _flatten_layer(o)
-        dv = _flatten_layer(d)
-        no = float(np.linalg.norm(ov))
-        nd = float(np.linalg.norm(dv))
-        if no == 0.0 or nd == 0.0:
+            total += (dw * dw).reshape(*lead, -1).sum(axis=-1) + (db * db).sum(axis=-1)
+            sens.append(LayerGrads(2.0 * dw, 2.0 * db))
             continue
-        dot = float(dv @ ov)
-        total += 1.0 - dot / (nd * no)
-        gvec = -ov / (nd * no) + (dot / (nd**3 * no)) * dv
-        wsize = d.weight_grad.size
-        s.weight_grad[...] = gvec[:wsize].reshape(d.weight_grad.shape)
-        s.bias_grad[...] = gvec[wsize:].reshape(d.bias_grad.shape)
-    return total, sens
+        ov = np.concatenate([o.weight_grad.ravel(), o.bias_grad])
+        no = math.sqrt(ov.dot(ov))  # as np.linalg.norm computes it
+        dvs = np.concatenate([d.weight_grad.reshape(*lead, -1), d.bias_grad], axis=-1)
+        gvecs = np.zeros_like(dvs)
+        for j in np.ndindex(lead):
+            dv = dvs[j]  # Python floats: vectorized norms, dots, cubes round otherwise
+            nd = math.sqrt(dv.dot(dv))
+            if no == 0.0 or nd == 0.0:
+                continue
+            dot = float(dv @ ov)
+            total[j] += 1.0 - dot / (nd * no)
+            gvecs[j] = -ov / (nd * no) + (dot / (nd**3 * no)) * dv
+        wsize = o.weight_grad.size
+        sens.append(LayerGrads(gvecs[..., :wsize].reshape(d.weight_grad.shape), gvecs[..., wsize:]))
+    return total, GradSet(sens)
 
 
 def _replay_projection(g: np.ndarray, cfg: defense.DefenseConfig):
@@ -125,12 +125,12 @@ def _replay_projection(g: np.ndarray, cfg: defense.DefenseConfig):
 
 class _AdaptiveTransform:
     """Forward transform of the dummy gradients plus the matching pullback of
-    distance sensitivities, per attack iteration."""
+    distance sensitivities, per attack iteration. Gradient tensors carry a
+    leading restart axis; restart j draws its EOT noise from rngs[j]."""
 
-    def __init__(self, cfg: AttackConfig, observed: GradSet, rng: np.random.Generator):
+    def __init__(self, cfg: AttackConfig, observed: GradSet, rngs):
         self.cfg = cfg
-        self.rng = rng
-        self.observed = observed
+        self.rngs = rngs
         if cfg.adaptive == "prune_mask":
             self.masks = [
                 (t.weight_grad != 0.0, t.bias_grad != 0.0) for t in observed.layers
@@ -164,67 +164,72 @@ class _AdaptiveTransform:
             out = dummy.copy()
             for layer in out.layers:
                 for t in (layer.weight_grad, layer.bias_grad):
-                    t += self._mean_noise(d, n, t.shape)
+                    for tj, rng in zip(t, self.rngs):
+                        tj += _mean_noise(rng, d, n, tj.shape)
             return out
-        # defense_replay: refresh the projector at the current iterate, then
-        # push the dummy matrix through it (bias tensors travel raw).
+        # defense_replay: refresh each restart's projector at its iterate, then
+        # push its dummy matrix through it (bias tensors travel raw).
         self._projectors = []
         out = dummy.copy()
         for layer in out.layers:
-            g = layer.weight_grad
-            if g.ndim == 2 and min(g.shape) >= 2 and np.any(g):
-                w, u_k = _replay_projection(g, self.cfg.defense)
-                proj = u_k @ u_k.T
-                layer.weight_grad = (proj @ (w[:, None] * g)) / w[:, None]
-                self._projectors.append((w, proj))
-            else:
-                self._projectors.append(None)
+            per_restart = []
+            for g in layer.weight_grad:
+                if min(g.shape) >= 2 and np.any(g):
+                    w, u_k = _replay_projection(g, self.cfg.defense)
+                    proj = u_k @ u_k.T
+                    g[...] = (proj @ (w[:, None] * g)) / w[:, None]
+                    per_restart.append((w, proj))
+                else:
+                    per_restart.append(None)
+            self._projectors.append(per_restart)
         return out
-
-    def _mean_noise(self, d: defense.DefenseConfig, n: int, shape) -> np.ndarray:
-        if d.method == "dp_gauss":
-            draws = self.rng.normal(0.0, d.noise_scale, size=(n, *shape))
-        else:
-            draws = self.rng.laplace(0.0, d.noise_scale, size=(n, *shape))
-        return draws.mean(axis=0)
 
     def pullback(self, sens: GradSet) -> GradSet:
         mode = self.cfg.adaptive
         if mode in ("none", "eot"):
             return sens
-        if mode == "prune_mask":
-            out = sens.copy()
-            for layer, (wm, bm) in zip(out.layers, self.masks):
-                layer.weight_grad *= wm
-                layer.bias_grad *= bm
-            return out
+        if mode == "prune_mask":  # the mask is its own pullback
+            return self.apply(sens)
         out = sens.copy()
-        for layer, pr in zip(out.layers, self._projectors):
-            if pr is not None:
-                w, proj = pr
-                layer.weight_grad = w[:, None] * (proj @ (layer.weight_grad / w[:, None]))
+        for layer, per_restart in zip(out.layers, self._projectors):
+            for s, pr in zip(layer.weight_grad, per_restart):
+                if pr is not None:
+                    w, proj = pr
+                    s[...] = w[:, None] * (proj @ (s / w[:, None]))
         return out
 
 
-def _input_label_grads(params: ModelParams, x, y, sens: GradSet):
-    """Differentiate an attack loss through the gradient computation.
+def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shape) -> np.ndarray:
+    draw = rng.normal if d.method == "dp_gauss" else rng.laplace
+    return draw(0.0, d.noise_scale, size=(n, *shape)).mean(axis=0)
 
-    `sens` holds dE/d(gradient tensor) for every layer; the return value is
-    (dE/dx, dE/dy) where x is the (n, D) dummy batch and y the (n, C) soft
-    targets. The forward/backward caches are rebuilt here because the caller
-    may have transformed the gradients in between.
-    """
-    n = x.shape[0]
+
+def _forward(params: ModelParams, x, y):
+    """Dummy gradients of the (..., n, D) batch x with soft targets y, plus the
+    (acts, preacts, probs, deltas) cache that _input_label_grads needs."""
     logits, acts, preacts = tinynn.forward_batch(params, x)
     probs = tinynn._softmax(logits)
     deltas = tinynn.deltas_from_forward(params, preacts, probs, y)
+    return tinynn.grads_from_deltas(acts, deltas, x.shape[-2]), (acts, preacts, probs, deltas)
+
+
+def _input_label_grads(params: ModelParams, cache, sens: GradSet):
+    """Differentiate an attack loss through the gradient computation.
+
+    `sens` holds dE/d(gradient tensor) for every layer and `cache` is the
+    _forward cache of the dummy batch x with soft targets y (the adaptive
+    transform changes only the gradients); returns (dE/dx, dE/dy).
+    """
+    acts, preacts, probs, deltas = cache
+    n = acts[0].shape[-2]
     n_layers = len(params.layers)
 
     # sensitivities of the per-example error signals, built from the first
     # layer upward because delta_l feeds delta_{l-1} in the backward pass
     d_delta = []
     for l in range(n_layers):
-        direct = (acts[l] @ sens.layers[l].weight_grad.T + sens.layers[l].bias_grad) / n
+        sw = sens.layers[l].weight_grad
+        direct = (acts[l] @ sw.swapaxes(-1, -2) + sens.layers[l].bias_grad[..., None, :]) / n
         if l > 0:
             prev = d_delta[l - 1]
             if params.layers[l - 1].kind == KIND_RELU:
@@ -235,7 +240,7 @@ def _input_label_grads(params: ModelParams, x, y, sens: GradSet):
     # softmax head: delta_L = probs - y
     d_probs = d_delta[-1]
     dy = -d_delta[-1]
-    row = np.sum(probs * d_probs, axis=1, keepdims=True)
+    row = np.sum(probs * d_probs, axis=-1, keepdims=True)
     d_z = probs * (d_probs - row)
 
     # walk the forward chain back down to the input
@@ -249,26 +254,22 @@ def _input_label_grads(params: ModelParams, x, y, sens: GradSet):
             d_z = d_act
 
 
-def _dummy_grads(params: ModelParams, x, y):
-    logits, acts, preacts = tinynn.forward_batch(params, x)
-    probs = tinynn._softmax(logits)
-    deltas = tinynn.deltas_from_forward(params, preacts, probs, y)
-    return tinynn.grads_from_deltas(acts, deltas, x.shape[0])
-
-
 def _tv_value_grad(x: np.ndarray, side: int):
-    """Anisotropic total variation of each image slot and its subgradient."""
-    imgs = x.reshape(x.shape[0], side, side)
-    dh = imgs[:, :, 1:] - imgs[:, :, :-1]
-    dv = imgs[:, 1:, :] - imgs[:, :-1, :]
-    value = float(np.sum(np.abs(dh)) + np.sum(np.abs(dv)))
+    """Anisotropic total variation of each (..., n, D) image batch, one value
+    per leading index, and its subgradient."""
+    lead = x.shape[:-2]
+    imgs = x.reshape(*x.shape[:-1], side, side)
+    dh = imgs[..., :, 1:] - imgs[..., :, :-1]
+    dv = imgs[..., 1:, :] - imgs[..., :-1, :]
+    value = (np.sum(np.abs(dh).reshape(*lead, -1), axis=-1)
+             + np.sum(np.abs(dv).reshape(*lead, -1), axis=-1))
     grad = np.zeros_like(imgs)
     sh = np.sign(dh)
     sv = np.sign(dv)
-    grad[:, :, 1:] += sh
-    grad[:, :, :-1] -= sh
-    grad[:, 1:, :] += sv
-    grad[:, :-1, :] -= sv
+    grad[..., :, 1:] += sh
+    grad[..., :, :-1] -= sh
+    grad[..., 1:, :] += sv
+    grad[..., :-1, :] -= sv
     return value, grad.reshape(x.shape)
 
 
@@ -281,6 +282,13 @@ def _as_gradset(observed, params: ModelParams) -> GradSet:
     return gs
 
 
+def _adam(p, g, m, v, t: int, lr: float):
+    """One Adam step on p; returns the new (p, m, v)."""
+    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+    return p - lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS), m, v
+
+
 def run_attack(
     params: ModelParams,
     observed,
@@ -288,16 +296,23 @@ def run_attack(
     cfg: AttackConfig,
     labels=None,
     init: np.ndarray | None = None,
+    restarts: int = 1,
 ) -> AttackResult:
     """Reconstruct the input(s) behind `observed` gradients.
 
     `observed` may be a GradSet or a list of defense packets (which are
     reassembled the same way the server does). `target_shape` is (D,) for a
     single input or (B, D) for a joint batch reconstruction; `labels` must be
-    given in 'known' mode (an int, or one int per slot). The best iterate by
-    distance is returned, with inputs clamped to [0, 1] after every step.
+    given in 'known' mode (an int, or one int per slot). Inputs are clamped
+    to [0, 1] after every step.
+
+    Restart j, seeded with cfg.seed + 1000 * j, runs as slice j of a leading
+    axis of every array and computes exactly what it would alone; the result
+    is the best iterate of the first restart with the lowest final distance.
     """
     errors = cfg.validate()
+    if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
+        errors.append(f"restarts must be an integer >= 1, got {restarts!r}")
     if errors:
         raise InvalidConfig("; ".join(errors))
     observed = _as_gradset(observed, params)
@@ -332,80 +347,62 @@ def run_attack(
             warnings.append(f"label inference failed ({exc}); optimizing labels instead")
             label_mode = "optimized"
 
-    rng = np.random.default_rng(cfg.seed)
+    seeds = [cfg.seed + 1000 * j for j in range(restarts)]
     if init is None:
-        x = rng.uniform(0.0, 1.0, size=(batch, dim))
+        x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, size=(batch, dim)) for s in seeds])
     else:
-        x = np.clip(np.asarray(init, dtype=np.float64).reshape(batch, dim), 0.0, 1.0)
-    label_logits = np.zeros((batch, num_classes))
+        x = np.clip(np.asarray(init, dtype=np.float64).reshape(1, batch, dim), 0.0, 1.0)
+        x = np.repeat(x, restarts, axis=0)
+    label_logits = np.zeros((restarts, batch, num_classes))
     optimize_labels = label_mode == "optimized"
-
-    transform = _AdaptiveTransform(cfg, observed, np.random.default_rng(cfg.seed + 1))
-
-    m_x = np.zeros_like(x)
-    v_x = np.zeros_like(x)
-    m_l = np.zeros_like(label_logits)
-    v_l = np.zeros_like(label_logits)
+    if not optimize_labels:
+        y = np.eye(num_classes)[label_vec]
+    transform = _AdaptiveTransform(cfg, observed, [np.random.default_rng(s + 1) for s in seeds])
+    m_x = v_x = m_l = v_l = 0.0
 
     side = int(round(np.sqrt(dim)))
     use_tv = cfg.tv_weight > 0.0 and side * side == dim
 
-    trace = np.empty(cfg.iterations)
-    best = (np.inf, 0, x.copy(), label_logits.copy())
+    trace = np.empty((restarts, cfg.iterations))
+    best_loss = np.full(restarts, np.inf)
+    best_it = np.zeros(restarts, dtype=np.int64)
+    best_x, best_logits = x.copy(), label_logits.copy()
 
     for it in range(cfg.iterations):
         if optimize_labels:
             y = tinynn._softmax(label_logits)
-        else:
-            y = np.zeros((batch, num_classes))
-            y[np.arange(batch), label_vec] = 1.0
 
-        dummy = _dummy_grads(params, x, y)
-        transformed = transform.apply(dummy)
-        dist, sens = _distance_with_sens(observed, transformed, cfg.distance)
-        loss = dist
+        dummy, cache = _forward(params, x, y)
+        loss, sens = _distance_with_sens(observed, transform.apply(dummy), cfg.distance)
         if use_tv:
             tv_val, tv_grad = _tv_value_grad(x, side)
             loss = loss + cfg.tv_weight * tv_val
 
-        trace[it] = loss
-        if loss < best[0]:
-            best = (loss, it, x.copy(), label_logits.copy())
+        trace[:, it] = loss
+        better = loss < best_loss
+        best_loss[better], best_it[better] = loss[better], it
+        best_x[better], best_logits[better] = x[better], label_logits[better]
 
-        sens = transform.pullback(sens)
-        gx, gy = _input_label_grads(params, x, y, sens)
+        gx, gy = _input_label_grads(params, cache, transform.pullback(sens))
         if use_tv:
             gx = gx + cfg.tv_weight * tv_grad
 
-        t = it + 1
-        m_x = ADAM_BETA1 * m_x + (1 - ADAM_BETA1) * gx
-        v_x = ADAM_BETA2 * v_x + (1 - ADAM_BETA2) * gx * gx
-        x = x - cfg.lr * (m_x / (1 - ADAM_BETA1**t)) / (
-            np.sqrt(v_x / (1 - ADAM_BETA2**t)) + ADAM_EPS
-        )
+        x, m_x, v_x = _adam(x, gx, m_x, v_x, it + 1, cfg.lr)
         np.clip(x, 0.0, 1.0, out=x)
-
         if optimize_labels:
-            row = np.sum(y * gy, axis=1, keepdims=True)
-            gl = y * (gy - row)
-            m_l = ADAM_BETA1 * m_l + (1 - ADAM_BETA1) * gl
-            v_l = ADAM_BETA2 * v_l + (1 - ADAM_BETA2) * gl * gl
-            label_logits = label_logits - cfg.lr * (m_l / (1 - ADAM_BETA1**t)) / (
-                np.sqrt(v_l / (1 - ADAM_BETA2**t)) + ADAM_EPS
-            )
+            gl = y * (gy - np.sum(y * gy, axis=-1, keepdims=True))
+            label_logits, m_l, v_l = _adam(label_logits, gl, m_l, v_l, it + 1, cfg.lr)
 
-    _, best_it, best_x, best_logits = best
-    if optimize_labels:
-        final_label = int(np.argmax(best_logits[0]))
-    else:
-        final_label = int(label_vec[0])
+    finals = [float(np.min(row)) for row in trace]
+    win = min(range(restarts), key=finals.__getitem__)  # first of the lowest
     return AttackResult(
-        reconstructed=best_x[0].copy(),
-        label=final_label,
-        loss_trace=trace,
-        final_distance=float(np.min(trace)),
-        best_iteration=best_it,
-        reconstructed_batch=best_x,
+        reconstructed=best_x[win, 0].copy(),
+        label=int(np.argmax(best_logits[win, 0]) if optimize_labels else label_vec[0]),
+        loss_trace=trace[win].copy(),
+        final_distance=finals[win],
+        best_iteration=int(best_it[win]),
+        reconstructed_batch=best_x[win].copy(),
+        restart=win,
         warnings=warnings,
     )
 

@@ -37,8 +37,8 @@ class AttackHarnessConfig:
     plus companions with distinct labels. batch_size 1 reproduces the
     single-example setting (where plain low-rank truncation is lossless);
     sizes 2-4 give the gradients genuine rank for the defenses to act on.
-    `restarts` runs the optimizer from that many seeds and keeps the run with
-    the lowest gradient distance.
+    `restarts` runs the optimizer from that many seeds at once (see
+    attack.run_attack) and keeps the run with the lowest gradient distance.
     """
 
     batch_size: int = field(default=3, metadata={"ge": 1, "le": 4})
@@ -172,22 +172,16 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     """Defend one victim batch per the fl defense and attack it; returns the
     per-example metric values and the best attack result."""
     batch = [ds.examples[i] for i in batch_indices]
-    labels = [ex.label for ex in batch]
     _, grads = tinynn.loss_and_grad(model, batch)
     packets, _ = defense_mod.defend_update(
         grads, spec.fl.defense,
         rng=np.random.default_rng(np.random.SeedSequence([spec.seed, 8, run_seed])),
     )
-    shape = (len(batch), model.input_dim)
-    kwargs = {}
-    if spec.attack.label_mode == "known":
-        kwargs["labels"] = labels
-    best = None
-    for j in range(spec.harness.restarts):
-        cfg = replace(spec.attack, seed=spec.seed + 1000 * j + run_seed)
-        result = attack_mod.run_attack(model, packets, shape, cfg, **kwargs)
-        if best is None or result.final_distance < best.final_distance:
-            best = result
+    cfg = replace(spec.attack, seed=spec.seed + run_seed)
+    best = attack_mod.run_attack(
+        model, packets, (len(batch), model.input_dim), cfg,
+        labels=[ex.label for ex in batch], restarts=spec.harness.restarts,
+    )
     truth = batch[0].input
     return (
         metrics.mse(truth, best.reconstructed),
@@ -214,6 +208,8 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
     values = []
     for i, batch_indices in enumerate(batches):
         m, p, s, best = attack_one(model, train, batch_indices, spec, run_seed=i)
+        for text in best.warnings:
+            print(f"warning: example {i}: {text}", file=sys.stderr)
         values.append((m, p, s))
         rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s])
         if write_images:

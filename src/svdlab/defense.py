@@ -171,15 +171,6 @@ def _dgp_tensor(t: np.ndarray, small_rate: float, large_rate: float) -> np.ndarr
     return flat.reshape(t.shape)
 
 
-def zero_grads_like(grads: GradSet) -> GradSet:
-    return GradSet(
-        [
-            LayerGrads(np.zeros_like(g.weight_grad), np.zeros_like(g.bias_grad))
-            for g in grads.layers
-        ]
-    )
-
-
 def defend_baseline(
     grads: GradSet,
     cfg: DefenseConfig,

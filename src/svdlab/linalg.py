@@ -72,6 +72,13 @@ class TruncatedFactors:
         return (self.u_star * self.sigma_star) @ self.vt_star
 
 
+def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**-e, e) with max|a * 2**-e| in [0.5, 1): exact, so ratios are
+    kept while squares of tiny or huge entries neither underflow nor overflow."""
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return np.ldexp(a, -e), e
+
+
 def frobenius_norm(m) -> float:
     """sqrt of the sum of squared entries."""
     return float(np.sqrt(np.sum(np.square(as_matrix(m)))))
@@ -154,9 +161,10 @@ def svd(m) -> SvdFactors:
     RANK_TOL * sigma_max are kept (at least one triple is always kept, with
     sigma 0 for an all-zero matrix). The sign of each left singular vector is
     fixed so its largest-magnitude entry is non-negative, making factors
-    comparable across runs.
+    comparable across runs. A is first scaled exactly by a power of two (see
+    _unit_scale), so entries far from 1 in magnitude lose no accuracy.
     """
-    m = as_matrix(m)
+    m, scale = _unit_scale(as_matrix(m))
     transposed = m.shape[0] < m.shape[1]
     a = m.T if transposed else m
     p, q = a.shape
@@ -181,7 +189,7 @@ def svd(m) -> SvdFactors:
     # sign convention on left singular vectors
     flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
     u[:, flip], vr[:, flip] = -u[:, flip], -vr[:, flip]
-    return SvdFactors(u=u, sigma=sigma, vt=vr.T)
+    return SvdFactors(u=u, sigma=np.ldexp(sigma, scale), vt=vr.T)
 
 
 def energy_rank(sigma, threshold: float) -> tuple[int, float]:
@@ -190,7 +198,7 @@ def energy_rank(sigma, threshold: float) -> tuple[int, float]:
     rank. Returns (k, the fraction of squared-sigma mass the top k keep)."""
     if not 0.0 <= threshold <= 1.0:
         raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
-    energy = np.square(sigma)
+    energy = np.square(_unit_scale(np.asarray(sigma, dtype=np.float64))[0])
     total = float(np.sum(energy))
     if total <= 0.0:
         raise DegenerateInput("all singular values are zero")
@@ -219,7 +227,7 @@ def singular_entropy(sigma) -> float:
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise InvalidInput("sigma must be a non-empty 1-D array")
-    energy = np.square(s)
+    energy = np.square(_unit_scale(s)[0])
     total = float(np.sum(energy))
     if total <= 0.0:
         raise DegenerateInput("all singular values are zero")

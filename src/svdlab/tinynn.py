@@ -121,20 +121,20 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, seed: int = 0) -> 
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward_batch(params: ModelParams, x: np.ndarray):
-    """Run a (n, D) batch through the network.
+    """Run a (..., n, D) batch through the network; leading axes stack
+    independent batches, each computed exactly as it would be alone.
 
     Returns (logits, activations, preacts) where activations[l] is the input
     to layer l (activations[0] is the batch itself) and preacts[l] is layer
     l's affine output. Both caches are what the backward pass consumes.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
+    if x.ndim < 2 or x.shape[-1] != params.input_dim:
         raise InvalidInput(
             f"batch shape {x.shape} does not match input dim {params.input_dim}"
         )
@@ -153,15 +153,8 @@ def forward_batch(params: ModelParams, x: np.ndarray):
     return preacts[-1], activations, preacts
 
 
-def forward(params: ModelParams, input_vec):
-    """Single-input forward pass; returns (logits, cache)."""
-    x = np.asarray(input_vec, dtype=np.float64).reshape(1, -1)
-    logits, activations, preacts = forward_batch(params, x)
-    return logits[0], (activations, preacts)
-
-
 def deltas_from_forward(params: ModelParams, preacts, probs: np.ndarray, y: np.ndarray):
-    """Backpropagated error signals per layer for soft targets `y` (n, C)."""
+    """Backpropagated error signals per layer for soft targets `y` (..., n, C)."""
     n_layers = len(params.layers)
     deltas = [None] * n_layers
     deltas[-1] = probs - y
@@ -174,10 +167,11 @@ def deltas_from_forward(params: ModelParams, preacts, probs: np.ndarray, y: np.n
 
 
 def grads_from_deltas(activations, deltas, n: int) -> GradSet:
-    layers = []
-    for a, d in zip(activations, deltas):
-        layers.append(LayerGrads(weight_grad=d.T @ a / n, bias_grad=d.mean(axis=0)))
-    return GradSet(layers)
+    """Mean parameter gradients over the n examples of each (..., n, .) batch."""
+    return GradSet([
+        LayerGrads(d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)
+        for a, d in zip(activations, deltas)
+    ])
 
 
 def loss_and_grad(params: ModelParams, batch: list[Example]):

@@ -1,6 +1,8 @@
 """Inversion engine: distance metrics, differentiation through the backward
 pass, adaptive transforms, end-to-end reconstructions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,14 +78,14 @@ class TestInputGradients:
         y = tinynn._softmax(rng.normal(size=(3, 4)))
         obs_y = np.zeros((3, 4))
         obs_y[np.arange(3), [0, 1, 2]] = 1.0
-        observed = attack._dummy_grads(model, rng.uniform(0, 1, (3, 10)), obs_y)
+        observed, _ = attack._forward(model, rng.uniform(0, 1, (3, 10)), obs_y)
 
-        dummy = attack._dummy_grads(model, x, y)
+        dummy, cache = attack._forward(model, x, y)
         _, sens = attack._distance_with_sens(observed, dummy, metric)
-        gx, gy = attack._input_label_grads(model, x, y, sens)
+        gx, gy = attack._input_label_grads(model, cache, sens)
 
         def value(xv, yv):
-            return grad_distance(observed, attack._dummy_grads(model, xv, yv), metric)
+            return grad_distance(observed, attack._forward(model, xv, yv)[0], metric)
 
         h = 1e-6
         worst = 0.0
@@ -171,6 +173,73 @@ class TestRunAttack:
         np.testing.assert_array_equal(r_direct.loss_trace, r_packets.loss_trace)
 
 
+ENGINE_DEFENSES = {
+    "none": defense.DefenseConfig(method="none"),
+    "prune_mask": defense.DefenseConfig(method="prune", prune_rate=0.9),
+    "eot": defense.DefenseConfig(method="dp_gauss", noise_scale=0.01),
+    "defense_replay": defense.DefenseConfig(method="svdefense", beta=0.3),
+}
+
+
+class TestEngine:
+    """Restarts run as one leading axis; each slice is the sequential run."""
+
+    def observed_for(self, setup, mode):
+        ds, model = setup
+        batch = batch_for(ds, 8)
+        _, g = tinynn.loss_and_grad(model, batch)
+        dcfg = ENGINE_DEFENSES[mode]
+        packets, _ = defense.defend_update(g, dcfg, rng=np.random.default_rng(2))
+        return model, packets, [e.label for e in batch], dcfg
+
+    @pytest.mark.parametrize("label_mode", ["known", "optimized"])
+    @pytest.mark.parametrize("distance", attack.DISTANCES)
+    @pytest.mark.parametrize("mode", attack.ADAPTIVE_MODES)
+    def test_restart_slices_equal_sequential_runs(self, setup, mode, distance, label_mode):
+        model, observed, labels, dcfg = self.observed_for(setup, mode)
+        cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, label_mode=label_mode,
+                           adaptive=mode, eot_samples=2, seed=40, defense=dcfg)
+        kwargs = {"labels": labels} if label_mode == "known" else {}
+        batched = run_attack(model, observed, (3, 64), cfg, restarts=3, **kwargs)
+        singles = [
+            run_attack(model, observed, (3, 64), replace(cfg, seed=40 + 1000 * j), **kwargs)
+            for j in range(3)
+        ]
+        win = 0
+        for j in (1, 2):
+            if singles[j].final_distance < singles[win].final_distance:
+                win = j
+        best = singles[win]
+        assert batched.restart == win and best.restart == 0
+        np.testing.assert_array_equal(batched.loss_trace, best.loss_trace)
+        np.testing.assert_array_equal(batched.reconstructed_batch, best.reconstructed_batch)
+        assert batched.best_iteration == best.best_iteration
+        assert batched.label == best.label
+        assert batched.final_distance == best.final_distance
+
+    def test_one_forward_pass_per_iteration(self, setup, monkeypatch):
+        model, observed, labels, dcfg = self.observed_for(setup, "defense_replay")
+        calls = []
+        original = tinynn.forward_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tinynn, "forward_batch", counting)
+        cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
+                           label_mode="optimized", adaptive="defense_replay", defense=dcfg)
+        run_attack(model, observed, (3, 64), cfg, restarts=3)
+        assert len(calls) == 25
+
+    @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
+    def test_rejects_bad_restarts(self, setup, restarts):
+        model, observed, labels, _ = self.observed_for(setup, "none")
+        cfg = AttackConfig(iterations=2, label_mode="known")
+        with pytest.raises(InvalidConfig):
+            run_attack(model, observed, (3, 64), cfg, labels=labels, restarts=restarts)
+
+
 class TestAdaptiveTransforms:
     def test_prune_mask_identity_when_no_zeros(self, setup):
         # with no exact zeros anywhere in the observed gradients the mask
@@ -225,8 +294,8 @@ class TestAdaptiveTransforms:
             defense=defense.DefenseConfig(method="dp_gauss", noise_scale=0.5),
         )
         observed = GradSet([LayerGrads(np.zeros((50, 40)), np.zeros(50))])
-        transform = attack._AdaptiveTransform(cfg, observed, rng)
-        out = transform.apply(GradSet([LayerGrads(np.zeros((50, 40)), np.zeros(50))]))
+        transform = attack._AdaptiveTransform(cfg, observed, [rng])
+        out = transform.apply(GradSet([LayerGrads(np.zeros((1, 50, 40)), np.zeros((1, 50)))]))
         sample_var = float(np.var(out.layers[0].weight_grad))
         assert sample_var == pytest.approx(0.5**2 / 16, rel=0.15)
 

@@ -207,6 +207,23 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
+    def test_tiny_checkpoint_attacks_under_svdefense(self, tmp_path, capsys):
+        # gradients near 1e-160 square below the smallest double; the SVD
+        # must still see their spectrum
+        model = tinynn.init_model(64, [32], 4, seed=0)
+        for layer in model.layers:
+            layer.weight *= 1e-160
+        ckpt = tmp_path / "tiny.bin"
+        tinynn.save_model(model, ckpt)
+        overrides = {"fl.defense.method": "svdefense", "attack.distance": "l2",
+                     "attack.iterations": 5}
+        path = write_config(tmp_path, overrides)
+        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
+                       "--model", str(ckpt)])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestTrain:
     def test_outputs_and_schema(self, tmp_path):
         path = write_config(tmp_path)
@@ -244,6 +261,23 @@ class TestAttack:
         assert cli.main(["attack", "--config", path, "--out", str(out_a)]) == 0
         assert cli.main(["attack", "--config", path, "--out", str(out_b)]) == 0
         assert (out_a / "attack.csv").read_bytes() == (out_b / "attack.csv").read_bytes()
+
+    def test_warnings_go_to_stderr(self, tmp_path, capsys):
+        # heavy noise leaves no single negative output-bias entry on example
+        # 0, so label inference falls back to optimizing labels
+        overrides = {
+            "fl.defense": {"method": "dp_gauss", "noise_scale": 5.0},
+            "attack.label_mode": "inferred", "attack.batch_size": 1,
+        }
+        path = write_config(tmp_path, overrides)
+        out = tmp_path / "atk"
+        assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("warning: example ") for line in err)
+        assert any(line.startswith("warning: example 0: label inference failed") for line in err)
+        lines = (out / "attack.csv").read_text().splitlines()
+        assert lines[0] == "example_id,defense,attack_mode,mse,psnr,ssim"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "mean"]
 
     def test_inferred_needs_batch_one(self, tmp_path, capsys):
         path = write_config(tmp_path, {"attack.label_mode": "inferred"})

@@ -88,6 +88,25 @@ class TestSvd:
         assert len(f.sigma) == 1 and f.sigma[0] == 0.0
         np.testing.assert_array_equal(f.assemble(), np.zeros((4, 6)))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_extreme_scales(self, scale):
+        # squared entries under- or overflow unless svd rescales first
+        f = svd(np.full((3, 4), scale))
+        assert len(f.sigma) == 1
+        assert f.sigma[0] == pytest.approx(np.sqrt(12.0) * scale, rel=1e-8)
+        np.testing.assert_allclose(f.assemble(), np.full((3, 4), scale), rtol=1e-12)
+        assert singular_entropy(f.sigma) == 0.0
+        k, kept = linalg.energy_rank(np.array([3.0, 1.0]) * scale, 0.5)
+        assert k == 1 and kept == pytest.approx(0.9, rel=1e-12)
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(32, 3)) @ rng.normal(size=(3, 64))
+        f, g = svd(m), svd(np.ldexp(m, -40))
+        np.testing.assert_array_equal(g.sigma, np.ldexp(f.sigma, -40))
+        np.testing.assert_array_equal(g.u, f.u)
+        np.testing.assert_array_equal(g.vt, f.vt)
+
     def test_input_not_mutated(self):
         rng = np.random.default_rng(11)
         for m in (rng.normal(size=(4, 9)), rng.normal(size=(9, 4))):

@@ -12,7 +12,7 @@ from svdlab.tinynn import (
     KIND_RELU,
     LayerParams,
     ModelParams,
-    forward,
+    forward_batch,
     infer_label_from_grads,
     init_model,
     loss_and_grad,
@@ -35,13 +35,13 @@ def random_batch(rng, model, n):
 class TestForward:
     def test_zero_params_zero_logits(self):
         model = ModelParams([LayerParams(np.zeros((3, 5)), np.zeros(3), KIND_OUTPUT)])
-        logits, _ = forward(model, np.ones(5))
-        np.testing.assert_array_equal(logits, np.zeros(3))
+        logits, _, _ = forward_batch(model, np.ones((1, 5)))
+        np.testing.assert_array_equal(logits, np.zeros((1, 3)))
 
     def test_identity_layer(self):
         model = ModelParams([LayerParams(np.eye(4), np.zeros(4), KIND_OUTPUT)])
-        v = np.array([0.1, -0.2, 0.7, 0.0])
-        logits, _ = forward(model, v)
+        v = np.array([[0.1, -0.2, 0.7, 0.0]])
+        logits, _, _ = forward_batch(model, v)
         np.testing.assert_allclose(logits, v)
 
     def test_hand_computed_relu_net(self):
@@ -52,14 +52,36 @@ class TestForward:
         model = ModelParams(
             [LayerParams(w1, b1, KIND_RELU), LayerParams(w2, b2, KIND_OUTPUT)]
         )
-        x = np.array([2.0, 1.0])
+        x = np.array([[2.0, 1.0]])
         # z1 = (1.25, 2.0) -> relu passthrough; logits = (3.25, -0.75)
-        logits, _ = forward(model, x)
-        np.testing.assert_allclose(logits, [3.25, -0.75])
+        logits, _, _ = forward_batch(model, x)
+        np.testing.assert_allclose(logits, [[3.25, -0.75]])
 
     def test_shape_mismatch(self):
-        with pytest.raises(InvalidInput):
-            forward(small_model(), np.ones(9))
+        for bad in (np.ones((1, 9)), np.ones(8), np.ones((2, 3, 9))):
+            with pytest.raises(InvalidInput):
+                forward_batch(small_model(), bad)
+
+    def test_stacked_batches_match_slices_exactly(self):
+        # a leading (restart) axis must not change any slice's arithmetic
+        rng = np.random.default_rng(3)
+        model = init_model(64, [32], 4, seed=5)
+        x = rng.uniform(0.0, 1.0, size=(3, 4, 64))
+        y = np.eye(4)[rng.integers(0, 4, size=(3, 4))]
+        logits, acts, preacts = forward_batch(model, x)
+        probs = tinynn._softmax(logits)
+        grads = tinynn.grads_from_deltas(
+            acts, tinynn.deltas_from_forward(model, preacts, probs, y), 4
+        )
+        for j in range(3):
+            lj, aj, pj = forward_batch(model, x[j])
+            np.testing.assert_array_equal(logits[j], lj)
+            for stacked, alone in zip(acts + preacts, aj + pj):
+                np.testing.assert_array_equal(stacked[j], alone)
+            dj = tinynn.deltas_from_forward(model, pj, tinynn._softmax(lj), y[j])
+            for g, h in zip(grads.layers, tinynn.grads_from_deltas(aj, dj, 4).layers):
+                np.testing.assert_array_equal(g.weight_grad[j], h.weight_grad)
+                np.testing.assert_array_equal(g.bias_grad[j], h.bias_grad)
 
     def test_layer_dims_must_chain(self):
         with pytest.raises(InvalidInput):
