@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defense, linalg, schema, tinynn
-from .errors import DegenerateInput, InvalidConfig, InvalidInput, UndeterminedLabel
+from .errors import InvalidConfig, InvalidInput, UndeterminedLabel
 from .tinynn import GradSet, KIND_RELU, LayerGrads, ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
@@ -74,53 +74,84 @@ def grad_distance(observed: GradSet, dummy: GradSet, metric: str) -> float:
     return float(_distance_with_sens(observed, dummy, metric)[0])
 
 
-def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str):
+def _unit_vectors(observed: GradSet) -> list:
+    """Each observed layer's weight+bias vector over its norm (None if zero),
+    scaled exactly first so that the norm cannot underflow or overflow."""
+    vs = [linalg._unit_scale(np.concatenate([o.weight_grad.ravel(), o.bias_grad]))[0]
+          for o in observed.layers]
+    return [v / math.sqrt(v.dot(v)) if v.any() else None for v in vs]
+
+
+def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str, units=None):
     """Distance plus its gradient with respect to every dummy tensor. Dummy
     tensors may carry leading (restart) axes; the distance then has those
-    axes, each slice computed exactly as it would be alone."""
+    axes, each slice computed exactly as it would be alone. `units` are the
+    _unit_vectors of `observed`, computed here when not given."""
     lead = dummy.layers[0].bias_grad.shape[:-1]
     total = np.zeros(lead)
     sens = []
-    for o, d in zip(observed.layers, dummy.layers):
+    units = units or _unit_vectors(observed)
+    for o, d, ou in zip(observed.layers, dummy.layers, units):
         if metric == "l2":
             dw = d.weight_grad - o.weight_grad
             db = d.bias_grad - o.bias_grad
             total += (dw * dw).reshape(*lead, -1).sum(axis=-1) + (db * db).sum(axis=-1)
             sens.append(LayerGrads(2.0 * dw, 2.0 * db))
             continue
-        ov = np.concatenate([o.weight_grad.ravel(), o.bias_grad])
-        no = math.sqrt(ov.dot(ov))  # as np.linalg.norm computes it
-        dvs = np.concatenate([d.weight_grad.reshape(*lead, -1), d.bias_grad], axis=-1)
+        # dummy vectors d are scaled exactly by 2**-e; 1 - cos(d, o) has the
+        # gradient (cos * d / |d| - o / |o|) / |d|
+        dvs, e = linalg._unit_scale(
+            np.concatenate([d.weight_grad.reshape(*lead, -1), d.bias_grad], axis=-1), -1)
         gvecs = np.zeros_like(dvs)
         for j in np.ndindex(lead):
-            dv = dvs[j]  # Python floats: vectorized norms, dots, cubes round otherwise
+            dv = dvs[j]  # Python floats: vectorized norms and dots round otherwise
             nd = math.sqrt(dv.dot(dv))
-            if no == 0.0 or nd == 0.0:
+            if ou is None or nd == 0.0:
                 continue
-            dot = float(dv @ ov)
-            total[j] += 1.0 - dot / (nd * no)
-            gvecs[j] = -ov / (nd * no) + (dot / (nd**3 * no)) * dv
+            c = float(dv @ ou) / nd
+            total[j] += 1.0 - c
+            gvecs[j] = ((c / nd) * dv - ou) * math.ldexp(1.0 / nd, -int(e[j][0]))
         wsize = o.weight_grad.size
         sens.append(LayerGrads(gvecs[..., :wsize].reshape(d.weight_grad.shape), gvecs[..., wsize:]))
     return total, GradSet(sens)
 
 
-def _replay_projection(g: np.ndarray, cfg: defense.DefenseConfig):
-    """Rank-k projector the defense would apply to this matrix.
-
-    Returns (weights, u_k). Uses a library SVD: only the projection subspace
-    matters here, and it is unique for distinct singular values.
-    """
-    weights = defense.channel_weights(g)
-    wg = weights[:, None] * g
-    u, sig, _ = np.linalg.svd(wg, full_matrices=False)
-    sig_e = np.linalg.svd(g, compute_uv=False) if cfg.entropy_source == "unweighted" else sig
-    try:
-        entropy = linalg.singular_entropy(sig_e)
-        k, _ = linalg.energy_rank(sig, defense.adaptive_threshold(entropy, cfg.beta))
-    except DegenerateInput:
-        return weights, u[:, :1] * 0.0
-    return weights, u[:, :k]
+def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
+    """(layer, w, u, nonzero) for each stacked weight gradient delta^T act / n
+    of at least 2x2 in a _forward cache: the channel weights w (..., p, 1),
+    scaled exactly to a maximum in [0.5, 1), and columns u (..., p, m) holding
+    the left singular vectors of w g that the defense keeps. A thin QR
+    w delta^T = Q R and an SVD of the core R act / n = U S V^T give them as
+    Q U, for all layers at once: zero-padding to one shape changes no singular
+    value or vector. The rank k is the defender's, clamped to the count of
+    S > RANK_TOL * max S as linalg.svd deflates; a zero spectrum gets k = 0."""
+    acts, _, _, deltas = cache
+    ids = [l for l, (a, d) in enumerate(zip(acts, deltas)) if min(a.shape[-1], d.shape[-1]) >= 2]
+    if not ids:
+        return []
+    dims = [(deltas[l].shape[-1], acts[l].shape[-1]) for l in ids]
+    (p, q), lead = np.max(dims, axis=0), (len(ids), *acts[0].shape[:-1])
+    delta, act = np.zeros((*lead, p)), np.zeros((*lead, q))
+    for i, (l, (p_l, q_l)) in enumerate(zip(ids, dims)):
+        delta[i, ..., :p_l], act[i, ..., :q_l] = deltas[l], acts[l]
+    dt, n = delta.swapaxes(-1, -2), act.shape[-2]
+    g = dt @ act / n
+    w = linalg._unit_scale(defense.channel_weights(g), -1)[0][..., None]
+    qf, r = np.linalg.qr(w * dt)
+    u_c, sig, _ = np.linalg.svd(r @ act / n, full_matrices=False)
+    sig_e = sig
+    if cfg.entropy_source == "unweighted":
+        sig_e = np.linalg.svd(np.linalg.qr(dt)[1] @ act / n, compute_uv=False)
+    k = np.zeros(sig.shape[:-1], dtype=np.int64)
+    live = (sig[..., 0] > 0.0) & (sig_e[..., 0] > 0.0)
+    if live.any():
+        thresholds = [defense.adaptive_threshold(h, cfg.beta)
+                      for h in linalg.singular_entropy(sig_e[live])]
+        k[live] = linalg.energy_rank(sig[live], thresholds)[0]
+    k = np.minimum(k, np.sum(sig > linalg.RANK_TOL * sig[..., :1], axis=-1))
+    u = (qf @ u_c) * (np.arange(sig.shape[-1]) < k[..., None])[..., None, :]
+    return [(l, w[i, ..., :p_l, :], u[i, ..., :p_l, :], g[i].any(axis=(-2, -1))[..., None, None])
+            for i, (l, (p_l, _)) in enumerate(zip(ids, dims))]
 
 
 class _AdaptiveTransform:
@@ -146,9 +177,8 @@ class _AdaptiveTransform:
                 raise InvalidConfig(
                     "defense_replay needs the low-rank defense config in attack.defense"
                 )
-        self._projectors = None
 
-    def apply(self, dummy: GradSet) -> GradSet:
+    def apply(self, dummy: GradSet, cache=None) -> GradSet:
         mode = self.cfg.adaptive
         if mode == "none":
             return dummy
@@ -167,21 +197,14 @@ class _AdaptiveTransform:
                     for tj, rng in zip(t, self.rngs):
                         tj += _mean_noise(rng, d, n, tj.shape)
             return out
-        # defense_replay: refresh each restart's projector at its iterate, then
-        # push its dummy matrix through it (bias tensors travel raw).
-        self._projectors = []
+        # defense_replay: refresh every restart's projector u u^T from the
+        # factors in the _forward cache and push the weighted dummy matrices
+        # through it (bias tensors travel raw; all-zero matrices stay as is)
         out = dummy.copy()
-        for layer in out.layers:
-            per_restart = []
-            for g in layer.weight_grad:
-                if min(g.shape) >= 2 and np.any(g):
-                    w, u_k = _replay_projection(g, self.cfg.defense)
-                    proj = u_k @ u_k.T
-                    g[...] = (proj @ (w[:, None] * g)) / w[:, None]
-                    per_restart.append((w, proj))
-                else:
-                    per_restart.append(None)
-            self._projectors.append(per_restart)
+        self._projectors = _replay_projectors(cache, self.cfg.defense)
+        for l, w, u, _ in self._projectors:
+            g = out.layers[l].weight_grad
+            g[...] = (u @ (u.swapaxes(-1, -2) @ (w * g))) / w
         return out
 
     def pullback(self, sens: GradSet) -> GradSet:
@@ -191,11 +214,9 @@ class _AdaptiveTransform:
         if mode == "prune_mask":  # the mask is its own pullback
             return self.apply(sens)
         out = sens.copy()
-        for layer, per_restart in zip(out.layers, self._projectors):
-            for s, pr in zip(layer.weight_grad, per_restart):
-                if pr is not None:
-                    w, proj = pr
-                    s[...] = w[:, None] * (proj @ (s / w[:, None]))
+        for l, w, u, touched in self._projectors:
+            s = out.layers[l].weight_grad
+            s[...] = np.where(touched, w * (u @ (u.swapaxes(-1, -2) @ (s / w))), s)
         return out
 
 
@@ -358,6 +379,7 @@ def run_attack(
     if not optimize_labels:
         y = np.eye(num_classes)[label_vec]
     transform = _AdaptiveTransform(cfg, observed, [np.random.default_rng(s + 1) for s in seeds])
+    units = _unit_vectors(observed)
     m_x = v_x = m_l = v_l = 0.0
 
     side = int(round(np.sqrt(dim)))
@@ -373,7 +395,8 @@ def run_attack(
             y = tinynn._softmax(label_logits)
 
         dummy, cache = _forward(params, x, y)
-        loss, sens = _distance_with_sens(observed, transform.apply(dummy), cfg.distance)
+        loss, sens = _distance_with_sens(observed, transform.apply(dummy, cache), cfg.distance,
+                                         units)
         if use_tv:
             tv_val, tv_grad = _tv_value_grad(x, side)
             loss = loss + cfg.tv_weight * tv_val

@@ -20,7 +20,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import defense as defense_mod
 from . import flsim, metrics, schema, tinynn
-from .errors import InvalidConfig, InvalidInput, NumericalFailure
+from .errors import DegenerateInput, InvalidConfig, InvalidInput, NumericalFailure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     except (InvalidInput, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalFailure as exc:
+    except (NumericalFailure, DegenerateInput) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

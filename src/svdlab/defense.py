@@ -79,15 +79,16 @@ def adaptive_threshold(entropy: float, beta: float) -> float:
     return 1.0 - math.exp(-beta * entropy)
 
 
-def channel_weights(g: np.ndarray, floor: float | None = None) -> np.ndarray:
-    """Per-row root-sum-square magnitudes, floored so the diagonal weight
-    matrix stays invertible."""
-    g = linalg.as_matrix(g)
-    norms = np.sqrt(np.sum(np.square(g), axis=1))
-    if floor is None:
-        top = float(np.max(norms))
-        floor = 1e-8 * top if top > 0.0 else 1e-12
-    return np.maximum(norms, floor)
+def channel_weights(g: np.ndarray) -> np.ndarray:
+    """Per-row root-sum-square magnitudes of each (..., p, q) matrix, floored
+    so the diagonal weight matrix stays invertible. Each matrix is scaled by
+    an exact power of two first, so norms of tiny or huge rows stay exact."""
+    g = np.asarray(g, dtype=np.float64)
+    linalg.as_matrix(g.reshape(-1, g.shape[-1]) if g.ndim > 2 else g)  # finite, non-empty
+    unit, e = linalg._unit_scale(g, (-2, -1))
+    norms = np.ldexp(np.sqrt(np.square(unit).sum(axis=-1)), e[..., 0])
+    top = norms.max(axis=-1, keepdims=True)
+    return np.maximum(norms, np.where(top > 0.0, 1e-8 * top, 1e-12))
 
 
 def defend_grad_svd(

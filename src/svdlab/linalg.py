@@ -72,10 +72,11 @@ class TruncatedFactors:
         return (self.u_star * self.sigma_star) @ self.vt_star
 
 
-def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a * 2**-e, e) with max|a * 2**-e| in [0.5, 1): exact, so ratios are
-    kept while squares of tiny or huge entries neither underflow nor overflow."""
-    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+def _unit_scale(a: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """(a * 2**-e, e) with max|a * 2**-e| in [0.5, 1) over `axis` (all axes
+    by default; e keeps them with size 1): exact, so ratios are kept while
+    squares of tiny or huge entries neither underflow nor overflow."""
+    e = np.frexp(np.abs(a).max(axis=axis, initial=0.0, keepdims=True))[1]
     return np.ldexp(a, -e), e
 
 
@@ -189,23 +190,26 @@ def svd(m) -> SvdFactors:
     # sign convention on left singular vectors
     flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
     u[:, flip], vr[:, flip] = -u[:, flip], -vr[:, flip]
-    return SvdFactors(u=u, sigma=np.ldexp(sigma, scale), vt=vr.T)
+    return SvdFactors(u=u, sigma=np.ldexp(sigma, scale.item()), vt=vr.T)
 
 
-def energy_rank(sigma, threshold: float) -> tuple[int, float]:
+def energy_rank(sigma, threshold):
     """Smallest k whose cumulative squared-sigma fraction strictly exceeds
     `threshold`, clamped to len(sigma) so that a threshold of 1 keeps full
-    rank. Returns (k, the fraction of squared-sigma mass the top k keep)."""
-    if not 0.0 <= threshold <= 1.0:
+    rank. Returns (k, the fraction of squared-sigma mass the top k keep).
+    Leading axes of sigma (..., r) stack spectra, each with its threshold."""
+    threshold = np.asarray(threshold, dtype=np.float64)
+    if not ((0.0 <= threshold) & (threshold <= 1.0)).all():
         raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
-    energy = np.square(_unit_scale(np.asarray(sigma, dtype=np.float64))[0])
-    total = float(np.sum(energy))
-    if total <= 0.0:
+    energy = np.square(_unit_scale(np.asarray(sigma, dtype=np.float64), -1)[0])
+    total = energy.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise DegenerateInput("all singular values are zero")
-    fractions = np.cumsum(energy) / total
-    k = int(np.searchsorted(fractions, threshold, side="right")) + 1
-    k = min(k, len(sigma))
-    return k, float(fractions[k - 1])
+    fractions = energy.cumsum(axis=-1) / total
+    below = fractions <= threshold[..., None]
+    k = np.minimum(below.sum(axis=-1) + 1, energy.shape[-1])
+    kept = np.where(below, fractions[..., -1:], fractions).min(axis=-1)  # fractions never fall
+    return (int(k), float(kept)) if k.ndim == 0 else (k, kept)
 
 
 def truncate_by_energy(f: SvdFactors, threshold: float) -> TruncatedFactors:
@@ -219,18 +223,19 @@ def truncate_by_energy(f: SvdFactors, threshold: float) -> TruncatedFactors:
     )
 
 
-def singular_entropy(sigma) -> float:
+def singular_entropy(sigma):
     """Shannon entropy (nats) of the normalized squared singular values.
 
-    Uses the 0 * ln 0 = 0 convention; the result lies in [0, ln r].
+    Uses the 0 * ln 0 = 0 convention; the result lies in [0, ln r]. Leading
+    axes of sigma (..., r) stack spectra, one entropy each.
     """
     s = np.asarray(sigma, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise InvalidInput("sigma must be a non-empty 1-D array")
-    energy = np.square(_unit_scale(s)[0])
-    total = float(np.sum(energy))
-    if total <= 0.0:
+    if s.ndim < 1 or s.shape[-1] == 0:
+        raise InvalidInput("sigma must be a non-empty array of spectra")
+    energy = np.square(_unit_scale(s, -1)[0])
+    total = energy.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise DegenerateInput("all singular values are zero")
     tilde = energy / total
-    nz = tilde[tilde > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    h = -(tilde * np.log(tilde, out=np.zeros_like(tilde), where=tilde > 0.0)).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h

@@ -277,14 +277,42 @@ class TestAdaptiveTransforms:
 
     def test_replay_matches_defense_pipeline(self, setup):
         # the attacker's replay of the defense must reproduce what the
-        # defender would transmit, up to factorization round-off
+        # defender would transmit, up to factorization round-off; the replay
+        # reads g in factored form, delta^T act / n with delta = n I, act = g
         rng = np.random.default_rng(4)
         g = rng.normal(size=(12, 9))
         dcfg = defense.DefenseConfig(method="svdefense", beta=0.3)
         pkt = defense.defend_grad_svd(g, beta=0.3)
-        w, u_k = attack._replay_projection(g, dcfg)
-        replayed = (u_k @ u_k.T @ (w[:, None] * g)) / w[:, None]
-        np.testing.assert_allclose(replayed, defense.reconstruct_packet(pkt), atol=1e-8)
+        dummy = GradSet([LayerGrads(g[None].copy(), np.zeros((1, 12)))])
+        cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
+        cache = ([g[None]], None, None, [12.0 * np.eye(12)[None]])
+        replayed = attack._AdaptiveTransform(cfg, dummy, []).apply(dummy, cache)
+        np.testing.assert_allclose(replayed.layers[0].weight_grad[0],
+                                   defense.reconstruct_packet(pkt), atol=1e-8)
+
+    @pytest.mark.parametrize("entropy_source", ["weighted", "unweighted"])
+    @pytest.mark.parametrize("beta", [0.3, 1000.0])  # 1000: T rounds to 1
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_stacked_replay_equals_the_defender(self, n, beta, entropy_source):
+        # restart stacks of delta^T act / n on a 32x64 layer and a 4x32 one
+        # (p < n at n = 5); restart 1 of the first layer is all zero
+        rng = np.random.default_rng(n)
+        shapes = [(32, 64), (4, 32)]
+        deltas = [rng.normal(size=(4, n, p)) for p, _ in shapes]
+        acts = [rng.uniform(size=(4, n, q)) for _, q in shapes]
+        deltas[0][1] = 0.0
+        dummy = tinynn.grads_from_deltas(acts, deltas, n)
+        dcfg = defense.DefenseConfig(method="svdefense", beta=beta, entropy_source=entropy_source)
+        cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
+        transform = attack._AdaptiveTransform(cfg, dummy, [])
+        out = transform.apply(dummy, (acts, None, None, deltas))
+        assert [proj[0] for proj in transform._projectors] == [0, 1]
+        for l, _, u, _ in transform._projectors:
+            for g, r, u_j in zip(dummy.layers[l].weight_grad, out.layers[l].weight_grad, u):
+                pkt = defense.defend_grad_svd(g, beta, entropy_source=entropy_source)
+                assert np.count_nonzero(u_j.any(axis=0)) == np.count_nonzero(pkt.sigma_star)
+                np.testing.assert_allclose(r, defense.reconstruct_packet(pkt), rtol=0,
+                                           atol=1e-8 * np.linalg.norm(g))
 
     def test_eot_noise_variance_shrinks(self):
         # averaging n draws leaves variance sigma^2 / n

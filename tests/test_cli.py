@@ -207,21 +207,33 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
-    def test_tiny_checkpoint_attacks_under_svdefense(self, tmp_path, capsys):
-        # gradients near 1e-160 square below the smallest double; the SVD
-        # must still see their spectrum
+    @staticmethod
+    def attack_scaled_checkpoint(tmp_path, scale, overrides):
         model = tinynn.init_model(64, [32], 4, seed=0)
         for layer in model.layers:
-            layer.weight *= 1e-160
+            layer.weight *= scale
         ckpt = tmp_path / "tiny.bin"
         tinynn.save_model(model, ckpt)
-        overrides = {"fl.defense.method": "svdefense", "attack.distance": "l2",
-                     "attack.iterations": 5}
-        path = write_config(tmp_path, overrides)
-        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
-                       "--model", str(ckpt)])
-        assert rc == 0
+        path = write_config(tmp_path, {"fl.defense.method": "svdefense", "attack.iterations": 5,
+                                       **overrides})
+        return cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
+                         "--model", str(ckpt)])
+
+    @pytest.mark.parametrize("adaptive", ["none", "defense_replay"])
+    @pytest.mark.parametrize("distance", ["l2", "neg_cosine_layerwise"])
+    def test_tiny_checkpoint_attacks_under_svdefense(self, tmp_path, capsys, distance, adaptive):
+        # gradients near 1e-160 square below the smallest double; the SVD,
+        # the replay and the cosine distance must still see their norms
+        overrides = {"attack.distance": distance, "attack.adaptive": adaptive}
+        assert self.attack_scaled_checkpoint(tmp_path, 1e-160, overrides) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_unrepresentable_weighted_update_exits_3(self, tmp_path, capsys):
+        # near 1e-170 the channel-weighted gradient (|g|^2) is below the
+        # smallest double, so the defense cannot factor it
+        assert self.attack_scaled_checkpoint(tmp_path, 1e-170, {}) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
 
 class TestTrain:

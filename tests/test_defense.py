@@ -65,6 +65,10 @@ class TestChannelWeights:
         w = channel_weights(np.zeros((3, 4)))
         assert np.all(w == 1e-12)
 
+    def test_tiny_rows_keep_their_norms(self):
+        # squares of 1e-170 underflow; the power-of-two scaling keeps them
+        assert channel_weights(np.full((3, 4), 1e-170)).tolist() == [2e-170] * 3
+
     def test_weighting_roundtrip(self):
         rng = np.random.default_rng(0)
         g = rng.normal(size=(6, 9))
