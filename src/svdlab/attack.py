@@ -124,7 +124,7 @@ def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
     w delta^T = Q R and an SVD of the core R act / n = U S V^T give them as
     Q U, for all layers at once: zero-padding to one shape changes no singular
     value or vector. The rank k is the defender's, clamped to the count of
-    S > RANK_TOL * max S as linalg.svd deflates; a zero spectrum gets k = 0."""
+    S > RANK_TOL * max S, linalg.svd's own cut; a zero spectrum gets k = 0."""
     acts, _, _, deltas = cache
     ids = [l for l, (a, d) in enumerate(zip(acts, deltas)) if min(a.shape[-1], d.shape[-1]) >= 2]
     if not ids:

@@ -244,13 +244,17 @@ def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec
 
 def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str):
     """One train + attack per axis value; returns the summary rows."""
+    names = [f"{axis}_{value:g}" for value in values]
+    clash = sorted({name for name in names if names.count(name) > 1})
+    if clash:
+        raise InvalidConfig(f"sweep values share a point directory: {', '.join(clash)}")
     points = [_apply_axis(spec, axis, value) for value in values]
     errors = [e for point in points for e in point.validate()]
     if errors:
         raise InvalidConfig("; ".join(errors))
     rows = []
-    for value, point in zip(values, points):
-        point_dir = os.path.join(out_dir, f"{axis}_{value:g}")
+    for value, name, point in zip(values, names, points):
+        point_dir = os.path.join(out_dir, name)
         os.makedirs(point_dir, exist_ok=True)
         reports, model = run_train(point, point_dir)
         attack_values = run_attack_suite(point, point_dir, write_images=False)

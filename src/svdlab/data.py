@@ -9,6 +9,7 @@ ratio rho) and Dirichlet proportions.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -178,24 +179,37 @@ def partition_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed: int) 
     )
 
 
+def _read_idx(path, magic: int, dims: int) -> tuple[list[int], np.ndarray]:
+    """(sizes, uint8 payload) of an IDX file whose header is `magic` and then
+    `dims` big-endian uint32 sizes. Raises InvalidInput on a bad magic or a
+    file shorter than its header or than the payload the sizes declare."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head = 4 * (dims + 1)
+    if len(raw) < head:
+        raise InvalidInput(f"{path}: shorter than its {head}-byte IDX header")
+    got, *sizes = struct.unpack(f">{dims + 1}I", raw[:head])
+    if got != magic:
+        raise InvalidInput(f"{path}: bad IDX magic {got}, expected {magic}")
+    need = math.prod(sizes)
+    if len(raw) - head < need:
+        raise InvalidInput(f"{path}: header declares {need} payload bytes, "
+                           f"file has {len(raw) - head}")
+    return sizes, np.frombuffer(raw, dtype=np.uint8, count=need, offset=head)
+
+
 def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
     """Read an IDX image/label file pair (the classic ubyte format).
 
     Pixels are scaled to [0, 1]. Optional hook for running on real data; the
     synthetic generator needs no files.
     """
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", fh.read(16))
-        if magic != 2051:
-            raise InvalidInput(f"{images_path}: bad IDX image magic {magic}")
-        pixels = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
-    with open(labels_path, "rb") as fh:
-        magic, lcount = struct.unpack(">II", fh.read(8))
-        if magic != 2049:
-            raise InvalidInput(f"{labels_path}: bad IDX label magic {magic}")
-        labels = np.frombuffer(fh.read(lcount), dtype=np.uint8)
+    (count, rows, cols), pixels = _read_idx(images_path, 2051, 3)
+    (lcount,), labels = _read_idx(labels_path, 2049, 1)
     if count != lcount:
         raise InvalidInput("image/label counts differ")
+    if count * rows * cols == 0:
+        raise InvalidInput(f"{images_path}: holds no pixels")
     if rows != cols:
         raise InvalidInput("only square images are supported")
     images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0

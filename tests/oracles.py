@@ -2,8 +2,9 @@
 
 Each oracle deliberately takes a different route than the library code it
 checks: eigenvalues of the Gram matrix by deflated power iteration (instead
-of column rotations), rank statistics computed from first principles, and a
-plain sample-count-weighted federated averaging loop.
+of the LAPACK SVD that linalg.svd calls), rank statistics computed from
+first principles, and a plain sample-count-weighted federated averaging
+loop.
 """
 
 import numpy as np

@@ -235,6 +235,19 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
+    def test_svd_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        path = write_config(tmp_path, {"fl.defense.method": "svdefense"})
+        rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
 
 class TestTrain:
     def test_outputs_and_schema(self, tmp_path):
@@ -323,6 +336,17 @@ class TestSweep:
         assert rc == 2
         assert "empty sweep axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["0.3,0.3", "0.1,0.1000001"])
+    def test_colliding_point_directories_exit_2(self, tmp_path, capsys, values):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--config", path, "--axis", "beta", "--values", values,
+                       "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert os.listdir(out) == []
+
     def test_rho_axis_switches_partitioner(self, tmp_path):
         path = write_config(tmp_path, {"attack.n_examples": 1, "attack.iterations": 20})
         out = tmp_path / "rho_sweep"
@@ -374,20 +398,20 @@ class TestAttackOrderings:
 
 
 class TestIdxDataset:
-    def test_train_on_idx_files(self, tmp_path):
+    @staticmethod
+    def write_idx(tmp_path, n=60, side=8, cut_images=0, cut_labels=0):
         import struct
 
         import numpy as np
 
         rng = np.random.default_rng(0)
-        n, side = 60, 8
         images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
         labels = np.repeat(np.arange(3, dtype=np.uint8), n // 3)
-        (tmp_path / "img.idx").write_bytes(
-            struct.pack(">IIII", 2051, n, side, side) + images.tobytes()
-        )
-        (tmp_path / "lab.idx").write_bytes(struct.pack(">II", 2049, n) + labels.tobytes())
-        path = write_config(
+        img = struct.pack(">IIII", 2051, n, side, side) + images.tobytes()
+        lab = struct.pack(">II", 2049, n) + labels.tobytes()
+        (tmp_path / "img.idx").write_bytes(img[: len(img) - cut_images])
+        (tmp_path / "lab.idx").write_bytes(lab[: len(lab) - cut_labels])
+        return write_config(
             tmp_path,
             {
                 "data.idx_images": str(tmp_path / "img.idx"),
@@ -397,9 +421,29 @@ class TestIdxDataset:
                 "fl.rounds": 2,
             },
         )
+
+    def test_train_on_idx_files(self, tmp_path):
+        path = self.write_idx(tmp_path)
         out = tmp_path / "idx_run"
         assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
         assert len((out / "rounds.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"cut_images": 60 * 64 + 6},  # shorter than the 16-byte header
+            {"cut_images": 1},  # pixel payload short of count * rows * cols
+            {"cut_labels": 1},  # label payload short of its count
+            {"n": 0},  # zero images
+        ],
+        ids=["short_header", "short_pixels", "short_labels", "zero_images"],
+    )
+    def test_malformed_idx_exits_2(self, tmp_path, capsys, malformed):
+        path = self.write_idx(tmp_path, **malformed)
+        rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
 
     def test_idx_paths_must_pair(self, tmp_path, capsys):
         path = write_config(tmp_path, {"data.idx_images": "only_images.idx"})

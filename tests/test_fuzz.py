@@ -1,5 +1,6 @@
 """Fuzzed config files and packet bytes: bad input is reported, never raised
-as anything but the documented error."""
+as anything but the documented error. Fuzzed matrices: linalg.svd keeps its
+contract at every shape, rank and power-of-two scale."""
 
 import json
 from dataclasses import fields
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svdlab import cli, defense
+from svdlab import cli, defense, linalg
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
 from svdlab.errors import InvalidInput
@@ -109,3 +110,54 @@ def test_random_bytes_parse_or_raise_invalid_input(blob):
         defense.deserialize_packet(blob)
     except InvalidInput:
         pass
+
+
+@st.composite
+def _svd_inputs(draw):
+    """A p x q matrix (1 <= p, q <= 64), its exact rank (None when unknown)
+    and a power-of-two exponent. Either built like a weighted gradient: r
+    random directions times sparse ReLU activations, rows scaled by their
+    norms (r = 0 gives the zero matrix); or with singular values graded from
+    1 down to 10**-decay, so some fall on either side of the rank cut."""
+    p, q = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, min(p, q)))
+        acts = np.maximum(rng.normal(size=(r, q)), 0.0) * (rng.random((r, q)) < 0.2)
+        acts[:, :r] += np.eye(r)
+        m = rng.normal(size=(p, r)) @ acts
+        m *= np.sqrt(np.sum(m * m, axis=1))[:, None]
+    else:
+        n, r = min(p, q), None
+        qu, qv = (np.linalg.qr(rng.normal(size=(d, n)))[0] for d in (p, q))
+        m = (qu * np.logspace(0.0, -draw(st.floats(0.0, 16.0)), n)) @ qv.T
+    return m, r, draw(st.integers(-500, 500))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_svd_inputs())
+def test_svd_contract(case):
+    m, rank, e = case
+    f = linalg.svd(m)
+    p, q = m.shape
+    k = len(f.sigma)
+    assert f.u.shape == (p, k) and f.vt.shape == (k, q)
+    if rank == 0:
+        np.testing.assert_array_equal(f.u, np.eye(p, 1))
+        np.testing.assert_array_equal(f.sigma, [0.0])
+        np.testing.assert_array_equal(f.vt, np.eye(1, q))
+    else:
+        spectrum = np.linalg.svd(m, compute_uv=False)
+        ratio = spectrum / (linalg.RANK_TOL * spectrum[0])
+        if not np.any(np.abs(ratio - 1.0) < 0.1):  # no value within rounding of the cut
+            assert k == np.count_nonzero(ratio > 1.0)
+        assert rank is None or k == rank
+    assert np.linalg.norm(f.assemble() - m) <= 1e-8 * np.linalg.norm(m)
+    np.testing.assert_allclose(f.u.T @ f.u, np.eye(k), atol=1e-8)
+    np.testing.assert_allclose(f.vt @ f.vt.T, np.eye(k), atol=1e-8)
+    assert np.all(np.diff(f.sigma) <= 0.0)
+    assert np.all(f.u[np.argmax(np.abs(f.u), axis=0), np.arange(k)] >= 0.0)
+    g = linalg.svd(np.ldexp(m, e))
+    np.testing.assert_array_equal(g.sigma, np.ldexp(f.sigma, e))
+    np.testing.assert_array_equal(g.u, f.u)
+    np.testing.assert_array_equal(g.vt, f.vt)

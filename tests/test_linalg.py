@@ -6,12 +6,7 @@ import pytest
 from oracles import gram_singular_values
 from svdlab import linalg
 from svdlab.errors import DegenerateInput, InvalidInput
-from svdlab.linalg import (
-    frobenius_norm,
-    singular_entropy,
-    svd,
-    truncate_by_energy,
-)
+from svdlab.linalg import singular_entropy, svd, truncate_by_energy
 
 # -(0.64 ln 0.64 + 0.36 ln 0.36), the entropy of the sigma = [4, 3] spectrum
 ENTROPY_43 = 0.6534181947937017
@@ -219,13 +214,3 @@ class TestSingularEntropy:
         with pytest.raises(DegenerateInput):
             singular_entropy([0.0, 0.0])
 
-
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 4))) == 0.0
-
-    def test_identity(self):
-        assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))
-
-    def test_pythagorean(self):
-        assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0)
