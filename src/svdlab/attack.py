@@ -48,7 +48,17 @@ class AttackConfig:
     )
 
     def validate(self) -> list[str]:
-        return schema.check(self)
+        errors, d = schema.check(self), self.defense
+        if d is not None and d.validate():  # those errors are fl.defense's to report
+            return errors
+        if self.adaptive == "eot" and (
+            d is None or d.method not in ("dp_gauss", "dp_lap") or d.noise_scale <= 0.0
+        ):
+            errors.append("adaptive 'eot' requires fl.defense.method dp_gauss or dp_lap "
+                          "with noise_scale > 0")
+        if self.adaptive == "defense_replay" and (d is None or d.method != "svdefense"):
+            errors.append("adaptive 'defense_replay' requires fl.defense.method svdefense")
+        return errors
 
 
 @dataclass
@@ -166,17 +176,6 @@ class _AdaptiveTransform:
             self.masks = [
                 (t.weight_grad != 0.0, t.bias_grad != 0.0) for t in observed.layers
             ]
-        if cfg.adaptive == "eot":
-            d = cfg.defense
-            if d is None or d.method not in ("dp_gauss", "dp_lap") or d.noise_scale <= 0.0:
-                raise InvalidConfig(
-                    "eot needs the defender's noise method and scale in attack.defense"
-                )
-        if cfg.adaptive == "defense_replay":
-            if cfg.defense is None or cfg.defense.method != "svdefense":
-                raise InvalidConfig(
-                    "defense_replay needs the low-rank defense config in attack.defense"
-                )
 
     def apply(self, dummy: GradSet, cache=None) -> GradSet:
         mode = self.cfg.adaptive
@@ -294,15 +293,6 @@ def _tv_value_grad(x: np.ndarray, side: int):
     return value, grad.reshape(x.shape)
 
 
-def _as_gradset(observed, params: ModelParams) -> GradSet:
-    if isinstance(observed, GradSet):
-        return observed
-    gs = defense.packets_to_gradset(list(observed))
-    if len(gs.layers) != len(params.layers):
-        raise InvalidInput("observed packets do not match the model's layer count")
-    return gs
-
-
 def _adam(p, g, m, v, t: int, lr: float):
     """One Adam step on p; returns the new (p, m, v)."""
     m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
@@ -321,11 +311,11 @@ def run_attack(
 ) -> AttackResult:
     """Reconstruct the input(s) behind `observed` gradients.
 
-    `observed` may be a GradSet or a list of defense packets (which are
-    reassembled the same way the server does). `target_shape` is (D,) for a
-    single input or (B, D) for a joint batch reconstruction; `labels` must be
-    given in 'known' mode (an int, or one int per slot). Inputs are clamped
-    to [0, 1] after every step.
+    `observed` may be a GradSet or a list of defense packets, decoded for
+    `params` by the server's own defense.packets_to_gradset. `target_shape`
+    is (D,) for a single input or (B, D) for a joint batch reconstruction;
+    `labels` must be given in 'known' mode (an int, or one int per slot).
+    Inputs are clamped to [0, 1] after every step.
 
     Restart j, seeded with cfg.seed + 1000 * j, runs as slice j of a leading
     axis of every array and computes exactly what it would alone; the result
@@ -336,7 +326,8 @@ def run_attack(
         errors.append(f"restarts must be an integer >= 1, got {restarts!r}")
     if errors:
         raise InvalidConfig("; ".join(errors))
-    observed = _as_gradset(observed, params)
+    if not isinstance(observed, GradSet):
+        observed = defense.packets_to_gradset(list(observed), params)
 
     shape = tuple(target_shape)
     if len(shape) == 1:

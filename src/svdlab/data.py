@@ -93,24 +93,22 @@ def _profile(ds: Dataset, shard: list[int]) -> np.ndarray:
     return counts
 
 
-def partition_rho(ds: Dataset, rho: float, seed: int) -> Partition:
-    """Single-client shard with geometrically decayed class counts.
+def _rho_decay(by_class: list, rho: float, rng: np.random.Generator) -> list[int]:
+    """Shuffle the class order with `rng`; the class at shuffled position i
+    keeps the first ceil(n_i * rho**i) of its n_i indices (ceil so no class
+    vanishes). Returns the kept indices, sorted."""
+    kept: list[int] = []
+    for pos, cls in enumerate(rng.permutation(len(by_class))):
+        kept.extend(int(i) for i in by_class[cls][: int(np.ceil(len(by_class[cls]) * rho**pos))])
+    return sorted(kept)
 
-    The class order is shuffled by the seed; the class at shuffled position i
-    keeps ceil(N_i * rho**i) of its examples (ceil so no class vanishes).
-    rho=1 keeps everything.
-    """
+
+def partition_rho(ds: Dataset, rho: float, seed: int) -> Partition:
+    """Single-client shard with geometrically decayed class counts (see
+    _rho_decay, shuffled by the seed). rho=1 keeps everything."""
     if not 0.0 < rho <= 1.0:
         raise InvalidConfig(f"rho must be in (0, 1], got {rho}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(ds.num_classes)
-    by_class = _class_indices(ds)
-    kept: list[int] = []
-    for pos, cls in enumerate(order):
-        n = len(by_class[cls])
-        keep = int(np.ceil(n * rho**pos))
-        kept.extend(int(i) for i in by_class[cls][:keep])
-    kept.sort()
+    kept = _rho_decay(_class_indices(ds), rho, np.random.default_rng(seed))
     return Partition(client_shards=[kept], balance_profile=[_profile(ds, kept)])
 
 
@@ -120,22 +118,11 @@ def partition_rho_clients(ds: Dataset, num_clients: int, rho: float, seed: int) 
     if num_clients < 1:
         raise InvalidConfig("need at least one client")
     by_class = _class_indices(ds)
-    shards: list[list[int]] = []
-    for m in range(num_clients):
-        slice_ds_indices: list[int] = []
-        for idxs in by_class:
-            chunk = np.array_split(idxs, num_clients)[m]
-            slice_ds_indices.extend(int(i) for i in chunk)
-        sub_rng = np.random.default_rng(np.random.SeedSequence([seed, m]))
-        order = sub_rng.permutation(ds.num_classes)
-        labels = np.array([ds.examples[i].label for i in slice_ds_indices])
-        kept: list[int] = []
-        for pos, cls in enumerate(order):
-            mine = [i for i, lab in zip(slice_ds_indices, labels) if lab == cls]
-            keep = int(np.ceil(len(mine) * rho**pos)) if mine else 0
-            kept.extend(mine[:keep])
-        kept.sort()
-        shards.append(kept)
+    shards = [
+        _rho_decay([np.array_split(idxs, num_clients)[m] for idxs in by_class], rho,
+                   np.random.default_rng(np.random.SeedSequence([seed, m])))
+        for m in range(num_clients)
+    ]
     if any(not s for s in shards):
         raise InvalidConfig("a client shard came out empty; add data or clients")
     return Partition(
@@ -198,8 +185,9 @@ def _read_idx(path, magic: int, dims: int) -> tuple[list[int], np.ndarray]:
     return sizes, np.frombuffer(raw, dtype=np.uint8, count=need, offset=head)
 
 
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Read an IDX image/label file pair (the classic ubyte format).
+def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
+    """Read an IDX image/label file pair (the classic ubyte format) whose
+    labels lie in [0, num_classes).
 
     Pixels are scaled to [0, 1]. Optional hook for running on real data; the
     synthetic generator needs no files.
@@ -212,7 +200,9 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         raise InvalidInput(f"{images_path}: holds no pixels")
     if rows != cols:
         raise InvalidInput("only square images are supported")
+    if int(labels.max()) >= num_classes:
+        raise InvalidInput(f"{labels_path}: label {int(labels.max())} is outside "
+                           f"[0, data.num_classes = {num_classes})")
     images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     examples = [Example(input=img, label=int(lab)) for img, lab in zip(images, labels)]
-    n_cls = num_classes if num_classes is not None else int(labels.max()) + 1
-    return Dataset(examples=examples, num_classes=n_cls, input_dim=rows * cols, side=rows)
+    return Dataset(examples=examples, num_classes=num_classes, input_dim=rows * cols, side=rows)

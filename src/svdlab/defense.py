@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, schema
 from .errors import InvalidConfig, InvalidInput
-from .tinynn import GradSet, LayerGrads
+from .tinynn import GradSet, LayerGrads, ModelParams
 
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
 BASELINES = ("dp_gauss", "dp_lap", "prune", "dgp")
@@ -130,9 +130,9 @@ def defend_grad_svd(
         kind=KIND_SVD,
         orig_shape=(p, q),
         channel_weights=weights,
-        u_star=trunc.u_star,
-        sigma_star=trunc.sigma_star,
-        vt_star=trunc.vt_star,
+        u_star=trunc.u,
+        sigma_star=trunc.sigma,
+        vt_star=trunc.vt,
         entropy=entropy,
     )
 
@@ -270,20 +270,19 @@ def defend_update(
     return packets, new_residual
 
 
-def packets_to_gradset(packets: list[DefensePacket]) -> GradSet:
-    """Reassemble a full gradient set from per-tensor packets."""
-    by_id = {p.layer_id: p for p in packets}
-    if sorted(by_id) != list(range(len(packets))) or len(packets) % 2 != 0:
-        raise InvalidInput("packet ids must cover weight/bias pairs 0..2L-1")
-    layers = []
-    for l in range(len(packets) // 2):
-        layers.append(
-            LayerGrads(
-                weight_grad=reconstruct_packet(by_id[2 * l]),
-                bias_grad=reconstruct_packet(by_id[2 * l + 1]),
-            )
-        )
-    return GradSet(layers)
+def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> GradSet:
+    """Decode one upload for the model `params`: packet i must carry tensor id
+    i (weight of layer l at 2l, its bias at 2l + 1) for every tensor of the
+    model, with that tensor's shape. Any other upload raises InvalidInput."""
+    refs = [t for layer in params.layers for t in (layer.weight, layer.bias)]
+    if [p.layer_id for p in packets] != list(range(len(refs))):
+        raise InvalidInput(f"packet ids must be 0..{len(refs) - 1} in order")
+    tensors = [reconstruct_packet(p) for p in packets]
+    for p, t, ref in zip(packets, tensors, refs):
+        if t.shape != ref.shape or tuple(p.orig_shape) != ref.shape:
+            raise InvalidInput(f"tensor {p.layer_id} declares shape {p.orig_shape} and decodes "
+                               f"to {t.shape}, not the model's {ref.shape}")
+    return GradSet([LayerGrads(w, b) for w, b in zip(tensors[::2], tensors[1::2])])
 
 
 def parameter_count(packet: DefensePacket) -> int:

@@ -10,7 +10,7 @@ experiment seed through fixed-purpose seed sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,38 +168,22 @@ def aggregation_weights(updates: list[ClientUpdate], tensor_id: int) -> np.ndarr
     return counts / counts.sum()
 
 
-def aggregate(global_params: ModelParams, updates: list[ClientUpdate], weights=None) -> ModelParams:
-    """Weighted per-tensor sum of reconstructed updates, subtracted from the
-    global parameters. Clients are folded in ascending id order so the
-    floating-point result does not depend on arrival order; `weights`
-    (tensor id -> aggregation_weights in that order) is computed if absent."""
+def aggregate(global_params: ModelParams, updates: list[ClientUpdate]) -> tuple[ModelParams, dict]:
+    """Decode every upload (defense.packets_to_gradset), weight the clients
+    per tensor (aggregation_weights) and subtract the weighted sum of the
+    decoded tensors from the global parameters. Clients are folded in
+    ascending id order so the floating-point result does not depend on
+    arrival order. Returns (new params, {tensor id: client weights})."""
     updates = sorted(updates, key=lambda u: u.client_id)
-    n_tensors = len(updates[0].packets)
-    if any(len(u.packets) != n_tensors for u in updates):
-        raise InvalidInput("updates disagree on tensor count")
-    if weights is None:
-        weights = {tid: aggregation_weights(updates, tid) for tid in range(n_tensors)}
+    grads = [defense_mod.packets_to_gradset(u.packets, global_params) for u in updates]
+    n_tensors = 2 * len(global_params.layers)
+    weights = {tid: aggregation_weights(updates, tid) for tid in range(n_tensors)}
     new_layers = []
     for l, layer in enumerate(global_params.layers):
-        agg = {}
-        for tensor_id, ref in ((2 * l, layer.weight), (2 * l + 1, layer.bias)):
-            total = np.zeros_like(ref)
-            for w, u in zip(weights[tensor_id], updates):
-                rec = defense_mod.reconstruct_packet(u.packets[tensor_id])
-                if rec.shape != ref.shape:
-                    raise InvalidInput(
-                        f"tensor {tensor_id} shape {rec.shape} != model {ref.shape}"
-                    )
-                total += w * rec
-            agg[tensor_id] = total
-        new_layers.append(
-            tinynn.LayerParams(
-                weight=layer.weight - agg[2 * l],
-                bias=layer.bias - agg[2 * l + 1],
-                kind=layer.kind,
-            )
-        )
-    return ModelParams(new_layers)
+        dw = sum(w * g.layers[l].weight_grad for w, g in zip(weights[2 * l], grads))
+        db = sum(w * g.layers[l].bias_grad for w, g in zip(weights[2 * l + 1], grads))
+        new_layers.append(tinynn.LayerParams(layer.weight - dw, layer.bias - db, layer.kind))
+    return ModelParams(new_layers), weights
 
 
 def _split_idx_dataset(ds: data_mod.Dataset, per_class_test: int):
@@ -223,9 +207,11 @@ def build_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
     """Deterministic dataset / partition / model setup shared by the CLI and
     tests. Returns (train_ds, test_ds, partition, model)."""
     if data_cfg.idx_images is not None:
-        loaded = data_mod.load_idx(data_cfg.idx_images, data_cfg.idx_labels)
+        loaded = data_mod.load_idx(data_cfg.idx_images, data_cfg.idx_labels, data_cfg.num_classes)
+        if loaded.side != data_cfg.side:
+            raise InvalidInput(f"{data_cfg.idx_images}: image side {loaded.side} != data.side "
+                               f"{data_cfg.side}")
         train, test = _split_idx_dataset(loaded, data_cfg.per_class_test)
-        data_cfg = replace(data_cfg, num_classes=loaded.num_classes, side=loaded.side)
     else:
         train_seed = int(_rng(fl.seed, _TAG_TRAIN_DATA).integers(2**31))
         test_seed = int(_rng(fl.seed, _TAG_TEST_DATA).integers(2**31))
@@ -279,8 +265,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             updates.append(update)
             svd_entropies = [p.entropy for p in update.packets if p.kind == defense_mod.KIND_SVD]
             client_entropies[cid] = float(np.mean(svd_entropies)) if svd_entropies else 0.0
-        weights = {tid: aggregation_weights(updates, tid) for tid in range(len(updates[0].packets))}
-        model = aggregate(model, updates, weights)
+        model, weights = aggregate(model, updates)
         reports.append(
             RoundReport(
                 round_index=rnd,

@@ -47,23 +47,6 @@ class SvdFactors:
         return (self.u * self.sigma) @ self.vt
 
 
-@dataclass(frozen=True)
-class TruncatedFactors:
-    """Top-k slice of an SVD plus the fraction of squared-sigma mass it keeps."""
-
-    u_star: np.ndarray
-    sigma_star: np.ndarray
-    vt_star: np.ndarray
-    retained_energy_fraction: float
-
-    @property
-    def retained_rank(self) -> int:
-        return len(self.sigma_star)
-
-    def assemble(self) -> np.ndarray:
-        return (self.u_star * self.sigma_star) @ self.vt_star
-
-
 def _unit_scale(a: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
     """(a * 2**-e, e) with max|a * 2**-e| in [0.5, 1) over `axis` (all axes
     by default; e keeps them with size 1): exact, so ratios are kept while
@@ -117,15 +100,11 @@ def energy_rank(sigma, threshold):
     return (int(k), float(kept)) if k.ndim == 0 else (k, kept)
 
 
-def truncate_by_energy(f: SvdFactors, threshold: float) -> TruncatedFactors:
-    """Top-k slice of `f`, k from energy_rank (always at least one triple)."""
-    k, retained = energy_rank(f.sigma, threshold)
-    return TruncatedFactors(
-        u_star=f.u[:, :k].copy(),
-        sigma_star=f.sigma[:k].copy(),
-        vt_star=f.vt[:k, :].copy(),
-        retained_energy_fraction=retained,
-    )
+def truncate_by_energy(f: SvdFactors, threshold: float) -> SvdFactors:
+    """Top-k slice of `f`, itself a compact SVD; k from energy_rank (always
+    at least one triple), which also gives the energy fraction it keeps."""
+    k = energy_rank(f.sigma, threshold)[0]
+    return SvdFactors(u=f.u[:, :k].copy(), sigma=f.sigma[:k].copy(), vt=f.vt[:k].copy())
 
 
 def singular_entropy(sigma):

@@ -4,8 +4,11 @@ Each oracle deliberately takes a different route than the library code it
 checks: eigenvalues of the Gram matrix by deflated power iteration (instead
 of the LAPACK SVD that linalg.svd calls), rank statistics computed from
 first principles, and a plain sample-count-weighted federated averaging
-loop.
+loop. broken_upload forges the bad uploads that the packet decoder must
+refuse.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -159,3 +162,24 @@ def fedavg_reference(model, ds, shards, selections, lr, batch_size, epochs, seed
             )
         model = tinynn.ModelParams(new_layers)
     return model
+
+
+BROKEN_UPLOADS = ("missing", "duplicated", "swapped", "relabeled", "reshaped")
+
+
+def broken_upload(packets: list, how: str) -> list:
+    """A copy of a well-formed upload of at least two layers, broken one way:
+    the last packet dropped or sent twice, the first two sent in swapped
+    order, the ids of the two weight packets exchanged in place, or the
+    first weight declared with its transposed shape."""
+    p = list(packets)
+    if how == "missing":
+        return p[:-1]
+    if how == "duplicated":
+        return p + p[-1:]
+    if how == "swapped":
+        return [p[1], p[0], *p[2:]]
+    if how == "relabeled":
+        return [replace(p[0], layer_id=2), p[1], replace(p[2], layer_id=0), *p[3:]]
+    assert how == "reshaped"
+    return [replace(p[0], orig_shape=tuple(p[0].orig_shape[::-1])), *p[1:]]

@@ -272,11 +272,11 @@ def test_c10_communication_accounting():
     energy = np.cumsum(np.square(factors.sigma)) / np.sum(np.square(factors.sigma))
     threshold = float((energy[6] + energy[7]) / 2.0)  # lands exactly on k = 8
     trunc = linalg.truncate_by_energy(factors, threshold)
-    assert trunc.retained_rank == 8
+    assert len(trunc.sigma) == 8
     pkt = defense.DefensePacket(
         layer_id=0, kind="svd", orig_shape=(64, 64),
-        channel_weights=np.ones(64), u_star=trunc.u_star,
-        sigma_star=trunc.sigma_star, vt_star=trunc.vt_star, entropy=1.0,
+        channel_weights=np.ones(64), u_star=trunc.u,
+        sigma_star=trunc.sigma, vt_star=trunc.vt, entropy=1.0,
     )
     count = defense.parameter_count(pkt)
     reduction = metrics.comm_reduction(count, 64 * 64)

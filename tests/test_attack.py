@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import BROKEN_UPLOADS, broken_upload
 from svdlab import attack, data, defense, tinynn
 from svdlab.attack import AttackConfig, grad_distance, run_attack
-from svdlab.errors import InvalidConfig
+from svdlab.errors import InvalidConfig, InvalidInput
 from svdlab.tinynn import Example, GradSet, LayerGrads
 
 
@@ -171,6 +172,17 @@ class TestRunAttack:
         r_direct = run_attack(model, g, (3, 64), cfg, labels=[e.label for e in batch])
         r_packets = run_attack(model, packets, (3, 64), cfg, labels=[e.label for e in batch])
         np.testing.assert_array_equal(r_direct.loss_trace, r_packets.loss_trace)
+
+    @pytest.mark.parametrize("how", BROKEN_UPLOADS)
+    def test_rejects_broken_packets(self, setup, how):
+        ds, model = setup
+        batch = batch_for(ds, 7)
+        _, g = tinynn.loss_and_grad(model, batch)
+        packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"))
+        cfg = AttackConfig(iterations=2, label_mode="known")
+        with pytest.raises(InvalidInput):
+            run_attack(model, broken_upload(packets, how), (3, 64), cfg,
+                       labels=[e.label for e in batch])
 
 
 ENGINE_DEFENSES = {

@@ -82,6 +82,19 @@ class TestConfigHandling:
         err_lines = [l for l in capsys.readouterr().err.splitlines() if l]
         assert len(err_lines) >= 2
 
+    @pytest.mark.parametrize("command", [["train"], ["attack"],
+                                         ["sweep", "--axis", "beta", "--values", "0.3"]])
+    @pytest.mark.parametrize("adaptive, method", [("eot", "svdefense"), ("eot", "none"),
+                                                  ("defense_replay", "dp_gauss")])
+    def test_adaptive_mode_needs_its_defense(self, tmp_path, capsys, command, adaptive, method):
+        # rejected before any work: no output directory, no sweep point
+        path = write_config(tmp_path, {"fl.defense.method": method, "attack.adaptive": adaptive})
+        rc = cli.main([*command, "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith(f"config error: attack.adaptive '{adaptive}'")
+        assert not (tmp_path / "o").exists()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         out_a = tmp_path / "a"
@@ -399,14 +412,14 @@ class TestAttackOrderings:
 
 class TestIdxDataset:
     @staticmethod
-    def write_idx(tmp_path, n=60, side=8, cut_images=0, cut_labels=0):
+    def write_idx(tmp_path, n=60, side=8, cut_images=0, cut_labels=0, label_values=(0, 1, 2)):
         import struct
 
         import numpy as np
 
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
-        labels = np.repeat(np.arange(3, dtype=np.uint8), n // 3)
+        labels = np.repeat(np.array(label_values, dtype=np.uint8), n // len(label_values))
         img = struct.pack(">IIII", 2051, n, side, side) + images.tobytes()
         lab = struct.pack(">II", 2049, n) + labels.tobytes()
         (tmp_path / "img.idx").write_bytes(img[: len(img) - cut_images])
@@ -440,6 +453,18 @@ class TestIdxDataset:
     )
     def test_malformed_idx_exits_2(self, tmp_path, capsys, malformed):
         path = self.write_idx(tmp_path, **malformed)
+        rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+    @pytest.mark.parametrize(
+        "mismatch", [{"label_values": (0, 1, 2, 7)}, {"side": 9}], ids=["label_7", "side_9"]
+    )
+    def test_idx_must_match_data_config(self, tmp_path, capsys, mismatch):
+        # data.num_classes is 3 and data.side 8: a label 7 or 9x9 images are
+        # refused, not silently adopted
+        path = self.write_idx(tmp_path, **mismatch)
         rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
         lines = capsys.readouterr().err.splitlines()
         assert rc == 2

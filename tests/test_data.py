@@ -153,7 +153,7 @@ class TestIdxLoader:
         with open(lab_path, "wb") as fh:
             fh.write(struct.pack(">II", 2049, 7))
             fh.write(labels.tobytes())
-        ds = data.load_idx(img_path, lab_path)
+        ds = data.load_idx(img_path, lab_path, 3)
         assert len(ds.examples) == 7
         assert ds.side == 5
         np.testing.assert_allclose(

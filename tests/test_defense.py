@@ -31,6 +31,12 @@ def gradset_from(tensors):
     return GradSet(layers)
 
 
+def model_like(grads):
+    """A model whose tensors have the shapes of the one-layer `grads`."""
+    (g,) = grads.layers
+    return tinynn.ModelParams([tinynn.LayerParams(g.weight_grad, g.bias_grad, tinynn.KIND_OUTPUT)])
+
+
 class TestAdaptiveThreshold:
     def test_zero_entropy(self):
         assert adaptive_threshold(0.0, 0.3) == 0.0
@@ -96,8 +102,8 @@ class TestDefendGradSvd:
         threshold = adaptive_threshold(entropy, 0.3)
         trunc = linalg.truncate_by_energy(factors, threshold)
         assert pkt.entropy == pytest.approx(entropy, abs=1e-12)
-        assert len(pkt.sigma_star) == trunc.retained_rank
-        np.testing.assert_allclose(pkt.sigma_star, trunc.sigma_star)
+        assert len(pkt.sigma_star) == len(trunc.sigma)
+        np.testing.assert_allclose(pkt.sigma_star, trunc.sigma)
 
     def test_weighted_residual_bound(self):
         # Frobenius residual <= cond(weights) * sqrt(1 - T) * ||g||_F
@@ -292,9 +298,20 @@ class TestDefendUpdate:
         packets, residual = defend_update(grads, DefenseConfig(method="none"))
         assert residual is None
         assert [p.kind for p in packets] == ["raw", "raw"]
-        back = packets_to_gradset(packets)
+        back = packets_to_gradset(packets, model_like(grads))
         np.testing.assert_array_equal(back.layers[0].weight_grad, grads.layers[0].weight_grad)
         np.testing.assert_array_equal(back.layers[0].bias_grad, grads.layers[0].bias_grad)
+
+    def test_decoder_checks_decoded_shapes(self):
+        # factors whose product has another shape than the one the packet
+        # declares are refused, not handed on
+        rng = np.random.default_rng(17)
+        grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
+        packets, _ = defend_update(grads, DefenseConfig(method="svdefense", beta=0.3))
+        k = len(packets[0].sigma_star)
+        packets[0].vt_star = np.ones((k, 5))
+        with pytest.raises(InvalidInput):
+            packets_to_gradset(packets, model_like(grads))
 
     def test_svdefense_splits_kinds(self):
         rng = np.random.default_rng(14)

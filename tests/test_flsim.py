@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import fedavg_reference
+from oracles import BROKEN_UPLOADS, broken_upload, fedavg_reference
 from svdlab import data, defense, flsim, tinynn
 from svdlab.defense import DefenseConfig, DefensePacket
 from svdlab.errors import InvalidConfig, InvalidInput, NumericalFailure
@@ -78,7 +78,7 @@ class TestClientRound:
         fl, dc, train, test, part, model = tiny_setup
         cfg = FlConfig(**{**fl.__dict__, "local_lr": 1e-300})
         update, _ = client_round(model, train, part.client_shards[0], cfg, 0, 0)
-        back = defense.packets_to_gradset(update.packets)
+        back = defense.packets_to_gradset(update.packets, model)
         for layer in back.layers:
             assert np.max(np.abs(layer.weight_grad)) < 1e-290
 
@@ -102,7 +102,7 @@ class TestClientRound:
             batch = [train.examples[shard[i]] for i in chunk]
             _, grads = tinynn.loss_and_grad(local, batch)
             local = tinynn.sgd_step(local, grads, fl.local_lr)
-        back = defense.packets_to_gradset(update.packets)
+        back = defense.packets_to_gradset(update.packets, model)
         for bl, gl, ll in zip(back.layers, model.layers, local.layers):
             np.testing.assert_array_equal(bl.weight_grad, gl.weight - ll.weight)
             np.testing.assert_array_equal(bl.bias_grad, gl.bias - ll.bias)
@@ -114,7 +114,7 @@ class TestClientRound:
         update, _ = client_round(model, train, shard, cfg, 2, 0)
         batch = [train.examples[i] for i in shard]
         _, grads = tinynn.loss_and_grad(model, batch)
-        back = defense.packets_to_gradset(update.packets)
+        back = defense.packets_to_gradset(update.packets, model)
         for bl, gl in zip(back.layers, grads.layers):
             np.testing.assert_allclose(bl.weight_grad, cfg.local_lr * gl.weight_grad, atol=1e-12)
 
@@ -128,8 +128,8 @@ class TestAggregate:
     def test_single_client_moves_exactly(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup
         update, _ = client_round(model, train, part.client_shards[0], fl, 0, 0)
-        new = aggregate(model, [update])
-        back = defense.packets_to_gradset(update.packets)
+        new, _ = aggregate(model, [update])
+        back = defense.packets_to_gradset(update.packets, model)
         for nl, ml, bl in zip(new.layers, model.layers, back.layers):
             np.testing.assert_allclose(nl.weight, ml.weight - bl.weight_grad, atol=1e-15)
 
@@ -137,8 +137,8 @@ class TestAggregate:
         fl, dc, train, test, part, model = tiny_setup
         u0, _ = client_round(model, train, part.client_shards[0], fl, 0, 0)
         u1 = ClientUpdate(1, u0.sample_count, u0.packets)
-        both = aggregate(model, [u0, u1])
-        alone = aggregate(model, [u0])
+        both, _ = aggregate(model, [u0, u1])
+        alone, _ = aggregate(model, [u0])
         for a, b in zip(both.layers, alone.layers):
             np.testing.assert_allclose(a.weight, b.weight, atol=1e-12)
 
@@ -148,10 +148,20 @@ class TestAggregate:
             client_round(model, train, part.client_shards[i], fl, i, 0)[0]
             for i in range(3)
         ]
-        a = aggregate(model, ups)
-        b = aggregate(model, ups[::-1])
+        a, _ = aggregate(model, ups)
+        b, _ = aggregate(model, ups[::-1])
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
+
+    @pytest.mark.parametrize("how", BROKEN_UPLOADS)
+    @pytest.mark.parametrize("method", ["none", "svdefense"])
+    def test_rejects_broken_upload(self, tiny_setup, method, how):
+        fl, dc, train, test, part, model = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method=method)})
+        good, _ = client_round(model, train, part.client_shards[0], cfg, 0, 0)
+        bad = ClientUpdate(1, good.sample_count, broken_upload(good.packets, how))
+        with pytest.raises(InvalidInput):
+            aggregate(model, [good, bad])
 
 
 class TestRunExperiment:

@@ -1,20 +1,21 @@
-"""Fuzzed config files and packet bytes: bad input is reported, never raised
-as anything but the documented error. Fuzzed matrices: linalg.svd keeps its
-contract at every shape, rank and power-of-two scale."""
+"""Fuzzed config files, packet bytes and packet lists: bad input is reported,
+never raised as anything but the documented error. Fuzzed matrices:
+linalg.svd keeps its contract at every shape, rank and power-of-two scale."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svdlab import cli, defense, linalg
+from svdlab import cli, defense, linalg, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
 from svdlab.errors import InvalidInput
 from svdlab.flsim import DataConfig, FlConfig
+from svdlab.tinynn import GradSet, LayerGrads
 
 SCALARS = (
     st.none() | st.booleans() | st.integers() | st.integers(min_value=-3, max_value=70)
@@ -110,6 +111,44 @@ def test_random_bytes_parse_or_raise_invalid_input(blob):
         defense.deserialize_packet(blob)
     except InvalidInput:
         pass
+
+
+_MODEL = tinynn.init_model(6, [3], 2, seed=0)
+_OTHER = tinynn.init_model(6, [4], 2, seed=0)  # the same tensor ids, other shapes
+
+
+def _upload(model, method):
+    grads = GradSet([LayerGrads(layer.weight, layer.bias) for layer in model.layers])
+    return defense.defend_update(grads, DefenseConfig(method=method))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(method=st.sampled_from(["none", "svdefense"]),
+       edits=st.lists(st.tuples(st.sampled_from(["drop", "dup", "move", "other", "transpose"]),
+                                st.integers(0, 7), st.integers(0, 7)), max_size=4))
+def test_packet_lists_decode_or_raise_invalid_input(method, edits):
+    packets, other = _upload(_MODEL, method), _upload(_OTHER, method)
+    for op, i, j in edits:
+        if not packets:
+            break
+        i %= len(packets)
+        if op == "drop":
+            del packets[i]
+        elif op == "dup":
+            packets.insert(j % (len(packets) + 1), packets[i])
+        elif op == "move":
+            packets.insert(j % len(packets), packets.pop(i))
+        elif op == "other":  # the same id from a model of other shapes
+            packets[i] = other[packets[i].layer_id]
+        else:
+            packets[i] = replace(packets[i], orig_shape=tuple(packets[i].orig_shape[::-1]))
+    try:
+        back = defense.packets_to_gradset(packets, _MODEL)
+    except InvalidInput:
+        return
+    assert [(g.weight_grad.shape, g.bias_grad.shape) for g in back.layers] == [
+        (layer.weight.shape, layer.bias.shape) for layer in _MODEL.layers
+    ]
 
 
 @st.composite

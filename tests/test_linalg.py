@@ -142,24 +142,24 @@ class TestTruncateByEnergy:
 
     def test_half_threshold(self):
         t = truncate_by_energy(self._factors([4.0, 3.0]), 0.5)
-        assert t.retained_rank == 1
-        assert t.retained_energy_fraction == pytest.approx(0.64)
+        assert len(t.sigma) == 1
+        assert linalg.energy_rank([4.0, 3.0], 0.5)[1] == pytest.approx(0.64)
 
     def test_high_threshold(self):
         t = truncate_by_energy(self._factors([4.0, 3.0]), 0.99)
-        assert t.retained_rank == 2
+        assert len(t.sigma) == 2
 
     def test_zero_threshold(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             sigma = np.sort(rng.uniform(0.1, 5.0, size=6))[::-1]
-            assert truncate_by_energy(self._factors(sigma), 0.0).retained_rank == 1
+            assert len(truncate_by_energy(self._factors(sigma), 0.0).sigma) == 1
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(9)
         sigma = np.sort(rng.uniform(0.0, 3.0, size=8))[::-1]
         f = self._factors(sigma)
-        ranks = [truncate_by_energy(f, t).retained_rank for t in np.linspace(0, 0.999, 40)]
+        ranks = [len(truncate_by_energy(f, t).sigma) for t in np.linspace(0, 0.999, 40)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
     def test_residual_bound(self):
@@ -183,9 +183,10 @@ class TestTruncateByEnergy:
     def test_threshold_one_keeps_full_rank(self):
         sigma = [4.0, 3.0, 1e-3]
         t = truncate_by_energy(self._factors(sigma), 1.0)
-        assert t.retained_rank == 3
-        assert t.retained_energy_fraction == pytest.approx(1.0)
-        assert linalg.energy_rank(np.array(sigma), 1.0) == (3, t.retained_energy_fraction)
+        kept = linalg.energy_rank(np.array(sigma), 1.0)[1]
+        assert len(t.sigma) == 3
+        assert kept == pytest.approx(1.0)
+        assert linalg.energy_rank(np.array(sigma), 1.0) == (3, kept)
 
 
 class TestSingularEntropy:
