@@ -73,17 +73,6 @@ class AttackResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def grad_distance(observed: GradSet, dummy: GradSet, metric: str) -> float:
-    """l2: total squared entry difference. neg_cosine_layerwise: per layer,
-    1 - cosine of the flattened weight+bias vectors; layers where either side
-    has zero norm contribute 0."""
-    if metric not in DISTANCES:
-        raise InvalidConfig(f"unknown distance metric {metric!r}")
-    if len(observed.layers) != len(dummy.layers):
-        raise InvalidInput("gradient sets have different layer counts")
-    return float(_distance_with_sens(observed, dummy, metric)[0])
-
-
 def _unit_vectors(observed: GradSet) -> list:
     """Each observed layer's weight+bias vector over its norm (None if zero),
     scaled exactly first so that the norm cannot underflow or overflow."""
@@ -93,7 +82,9 @@ def _unit_vectors(observed: GradSet) -> list:
 
 
 def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str, units=None):
-    """Distance plus its gradient with respect to every dummy tensor. Dummy
+    """Distance plus its gradient with respect to every dummy tensor. l2: total
+    squared entry difference; neg_cosine_layerwise: per layer, 1 - cosine of
+    the flattened weight+bias vectors, 0 where either has zero norm. Dummy
     tensors may carry leading (restart) axes; the distance then has those
     axes, each slice computed exactly as it would be alone. `units` are the
     _unit_vectors of `observed`, computed here when not given."""
@@ -127,41 +118,43 @@ def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str, units=No
 
 
 def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
-    """(layer, w, u, nonzero) for each stacked weight gradient delta^T act / n
-    of at least 2x2 in a _forward cache: the channel weights w (..., p, 1),
-    scaled exactly to a maximum in [0.5, 1), and columns u (..., p, m) holding
-    the left singular vectors of w g that the defense keeps. A thin QR
-    w delta^T = Q R and an SVD of the core R act / n = U S V^T give them as
-    Q U, for all layers at once: zero-padding to one shape changes no singular
-    value or vector. The rank k is the defender's, clamped to the count of
-    S > RANK_TOL * max S, linalg.svd's own cut; a zero spectrum gets k = 0."""
+    """(layer, a, b, touched) for each stacked weight gradient g = delta^T act
+    / n of at least 2x2 in a _forward cache. The defense replays as g -> a b^T
+    g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds the channel
+    weights, scaled exactly to a maximum in [0.5, 1), and the columns of u the
+    left singular vectors of w g that the defense keeps. Its pullback is
+    s -> b a^T s; touched says whether g is nonzero. g itself is never formed:
+    a thin QR act^T = Q R gives g = K Q^T with K = delta^T R^T / n, p x min(n,
+    q), and since Q^T has orthonormal rows, K has g's row norms, singular
+    values and left singular vectors. So w comes from K, u from one SVD of
+    w K, and k from defense.rank_rule, for all layers at once: zero-padding
+    to one shape changes no singular value or vector."""
     acts, _, _, deltas = cache
     ids = [l for l, (a, d) in enumerate(zip(acts, deltas)) if min(a.shape[-1], d.shape[-1]) >= 2]
     if not ids:
         return []
     dims = [(deltas[l].shape[-1], acts[l].shape[-1]) for l in ids]
-    (p, q), lead = np.max(dims, axis=0), (len(ids), *acts[0].shape[:-1])
+    (p, q), lead = map(max, zip(*dims)), (len(ids), *acts[0].shape[:-1])
     delta, act = np.zeros((*lead, p)), np.zeros((*lead, q))
     for i, (l, (p_l, q_l)) in enumerate(zip(ids, dims)):
         delta[i, ..., :p_l], act[i, ..., :q_l] = deltas[l], acts[l]
-    dt, n = delta.swapaxes(-1, -2), act.shape[-2]
-    g = dt @ act / n
-    w = linalg._unit_scale(defense.channel_weights(g), -1)[0][..., None]
-    qf, r = np.linalg.qr(w * dt)
-    u_c, sig, _ = np.linalg.svd(r @ act / n, full_matrices=False)
-    sig_e = sig
-    if cfg.entropy_source == "unweighted":
-        sig_e = np.linalg.svd(np.linalg.qr(dt)[1] @ act / n, compute_uv=False)
-    k = np.zeros(sig.shape[:-1], dtype=np.int64)
-    live = (sig[..., 0] > 0.0) & (sig_e[..., 0] > 0.0)
-    if live.any():
-        thresholds = [defense.adaptive_threshold(h, cfg.beta)
-                      for h in linalg.singular_entropy(sig_e[live])]
-        k[live] = linalg.energy_rank(sig[live], thresholds)[0]
-    k = np.minimum(k, np.sum(sig > linalg.RANK_TOL * sig[..., :1], axis=-1))
-    u = (qf @ u_c) * (np.arange(sig.shape[-1]) < k[..., None])[..., None, :]
-    return [(l, w[i, ..., :p_l, :], u[i, ..., :p_l, :], g[i].any(axis=(-2, -1))[..., None, None])
+    r = np.linalg.qr(act.swapaxes(-1, -2), mode="r")
+    k_mat = delta.swapaxes(-1, -2) @ r.swapaxes(-1, -2) / act.shape[-2]
+    w = linalg._unit_scale(defense.channel_weights(k_mat), -1)[0][..., None]
+    u, sig, _ = np.linalg.svd(w * k_mat, full_matrices=False)
+    k = defense.rank_rule(sig, cfg.beta, np.linalg.svd(k_mat, compute_uv=False)
+                          if cfg.entropy_source == "unweighted" else None)[0]
+    u = u * (np.arange(sig.shape[-1]) < k[..., None])[..., None, :]
+    a, b, touched = u / w, w * u, k_mat.any(axis=(-2, -1))[..., None, None]
+    return [(l, a[i, ..., :p_l, :], b[i, ..., :p_l, :], touched[i])
             for i, (l, (p_l, _)) in enumerate(zip(ids, dims))]
+
+
+def _with_weights(grads: GradSet, weights: dict) -> GradSet:
+    """`grads` with the weight tensors of the layers in `weights` replaced;
+    every other tensor is shared, not copied."""
+    return GradSet([LayerGrads(weights.get(l, t.weight_grad), t.bias_grad)
+                    for l, t in enumerate(grads.layers)])
 
 
 class _AdaptiveTransform:
@@ -182,29 +175,23 @@ class _AdaptiveTransform:
         if mode == "none":
             return dummy
         if mode == "prune_mask":
-            out = dummy.copy()
-            for layer, (wm, bm) in zip(out.layers, self.masks):
-                layer.weight_grad *= wm
-                layer.bias_grad *= bm
-            return out
+            return GradSet([LayerGrads(t.weight_grad * wm, t.bias_grad * bm)
+                            for t, (wm, bm) in zip(dummy.layers, self.masks)])
         if mode == "eot":
-            d = self.cfg.defense
-            n = self.cfg.eot_samples
+            d, n = self.cfg.defense, self.cfg.eot_samples
             out = dummy.copy()
             for layer in out.layers:
                 for t in (layer.weight_grad, layer.bias_grad):
                     for tj, rng in zip(t, self.rngs):
                         tj += _mean_noise(rng, d, n, tj.shape)
             return out
-        # defense_replay: refresh every restart's projector u u^T from the
-        # factors in the _forward cache and push the weighted dummy matrices
-        # through it (bias tensors travel raw; all-zero matrices stay as is)
-        out = dummy.copy()
+        # defense_replay: refresh every restart's projector a b^T from the
+        # factors in the _forward cache and push the dummy matrices through
+        # it (bias tensors travel raw; all-zero matrices stay as is)
         self._projectors = _replay_projectors(cache, self.cfg.defense)
-        for l, w, u, _ in self._projectors:
-            g = out.layers[l].weight_grad
-            g[...] = (u @ (u.swapaxes(-1, -2) @ (w * g))) / w
-        return out
+        return _with_weights(dummy, {
+            l: a @ (b.swapaxes(-1, -2) @ dummy.layers[l].weight_grad)
+            for l, a, b, _ in self._projectors})
 
     def pullback(self, sens: GradSet) -> GradSet:
         mode = self.cfg.adaptive
@@ -212,11 +199,10 @@ class _AdaptiveTransform:
             return sens
         if mode == "prune_mask":  # the mask is its own pullback
             return self.apply(sens)
-        out = sens.copy()
-        for l, w, u, touched in self._projectors:
-            s = out.layers[l].weight_grad
-            s[...] = np.where(touched, w * (u @ (u.swapaxes(-1, -2) @ (s / w))), s)
-        return out
+        s = [t.weight_grad for t in sens.layers]
+        return _with_weights(sens, {
+            l: np.where(touched, b @ (a.swapaxes(-1, -2) @ s[l]), s[l])
+            for l, a, b, touched in self._projectors})
 
 
 def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shape) -> np.ndarray:
@@ -311,8 +297,9 @@ def run_attack(
 ) -> AttackResult:
     """Reconstruct the input(s) behind `observed` gradients.
 
-    `observed` may be a GradSet or a list of defense packets, decoded for
-    `params` by the server's own defense.packets_to_gradset. `target_shape`
+    `observed` may be a GradSet, checked against `params` by
+    defense.check_gradset, or a list of defense packets, decoded for `params`
+    by the server's own defense.packets_to_gradset. `target_shape`
     is (D,) for a single input or (B, D) for a joint batch reconstruction;
     `labels` must be given in 'known' mode (an int, or one int per slot).
     Inputs are clamped to [0, 1] after every step.
@@ -326,8 +313,8 @@ def run_attack(
         errors.append(f"restarts must be an integer >= 1, got {restarts!r}")
     if errors:
         raise InvalidConfig("; ".join(errors))
-    if not isinstance(observed, GradSet):
-        observed = defense.packets_to_gradset(list(observed), params)
+    observed = (defense.check_gradset(observed, params) if isinstance(observed, GradSet)
+                else defense.packets_to_gradset(list(observed), params))
 
     shape = tuple(target_shape)
     if len(shape) == 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, schema
-from .errors import InvalidConfig, InvalidInput
+from .errors import DegenerateInput, InvalidConfig, InvalidInput
 from .tinynn import GradSet, LayerGrads, ModelParams
 
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
@@ -79,6 +79,30 @@ def adaptive_threshold(entropy: float, beta: float) -> float:
     return 1.0 - math.exp(-beta * entropy)
 
 
+def rank_rule(sigma, beta: float, entropy_sigma=None):
+    """The defense's entropy -> threshold -> rank rule on descending spectra
+    (..., r) stacked on leading axes. H is the Shannon entropy (nats, with
+    0 ln 0 = 0) of the normalized squared entropy_sigma (default sigma), T =
+    adaptive_threshold(H, beta), and k the smallest count whose cumulative
+    squared-sigma fraction strictly exceeds T, at most r, then clamped to the
+    count of sigma > RANK_TOL * max sigma, linalg.svd's own cut: a zero
+    spectrum gets k = 0. Spectra are scaled exactly by powers of two before
+    squaring, so that tiny or huge ones neither underflow nor overflow.
+    Returns (k, H)."""
+    def energy(s):
+        e = np.square(linalg._unit_scale(np.asarray(s, dtype=np.float64), -1)[0])
+        total = e.sum(axis=-1, keepdims=True)
+        return e, np.where(total > 0.0, total, 1.0)
+
+    sigma = np.asarray(sigma, dtype=np.float64)
+    e, total = energy(sigma)
+    tilde = np.divide(*(energy(entropy_sigma) if entropy_sigma is not None else (e, total)))
+    h = -(tilde * np.log(tilde, out=np.zeros_like(tilde), where=tilde > 0.0)).sum(axis=-1)
+    t = np.array([adaptive_threshold(x, beta) for x in np.ravel(h).tolist()]).reshape(h.shape)
+    k = np.minimum((e.cumsum(axis=-1) / total <= t[..., None]).sum(axis=-1) + 1, e.shape[-1])
+    return np.minimum(k, (sigma > linalg.RANK_TOL * sigma[..., :1]).sum(axis=-1)), h
+
+
 def channel_weights(g: np.ndarray) -> np.ndarray:
     """Per-row root-sum-square magnitudes of each (..., p, q) matrix, floored
     so the diagonal weight matrix stays invertible. Each matrix is scaled by
@@ -119,21 +143,19 @@ def defend_grad_svd(
             entropy=0.0,
         )
     factors = linalg.svd(weights[:, None] * g)
-    if entropy_source == "unweighted":
-        entropy = linalg.singular_entropy(linalg.svd(g).sigma)
-    else:
-        entropy = linalg.singular_entropy(factors.sigma)
-    threshold = adaptive_threshold(entropy, beta)
-    trunc = linalg.truncate_by_energy(factors, threshold)
+    if factors.sigma[0] == 0.0:  # w g underflowed: g is too small to weight
+        raise DegenerateInput("all singular values are zero")
+    k, entropy = rank_rule(
+        factors.sigma, beta, linalg.svd(g).sigma if entropy_source == "unweighted" else None)
     return DefensePacket(
         layer_id=layer_id,
         kind=KIND_SVD,
         orig_shape=(p, q),
         channel_weights=weights,
-        u_star=trunc.u,
-        sigma_star=trunc.sigma,
-        vt_star=trunc.vt,
-        entropy=entropy,
+        u_star=factors.u[:, :k].copy(),
+        sigma_star=factors.sigma[:k].copy(),
+        vt_star=factors.vt[:k].copy(),
+        entropy=float(entropy),
     )
 
 
@@ -270,28 +292,30 @@ def defend_update(
     return packets, new_residual
 
 
+def check_gradset(grads: GradSet, params: ModelParams) -> GradSet:
+    """`grads` itself if it holds, in order, one tensor of the model's shape
+    for every weight and bias of `params`; InvalidInput otherwise."""
+    got = [np.shape(t) for g in grads.layers for t in (g.weight_grad, g.bias_grad)]
+    refs = [t.shape for layer in params.layers for t in (layer.weight, layer.bias)]
+    if got != refs:
+        raise InvalidInput(f"gradient shapes {got} are not the model's {refs}")
+    return grads
+
+
 def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> GradSet:
     """Decode one upload for the model `params`: packet i must carry tensor id
     i (weight of layer l at 2l, its bias at 2l + 1) for every tensor of the
-    model, with that tensor's shape. Any other upload raises InvalidInput."""
-    refs = [t for layer in params.layers for t in (layer.weight, layer.bias)]
-    if [p.layer_id for p in packets] != list(range(len(refs))):
-        raise InvalidInput(f"packet ids must be 0..{len(refs) - 1} in order")
+    model, declaring and decoding to that tensor's shape (check_gradset). Any
+    other upload raises InvalidInput."""
+    if [p.layer_id for p in packets] != list(range(2 * len(params.layers))):
+        raise InvalidInput(f"packet ids must be 0..{2 * len(params.layers) - 1} in order")
     tensors = [reconstruct_packet(p) for p in packets]
-    for p, t, ref in zip(packets, tensors, refs):
-        if t.shape != ref.shape or tuple(p.orig_shape) != ref.shape:
+    for p, t in zip(packets, tensors):
+        if tuple(p.orig_shape) != t.shape:
             raise InvalidInput(f"tensor {p.layer_id} declares shape {p.orig_shape} and decodes "
-                               f"to {t.shape}, not the model's {ref.shape}")
-    return GradSet([LayerGrads(w, b) for w, b in zip(tensors[::2], tensors[1::2])])
-
-
-def parameter_count(packet: DefensePacket) -> int:
-    """Number of float64 values the packet payload carries."""
-    if packet.kind == KIND_RAW:
-        return int(packet.values.size)
-    p, q = packet.orig_shape
-    k = len(packet.sigma_star)
-    return p + p * k + k + k * q + 1  # diag, U*, sigma*, V*^T, entropy
+                               f"to {t.shape}")
+    return check_gradset(GradSet([LayerGrads(w, b) for w, b in zip(tensors[::2], tensors[1::2])]),
+                         params)
 
 
 def serialize_packet(packet: DefensePacket) -> bytes:

@@ -2,13 +2,15 @@
 
 Everything downstream (defense, aggregation, attack bookkeeping) operates on
 plain 2-D float64 numpy arrays. This module owns the singular value
-decomposition, energy-based rank truncation, and the entropy of a singular
-value spectrum.
+decomposition and the exact power-of-two scaling that keeps squares of tiny
+or huge entries finite.
 
 The SVD is numpy's LAPACK driver behind a fixed contract: exact power-of-two
 prescaling, a strict relative rank cut, a sign rule on the left singular
-vectors and a convention for the zero matrix. The replaying attacker
-(attack._replay_projectors) applies the same rank cut to its own spectra.
+vectors and a convention for the zero matrix. What a spectrum means to the
+defense (its entropy, threshold and kept rank) is defense.rank_rule, which
+applies the same rank cut to every spectrum it is given, the replaying
+attacker's stacked LAPACK spectra (attack._replay_projectors) among them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure
 
 # Only singular values strictly above RANK_TOL * sigma_max are kept; dropping
 # the rest keeps reconstruction well inside the 1e-8 * ||input||_F contract.
@@ -80,46 +82,3 @@ def svd(m) -> SvdFactors:
     u[:, flip], vt[flip] = -u[:, flip], -vt[flip]
     return SvdFactors(u=u, sigma=np.ldexp(sigma, scale.item()), vt=vt)
 
-
-def energy_rank(sigma, threshold):
-    """Smallest k whose cumulative squared-sigma fraction strictly exceeds
-    `threshold`, clamped to len(sigma) so that a threshold of 1 keeps full
-    rank. Returns (k, the fraction of squared-sigma mass the top k keep).
-    Leading axes of sigma (..., r) stack spectra, each with its threshold."""
-    threshold = np.asarray(threshold, dtype=np.float64)
-    if not ((0.0 <= threshold) & (threshold <= 1.0)).all():
-        raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
-    energy = np.square(_unit_scale(np.asarray(sigma, dtype=np.float64), -1)[0])
-    total = energy.sum(axis=-1, keepdims=True)
-    if (total <= 0.0).any():
-        raise DegenerateInput("all singular values are zero")
-    fractions = energy.cumsum(axis=-1) / total
-    below = fractions <= threshold[..., None]
-    k = np.minimum(below.sum(axis=-1) + 1, energy.shape[-1])
-    kept = np.where(below, fractions[..., -1:], fractions).min(axis=-1)  # fractions never fall
-    return (int(k), float(kept)) if k.ndim == 0 else (k, kept)
-
-
-def truncate_by_energy(f: SvdFactors, threshold: float) -> SvdFactors:
-    """Top-k slice of `f`, itself a compact SVD; k from energy_rank (always
-    at least one triple), which also gives the energy fraction it keeps."""
-    k = energy_rank(f.sigma, threshold)[0]
-    return SvdFactors(u=f.u[:, :k].copy(), sigma=f.sigma[:k].copy(), vt=f.vt[:k].copy())
-
-
-def singular_entropy(sigma):
-    """Shannon entropy (nats) of the normalized squared singular values.
-
-    Uses the 0 * ln 0 = 0 convention; the result lies in [0, ln r]. Leading
-    axes of sigma (..., r) stack spectra, one entropy each.
-    """
-    s = np.asarray(sigma, dtype=np.float64)
-    if s.ndim < 1 or s.shape[-1] == 0:
-        raise InvalidInput("sigma must be a non-empty array of spectra")
-    energy = np.square(_unit_scale(s, -1)[0])
-    total = energy.sum(axis=-1, keepdims=True)
-    if (total <= 0.0).any():
-        raise DegenerateInput("all singular values are zero")
-    tilde = energy / total
-    h = -(tilde * np.log(tilde, out=np.zeros_like(tilde), where=tilde > 0.0)).sum(axis=-1)
-    return float(h) if h.ndim == 0 else h

@@ -3,16 +3,21 @@
 Each oracle deliberately takes a different route than the library code it
 checks: eigenvalues of the Gram matrix by deflated power iteration (instead
 of the LAPACK SVD that linalg.svd calls), rank statistics computed from
-first principles, and a plain sample-count-weighted federated averaging
-loop. broken_upload forges the bad uploads that the packet decoder must
-refuse.
+first principles, the spectrum formulas of the defense one spectrum at a
+time (normalized by the largest singular value, where defense.rank_rule
+scales stacks by powers of two), and a plain sample-count-weighted
+federated averaging loop. broken_upload forges the bad uploads that the
+packet decoder must refuse. grad_distance and parameter_count are the test
+suite's scalar views of the attack distance and of a packet's payload size.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from svdlab import tinynn
+from svdlab import attack, linalg, tinynn
+from svdlab.errors import DegenerateInput, InvalidConfig, InvalidInput
 from svdlab.tinynn import GradSet, LayerGrads
 
 
@@ -183,3 +188,56 @@ def broken_upload(packets: list, how: str) -> list:
         return [replace(p[0], layer_id=2), p[1], replace(p[2], layer_id=0), *p[3:]]
     assert how == "reshaped"
     return [replace(p[0], orig_shape=tuple(p[0].orig_shape[::-1])), *p[1:]]
+
+
+def grad_distance(observed: GradSet, dummy: GradSet, metric: str) -> float:
+    """The attack's distance between two unstacked gradient sets, as a float."""
+    if metric not in attack.DISTANCES:
+        raise InvalidConfig(f"unknown distance metric {metric!r}")
+    if len(observed.layers) != len(dummy.layers):
+        raise InvalidInput("gradient sets have different layer counts")
+    return float(attack._distance_with_sens(observed, dummy, metric)[0])
+
+
+def parameter_count(packet) -> int:
+    """Number of float64 values the packet payload carries."""
+    if packet.kind == "raw":
+        return int(packet.values.size)
+    p, q = packet.orig_shape
+    k = len(packet.sigma_star)
+    return p + p * k + k + k * q + 1  # diag, U*, sigma*, V*^T, entropy
+
+
+
+def _energy_fractions(sigma) -> np.ndarray:
+    s = np.asarray(sigma, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise InvalidInput("sigma must be a non-empty spectrum")
+    if not s.any():
+        raise DegenerateInput("all singular values are zero")
+    energy = np.square(s / np.abs(s).max())
+    return energy / energy.sum()
+
+
+def singular_entropy(sigma) -> float:
+    """Shannon entropy (nats, 0 ln 0 = 0) of the normalized squared
+    singular values; it lies in [0, ln r]."""
+    return -sum(x * math.log(x) for x in _energy_fractions(sigma).tolist() if x > 0.0)
+
+
+def energy_rank(sigma, threshold) -> tuple:
+    """Smallest k whose cumulative squared-sigma fraction strictly exceeds
+    `threshold`, at most len(sigma), so that a threshold of 1 keeps full
+    rank; returns (k, the fraction of squared-sigma mass the top k keep)."""
+    threshold = float(threshold)
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidInput(f"threshold must be in [0, 1], got {threshold}")
+    fractions = np.cumsum(_energy_fractions(sigma))
+    k = min(int(np.sum(fractions <= threshold)) + 1, len(fractions))
+    return k, float(fractions[k - 1])
+
+
+def truncate_by_energy(f, threshold: float):
+    """The top-k triples of the compact SVD `f`, k from energy_rank."""
+    k = energy_rank(f.sigma, threshold)[0]
+    return linalg.SvdFactors(u=f.u[:, :k].copy(), sigma=f.sigma[:k].copy(), vt=f.vt[:k].copy())

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import BROKEN_UPLOADS, broken_upload
+from oracles import BROKEN_UPLOADS, broken_upload, grad_distance
 from svdlab import attack, data, defense, tinynn
-from svdlab.attack import AttackConfig, grad_distance, run_attack
+from svdlab.attack import AttackConfig, run_attack
 from svdlab.errors import InvalidConfig, InvalidInput
 from svdlab.tinynn import Example, GradSet, LayerGrads
 
@@ -184,6 +184,15 @@ class TestRunAttack:
             run_attack(model, broken_upload(packets, how), (3, 64), cfg,
                        labels=[e.label for e in batch])
 
+    def test_rejects_a_gradset_of_other_shapes(self):
+        model = tinynn.init_model(6, [3], 2, seed=0)
+        _, g = tinynn.loss_and_grad(model, [Example(np.full(6, 0.5), 1)])
+        wrong_shape = GradSet([LayerGrads(np.ones((3, 5)), g.layers[0].bias_grad), g.layers[1]])
+        cfg = AttackConfig(iterations=2, label_mode="known")
+        for observed in (wrong_shape, GradSet(g.layers[:1])):
+            with pytest.raises(InvalidInput):
+                run_attack(model, observed, (6,), cfg, labels=1)
+
 
 ENGINE_DEFENSES = {
     "none": defense.DefenseConfig(method="none"),
@@ -244,6 +253,24 @@ class TestEngine:
         run_attack(model, observed, (3, 64), cfg, restarts=3)
         assert len(calls) == 25
 
+    @pytest.mark.parametrize("entropy_source, svds", [("weighted", 1), ("unweighted", 2)])
+    def test_replay_factorizations_per_iteration(self, setup, monkeypatch, entropy_source, svds):
+        # one QR of the activations and one SVD of the weighted K per
+        # iteration (plus a spectrum of K for the unweighted entropy): the
+        # replay never factors a p x q matrix
+        model, observed, labels, dcfg = self.observed_for(setup, "defense_replay")
+        counts = {"qr": 0, "svd": 0}
+        for name in counts:
+            def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
+                           label_mode="known", adaptive="defense_replay",
+                           defense=replace(dcfg, entropy_source=entropy_source))
+        run_attack(model, observed, (3, 64), cfg, labels=labels, restarts=3)
+        assert counts == {"qr": 25, "svd": 25 * svds}
+
     @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
     def test_rejects_bad_restarts(self, setup, restarts):
         model, observed, labels, _ = self.observed_for(setup, "none")
@@ -302,6 +329,22 @@ class TestAdaptiveTransforms:
         np.testing.assert_allclose(replayed.layers[0].weight_grad[0],
                                    defense.reconstruct_packet(pkt), atol=1e-8)
 
+    @staticmethod
+    def assert_replay_equals_the_defender(acts, deltas, beta, entropy_source):
+        n = acts[0].shape[-2]
+        dummy = tinynn.grads_from_deltas(acts, deltas, n)
+        dcfg = defense.DefenseConfig(method="svdefense", beta=beta, entropy_source=entropy_source)
+        cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
+        transform = attack._AdaptiveTransform(cfg, dummy, [])
+        out = transform.apply(dummy, (acts, None, None, deltas))
+        assert [proj[0] for proj in transform._projectors] == [0, 1]
+        for l, a, _, _ in transform._projectors:  # a = u / w keeps u's zero columns
+            for g, r, a_j in zip(dummy.layers[l].weight_grad, out.layers[l].weight_grad, a):
+                pkt = defense.defend_grad_svd(g, beta, entropy_source=entropy_source)
+                assert np.count_nonzero(a_j.any(axis=0)) == np.count_nonzero(pkt.sigma_star)
+                np.testing.assert_allclose(r, defense.reconstruct_packet(pkt), rtol=0,
+                                           atol=1e-8 * np.linalg.norm(g))
+
     @pytest.mark.parametrize("entropy_source", ["weighted", "unweighted"])
     @pytest.mark.parametrize("beta", [0.3, 1000.0])  # 1000: T rounds to 1
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -313,18 +356,50 @@ class TestAdaptiveTransforms:
         deltas = [rng.normal(size=(4, n, p)) for p, _ in shapes]
         acts = [rng.uniform(size=(4, n, q)) for _, q in shapes]
         deltas[0][1] = 0.0
-        dummy = tinynn.grads_from_deltas(acts, deltas, n)
-        dcfg = defense.DefenseConfig(method="svdefense", beta=beta, entropy_source=entropy_source)
+        self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source)
+
+    @pytest.mark.parametrize("entropy_source", ["weighted", "unweighted"])
+    @pytest.mark.parametrize("case", ["duplicated example", "dead layer", "n > q"])
+    def test_rank_deficient_replay_equals_the_defender(self, case, entropy_source):
+        # a batch holding one example twice (rank(act) < n), a restart whose
+        # activations into the second layer are all zero (R = 0), and a
+        # batch larger than every layer's input width
+        rng = np.random.default_rng(8)
+        n, shapes = (9, [(6, 4), (3, 5)]) if case == "n > q" else (4, [(32, 64), (4, 32)])
+        deltas = [rng.normal(size=(3, n, p)) for p, _ in shapes]
+        acts = [rng.uniform(size=(3, n, q)) for _, q in shapes]
+        if case == "duplicated example":
+            for t in (*deltas, *acts):
+                t[:, 1] = t[:, 0]
+        if case == "dead layer":
+            acts[1][2] = 0.0
+        for beta in (0.3, 1000.0):
+            self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source)
+
+    def test_replay_pullback_is_the_adjoint(self):
+        # per restart, <P x, y> = <x, P^T y> for the replayed map P of a
+        # nonzero layer; a zero layer passes its sensitivities through
+        rng = np.random.default_rng(6)
+        shapes = [(32, 64), (4, 32)]
+        deltas = [rng.normal(size=(4, 3, p)) for p, _ in shapes]
+        acts = [rng.uniform(size=(4, 3, q)) for _, q in shapes]
+        deltas[0][1] = 0.0
+        dcfg = defense.DefenseConfig(method="svdefense", beta=0.3)
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
-        transform = attack._AdaptiveTransform(cfg, dummy, [])
-        out = transform.apply(dummy, (acts, None, None, deltas))
-        assert [proj[0] for proj in transform._projectors] == [0, 1]
-        for l, _, u, _ in transform._projectors:
-            for g, r, u_j in zip(dummy.layers[l].weight_grad, out.layers[l].weight_grad, u):
-                pkt = defense.defend_grad_svd(g, beta, entropy_source=entropy_source)
-                assert np.count_nonzero(u_j.any(axis=0)) == np.count_nonzero(pkt.sigma_star)
-                np.testing.assert_allclose(r, defense.reconstruct_packet(pkt), rtol=0,
-                                           atol=1e-8 * np.linalg.norm(g))
+        x, y = (GradSet([LayerGrads(rng.normal(size=(4, p, q)), rng.normal(size=(4, p)))
+                         for p, q in shapes]) for _ in range(2))
+        transform = attack._AdaptiveTransform(cfg, x, [])
+        px = transform.apply(x, (acts, None, None, deltas))
+        pty = transform.pullback(y)
+        for l, _, _, touched in transform._projectors:
+            for j in range(4):
+                xs, ys = x.layers[l].weight_grad[j], y.layers[l].weight_grad[j]
+                if touched[j]:
+                    assert np.vdot(px.layers[l].weight_grad[j], ys) == pytest.approx(
+                        np.vdot(xs, pty.layers[l].weight_grad[j]), rel=1e-12)
+                else:
+                    np.testing.assert_array_equal(pty.layers[l].weight_grad[j], ys)
+        assert [t[3].all() for t in transform._projectors] == [False, True]
 
     def test_eot_noise_variance_shrinks(self):
         # averaging n draws leaves variance sigma^2 / n

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import energy_rank, parameter_count, singular_entropy, truncate_by_energy
 from svdlab import defense, linalg, tinynn
 from svdlab.defense import (
     DefenseConfig,
@@ -16,7 +17,7 @@ from svdlab.defense import (
     defend_update,
     deserialize_packet,
     packets_to_gradset,
-    parameter_count,
+    rank_rule,
     reconstruct_packet,
     serialize_packet,
 )
@@ -61,6 +62,38 @@ class TestAdaptiveThreshold:
             adaptive_threshold(0.5, 0.0)
 
 
+class TestRankRule:
+    @pytest.mark.parametrize("unweighted", [False, True])
+    @pytest.mark.parametrize("beta", [0.3, 1000.0])  # 1000: T rounds to 1
+    def test_each_spectrum_follows_the_formulas(self, beta, unweighted):
+        # stacked spectra at extreme scales get the entropy, threshold and
+        # rank of the formulas applied one spectrum at a time; a zero
+        # spectrum gets k = 0, and a tail at or below RANK_TOL is cut
+        rng = np.random.default_rng(30)
+        sigma = -np.sort(-rng.uniform(0.0, 2.0, size=(2, 6, 5)), axis=-1)
+        sigma *= 10.0 ** rng.choice([-200.0, 0.0, 200.0], size=(2, 6, 1))
+        sigma[0, 2], sigma[1, 4, 1:] = 0.0, sigma[1, 4, 0] * np.array([1.0, 1e-12, 0.0, 0.0])
+        es = -np.sort(-rng.uniform(0.0, 2.0, size=sigma.shape), axis=-1) if unweighted else sigma
+        k, h = rank_rule(sigma, beta, es if unweighted else None)
+        assert k.shape == h.shape == (2, 6)
+        for j in np.ndindex(2, 6):
+            if not sigma[j].any():
+                assert k[j] == 0
+                continue
+            assert h[j] == pytest.approx(singular_entropy(es[j]), abs=1e-12)
+            cut = np.count_nonzero(sigma[j] > linalg.RANK_TOL * sigma[j][0])
+            assert k[j] == min(energy_rank(sigma[j], adaptive_threshold(h[j], beta))[0], cut)
+        if beta == 1000.0:  # T rounds to 1, so the cut alone keeps two
+            assert k[1, 4] == 2
+
+    def test_a_fraction_equal_to_t_is_not_enough(self):
+        # two equal values: H = ln 2 and, at beta 1, T = 0.5 exactly; the
+        # first fraction is 0.5, which does not strictly exceed T
+        k, h = rank_rule(np.full((2, 2), 3.0), 1.0)
+        assert adaptive_threshold(float(h[0]), 1.0) == 0.5
+        assert k.tolist() == [2, 2]
+
+
 class TestChannelWeights:
     def test_pythagorean_rows(self):
         w = channel_weights(np.array([[3.0, 4.0], [0.0, 0.0]]))
@@ -98,9 +131,9 @@ class TestDefendGradSvd:
         pkt = defend_grad_svd(g, beta=0.3)
         w = channel_weights(g)
         factors = linalg.svd(w[:, None] * g)
-        entropy = linalg.singular_entropy(factors.sigma)
+        entropy = singular_entropy(factors.sigma)
         threshold = adaptive_threshold(entropy, 0.3)
-        trunc = linalg.truncate_by_energy(factors, threshold)
+        trunc = truncate_by_energy(factors, threshold)
         assert pkt.entropy == pytest.approx(entropy, abs=1e-12)
         assert len(pkt.sigma_star) == len(trunc.sigma)
         np.testing.assert_allclose(pkt.sigma_star, trunc.sigma)
@@ -150,7 +183,7 @@ class TestTheoremBounds:
             p, q = int(rng.integers(2, 33)), int(rng.integers(2, 25))
             g = rng.normal(size=(p, q))
             t = float(rng.uniform(0.0, 0.999))
-            trunc = linalg.truncate_by_energy(linalg.svd(g), t)
+            trunc = truncate_by_energy(linalg.svd(g), t)
             resid = np.linalg.norm(g - trunc.assemble())
             assert resid <= math.sqrt(1.0 - t) * np.linalg.norm(g) * (1 + 1e-9) + 1e-12
 
@@ -161,7 +194,7 @@ class TestTheoremBounds:
             g = rng.normal(size=(p, q))
             t = float(rng.uniform(0.0, 0.999))
             w = channel_weights(g)
-            trunc = linalg.truncate_by_energy(linalg.svd(w[:, None] * g), t)
+            trunc = truncate_by_energy(linalg.svd(w[:, None] * g), t)
             recon = trunc.assemble() / w[:, None]
             cond = float(w.max() / w.min())
             resid = np.linalg.norm(g - recon)
@@ -342,7 +375,7 @@ class TestDefendUpdate:
             grads,
             DefenseConfig(method="svdefense", beta=0.3, entropy_source="unweighted"),
         )
-        expected = linalg.singular_entropy(linalg.svd(g).sigma)
+        expected = singular_entropy(linalg.svd(g).sigma)
         assert pkts_u[0].entropy == pytest.approx(expected, abs=1e-12)
         assert pkts_u[0].entropy != pkts_w[0].entropy
 
