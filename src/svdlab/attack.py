@@ -150,11 +150,10 @@ def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
             for i, (l, (p_l, _)) in enumerate(zip(ids, dims))]
 
 
-def _with_weights(grads: GradSet, weights: dict) -> GradSet:
-    """`grads` with the weight tensors of the layers in `weights` replaced;
+def _with_tensors(grads: GradSet, tensors: dict) -> GradSet:
+    """`grads` with the tensors whose ids are keys of `tensors` replaced;
     every other tensor is shared, not copied."""
-    return GradSet([LayerGrads(weights.get(l, t.weight_grad), t.bias_grad)
-                    for l, t in enumerate(grads.layers)])
+    return GradSet.from_tensors(tensors.get(i, t) for i, t in enumerate(grads.tensors()))
 
 
 class _AdaptiveTransform:
@@ -166,32 +165,24 @@ class _AdaptiveTransform:
         self.cfg = cfg
         self.rngs = rngs
         if cfg.adaptive == "prune_mask":
-            self.masks = [
-                (t.weight_grad != 0.0, t.bias_grad != 0.0) for t in observed.layers
-            ]
+            self.masks = [t != 0.0 for t in observed.tensors()]
 
     def apply(self, dummy: GradSet, cache=None) -> GradSet:
         mode = self.cfg.adaptive
         if mode == "none":
             return dummy
         if mode == "prune_mask":
-            return GradSet([LayerGrads(t.weight_grad * wm, t.bias_grad * bm)
-                            for t, (wm, bm) in zip(dummy.layers, self.masks)])
+            return GradSet.from_tensors(t * m for t, m in zip(dummy.tensors(), self.masks))
         if mode == "eot":
             d, n = self.cfg.defense, self.cfg.eot_samples
-            out = dummy.copy()
-            for layer in out.layers:
-                for t in (layer.weight_grad, layer.bias_grad):
-                    for tj, rng in zip(t, self.rngs):
-                        tj += _mean_noise(rng, d, n, tj.shape)
-            return out
+            return GradSet.from_tensors(
+                np.stack([tj + _mean_noise(rng, d, n, tj.shape) for tj, rng in zip(t, self.rngs)])
+                for t in dummy.tensors())
         # defense_replay: refresh every restart's projector a b^T from the
         # factors in the _forward cache and push the dummy matrices through
-        # it (bias tensors travel raw; all-zero matrices stay as is)
+        # it (all-zero matrices stay as is)
         self._projectors = _replay_projectors(cache, self.cfg.defense)
-        return _with_weights(dummy, {
-            l: a @ (b.swapaxes(-1, -2) @ dummy.layers[l].weight_grad)
-            for l, a, b, _ in self._projectors})
+        return self._replayed(dummy, lambda a, b, _, g: a @ (b.swapaxes(-1, -2) @ g))
 
     def pullback(self, sens: GradSet) -> GradSet:
         mode = self.cfg.adaptive
@@ -199,15 +190,23 @@ class _AdaptiveTransform:
             return sens
         if mode == "prune_mask":  # the mask is its own pullback
             return self.apply(sens)
-        s = [t.weight_grad for t in sens.layers]
-        return _with_weights(sens, {
-            l: np.where(touched, b @ (a.swapaxes(-1, -2) @ s[l]), s[l])
-            for l, a, b, touched in self._projectors})
+        return self._replayed(
+            sens, lambda a, b, touched, s: np.where(touched, b @ (a.swapaxes(-1, -2) @ s), s))
+
+    def _replayed(self, grads: GradSet, project) -> GradSet:
+        """`grads` with each replayed weight mapped by project(a, b, touched,
+        weight) and, under defend_bias "zero", every bias zeroed, as the
+        defender sends it; the zeroing is its own pullback."""
+        ts = grads.tensors()
+        out = {2 * l: project(a, b, touched, ts[2 * l]) for l, a, b, touched in self._projectors}
+        if self.cfg.defense.defend_bias == "zero":
+            out.update((i, np.zeros_like(ts[i])) for i in range(1, len(ts), 2))
+        return _with_tensors(grads, out)
 
 
 def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shape) -> np.ndarray:
-    draw = rng.normal if d.method == "dp_gauss" else rng.laplace
-    return draw(0.0, d.noise_scale, size=(n, *shape)).mean(axis=0)
+    """The mean of n defense.noise draws of `shape`."""
+    return defense.noise(rng, d, (n, *shape)).mean(axis=0)
 
 
 def _forward(params: ModelParams, x, y):

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, schema
-from .errors import DegenerateInput, InvalidConfig, InvalidInput
-from .tinynn import GradSet, LayerGrads, ModelParams
+from .errors import DegenerateInput, InvalidInput
+from .tinynn import GradSet, ModelParams
 
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
-BASELINES = ("dp_gauss", "dp_lap", "prune", "dgp")
 
 KIND_RAW = "raw"
 KIND_SVD = "svd"
@@ -168,86 +167,42 @@ def reconstruct_packet(packet: DefensePacket) -> np.ndarray:
     return approx / packet.channel_weights[:, None]
 
 
-def _survivor_order(flat: np.ndarray) -> np.ndarray:
-    # descending |value|; ties keep the lower flat index first
-    return np.argsort(-np.abs(flat), kind="stable")
+def noise(rng: np.random.Generator, cfg: DefenseConfig, size) -> np.ndarray:
+    """The noise defenses' law: zero-mean Gaussian (dp_gauss) or Laplace
+    (dp_lap) draws of scale cfg.noise_scale, `size` of them from `rng`."""
+    draw = rng.normal if cfg.method == "dp_gauss" else rng.laplace
+    return draw(0.0, cfg.noise_scale, size)
 
 
-def _prune_tensor(t: np.ndarray, rate: float) -> np.ndarray:
+def _pruned(t: np.ndarray, small_rate: float, large_rate: float = 0.0) -> np.ndarray:
+    """`t` with its floor(large_rate n) largest and floor(small_rate n)
+    smallest magnitudes zeroed; of equal magnitudes the lower flat index
+    counts as the larger."""
     flat = t.ravel().copy()
-    n_zero = int(math.floor(rate * flat.size))
-    if n_zero > 0:
-        order = _survivor_order(flat)
-        flat[order[flat.size - n_zero :]] = 0.0
+    order = np.argsort(-np.abs(flat), kind="stable")
+    flat[order[: math.floor(large_rate * flat.size)]] = 0.0
+    flat[order[flat.size - math.floor(small_rate * flat.size) :]] = 0.0
     return flat.reshape(t.shape)
 
 
-def _dgp_tensor(t: np.ndarray, small_rate: float, large_rate: float) -> np.ndarray:
-    flat = t.ravel().copy()
-    n_small = int(math.floor(small_rate * flat.size))
-    n_large = int(math.floor(large_rate * flat.size))
-    order = _survivor_order(flat)
-    if n_large > 0:
-        flat[order[:n_large]] = 0.0
-    if n_small > 0:
-        flat[order[flat.size - n_small :]] = 0.0
-    return flat.reshape(t.shape)
-
-
-def defend_baseline(
-    grads: GradSet,
-    cfg: DefenseConfig,
-    rng: np.random.Generator | None = None,
-    residual: GradSet | None = None,
-):
-    """Apply a baseline defense to a whole gradient set.
-
-    Returns (defended, residual). The residual is only meaningful for dgp,
-    whose error feedback adds the previous round's pruned values back to the
-    raw gradients before pruning again; it is None for the other methods.
-    """
-    if cfg.method not in BASELINES:
-        raise InvalidConfig(f"{cfg.method!r} is not a baseline defense")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-
-    if cfg.method in ("dp_gauss", "dp_lap"):
-        out = grads.copy()
-        if cfg.noise_scale > 0.0:
-            for layer in out.layers:
-                for t in (layer.weight_grad, layer.bias_grad):
-                    if cfg.method == "dp_gauss":
-                        t += rng.normal(0.0, cfg.noise_scale, t.shape)
-                    else:
-                        t += rng.laplace(0.0, cfg.noise_scale, t.shape)
-        return out, None
-
-    if cfg.method == "prune":
-        out = GradSet(
-            [
-                LayerGrads(
-                    _prune_tensor(g.weight_grad, cfg.prune_rate),
-                    _prune_tensor(g.bias_grad, cfg.prune_rate),
-                )
-                for g in grads.layers
-            ]
-        )
-        return out, None
-
-    # dgp: fold in the carried residual, dual-prune, carry what was removed
-    effective = grads.copy()
-    if residual is not None:
-        for eff, res in zip(effective.layers, residual.layers):
-            eff.weight_grad += res.weight_grad
-            eff.bias_grad += res.bias_grad
-    out_layers = []
-    new_residual = []
-    for eff in effective.layers:
-        w = _dgp_tensor(eff.weight_grad, cfg.dgp_small_rate, cfg.dgp_large_rate)
-        b = _dgp_tensor(eff.bias_grad, cfg.dgp_small_rate, cfg.dgp_large_rate)
-        out_layers.append(LayerGrads(w, b))
-        new_residual.append(LayerGrads(eff.weight_grad - w, eff.bias_grad - b))
-    return GradSet(out_layers), GradSet(new_residual)
+def _defend_tensor(t: np.ndarray, tid: int, cfg: DefenseConfig, rng, carried):
+    """(packet, dgp carry) for tensor `tid` of an upload, a weight at even
+    ids and a bias at odd ones; the carry is None outside dgp."""
+    method, carry = cfg.method, None
+    if method == "svdefense" and tid % 2 == 0 and t.ndim == 2 and min(t.shape) >= 2:
+        return defend_grad_svd(t, cfg.beta, layer_id=tid, entropy_source=cfg.entropy_source), None
+    if method == "svdefense" and tid % 2 and cfg.defend_bias == "zero":
+        t = np.zeros_like(t)
+    elif method in ("dp_gauss", "dp_lap") and cfg.noise_scale > 0.0:
+        t = t + noise(rng, cfg, t.shape)
+    elif method == "prune":
+        t = _pruned(t, cfg.prune_rate)
+    elif method == "dgp":  # fold in what was pruned last round, carry what is pruned now
+        t = t if carried is None else t + carried
+        kept = _pruned(t, cfg.dgp_small_rate, cfg.dgp_large_rate)
+        t, carry = kept, t - kept
+    return DefensePacket(layer_id=tid, kind=KIND_RAW, orig_shape=t.shape,
+                         values=t.ravel().copy()), carry
 
 
 def defend_update(
@@ -257,45 +212,25 @@ def defend_update(
     residual: GradSet | None = None,
 ):
     """Turn a gradient set into transmittable packets under the configured
-    method. Tensor ids: weight of layer l -> 2l, bias -> 2l + 1.
+    method, one tensor at a time in wire order (GradSet.tensors()); noise is
+    drawn from `rng` (default: seeded with cfg.seed) in that order.
 
-    Returns (packets, residual) with the residual as in defend_baseline.
+    Returns (packets, residual). For dgp the residual is the error feedback:
+    what pruning removed from each tensor once the previous `residual` was
+    added back in. It is None for the other methods.
     """
-    new_residual = None
-    if cfg.method in BASELINES:
-        grads, new_residual = defend_baseline(grads, cfg, rng, residual)
-
-    packets = []
-    for l, layer in enumerate(grads.layers):
-        w = layer.weight_grad
-        if cfg.method == "svdefense" and w.ndim == 2 and min(w.shape) >= 2:
-            packets.append(
-                defend_grad_svd(w, cfg.beta, layer_id=2 * l, entropy_source=cfg.entropy_source)
-            )
-        else:
-            packets.append(
-                DefensePacket(
-                    layer_id=2 * l, kind=KIND_RAW, orig_shape=w.shape, values=w.ravel().copy()
-                )
-            )
-        bias = layer.bias_grad
-        if cfg.method == "svdefense" and cfg.defend_bias == "zero":
-            bias = np.zeros_like(bias)
-        packets.append(
-            DefensePacket(
-                layer_id=2 * l + 1,
-                kind=KIND_RAW,
-                orig_shape=bias.shape,
-                values=bias.ravel().copy(),
-            )
-        )
-    return packets, new_residual
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    tensors = grads.tensors()
+    carried = residual.tensors() if residual is not None else [None] * len(tensors)
+    packets, carries = zip(*(_defend_tensor(t, tid, cfg, rng, c)
+                             for tid, (t, c) in enumerate(zip(tensors, carried))))
+    return list(packets), GradSet.from_tensors(carries) if cfg.method == "dgp" else None
 
 
 def check_gradset(grads: GradSet, params: ModelParams) -> GradSet:
     """`grads` itself if it holds, in order, one tensor of the model's shape
     for every weight and bias of `params`; InvalidInput otherwise."""
-    got = [np.shape(t) for g in grads.layers for t in (g.weight_grad, g.bias_grad)]
+    got = [np.shape(t) for t in grads.tensors()]
     refs = [t.shape for layer in params.layers for t in (layer.weight, layer.bias)]
     if got != refs:
         raise InvalidInput(f"gradient shapes {got} are not the model's {refs}")
@@ -314,8 +249,7 @@ def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> Gra
         if tuple(p.orig_shape) != t.shape:
             raise InvalidInput(f"tensor {p.layer_id} declares shape {p.orig_shape} and decodes "
                                f"to {t.shape}")
-    return check_gradset(GradSet([LayerGrads(w, b) for w, b in zip(tensors[::2], tensors[1::2])]),
-                         params)
+    return check_gradset(GradSet.from_tensors(tensors), params)
 
 
 def serialize_packet(packet: DefensePacket) -> bytes:

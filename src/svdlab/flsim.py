@@ -128,16 +128,9 @@ def client_round(
                 _, grads = tinynn.loss_and_grad(local, batch)
                 local = tinynn.sgd_step(local, grads, cfg.local_lr)
 
-    update = GradSet(
-        [
-            LayerGrads(
-                weight_grad=g.weight - l.weight,
-                bias_grad=g.bias - l.bias,
-            )
-            for g, l in zip(global_params.layers, local.layers)
-        ]
-    )
-    if not all(np.isfinite(t).all() for g in update.layers for t in (g.weight_grad, g.bias_grad)):
+    update = GradSet([LayerGrads(g.weight - l.weight, g.bias - l.bias)
+                      for g, l in zip(global_params.layers, local.layers)])
+    if not all(np.isfinite(t).all() for t in update.tensors()):
         raise NumericalFailure(f"client {client_id} diverged in round {round_index}")
     noise_rng = _rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
     packets, new_residual = defense_mod.defend_update(
@@ -282,14 +275,8 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
 
 
 def raw_upload_bytes(params: ModelParams) -> int:
-    """Upload size of one undefended update (raw packets for every tensor);
-    the defense-off baseline for communication accounting."""
-    total = 0
-    for l, layer in enumerate(params.layers):
-        for tid, t in ((2 * l, layer.weight), (2 * l + 1, layer.bias)):
-            pkt = defense_mod.DefensePacket(
-                layer_id=tid, kind=defense_mod.KIND_RAW, orig_shape=t.shape,
-                values=t.ravel(),
-            )
-            total += defense_mod.packet_bytes(pkt)
-    return total
+    """Upload size of one undefended update (method "none": raw packets for
+    every tensor); the defense-off baseline for communication accounting."""
+    update = GradSet([LayerGrads(layer.weight, layer.bias) for layer in params.layers])
+    packets, _ = defense_mod.defend_update(update, defense_mod.DefenseConfig())
+    return sum(defense_mod.packet_bytes(p) for p in packets)

@@ -91,10 +91,15 @@ class GradSet:
 
     layers: list["LayerGrads"]
 
-    def copy(self) -> "GradSet":
-        return GradSet(
-            [LayerGrads(g.weight_grad.copy(), g.bias_grad.copy()) for g in self.layers]
-        )
+    def tensors(self) -> list:
+        """Every tensor in wire order: layer l's weight is id 2l, its bias 2l + 1."""
+        return [t for g in self.layers for t in (g.weight_grad, g.bias_grad)]
+
+    @staticmethod
+    def from_tensors(tensors) -> "GradSet":
+        """Inverse of tensors()."""
+        tensors = list(tensors)
+        return GradSet([LayerGrads(w, b) for w, b in zip(tensors[::2], tensors[1::2])])
 
 
 @dataclass
@@ -278,5 +283,9 @@ def load_model(path) -> ModelParams:
             raise InvalidInput(f"{path}: unknown layer kind code {code}")
         w = np.frombuffer(take(8 * out_dim * in_dim), dtype="<f8").reshape(out_dim, in_dim)
         b = np.frombuffer(take(8 * out_dim), dtype="<f8")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise InvalidInput(f"{path}: layer {len(layers)} holds non-finite values")
         layers.append(LayerParams(w.astype(np.float64), b.astype(np.float64), _CODE_KINDS[code]))
+    if pos != len(blob):
+        raise InvalidInput(f"{path}: {len(blob) - pos} bytes follow the last layer")
     return ModelParams(layers)

@@ -84,7 +84,7 @@ def attack_study():
         arms["replay"].append(
             run(packets, replace(cfg, adaptive="defense_replay", defense=svd_cfg))
         )
-        pruned, _ = defense.defend_baseline(grads, prune_cfg)
+        pruned, _ = defense.defend_update(grads, prune_cfg)
         arms["prune_plain"].append(run(pruned, cfg))
         arms["prune_adapt"].append(run(pruned, replace(cfg, adaptive="prune_mask")))
     return {k: np.array(v) for k, v in arms.items()}

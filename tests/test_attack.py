@@ -330,20 +330,25 @@ class TestAdaptiveTransforms:
                                    defense.reconstruct_packet(pkt), atol=1e-8)
 
     @staticmethod
-    def assert_replay_equals_the_defender(acts, deltas, beta, entropy_source):
+    def assert_replay_equals_the_defender(acts, deltas, beta, entropy_source, defend_bias):
         n = acts[0].shape[-2]
         dummy = tinynn.grads_from_deltas(acts, deltas, n)
-        dcfg = defense.DefenseConfig(method="svdefense", beta=beta, entropy_source=entropy_source)
+        dcfg = defense.DefenseConfig(method="svdefense", beta=beta, entropy_source=entropy_source,
+                                     defend_bias=defend_bias)
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
         transform = attack._AdaptiveTransform(cfg, dummy, [])
         out = transform.apply(dummy, (acts, None, None, deltas))
         assert [proj[0] for proj in transform._projectors] == [0, 1]
-        for l, a, _, _ in transform._projectors:  # a = u / w keeps u's zero columns
-            for g, r, a_j in zip(dummy.layers[l].weight_grad, out.layers[l].weight_grad, a):
-                pkt = defense.defend_grad_svd(g, beta, entropy_source=entropy_source)
-                assert np.count_nonzero(a_j.any(axis=0)) == np.count_nonzero(pkt.sigma_star)
-                np.testing.assert_allclose(r, defense.reconstruct_packet(pkt), rtol=0,
+        for j in range(len(acts[0])):  # restart j against the defender's upload of its slice
+            sent, _ = defense.defend_update(
+                GradSet.from_tensors(t[j] for t in dummy.tensors()), dcfg)
+            for l, a, _, _ in transform._projectors:  # a = u / w keeps u's zero columns
+                g, pkt = dummy.layers[l].weight_grad[j], sent[2 * l]
+                assert np.count_nonzero(a[j].any(axis=0)) == np.count_nonzero(pkt.sigma_star)
+                np.testing.assert_allclose(out.layers[l].weight_grad[j],
+                                           defense.reconstruct_packet(pkt), rtol=0,
                                            atol=1e-8 * np.linalg.norm(g))
+                np.testing.assert_array_equal(out.layers[l].bias_grad[j], sent[2 * l + 1].values)
 
     @pytest.mark.parametrize("entropy_source", ["weighted", "unweighted"])
     @pytest.mark.parametrize("beta", [0.3, 1000.0])  # 1000: T rounds to 1
@@ -356,7 +361,8 @@ class TestAdaptiveTransforms:
         deltas = [rng.normal(size=(4, n, p)) for p, _ in shapes]
         acts = [rng.uniform(size=(4, n, q)) for _, q in shapes]
         deltas[0][1] = 0.0
-        self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source)
+        for defend_bias in ("raw", "zero"):
+            self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source, defend_bias)
 
     @pytest.mark.parametrize("entropy_source", ["weighted", "unweighted"])
     @pytest.mark.parametrize("case", ["duplicated example", "dead layer", "n > q"])
@@ -374,7 +380,9 @@ class TestAdaptiveTransforms:
         if case == "dead layer":
             acts[1][2] = 0.0
         for beta in (0.3, 1000.0):
-            self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source)
+            for defend_bias in ("raw", "zero"):
+                self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source,
+                                                       defend_bias)
 
     def test_replay_pullback_is_the_adjoint(self):
         # per restart, <P x, y> = <x, P^T y> for the replayed map P of a
@@ -400,6 +408,13 @@ class TestAdaptiveTransforms:
                 else:
                     np.testing.assert_array_equal(pty.layers[l].weight_grad[j], ys)
         assert [t[3].all() for t in transform._projectors] == [False, True]
+        # the zeroed biases are constant: their sensitivities pull back to zero
+        zero = attack._AdaptiveTransform(
+            replace(cfg, defense=replace(dcfg, defend_bias="zero")), x, [])
+        zero.apply(x, (acts, None, None, deltas))
+        for t, z in zip(pty.layers, zero.pullback(y).layers):
+            np.testing.assert_array_equal(z.weight_grad, t.weight_grad)
+            np.testing.assert_array_equal(z.bias_grad, np.zeros_like(t.bias_grad))
 
     def test_eot_noise_variance_shrinks(self):
         # averaging n draws leaves variance sigma^2 / n

@@ -205,13 +205,18 @@ class TestExitCodes:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o" / "rounds.csv").exists()
 
-    @pytest.mark.parametrize("case", ["missing", "truncated", "input_dim"])
+    @pytest.mark.parametrize("case", ["missing", "truncated", "input_dim", "trailing", "nan"])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, case):
         ckpt = tmp_path / "model.bin"
         if case != "missing":
-            tinynn.save_model(tinynn.init_model(64 if case == "truncated" else 100, [32], 4), ckpt)
+            model = tinynn.init_model(100 if case == "input_dim" else 64, [32], 4)
+            if case == "nan":
+                model.layers[1].weight[2, 3] = float("nan")
+            tinynn.save_model(model, ckpt)
         if case == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:200])
+        if case == "trailing":
+            ckpt.write_bytes(ckpt.read_bytes() + bytes(8))
         path = write_config(tmp_path)
         rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
                        "--model", str(ckpt)])

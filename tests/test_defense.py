@@ -12,7 +12,6 @@ from svdlab.defense import (
     DefenseConfig,
     adaptive_threshold,
     channel_weights,
-    defend_baseline,
     defend_grad_svd,
     defend_update,
     deserialize_packet,
@@ -21,7 +20,7 @@ from svdlab.defense import (
     reconstruct_packet,
     serialize_packet,
 )
-from svdlab.errors import InvalidConfig, InvalidInput
+from svdlab.errors import InvalidInput
 from svdlab.tinynn import GradSet, LayerGrads
 
 
@@ -36,6 +35,13 @@ def model_like(grads):
     """A model whose tensors have the shapes of the one-layer `grads`."""
     (g,) = grads.layers
     return tinynn.ModelParams([tinynn.LayerParams(g.weight_grad, g.bias_grad, tinynn.KIND_OUTPUT)])
+
+
+def defended(grads, cfg, **kwargs):
+    """The one-layer upload defend_update makes of `grads`, as the server
+    decodes it, and the residual."""
+    packets, residual = defend_update(grads, cfg, **kwargs)
+    return packets_to_gradset(packets, model_like(grads)), residual
 
 
 class TestAdaptiveThreshold:
@@ -206,7 +212,7 @@ class TestBaselines:
     def test_prune_keeps_largest(self):
         grads = gradset_from([(np.arange(1.0, 9.0).reshape(2, 4), [0.5, -2.0])])
         cfg = DefenseConfig(method="prune", prune_rate=0.9)
-        out, _ = defend_baseline(grads, cfg)
+        out, _ = defended(grads, cfg)
         w = out.layers[0].weight_grad
         assert np.count_nonzero(w) == 1
         assert w.ravel()[7] == 8.0
@@ -214,7 +220,7 @@ class TestBaselines:
     def test_prune_tie_break_lower_index(self):
         grads = gradset_from([(np.ones((2, 5)), np.zeros(2))])
         cfg = DefenseConfig(method="prune", prune_rate=0.9)
-        out, _ = defend_baseline(grads, cfg)
+        out, _ = defended(grads, cfg)
         w = out.layers[0].weight_grad.ravel()
         assert np.count_nonzero(w) == 1 and w[0] == 1.0
 
@@ -222,7 +228,7 @@ class TestBaselines:
         values = np.arange(1.0, 21.0)  # 20 entries
         grads = gradset_from([(values.reshape(4, 5), np.zeros(4))])
         cfg = DefenseConfig(method="dgp", dgp_small_rate=0.75, dgp_large_rate=0.05)
-        out, _ = defend_baseline(grads, cfg)
+        out, _ = defended(grads, cfg)
         survivors = np.sort(out.layers[0].weight_grad.ravel())
         survivors = survivors[survivors != 0.0]
         # smallest 15 and largest 1 pruned: the 75th..95th percentile band stays
@@ -232,7 +238,7 @@ class TestBaselines:
         rng = np.random.default_rng(6)
         grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
         cfg = DefenseConfig(method="dgp")
-        out, residual = defend_baseline(grads, cfg)
+        out, residual = defended(grads, cfg)
         for g, o, r in zip(grads.layers, out.layers, residual.layers):
             np.testing.assert_array_equal(g.weight_grad - o.weight_grad, r.weight_grad)
             np.testing.assert_array_equal(g.bias_grad - o.bias_grad, r.bias_grad)
@@ -242,8 +248,8 @@ class TestBaselines:
         g1 = gradset_from([(rng.normal(size=(3, 4)), rng.normal(size=3))])
         g2 = gradset_from([(rng.normal(size=(3, 4)), rng.normal(size=3))])
         cfg = DefenseConfig(method="dgp")
-        _, res1 = defend_baseline(g1, cfg)
-        out2, res2 = defend_baseline(g2, cfg, residual=res1)
+        _, res1 = defended(g1, cfg)
+        out2, res2 = defended(g2, cfg, residual=res1)
         effective = g2.layers[0].weight_grad + res1.layers[0].weight_grad
         np.testing.assert_array_equal(
             effective - out2.layers[0].weight_grad, res2.layers[0].weight_grad
@@ -253,24 +259,19 @@ class TestBaselines:
         rng = np.random.default_rng(8)
         grads = gradset_from([(rng.normal(size=(3, 3)), rng.normal(size=3))])
         for method in ("dp_gauss", "dp_lap"):
-            out, _ = defend_baseline(grads, DefenseConfig(method=method, noise_scale=0.0))
+            out, _ = defended(grads, DefenseConfig(method=method, noise_scale=0.0))
             np.testing.assert_array_equal(out.layers[0].weight_grad, grads.layers[0].weight_grad)
 
     def test_noise_scale_applied(self):
         rng_check = np.random.default_rng(9)
         grads = gradset_from([(np.zeros((40, 50)), np.zeros(40))])
         for method, var in (("dp_gauss", 0.03**2), ("dp_lap", 2 * 0.03**2)):
-            out, _ = defend_baseline(
+            out, _ = defended(
                 grads, DefenseConfig(method=method, noise_scale=0.03),
                 rng=np.random.default_rng(rng_check.integers(2**31)),
             )
             sample_var = np.var(out.layers[0].weight_grad)
             assert sample_var == pytest.approx(var, rel=0.15)
-
-    def test_not_a_baseline(self):
-        grads = gradset_from([(np.ones((2, 2)), np.zeros(2))])
-        with pytest.raises(InvalidConfig):
-            defend_baseline(grads, DefenseConfig(method="svdefense"))
 
 
 class TestPacketTransport:

@@ -236,6 +236,26 @@ class TestRunExperiment:
         assert {id(p) for p in aggregated} == {id(p) for p in parsed}
         assert sum(wire) == sum(r.bytes_up for r in reports)
 
+    def test_one_defend_update_per_client_round(self, tiny_setup, monkeypatch):
+        # benchmarks/workloads.py counts uploads and their bytes by wrapping
+        # defense.defend_update; every upload must go through that one call
+        fl, dc, *_ = tiny_setup
+        defend = defense.defend_update
+        for method in ("svdefense", "dgp"):
+            uploads = []
+
+            def counting(*args, **kwargs):
+                out = defend(*args, **kwargs)
+                uploads.append(out[0])
+                return out
+
+            monkeypatch.setattr(defense, "defend_update", counting)
+            cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method=method)})
+            reports, _ = run_experiment(cfg, dc)
+            assert (cfg.rounds, cfg.clients_per_round, len(uploads)) == (3, 2, 6)
+            assert (sum(defense.packet_bytes(p) for packets in uploads for p in packets)
+                    == sum(r.bytes_up for r in reports))
+
     def test_numerically_rank_one_update_trains(self):
         # a 4x32 update whose second singular value is ~5e-17 of the first
         # once stalled the Jacobi iteration (NumericalFailure)

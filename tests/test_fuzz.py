@@ -1,14 +1,17 @@
 """Fuzzed config files, packet bytes and packet lists: bad input is reported,
 never raised as anything but the documented error. Fuzzed matrices:
-linalg.svd keeps its contract at every shape, rank and power-of-two scale."""
+linalg.svd keeps its contract at every shape, rank and power-of-two scale.
+Fuzzed uploads: pruning and noise match independent references."""
 
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svdlab import cli, defense, linalg, tinynn
 from svdlab.attack import AttackConfig
@@ -200,3 +203,66 @@ def test_svd_contract(case):
     np.testing.assert_array_equal(g.sigma, np.ldexp(f.sigma, e))
     np.testing.assert_array_equal(g.u, f.u)
     np.testing.assert_array_equal(g.vt, f.vt)
+
+
+@st.composite
+def _uploads(draw):
+    """A two-layer model, a gradient set of its shapes and a second one to
+    carry in, of entries with repeated magnitudes and zeros of both signs."""
+    d, h, c = (draw(st.integers(1, 5)) for _ in range(3))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, 7.0])
+    shapes = [(h, d), (h,), (c, h), (c,)]
+    grads, carry = (GradSet.from_tensors(draw(arrays(np.float64, shape, elements=entries))
+                                         for shape in shapes) for _ in range(2))
+    params = tinynn.ModelParams([tinynn.LayerParams(g.weight_grad, g.bias_grad, kind) for g, kind
+                                 in zip(grads.layers, (tinynn.KIND_RELU, tinynn.KIND_OUTPUT))])
+    return params, grads, carry
+
+
+def _reference_pruned(x, small, large):
+    """x with the entries ranked by (-|x|, flat index) zeroed at the first
+    floor(large n) and the last floor(small n) ranks."""
+    flat = x.ravel().tolist()
+    n = len(flat)
+    rank = {i: r for r, i in enumerate(sorted(range(n), key=lambda i: (-abs(flat[i]), i)))}
+    lo, hi = math.floor(large * n), n - math.floor(small * n)
+    return np.array([v if lo <= rank[i] < hi else 0.0 for i, v in enumerate(flat)]).reshape(x.shape)
+
+
+RATES = st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_uploads(), method=st.sampled_from(["prune", "dgp"]), small=RATES, large=RATES,
+       carried=st.booleans())
+def test_pruning_matches_the_reference(case, method, small, large, carried):
+    params, grads, carry_in = case
+    large = large if method == "dgp" else 0.0
+    cfg = DefenseConfig(method=method, prune_rate=small, dgp_small_rate=small, dgp_large_rate=large)
+    residual = carry_in if method == "dgp" and carried else None
+    packets, carry = defense.defend_update(grads, cfg, residual=residual)
+    sent = defense.packets_to_gradset(packets, params).tensors()
+    inputs = grads.tensors() if residual is None else [
+        t + c for t, c in zip(grads.tensors(), residual.tensors())]
+    for x, s in zip(inputs, sent):
+        np.testing.assert_array_equal(s, _reference_pruned(x, small, large))
+        if small == large == 0.0:  # a zero rate zeroes nothing
+            np.testing.assert_array_equal(s, x)
+    if method == "prune":
+        assert carry is None
+        return
+    for x, s, c in zip(inputs, sent, carry.tensors()):  # error feedback loses nothing
+        np.testing.assert_array_equal(s + c, x)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_uploads(), method=st.sampled_from(["dp_gauss", "dp_lap"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_noise_is_drawn_in_wire_order(case, method, seed):
+    params, grads, _ = case
+    cfg = DefenseConfig(method=method, noise_scale=0.5)
+    packets, _ = defense.defend_update(grads, cfg, rng=np.random.default_rng(seed))
+    ref = np.random.default_rng(seed)
+    draw = ref.normal if method == "dp_gauss" else ref.laplace
+    for t, s in zip(grads.tensors(), defense.packets_to_gradset(packets, params).tensors()):
+        np.testing.assert_array_equal(s, t + draw(0.0, 0.5, t.shape))
