@@ -119,7 +119,7 @@ def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str, units=No
 
 def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
     """(layer, a, b, touched) for each stacked weight gradient g = delta^T act
-    / n of at least 2x2 in a _forward cache. The defense replays as g -> a b^T
+    / n of at least 2x2 in a backprop cache. The defense replays as g -> a b^T
     g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds the channel
     weights, scaled exactly to a maximum in [0.5, 1), and the columns of u the
     left singular vectors of w g that the defense keeps. Its pullback is
@@ -150,58 +150,42 @@ def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
             for i, (l, (p_l, _)) in enumerate(zip(ids, dims))]
 
 
-def _with_tensors(grads: GradSet, tensors: dict) -> GradSet:
-    """`grads` with the tensors whose ids are keys of `tensors` replaced;
-    every other tensor is shared, not copied."""
-    return GradSet.from_tensors(tensors.get(i, t) for i, t in enumerate(grads.tensors()))
-
-
-class _AdaptiveTransform:
-    """Forward transform of the dummy gradients plus the matching pullback of
-    distance sensitivities, per attack iteration. Gradient tensors carry a
-    leading restart axis; restart j draws its EOT noise from rngs[j]."""
-
-    def __init__(self, cfg: AttackConfig, observed: GradSet, rngs):
-        self.cfg = cfg
-        self.rngs = rngs
-        if cfg.adaptive == "prune_mask":
-            self.masks = [t != 0.0 for t in observed.tensors()]
-
-    def apply(self, dummy: GradSet, cache=None) -> GradSet:
-        mode = self.cfg.adaptive
-        if mode == "none":
-            return dummy
-        if mode == "prune_mask":
-            return GradSet.from_tensors(t * m for t, m in zip(dummy.tensors(), self.masks))
+def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: GradSet, cache):
+    """(view, pullback): the dummy gradients as the adaptive attacker compares
+    them, and the pullback of distance sensitivities through that view.
+    Tensors carry a leading restart axis; restart j draws its EOT noise from
+    rngs[j]. The prune mask (`masks`, the observed nonzeros) is its own
+    pullback; eot and none pull back through the identity. The replay builds
+    every restart's projector a b^T once from the tinynn.backprop `cache`,
+    maps g -> a b^T g and s -> b a^T s (all-zero matrices pass), and under
+    defend_bias "zero" zeroes every bias both ways, as the defender sends it.
+    That pullback holds the projector fixed: it is the adjoint of a b^T, not
+    the derivative of the defense, so finite differences do not check it."""
+    mode = cfg.adaptive
+    if mode == "prune_mask":
+        def mask(grads):
+            return GradSet.from_tensors(t * m for t, m in zip(grads.tensors(), masks))
+        return mask(dummy), mask
+    if mode != "defense_replay":
         if mode == "eot":
-            d, n = self.cfg.defense, self.cfg.eot_samples
-            return GradSet.from_tensors(
-                np.stack([tj + _mean_noise(rng, d, n, tj.shape) for tj, rng in zip(t, self.rngs)])
+            d, n = cfg.defense, cfg.eot_samples
+            dummy = GradSet.from_tensors(
+                np.stack([tj + _mean_noise(rng, d, n, tj.shape) for tj, rng in zip(t, rngs)])
                 for t in dummy.tensors())
-        # defense_replay: refresh every restart's projector a b^T from the
-        # factors in the _forward cache and push the dummy matrices through
-        # it (all-zero matrices stay as is)
-        self._projectors = _replay_projectors(cache, self.cfg.defense)
-        return self._replayed(dummy, lambda a, b, _, g: a @ (b.swapaxes(-1, -2) @ g))
+        return dummy, lambda sens: sens
+    projectors = _replay_projectors(cache, cfg.defense)
 
-    def pullback(self, sens: GradSet) -> GradSet:
-        mode = self.cfg.adaptive
-        if mode in ("none", "eot"):
-            return sens
-        if mode == "prune_mask":  # the mask is its own pullback
-            return self.apply(sens)
-        return self._replayed(
-            sens, lambda a, b, touched, s: np.where(touched, b @ (a.swapaxes(-1, -2) @ s), s))
-
-    def _replayed(self, grads: GradSet, project) -> GradSet:
-        """`grads` with each replayed weight mapped by project(a, b, touched,
-        weight) and, under defend_bias "zero", every bias zeroed, as the
-        defender sends it; the zeroing is its own pullback."""
+    def replayed(grads, adjoint: bool):
         ts = grads.tensors()
-        out = {2 * l: project(a, b, touched, ts[2 * l]) for l, a, b, touched in self._projectors}
-        if self.cfg.defense.defend_bias == "zero":
-            out.update((i, np.zeros_like(ts[i])) for i in range(1, len(ts), 2))
-        return _with_tensors(grads, out)
+        for l, a, b, touched in projectors:
+            g = ts[2 * l]
+            ts[2 * l] = (np.where(touched, b @ (a.swapaxes(-1, -2) @ g), g) if adjoint
+                         else a @ (b.swapaxes(-1, -2) @ g))
+        if cfg.defense.defend_bias == "zero":
+            ts[1::2] = map(np.zeros_like, ts[1::2])
+        return GradSet.from_tensors(ts)
+
+    return replayed(dummy, False), lambda sens: replayed(sens, True)
 
 
 def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shape) -> np.ndarray:
@@ -209,21 +193,12 @@ def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shap
     return defense.noise(rng, d, (n, *shape)).mean(axis=0)
 
 
-def _forward(params: ModelParams, x, y):
-    """Dummy gradients of the (..., n, D) batch x with soft targets y, plus the
-    (acts, preacts, probs, deltas) cache that _input_label_grads needs."""
-    logits, acts, preacts = tinynn.forward_batch(params, x)
-    probs = tinynn._softmax(logits)
-    deltas = tinynn.deltas_from_forward(params, preacts, probs, y)
-    return tinynn.grads_from_deltas(acts, deltas, x.shape[-2]), (acts, preacts, probs, deltas)
-
-
 def _input_label_grads(params: ModelParams, cache, sens: GradSet):
     """Differentiate an attack loss through the gradient computation.
 
     `sens` holds dE/d(gradient tensor) for every layer and `cache` is the
-    _forward cache of the dummy batch x with soft targets y (the adaptive
-    transform changes only the gradients); returns (dE/dx, dE/dy).
+    tinynn.backprop cache of the dummy batch x with soft targets y (the
+    adaptive view changes only the gradients); returns (dE/dx, dE/dy).
     """
     acts, preacts, probs, deltas = cache
     n = acts[0].shape[-2]
@@ -334,8 +309,8 @@ def run_attack(
         if labels is None:
             raise InvalidConfig("label_mode 'known' requires labels")
         label_vec = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        if label_vec.shape != (batch,):
-            raise InvalidConfig(f"need one label per slot, got {label_vec.shape}")
+        if label_vec.shape != (batch,) or np.any((label_vec < 0) | (label_vec >= num_classes)):
+            raise InvalidConfig(f"need one label in [0, {num_classes}) per slot, got {labels!r}")
     elif label_mode == "inferred":
         if batch != 1:
             raise InvalidConfig("label inference works on single-example gradients")
@@ -355,7 +330,8 @@ def run_attack(
     optimize_labels = label_mode == "optimized"
     if not optimize_labels:
         y = np.eye(num_classes)[label_vec]
-    transform = _AdaptiveTransform(cfg, observed, [np.random.default_rng(s + 1) for s in seeds])
+    masks = [t != 0.0 for t in observed.tensors()]
+    rngs = [np.random.default_rng(s + 1) for s in seeds]
     units = _unit_vectors(observed)
     m_x = v_x = m_l = v_l = 0.0
 
@@ -371,9 +347,9 @@ def run_attack(
         if optimize_labels:
             y = tinynn._softmax(label_logits)
 
-        dummy, cache = _forward(params, x, y)
-        loss, sens = _distance_with_sens(observed, transform.apply(dummy, cache), cfg.distance,
-                                         units)
+        dummy, cache = tinynn.backprop(params, x, y)
+        view, pullback = _adaptive_view(cfg, masks, rngs, dummy, cache)
+        loss, sens = _distance_with_sens(observed, view, cfg.distance, units)
         if use_tv:
             tv_val, tv_grad = _tv_value_grad(x, side)
             loss = loss + cfg.tv_weight * tv_val
@@ -383,7 +359,7 @@ def run_attack(
         best_loss[better], best_it[better] = loss[better], it
         best_x[better], best_logits[better] = x[better], label_logits[better]
 
-        gx, gy = _input_label_grads(params, cache, transform.pullback(sens))
+        gx, gy = _input_label_grads(params, cache, pullback(sens))
         if use_tv:
             gx = gx + cfg.tv_weight * tv_grad
 
@@ -393,13 +369,12 @@ def run_attack(
             gl = y * (gy - np.sum(y * gy, axis=-1, keepdims=True))
             label_logits, m_l, v_l = _adam(label_logits, gl, m_l, v_l, it + 1, cfg.lr)
 
-    finals = [float(np.min(row)) for row in trace]
-    win = min(range(restarts), key=finals.__getitem__)  # first of the lowest
+    win = int(np.argmin(best_loss))  # first of the lowest
     return AttackResult(
         reconstructed=best_x[win, 0].copy(),
         label=int(np.argmax(best_logits[win, 0]) if optimize_labels else label_vec[0]),
         loss_trace=trace[win].copy(),
-        final_distance=finals[win],
+        final_distance=float(best_loss[win]),
         best_iteration=int(best_it[win]),
         reconstructed_batch=best_x[win].copy(),
         restart=win,

@@ -69,6 +69,8 @@ class ExperimentSpec:
         errors = schema.check(self)
         if not errors and self.attack.label_mode == "inferred" and self.harness.batch_size != 1:
             errors.append("attack.label_mode 'inferred' requires attack.batch_size = 1")
+        if not errors and self.harness.batch_size > self.data.num_classes:
+            errors.append("attack.batch_size must be <= data.num_classes (distinct labels)")
         return errors
 
 
@@ -146,7 +148,7 @@ def run_train(spec: ExperimentSpec, out_dir: str):
 def pick_victim_batches(ds, n_examples: int, batch_size: int, seed: int):
     """Deterministic target examples, each padded with companions carrying
     distinct labels."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    rng = flsim._rng(seed, flsim._TAG_VICTIMS)
     targets = rng.choice(len(ds.examples), size=min(n_examples, len(ds.examples)), replace=False)
     batches = []
     labels = np.array([ex.label for ex in ds.examples])
@@ -175,7 +177,7 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     _, grads = tinynn.loss_and_grad(model, batch)
     packets, _ = defense_mod.defend_update(
         grads, spec.fl.defense,
-        rng=np.random.default_rng(np.random.SeedSequence([spec.seed, 8, run_seed])),
+        rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed),
     )
     cfg = replace(spec.attack, seed=spec.seed + run_seed)
     best = attack_mod.run_attack(
@@ -186,7 +188,7 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     return (
         metrics.mse(truth, best.reconstructed),
         metrics.psnr(truth, best.reconstructed),
-        metrics.ssim(truth, best.reconstructed, window=min(7, ds.side)),
+        metrics.ssim(truth, best.reconstructed, window=min(7, ds.side - 1 + ds.side % 2)),
         best,
     )
 

@@ -28,6 +28,8 @@ _TAG_PARTITION = 3
 _TAG_SAMPLING = 4
 _TAG_CLIENT_BATCHES = 5
 _TAG_DEFENSE_NOISE = 6
+_TAG_VICTIMS = 7  # cli.pick_victim_batches
+_TAG_VICTIM_NOISE = 8  # cli.attack_one
 
 
 _AT_LEAST_1 = {"ge": 1}
@@ -47,6 +49,9 @@ class DataConfig:
         errors = schema.check(self)
         if not errors and (self.idx_images is None) != (self.idx_labels is None):
             errors.append("idx_images and idx_labels must be set together")
+        most = len(data_mod._TEMPLATE_PARAMS)
+        if not errors and self.idx_images is None and self.num_classes > most:
+            errors.append(f"num_classes must be <= {most} for synthetic data")
         return errors
 
 

@@ -179,6 +179,17 @@ def grads_from_deltas(activations, deltas, n: int) -> GradSet:
     ])
 
 
+def backprop(params: ModelParams, x: np.ndarray, y: np.ndarray):
+    """The one model pass over the (..., n, D) batch x with soft targets y
+    (..., n, C): mean parameter gradients, plus the (activations, preacts,
+    probs, deltas) cache that the loss and the attack engine read."""
+    logits, activations, preacts = forward_batch(params, x)
+    probs = _softmax(logits)
+    deltas = deltas_from_forward(params, preacts, probs, y)
+    return (grads_from_deltas(activations, deltas, activations[0].shape[-2]),
+            (activations, preacts, probs, deltas))
+
+
 def loss_and_grad(params: ModelParams, batch: list[Example]):
     """Mean softmax cross-entropy and mean parameter gradients over a batch."""
     if not batch:
@@ -190,14 +201,9 @@ def loss_and_grad(params: ModelParams, batch: list[Example]):
     y = np.zeros((len(batch), params.num_classes))
     y[np.arange(len(batch)), labels] = 1.0
 
-    logits, activations, preacts = forward_batch(params, x)
-    probs = _softmax(logits)
+    grads, (_, _, probs, _) = backprop(params, x, y)
     picked = probs[np.arange(len(batch)), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-
-    deltas = deltas_from_forward(params, preacts, probs, y)
-    grads = grads_from_deltas(activations, deltas, len(batch))
-    return loss, grads
+    return float(-np.mean(np.log(np.maximum(picked, 1e-300)))), grads
 
 
 def sgd_step(params: ModelParams, grads: GradSet, lr: float) -> ModelParams:

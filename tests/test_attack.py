@@ -70,23 +70,42 @@ class TestGradDistance:
             grad_distance(g, g, "manhattan")
 
 
+FD_CASES = [(m, a) for a in ("none", "prune_mask", "eot") for m in attack.DISTANCES]
+
+
 class TestInputGradients:
-    @pytest.mark.parametrize("metric", ["l2", "neg_cosine_layerwise"])
-    def test_matches_finite_differences(self, metric):
+    @pytest.mark.parametrize("metric, adaptive", FD_CASES,
+                             ids=[m if a == "none" else f"{m}-{a}" for m, a in FD_CASES])
+    def test_matches_finite_differences(self, metric, adaptive):
+        # the replay is left out: its pullback holds the projector fixed, so
+        # it is an adjoint (test_replay_pullback_is_the_adjoint), not this
+        # derivative
         rng = np.random.default_rng(7)
         model = tinynn.init_model(10, [7], 4, seed=2)
-        x = rng.uniform(0, 1, (3, 10))
-        y = tinynn._softmax(rng.normal(size=(3, 4)))
+        x = rng.uniform(0, 1, (1, 3, 10))  # a one-restart leading axis
+        y = tinynn._softmax(rng.normal(size=(1, 3, 4)))
         obs_y = np.zeros((3, 4))
         obs_y[np.arange(3), [0, 1, 2]] = 1.0
-        observed, _ = attack._forward(model, rng.uniform(0, 1, (3, 10)), obs_y)
+        observed, _ = tinynn.backprop(model, rng.uniform(0, 1, (3, 10)), obs_y)
+        if adaptive == "prune_mask":  # zero about half the entries so the mask bites
+            observed = GradSet.from_tensors(t * (rng.uniform(size=t.shape) < 0.5)
+                                            for t in observed.tensors())
+        masks = [t != 0.0 for t in observed.tensors()]
+        cfg = AttackConfig(distance=metric, adaptive=adaptive, eot_samples=2, label_mode="known",
+                           defense=defense.DefenseConfig(method="dp_gauss", noise_scale=0.01))
 
-        dummy, cache = attack._forward(model, x, y)
-        _, sens = attack._distance_with_sens(observed, dummy, metric)
-        gx, gy = attack._input_label_grads(model, cache, sens)
+        def view(xv, yv):  # eot draws the same noise on every evaluation
+            dummy, cache = tinynn.backprop(model, xv, yv)
+            return attack._adaptive_view(cfg, masks, [np.random.default_rng(3)], dummy, cache), cache
+
+        (shown, pullback), cache = view(x, y)
+        _, sens = attack._distance_with_sens(observed, shown, metric)
+        gx, gy = attack._input_label_grads(model, cache, pullback(sens))
 
         def value(xv, yv):
-            return grad_distance(observed, attack._forward(model, xv, yv)[0], metric)
+            shown = view(xv, yv)[0][0]
+            return grad_distance(observed, GradSet.from_tensors(t[0] for t in shown.tensors()),
+                                 metric)
 
         h = 1e-6
         worst = 0.0
@@ -162,6 +181,15 @@ class TestRunAttack:
         cfg = AttackConfig(label_mode="known")
         with pytest.raises(InvalidConfig):
             run_attack(model, g, (64,), cfg)
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_rejects_labels_outside_the_classes(self, setup, label):
+        ds, model = setup
+        batch = batch_for(ds, 7)
+        _, g = tinynn.loss_and_grad(model, batch)
+        cfg = AttackConfig(iterations=2, label_mode="known")
+        with pytest.raises(InvalidConfig, match="need one label in"):
+            run_attack(model, g, (3, 64), cfg, labels=[batch[0].label, label, batch[2].label])
 
     def test_accepts_packets(self, setup):
         ds, model = setup
@@ -325,7 +353,7 @@ class TestAdaptiveTransforms:
         dummy = GradSet([LayerGrads(g[None].copy(), np.zeros((1, 12)))])
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
         cache = ([g[None]], None, None, [12.0 * np.eye(12)[None]])
-        replayed = attack._AdaptiveTransform(cfg, dummy, []).apply(dummy, cache)
+        replayed, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
         np.testing.assert_allclose(replayed.layers[0].weight_grad[0],
                                    defense.reconstruct_packet(pkt), atol=1e-8)
 
@@ -336,13 +364,14 @@ class TestAdaptiveTransforms:
         dcfg = defense.DefenseConfig(method="svdefense", beta=beta, entropy_source=entropy_source,
                                      defend_bias=defend_bias)
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
-        transform = attack._AdaptiveTransform(cfg, dummy, [])
-        out = transform.apply(dummy, (acts, None, None, deltas))
-        assert [proj[0] for proj in transform._projectors] == [0, 1]
+        cache = (acts, None, None, deltas)
+        out, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
+        projectors = attack._replay_projectors(cache, dcfg)
+        assert [proj[0] for proj in projectors] == [0, 1]
         for j in range(len(acts[0])):  # restart j against the defender's upload of its slice
             sent, _ = defense.defend_update(
                 GradSet.from_tensors(t[j] for t in dummy.tensors()), dcfg)
-            for l, a, _, _ in transform._projectors:  # a = u / w keeps u's zero columns
+            for l, a, _, _ in projectors:  # a = u / w keeps u's zero columns
                 g, pkt = dummy.layers[l].weight_grad[j], sent[2 * l]
                 assert np.count_nonzero(a[j].any(axis=0)) == np.count_nonzero(pkt.sigma_star)
                 np.testing.assert_allclose(out.layers[l].weight_grad[j],
@@ -396,10 +425,11 @@ class TestAdaptiveTransforms:
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
         x, y = (GradSet([LayerGrads(rng.normal(size=(4, p, q)), rng.normal(size=(4, p)))
                          for p, q in shapes]) for _ in range(2))
-        transform = attack._AdaptiveTransform(cfg, x, [])
-        px = transform.apply(x, (acts, None, None, deltas))
-        pty = transform.pullback(y)
-        for l, _, _, touched in transform._projectors:
+        cache = (acts, None, None, deltas)
+        px, pullback = attack._adaptive_view(cfg, None, [], x, cache)
+        pty = pullback(y)
+        projectors = attack._replay_projectors(cache, dcfg)
+        for l, _, _, touched in projectors:
             for j in range(4):
                 xs, ys = x.layers[l].weight_grad[j], y.layers[l].weight_grad[j]
                 if touched[j]:
@@ -407,12 +437,11 @@ class TestAdaptiveTransforms:
                         np.vdot(xs, pty.layers[l].weight_grad[j]), rel=1e-12)
                 else:
                     np.testing.assert_array_equal(pty.layers[l].weight_grad[j], ys)
-        assert [t[3].all() for t in transform._projectors] == [False, True]
+        assert [t[3].all() for t in projectors] == [False, True]
         # the zeroed biases are constant: their sensitivities pull back to zero
-        zero = attack._AdaptiveTransform(
-            replace(cfg, defense=replace(dcfg, defend_bias="zero")), x, [])
-        zero.apply(x, (acts, None, None, deltas))
-        for t, z in zip(pty.layers, zero.pullback(y).layers):
+        _, zero_pullback = attack._adaptive_view(
+            replace(cfg, defense=replace(dcfg, defend_bias="zero")), None, [], x, cache)
+        for t, z in zip(pty.layers, zero_pullback(y).layers):
             np.testing.assert_array_equal(z.weight_grad, t.weight_grad)
             np.testing.assert_array_equal(z.bias_grad, np.zeros_like(t.bias_grad))
 
@@ -423,9 +452,8 @@ class TestAdaptiveTransforms:
             adaptive="eot", eot_samples=16, label_mode="known",
             defense=defense.DefenseConfig(method="dp_gauss", noise_scale=0.5),
         )
-        observed = GradSet([LayerGrads(np.zeros((50, 40)), np.zeros(50))])
-        transform = attack._AdaptiveTransform(cfg, observed, [rng])
-        out = transform.apply(GradSet([LayerGrads(np.zeros((1, 50, 40)), np.zeros((1, 50)))]))
+        dummy = GradSet([LayerGrads(np.zeros((1, 50, 40)), np.zeros((1, 50)))])
+        out, _ = attack._adaptive_view(cfg, None, [rng], dummy, None)
         sample_var = float(np.var(out.layers[0].weight_grad))
         assert sample_var == pytest.approx(0.5**2 / 16, rel=0.15)
 

@@ -1,6 +1,7 @@
 """Command-line behavior: config validation, outputs, determinism."""
 
 import json
+import math
 import os
 import re
 from dataclasses import replace
@@ -136,6 +137,8 @@ class TestConfigSchema:
             {"fl.defense.dgp_small_rate": 0.6, "fl.defense.dgp_large_rate": 0.5},
             "fl.defense.dgp_small_rate",
         ),
+        "batch_over_classes": ({"data.num_classes": 2}, "attack.batch_size"),
+        "synthetic_classes": ({"data.num_classes": 13}, "data.num_classes"),
     }
 
     @pytest.fixture(autouse=True)
@@ -153,6 +156,7 @@ class TestConfigSchema:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"config error: {key} ")
+        assert not (tmp_path / "o").exists()
 
     def test_dotted_top_level_key_is_unknown(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -321,6 +325,15 @@ class TestAttack:
         lines = (out / "attack.csv").read_text().splitlines()
         assert lines[0] == "example_id,defense,attack_mode,mse,psnr,ssim"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "mean"]
+
+    @pytest.mark.parametrize("side", [4, 6])
+    def test_small_and_even_sides(self, tmp_path, side):
+        # the SSIM window is the largest odd one up to 7 that fits the side
+        path = write_config(tmp_path, {"data.side": side, "attack.iterations": 5})
+        out = tmp_path / "atk"
+        assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "attack.csv").read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(row[-1])) for row in rows)
 
     def test_inferred_needs_batch_one(self, tmp_path, capsys):
         path = write_config(tmp_path, {"attack.label_mode": "inferred"})
