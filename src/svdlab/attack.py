@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defense, linalg, schema, tinynn
-from .errors import InvalidConfig, InvalidInput, UndeterminedLabel
-from .tinynn import GradSet, KIND_RELU, LayerGrads, ModelParams
+from .errors import InvalidConfig, InvalidInput, UndeterminedLabel, numerical_failure
+from .tinynn import KIND_RELU, ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
 ADAPTIVE_MODES = ("none", "prune_mask", "eot", "defense_replay")
@@ -73,36 +73,35 @@ class AttackResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _unit_vectors(observed: GradSet) -> list:
+def _unit_vectors(observed: list) -> list:
     """Each observed layer's weight+bias vector over its norm (None if zero),
     scaled exactly first so that the norm cannot underflow or overflow."""
-    vs = [linalg._unit_scale(np.concatenate([o.weight_grad.ravel(), o.bias_grad]))[0]
-          for o in observed.layers]
+    vs = [linalg._unit_scale(np.concatenate([w.ravel(), b]))[0]
+          for w, b in zip(observed[::2], observed[1::2])]
     return [v / math.sqrt(v.dot(v)) if v.any() else None for v in vs]
 
 
-def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str, units=None):
-    """Distance plus its gradient with respect to every dummy tensor. l2: total
-    squared entry difference; neg_cosine_layerwise: per layer, 1 - cosine of
-    the flattened weight+bias vectors, 0 where either has zero norm. Dummy
-    tensors may carry leading (restart) axes; the distance then has those
-    axes, each slice computed exactly as it would be alone. `units` are the
-    _unit_vectors of `observed`, computed here when not given."""
-    lead = dummy.layers[0].bias_grad.shape[:-1]
+def _distance_with_sens(observed: list, dummy: list, metric: str, units=None):
+    """Distance plus its gradient with respect to every dummy tensor, for two
+    gradient sets in wire order. l2: total squared entry difference;
+    neg_cosine_layerwise: per layer, 1 - cosine of the flattened weight+bias
+    vectors, 0 where either has zero norm. Dummy tensors may carry leading
+    (restart) axes; the distance then has those axes, each slice computed
+    exactly as it would be alone. `units` are the _unit_vectors of
+    `observed`, computed here when not given."""
+    lead = dummy[1].shape[:-1]
     total = np.zeros(lead)
     sens = []
     units = units or _unit_vectors(observed)
-    for o, d, ou in zip(observed.layers, dummy.layers, units):
+    for ow, ob, w, b, ou in zip(observed[::2], observed[1::2], dummy[::2], dummy[1::2], units):
         if metric == "l2":
-            dw = d.weight_grad - o.weight_grad
-            db = d.bias_grad - o.bias_grad
+            dw, db = w - ow, b - ob
             total += (dw * dw).reshape(*lead, -1).sum(axis=-1) + (db * db).sum(axis=-1)
-            sens.append(LayerGrads(2.0 * dw, 2.0 * db))
+            sens += [2.0 * dw, 2.0 * db]
             continue
         # dummy vectors d are scaled exactly by 2**-e; 1 - cos(d, o) has the
         # gradient (cos * d / |d| - o / |o|) / |d|
-        dvs, e = linalg._unit_scale(
-            np.concatenate([d.weight_grad.reshape(*lead, -1), d.bias_grad], axis=-1), -1)
+        dvs, e = linalg._unit_scale(np.concatenate([w.reshape(*lead, -1), b], axis=-1), -1)
         gvecs = np.zeros_like(dvs)
         for j in np.ndindex(lead):
             dv = dvs[j]  # Python floats: vectorized norms and dots round otherwise
@@ -112,9 +111,8 @@ def _distance_with_sens(observed: GradSet, dummy: GradSet, metric: str, units=No
             c = float(dv @ ou) / nd
             total[j] += 1.0 - c
             gvecs[j] = ((c / nd) * dv - ou) * math.ldexp(1.0 / nd, -int(e[j][0]))
-        wsize = o.weight_grad.size
-        sens.append(LayerGrads(gvecs[..., :wsize].reshape(d.weight_grad.shape), gvecs[..., wsize:]))
-    return total, GradSet(sens)
+        sens += [gvecs[..., :ow.size].reshape(w.shape), gvecs[..., ow.size:]]
+    return total, sens
 
 
 def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
@@ -150,7 +148,7 @@ def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
             for i, (l, (p_l, _)) in enumerate(zip(ids, dims))]
 
 
-def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: GradSet, cache):
+def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
     """(view, pullback): the dummy gradients as the adaptive attacker compares
     them, and the pullback of distance sensitivities through that view.
     Tensors carry a leading restart axis; restart j draws its EOT noise from
@@ -164,26 +162,25 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: GradSet, cache):
     mode = cfg.adaptive
     if mode == "prune_mask":
         def mask(grads):
-            return GradSet.from_tensors(t * m for t, m in zip(grads.tensors(), masks))
+            return [t * m for t, m in zip(grads, masks)]
         return mask(dummy), mask
     if mode != "defense_replay":
         if mode == "eot":
             d, n = cfg.defense, cfg.eot_samples
-            dummy = GradSet.from_tensors(
-                np.stack([tj + _mean_noise(rng, d, n, tj.shape) for tj, rng in zip(t, rngs)])
-                for t in dummy.tensors())
+            dummy = [np.stack([tj + _mean_noise(rng, d, n, tj.shape) for tj, rng in zip(t, rngs)])
+                     for t in dummy]
         return dummy, lambda sens: sens
     projectors = _replay_projectors(cache, cfg.defense)
 
     def replayed(grads, adjoint: bool):
-        ts = grads.tensors()
+        ts = list(grads)
         for l, a, b, touched in projectors:
             g = ts[2 * l]
             ts[2 * l] = (np.where(touched, b @ (a.swapaxes(-1, -2) @ g), g) if adjoint
                          else a @ (b.swapaxes(-1, -2) @ g))
         if cfg.defense.defend_bias == "zero":
             ts[1::2] = map(np.zeros_like, ts[1::2])
-        return GradSet.from_tensors(ts)
+        return ts
 
     return replayed(dummy, False), lambda sens: replayed(sens, True)
 
@@ -193,10 +190,10 @@ def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shap
     return defense.noise(rng, d, (n, *shape)).mean(axis=0)
 
 
-def _input_label_grads(params: ModelParams, cache, sens: GradSet):
+def _input_label_grads(params: ModelParams, cache, sens: list):
     """Differentiate an attack loss through the gradient computation.
 
-    `sens` holds dE/d(gradient tensor) for every layer and `cache` is the
+    `sens` holds dE/d(gradient tensor) in wire order and `cache` is the
     tinynn.backprop cache of the dummy batch x with soft targets y (the
     adaptive view changes only the gradients); returns (dE/dx, dE/dy).
     """
@@ -208,8 +205,7 @@ def _input_label_grads(params: ModelParams, cache, sens: GradSet):
     # layer upward because delta_l feeds delta_{l-1} in the backward pass
     d_delta = []
     for l in range(n_layers):
-        sw = sens.layers[l].weight_grad
-        direct = (acts[l] @ sw.swapaxes(-1, -2) + sens.layers[l].bias_grad[..., None, :]) / n
+        direct = (acts[l] @ sens[2 * l].swapaxes(-1, -2) + sens[2 * l + 1][..., None, :]) / n
         if l > 0:
             prev = d_delta[l - 1]
             if params.layers[l - 1].kind == KIND_RELU:
@@ -225,7 +221,7 @@ def _input_label_grads(params: ModelParams, cache, sens: GradSet):
 
     # walk the forward chain back down to the input
     for l in range(n_layers - 1, -1, -1):
-        d_act = d_z @ params.layers[l].weight + (deltas[l] @ sens.layers[l].weight_grad) / n
+        d_act = d_z @ params.layers[l].weight + (deltas[l] @ sens[2 * l]) / n
         if l == 0:
             return d_act, dy
         if params.layers[l - 1].kind == KIND_RELU:
@@ -271,12 +267,13 @@ def run_attack(
 ) -> AttackResult:
     """Reconstruct the input(s) behind `observed` gradients.
 
-    `observed` may be a GradSet, checked against `params` by
-    defense.check_gradset, or a list of defense packets, decoded for `params`
-    by the server's own defense.packets_to_gradset. `target_shape`
-    is (D,) for a single input or (B, D) for a joint batch reconstruction;
-    `labels` must be given in 'known' mode (an int, or one int per slot).
-    Inputs are clamped to [0, 1] after every step.
+    `observed` may be a list of defense packets, decoded for `params` by the
+    server's own defense.packets_to_gradset, or a list of gradient tensors
+    in wire order, checked against `params` by defense.check_gradset.
+    `target_shape` is (D,) for a single input or (B, D) for a joint batch
+    reconstruction; `labels` must be given in 'known' mode (an int, or one
+    int per slot). Inputs are clamped to [0, 1] after every step. An
+    iteration that overflows raises NumericalFailure.
 
     Restart j, seeded with cfg.seed + 1000 * j, runs as slice j of a leading
     axis of every array and computes exactly what it would alone; the result
@@ -287,8 +284,10 @@ def run_attack(
         errors.append(f"restarts must be an integer >= 1, got {restarts!r}")
     if errors:
         raise InvalidConfig("; ".join(errors))
-    observed = (defense.check_gradset(observed, params) if isinstance(observed, GradSet)
-                else defense.packets_to_gradset(list(observed), params))
+    observed = list(observed)
+    observed = (defense.packets_to_gradset(observed, params)
+                if all(isinstance(o, defense.DefensePacket) for o in observed)
+                else defense.check_gradset(observed, params))
 
     shape = tuple(target_shape)
     if len(shape) == 1:
@@ -330,7 +329,7 @@ def run_attack(
     optimize_labels = label_mode == "optimized"
     if not optimize_labels:
         y = np.eye(num_classes)[label_vec]
-    masks = [t != 0.0 for t in observed.tensors()]
+    masks = [t != 0.0 for t in observed]
     rngs = [np.random.default_rng(s + 1) for s in seeds]
     units = _unit_vectors(observed)
     m_x = v_x = m_l = v_l = 0.0
@@ -343,31 +342,32 @@ def run_attack(
     best_it = np.zeros(restarts, dtype=np.int64)
     best_x, best_logits = x.copy(), label_logits.copy()
 
-    for it in range(cfg.iterations):
-        if optimize_labels:
-            y = tinynn._softmax(label_logits)
+    with numerical_failure("an attack iteration"):
+        for it in range(cfg.iterations):
+            if optimize_labels:
+                y = tinynn._softmax(label_logits)
 
-        dummy, cache = tinynn.backprop(params, x, y)
-        view, pullback = _adaptive_view(cfg, masks, rngs, dummy, cache)
-        loss, sens = _distance_with_sens(observed, view, cfg.distance, units)
-        if use_tv:
-            tv_val, tv_grad = _tv_value_grad(x, side)
-            loss = loss + cfg.tv_weight * tv_val
+            dummy, cache = tinynn.backprop(params, x, y)
+            view, pullback = _adaptive_view(cfg, masks, rngs, dummy, cache)
+            loss, sens = _distance_with_sens(observed, view, cfg.distance, units)
+            if use_tv:
+                tv_val, tv_grad = _tv_value_grad(x, side)
+                loss = loss + cfg.tv_weight * tv_val
 
-        trace[:, it] = loss
-        better = loss < best_loss
-        best_loss[better], best_it[better] = loss[better], it
-        best_x[better], best_logits[better] = x[better], label_logits[better]
+            trace[:, it] = loss
+            better = loss < best_loss
+            best_loss[better], best_it[better] = loss[better], it
+            best_x[better], best_logits[better] = x[better], label_logits[better]
 
-        gx, gy = _input_label_grads(params, cache, pullback(sens))
-        if use_tv:
-            gx = gx + cfg.tv_weight * tv_grad
+            gx, gy = _input_label_grads(params, cache, pullback(sens))
+            if use_tv:
+                gx = gx + cfg.tv_weight * tv_grad
 
-        x, m_x, v_x = _adam(x, gx, m_x, v_x, it + 1, cfg.lr)
-        np.clip(x, 0.0, 1.0, out=x)
-        if optimize_labels:
-            gl = y * (gy - np.sum(y * gy, axis=-1, keepdims=True))
-            label_logits, m_l, v_l = _adam(label_logits, gl, m_l, v_l, it + 1, cfg.lr)
+            x, m_x, v_x = _adam(x, gx, m_x, v_x, it + 1, cfg.lr)
+            np.clip(x, 0.0, 1.0, out=x)
+            if optimize_labels:
+                gl = y * (gy - np.sum(y * gy, axis=-1, keepdims=True))
+                label_logits, m_l, v_l = _adam(label_logits, gl, m_l, v_l, it + 1, cfg.lr)
 
     win = int(np.argmin(best_loss))  # first of the lowest
     return AttackResult(

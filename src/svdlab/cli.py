@@ -20,7 +20,8 @@ import numpy as np
 from . import attack as attack_mod
 from . import defense as defense_mod
 from . import flsim, metrics, schema, tinynn
-from .errors import DegenerateInput, InvalidConfig, InvalidInput, NumericalFailure
+from .errors import (DegenerateInput, InvalidConfig, InvalidInput, NumericalFailure,
+                     numerical_failure)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,10 +67,14 @@ class ExperimentSpec:
     )
 
     def validate(self) -> list[str]:
-        errors = schema.check(self)
-        if not errors and self.attack.label_mode == "inferred" and self.harness.batch_size != 1:
+        return schema.check(self)
+
+    def victim_errors(self) -> list[str]:
+        """The victim harness's rules, which only `attack` and `sweep` apply."""
+        errors = []
+        if self.attack.label_mode == "inferred" and self.harness.batch_size != 1:
             errors.append("attack.label_mode 'inferred' requires attack.batch_size = 1")
-        if not errors and self.harness.batch_size > self.data.num_classes:
+        if self.harness.batch_size > self.data.num_classes:
             errors.append("attack.batch_size must be <= data.num_classes (distinct labels)")
         return errors
 
@@ -149,14 +154,13 @@ def pick_victim_batches(ds, n_examples: int, batch_size: int, seed: int):
     """Deterministic target examples, each padded with companions carrying
     distinct labels."""
     rng = flsim._rng(seed, flsim._TAG_VICTIMS)
-    targets = rng.choice(len(ds.examples), size=min(n_examples, len(ds.examples)), replace=False)
+    n, labels = len(ds.y), ds.y
+    targets = rng.choice(n, size=min(n_examples, n), replace=False)
     batches = []
-    labels = np.array([ex.label for ex in ds.examples])
     for t in targets:
         batch = [int(t)]
         used = {int(labels[t])}
-        candidates = rng.permutation(len(ds.examples))
-        for c in candidates:
+        for c in rng.permutation(n):
             if len(batch) == batch_size:
                 break
             if int(labels[c]) not in used:
@@ -173,18 +177,18 @@ def pick_victim_batches(ds, n_examples: int, batch_size: int, seed: int):
 def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     """Defend one victim batch per the fl defense and attack it; returns the
     per-example metric values and the best attack result."""
-    batch = [ds.examples[i] for i in batch_indices]
-    _, grads = tinynn.loss_and_grad(model, batch)
+    x, labels = ds.x[batch_indices], ds.y[batch_indices]
+    with numerical_failure("the model's gradient on the victim batch"):
+        _, grads = tinynn.loss_and_grad(model, x, labels)
     packets, _ = defense_mod.defend_update(
         grads, spec.fl.defense,
         rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed),
     )
     cfg = replace(spec.attack, seed=spec.seed + run_seed)
     best = attack_mod.run_attack(
-        model, packets, (len(batch), model.input_dim), cfg,
-        labels=[ex.label for ex in batch], restarts=spec.harness.restarts,
+        model, packets, x.shape, cfg, labels=labels, restarts=spec.harness.restarts,
     )
-    truth = batch[0].input
+    truth = x[0]
     return (
         metrics.mse(truth, best.reconstructed),
         metrics.psnr(truth, best.reconstructed),
@@ -201,8 +205,8 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
     train, _, _, built_model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
     if model is None:
         model = built_model
-    elif model.input_dim != train.input_dim:
-        raise InvalidInput(f"checkpoint input dim {model.input_dim} != {train.input_dim}")
+    elif model.input_dim != train.x.shape[1]:
+        raise InvalidInput(f"checkpoint input dim {model.input_dim} != {train.x.shape[1]}")
     batches = pick_victim_batches(
         train, spec.harness.n_examples, spec.harness.batch_size, spec.seed
     )
@@ -215,7 +219,7 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
         values.append((m, p, s))
         rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s])
         if write_images:
-            truth = train.examples[batch_indices[0]].input
+            truth = train.x[batch_indices[0]]
             attack_mod.write_pgm(truth, train.side, os.path.join(out_dir, f"truth_{i:03d}.pgm"))
             attack_mod.write_pgm(
                 best.reconstructed, train.side, os.path.join(out_dir, f"recon_{i:03d}.pgm")
@@ -251,7 +255,7 @@ def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str
     if clash:
         raise InvalidConfig(f"sweep values share a point directory: {', '.join(clash)}")
     points = [_apply_axis(spec, axis, value) for value in values]
-    errors = [e for point in points for e in point.validate()]
+    errors = [e for point in points for e in point.validate() + point.victim_errors()]
     if errors:
         raise InvalidConfig("; ".join(errors))
     rows = []
@@ -302,6 +306,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec, errors = load_spec(args.config)
+    if not errors and args.command != "train":
+        errors = spec.victim_errors()
     for line in errors:
         print(f"config error: {line}", file=sys.stderr)
     if errors:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidInput
-from .tinynn import Example
 
 NOISE_SIGMA = 0.1
 _LEVEL_LO = 0.15
@@ -33,9 +32,12 @@ _TEMPLATE_PARAMS = [
 
 @dataclass
 class Dataset:
-    examples: list[Example]
+    """Flattened images x (n, D), pixel values in [0, 1], and integer labels
+    y (n,) in [0, num_classes)."""
+
+    x: np.ndarray
+    y: np.ndarray
     num_classes: int
-    input_dim: int
     side: int
 
 
@@ -70,27 +72,17 @@ def make_synthetic(num_classes: int, per_class: int, side: int, seed: int) -> Da
     if per_class < 1 or side < 4:
         raise InvalidConfig("per_class must be >= 1 and side >= 4")
     rng = np.random.default_rng(seed)
-    examples = []
-    for cls in range(num_classes):
-        template = class_template(cls, side)
-        for _ in range(per_class):
-            img = np.clip(template + rng.normal(0.0, NOISE_SIGMA, template.shape), 0.0, 1.0)
-            examples.append(Example(input=img, label=cls))
-    return Dataset(
-        examples=examples, num_classes=num_classes, input_dim=side * side, side=side
-    )
+    templates = np.repeat([class_template(c, side) for c in range(num_classes)], per_class, axis=0)
+    x = np.clip(templates + rng.normal(0.0, NOISE_SIGMA, templates.shape), 0.0, 1.0)
+    return Dataset(x, np.repeat(np.arange(num_classes), per_class), num_classes, side)
 
 
 def _class_indices(ds: Dataset) -> list[np.ndarray]:
-    labels = np.array([ex.label for ex in ds.examples])
-    return [np.flatnonzero(labels == c) for c in range(ds.num_classes)]
+    return [np.flatnonzero(ds.y == c) for c in range(ds.num_classes)]
 
 
 def _profile(ds: Dataset, shard: list[int]) -> np.ndarray:
-    counts = np.zeros(ds.num_classes, dtype=np.int64)
-    for idx in shard:
-        counts[ds.examples[idx].label] += 1
-    return counts
+    return np.bincount(ds.y[shard], minlength=ds.num_classes)
 
 
 def _rho_decay(by_class: list, rho: float, rng: np.random.Generator) -> list[int]:
@@ -141,7 +133,7 @@ def partition_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed: int) 
         raise InvalidConfig("need at least two clients")
     if alpha <= 0.0:
         raise InvalidConfig("alpha must be positive")
-    if num_clients > len(ds.examples):
+    if num_clients > len(ds.y):
         raise InvalidConfig("more clients than examples")
     rng = np.random.default_rng(seed)
     shards: list[list[int]] = [[] for _ in range(num_clients)]
@@ -204,5 +196,4 @@ def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
         raise InvalidInput(f"{labels_path}: label {int(labels.max())} is outside "
                            f"[0, data.num_classes = {num_classes})")
     images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    examples = [Example(input=img, label=int(lab)) for img, lab in zip(images, labels)]
-    return Dataset(examples=examples, num_classes=num_classes, input_dim=rows * cols, side=rows)
+    return Dataset(images, labels.astype(np.int64), num_classes, rows)

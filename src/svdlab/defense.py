@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, schema
 from .errors import DegenerateInput, InvalidInput
-from .tinynn import GradSet, ModelParams
+from .tinynn import ModelParams
 
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
 
@@ -206,38 +206,38 @@ def _defend_tensor(t: np.ndarray, tid: int, cfg: DefenseConfig, rng, carried):
 
 
 def defend_update(
-    grads: GradSet,
+    grads: list,
     cfg: DefenseConfig,
     rng: np.random.Generator | None = None,
-    residual: GradSet | None = None,
+    residual: list | None = None,
 ):
-    """Turn a gradient set into transmittable packets under the configured
-    method, one tensor at a time in wire order (GradSet.tensors()); noise is
-    drawn from `rng` (default: seeded with cfg.seed) in that order.
+    """Turn a gradient set, a list of tensors in wire order (the order of
+    ModelParams.tensors()), into transmittable packets under the configured
+    method, one tensor at a time; noise is drawn from `rng` (default: seeded
+    with cfg.seed) in that order.
 
     Returns (packets, residual). For dgp the residual is the error feedback:
     what pruning removed from each tensor once the previous `residual` was
     added back in. It is None for the other methods.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    tensors = grads.tensors()
-    carried = residual.tensors() if residual is not None else [None] * len(tensors)
+    carried = residual if residual is not None else [None] * len(grads)
     packets, carries = zip(*(_defend_tensor(t, tid, cfg, rng, c)
-                             for tid, (t, c) in enumerate(zip(tensors, carried))))
-    return list(packets), GradSet.from_tensors(carries) if cfg.method == "dgp" else None
+                             for tid, (t, c) in enumerate(zip(grads, carried))))
+    return list(packets), list(carries) if cfg.method == "dgp" else None
 
 
-def check_gradset(grads: GradSet, params: ModelParams) -> GradSet:
+def check_gradset(grads: list, params: ModelParams) -> list:
     """`grads` itself if it holds, in order, one tensor of the model's shape
     for every weight and bias of `params`; InvalidInput otherwise."""
-    got = [np.shape(t) for t in grads.tensors()]
-    refs = [t.shape for layer in params.layers for t in (layer.weight, layer.bias)]
+    got = [np.shape(t) for t in grads]
+    refs = [t.shape for t in params.tensors()]
     if got != refs:
         raise InvalidInput(f"gradient shapes {got} are not the model's {refs}")
     return grads
 
 
-def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> GradSet:
+def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> list:
     """Decode one upload for the model `params`: packet i must carry tensor id
     i (weight of layer l at 2l, its bias at 2l + 1) for every tensor of the
     model, declaring and decoding to that tensor's shape (check_gradset). Any
@@ -249,7 +249,7 @@ def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> Gra
         if tuple(p.orig_shape) != t.shape:
             raise InvalidInput(f"tensor {p.layer_id} declares shape {p.orig_shape} and decodes "
                                f"to {t.shape}")
-    return check_gradset(GradSet.from_tensors(tensors), params)
+    return check_gradset(tensors, params)
 
 
 def serialize_packet(packet: DefensePacket) -> bytes:

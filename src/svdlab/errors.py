@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the floating-point guard that raises one."""
+
+import contextlib
+
+import numpy as np
 
 
 class InvalidInput(ValueError):
@@ -6,7 +10,7 @@ class InvalidInput(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """An iterative numerical routine did not converge within its cap."""
+    """A numerical routine did not converge, or its arithmetic overflowed."""
 
 
 class DegenerateInput(ValueError):
@@ -19,3 +23,14 @@ class InvalidConfig(ValueError):
 
 class UndeterminedLabel(RuntimeError):
     """Label cannot be inferred from the given gradients."""
+
+
+@contextlib.contextmanager
+def numerical_failure(what: str):
+    """Raise NumericalFailure at the first floating-point overflow, division
+    by zero or invalid operation in the block, where numpy would warn."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{what} is not finite ({exc})") from None

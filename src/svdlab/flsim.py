@@ -18,7 +18,7 @@ from . import data as data_mod
 from . import defense as defense_mod
 from . import schema, tinynn
 from .errors import InvalidConfig, InvalidInput, NumericalFailure
-from .tinynn import GradSet, LayerGrads, ModelParams
+from .tinynn import ModelParams
 
 # seed-sequence purpose tags
 _TAG_TRAIN_DATA = 0
@@ -111,7 +111,7 @@ def client_round(
     cfg: FlConfig,
     client_id: int,
     round_index: int,
-    dgp_residual: GradSet | None = None,
+    dgp_residual: list | None = None,
 ):
     """One client's local training plus defense.
 
@@ -121,21 +121,19 @@ def client_round(
     """
     if not shard:
         raise InvalidInput("client shard is empty")
-    local = global_params.copy()
+    local, rows = global_params.copy(), np.asarray(shard)
     batch_rng = _rng(cfg.seed, _TAG_CLIENT_BATCHES, round_index, client_id)
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
             order = batch_rng.permutation(len(shard))
             for start in range(0, len(shard), cfg.local_batch_size):
-                chunk = order[start : start + cfg.local_batch_size]
-                batch = [ds.examples[shard[i]] for i in chunk]
-                _, grads = tinynn.loss_and_grad(local, batch)
+                batch = rows[order[start : start + cfg.local_batch_size]]
+                _, grads = tinynn.loss_and_grad(local, ds.x[batch], ds.y[batch])
                 local = tinynn.sgd_step(local, grads, cfg.local_lr)
 
-    update = GradSet([LayerGrads(g.weight - l.weight, g.bias - l.bias)
-                      for g, l in zip(global_params.layers, local.layers)])
-    if not all(np.isfinite(t).all() for t in update.tensors()):
+    update = [g - l for g, l in zip(global_params.tensors(), local.tensors())]
+    if not all(np.isfinite(t).all() for t in update):
         raise NumericalFailure(f"client {client_id} diverged in round {round_index}")
     noise_rng = _rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
     packets, new_residual = defense_mod.defend_update(
@@ -176,29 +174,21 @@ def aggregate(global_params: ModelParams, updates: list[ClientUpdate]) -> tuple[
     grads = [defense_mod.packets_to_gradset(u.packets, global_params) for u in updates]
     n_tensors = 2 * len(global_params.layers)
     weights = {tid: aggregation_weights(updates, tid) for tid in range(n_tensors)}
-    new_layers = []
-    for l, layer in enumerate(global_params.layers):
-        dw = sum(w * g.layers[l].weight_grad for w, g in zip(weights[2 * l], grads))
-        db = sum(w * g.layers[l].bias_grad for w, g in zip(weights[2 * l + 1], grads))
-        new_layers.append(tinynn.LayerParams(layer.weight - dw, layer.bias - db, layer.kind))
-    return ModelParams(new_layers), weights
+    new = [t - sum(w * g[tid] for w, g in zip(weights[tid], grads))
+           for tid, t in enumerate(global_params.tensors())]
+    return ModelParams([tinynn.LayerParams(w, b, layer.kind) for w, b, layer
+                        in zip(new[::2], new[1::2], global_params.layers)]), weights
 
 
 def _split_idx_dataset(ds: data_mod.Dataset, per_class_test: int):
     """Hold out the first per_class_test examples of each class for testing."""
-    taken = {c: 0 for c in range(ds.num_classes)}
-    test_examples, train_examples = [], []
-    for ex in ds.examples:
-        if taken[ex.label] < per_class_test:
-            taken[ex.label] += 1
-            test_examples.append(ex)
-        else:
-            train_examples.append(ex)
-    if not train_examples or not test_examples:
+    held = np.zeros(len(ds.y), dtype=bool)
+    for idxs in data_mod._class_indices(ds):
+        held[idxs[:per_class_test]] = True
+    if held.all() or not held.any():
         raise InvalidConfig("IDX dataset too small for the requested test split")
-    train = data_mod.Dataset(train_examples, ds.num_classes, ds.input_dim, ds.side)
-    test = data_mod.Dataset(test_examples, ds.num_classes, ds.input_dim, ds.side)
-    return train, test
+    return (data_mod.Dataset(ds.x[~held], ds.y[~held], ds.num_classes, ds.side),
+            data_mod.Dataset(ds.x[held], ds.y[held], ds.num_classes, ds.side))
 
 
 def build_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
@@ -238,7 +228,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
         raise InvalidConfig("; ".join(errors))
     train, test, part, model = build_experiment(fl, data_cfg, hidden_dims)
     download_unit = model_bytes(model)
-    dgp_residuals: dict[int, GradSet] = {}
+    dgp_residuals: dict[int, list] = {}
     reports = []
     for rnd in range(fl.rounds):
         sampler = _rng(fl.seed, _TAG_SAMPLING, rnd)
@@ -267,7 +257,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
         reports.append(
             RoundReport(
                 round_index=rnd,
-                accuracy=tinynn.accuracy(model, test.examples),
+                accuracy=tinynn.accuracy(model, test.x, test.y),
                 mean_entropy=float(np.mean(list(client_entropies.values()))),
                 bytes_up=bytes_up,
                 bytes_down=download_unit * len(selected),
@@ -282,6 +272,5 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
 def raw_upload_bytes(params: ModelParams) -> int:
     """Upload size of one undefended update (method "none": raw packets for
     every tensor); the defense-off baseline for communication accounting."""
-    update = GradSet([LayerGrads(layer.weight, layer.bias) for layer in params.layers])
-    packets, _ = defense_mod.defend_update(update, defense_mod.DefenseConfig())
+    packets, _ = defense_mod.defend_update(params.tensors(), defense_mod.DefenseConfig())
     return sum(defense_mod.packet_bytes(p) for p in packets)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, UndeterminedLabel
+from .errors import InvalidInput, UndeterminedLabel, numerical_failure
 
 KIND_DENSE = "dense"
 KIND_RELU = "dense-relu"
@@ -25,14 +25,6 @@ _KIND_CODES = {KIND_DENSE: 0, KIND_RELU: 1, KIND_OUTPUT: 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 MODEL_MAGIC = b"SVDLAB-MODEL-v1\n"
-
-
-@dataclass
-class Example:
-    """One labeled flattened image, pixel values in [0, 1]."""
-
-    input: np.ndarray
-    label: int
 
 
 @dataclass
@@ -84,28 +76,10 @@ class ModelParams:
     def num_params(self) -> int:
         return sum(l.weight.size + l.bias.size for l in self.layers)
 
-
-@dataclass
-class GradSet:
-    """Per-layer weight/bias gradients, shapes mirroring the model."""
-
-    layers: list["LayerGrads"]
-
     def tensors(self) -> list:
-        """Every tensor in wire order: layer l's weight is id 2l, its bias 2l + 1."""
-        return [t for g in self.layers for t in (g.weight_grad, g.bias_grad)]
-
-    @staticmethod
-    def from_tensors(tensors) -> "GradSet":
-        """Inverse of tensors()."""
-        tensors = list(tensors)
-        return GradSet([LayerGrads(w, b) for w, b in zip(tensors[::2], tensors[1::2])])
-
-
-@dataclass
-class LayerGrads:
-    weight_grad: np.ndarray
-    bias_grad: np.ndarray
+        """Every parameter in wire order: layer l's weight is id 2l, its bias
+        2l + 1. A gradient set is a list of arrays in this order and shape."""
+        return [t for l in self.layers for t in (l.weight, l.bias)]
 
 
 def init_model(input_dim: int, hidden_dims, num_classes: int, seed: int = 0) -> ModelParams:
@@ -171,12 +145,11 @@ def deltas_from_forward(params: ModelParams, preacts, probs: np.ndarray, y: np.n
     return deltas
 
 
-def grads_from_deltas(activations, deltas, n: int) -> GradSet:
-    """Mean parameter gradients over the n examples of each (..., n, .) batch."""
-    return GradSet([
-        LayerGrads(d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)
-        for a, d in zip(activations, deltas)
-    ])
+def grads_from_deltas(activations, deltas, n: int) -> list:
+    """Mean parameter gradients over the n examples of each (..., n, .) batch,
+    in wire order (ModelParams.tensors)."""
+    return [t for a, d in zip(activations, deltas)
+            for t in (d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)]
 
 
 def backprop(params: ModelParams, x: np.ndarray, y: np.ndarray):
@@ -190,38 +163,29 @@ def backprop(params: ModelParams, x: np.ndarray, y: np.ndarray):
             (activations, preacts, probs, deltas))
 
 
-def loss_and_grad(params: ModelParams, batch: list[Example]):
-    """Mean softmax cross-entropy and mean parameter gradients over a batch."""
-    if not batch:
-        raise InvalidInput("batch must be non-empty")
-    x = np.stack([np.asarray(ex.input, dtype=np.float64) for ex in batch])
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+def loss_and_grad(params: ModelParams, x, labels):
+    """Mean softmax cross-entropy and mean parameter gradients (wire order)
+    over the batch x (n, D) with integer labels (n,)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or not len(labels) or np.shape(x)[:-1] != labels.shape:
+        raise InvalidInput(f"need one label per input row, got {labels.shape} for {np.shape(x)}")
     if np.any(labels < 0) or np.any(labels >= params.num_classes):
         raise InvalidInput("label out of range")
-    y = np.zeros((len(batch), params.num_classes))
-    y[np.arange(len(batch)), labels] = 1.0
-
-    grads, (_, _, probs, _) = backprop(params, x, y)
-    picked = probs[np.arange(len(batch)), labels]
+    grads, (_, _, probs, _) = backprop(params, x, np.eye(params.num_classes)[labels])
+    picked = probs[np.arange(len(labels)), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300)))), grads
 
 
-def sgd_step(params: ModelParams, grads: GradSet, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: list, lr: float) -> ModelParams:
     if lr <= 0.0:
         raise InvalidInput("learning rate must be positive")
-    layers = []
-    for lp, lg in zip(params.layers, grads.layers):
-        layers.append(
-            LayerParams(
-                weight=lp.weight - lr * lg.weight_grad,
-                bias=lp.bias - lr * lg.bias_grad,
-                kind=lp.kind,
-            )
-        )
-    return ModelParams(layers)
+    return ModelParams([
+        LayerParams(lp.weight - lr * grads[2 * l], lp.bias - lr * grads[2 * l + 1], lp.kind)
+        for l, lp in enumerate(params.layers)
+    ])
 
 
-def infer_label_from_grads(grads: GradSet) -> int:
+def infer_label_from_grads(grads: list) -> int:
     """Recover a single example's label from the output-layer bias gradient.
 
     For softmax cross-entropy on one example the bias gradient is
@@ -229,8 +193,7 @@ def infer_label_from_grads(grads: GradSet) -> int:
     other than exactly one strictly negative entry (multi-example batches,
     defended gradients) is undecidable.
     """
-    bias_grad = grads.layers[-1].bias_grad
-    negatives = np.flatnonzero(bias_grad < 0.0)
+    negatives = np.flatnonzero(grads[-1] < 0.0)  # the output layer's bias
     if len(negatives) != 1:
         raise UndeterminedLabel(
             f"expected exactly one negative output-bias gradient, found {len(negatives)}"
@@ -243,12 +206,13 @@ def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def accuracy(params: ModelParams, examples: list[Example]) -> float:
-    if not examples:
+def accuracy(params: ModelParams, x, labels) -> float:
+    """Fraction of the rows of x (n, D) predicted as their labels (n,). A
+    forward pass that overflows raises NumericalFailure."""
+    if not len(labels):
         raise InvalidInput("empty evaluation set")
-    x = np.stack([ex.input for ex in examples])
-    labels = np.array([ex.label for ex in examples])
-    return float(np.mean(predict(params, x) == labels))
+    with numerical_failure("the forward pass of the evaluation set"):
+        return float(np.mean(predict(params, x) == labels))
 
 
 def save_model(params: ModelParams, path) -> None:

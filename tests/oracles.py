@@ -18,7 +18,6 @@ import numpy as np
 
 from svdlab import attack, linalg, tinynn
 from svdlab.errors import DegenerateInput, InvalidConfig, InvalidInput
-from svdlab.tinynn import GradSet, LayerGrads
 
 
 def gram_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -94,34 +93,31 @@ def spearman(xs, ys) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def numeric_gradients(model, batch, h=1e-5) -> GradSet:
-    """Central finite differences over every parameter of the model."""
-    layers = []
-    for layer in model.layers:
-        grads = []
-        for arr in (layer.weight, layer.bias):
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                lp, _ = tinynn.loss_and_grad(model, batch)
-                arr[idx] = orig - h
-                lm, _ = tinynn.loss_and_grad(model, batch)
-                arr[idx] = orig
-                g[idx] = (lp - lm) / (2.0 * h)
-            grads.append(g)
-        layers.append(LayerGrads(weight_grad=grads[0], bias_grad=grads[1]))
-    return GradSet(layers)
+def numeric_gradients(model, x, labels, h=1e-5) -> list:
+    """Central finite differences over every parameter of the model, in wire
+    order."""
+    grads = []
+    for arr in model.tensors():
+        g = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + h
+            lp, _ = tinynn.loss_and_grad(model, x, labels)
+            arr[idx] = orig - h
+            lm, _ = tinynn.loss_and_grad(model, x, labels)
+            arr[idx] = orig
+            g[idx] = (lp - lm) / (2.0 * h)
+        grads.append(g)
+    return grads
 
 
-def max_relative_grad_error(analytic: GradSet, numeric: GradSet, floor=1e-6) -> float:
+def max_relative_grad_error(analytic: list, numeric: list, floor=1e-6) -> float:
     worst = 0.0
-    for a, n in zip(analytic.layers, numeric.layers):
-        for at, nt in ((a.weight_grad, n.weight_grad), (a.bias_grad, n.bias_grad)):
-            denom = np.maximum(np.maximum(np.abs(at), np.abs(nt)), floor)
-            worst = max(worst, float(np.max(np.abs(at - nt) / denom)))
+    for at, nt in zip(analytic, numeric):
+        denom = np.maximum(np.maximum(np.abs(at), np.abs(nt)), floor)
+        worst = max(worst, float(np.max(np.abs(at - nt) / denom)))
     return worst
 
 
@@ -145,9 +141,8 @@ def fedavg_reference(model, ds, shards, selections, lr, batch_size, epochs, seed
             for _ in range(epochs):
                 order = rng.permutation(len(shard))
                 for start in range(0, len(shard), batch_size):
-                    chunk = order[start : start + batch_size]
-                    batch = [ds.examples[shard[i]] for i in chunk]
-                    _, grads = tinynn.loss_and_grad(local, batch)
+                    batch = [shard[i] for i in order[start : start + batch_size]]
+                    _, grads = tinynn.loss_and_grad(local, ds.x[batch], ds.y[batch])
                     local = tinynn.sgd_step(local, grads, lr)
             updates.append(
                 [
@@ -190,12 +185,12 @@ def broken_upload(packets: list, how: str) -> list:
     return [replace(p[0], orig_shape=tuple(p[0].orig_shape[::-1])), *p[1:]]
 
 
-def grad_distance(observed: GradSet, dummy: GradSet, metric: str) -> float:
+def grad_distance(observed: list, dummy: list, metric: str) -> float:
     """The attack's distance between two unstacked gradient sets, as a float."""
     if metric not in attack.DISTANCES:
         raise InvalidConfig(f"unknown distance metric {metric!r}")
-    if len(observed.layers) != len(dummy.layers):
-        raise InvalidInput("gradient sets have different layer counts")
+    if len(observed) != len(dummy):
+        raise InvalidInput("gradient sets have different tensor counts")
     return float(attack._distance_with_sens(observed, dummy, metric)[0])
 
 

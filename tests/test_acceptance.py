@@ -60,18 +60,18 @@ def attack_study():
     )
     arms = {k: [] for k in ("none", "svdef", "replay", "prune_plain", "prune_adapt")}
     for i in range(ATTACK_TARGETS):
-        batch = [ds.examples[i]]
-        used = {ds.examples[i].label}
-        for ex in ds.examples:
+        batch = [i]
+        used = {ds.y[i]}
+        for j, label in enumerate(ds.y):
             if len(batch) == ATTACK_BATCH:
                 break
-            if ex.label not in used:
-                batch.append(ex)
-                used.add(ex.label)
-        labels = [ex.label for ex in batch]
-        truth = batch[0].input
+            if label not in used:
+                batch.append(j)
+                used.add(label)
+        labels = ds.y[batch]
+        truth = ds.x[i]
         shape = (ATTACK_BATCH, 64)
-        _, grads = tinynn.loss_and_grad(model, batch)
+        _, grads = tinynn.loss_and_grad(model, ds.x[batch], labels)
         cfg = replace(base, seed=100 + i)
 
         def run(observed, c):
@@ -150,11 +150,10 @@ def test_c03_gradients_match_finite_differences():
     model = tinynn.init_model(64, [32], 4, seed=9)
     worst = 0.0
     for _ in range(10):
-        batch = [
-            tinynn.Example(rng.uniform(0, 1, 64), int(rng.integers(4))) for _ in range(4)
-        ]
-        _, grads = tinynn.loss_and_grad(model, batch)
-        numeric = numeric_gradients(model, batch, h=1e-5)
+        draws = [(rng.uniform(0, 1, 64), int(rng.integers(4))) for _ in range(4)]
+        x, labels = np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
+        _, grads = tinynn.loss_and_grad(model, x, labels)
+        numeric = numeric_gradients(model, x, labels, h=1e-5)
         worst = max(worst, max_relative_grad_error(grads, numeric))
     elapsed = time.monotonic() - start
     ok = worst < 1e-4 and elapsed < 30.0
@@ -199,12 +198,9 @@ def test_c06_entropy_tracks_class_balance():
         model = tinynn.init_model(64, [32], 4, seed=200 + seed)
         for rho in np.arange(0.1, 1.05, 0.1):
             part = data.partition_rho(ds, float(rho), seed=300 + seed)
-            batch = [ds.examples[i] for i in part.client_shards[0]]
-            _, grads = tinynn.loss_and_grad(model, batch)
-            per_layer = [
-                singular_entropy(linalg.svd(l.weight_grad).sigma)
-                for l in grads.layers
-            ]
+            shard = part.client_shards[0]
+            _, grads = tinynn.loss_and_grad(model, ds.x[shard], ds.y[shard])
+            per_layer = [singular_entropy(linalg.svd(w).sigma) for w in grads[::2]]
             rhos.append(float(rho))
             entropies.append(float(np.mean(per_layer)))
     corr = spearman(rhos, entropies)

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,7 +139,6 @@ class TestConfigSchema:
             {"fl.defense.dgp_small_rate": 0.6, "fl.defense.dgp_large_rate": 0.5},
             "fl.defense.dgp_small_rate",
         ),
-        "batch_over_classes": ({"data.num_classes": 2}, "attack.batch_size"),
         "synthetic_classes": ({"data.num_classes": 13}, "data.num_classes"),
     }
 
@@ -157,6 +158,30 @@ class TestConfigSchema:
         assert len(lines) == 1
         assert lines[0].startswith(f"config error: {key} ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["attack", "sweep"])
+    def test_victim_rule_is_one_line_exit_2(self, tmp_path, capsys, command):
+        # attack.batch_size <= data.num_classes is the victim harness's rule
+        path = write_config(tmp_path, {"data.num_classes": 2})
+        extra = ["--axis", "beta", "--values", "0.2"] if command == "sweep" else []
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: attack.batch_size ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides", [{"data.num_classes": 2},
+                                           {"attack.label_mode": "inferred"}],
+                             ids=["batch_over_classes", "inferred_batch"])
+    def test_train_picks_no_victims(self, tmp_path, capsys, overrides):
+        # the victim harness's rules do not apply to training
+        path = write_config(tmp_path, overrides)
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "o" / "rounds.csv").exists()
 
     def test_dotted_top_level_key_is_unknown(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -256,6 +281,33 @@ class TestExitCodes:
         assert self.attack_scaled_checkpoint(tmp_path, 1e-170, {}) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+    def test_overflowing_eval_exits_3(self, tmp_path, capsys):
+        # noise of scale 1e300 aggregates to weights near 1e300, and the
+        # server's forward pass over the test set overflows
+        path = write_config(tmp_path, {"fl.defense": {"method": "dp_gauss", "noise_scale": 1e300},
+                                       "fl.rounds": 1})
+        rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert not (tmp_path / "o" / "rounds.csv").exists()
+
+    def test_overflowing_victim_pass_exits_3(self, tmp_path, capsys):
+        # finite weights near 1e200 overflow the forward pass on the victims
+        assert self.attack_scaled_checkpoint(tmp_path, 1e200, {}) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert not (tmp_path / "o" / "attack.csv").exists()
+
+    def test_overflowing_attack_step_exits_3(self, tmp_path, capsys):
+        # a total-variation weight of 1e300 overflows Adam's second moment
+        path = write_config(tmp_path, {"attack.tv_weight": 1e300, "attack.iterations": 5})
+        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert not (tmp_path / "o" / "attack.csv").exists()
 
     def test_svd_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
         import numpy as np
@@ -386,6 +438,30 @@ class TestSweep:
         )
         assert rc == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        # train and attack --model in fresh interpreters under one and two
+        # OpenBLAS threads write the same bytes
+        path = write_config(tmp_path, {"fl.defense.method": "svdefense", "fl.rounds": 2,
+                                       "attack.adaptive": "defense_replay",
+                                       "attack.iterations": 20})
+        src = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env.pop("SVDLAB_SEED", None)
+            for args in (["train"], ["attack", "--model", str(out / "model.bin")]):
+                subprocess.run([sys.executable, "-m", "svdlab.cli", *args, "--config", path,
+                                "--out", str(out if args == ["train"] else out / "atk")],
+                               env=env, check=True, capture_output=True, timeout=60)
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) == 9  # rounds.csv, model.bin, attack.csv, 3 dumps per victim
+        assert outputs[0] == outputs[1]
 
 
 class TestOutputContainment:

@@ -13,23 +13,18 @@ class TestMakeSynthetic:
     def test_deterministic(self):
         a = data.make_synthetic(4, 20, 8, seed=5)
         b = data.make_synthetic(4, 20, 8, seed=5)
-        assert all(
-            np.array_equal(x.input, y.input) and x.label == y.label
-            for x, y in zip(a.examples, b.examples)
-        )
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_counts(self):
         ds = data.make_synthetic(4, 50, 8, seed=1)
-        assert len(ds.examples) == 200
+        assert ds.x.shape == (200, 64) and ds.y.shape == (200,)
         for c in range(4):
-            assert sum(1 for ex in ds.examples if ex.label == c) == 50
+            assert np.count_nonzero(ds.y == c) == 50
 
     def test_range_and_dims(self):
         ds = data.make_synthetic(3, 5, 10, seed=2)
-        assert ds.input_dim == 100
-        for ex in ds.examples:
-            assert ex.input.shape == (100,)
-            assert np.all(ex.input >= 0.0) and np.all(ex.input <= 1.0)
+        assert ds.x.shape == (15, 100)
+        assert np.all(ds.x >= 0.0) and np.all(ds.x <= 1.0)
 
     def test_template_separation(self):
         # every pair of class templates differs by >= 0.2 mean abs pixels
@@ -154,8 +149,7 @@ class TestIdxLoader:
             fh.write(struct.pack(">II", 2049, 7))
             fh.write(labels.tobytes())
         ds = data.load_idx(img_path, lab_path, 3)
-        assert len(ds.examples) == 7
+        assert len(ds.y) == 7
         assert ds.side == 5
-        np.testing.assert_allclose(
-            ds.examples[0].input, images[0].reshape(25) / 255.0
-        )
+        np.testing.assert_allclose(ds.x[0], images[0].reshape(25) / 255.0)
+        np.testing.assert_array_equal(ds.y, labels)

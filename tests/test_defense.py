@@ -21,20 +21,17 @@ from svdlab.defense import (
     serialize_packet,
 )
 from svdlab.errors import InvalidInput
-from svdlab.tinynn import GradSet, LayerGrads
 
 
 def gradset_from(tensors):
-    layers = []
-    for w, b in tensors:
-        layers.append(LayerGrads(np.asarray(w, float), np.asarray(b, float)))
-    return GradSet(layers)
+    """The wire-order tensor list of (weight, bias) pairs."""
+    return [np.asarray(t, float) for pair in tensors for t in pair]
 
 
 def model_like(grads):
     """A model whose tensors have the shapes of the one-layer `grads`."""
-    (g,) = grads.layers
-    return tinynn.ModelParams([tinynn.LayerParams(g.weight_grad, g.bias_grad, tinynn.KIND_OUTPUT)])
+    w, b = grads
+    return tinynn.ModelParams([tinynn.LayerParams(w, b, tinynn.KIND_OUTPUT)])
 
 
 def defended(grads, cfg, **kwargs):
@@ -213,7 +210,7 @@ class TestBaselines:
         grads = gradset_from([(np.arange(1.0, 9.0).reshape(2, 4), [0.5, -2.0])])
         cfg = DefenseConfig(method="prune", prune_rate=0.9)
         out, _ = defended(grads, cfg)
-        w = out.layers[0].weight_grad
+        w = out[0]
         assert np.count_nonzero(w) == 1
         assert w.ravel()[7] == 8.0
 
@@ -221,7 +218,7 @@ class TestBaselines:
         grads = gradset_from([(np.ones((2, 5)), np.zeros(2))])
         cfg = DefenseConfig(method="prune", prune_rate=0.9)
         out, _ = defended(grads, cfg)
-        w = out.layers[0].weight_grad.ravel()
+        w = out[0].ravel()
         assert np.count_nonzero(w) == 1 and w[0] == 1.0
 
     def test_dgp_band(self):
@@ -229,7 +226,7 @@ class TestBaselines:
         grads = gradset_from([(values.reshape(4, 5), np.zeros(4))])
         cfg = DefenseConfig(method="dgp", dgp_small_rate=0.75, dgp_large_rate=0.05)
         out, _ = defended(grads, cfg)
-        survivors = np.sort(out.layers[0].weight_grad.ravel())
+        survivors = np.sort(out[0].ravel())
         survivors = survivors[survivors != 0.0]
         # smallest 15 and largest 1 pruned: the 75th..95th percentile band stays
         np.testing.assert_array_equal(survivors, [16.0, 17.0, 18.0, 19.0])
@@ -239,9 +236,8 @@ class TestBaselines:
         grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
         cfg = DefenseConfig(method="dgp")
         out, residual = defended(grads, cfg)
-        for g, o, r in zip(grads.layers, out.layers, residual.layers):
-            np.testing.assert_array_equal(g.weight_grad - o.weight_grad, r.weight_grad)
-            np.testing.assert_array_equal(g.bias_grad - o.bias_grad, r.bias_grad)
+        for g, o, r in zip(grads, out, residual):
+            np.testing.assert_array_equal(g - o, r)
 
     def test_dgp_residual_reinjected(self):
         rng = np.random.default_rng(7)
@@ -250,17 +246,15 @@ class TestBaselines:
         cfg = DefenseConfig(method="dgp")
         _, res1 = defended(g1, cfg)
         out2, res2 = defended(g2, cfg, residual=res1)
-        effective = g2.layers[0].weight_grad + res1.layers[0].weight_grad
-        np.testing.assert_array_equal(
-            effective - out2.layers[0].weight_grad, res2.layers[0].weight_grad
-        )
+        effective = g2[0] + res1[0]
+        np.testing.assert_array_equal(effective - out2[0], res2[0])
 
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(8)
         grads = gradset_from([(rng.normal(size=(3, 3)), rng.normal(size=3))])
         for method in ("dp_gauss", "dp_lap"):
             out, _ = defended(grads, DefenseConfig(method=method, noise_scale=0.0))
-            np.testing.assert_array_equal(out.layers[0].weight_grad, grads.layers[0].weight_grad)
+            np.testing.assert_array_equal(out[0], grads[0])
 
     def test_noise_scale_applied(self):
         rng_check = np.random.default_rng(9)
@@ -270,7 +264,7 @@ class TestBaselines:
                 grads, DefenseConfig(method=method, noise_scale=0.03),
                 rng=np.random.default_rng(rng_check.integers(2**31)),
             )
-            sample_var = np.var(out.layers[0].weight_grad)
+            sample_var = np.var(out[0])
             assert sample_var == pytest.approx(var, rel=0.15)
 
 
@@ -333,8 +327,8 @@ class TestDefendUpdate:
         assert residual is None
         assert [p.kind for p in packets] == ["raw", "raw"]
         back = packets_to_gradset(packets, model_like(grads))
-        np.testing.assert_array_equal(back.layers[0].weight_grad, grads.layers[0].weight_grad)
-        np.testing.assert_array_equal(back.layers[0].bias_grad, grads.layers[0].bias_grad)
+        np.testing.assert_array_equal(back[0], grads[0])
+        np.testing.assert_array_equal(back[1], grads[1])
 
     def test_decoder_checks_decoded_shapes(self):
         # factors whose product has another shape than the one the packet

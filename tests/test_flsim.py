@@ -79,8 +79,8 @@ class TestClientRound:
         cfg = FlConfig(**{**fl.__dict__, "local_lr": 1e-300})
         update, _ = client_round(model, train, part.client_shards[0], cfg, 0, 0)
         back = defense.packets_to_gradset(update.packets, model)
-        for layer in back.layers:
-            assert np.max(np.abs(layer.weight_grad)) < 1e-290
+        for w in back[::2]:
+            assert np.max(np.abs(w)) < 1e-290
 
     def test_diverged_update_raises(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup
@@ -98,25 +98,22 @@ class TestClientRound:
         shard = part.client_shards[1]
         order = rng.permutation(len(shard))
         for start in range(0, len(shard), fl.local_batch_size):
-            chunk = order[start : start + fl.local_batch_size]
-            batch = [train.examples[shard[i]] for i in chunk]
-            _, grads = tinynn.loss_and_grad(local, batch)
+            batch = [shard[i] for i in order[start : start + fl.local_batch_size]]
+            _, grads = tinynn.loss_and_grad(local, train.x[batch], train.y[batch])
             local = tinynn.sgd_step(local, grads, fl.local_lr)
         back = defense.packets_to_gradset(update.packets, model)
-        for bl, gl, ll in zip(back.layers, model.layers, local.layers):
-            np.testing.assert_array_equal(bl.weight_grad, gl.weight - ll.weight)
-            np.testing.assert_array_equal(bl.bias_grad, gl.bias - ll.bias)
+        for b, g, l in zip(back, model.tensors(), local.tensors()):
+            np.testing.assert_array_equal(b, g - l)
 
     def test_single_step_equals_lr_times_grad(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup
         shard = part.client_shards[2]
         cfg = FlConfig(**{**fl.__dict__, "local_batch_size": len(shard)})
         update, _ = client_round(model, train, shard, cfg, 2, 0)
-        batch = [train.examples[i] for i in shard]
-        _, grads = tinynn.loss_and_grad(model, batch)
+        _, grads = tinynn.loss_and_grad(model, train.x[shard], train.y[shard])
         back = defense.packets_to_gradset(update.packets, model)
-        for bl, gl in zip(back.layers, grads.layers):
-            np.testing.assert_allclose(bl.weight_grad, cfg.local_lr * gl.weight_grad, atol=1e-12)
+        for b, g in zip(back[::2], grads[::2]):
+            np.testing.assert_allclose(b, cfg.local_lr * g, atol=1e-12)
 
     def test_empty_shard_rejected(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup
@@ -130,8 +127,8 @@ class TestAggregate:
         update, _ = client_round(model, train, part.client_shards[0], fl, 0, 0)
         new, _ = aggregate(model, [update])
         back = defense.packets_to_gradset(update.packets, model)
-        for nl, ml, bl in zip(new.layers, model.layers, back.layers):
-            np.testing.assert_allclose(nl.weight, ml.weight - bl.weight_grad, atol=1e-15)
+        for nl, ml, b in zip(new.layers, model.layers, back[::2]):
+            np.testing.assert_allclose(nl.weight, ml.weight - b, atol=1e-15)
 
     def test_identical_updates_collapse(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup

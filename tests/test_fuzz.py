@@ -1,5 +1,5 @@
-"""Fuzzed config files, packet bytes and packet lists: bad input is reported,
-never raised as anything but the documented error. Fuzzed matrices:
+"""Fuzzed config files, packet bytes, packet lists and checkpoint bytes: bad
+input is reported, never raised as anything but the documented error. Fuzzed matrices:
 linalg.svd keeps its contract at every shape, rank and power-of-two scale.
 Fuzzed uploads: pruning and noise match independent references."""
 
@@ -18,7 +18,6 @@ from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
 from svdlab.errors import InvalidInput
 from svdlab.flsim import DataConfig, FlConfig
-from svdlab.tinynn import GradSet, LayerGrads
 
 SCALARS = (
     st.none() | st.booleans() | st.integers() | st.integers(min_value=-3, max_value=70)
@@ -120,9 +119,44 @@ _MODEL = tinynn.init_model(6, [3], 2, seed=0)
 _OTHER = tinynn.init_model(6, [4], 2, seed=0)  # the same tensor ids, other shapes
 
 
+@st.composite
+def _damaged_checkpoints(draw, blob: bytes):
+    """`blob` cut short, with 1-4 of its bytes overwritten, or extended."""
+    how = draw(st.sampled_from(["truncated", "mutated", "extended"]))
+    if how == "truncated":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if how == "extended":
+        return blob + draw(st.binary(min_size=1, max_size=24))
+    out = bytearray(blob)
+    for at, value in draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+                                   min_size=1, max_size=4)):
+        out[at] = value
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("checkpoints")
+    tinynn.save_model(_MODEL, path / "good.bin")
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checkpoint_bytes_load_or_raise_invalid_input(checkpoint_dir, data):
+    # a file that loads is one save_model writes back byte for byte
+    blob = data.draw(_damaged_checkpoints((checkpoint_dir / "good.bin").read_bytes()))
+    (checkpoint_dir / "damaged.bin").write_bytes(blob)
+    try:
+        model = tinynn.load_model(checkpoint_dir / "damaged.bin")
+    except InvalidInput:
+        return
+    tinynn.save_model(model, checkpoint_dir / "again.bin")
+    assert (checkpoint_dir / "again.bin").read_bytes() == blob
+
+
 def _upload(model, method):
-    grads = GradSet([LayerGrads(layer.weight, layer.bias) for layer in model.layers])
-    return defense.defend_update(grads, DefenseConfig(method=method))[0]
+    return defense.defend_update(model.tensors(), DefenseConfig(method=method))[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,9 +183,7 @@ def test_packet_lists_decode_or_raise_invalid_input(method, edits):
         back = defense.packets_to_gradset(packets, _MODEL)
     except InvalidInput:
         return
-    assert [(g.weight_grad.shape, g.bias_grad.shape) for g in back.layers] == [
-        (layer.weight.shape, layer.bias.shape) for layer in _MODEL.layers
-    ]
+    assert [t.shape for t in back] == [t.shape for t in _MODEL.tensors()]
 
 
 @st.composite
@@ -212,10 +244,11 @@ def _uploads(draw):
     d, h, c = (draw(st.integers(1, 5)) for _ in range(3))
     entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, 7.0])
     shapes = [(h, d), (h,), (c, h), (c,)]
-    grads, carry = (GradSet.from_tensors(draw(arrays(np.float64, shape, elements=entries))
-                                         for shape in shapes) for _ in range(2))
-    params = tinynn.ModelParams([tinynn.LayerParams(g.weight_grad, g.bias_grad, kind) for g, kind
-                                 in zip(grads.layers, (tinynn.KIND_RELU, tinynn.KIND_OUTPUT))])
+    grads, carry = ([draw(arrays(np.float64, shape, elements=entries)) for shape in shapes]
+                    for _ in range(2))
+    params = tinynn.ModelParams([tinynn.LayerParams(w, b, kind) for w, b, kind
+                                 in zip(grads[::2], grads[1::2],
+                                        (tinynn.KIND_RELU, tinynn.KIND_OUTPUT))])
     return params, grads, carry
 
 
@@ -241,9 +274,8 @@ def test_pruning_matches_the_reference(case, method, small, large, carried):
     cfg = DefenseConfig(method=method, prune_rate=small, dgp_small_rate=small, dgp_large_rate=large)
     residual = carry_in if method == "dgp" and carried else None
     packets, carry = defense.defend_update(grads, cfg, residual=residual)
-    sent = defense.packets_to_gradset(packets, params).tensors()
-    inputs = grads.tensors() if residual is None else [
-        t + c for t, c in zip(grads.tensors(), residual.tensors())]
+    sent = defense.packets_to_gradset(packets, params)
+    inputs = grads if residual is None else [t + c for t, c in zip(grads, residual)]
     for x, s in zip(inputs, sent):
         np.testing.assert_array_equal(s, _reference_pruned(x, small, large))
         if small == large == 0.0:  # a zero rate zeroes nothing
@@ -251,7 +283,7 @@ def test_pruning_matches_the_reference(case, method, small, large, carried):
     if method == "prune":
         assert carry is None
         return
-    for x, s, c in zip(inputs, sent, carry.tensors()):  # error feedback loses nothing
+    for x, s, c in zip(inputs, sent, carry):  # error feedback loses nothing
         np.testing.assert_array_equal(s + c, x)
 
 
@@ -264,5 +296,5 @@ def test_noise_is_drawn_in_wire_order(case, method, seed):
     packets, _ = defense.defend_update(grads, cfg, rng=np.random.default_rng(seed))
     ref = np.random.default_rng(seed)
     draw = ref.normal if method == "dp_gauss" else ref.laplace
-    for t, s in zip(grads.tensors(), defense.packets_to_gradset(packets, params).tensors()):
+    for t, s in zip(grads, defense.packets_to_gradset(packets, params)):
         np.testing.assert_array_equal(s, t + draw(0.0, 0.5, t.shape))

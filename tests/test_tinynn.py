@@ -7,7 +7,6 @@ from oracles import max_relative_grad_error, numeric_gradients
 from svdlab import tinynn
 from svdlab.errors import InvalidInput, UndeterminedLabel
 from svdlab.tinynn import (
-    Example,
     KIND_OUTPUT,
     KIND_RELU,
     LayerParams,
@@ -26,10 +25,10 @@ def small_model(seed=0):
 
 
 def random_batch(rng, model, n):
-    return [
-        Example(rng.uniform(0.0, 1.0, model.input_dim), int(rng.integers(model.num_classes)))
-        for _ in range(n)
-    ]
+    """(x, labels): n uniform inputs, each drawn before its label."""
+    draws = [(rng.uniform(0.0, 1.0, model.input_dim), int(rng.integers(model.num_classes)))
+             for _ in range(n)]
+    return np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
 
 
 class TestForward:
@@ -79,9 +78,8 @@ class TestForward:
             for stacked, alone in zip(acts + preacts, aj + pj):
                 np.testing.assert_array_equal(stacked[j], alone)
             dj = tinynn.deltas_from_forward(model, pj, tinynn._softmax(lj), y[j])
-            for g, h in zip(grads.layers, tinynn.grads_from_deltas(aj, dj, 4).layers):
-                np.testing.assert_array_equal(g.weight_grad[j], h.weight_grad)
-                np.testing.assert_array_equal(g.bias_grad[j], h.bias_grad)
+            for g, h in zip(grads, tinynn.grads_from_deltas(aj, dj, 4)):
+                np.testing.assert_array_equal(g[j], h)
 
     def test_layer_dims_must_chain(self):
         with pytest.raises(InvalidInput):
@@ -97,7 +95,7 @@ class TestLossAndGrad:
     def test_uniform_logits_loss(self):
         model = ModelParams([LayerParams(np.zeros((4, 6)), np.zeros(4), KIND_OUTPUT)])
         rng = np.random.default_rng(0)
-        loss, _ = loss_and_grad(model, random_batch(rng, model, 5))
+        loss, _ = loss_and_grad(model, *random_batch(rng, model, 5))
         assert loss == pytest.approx(np.log(4.0))
 
     def test_gradients_match_finite_differences(self):
@@ -105,61 +103,56 @@ class TestLossAndGrad:
         model = small_model(seed=3)
         assert model.num_params() <= 200
         batch = random_batch(rng, model, 4)
-        _, grads = loss_and_grad(model, batch)
-        numeric = numeric_gradients(model, batch)
+        _, grads = loss_and_grad(model, *batch)
+        numeric = numeric_gradients(model, *batch)
         assert max_relative_grad_error(grads, numeric) < 1e-4
 
     def test_duplicate_example_equals_single(self):
         rng = np.random.default_rng(8)
         model = small_model()
-        ex = random_batch(rng, model, 1)[0]
-        l1, g1 = loss_and_grad(model, [ex])
-        l2, g2 = loss_and_grad(model, [ex, ex])
+        x, labels = random_batch(rng, model, 1)
+        l1, g1 = loss_and_grad(model, x, labels)
+        l2, g2 = loss_and_grad(model, x[[0, 0]], labels[[0, 0]])
         assert l1 == pytest.approx(l2)
-        for a, b in zip(g1.layers, g2.layers):
-            np.testing.assert_allclose(a.weight_grad, b.weight_grad, atol=1e-15)
-            np.testing.assert_allclose(a.bias_grad, b.bias_grad, atol=1e-15)
+        for a, b in zip(g1, g2):
+            np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
         model = small_model()
-        batch = random_batch(rng, model, 5)
-        l1, g1 = loss_and_grad(model, batch)
-        l2, g2 = loss_and_grad(model, batch[::-1])
+        x, labels = random_batch(rng, model, 5)
+        l1, g1 = loss_and_grad(model, x, labels)
+        l2, g2 = loss_and_grad(model, x[::-1], labels[::-1])
         assert l1 == pytest.approx(l2, abs=1e-12)
-        for a, b in zip(g1.layers, g2.layers):
-            np.testing.assert_allclose(a.weight_grad, b.weight_grad, atol=1e-14)
+        for a, b in zip(g1[::2], g2[::2]):
+            np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         model = small_model()
         batch = random_batch(rng, model, 3)
-        l1, g1 = loss_and_grad(model, batch)
-        l2, g2 = loss_and_grad(model, batch)
+        l1, g1 = loss_and_grad(model, *batch)
+        l2, g2 = loss_and_grad(model, *batch)
         assert l1 == l2
-        for a, b in zip(g1.layers, g2.layers):
-            np.testing.assert_array_equal(a.weight_grad, b.weight_grad)
-            np.testing.assert_array_equal(a.bias_grad, b.bias_grad)
+        for a, b in zip(g1, g2):
+            np.testing.assert_array_equal(a, b)
 
     def test_empty_batch(self):
         with pytest.raises(InvalidInput):
-            loss_and_grad(small_model(), [])
+            loss_and_grad(small_model(), np.zeros((0, 8)), [])
 
 
 class TestSgdStep:
     def test_update_values(self):
         model = ModelParams([LayerParams(np.ones((1, 1)), np.zeros(1), KIND_OUTPUT)])
-        grads = tinynn.GradSet(
-            [tinynn.LayerGrads(np.full((1, 1), 0.5), np.zeros(1))]
-        )
-        new = sgd_step(model, grads, 0.1)
+        new = sgd_step(model, [np.full((1, 1), 0.5), np.zeros(1)], 0.1)
         assert new.layers[0].weight[0, 0] == pytest.approx(0.95)
 
     def test_vanishing_lr_keeps_params(self):
         rng = np.random.default_rng(1)
         model = small_model()
         batch = random_batch(rng, model, 2)
-        _, grads = loss_and_grad(model, batch)
+        _, grads = loss_and_grad(model, *batch)
         new = sgd_step(model, grads, 1e-300)
         for a, b in zip(model.layers, new.layers):
             np.testing.assert_allclose(a.weight, b.weight, atol=1e-290)
@@ -170,44 +163,36 @@ class TestSgdStep:
         rng = np.random.default_rng(2)
         model = small_model()
         batch = random_batch(rng, model, 3)
-        _, g1 = loss_and_grad(model, batch)
+        _, g1 = loss_and_grad(model, *batch)
         once = sgd_step(model, g1, 0.5)
-        _, g2 = loss_and_grad(once, batch)
+        _, g2 = loss_and_grad(once, *batch)
         twice = sgd_step(once, g2, 0.5)
-        summed = tinynn.GradSet(
-            [
-                tinynn.LayerGrads(a.weight_grad + b.weight_grad, a.bias_grad + b.bias_grad)
-                for a, b in zip(g1.layers, g2.layers)
-            ]
-        )
+        summed = [a + b for a, b in zip(g1, g2)]
         combined = sgd_step(model, summed, 0.5)
         diff = max(
             np.max(np.abs(a.weight - b.weight))
             for a, b in zip(twice.layers, combined.layers)
         )
         assert diff < 1e-12  # same grads summed == same steps applied
-        _, g2_fresh = loss_and_grad(model, batch)
+        _, g2_fresh = loss_and_grad(model, *batch)
         assert any(
-            np.max(np.abs(a.weight_grad - b.weight_grad)) > 1e-9
-            for a, b in zip(g2.layers, g2_fresh.layers)
+            np.max(np.abs(a - b)) > 1e-9
+            for a, b in zip(g2[::2], g2_fresh[::2])
         )
 
 
 class TestLabelInference:
-    def test_constructed_bias_grad(self):
+    def test_label_from_a_constructed_output_bias(self):
         rng = np.random.default_rng(3)
         for cls in range(4):
             z = rng.normal(size=4)
             probs = np.exp(z) / np.exp(z).sum()
-            bias_grad = probs.copy()
-            bias_grad[cls] -= 1.0
-            grads = tinynn.GradSet(
-                [tinynn.LayerGrads(np.zeros((4, 2)), bias_grad)]
-            )
-            assert infer_label_from_grads(grads) == cls
+            bias = probs.copy()
+            bias[cls] -= 1.0
+            assert infer_label_from_grads([np.zeros((4, 2)), bias]) == cls
 
     def test_all_positive_undetermined(self):
-        grads = tinynn.GradSet([tinynn.LayerGrads(np.zeros((3, 2)), np.ones(3))])
+        grads = [np.zeros((3, 2)), np.ones(3)]
         with pytest.raises(UndeterminedLabel):
             infer_label_from_grads(grads)
 
@@ -215,9 +200,9 @@ class TestLabelInference:
         rng = np.random.default_rng(4)
         model = small_model(seed=6)
         for _ in range(10):
-            ex = random_batch(rng, model, 1)[0]
-            _, grads = loss_and_grad(model, [ex])
-            assert infer_label_from_grads(grads) == ex.label
+            x, labels = random_batch(rng, model, 1)
+            _, grads = loss_and_grad(model, x, labels)
+            assert infer_label_from_grads(grads) == labels[0]
 
 
 class TestCheckpoint:
