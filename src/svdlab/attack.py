@@ -52,7 +52,7 @@ class AttackConfig:
         if d is not None and d.validate():  # those errors are fl.defense's to report
             return errors
         if self.adaptive == "eot" and (
-            d is None or d.method not in ("dp_gauss", "dp_lap") or d.noise_scale <= 0.0
+            d is None or d.method not in defense.NOISE_METHODS or d.noise_scale <= 0.0
         ):
             errors.append("adaptive 'eot' requires fl.defense.method dp_gauss or dp_lap "
                           "with noise_scale > 0")

@@ -180,9 +180,10 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     x, labels = ds.x[batch_indices], ds.y[batch_indices]
     with numerical_failure("the model's gradient on the victim batch"):
         _, grads = tinynn.loss_and_grad(model, x, labels)
+    noisy = spec.fl.defense.method in defense_mod.NOISE_METHODS
     packets, _ = defense_mod.defend_update(
         grads, spec.fl.defense,
-        rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed),
+        rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed) if noisy else None,
     )
     cfg = replace(spec.attack, seed=spec.seed + run_seed)
     best = attack_mod.run_attack(

@@ -57,8 +57,7 @@ def class_template(cls: int, side: int) -> np.ndarray:
         )
     angle, cycles = _TEMPLATE_PARAMS[cls]
     coords = (np.arange(side) + 0.5) / side
-    xx, yy = np.meshgrid(coords, coords)
-    proj = xx * np.cos(angle) + yy * np.sin(angle)
+    proj = coords[None, :] * np.cos(angle) + coords[:, None] * np.sin(angle)
     wave = np.sin(2.0 * np.pi * cycles * proj + _STRIPE_PHASE)
     img = np.where(wave >= 0.0, _LEVEL_HI, _LEVEL_LO)
     return img.ravel()
@@ -145,7 +144,7 @@ def partition_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed: int) 
         counts[int(np.argmax(props))] += len(idxs) - counts.sum()
         start = 0
         for m in range(num_clients):
-            shards[m].extend(int(i) for i in idxs[start : start + counts[m]])
+            shards[m].extend(idxs[start : start + counts[m]].tolist())
             start += counts[m]
     while any(not s for s in shards):
         empty = next(m for m, s in enumerate(shards) if not s)

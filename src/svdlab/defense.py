@@ -21,6 +21,7 @@ from .errors import DegenerateInput, InvalidInput
 from .tinynn import ModelParams
 
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
+NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise stream
 
 KIND_RAW = "raw"
 KIND_SVD = "svd"
@@ -193,7 +194,7 @@ def _defend_tensor(t: np.ndarray, tid: int, cfg: DefenseConfig, rng, carried):
         return defend_grad_svd(t, cfg.beta, layer_id=tid, entropy_source=cfg.entropy_source), None
     if method == "svdefense" and tid % 2 and cfg.defend_bias == "zero":
         t = np.zeros_like(t)
-    elif method in ("dp_gauss", "dp_lap") and cfg.noise_scale > 0.0:
+    elif method in NOISE_METHODS and cfg.noise_scale > 0.0:
         t = t + noise(rng, cfg, t.shape)
     elif method == "prune":
         t = _pruned(t, cfg.prune_rate)
@@ -213,14 +214,15 @@ def defend_update(
 ):
     """Turn a gradient set, a list of tensors in wire order (the order of
     ModelParams.tensors()), into transmittable packets under the configured
-    method, one tensor at a time; noise is drawn from `rng` (default: seeded
-    with cfg.seed) in that order.
+    method, one tensor at a time; the NOISE_METHODS draw from `rng` (default:
+    seeded with cfg.seed) in that order, and the others take no stream.
 
     Returns (packets, residual). For dgp the residual is the error feedback:
     what pruning removed from each tensor once the previous `residual` was
     added back in. It is None for the other methods.
     """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    if rng is None and cfg.method in NOISE_METHODS:
+        rng = np.random.default_rng(cfg.seed)
     carried = residual if residual is not None else [None] * len(grads)
     packets, carries = zip(*(_defend_tensor(t, tid, cfg, rng, c)
                              for tid, (t, c) in enumerate(zip(grads, carried))))

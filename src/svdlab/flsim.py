@@ -17,7 +17,7 @@ import numpy as np
 from . import data as data_mod
 from . import defense as defense_mod
 from . import schema, tinynn
-from .errors import InvalidConfig, InvalidInput, NumericalFailure
+from .errors import InvalidConfig, InvalidInput, NumericalFailure, numerical_failure
 from .tinynn import ModelParams
 
 # seed-sequence purpose tags
@@ -121,21 +121,26 @@ def client_round(
     """
     if not shard:
         raise InvalidInput("client shard is empty")
-    local, rows = global_params.copy(), np.asarray(shard)
+    local, rows = global_params, np.asarray(shard)  # sgd_step is pure: no copy
+    labels = ds.y[rows]
+    if labels.min() < 0 or labels.max() >= global_params.num_classes:
+        raise InvalidInput(f"client {client_id} holds a label outside the model's classes")
+    targets = np.eye(global_params.num_classes)[labels]
     batch_rng = _rng(cfg.seed, _TAG_CLIENT_BATCHES, round_index, client_id)
     # a diverging run overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
             order = batch_rng.permutation(len(shard))
             for start in range(0, len(shard), cfg.local_batch_size):
-                batch = rows[order[start : start + cfg.local_batch_size]]
-                _, grads = tinynn.loss_and_grad(local, ds.x[batch], ds.y[batch])
+                batch = order[start : start + cfg.local_batch_size]
+                grads, _ = tinynn.backprop(local, ds.x[rows[batch]], targets[batch])
                 local = tinynn.sgd_step(local, grads, cfg.local_lr)
 
     update = [g - l for g, l in zip(global_params.tensors(), local.tensors())]
     if not all(np.isfinite(t).all() for t in update):
         raise NumericalFailure(f"client {client_id} diverged in round {round_index}")
-    noise_rng = _rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
+    noise_rng = (_rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
+                 if cfg.defense.method in defense_mod.NOISE_METHODS else None)
     packets, new_residual = defense_mod.defend_update(
         update, cfg.defense, rng=noise_rng, residual=dgp_residual
     )
@@ -253,7 +258,8 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             updates.append(update)
             svd_entropies = [p.entropy for p in update.packets if p.kind == defense_mod.KIND_SVD]
             client_entropies[cid] = float(np.mean(svd_entropies)) if svd_entropies else 0.0
-        model, weights = aggregate(model, updates)
+        with numerical_failure(f"the aggregate of round {rnd}"):
+            model, weights = aggregate(model, updates)
         reports.append(
             RoundReport(
                 round_index=rnd,

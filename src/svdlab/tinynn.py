@@ -65,14 +65,6 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.layers[-1].out_dim
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            [
-                LayerParams(l.weight.copy(), l.bias.copy(), l.kind)
-                for l in self.layers
-            ]
-        )
-
     def num_params(self) -> int:
         return sum(l.weight.size + l.bias.size for l in self.layers)
 

@@ -6,7 +6,8 @@ of the LAPACK SVD that linalg.svd calls), rank statistics computed from
 first principles, the spectrum formulas of the defense one spectrum at a
 time (normalized by the largest singular value, where defense.rank_rule
 scales stacks by powers of two), and a plain sample-count-weighted
-federated averaging loop. broken_upload forges the bad uploads that the
+federated averaging loop, and the class stripe templates through
+np.meshgrid. broken_upload forges the bad uploads that the
 packet decoder must refuse. grad_distance and parameter_count are the test
 suite's scalar views of the attack distance and of a packet's payload size.
 """
@@ -16,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from svdlab import attack, linalg, tinynn
+from svdlab import attack, data, linalg, tinynn
 from svdlab.errors import DegenerateInput, InvalidConfig, InvalidInput
 
 
@@ -128,12 +129,11 @@ def fedavg_reference(model, ds, shards, selections, lr, batch_size, epochs, seed
     the comparison isolates the aggregation path."""
     from svdlab import flsim
 
-    model = model.copy()
     for rnd, selected in enumerate(selections):
         updates = []
         counts = []
         for cid in selected:
-            local = model.copy()
+            local = model
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, flsim._TAG_CLIENT_BATCHES, rnd, cid])
             )
@@ -162,6 +162,17 @@ def fedavg_reference(model, ds, shards, selections, lr, batch_size, epochs, seed
             )
         model = tinynn.ModelParams(new_layers)
     return model
+
+
+def meshgrid_class_template(cls: int, side: int) -> np.ndarray:
+    """data.class_template's stripes, with the pixel coordinates laid out by
+    np.meshgrid."""
+    angle, cycles = data._TEMPLATE_PARAMS[cls]
+    coords = (np.arange(side) + 0.5) / side
+    xx, yy = np.meshgrid(coords, coords)
+    wave = np.sin(2.0 * np.pi * cycles * (xx * np.cos(angle) + yy * np.sin(angle))
+                  + data._STRIPE_PHASE)
+    return np.where(wave >= 0.0, data._LEVEL_HI, data._LEVEL_LO).ravel()
 
 
 BROKEN_UPLOADS = ("missing", "duplicated", "swapped", "relabeled", "reshaped")

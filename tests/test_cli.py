@@ -293,6 +293,20 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert not (tmp_path / "o" / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("method", ["dp_gauss", "dp_lap"])
+    def test_non_finite_aggregate_exits_3(self, tmp_path, capsys, recwarn, method):
+        # noise of scale 1e308 draws infinities of both signs, whose sum over
+        # the clients is not a number
+        path = write_config(tmp_path, {"fl.defense": {"method": method, "noise_scale": 1e308},
+                                       "fl.rounds": 1})
+        rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "aggregate of round 0" in lines[0]
+        assert not list(recwarn)
+        assert not (tmp_path / "o" / "rounds.csv").exists()
+
     def test_overflowing_victim_pass_exits_3(self, tmp_path, capsys):
         # finite weights near 1e200 overflow the forward pass on the victims
         assert self.attack_scaled_checkpoint(tmp_path, 1e200, {}) == 3

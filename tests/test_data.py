@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import meshgrid_class_template
 from svdlab import data
 from svdlab.errors import InvalidConfig
 
@@ -38,6 +39,12 @@ class TestMakeSynthetic:
             data.make_synthetic(1, 5, 8, seed=0)
         with pytest.raises(InvalidConfig):
             data.make_synthetic(3, 5, 3, seed=0)
+
+    def test_template_matches_the_meshgrid_formula(self):
+        for cls in range(len(data._TEMPLATE_PARAMS)):
+            for side in range(4, 33):
+                assert np.array_equal(data.class_template(cls, side),
+                                      meshgrid_class_template(cls, side)), (cls, side)
 
 
 class TestPartitionRho:

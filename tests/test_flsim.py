@@ -91,7 +91,7 @@ class TestClientRound:
     def test_defense_none_transmits_raw_update(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup
         update, _ = client_round(model, train, part.client_shards[1], fl, 1, 0)
-        local = model.copy()
+        local = model
         rng = np.random.default_rng(
             np.random.SeedSequence([fl.seed, flsim._TAG_CLIENT_BATCHES, 0, 1])
         )
@@ -104,6 +104,27 @@ class TestClientRound:
         back = defense.packets_to_gradset(update.packets, model)
         for b, g, l in zip(back, model.tensors(), local.tensors()):
             np.testing.assert_array_equal(b, g - l)
+
+    def test_local_epochs_match_the_reference_loop(self, tiny_setup):
+        # two epochs whose batches of 7 leave a ragged last batch on a shard
+        fl, dc, train, test, part, model = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "local_epochs": 2, "local_batch_size": 7})
+        assert any(len(shard) % cfg.local_batch_size for shard in part.client_shards)
+        for cid, shard in enumerate(part.client_shards):
+            update, _ = client_round(model, train, shard, cfg, cid, 4)
+            rng = np.random.default_rng(
+                np.random.SeedSequence([fl.seed, flsim._TAG_CLIENT_BATCHES, 4, cid])
+            )
+            local = model
+            for _ in range(cfg.local_epochs):
+                order = rng.permutation(len(shard))
+                for start in range(0, len(shard), cfg.local_batch_size):
+                    batch = [shard[i] for i in order[start : start + cfg.local_batch_size]]
+                    _, grads = tinynn.loss_and_grad(local, train.x[batch], train.y[batch])
+                    local = tinynn.sgd_step(local, grads, cfg.local_lr)
+            back = defense.packets_to_gradset(update.packets, model)
+            for b, g, l in zip(back, model.tensors(), local.tensors()):
+                assert np.array_equal(b, g - l), cid
 
     def test_single_step_equals_lr_times_grad(self, tiny_setup):
         fl, dc, train, test, part, model = tiny_setup
@@ -119,6 +140,47 @@ class TestClientRound:
         fl, dc, train, test, part, model = tiny_setup
         with pytest.raises(InvalidInput):
             client_round(model, train, [], fl, 0, 0)
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_label_outside_the_classes_rejected(self, tiny_setup, label):
+        fl, dc, train, test, part, model = tiny_setup
+        shard = part.client_shards[0]
+        y = train.y.copy()
+        y[shard[-1]] = label
+        bad = data.Dataset(train.x, y, train.num_classes, train.side)
+        with pytest.raises(InvalidInput, match="label"):
+            client_round(model, bad, shard, fl, 0, 0)
+
+
+class TestNoiseStreams:
+    @pytest.mark.parametrize("method", defense.METHODS)
+    def test_only_noise_methods_get_a_noise_stream(self, tiny_setup, monkeypatch, method):
+        fl, dc, *_ = tiny_setup
+        rng, tags = flsim._rng, []
+
+        def recording(seed, *path):
+            tags.append(path[0])
+            return rng(seed, *path)
+
+        monkeypatch.setattr(flsim, "_rng", recording)
+        run_experiment(FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method=method)}), dc)
+        assert flsim._TAG_CLIENT_BATCHES in tags
+        assert (flsim._TAG_DEFENSE_NOISE in tags) == (method in defense.NOISE_METHODS)
+
+    def test_dp_gauss_draws_the_client_round_stream(self, tiny_setup):
+        fl, dc, train, test, part, model = tiny_setup
+        dp = DefenseConfig(method="dp_gauss", noise_scale=0.1)
+        shard, cid, rnd = part.client_shards[2], 2, 1
+        noisy, _ = client_round(model, train, shard, FlConfig(**{**fl.__dict__, "defense": dp}),
+                                cid, rnd)
+        raw, _ = client_round(model, train, shard, fl, cid, rnd)
+        want, _ = defense.defend_update(
+            defense.packets_to_gradset(raw.packets, model), dp,
+            rng=flsim._rng(fl.seed, flsim._TAG_DEFENSE_NOISE, rnd, cid),
+        )
+        for got, ref in zip(noisy.packets, want):
+            assert got.layer_id == ref.layer_id and got.kind == ref.kind == "raw"
+            np.testing.assert_array_equal(got.values, ref.values)
 
 
 class TestAggregate:

@@ -1,15 +1,17 @@
 """Fuzzed config files, packet bytes, packet lists and checkpoint bytes: bad
 input is reported, never raised as anything but the documented error. Fuzzed matrices:
 linalg.svd keeps its contract at every shape, rank and power-of-two scale.
-Fuzzed uploads: pruning and noise match independent references."""
+Fuzzed uploads: pruning and noise match independent references. Fuzzed noise
+scales: a training run exits 0 or with one numerical failure line, and no warning."""
 
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -298,3 +300,31 @@ def test_noise_is_drawn_in_wire_order(case, method, seed):
     draw = ref.normal if method == "dp_gauss" else ref.laplace
     for t, s in zip(grads, defense.packets_to_gradset(packets, params)):
         np.testing.assert_array_equal(s, t + draw(0.0, 0.5, t.shape))
+
+
+@pytest.fixture(scope="module")
+def noise_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("noise")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(method=st.sampled_from(defense.NOISE_METHODS), exponent=st.floats(-300.0, 308.0))
+@example(method="dp_gauss", exponent=308.0)  # infinite draws: a log-uniform draw rarely
+@example(method="dp_lap", exponent=308.0)  # lands this close to the largest double
+def test_any_noise_scale_trains_or_fails_numerically(noise_dir, capsys, method, exponent):
+    cfg = {"seed": 1, "data": {"num_classes": 2, "per_class": 6, "per_class_test": 2, "side": 4},
+           "fl": {"num_clients": 2, "clients_per_round": 2, "rounds": 1,
+                  "defense": {"method": method, "noise_scale": 10.0**exponent}}}
+    path, out = noise_dir / "cfg.json", noise_dir / f"out-{method}-{exponent!r}"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["train", "--config", str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert not caught
+    assert rc in (0, 3)
+    assert all(line.startswith("numerical failure: ") for line in lines) and len(lines) == rc // 3
+    if rc == 0:
+        rows = (out / "rounds.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(row.split(",")[1])) for row in rows)
