@@ -26,9 +26,11 @@ NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise str
 KIND_RAW = "raw"
 KIND_SVD = "svd"
 _KIND_CODES = {KIND_RAW: 0, KIND_SVD: 1}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_SPARSE = 2  # the wire code of a raw packet sent as a bitmap and its stored entries
+_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()} | {_SPARSE: KIND_RAW}
 _RATE = {"ge": 0, "lt": 1}
 _HEADER_BYTES = 4 + 17  # total_len u32, then layer_id, kind, p, q, k
+_F8, _U8 = np.dtype("<f8"), np.dtype("<u8")
 
 
 @dataclass(frozen=True)
@@ -254,17 +256,27 @@ def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> lis
     return check_gradset(tensors, params)
 
 
+def _sparse_pays(n: int, k: int) -> bool:
+    """Whether n raw values, k of them stored (not +0.0), are shorter sent as
+    a bitmap and the k values than as all n values."""
+    return -(-n // 8) + 8 * k < 8 * n
+
+
 def serialize_packet(packet: DefensePacket) -> bytes:
     """Length-prefixed little-endian layout.
 
     header: total_len u32, layer_id u32, kind u8, p u32, q u32, k u32;
-    svd payload: diag (p), u_star (p*k), sigma_star (k), vt_star (k*q),
-    entropy (1), all f64; raw payload: the values (q == 0 marks a 1-D
-    tensor of length p).
+    svd payload (kind 1): diag (p), u_star (p*k), sigma_star (k), vt_star
+    (k*q), entropy (1), all f64. A raw packet holds n = p values (q == 0
+    marks a 1-D tensor) or p*q, and takes the shorter of two lossless
+    payloads: dense (kind 0, k = 0) is the n values as f64; sparse (kind 2)
+    is np.packbits of the n-entry mask of stored values, those whose bits
+    are not all zero (so -0.0 is stored and +0.0 is not), then the k stored
+    values as f64 in flat order. Sparse is chosen iff ceil(n/8) + 8k < 8n.
     """
     if packet.kind == KIND_SVD:
         p, q = packet.orig_shape
-        k = len(packet.sigma_star)
+        code, k = _KIND_CODES[KIND_SVD], len(packet.sigma_star)
         payload = b"".join(
             a.astype("<f8").tobytes()
             for a in (
@@ -280,38 +292,73 @@ def serialize_packet(packet: DefensePacket) -> bytes:
             p, q = packet.orig_shape
         else:
             p, q = packet.orig_shape[0], 0
-        k = 0
-        payload = packet.values.astype("<f8").tobytes()
-    header = struct.pack("<IBIII", packet.layer_id, _KIND_CODES[packet.kind], p, q, k)
-    total = struct.pack("<I", 4 + len(header) + len(payload))
-    return total + header + payload
+        values = np.asarray(packet.values, dtype=_F8)
+        stored = values.view(_U8).astype(bool)
+        where = stored.nonzero()  # integer indices: a mask index branches per entry
+        code, k = _KIND_CODES[KIND_RAW], len(where[0])
+        if _sparse_pays(values.size, k):
+            code, payload = _SPARSE, np.packbits(stored).tobytes() + values[where].tobytes()
+        else:
+            k, payload = 0, values.tobytes()
+    return struct.pack("<IIBIII", _HEADER_BYTES + len(payload), packet.layer_id, code, p, q,
+                       k) + payload
+
+
+def _raw_values(blob: bytes, code: int, n: int, k: int) -> np.ndarray:
+    """The n values of a dense or sparse raw payload whose size is checked;
+    InvalidInput for an encoding serialize_packet would not have written."""
+    if code != _SPARSE:
+        values = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES).copy()
+        if _sparse_pays(n, np.count_nonzero(values.view(_U8))):
+            raise InvalidInput("dense raw packet that the sparse form would shorten")
+        return values
+    n_mask = -(-n // 8)
+    pad_bits = n % 8 and blob[_HEADER_BYTES + n_mask - 1] & (0xFF >> n % 8)
+    mask = np.unpackbits(np.frombuffer(blob, np.uint8, n_mask, _HEADER_BYTES), count=n)
+    where = mask.view(bool).nonzero()
+    stored = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES + n_mask)
+    if (pad_bits or len(where[0]) != k or not _sparse_pays(n, k)
+            or np.count_nonzero(stored.view(_U8)) != k):
+        raise InvalidInput("sparse raw packet is not in canonical form (pad bits, mask "
+                           "count, a stored +0.0, or no shorter than dense)")
+    values = np.zeros(n)
+    values[where] = stored
+    return values
 
 
 def deserialize_packet(blob: bytes) -> DefensePacket:
-    """Inverse of serialize_packet; any malformed blob raises InvalidInput."""
+    """Inverse of serialize_packet, which it accepts only in the form
+    serialize_packet writes; any malformed or non-canonical blob, or svd
+    channel weights that are not finite and positive, raise InvalidInput."""
     if len(blob) < _HEADER_BYTES or struct.unpack_from("<I", blob, 0)[0] != len(blob):
         raise InvalidInput("packet length prefix does not match payload")
     layer_id, code, p, q, k = struct.unpack_from("<IBIII", blob, 4)
     kind = _CODE_KINDS.get(code)
     if kind is None:
         raise InvalidInput(f"unknown packet kind code {code}")
-    n_values = p * max(q, 1) if kind == KIND_RAW else p + p * k + k + k * q + 1
-    if len(blob) - _HEADER_BYTES != 8 * n_values or (kind == KIND_RAW and k != 0):
-        raise InvalidInput(f"packet payload does not hold the {n_values} values it declares")
-    body = np.frombuffer(blob, dtype="<f8", offset=_HEADER_BYTES).copy()
+    n = p * max(q, 1)
+    size = (8 * (p + p * k + k + k * q + 1) if kind == KIND_SVD
+            else -(-n // 8) + 8 * k if code == _SPARSE else 8 * n)
+    if len(blob) - _HEADER_BYTES != size or (code == _KIND_CODES[KIND_RAW] and k != 0):
+        raise InvalidInput(f"packet payload does not hold the {size} bytes it declares")
     if kind == KIND_RAW:
         shape = (p, q) if q > 0 else (p,)
-        return DefensePacket(layer_id=layer_id, kind=kind, orig_shape=shape, values=body)
-    diag, u, sig, vt, entropy = np.split(body, np.cumsum([p, p * k, k, k * q]))
+        return DefensePacket(layer_id=layer_id, kind=kind, orig_shape=shape,
+                             values=_raw_values(blob, code, n, k))
+    body = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES).copy()
+    at_sigma = p + p * k  # after the diag and u_star
+    at_vt, at_entropy = at_sigma + k, at_sigma + k + k * q
+    if not np.all((body[:p] > 0.0) & (body[:p] < np.inf)):
+        raise InvalidInput("svd packet channel weights must be finite and positive")
     return DefensePacket(
         layer_id=layer_id,
         kind=kind,
         orig_shape=(p, q),
-        channel_weights=diag,
-        u_star=u.reshape(p, k),
-        sigma_star=sig,
-        vt_star=vt.reshape(k, q),
-        entropy=float(entropy[0]),
+        channel_weights=body[:p],
+        u_star=body[p:at_sigma].reshape(p, k),
+        sigma_star=body[at_sigma:at_vt],
+        vt_star=body[at_vt:at_entropy].reshape(k, q),
+        entropy=float(body[at_entropy]),
     )
 
 

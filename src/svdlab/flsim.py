@@ -276,7 +276,8 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
 
 
 def raw_upload_bytes(params: ModelParams) -> int:
-    """Upload size of one undefended update (method "none": raw packets for
-    every tensor); the defense-off baseline for communication accounting."""
-    packets, _ = defense_mod.defend_update(params.tensors(), defense_mod.DefenseConfig())
-    return sum(defense_mod.packet_bytes(p) for p in packets)
+    """Upload size of one update of `params`' shapes sent dense: a packet
+    header and every value as f64 for each tensor. This is the FedAvg
+    baseline for communication accounting; unlike a serialized update, it
+    does not depend on how many values are zero."""
+    return sum(defense_mod._HEADER_BYTES + 8 * t.size for t in params.tensors())

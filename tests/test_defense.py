@@ -2,6 +2,7 @@
 baselines, packet transport."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestBaselines:
             assert sample_var == pytest.approx(var, rel=0.15)
 
 
+# 1.5 and -0.0 are stored, +0.0 is not: a 2-byte bitmap and 2 values
+SPARSE_TEN = np.array([0.0, 1.5, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def raw_packet(values):
+    return defense.DefensePacket(layer_id=0, kind="raw", orig_shape=values.shape, values=values)
+
+
+def wire_blob(code, p, q, k, payload):
+    """A packet of kind `code` with a correct length prefix."""
+    return struct.pack("<IIBIII", 21 + len(payload), 0, code, p, q, k) + payload
+
+
 class TestPacketTransport:
     def test_svd_roundtrip(self):
         rng = np.random.default_rng(10)
@@ -304,6 +318,42 @@ class TestPacketTransport:
         for blob in (unknown_kind, oversized, raw[:-8], raw[:10], b""):
             with pytest.raises(InvalidInput):
                 deserialize_packet(blob)
+
+    def test_raw_picks_the_shorter_encoding_bit_exactly(self):
+        blob = serialize_packet(raw_packet(SPARSE_TEN))
+        assert (blob[8], len(blob)) == (2, 21 + 2 + 16)
+        assert deserialize_packet(blob).values.tobytes() == SPARSE_TEN.tobytes()
+        dense = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
+        assert (dense[8], len(dense)) == (0, 21 + 80)
+
+    @pytest.mark.parametrize("edit", ["pad bit", "mask count", "stored +0.0"])
+    def test_rejects_non_canonical_sparse_blobs(self, edit):
+        blob = bytearray(serialize_packet(raw_packet(SPARSE_TEN)))
+        if edit == "pad bit":  # entries 8 and 9 fill the top 2 bits of the second byte
+            blob[22] |= 0x01
+        elif edit == "mask count":  # marks entry 0 stored: 3 set bits for k = 2
+            blob[21] |= 0x80
+        else:  # the stored 1.5 becomes +0.0
+            blob[23:31] = bytes(8)
+        with pytest.raises(InvalidInput):
+            deserialize_packet(bytes(blob))
+
+    def test_rejects_a_sparse_blob_no_shorter_than_dense(self):
+        # one stored entry of one: 1 + 8 bytes against 8 dense
+        with pytest.raises(InvalidInput):
+            deserialize_packet(wire_blob(2, 1, 0, 1, bytes([0x80]) + struct.pack("<d", 1.0)))
+
+    def test_rejects_a_dense_blob_sparse_would_shorten(self):
+        assert serialize_packet(raw_packet(np.zeros(10)))[8] == 2
+        with pytest.raises(InvalidInput):
+            deserialize_packet(wire_blob(0, 10, 0, 0, bytes(80)))
+
+    @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, np.inf, np.nan])
+    def test_rejects_svd_weights_not_finite_and_positive(self, weight):
+        pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
+        pkt.channel_weights[2] = weight
+        with pytest.raises(InvalidInput):
+            deserialize_packet(serialize_packet(pkt))
 
     def test_parameter_count_formula(self):
         rng = np.random.default_rng(11)

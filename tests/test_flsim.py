@@ -295,6 +295,50 @@ class TestRunExperiment:
         assert {id(p) for p in aggregated} == {id(p) for p in parsed}
         assert sum(wire) == sum(r.bytes_up for r in reports)
 
+    @pytest.mark.parametrize("method", defense.METHODS)
+    def test_the_wire_is_lossless(self, tiny_setup, monkeypatch, method):
+        # the server parses exactly the values each client holds in memory,
+        # so the model trains as if the packets had never been serialized
+        fl, dc, *_ = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method=method)})
+        reports, wired = run_experiment(cfg, dc)
+        serialize, parse = defense.serialize_packet, defense.deserialize_packet
+        sent, parsed = [], []
+
+        def keep(packet):
+            sent.append(packet)
+            return serialize(packet)
+
+        def bypass(blob):
+            parsed.append(parse(blob))
+            return sent[len(parsed) - 1]
+
+        monkeypatch.setattr(defense, "serialize_packet", keep)
+        monkeypatch.setattr(defense, "deserialize_packet", bypass)
+        reports_bypassed, bypassed = run_experiment(cfg, dc)
+        fields = ("values", "channel_weights", "u_star", "sigma_star", "vt_star")
+        assert len(sent) == len(parsed) == 4 * cfg.rounds * cfg.clients_per_round
+        for a, b in zip(sent, parsed):
+            assert (a.layer_id, a.kind, a.orig_shape, a.entropy) == (
+                b.layer_id, b.kind, b.orig_shape, b.entropy)
+            for name in fields:
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        assert [r.accuracy for r in reports] == [r.accuracy for r in reports_bypassed]
+        for x, y in zip(wired.tensors(), bypassed.tensors()):
+            assert x.tobytes() == y.tobytes()
+        if method in ("prune", "dgp"):  # a bitmap of the n entries, then the k stored ones
+            def size(values):
+                n, k = values.size, np.count_nonzero(values.view(np.uint64))
+                return 21 + min(8 * n, -(-n // 8) + 8 * k)
+
+            per_round = 4 * cfg.clients_per_round
+            expected = [sum(size(p.values) for p in sent[r * per_round:(r + 1) * per_round])
+                        for r in range(cfg.rounds)]
+            assert [r.bytes_up for r in reports] == expected
+            dense_round = flsim.raw_upload_bytes(wired) * cfg.clients_per_round
+            assert max(expected) < dense_round
+
     def test_one_defend_update_per_client_round(self, tiny_setup, monkeypatch):
         # benchmarks/workloads.py counts uploads and their bytes by wrapping
         # defense.defend_update; every upload must go through that one call
@@ -314,6 +358,15 @@ class TestRunExperiment:
             assert (cfg.rounds, cfg.clients_per_round, len(uploads)) == (3, 2, 6)
             assert (sum(defense.packet_bytes(p) for packets in uploads for p in packets)
                     == sum(r.bytes_up for r in reports))
+
+    def test_raw_upload_bytes_is_the_dense_size(self, tiny_setup):
+        # the baseline counts every value, zero or not: init_model's biases are 0
+        *_, model = tiny_setup
+        shifted = tinynn.ModelParams([tinynn.LayerParams(l.weight, l.bias + 1.0, l.kind)
+                                      for l in model.layers])
+        assert not any(l.bias.any() for l in model.layers)
+        dense = sum(21 + 8 * t.size for t in model.tensors())
+        assert flsim.raw_upload_bytes(model) == flsim.raw_upload_bytes(shifted) == dense
 
     def test_numerically_rank_one_update_trains(self):
         # a 4x32 update whose second singular value is ~5e-17 of the first

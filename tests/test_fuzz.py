@@ -1,11 +1,13 @@
 """Fuzzed config files, packet bytes, packet lists and checkpoint bytes: bad
-input is reported, never raised as anything but the documented error. Fuzzed matrices:
+input is reported, never raised as anything but the documented error, and
+raw packets travel bit-exact in their shorter encoding. Fuzzed matrices:
 linalg.svd keeps its contract at every shape, rank and power-of-two scale.
 Fuzzed uploads: pruning and noise match independent references. Fuzzed noise
 scales: a training run exits 0 or with one numerical failure line, and no warning."""
 
 import json
 import math
+import struct
 import warnings
 from dataclasses import fields, replace
 
@@ -101,6 +103,69 @@ def test_deserialize_is_strict(packet, cut, flips, tail):
     for at, value in flips:
         if at < len(blob):
             blob[at] = value
+    try:
+        parsed = defense.deserialize_packet(bytes(blob))
+    except InvalidInput:
+        return
+    assert defense.serialize_packet(parsed) == bytes(blob)
+
+
+@st.composite
+def _raw_values(draw):
+    """A raw tensor, empty ones included, whose entries are any f64 with
+    probability `density` and +0.0 or -0.0 otherwise."""
+    shape = draw(st.tuples(st.integers(0, 40)) | st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    dense = draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.where(rng.random(shape) < density, dense,
+                    np.where(rng.random(shape) < 0.5, -0.0, 0.0))
+
+
+def _raw_blob(values: np.ndarray, mask=None) -> bytes:
+    """The raw packet of `values` built by hand: dense (kind 0) without a
+    mask, else sparse (kind 2), a bitmap of `mask` and the masked values."""
+    flat = values.ravel()
+    payload = (flat.tobytes() if mask is None
+               else np.packbits(mask).tobytes() + flat[mask].tobytes())
+    p, q = (*values.shape, 0)[:2]
+    k = 0 if mask is None else int(np.count_nonzero(mask))
+    return struct.pack("<IIBIII", 21 + len(payload), 3, 0 if mask is None else 2, p, q,
+                       k) + payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=_raw_values(), extra=st.lists(st.integers(min_value=0, max_value=39), max_size=3),
+       cut=st.none() | st.integers(min_value=0, max_value=400),
+       flips=st.lists(st.tuples(st.integers(0, 400) | st.integers(21, 25),  # or in the bitmap
+                                st.integers(0, 7)), max_size=3),
+       tail=st.binary(max_size=9))
+def test_raw_packets_travel_bit_exact_in_the_shorter_form(values, extra, cut, flips, tail):
+    packet = defense.DefensePacket(layer_id=3, kind="raw", orig_shape=values.shape,
+                                   values=values.ravel())
+    good = defense.serialize_packet(packet)
+    stored = values.ravel().view(np.uint64) != 0  # -0.0 is stored, +0.0 is not
+    back = defense.deserialize_packet(good)
+    assert back.orig_shape == values.shape and back.values.tobytes() == values.tobytes()
+    # of the dense form, the sparse form, a sparse form that also stores
+    # some +0.0 entries and one with a pad bit set, the serializer writes the
+    # shorter of the first two and the parser accepts that one alone
+    more = stored.copy()
+    more[[i % values.size for i in extra if values.size]] = True
+    forms = [_raw_blob(values), _raw_blob(values, stored), _raw_blob(values, more)]
+    assert good == min(forms[:2], key=len)
+    if values.size % 8:
+        padded = bytearray(forms[1])
+        padded[21 + (values.size - 1) // 8] |= 1
+        forms.append(bytes(padded))
+    for blob in forms:
+        if blob != good:
+            with pytest.raises(InvalidInput):
+                defense.deserialize_packet(blob)
+    blob = bytearray(good if cut is None else good[:cut] + tail)
+    for at, bit in flips:
+        if blob:
+            blob[at % len(blob)] ^= 1 << bit
     try:
         parsed = defense.deserialize_packet(bytes(blob))
     except InvalidInput:
