@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defense, linalg, schema, tinynn
-from .errors import InvalidConfig, InvalidInput, UndeterminedLabel, numerical_failure
+from .errors import InvalidConfig, UndeterminedLabel, numerical_failure
 from .tinynn import KIND_RELU, ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
@@ -63,12 +63,11 @@ class AttackConfig:
 
 @dataclass
 class AttackResult:
-    reconstructed: np.ndarray  # best iterate, first slot, clamped to [0, 1]
-    label: int
+    label: int  # of the first slot: recovered under optimized or inferred labels
     loss_trace: np.ndarray  # distance value per iteration
     final_distance: float  # min over the trace
     best_iteration: int
-    reconstructed_batch: np.ndarray  # all slots at the best iterate
+    reconstructed_batch: np.ndarray  # all slots at the best iterate, clamped to [0, 1]
     restart: int  # index of the winning restart
     warnings: list[str] = field(default_factory=list)
 
@@ -258,48 +257,30 @@ def _adam(p, g, m, v, t: int, lr: float):
 
 def run_attack(
     params: ModelParams,
-    observed,
-    target_shape,
+    upload: list,
+    batch: int,
     cfg: AttackConfig,
     labels=None,
-    init: np.ndarray | None = None,
     restarts: int = 1,
 ) -> AttackResult:
-    """Reconstruct the input(s) behind `observed` gradients.
-
-    `observed` may be a list of defense packets, decoded for `params` by the
-    server's own defense.packets_to_gradset, or a list of gradient tensors
-    in wire order, checked against `params` by defense.check_gradset.
-    `target_shape` is (D,) for a single input or (B, D) for a joint batch
-    reconstruction; `labels` must be given in 'known' mode (an int, or one
-    int per slot). Inputs are clamped to [0, 1] after every step. An
-    iteration that overflows raises NumericalFailure.
+    """Reconstruct the `batch` inputs behind one client's upload, the packet
+    list that the server's own defense.packets_to_gradset decodes for
+    `params`. `labels` must be given in 'known' mode (an int, or one int
+    per slot). Inputs are clamped to [0, 1] after every step. An iteration
+    that overflows raises NumericalFailure.
 
     Restart j, seeded with cfg.seed + 1000 * j, runs as slice j of a leading
     axis of every array and computes exactly what it would alone; the result
     is the best iterate of the first restart with the lowest final distance.
     """
     errors = cfg.validate()
-    if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
-        errors.append(f"restarts must be an integer >= 1, got {restarts!r}")
+    for name, n in (("batch", batch), ("restarts", restarts)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            errors.append(f"{name} must be an integer >= 1, got {n!r}")
     if errors:
         raise InvalidConfig("; ".join(errors))
-    observed = list(observed)
-    observed = (defense.packets_to_gradset(observed, params)
-                if all(isinstance(o, defense.DefensePacket) for o in observed)
-                else defense.check_gradset(observed, params))
-
-    shape = tuple(target_shape)
-    if len(shape) == 1:
-        batch, dim = 1, shape[0]
-    elif len(shape) == 2:
-        batch, dim = shape
-    else:
-        raise InvalidInput(f"target_shape must be (D,) or (B, D), got {shape}")
-    if dim != params.input_dim:
-        raise InvalidInput("target dim does not match the model input dim")
-
-    num_classes = params.num_classes
+    observed = defense.packets_to_gradset(upload, params)
+    dim, num_classes = params.input_dim, params.num_classes
     warnings: list[str] = []
     label_mode = cfg.label_mode
 
@@ -320,11 +301,7 @@ def run_attack(
             label_mode = "optimized"
 
     seeds = [cfg.seed + 1000 * j for j in range(restarts)]
-    if init is None:
-        x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, size=(batch, dim)) for s in seeds])
-    else:
-        x = np.clip(np.asarray(init, dtype=np.float64).reshape(1, batch, dim), 0.0, 1.0)
-        x = np.repeat(x, restarts, axis=0)
+    x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, size=(batch, dim)) for s in seeds])
     label_logits = np.zeros((restarts, batch, num_classes))
     optimize_labels = label_mode == "optimized"
     if not optimize_labels:
@@ -371,7 +348,6 @@ def run_attack(
 
     win = int(np.argmin(best_loss))  # first of the lowest
     return AttackResult(
-        reconstructed=best_x[win, 0].copy(),
         label=int(np.argmax(best_logits[win, 0]) if optimize_labels else label_vec[0]),
         loss_trace=trace[win].copy(),
         final_distance=float(best_loss[win]),

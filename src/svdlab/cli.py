@@ -67,7 +67,19 @@ class ExperimentSpec:
     )
 
     def validate(self) -> list[str]:
-        return schema.check(self)
+        """The sections' own rules, then the client counts the partitioner can
+        fill: dirichlet needs two, and on synthetic data at most one client
+        per training example (dirichlet) or per example of a class (rho)."""
+        errors, fl, d = schema.check(self), self.fl, self.data
+        if errors:
+            return errors
+        least = 2 if fl.partition_scheme == "dirichlet" else 1
+        most = (float("inf") if d.idx_images is not None
+                else d.per_class * (d.num_classes if least == 2 else 1))
+        if not least <= fl.num_clients <= most:
+            errors.append(f"fl.num_clients must be in [{least}, {most}] for {fl.partition_scheme}"
+                          f" partitioning of this data (got {fl.num_clients})")
+        return errors
 
     def victim_errors(self) -> list[str]:
         """The victim harness's rules, which only `attack` and `sweep` apply."""
@@ -100,12 +112,8 @@ def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
             errors.append(f"SVDLAB_SEED must be an integer, got {env_seed!r}")
     spec, structure_errors = schema.from_json(ExperimentSpec, raw)
     errors.extend(structure_errors)
-    defense_cfg = replace(spec.fl.defense, seed=spec.seed)
-    spec = replace(
-        spec,
-        fl=replace(spec.fl, defense=defense_cfg, seed=spec.seed),
-        attack=replace(spec.attack, seed=spec.seed, defense=defense_cfg),
-    )
+    spec = replace(spec, fl=replace(spec.fl, seed=spec.seed),
+                   attack=replace(spec.attack, seed=spec.seed, defense=spec.fl.defense))
     errors.extend(spec.validate())
     return spec, errors
 
@@ -187,13 +195,13 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     )
     cfg = replace(spec.attack, seed=spec.seed + run_seed)
     best = attack_mod.run_attack(
-        model, packets, x.shape, cfg, labels=labels, restarts=spec.harness.restarts,
+        model, packets, len(x), cfg, labels=labels, restarts=spec.harness.restarts,
     )
-    truth = x[0]
+    truth, recon = x[0], best.reconstructed_batch[0]
     return (
-        metrics.mse(truth, best.reconstructed),
-        metrics.psnr(truth, best.reconstructed),
-        metrics.ssim(truth, best.reconstructed, window=min(7, ds.side - 1 + ds.side % 2)),
+        metrics.mse(truth, recon),
+        metrics.psnr(truth, recon),
+        metrics.ssim(truth, recon, window=min(7, ds.side - 1 + ds.side % 2)),
         best,
     )
 
@@ -206,8 +214,9 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
     train, _, _, built_model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
     if model is None:
         model = built_model
-    elif model.input_dim != train.x.shape[1]:
-        raise InvalidInput(f"checkpoint input dim {model.input_dim} != {train.x.shape[1]}")
+    elif (model.input_dim, model.num_classes) != (train.x.shape[1], spec.data.num_classes):
+        raise InvalidInput(f"checkpoint has input dim {model.input_dim} and {model.num_classes} "
+                           f"classes, the data {train.x.shape[1]} and {spec.data.num_classes}")
     batches = pick_victim_batches(
         train, spec.harness.n_examples, spec.harness.batch_size, spec.seed
     )
@@ -222,13 +231,10 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
         if write_images:
             truth = train.x[batch_indices[0]]
             attack_mod.write_pgm(truth, train.side, os.path.join(out_dir, f"truth_{i:03d}.pgm"))
-            attack_mod.write_pgm(
-                best.reconstructed, train.side, os.path.join(out_dir, f"recon_{i:03d}.pgm")
-            )
-            attack_mod.write_image_csv(
-                truth, best.reconstructed, train.side,
-                os.path.join(out_dir, f"images_{i:03d}.csv"),
-            )
+            recon = best.reconstructed_batch[0]
+            attack_mod.write_pgm(recon, train.side, os.path.join(out_dir, f"recon_{i:03d}.pgm"))
+            attack_mod.write_image_csv(truth, recon, train.side,
+                                       os.path.join(out_dir, f"images_{i:03d}.csv"))
     arr = np.array(values)
     rows.append(
         ["mean", spec.fl.defense.method, spec.attack.adaptive,

@@ -45,7 +45,6 @@ class DefenseConfig:
     entropy_source: str = field(
         default="weighted", metadata={"choices": ("weighted", "unweighted")}
     )
-    seed: int = field(default=0, metadata={"derived": "seed"})
 
     def validate(self) -> list[str]:
         errors = schema.check(self)
@@ -216,44 +215,35 @@ def defend_update(
 ):
     """Turn a gradient set, a list of tensors in wire order (the order of
     ModelParams.tensors()), into transmittable packets under the configured
-    method, one tensor at a time; the NOISE_METHODS draw from `rng` (default:
-    seeded with cfg.seed) in that order, and the others take no stream.
+    method, one tensor at a time; the NOISE_METHODS draw from `rng` in that
+    order, and raise InvalidInput without one; the others take no stream.
 
     Returns (packets, residual). For dgp the residual is the error feedback:
     what pruning removed from each tensor once the previous `residual` was
     added back in. It is None for the other methods.
     """
     if rng is None and cfg.method in NOISE_METHODS:
-        rng = np.random.default_rng(cfg.seed)
+        raise InvalidInput(f"defense method {cfg.method} needs a noise stream")
     carried = residual if residual is not None else [None] * len(grads)
     packets, carries = zip(*(_defend_tensor(t, tid, cfg, rng, c)
                              for tid, (t, c) in enumerate(zip(grads, carried))))
     return list(packets), list(carries) if cfg.method == "dgp" else None
 
 
-def check_gradset(grads: list, params: ModelParams) -> list:
-    """`grads` itself if it holds, in order, one tensor of the model's shape
-    for every weight and bias of `params`; InvalidInput otherwise."""
-    got = [np.shape(t) for t in grads]
-    refs = [t.shape for t in params.tensors()]
-    if got != refs:
-        raise InvalidInput(f"gradient shapes {got} are not the model's {refs}")
-    return grads
-
-
 def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> list:
     """Decode one upload for the model `params`: packet i must carry tensor id
     i (weight of layer l at 2l, its bias at 2l + 1) for every tensor of the
-    model, declaring and decoding to that tensor's shape (check_gradset). Any
-    other upload raises InvalidInput."""
-    if [p.layer_id for p in packets] != list(range(2 * len(params.layers))):
-        raise InvalidInput(f"packet ids must be 0..{2 * len(params.layers) - 1} in order")
+    model, declaring and decoding to that tensor's shape. Any other upload
+    raises InvalidInput."""
+    refs = params.tensors()
+    if [p.layer_id for p in packets] != list(range(len(refs))):
+        raise InvalidInput(f"packet ids must be 0..{len(refs) - 1} in order")
     tensors = [reconstruct_packet(p) for p in packets]
-    for p, t in zip(packets, tensors):
-        if tuple(p.orig_shape) != t.shape:
-            raise InvalidInput(f"tensor {p.layer_id} declares shape {p.orig_shape} and decodes "
-                               f"to {t.shape}")
-    return check_gradset(tensors, params)
+    for p, t, ref in zip(packets, tensors, refs):
+        if tuple(p.orig_shape) != t.shape or t.shape != ref.shape:
+            raise InvalidInput(f"tensor {p.layer_id} declares shape {tuple(p.orig_shape)} and "
+                               f"decodes to {t.shape}, the model's is {ref.shape}")
+    return tensors
 
 
 def _sparse_pays(n: int, k: int) -> bool:
@@ -328,8 +318,9 @@ def _raw_values(blob: bytes, code: int, n: int, k: int) -> np.ndarray:
 
 def deserialize_packet(blob: bytes) -> DefensePacket:
     """Inverse of serialize_packet, which it accepts only in the form
-    serialize_packet writes; any malformed or non-canonical blob, or svd
-    channel weights that are not finite and positive, raise InvalidInput."""
+    serialize_packet writes; any malformed or non-canonical blob, svd channel
+    weights that are not finite and positive, or an svd entropy outside [0,
+    ln(min(p, q))] (relative slack 1e-12), raise InvalidInput."""
     if len(blob) < _HEADER_BYTES or struct.unpack_from("<I", blob, 0)[0] != len(blob):
         raise InvalidInput("packet length prefix does not match payload")
     layer_id, code, p, q, k = struct.unpack_from("<IBIII", blob, 4)
@@ -350,6 +341,8 @@ def deserialize_packet(blob: bytes) -> DefensePacket:
     at_vt, at_entropy = at_sigma + k, at_sigma + k + k * q
     if not np.all((body[:p] > 0.0) & (body[:p] < np.inf)):
         raise InvalidInput("svd packet channel weights must be finite and positive")
+    if not (min(p, q) and 0.0 <= body[at_entropy] <= math.log(min(p, q)) * (1 + 1e-12)):
+        raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
     return DefensePacket(
         layer_id=layer_id,
         kind=kind,

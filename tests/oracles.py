@@ -7,9 +7,11 @@ first principles, the spectrum formulas of the defense one spectrum at a
 time (normalized by the largest singular value, where defense.rank_rule
 scales stacks by powers of two), and a plain sample-count-weighted
 federated averaging loop, and the class stripe templates through
-np.meshgrid. broken_upload forges the bad uploads that the
-packet decoder must refuse. grad_distance and parameter_count are the test
-suite's scalar views of the attack distance and of a packet's payload size.
+np.meshgrid. upload wraps a gradient set as the packets an undefended
+client sends, the one form attack.run_attack takes; broken_upload forges the
+bad uploads that the packet decoder must refuse. grad_distance and
+parameter_count are the test suite's scalar views of the attack distance and
+of a packet's payload size.
 """
 
 import math
@@ -17,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from svdlab import attack, data, linalg, tinynn
+from svdlab import attack, data, defense, linalg, tinynn
 from svdlab.errors import DegenerateInput, InvalidConfig, InvalidInput
 
 
@@ -173,6 +175,13 @@ def meshgrid_class_template(cls: int, side: int) -> np.ndarray:
     wave = np.sin(2.0 * np.pi * cycles * (xx * np.cos(angle) + yy * np.sin(angle))
                   + data._STRIPE_PHASE)
     return np.where(wave >= 0.0, data._LEVEL_HI, data._LEVEL_LO).ravel()
+
+
+def upload(grads: list) -> list:
+    """The method-none packets of a wire-order gradient set, which
+    defense.packets_to_gradset decodes to the same bits: how tests hand
+    gradients to attack.run_attack."""
+    return defense.defend_update(grads, defense.DefenseConfig(method="none"))[0]
 
 
 BROKEN_UPLOADS = ("missing", "duplicated", "swapped", "relabeled", "reshaped")

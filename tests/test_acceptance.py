@@ -23,6 +23,7 @@ from oracles import (
     singular_entropy,
     spearman,
     truncate_by_energy,
+    upload,
 )
 from svdlab import attack, cli, data, defense, flsim, linalg, metrics, tinynn
 
@@ -41,9 +42,9 @@ ATTACK_RESTARTS = 3
 ATTACK_ITERS = 2000
 
 
-def _best_of(model, observed, shape, cfg, labels):
+def _best_of(model, observed, cfg, labels):
     return attack.run_attack(
-        model, observed, shape, cfg, labels=labels, restarts=ATTACK_RESTARTS
+        model, observed, ATTACK_BATCH, cfg, labels=labels, restarts=ATTACK_RESTARTS
     )
 
 
@@ -70,15 +71,14 @@ def attack_study():
                 used.add(label)
         labels = ds.y[batch]
         truth = ds.x[i]
-        shape = (ATTACK_BATCH, 64)
         _, grads = tinynn.loss_and_grad(model, ds.x[batch], labels)
         cfg = replace(base, seed=100 + i)
 
         def run(observed, c):
-            best = _best_of(model, observed, shape, c, labels)
-            return metrics.mse(truth, best.reconstructed)
+            best = _best_of(model, observed, c, labels)
+            return metrics.mse(truth, best.reconstructed_batch[0])
 
-        arms["none"].append(run(grads, cfg))
+        arms["none"].append(run(upload(grads), cfg))
         packets, _ = defense.defend_update(grads, svd_cfg)
         arms["svdef"].append(run(packets, cfg))
         arms["replay"].append(

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import BROKEN_UPLOADS, broken_upload, grad_distance
+from oracles import BROKEN_UPLOADS, broken_upload, grad_distance, upload
 from svdlab import attack, data, defense, tinynn
 from svdlab.attack import AttackConfig, run_attack
 from svdlab.errors import InvalidConfig, InvalidInput
@@ -126,16 +126,6 @@ class TestInputGradients:
 
 
 class TestRunAttack:
-    def test_fixed_point_at_init(self, setup):
-        ds, model = setup
-        x, labels = one(ds, 2)
-        _, g = tinynn.loss_and_grad(model, x, labels)
-        cfg = AttackConfig(distance="l2", iterations=5, lr=0.1, label_mode="known", seed=0)
-        res = run_attack(model, g, (64,), cfg, labels=labels[0], init=x[0])
-        assert res.loss_trace[0] == pytest.approx(0.0, abs=1e-20)
-        assert res.best_iteration == 0
-        np.testing.assert_allclose(res.reconstructed, x[0], atol=1e-9)
-
     def test_single_example_reconstruction(self, setup):
         # frozen regression: this configuration reaches ~1e-30 on the default
         # model; anything above 1e-2 means the optimizer path broke
@@ -143,9 +133,9 @@ class TestRunAttack:
         x, labels = one(ds, 3)
         _, g = tinynn.loss_and_grad(model, x, labels)
         cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, label_mode="inferred", seed=0)
-        res = run_attack(model, g, (64,), cfg)
+        res = run_attack(model, upload(g), 1, cfg)
         assert res.label == labels[0]
-        assert float(np.mean((res.reconstructed - x[0]) ** 2)) < 1e-2
+        assert float(np.mean((res.reconstructed_batch[0] - x[0]) ** 2)) < 1e-2
 
     def test_deterministic(self, setup):
         ds, model = setup
@@ -153,8 +143,8 @@ class TestRunAttack:
         _, g = tinynn.loss_and_grad(model, x, labels)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1,
                            label_mode="known", seed=9)
-        r1 = run_attack(model, g, (3, 64), cfg, labels=labels)
-        r2 = run_attack(model, g, (3, 64), cfg, labels=labels)
+        r1 = run_attack(model, upload(g), 3, cfg, labels=labels)
+        r2 = run_attack(model, upload(g), 3, cfg, labels=labels)
         np.testing.assert_array_equal(r1.reconstructed_batch, r2.reconstructed_batch)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
@@ -165,7 +155,7 @@ class TestRunAttack:
         _, g = tinynn.loss_and_grad(model, *one(ds, 5))
         g[-1] = np.abs(g[-1])
         cfg = AttackConfig(distance="l2", iterations=5, lr=0.1, label_mode="inferred", seed=0)
-        res = run_attack(model, g, (64,), cfg)
+        res = run_attack(model, upload(g), 1, cfg)
         assert res.warnings
 
     def test_optimized_labels_recover_class(self, setup):
@@ -173,7 +163,7 @@ class TestRunAttack:
         x, labels = one(ds, 6)
         _, g = tinynn.loss_and_grad(model, x, labels)
         cfg = AttackConfig(distance="l2", iterations=800, lr=0.1, label_mode="optimized", seed=1)
-        res = run_attack(model, g, (64,), cfg)
+        res = run_attack(model, upload(g), 1, cfg)
         assert res.label == labels[0]
 
     def test_known_mode_needs_labels(self, setup):
@@ -181,7 +171,7 @@ class TestRunAttack:
         _, g = tinynn.loss_and_grad(model, *one(ds, 0))
         cfg = AttackConfig(label_mode="known")
         with pytest.raises(InvalidConfig):
-            run_attack(model, g, (64,), cfg)
+            run_attack(model, upload(g), 1, cfg)
 
     @pytest.mark.parametrize("label", [-1, 4])
     def test_rejects_labels_outside_the_classes(self, setup, label):
@@ -190,17 +180,7 @@ class TestRunAttack:
         _, g = tinynn.loss_and_grad(model, x, labels)
         cfg = AttackConfig(iterations=2, label_mode="known")
         with pytest.raises(InvalidConfig, match="need one label in"):
-            run_attack(model, g, (3, 64), cfg, labels=[labels[0], label, labels[2]])
-
-    def test_accepts_packets(self, setup):
-        ds, model = setup
-        x, labels = batch_for(ds, 7)
-        _, g = tinynn.loss_and_grad(model, x, labels)
-        packets, _ = defense.defend_update(g, defense.DefenseConfig(method="none"))
-        cfg = AttackConfig(distance="l2", iterations=5, lr=0.1, label_mode="known", seed=0)
-        r_direct = run_attack(model, g, (3, 64), cfg, labels=labels)
-        r_packets = run_attack(model, packets, (3, 64), cfg, labels=labels)
-        np.testing.assert_array_equal(r_direct.loss_trace, r_packets.loss_trace)
+            run_attack(model, upload(g), 3, cfg, labels=[labels[0], label, labels[2]])
 
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
     def test_rejects_broken_packets(self, setup, how):
@@ -210,7 +190,7 @@ class TestRunAttack:
         packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"))
         cfg = AttackConfig(iterations=2, label_mode="known")
         with pytest.raises(InvalidInput):
-            run_attack(model, broken_upload(packets, how), (3, 64), cfg, labels=labels)
+            run_attack(model, broken_upload(packets, how), 3, cfg, labels=labels)
 
     def test_rejects_a_gradset_of_other_shapes(self):
         model = tinynn.init_model(6, [3], 2, seed=0)
@@ -219,7 +199,7 @@ class TestRunAttack:
         cfg = AttackConfig(iterations=2, label_mode="known")
         for observed in (wrong_shape, g[:2]):
             with pytest.raises(InvalidInput):
-                run_attack(model, observed, (6,), cfg, labels=1)
+                run_attack(model, upload(observed), 1, cfg, labels=1)
 
 
 ENGINE_DEFENSES = {
@@ -249,9 +229,9 @@ class TestEngine:
         cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, label_mode=label_mode,
                            adaptive=mode, eot_samples=2, seed=40, defense=dcfg)
         kwargs = {"labels": labels} if label_mode == "known" else {}
-        batched = run_attack(model, observed, (3, 64), cfg, restarts=3, **kwargs)
+        batched = run_attack(model, observed, 3, cfg, restarts=3, **kwargs)
         singles = [
-            run_attack(model, observed, (3, 64), replace(cfg, seed=40 + 1000 * j), **kwargs)
+            run_attack(model, observed, 3, replace(cfg, seed=40 + 1000 * j), **kwargs)
             for j in range(3)
         ]
         win = 0
@@ -278,7 +258,7 @@ class TestEngine:
         monkeypatch.setattr(tinynn, "forward_batch", counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
                            label_mode="optimized", adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, (3, 64), cfg, restarts=3)
+        run_attack(model, observed, 3, cfg, restarts=3)
         assert len(calls) == 25
 
     @pytest.mark.parametrize("entropy_source, svds", [("weighted", 1), ("unweighted", 2)])
@@ -296,7 +276,7 @@ class TestEngine:
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
                            label_mode="known", adaptive="defense_replay",
                            defense=replace(dcfg, entropy_source=entropy_source))
-        run_attack(model, observed, (3, 64), cfg, labels=labels, restarts=3)
+        run_attack(model, observed, 3, cfg, labels=labels, restarts=3)
         assert counts == {"qr": 25, "svd": 25 * svds}
 
     @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
@@ -304,7 +284,14 @@ class TestEngine:
         model, observed, labels, _ = self.observed_for(setup, "none")
         cfg = AttackConfig(iterations=2, label_mode="known")
         with pytest.raises(InvalidConfig):
-            run_attack(model, observed, (3, 64), cfg, labels=labels, restarts=restarts)
+            run_attack(model, observed, 3, cfg, labels=labels, restarts=restarts)
+
+    @pytest.mark.parametrize("batch", [0, -1, 1.5, True])
+    def test_rejects_bad_batch(self, setup, batch):
+        model, observed, _, _ = self.observed_for(setup, "none")
+        cfg = AttackConfig(iterations=2, label_mode="optimized")
+        with pytest.raises(InvalidConfig, match="batch must be an integer"):
+            run_attack(model, observed, batch, cfg)
 
 
 class TestAdaptiveTransforms:
@@ -319,8 +306,8 @@ class TestAdaptiveTransforms:
         cfg_none = AttackConfig(distance="l2", iterations=10, lr=0.1, label_mode="known", seed=3)
         cfg_mask = AttackConfig(distance="l2", iterations=10, lr=0.1, label_mode="known",
                                 seed=3, adaptive="prune_mask")
-        r1 = run_attack(model, observed, (3, 64), cfg_none, labels=[0, 1, 2])
-        r2 = run_attack(model, observed, (3, 64), cfg_mask, labels=[0, 1, 2])
+        r1 = run_attack(model, upload(observed), 3, cfg_none, labels=[0, 1, 2])
+        r2 = run_attack(model, upload(observed), 3, cfg_mask, labels=[0, 1, 2])
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
     def test_eot_requires_noise_config(self, setup):
@@ -328,14 +315,14 @@ class TestAdaptiveTransforms:
         _, g = tinynn.loss_and_grad(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="eot", eot_samples=4, label_mode="known")
         with pytest.raises(InvalidConfig):
-            run_attack(model, g, (64,), cfg, labels=0)
+            run_attack(model, upload(g), 1, cfg, labels=0)
 
     def test_replay_requires_defense_config(self, setup):
         ds, model = setup
         _, g = tinynn.loss_and_grad(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known")
         with pytest.raises(InvalidConfig):
-            run_attack(model, g, (64,), cfg, labels=0)
+            run_attack(model, upload(g), 1, cfg, labels=0)
 
     def test_replay_matches_defense_pipeline(self, setup):
         # the attacker's replay of the defense must reproduce what the

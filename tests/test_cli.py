@@ -140,6 +140,12 @@ class TestConfigSchema:
             "fl.defense.dgp_small_rate",
         ),
         "synthetic_classes": ({"data.num_classes": 13}, "data.num_classes"),
+        # the partitioner's client counts on 4 classes x 20 training examples
+        "dirichlet_one_client": ({"fl.num_clients": 1, "fl.clients_per_round": 1},
+                                 "fl.num_clients"),
+        "dirichlet_over_examples": ({"fl.num_clients": 81}, "fl.num_clients"),
+        "rho_over_per_class": ({"fl.partition_scheme": "rho", "fl.num_clients": 21},
+                               "fl.num_clients"),
     }
 
     @pytest.fixture(autouse=True)
@@ -158,6 +164,18 @@ class TestConfigSchema:
         assert len(lines) == 1
         assert lines[0].startswith(f"config error: {key} ")
         assert not (tmp_path / "o").exists()
+
+    def test_rho_sweep_checks_the_client_count(self, tmp_path, capsys):
+        # 21 clients can split 80 examples by dirichlet, but not 20 per class
+        # by rho: the axis's points are refused before any point runs
+        path = write_config(tmp_path, {"fl.num_clients": 21})
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--config", path, "--axis", "rho", "--values", "0.5",
+                       "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("config error: fl.num_clients ")
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("command", ["attack", "sweep"])
     def test_victim_rule_is_one_line_exit_2(self, tmp_path, capsys, command):
@@ -198,7 +216,7 @@ class TestConfigSchema:
 
         spec, errors = cli.load_spec(write_config(tmp_path))
         assert errors == []
-        defense = DefenseConfig(method="none", seed=3)
+        defense = DefenseConfig(method="none")
         assert spec == cli.ExperimentSpec(
             seed=3,
             data=DataConfig(num_classes=4, per_class=20, per_class_test=5, side=8),
@@ -253,6 +271,19 @@ class TestExitCodes:
         assert rc == 2
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
+
+    @pytest.mark.parametrize("classes", [2, 6])
+    def test_checkpoint_of_other_class_count_exits_2(self, tmp_path, capsys, classes):
+        ckpt = tmp_path / "model.bin"
+        tinynn.save_model(tinynn.init_model(64, [32], classes), ckpt)
+        path = write_config(tmp_path)
+        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
+                       "--model", str(ckpt)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert f"{classes} classes, the data 64 and 4" in lines[0]
+        assert not (tmp_path / "o" / "attack.csv").exists()
 
     @staticmethod
     def attack_scaled_checkpoint(tmp_path, scale, overrides):

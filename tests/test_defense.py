@@ -254,8 +254,16 @@ class TestBaselines:
         rng = np.random.default_rng(8)
         grads = gradset_from([(rng.normal(size=(3, 3)), rng.normal(size=3))])
         for method in ("dp_gauss", "dp_lap"):
-            out, _ = defended(grads, DefenseConfig(method=method, noise_scale=0.0))
+            out, _ = defended(grads, DefenseConfig(method=method, noise_scale=0.0),
+                              rng=np.random.default_rng(0))
             np.testing.assert_array_equal(out[0], grads[0])
+
+    @pytest.mark.parametrize("method", defense.NOISE_METHODS)
+    def test_noise_methods_need_a_stream(self, method):
+        # a shared fallback stream would give every client the same noise
+        grads = gradset_from([(np.ones((3, 4)), np.ones(3))])
+        with pytest.raises(InvalidInput, match="noise stream"):
+            defend_update(grads, DefenseConfig(method=method))
 
     def test_noise_scale_applied(self):
         rng_check = np.random.default_rng(9)
@@ -355,6 +363,23 @@ class TestPacketTransport:
         with pytest.raises(InvalidInput):
             deserialize_packet(serialize_packet(pkt))
 
+    @pytest.mark.parametrize("entropy", [np.nan, np.inf, -np.inf, -3.0, -1e-300, 1e300,
+                                         math.log(4) * (1 + 1e-11)])
+    def test_rejects_svd_entropy_outside_its_range(self, entropy):
+        # H of a 4 x 5 spectrum lies in [0, ln 4]; a forged H would set the
+        # client's aggregation weight for the tensor
+        pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
+        pkt.entropy = entropy
+        with pytest.raises(InvalidInput, match="entropy"):
+            deserialize_packet(serialize_packet(pkt))
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (5, 7), (32, 64), (200, 203)])
+    def test_accepts_the_largest_honest_entropy(self, p, q):
+        # an identity's flat spectrum gives H = ln(min(p, q)) up to round-off
+        pkt = defend_grad_svd(np.eye(p, q), beta=0.3)
+        assert pkt.entropy == pytest.approx(math.log(min(p, q)), rel=1e-14)
+        assert deserialize_packet(serialize_packet(pkt)).entropy == pkt.entropy
+
     def test_parameter_count_formula(self):
         rng = np.random.default_rng(11)
         g = rng.normal(size=(8, 6))
@@ -389,6 +414,14 @@ class TestDefendUpdate:
         k = len(packets[0].sigma_star)
         packets[0].vt_star = np.ones((k, 5))
         with pytest.raises(InvalidInput):
+            packets_to_gradset(packets, model_like(grads))
+
+    def test_decoder_error_names_the_model_shape(self):
+        rng = np.random.default_rng(18)
+        grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
+        packets, _ = defend_update([rng.normal(size=(4, 5)), grads[1]],
+                                   DefenseConfig(method="none"))
+        with pytest.raises(InvalidInput, match=r"tensor 0 .* the model's is \(4, 6\)"):
             packets_to_gradset(packets, model_like(grads))
 
     def test_svdefense_splits_kinds(self):

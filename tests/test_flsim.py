@@ -372,7 +372,7 @@ class TestRunExperiment:
         # a 4x32 update whose second singular value is ~5e-17 of the first
         # once stalled the Jacobi iteration (NumericalFailure)
         seed = 5000015
-        cfg = FlConfig(rounds=3, seed=seed, defense=DefenseConfig(method="svdefense", seed=seed))
+        cfg = FlConfig(rounds=3, seed=seed, defense=DefenseConfig(method="svdefense"))
         reports, model = run_experiment(cfg, DataConfig())
         assert len(reports) == 3
         assert all(np.isfinite(l.weight).all() for l in model.layers)

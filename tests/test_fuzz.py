@@ -87,7 +87,8 @@ def _packets():
         )
 
     shapes = st.tuples(dims) | st.tuples(dims.filter(bool), dims.filter(bool))
-    return st.builds(raw, shapes) | st.builds(svd, st.tuples(dims, dims, dims))
+    sides = st.integers(min_value=2, max_value=4)  # H = 0.5 <= ln(min(p, q))
+    return st.builds(raw, shapes) | st.builds(svd, st.tuples(sides, sides, dims))
 
 
 @settings(max_examples=300, deadline=None)
