@@ -114,7 +114,7 @@ def _distance_with_sens(observed: list, dummy: list, metric: str, units=None):
     return total, sens
 
 
-def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
+def _replay_projectors(cache, beta: float) -> list:
     """(layer, a, b, touched) for each stacked weight gradient g = delta^T act
     / n of at least 2x2 in a backprop cache. The defense replays as g -> a b^T
     g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds the channel
@@ -139,8 +139,7 @@ def _replay_projectors(cache, cfg: defense.DefenseConfig) -> list:
     k_mat = delta.swapaxes(-1, -2) @ r.swapaxes(-1, -2) / act.shape[-2]
     w = linalg._unit_scale(defense.channel_weights(k_mat), -1)[0][..., None]
     u, sig, _ = np.linalg.svd(w * k_mat, full_matrices=False)
-    k = defense.rank_rule(sig, cfg.beta, np.linalg.svd(k_mat, compute_uv=False)
-                          if cfg.entropy_source == "unweighted" else None)[0]
+    k = defense.rank_rule(sig, beta)[0]
     u = u * (np.arange(sig.shape[-1]) < k[..., None])[..., None, :]
     a, b, touched = u / w, w * u, k_mat.any(axis=(-2, -1))[..., None, None]
     return [(l, a[i, ..., :p_l, :], b[i, ..., :p_l, :], touched[i])
@@ -153,11 +152,10 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
     Tensors carry a leading restart axis; restart j draws its EOT noise from
     rngs[j]. The prune mask (`masks`, the observed nonzeros) is its own
     pullback; eot and none pull back through the identity. The replay builds
-    every restart's projector a b^T once from the tinynn.backprop `cache`,
-    maps g -> a b^T g and s -> b a^T s (all-zero matrices pass), and under
-    defend_bias "zero" zeroes every bias both ways, as the defender sends it.
-    That pullback holds the projector fixed: it is the adjoint of a b^T, not
-    the derivative of the defense, so finite differences do not check it."""
+    every restart's projector a b^T once from the tinynn.backprop `cache` and
+    maps g -> a b^T g and s -> b a^T s (all-zero matrices pass). That
+    pullback holds the projector fixed: it is the adjoint of a b^T, not the
+    derivative of the defense, so finite differences do not check it."""
     mode = cfg.adaptive
     if mode == "prune_mask":
         def mask(grads):
@@ -169,7 +167,7 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
             dummy = [np.stack([tj + _mean_noise(rng, d, n, tj.shape) for tj, rng in zip(t, rngs)])
                      for t in dummy]
         return dummy, lambda sens: sens
-    projectors = _replay_projectors(cache, cfg.defense)
+    projectors = _replay_projectors(cache, cfg.defense.beta)
 
     def replayed(grads, adjoint: bool):
         ts = list(grads)
@@ -177,8 +175,6 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
             g = ts[2 * l]
             ts[2 * l] = (np.where(touched, b @ (a.swapaxes(-1, -2) @ g), g) if adjoint
                          else a @ (b.swapaxes(-1, -2) @ g))
-        if cfg.defense.defend_bias == "zero":
-            ts[1::2] = map(np.zeros_like, ts[1::2])
         return ts
 
     return replayed(dummy, False), lambda sens: replayed(sens, True)

@@ -347,4 +347,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from svdlab import cli  # the schema resolves annotations in svdlab.cli's globals
+    sys.exit(cli.main())

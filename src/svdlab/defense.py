@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, schema
-from .errors import DegenerateInput, InvalidInput
+from .errors import DegenerateInput, InvalidInput, numerical_failure
 from .tinynn import ModelParams
 
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
@@ -41,10 +41,6 @@ class DefenseConfig:
     prune_rate: float = field(default=0.9, metadata=_RATE)
     dgp_small_rate: float = field(default=0.75, metadata=_RATE)
     dgp_large_rate: float = field(default=0.05, metadata=_RATE)
-    defend_bias: str = field(default="raw", metadata={"choices": ("raw", "zero")})
-    entropy_source: str = field(
-        default="weighted", metadata={"choices": ("weighted", "unweighted")}
-    )
 
     def validate(self) -> list[str]:
         errors = schema.check(self)
@@ -80,24 +76,20 @@ def adaptive_threshold(entropy: float, beta: float) -> float:
     return 1.0 - math.exp(-beta * entropy)
 
 
-def rank_rule(sigma, beta: float, entropy_sigma=None):
+def rank_rule(sigma, beta: float):
     """The defense's entropy -> threshold -> rank rule on descending spectra
     (..., r) stacked on leading axes. H is the Shannon entropy (nats, with
-    0 ln 0 = 0) of the normalized squared entropy_sigma (default sigma), T =
-    adaptive_threshold(H, beta), and k the smallest count whose cumulative
-    squared-sigma fraction strictly exceeds T, at most r, then clamped to the
-    count of sigma > RANK_TOL * max sigma, linalg.svd's own cut: a zero
-    spectrum gets k = 0. Spectra are scaled exactly by powers of two before
-    squaring, so that tiny or huge ones neither underflow nor overflow.
-    Returns (k, H)."""
-    def energy(s):
-        e = np.square(linalg._unit_scale(np.asarray(s, dtype=np.float64), -1)[0])
-        total = e.sum(axis=-1, keepdims=True)
-        return e, np.where(total > 0.0, total, 1.0)
-
+    0 ln 0 = 0) of the normalized squared sigma, T = adaptive_threshold(H,
+    beta), and k the smallest count whose cumulative squared-sigma fraction
+    strictly exceeds T, at most r, then clamped to the count of sigma >
+    RANK_TOL * max sigma, linalg.svd's own cut: a zero spectrum gets k = 0.
+    Spectra are scaled exactly by powers of two before squaring, so that tiny
+    or huge ones neither underflow nor overflow. Returns (k, H)."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    e, total = energy(sigma)
-    tilde = np.divide(*(energy(entropy_sigma) if entropy_sigma is not None else (e, total)))
+    e = np.square(linalg._unit_scale(sigma, -1)[0])
+    total = e.sum(axis=-1, keepdims=True)
+    total = np.where(total > 0.0, total, 1.0)
+    tilde = e / total
     h = -(tilde * np.log(tilde, out=np.zeros_like(tilde), where=tilde > 0.0)).sum(axis=-1)
     t = np.array([adaptive_threshold(x, beta) for x in np.ravel(h).tolist()]).reshape(h.shape)
     k = np.minimum((e.cumsum(axis=-1) / total <= t[..., None]).sum(axis=-1) + 1, e.shape[-1])
@@ -116,12 +108,7 @@ def channel_weights(g: np.ndarray) -> np.ndarray:
     return np.maximum(norms, np.where(top > 0.0, 1e-8 * top, 1e-12))
 
 
-def defend_grad_svd(
-    g: np.ndarray,
-    beta: float,
-    layer_id: int = 0,
-    entropy_source: str = "weighted",
-) -> DefensePacket:
+def defend_grad_svd(g: np.ndarray, beta: float, layer_id: int = 0) -> DefensePacket:
     """Weighted truncation of one gradient matrix (rows = output channels).
 
     Zero matrices take a documented degenerate path: rank-1 zero factors and
@@ -143,11 +130,12 @@ def defend_grad_svd(
             vt_star=np.zeros((1, q)),
             entropy=0.0,
         )
-    factors = linalg.svd(weights[:, None] * g)
+    with numerical_failure("the channel-weighted update"):
+        weighted = weights[:, None] * g
+    factors = linalg.svd(weighted)
     if factors.sigma[0] == 0.0:  # w g underflowed: g is too small to weight
         raise DegenerateInput("all singular values are zero")
-    k, entropy = rank_rule(
-        factors.sigma, beta, linalg.svd(g).sigma if entropy_source == "unweighted" else None)
+    k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(
         layer_id=layer_id,
         kind=KIND_SVD,
@@ -192,10 +180,8 @@ def _defend_tensor(t: np.ndarray, tid: int, cfg: DefenseConfig, rng, carried):
     ids and a bias at odd ones; the carry is None outside dgp."""
     method, carry = cfg.method, None
     if method == "svdefense" and tid % 2 == 0 and t.ndim == 2 and min(t.shape) >= 2:
-        return defend_grad_svd(t, cfg.beta, layer_id=tid, entropy_source=cfg.entropy_source), None
-    if method == "svdefense" and tid % 2 and cfg.defend_bias == "zero":
-        t = np.zeros_like(t)
-    elif method in NOISE_METHODS and cfg.noise_scale > 0.0:
+        return defend_grad_svd(t, cfg.beta, layer_id=tid), None
+    if method in NOISE_METHODS and cfg.noise_scale > 0.0:
         t = t + noise(rng, cfg, t.shape)
     elif method == "prune":
         t = _pruned(t, cfg.prune_rate)

@@ -261,11 +261,9 @@ class TestEngine:
         run_attack(model, observed, 3, cfg, restarts=3)
         assert len(calls) == 25
 
-    @pytest.mark.parametrize("entropy_source, svds", [("weighted", 1), ("unweighted", 2)])
-    def test_replay_factorizations_per_iteration(self, setup, monkeypatch, entropy_source, svds):
+    def test_replay_factorizations_per_iteration(self, setup, monkeypatch):
         # one QR of the activations and one SVD of the weighted K per
-        # iteration (plus a spectrum of K for the unweighted entropy): the
-        # replay never factors a p x q matrix
+        # iteration: the replay never factors a p x q matrix
         model, observed, labels, dcfg = self.observed_for(setup, "defense_replay")
         counts = {"qr": 0, "svd": 0}
         for name in counts:
@@ -274,10 +272,9 @@ class TestEngine:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
-                           label_mode="known", adaptive="defense_replay",
-                           defense=replace(dcfg, entropy_source=entropy_source))
+                           label_mode="known", adaptive="defense_replay", defense=dcfg)
         run_attack(model, observed, 3, cfg, labels=labels, restarts=3)
-        assert counts == {"qr": 25, "svd": 25 * svds}
+        assert counts == {"qr": 25, "svd": 25}
 
     @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
     def test_rejects_bad_restarts(self, setup, restarts):
@@ -340,15 +337,14 @@ class TestAdaptiveTransforms:
                                    defense.reconstruct_packet(pkt), atol=1e-8)
 
     @staticmethod
-    def assert_replay_equals_the_defender(acts, deltas, beta, entropy_source, defend_bias):
+    def assert_replay_equals_the_defender(acts, deltas, beta):
         n = acts[0].shape[-2]
         dummy = tinynn.grads_from_deltas(acts, deltas, n)
-        dcfg = defense.DefenseConfig(method="svdefense", beta=beta, entropy_source=entropy_source,
-                                     defend_bias=defend_bias)
+        dcfg = defense.DefenseConfig(method="svdefense", beta=beta)
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
         cache = (acts, None, None, deltas)
         out, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
-        projectors = attack._replay_projectors(cache, dcfg)
+        projectors = attack._replay_projectors(cache, beta)
         assert [proj[0] for proj in projectors] == [0, 1]
         for j in range(len(acts[0])):  # restart j against the defender's upload of its slice
             sent, _ = defense.defend_update([t[j] for t in dummy], dcfg)
@@ -360,10 +356,9 @@ class TestAdaptiveTransforms:
                                            atol=1e-8 * np.linalg.norm(g))
                 np.testing.assert_array_equal(out[2 * l + 1][j], sent[2 * l + 1].values)
 
-    @pytest.mark.parametrize("entropy_source", ["weighted", "unweighted"])
     @pytest.mark.parametrize("beta", [0.3, 1000.0])  # 1000: T rounds to 1
     @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_stacked_replay_equals_the_defender(self, n, beta, entropy_source):
+    def test_stacked_replay_equals_the_defender(self, n, beta):
         # restart stacks of delta^T act / n on a 32x64 layer and a 4x32 one
         # (p < n at n = 5); restart 1 of the first layer is all zero
         rng = np.random.default_rng(n)
@@ -371,12 +366,10 @@ class TestAdaptiveTransforms:
         deltas = [rng.normal(size=(4, n, p)) for p, _ in shapes]
         acts = [rng.uniform(size=(4, n, q)) for _, q in shapes]
         deltas[0][1] = 0.0
-        for defend_bias in ("raw", "zero"):
-            self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source, defend_bias)
+        self.assert_replay_equals_the_defender(acts, deltas, beta)
 
-    @pytest.mark.parametrize("entropy_source", ["weighted", "unweighted"])
     @pytest.mark.parametrize("case", ["duplicated example", "dead layer", "n > q"])
-    def test_rank_deficient_replay_equals_the_defender(self, case, entropy_source):
+    def test_rank_deficient_replay_equals_the_defender(self, case):
         # a batch holding one example twice (rank(act) < n), a restart whose
         # activations into the second layer are all zero (R = 0), and a
         # batch larger than every layer's input width
@@ -390,9 +383,7 @@ class TestAdaptiveTransforms:
         if case == "dead layer":
             acts[1][2] = 0.0
         for beta in (0.3, 1000.0):
-            for defend_bias in ("raw", "zero"):
-                self.assert_replay_equals_the_defender(acts, deltas, beta, entropy_source,
-                                                       defend_bias)
+            self.assert_replay_equals_the_defender(acts, deltas, beta)
 
     def test_replay_pullback_is_the_adjoint(self):
         # per restart, <P x, y> = <x, P^T y> for the replayed map P of a
@@ -409,7 +400,7 @@ class TestAdaptiveTransforms:
         cache = (acts, None, None, deltas)
         px, pullback = attack._adaptive_view(cfg, None, [], x, cache)
         pty = pullback(y)
-        projectors = attack._replay_projectors(cache, dcfg)
+        projectors = attack._replay_projectors(cache, dcfg.beta)
         for l, _, _, touched in projectors:
             for j in range(4):
                 xs, ys = x[2 * l][j], y[2 * l][j]
@@ -419,14 +410,6 @@ class TestAdaptiveTransforms:
                 else:
                     np.testing.assert_array_equal(pty[2 * l][j], ys)
         assert [t[3].all() for t in projectors] == [False, True]
-        # the zeroed biases are constant: their sensitivities pull back to zero
-        _, zero_pullback = attack._adaptive_view(
-            replace(cfg, defense=replace(dcfg, defend_bias="zero")), None, [], x, cache)
-        zeroed = zero_pullback(y)
-        for t, z in zip(pty[::2], zeroed[::2]):
-            np.testing.assert_array_equal(z, t)
-        for t, z in zip(pty[1::2], zeroed[1::2]):
-            np.testing.assert_array_equal(z, np.zeros_like(t))
 
     def test_eot_noise_variance_shrinks(self):
         # averaging n draws leaves variance sigma^2 / n

@@ -131,6 +131,9 @@ class TestConfigSchema:
         "defense_seed": ({"fl.defense.seed": 1}, "fl.defense.seed"),
         "attack_seed": ({"attack.seed": 1}, "attack.seed"),
         "attack_defense": ({"attack.defense": {"method": "none"}}, "attack.defense"),
+        "defend_bias_removed": ({"fl.defense.defend_bias": "raw"}, "fl.defense.defend_bias"),
+        "entropy_source_removed": ({"fl.defense.entropy_source": "weighted"},
+                                   "fl.defense.entropy_source"),
         "section_not_object": ({"fl.defense": "svdefense"}, "fl.defense"),
         "model_not_object": ({"model": [32]}, "model"),
         "unknown_nested": ({"model.depth": 2}, "model.depth"),
@@ -312,6 +315,18 @@ class TestExitCodes:
         assert self.attack_scaled_checkpoint(tmp_path, 1e-170, {}) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+    def test_overflowing_weighted_update_exits_3(self, tmp_path, capsys):
+        # a step of 1e100 leaves finite gradients whose channel-weighted
+        # product w g overflows before the defense can factor it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"fl": {"rounds": 1, "local_lr": 1e100,
+                                           "defense": {"method": "svdefense"}}}))
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "channel-weighted update" in lines[0]
 
     def test_overflowing_eval_exits_3(self, tmp_path, capsys):
         # noise of scale 1e300 aggregates to weights near 1e300, and the
@@ -507,6 +522,24 @@ class TestBlasThreads:
                             for p in sorted(out.rglob("*")) if p.is_file()})
         assert len(outputs[0]) == 9  # rounds.csv, model.bin, attack.csv, 3 dumps per victim
         assert outputs[0] == outputs[1]
+
+
+class TestMainModule:
+    def test_profiled_run_writes_what_the_plain_run_writes(self, tmp_path):
+        # under cProfile the run's __main__ is the profiler's, not cli.py's
+        path = write_config(tmp_path, {"fl.rounds": 1})
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("SVDLAB_SEED", None)
+        subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "prof.out"),
+                        "-m", "svdlab.cli", "train", "--config", path,
+                        "--out", str(tmp_path / "profiled")],
+                       env=env, check=True, capture_output=True, timeout=60)
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "plain")]) == 0
+        for name in ("rounds.csv", "model.bin"):
+            assert ((tmp_path / "profiled" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
 
 
 class TestOutputContainment:
