@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defense, linalg, schema, tinynn
-from .errors import InvalidConfig, UndeterminedLabel, numerical_failure
-from .tinynn import KIND_RELU, ModelParams
+from .errors import InvalidConfig, NumericalFailure, UndeterminedLabel, numerical_failure
+from .tinynn import ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
 ADAPTIVE_MODES = ("none", "prune_mask", "eot", "defense_replay")
@@ -201,11 +201,8 @@ def _input_label_grads(params: ModelParams, cache, sens: list):
     d_delta = []
     for l in range(n_layers):
         direct = (acts[l] @ sens[2 * l].swapaxes(-1, -2) + sens[2 * l + 1][..., None, :]) / n
-        if l > 0:
-            prev = d_delta[l - 1]
-            if params.layers[l - 1].kind == KIND_RELU:
-                prev = prev * (preacts[l - 1] > 0.0)
-            direct = direct + prev @ params.layers[l].weight.T
+        if l > 0:  # the layer below is hidden: ReLU
+            direct = direct + (d_delta[l - 1] * (preacts[l - 1] > 0.0)) @ params.layers[l].weight.T
         d_delta.append(direct)
 
     # softmax head: delta_L = probs - y
@@ -219,10 +216,7 @@ def _input_label_grads(params: ModelParams, cache, sens: list):
         d_act = d_z @ params.layers[l].weight + (deltas[l] @ sens[2 * l]) / n
         if l == 0:
             return d_act, dy
-        if params.layers[l - 1].kind == KIND_RELU:
-            d_z = d_act * (preacts[l - 1] > 0.0)
-        else:
-            d_z = d_act
+        d_z = d_act * (preacts[l - 1] > 0.0)
 
 
 def _tv_value_grad(x: np.ndarray, side: int):
@@ -262,8 +256,9 @@ def run_attack(
     """Reconstruct the `batch` inputs behind one client's upload, the packet
     list that the server's own defense.packets_to_gradset decodes for
     `params`. `labels` must be given in 'known' mode (an int, or one int
-    per slot). Inputs are clamped to [0, 1] after every step. An iteration
-    that overflows raises NumericalFailure.
+    per slot). Inputs are clamped to [0, 1] after every step. An upload that
+    decodes to non-finite values, or an iteration that overflows, raises
+    NumericalFailure.
 
     Restart j, seeded with cfg.seed + 1000 * j, runs as slice j of a leading
     axis of every array and computes exactly what it would alone; the result
@@ -276,6 +271,8 @@ def run_attack(
     if errors:
         raise InvalidConfig("; ".join(errors))
     observed = defense.packets_to_gradset(upload, params)
+    if not all(np.isfinite(t).all() for t in observed):
+        raise NumericalFailure("the decoded upload holds non-finite values")
     dim, num_classes = params.input_dim, params.num_classes
     warnings: list[str] = []
     label_mode = cfg.label_mode

@@ -181,8 +181,7 @@ def aggregate(global_params: ModelParams, updates: list[ClientUpdate]) -> tuple[
     weights = {tid: aggregation_weights(updates, tid) for tid in range(n_tensors)}
     new = [t - sum(w * g[tid] for w, g in zip(weights[tid], grads))
            for tid, t in enumerate(global_params.tensors())]
-    return ModelParams([tinynn.LayerParams(w, b, layer.kind) for w, b, layer
-                        in zip(new[::2], new[1::2], global_params.layers)]), weights
+    return ModelParams([tinynn.LayerParams(w, b) for w, b in zip(new[::2], new[1::2])]), weights
 
 
 def _split_idx_dataset(ds: data_mod.Dataset, per_class_test: int):

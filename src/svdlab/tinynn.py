@@ -1,10 +1,10 @@
 """Small dense classifier with explicit forward/backward passes.
 
-The model is a chain of fully connected layers (optionally ReLU-activated)
-ending in a softmax cross-entropy output. Gradients are computed by hand so
-that (a) they can be checked against finite differences and (b) the attack
-engine can differentiate *through* the gradient computation without an
-autodiff framework.
+The model is a chain of fully connected layers: every layer but the last is
+ReLU-activated, and the last is the softmax cross-entropy output. Gradients
+are computed by hand so that (a) they can be checked against finite
+differences and (b) the attack engine can differentiate *through* the
+gradient computation without an autodiff framework.
 
 All functions are pure: parameters in, new values out.
 """
@@ -18,20 +18,18 @@ import numpy as np
 
 from .errors import InvalidInput, UndeterminedLabel, numerical_failure
 
-KIND_DENSE = "dense"
-KIND_RELU = "dense-relu"
-KIND_OUTPUT = "dense-softmax-output"
-_KIND_CODES = {KIND_DENSE: 0, KIND_RELU: 1, KIND_OUTPUT: 2}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-
 MODEL_MAGIC = b"SVDLAB-MODEL-v1\n"
+
+
+def _kind_code(l: int, n_layers: int) -> int:
+    """Checkpoint kind byte of layer l: 1 hidden (dense + ReLU), 2 the output."""
+    return 2 if l == n_layers - 1 else 1
 
 
 @dataclass
 class LayerParams:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    kind: str
 
     @property
     def out_dim(self) -> int:
@@ -54,8 +52,6 @@ class ModelParams:
                 raise InvalidInput(
                     f"layer dims do not chain: {prev.out_dim} -> {cur.in_dim}"
                 )
-        if self.layers[-1].kind != KIND_OUTPUT:
-            raise InvalidInput("final layer must be the softmax output layer")
 
     @property
     def input_dim(self) -> int:
@@ -81,14 +77,8 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, seed: int = 0) -> 
     """
     rng = np.random.default_rng(seed)
     dims = [input_dim, *hidden_dims, num_classes]
-    layers = []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
-        b = np.zeros(fan_out)
-        kind = KIND_OUTPUT if i == len(dims) - 2 else KIND_RELU
-        layers.append(LayerParams(w, b, kind))
-    return ModelParams(layers)
+    return ModelParams([LayerParams(rng.normal(0.0, 1.0 / np.sqrt(i), size=(o, i)), np.zeros(o))
+                        for i, o in zip(dims, dims[1:])])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -109,18 +99,11 @@ def forward_batch(params: ModelParams, x: np.ndarray):
         raise InvalidInput(
             f"batch shape {x.shape} does not match input dim {params.input_dim}"
         )
-    activations = [x]
-    preacts = []
-    cur = x
+    activations, preacts = [x], []
     for layer in params.layers:
-        z = cur @ layer.weight.T + layer.bias
-        preacts.append(z)
-        if layer.kind == KIND_RELU:
-            cur = np.maximum(z, 0.0)
-        else:
-            cur = z
-        if layer is not params.layers[-1]:
-            activations.append(cur)
+        if preacts:  # the layer before is hidden: ReLU
+            activations.append(np.maximum(preacts[-1], 0.0))
+        preacts.append(activations[-1] @ layer.weight.T + layer.bias)
     return preacts[-1], activations, preacts
 
 
@@ -130,10 +113,7 @@ def deltas_from_forward(params: ModelParams, preacts, probs: np.ndarray, y: np.n
     deltas = [None] * n_layers
     deltas[-1] = probs - y
     for l in range(n_layers - 2, -1, -1):
-        back = deltas[l + 1] @ params.layers[l + 1].weight
-        if params.layers[l].kind == KIND_RELU:
-            back = back * (preacts[l] > 0.0)
-        deltas[l] = back
+        deltas[l] = (deltas[l + 1] @ params.layers[l + 1].weight) * (preacts[l] > 0.0)
     return deltas
 
 
@@ -172,7 +152,7 @@ def sgd_step(params: ModelParams, grads: list, lr: float) -> ModelParams:
     if lr <= 0.0:
         raise InvalidInput("learning rate must be positive")
     return ModelParams([
-        LayerParams(lp.weight - lr * grads[2 * l], lp.bias - lr * grads[2 * l + 1], lp.kind)
+        LayerParams(lp.weight - lr * grads[2 * l], lp.bias - lr * grads[2 * l + 1])
         for l, lp in enumerate(params.layers)
     ])
 
@@ -212,12 +192,9 @@ def save_model(params: ModelParams, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(params.layers)))
-        for layer in params.layers:
-            fh.write(
-                struct.pack(
-                    "<BII", _KIND_CODES[layer.kind], layer.out_dim, layer.in_dim
-                )
-            )
+        for l, layer in enumerate(params.layers):
+            fh.write(struct.pack("<BII", _kind_code(l, len(params.layers)), layer.out_dim,
+                                 layer.in_dim))
             fh.write(layer.weight.astype("<f8").tobytes())
             fh.write(layer.bias.astype("<f8").tobytes())
 
@@ -239,15 +216,16 @@ def load_model(path) -> ModelParams:
         raise InvalidInput(f"{path}: not a model checkpoint (bad magic)")
     (n_layers,) = struct.unpack("<I", take(4))
     layers = []
-    for _ in range(n_layers):
+    for l in range(n_layers):
         code, out_dim, in_dim = struct.unpack("<BII", take(9))
-        if code not in _CODE_KINDS:
-            raise InvalidInput(f"{path}: unknown layer kind code {code}")
+        if code != _kind_code(l, n_layers) or not out_dim or not in_dim:
+            raise InvalidInput(f"{path}: layer {l} is {out_dim}x{in_dim} with kind code {code}; "
+                               f"it must be at least 1x1 with code {_kind_code(l, n_layers)}")
         w = np.frombuffer(take(8 * out_dim * in_dim), dtype="<f8").reshape(out_dim, in_dim)
         b = np.frombuffer(take(8 * out_dim), dtype="<f8")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise InvalidInput(f"{path}: layer {len(layers)} holds non-finite values")
-        layers.append(LayerParams(w.astype(np.float64), b.astype(np.float64), _CODE_KINDS[code]))
+            raise InvalidInput(f"{path}: layer {l} holds non-finite values")
+        layers.append(LayerParams(w.astype(np.float64), b.astype(np.float64)))
     if pos != len(blob):
         raise InvalidInput(f"{path}: {len(blob) - pos} bytes follow the last layer")
     return ModelParams(layers)

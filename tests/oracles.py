@@ -160,7 +160,7 @@ def fedavg_reference(model, ds, shards, selections, lr, batch_size, epochs, seed
             dw = sum(w * upd[li][0] for w, upd in zip(weights, updates))
             db = sum(w * upd[li][1] for w, upd in zip(weights, updates))
             new_layers.append(
-                tinynn.LayerParams(layer.weight - dw, layer.bias - db, layer.kind)
+                tinynn.LayerParams(layer.weight - dw, layer.bias - db)
             )
         model = tinynn.ModelParams(new_layers)
     return model

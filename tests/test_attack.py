@@ -73,18 +73,21 @@ class TestGradDistance:
             grad_distance(g, g, "manhattan")
 
 
-FD_CASES = [(m, a) for a in ("none", "prune_mask", "eot") for m in attack.DISTANCES]
+FD_CASES = [(m, a, h) for h in ([7], [7, 5]) for a in ("none", "prune_mask", "eot")
+            for m in attack.DISTANCES]
 
 
 class TestInputGradients:
-    @pytest.mark.parametrize("metric, adaptive", FD_CASES,
-                             ids=[m if a == "none" else f"{m}-{a}" for m, a in FD_CASES])
-    def test_matches_finite_differences(self, metric, adaptive):
+    @pytest.mark.parametrize("metric, adaptive, hidden", FD_CASES,
+                             ids=[m + ("" if a == "none" else f"-{a}") + ("-7-5" if h[1:] else "")
+                                  for m, a, h in FD_CASES])
+    def test_matches_finite_differences(self, metric, adaptive, hidden):
         # the replay is left out: its pullback holds the projector fixed, so
         # it is an adjoint (test_replay_pullback_is_the_adjoint), not this
-        # derivative
+        # derivative. Two hidden layers put a hidden-to-hidden ReLU mask in
+        # both chains of _input_label_grads
         rng = np.random.default_rng(7)
-        model = tinynn.init_model(10, [7], 4, seed=2)
+        model = tinynn.init_model(10, hidden, 4, seed=2)
         x = rng.uniform(0, 1, (1, 3, 10))  # a one-restart leading axis
         y = tinynn._softmax(rng.normal(size=(1, 3, 4)))
         obs_y = np.zeros((3, 4))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -274,6 +275,34 @@ class TestExitCodes:
         assert rc == 2
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
+    # (layer widths, kind bytes, the layer at fault) of an all-zero
+    # checkpoint; save_model codes hidden layers 1 (dense + ReLU) and the
+    # last 2 (softmax output), and writes no zero-width layer
+    LAYER_HEADERS = {
+        "hidden_linear": ([64, 16, 8, 4], [0, 1, 2], 0),
+        "hidden_output": ([64, 16, 8, 4], [1, 2, 2], 1),
+        "output_linear": ([64, 16, 8, 4], [1, 1, 0], 2),
+        "output_relu": ([64, 16, 8, 4], [1, 1, 1], 2),
+        "output_unknown": ([64, 16, 8, 4], [1, 1, 3], 2),
+        "zero_width": ([64, 16, 0, 4], [1, 1, 2], 1),
+    }
+
+    @pytest.mark.parametrize("case", LAYER_HEADERS)
+    def test_bad_layer_header_exits_2(self, tmp_path, capsys, case):
+        dims, codes, layer = self.LAYER_HEADERS[case]
+        blob = tinynn.MODEL_MAGIC + struct.pack("<I", len(codes))
+        for i, o, code in zip(dims, dims[1:], codes):
+            blob += struct.pack("<BII", code, o, i) + bytes(8 * (o * i + o))
+        ckpt = tmp_path / "model.bin"
+        ckpt.write_bytes(blob)
+        path = write_config(tmp_path)
+        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
+                       "--model", str(ckpt)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert f"layer {layer}" in lines[0]
+        assert not (tmp_path / "o" / "attack.csv").exists()
 
     @pytest.mark.parametrize("classes", [2, 6])
     def test_checkpoint_of_other_class_count_exits_2(self, tmp_path, capsys, classes):
@@ -358,6 +387,20 @@ class TestExitCodes:
         assert self.attack_scaled_checkpoint(tmp_path, 1e200, {}) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert not (tmp_path / "o" / "attack.csv").exists()
+
+    @pytest.mark.parametrize("method, distance", [("dp_gauss", "neg_cosine_layerwise"),
+                                                  ("dp_lap", "l2")])
+    def test_overflowing_victim_noise_exits_3(self, tmp_path, capsys, recwarn, method, distance):
+        # noise of scale 1e308 draws infinities into the victim's upload
+        path = write_config(tmp_path, {"fl.defense": {"method": method, "noise_scale": 1e308},
+                                       "attack.distance": distance, "attack.iterations": 5})
+        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "upload" in lines[0]
+        assert not list(recwarn)
         assert not (tmp_path / "o" / "attack.csv").exists()
 
     def test_overflowing_attack_step_exits_3(self, tmp_path, capsys):
@@ -585,8 +628,6 @@ class TestAttackOrderings:
 class TestIdxDataset:
     @staticmethod
     def write_idx(tmp_path, n=60, side=8, cut_images=0, cut_labels=0, label_values=(0, 1, 2)):
-        import struct
-
         import numpy as np
 
         rng = np.random.default_rng(0)

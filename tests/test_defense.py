@@ -32,7 +32,7 @@ def gradset_from(tensors):
 def model_like(grads):
     """A model whose tensors have the shapes of the one-layer `grads`."""
     w, b = grads
-    return tinynn.ModelParams([tinynn.LayerParams(w, b, tinynn.KIND_OUTPUT)])
+    return tinynn.ModelParams([tinynn.LayerParams(w, b)])
 
 
 def defended(grads, cfg, **kwargs):

@@ -362,7 +362,7 @@ class TestRunExperiment:
     def test_raw_upload_bytes_is_the_dense_size(self, tiny_setup):
         # the baseline counts every value, zero or not: init_model's biases are 0
         *_, model = tiny_setup
-        shifted = tinynn.ModelParams([tinynn.LayerParams(l.weight, l.bias + 1.0, l.kind)
+        shifted = tinynn.ModelParams([tinynn.LayerParams(l.weight, l.bias + 1.0)
                                       for l in model.layers])
         assert not any(l.bias.any() for l in model.layers)
         dense = sum(21 + 8 * t.size for t in model.tensors())

@@ -185,17 +185,28 @@ def test_random_bytes_parse_or_raise_invalid_input(blob):
 
 _MODEL = tinynn.init_model(6, [3], 2, seed=0)
 _OTHER = tinynn.init_model(6, [4], 2, seed=0)  # the same tensor ids, other shapes
+_CHECKPOINT = tinynn.init_model(4, [3, 2], 2, seed=0)  # two hidden layers: three headers
 
 
 @st.composite
 def _damaged_checkpoints(draw, blob: bytes):
-    """`blob` cut short, with 1-4 of its bytes overwritten, or extended."""
-    how = draw(st.sampled_from(["truncated", "mutated", "extended"]))
+    """`blob`, the _CHECKPOINT file, cut short, with one field of a layer
+    header (kind byte, out_dim or in_dim) rewritten, with 1-4 of its bytes
+    overwritten, or extended."""
+    how = draw(st.sampled_from(["truncated", "header", "mutated", "extended"]))
     if how == "truncated":
         return blob[: draw(st.integers(0, len(blob) - 1))]
     if how == "extended":
         return blob + draw(st.binary(min_size=1, max_size=24))
     out = bytearray(blob)
+    if how == "header":
+        at = len(tinynn.MODEL_MAGIC) + 4
+        for layer in _CHECKPOINT.layers[: draw(st.integers(0, len(_CHECKPOINT.layers) - 1))]:
+            at += 9 + 8 * (layer.weight.size + layer.bias.size)
+        offset, fmt, top = draw(st.sampled_from([(0, "<B", 255), (1, "<I", 2**32 - 1),
+                                                 (5, "<I", 2**32 - 1)]))
+        struct.pack_into(fmt, out, at + offset, draw(st.integers(0, 4) | st.integers(0, top)))
+        return bytes(out)
     for at, value in draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
                                    min_size=1, max_size=4)):
         out[at] = value
@@ -205,7 +216,7 @@ def _damaged_checkpoints(draw, blob: bytes):
 @pytest.fixture(scope="module")
 def checkpoint_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("checkpoints")
-    tinynn.save_model(_MODEL, path / "good.bin")
+    tinynn.save_model(_CHECKPOINT, path / "good.bin")
     return path
 
 
@@ -314,9 +325,7 @@ def _uploads(draw):
     shapes = [(h, d), (h,), (c, h), (c,)]
     grads, carry = ([draw(arrays(np.float64, shape, elements=entries)) for shape in shapes]
                     for _ in range(2))
-    params = tinynn.ModelParams([tinynn.LayerParams(w, b, kind) for w, b, kind
-                                 in zip(grads[::2], grads[1::2],
-                                        (tinynn.KIND_RELU, tinynn.KIND_OUTPUT))])
+    params = tinynn.ModelParams([tinynn.LayerParams(w, b) for w, b in zip(grads[::2], grads[1::2])])
     return params, grads, carry
 
 

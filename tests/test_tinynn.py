@@ -7,8 +7,6 @@ from oracles import max_relative_grad_error, numeric_gradients
 from svdlab import tinynn
 from svdlab.errors import InvalidInput, UndeterminedLabel
 from svdlab.tinynn import (
-    KIND_OUTPUT,
-    KIND_RELU,
     LayerParams,
     ModelParams,
     forward_batch,
@@ -33,12 +31,12 @@ def random_batch(rng, model, n):
 
 class TestForward:
     def test_zero_params_zero_logits(self):
-        model = ModelParams([LayerParams(np.zeros((3, 5)), np.zeros(3), KIND_OUTPUT)])
+        model = ModelParams([LayerParams(np.zeros((3, 5)), np.zeros(3))])
         logits, _, _ = forward_batch(model, np.ones((1, 5)))
         np.testing.assert_array_equal(logits, np.zeros((1, 3)))
 
     def test_identity_layer(self):
-        model = ModelParams([LayerParams(np.eye(4), np.zeros(4), KIND_OUTPUT)])
+        model = ModelParams([LayerParams(np.eye(4), np.zeros(4))])
         v = np.array([[0.1, -0.2, 0.7, 0.0]])
         logits, _, _ = forward_batch(model, v)
         np.testing.assert_allclose(logits, v)
@@ -49,7 +47,7 @@ class TestForward:
         w2 = np.array([[1.0, 1.0], [-1.0, 0.0]])
         b2 = np.array([0.0, 0.5])
         model = ModelParams(
-            [LayerParams(w1, b1, KIND_RELU), LayerParams(w2, b2, KIND_OUTPUT)]
+            [LayerParams(w1, b1), LayerParams(w2, b2)]
         )
         x = np.array([[2.0, 1.0]])
         # z1 = (1.25, 2.0) -> relu passthrough; logits = (3.25, -0.75)
@@ -85,22 +83,29 @@ class TestForward:
         with pytest.raises(InvalidInput):
             ModelParams(
                 [
-                    LayerParams(np.zeros((4, 8)), np.zeros(4), KIND_RELU),
-                    LayerParams(np.zeros((3, 5)), np.zeros(3), KIND_OUTPUT),
+                    LayerParams(np.zeros((4, 8)), np.zeros(4)),
+                    LayerParams(np.zeros((3, 5)), np.zeros(3)),
                 ]
             )
 
 
 class TestLossAndGrad:
     def test_uniform_logits_loss(self):
-        model = ModelParams([LayerParams(np.zeros((4, 6)), np.zeros(4), KIND_OUTPUT)])
+        model = ModelParams([LayerParams(np.zeros((4, 6)), np.zeros(4))])
         rng = np.random.default_rng(0)
         loss, _ = loss_and_grad(model, *random_batch(rng, model, 5))
         assert loss == pytest.approx(np.log(4.0))
 
     def test_gradients_match_finite_differences(self):
+        self.check_finite_differences(small_model(seed=3))
+
+    def test_gradients_match_finite_differences_through_two_hidden_layers(self):
+        # 8 -> 6 -> 5 -> 3: the hidden-to-hidden ReLU mask is in the chain
+        self.check_finite_differences(init_model(8, [6, 5], 3, seed=3))
+
+    @staticmethod
+    def check_finite_differences(model):
         rng = np.random.default_rng(5)
-        model = small_model(seed=3)
         assert model.num_params() <= 200
         batch = random_batch(rng, model, 4)
         _, grads = loss_and_grad(model, *batch)
@@ -144,7 +149,7 @@ class TestLossAndGrad:
 
 class TestSgdStep:
     def test_update_values(self):
-        model = ModelParams([LayerParams(np.ones((1, 1)), np.zeros(1), KIND_OUTPUT)])
+        model = ModelParams([LayerParams(np.ones((1, 1)), np.zeros(1))])
         new = sgd_step(model, [np.full((1, 1), 0.5), np.zeros(1)], 0.1)
         assert new.layers[0].weight[0, 0] == pytest.approx(0.95)
 
@@ -215,7 +220,8 @@ class TestCheckpoint:
         for a, b in zip(model.layers, loaded.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
             np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.kind == b.kind
+        tinynn.save_model(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_magic_header(self, tmp_path):
         path = tmp_path / "junk.bin"
