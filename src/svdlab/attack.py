@@ -37,7 +37,6 @@ class AttackConfig:
     distance: str = field(default="l2", metadata={"choices": DISTANCES})
     iterations: int = field(default=1000, metadata={"ge": 1})
     lr: float = field(default=0.1, metadata={"gt": 0})
-    tv_weight: float = field(default=0.0, metadata={"ge": 0})
     label_mode: str = field(default="known", metadata={"choices": LABEL_MODES})
     adaptive: str = field(default="none", metadata={"choices": ADAPTIVE_MODES})
     eot_samples: int = field(default=1, metadata={"ge": 1})
@@ -219,25 +218,6 @@ def _input_label_grads(params: ModelParams, cache, sens: list):
         d_z = d_act * (preacts[l - 1] > 0.0)
 
 
-def _tv_value_grad(x: np.ndarray, side: int):
-    """Anisotropic total variation of each (..., n, D) image batch, one value
-    per leading index, and its subgradient."""
-    lead = x.shape[:-2]
-    imgs = x.reshape(*x.shape[:-1], side, side)
-    dh = imgs[..., :, 1:] - imgs[..., :, :-1]
-    dv = imgs[..., 1:, :] - imgs[..., :-1, :]
-    value = (np.sum(np.abs(dh).reshape(*lead, -1), axis=-1)
-             + np.sum(np.abs(dv).reshape(*lead, -1), axis=-1))
-    grad = np.zeros_like(imgs)
-    sh = np.sign(dh)
-    sv = np.sign(dv)
-    grad[..., :, 1:] += sh
-    grad[..., :, :-1] -= sh
-    grad[..., 1:, :] += sv
-    grad[..., :-1, :] -= sv
-    return value, grad.reshape(x.shape)
-
-
 def _adam(p, g, m, v, t: int, lr: float):
     """One Adam step on p; returns the new (p, m, v)."""
     m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
@@ -304,9 +284,6 @@ def run_attack(
     units = _unit_vectors(observed)
     m_x = v_x = m_l = v_l = 0.0
 
-    side = int(round(np.sqrt(dim)))
-    use_tv = cfg.tv_weight > 0.0 and side * side == dim
-
     trace = np.empty((restarts, cfg.iterations))
     best_loss = np.full(restarts, np.inf)
     best_it = np.zeros(restarts, dtype=np.int64)
@@ -320,9 +297,6 @@ def run_attack(
             dummy, cache = tinynn.backprop(params, x, y)
             view, pullback = _adaptive_view(cfg, masks, rngs, dummy, cache)
             loss, sens = _distance_with_sens(observed, view, cfg.distance, units)
-            if use_tv:
-                tv_val, tv_grad = _tv_value_grad(x, side)
-                loss = loss + cfg.tv_weight * tv_val
 
             trace[:, it] = loss
             better = loss < best_loss
@@ -330,8 +304,6 @@ def run_attack(
             best_x[better], best_logits[better] = x[better], label_logits[better]
 
             gx, gy = _input_label_grads(params, cache, pullback(sens))
-            if use_tv:
-                gx = gx + cfg.tv_weight * tv_grad
 
             x, m_x, v_x = _adam(x, gx, m_x, v_x, it + 1, cfg.lr)
             np.clip(x, 0.0, 1.0, out=x)

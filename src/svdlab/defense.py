@@ -304,9 +304,10 @@ def _raw_values(blob: bytes, code: int, n: int, k: int) -> np.ndarray:
 
 def deserialize_packet(blob: bytes) -> DefensePacket:
     """Inverse of serialize_packet, which it accepts only in the form
-    serialize_packet writes; any malformed or non-canonical blob, svd channel
-    weights that are not finite and positive, or an svd entropy outside [0,
-    ln(min(p, q))] (relative slack 1e-12), raise InvalidInput."""
+    serialize_packet writes; any malformed or non-canonical blob, a raw NaN,
+    svd channel weights that are not finite and positive, svd factors that
+    are not finite, or an svd entropy outside [0, ln(min(p, q))] (relative
+    slack 1e-12), raise InvalidInput."""
     if len(blob) < _HEADER_BYTES or struct.unpack_from("<I", blob, 0)[0] != len(blob):
         raise InvalidInput("packet length prefix does not match payload")
     layer_id, code, p, q, k = struct.unpack_from("<IBIII", blob, 4)
@@ -319,14 +320,17 @@ def deserialize_packet(blob: bytes) -> DefensePacket:
     if len(blob) - _HEADER_BYTES != size or (code == _KIND_CODES[KIND_RAW] and k != 0):
         raise InvalidInput(f"packet payload does not hold the {size} bytes it declares")
     if kind == KIND_RAW:
-        shape = (p, q) if q > 0 else (p,)
-        return DefensePacket(layer_id=layer_id, kind=kind, orig_shape=shape,
-                             values=_raw_values(blob, code, n, k))
+        shape, values = (p, q) if q > 0 else (p,), _raw_values(blob, code, n, k)
+        if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
+            raise InvalidInput("raw packet holds a NaN")
+        return DefensePacket(layer_id=layer_id, kind=kind, orig_shape=shape, values=values)
     body = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES).copy()
     at_sigma = p + p * k  # after the diag and u_star
     at_vt, at_entropy = at_sigma + k, at_sigma + k + k * q
     if not np.all((body[:p] > 0.0) & (body[:p] < np.inf)):
         raise InvalidInput("svd packet channel weights must be finite and positive")
+    if not np.isfinite(body[p:at_entropy]).all():
+        raise InvalidInput("svd packet factors must be finite")
     if not (min(p, q) and 0.0 <= body[at_entropy] <= math.log(min(p, q)) * (1 + 1e-12)):
         raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
     return DefensePacket(

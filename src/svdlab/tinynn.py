@@ -173,18 +173,14 @@ def infer_label_from_grads(grads: list) -> int:
     return int(negatives[0])
 
 
-def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    logits, _, _ = forward_batch(params, np.atleast_2d(x))
-    return np.argmax(logits, axis=1)
-
-
 def accuracy(params: ModelParams, x, labels) -> float:
     """Fraction of the rows of x (n, D) predicted as their labels (n,). A
     forward pass that overflows raises NumericalFailure."""
     if not len(labels):
         raise InvalidInput("empty evaluation set")
     with numerical_failure("the forward pass of the evaluation set"):
-        return float(np.mean(predict(params, x) == labels))
+        logits, _, _ = forward_batch(params, np.atleast_2d(x))
+        return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def save_model(params: ModelParams, path) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from svdlab import cli, tinynn
+from svdlab import cli, schema, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
 from svdlab.flsim import DataConfig, FlConfig
@@ -135,6 +135,7 @@ class TestConfigSchema:
         "defend_bias_removed": ({"fl.defense.defend_bias": "raw"}, "fl.defense.defend_bias"),
         "entropy_source_removed": ({"fl.defense.entropy_source": "weighted"},
                                    "fl.defense.entropy_source"),
+        "tv_weight_removed": ({"attack.tv_weight": 0.0}, "attack.tv_weight"),
         "section_not_object": ({"fl.defense": "svdefense"}, "fl.defense"),
         "model_not_object": ({"model": [32]}, "model"),
         "unknown_nested": ({"model.depth": 2}, "model.depth"),
@@ -217,6 +218,15 @@ class TestConfigSchema:
         spec, errors = cli.load_spec(str(tmp_path / "readme.json"))
         assert errors == []
         assert spec == replace(cli.ExperimentSpec(), attack=AttackConfig(defense=DefenseConfig()))
+
+        def leaves(node, where=()):
+            return {path for key, value in node.items()
+                    for path in (leaves(value, where + (key,)) if isinstance(value, dict)
+                                 else [where + (key,)])}
+        # the README names every settable key, not only keys that still exist
+        settable = {path for path, kind in schema._layout(cli.ExperimentSpec).items()
+                    if kind == "leaf"}
+        assert leaves(json.loads(block)) == settable and len(settable) == 32
 
         spec, errors = cli.load_spec(write_config(tmp_path))
         assert errors == []
@@ -404,12 +414,12 @@ class TestExitCodes:
         assert not (tmp_path / "o" / "attack.csv").exists()
 
     def test_overflowing_attack_step_exits_3(self, tmp_path, capsys):
-        # a total-variation weight of 1e300 overflows Adam's second moment
-        path = write_config(tmp_path, {"attack.tv_weight": 1e300, "attack.iterations": 5})
-        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o")])
+        # weights near 1e100 give a finite victim gradient, but the l2
+        # distance's gradient through the dummy pass overflows
+        assert self.attack_scaled_checkpoint(tmp_path, 1e100, {"attack.distance": "l2"}) == 3
         lines = capsys.readouterr().err.splitlines()
-        assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "an attack iteration" in lines[0]
         assert not (tmp_path / "o" / "attack.csv").exists()
 
     def test_svd_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):

@@ -361,6 +361,28 @@ class TestPacketTransport:
         with pytest.raises(InvalidInput):
             deserialize_packet(serialize_packet(pkt))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("factor", ["u_star", "sigma_star", "vt_star"])
+    def test_rejects_svd_factors_not_finite(self, factor, bad):
+        # a forged factor decodes to a non-finite tensor in the aggregate
+        pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
+        getattr(pkt, factor).flat[-1] = bad
+        with pytest.raises(InvalidInput, match="factors"):
+            deserialize_packet(serialize_packet(pkt))
+
+    @pytest.mark.parametrize("at", [0, 1, 4])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_rejects_a_raw_nan_and_keeps_infinities(self, form, at):
+        values = SPARSE_TEN.copy() if form == "sparse" else np.arange(1.0, 11.0)
+        values[at] = np.inf  # noise of scale 1e308 draws these honestly
+        values[at + 2] = -np.inf
+        blob = serialize_packet(raw_packet(values))
+        assert blob[8] == (2 if form == "sparse" else 0)
+        assert deserialize_packet(blob).values.tobytes() == values.tobytes()
+        values[at] = np.nan
+        with pytest.raises(InvalidInput, match="NaN"):
+            deserialize_packet(serialize_packet(raw_packet(values)))
+
     @pytest.mark.parametrize("entropy", [np.nan, np.inf, -np.inf, -3.0, -1e-300, 1e300,
                                          math.log(4) * (1 + 1e-11)])
     def test_rejects_svd_entropy_outside_its_range(self, entropy):

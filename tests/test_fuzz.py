@@ -146,6 +146,10 @@ def test_raw_packets_travel_bit_exact_in_the_shorter_form(values, extra, cut, fl
                                    values=values.ravel())
     good = defense.serialize_packet(packet)
     stored = values.ravel().view(np.uint64) != 0  # -0.0 is stored, +0.0 is not
+    if np.isnan(values).any():  # no honest upload holds one, so no form parses
+        with pytest.raises(InvalidInput, match="NaN"):
+            defense.deserialize_packet(good)
+        return
     back = defense.deserialize_packet(good)
     assert back.orig_shape == values.shape and back.values.tobytes() == values.tobytes()
     # of the dense form, the sparse form, a sparse form that also stores
