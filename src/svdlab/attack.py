@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import defense, linalg, schema, tinynn
-from .errors import InvalidConfig, NumericalFailure, UndeterminedLabel, numerical_failure
+from .errors import InvalidConfig, NumericalFailure, numerical_failure
 from .tinynn import ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
 ADAPTIVE_MODES = ("none", "prune_mask", "eot", "defense_replay")
-LABEL_MODES = ("known", "inferred", "optimized")
+LABEL_MODES = ("known", "optimized")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -62,13 +62,12 @@ class AttackConfig:
 
 @dataclass
 class AttackResult:
-    label: int  # of the first slot: recovered under optimized or inferred labels
+    label: int  # of the first slot: recovered under optimized labels
     loss_trace: np.ndarray  # distance value per iteration
     final_distance: float  # min over the trace
     best_iteration: int
     reconstructed_batch: np.ndarray  # all slots at the best iterate, clamped to [0, 1]
     restart: int  # index of the winning restart
-    warnings: list[str] = field(default_factory=list)
 
 
 def _unit_vectors(observed: list) -> list:
@@ -254,31 +253,19 @@ def run_attack(
     if not all(np.isfinite(t).all() for t in observed):
         raise NumericalFailure("the decoded upload holds non-finite values")
     dim, num_classes = params.input_dim, params.num_classes
-    warnings: list[str] = []
-    label_mode = cfg.label_mode
 
-    label_vec = None
-    if label_mode == "known":
+    optimize_labels = cfg.label_mode == "optimized"
+    if not optimize_labels:
         if labels is None:
             raise InvalidConfig("label_mode 'known' requires labels")
         label_vec = np.atleast_1d(np.asarray(labels, dtype=np.int64))
         if label_vec.shape != (batch,) or np.any((label_vec < 0) | (label_vec >= num_classes)):
             raise InvalidConfig(f"need one label in [0, {num_classes}) per slot, got {labels!r}")
-    elif label_mode == "inferred":
-        if batch != 1:
-            raise InvalidConfig("label inference works on single-example gradients")
-        try:
-            label_vec = np.array([tinynn.infer_label_from_grads(observed)])
-        except UndeterminedLabel as exc:
-            warnings.append(f"label inference failed ({exc}); optimizing labels instead")
-            label_mode = "optimized"
+        y = np.eye(num_classes)[label_vec]
 
     seeds = [cfg.seed + 1000 * j for j in range(restarts)]
     x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, size=(batch, dim)) for s in seeds])
     label_logits = np.zeros((restarts, batch, num_classes))
-    optimize_labels = label_mode == "optimized"
-    if not optimize_labels:
-        y = np.eye(num_classes)[label_vec]
     masks = [t != 0.0 for t in observed]
     rngs = [np.random.default_rng(s + 1) for s in seeds]
     units = _unit_vectors(observed)
@@ -319,7 +306,6 @@ def run_attack(
         best_iteration=int(best_it[win]),
         reconstructed_batch=best_x[win].copy(),
         restart=win,
-        warnings=warnings,
     )
 
 

@@ -86,11 +86,13 @@ def _profile(ds: Dataset, shard: list[int]) -> np.ndarray:
 
 def _rho_decay(by_class: list, rho: float, rng: np.random.Generator) -> list[int]:
     """Shuffle the class order with `rng`; the class at shuffled position i
-    keeps the first ceil(n_i * rho**i) of its n_i indices (ceil so no class
-    vanishes). Returns the kept indices, sorted."""
+    keeps the first max(1, ceil(n_i * rho**i)) of its n_i indices, so no
+    class vanishes, not even where the power underflows to 0. Returns the
+    kept indices, sorted."""
     kept: list[int] = []
     for pos, cls in enumerate(rng.permutation(len(by_class))):
-        kept.extend(int(i) for i in by_class[cls][: int(np.ceil(len(by_class[cls]) * rho**pos))])
+        n = max(1, int(np.ceil(len(by_class[cls]) * rho**pos)))
+        kept.extend(int(i) for i in by_class[cls][:n])
     return sorted(kept)
 
 

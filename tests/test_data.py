@@ -60,9 +60,11 @@ class TestPartitionRho:
         assert sorted(part.balance_profile[0].tolist()) == [2, 4, 8]
         assert len(part.client_shards[0]) == 14
 
-    def test_ceil_keeps_every_class(self):
+    @pytest.mark.parametrize("rho", [0.1, 1e-200, 5e-324])
+    def test_ceil_keeps_every_class(self, rho):
+        # at the two tiny rhos, rho**pos underflows to 0 from the third class on
         ds = data.make_synthetic(5, 6, 8, seed=5)
-        part = data.partition_rho(ds, 0.1, seed=2)
+        part = data.partition_rho(ds, rho, seed=2)
         assert np.all(part.balance_profile[0] >= 1)
 
     def test_deterministic(self):

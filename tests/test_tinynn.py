@@ -1,16 +1,15 @@
-"""Network forward/backward correctness, label recovery, checkpoints."""
+"""Network forward/backward correctness, SGD steps, checkpoints."""
 
 import numpy as np
 import pytest
 
 from oracles import max_relative_grad_error, numeric_gradients
 from svdlab import tinynn
-from svdlab.errors import InvalidInput, UndeterminedLabel
+from svdlab.errors import InvalidInput
 from svdlab.tinynn import (
     LayerParams,
     ModelParams,
     forward_batch,
-    infer_label_from_grads,
     init_model,
     loss_and_grad,
     sgd_step,
@@ -184,30 +183,6 @@ class TestSgdStep:
             np.max(np.abs(a - b)) > 1e-9
             for a, b in zip(g2[::2], g2_fresh[::2])
         )
-
-
-class TestLabelInference:
-    def test_label_from_a_constructed_output_bias(self):
-        rng = np.random.default_rng(3)
-        for cls in range(4):
-            z = rng.normal(size=4)
-            probs = np.exp(z) / np.exp(z).sum()
-            bias = probs.copy()
-            bias[cls] -= 1.0
-            assert infer_label_from_grads([np.zeros((4, 2)), bias]) == cls
-
-    def test_all_positive_undetermined(self):
-        grads = [np.zeros((3, 2)), np.ones(3)]
-        with pytest.raises(UndeterminedLabel):
-            infer_label_from_grads(grads)
-
-    def test_end_to_end(self):
-        rng = np.random.default_rng(4)
-        model = small_model(seed=6)
-        for _ in range(10):
-            x, labels = random_batch(rng, model, 1)
-            _, grads = loss_and_grad(model, x, labels)
-            assert infer_label_from_grads(grads) == labels[0]
 
 
 class TestCheckpoint:
