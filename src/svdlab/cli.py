@@ -20,8 +20,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import defense as defense_mod
 from . import flsim, metrics, schema, tinynn
-from .errors import (DegenerateInput, InvalidConfig, InvalidInput, NumericalFailure,
-                     numerical_failure)
+from .errors import InvalidConfig, InvalidInput, NumericalFailure, numerical_failure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,15 +99,7 @@ def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
     if not isinstance(raw, dict):
         return None, [f"config file {path} must hold a JSON object"]
 
-    errors: list[str] = []
-    env_seed = os.environ.get("SVDLAB_SEED")
-    if env_seed is not None:
-        try:
-            raw = {**raw, "seed": int(env_seed)}
-        except ValueError:
-            errors.append(f"SVDLAB_SEED must be an integer, got {env_seed!r}")
-    spec, structure_errors = schema.from_json(ExperimentSpec, raw)
-    errors.extend(structure_errors)
+    spec, errors = schema.from_json(ExperimentSpec, raw)
     spec = replace(spec, fl=replace(spec.fl, seed=spec.seed),
                    attack=replace(spec.attack, seed=spec.seed, defense=spec.fl.defense))
     errors.extend(spec.validate())
@@ -329,13 +320,13 @@ def main(argv=None) -> int:
             if not values:
                 raise InvalidConfig("empty sweep axis")
             run_sweep(spec, args.axis, values, args.out)
-    except InvalidConfig as exc:
+    except (InvalidConfig, MemoryError) as exc:  # numpy names the allocation it refused
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InvalidInput, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, DegenerateInput) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

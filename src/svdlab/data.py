@@ -41,14 +41,6 @@ class Dataset:
     side: int
 
 
-@dataclass
-class Partition:
-    """Per-client example-index lists plus per-client per-class counts."""
-
-    client_shards: list[list[int]]
-    balance_profile: list[np.ndarray]
-
-
 def class_template(cls: int, side: int) -> np.ndarray:
     """Deterministic stripe template for a class, flattened to side*side."""
     if cls >= len(_TEMPLATE_PARAMS):
@@ -80,10 +72,6 @@ def _class_indices(ds: Dataset) -> list[np.ndarray]:
     return [np.flatnonzero(ds.y == c) for c in range(ds.num_classes)]
 
 
-def _profile(ds: Dataset, shard: list[int]) -> np.ndarray:
-    return np.bincount(ds.y[shard], minlength=ds.num_classes)
-
-
 def _rho_decay(by_class: list, rho: float, rng: np.random.Generator) -> list[int]:
     """Shuffle the class order with `rng`; the class at shuffled position i
     keeps the first max(1, ceil(n_i * rho**i)) of its n_i indices, so no
@@ -96,16 +84,17 @@ def _rho_decay(by_class: list, rho: float, rng: np.random.Generator) -> list[int
     return sorted(kept)
 
 
-def partition_rho(ds: Dataset, rho: float, seed: int) -> Partition:
+def partition_rho(ds: Dataset, rho: float, seed: int) -> list[list[int]]:
     """Single-client shard with geometrically decayed class counts (see
     _rho_decay, shuffled by the seed). rho=1 keeps everything."""
     if not 0.0 < rho <= 1.0:
         raise InvalidConfig(f"rho must be in (0, 1], got {rho}")
     kept = _rho_decay(_class_indices(ds), rho, np.random.default_rng(seed))
-    return Partition(client_shards=[kept], balance_profile=[_profile(ds, kept)])
+    return [kept]
 
 
-def partition_rho_clients(ds: Dataset, num_clients: int, rho: float, seed: int) -> Partition:
+def partition_rho_clients(ds: Dataset, num_clients: int, rho: float,
+                          seed: int) -> list[list[int]]:
     """Multi-client variant: each client receives an equal class-balanced
     slice of the dataset and then applies its own seeded rho decay."""
     if num_clients < 1:
@@ -118,12 +107,11 @@ def partition_rho_clients(ds: Dataset, num_clients: int, rho: float, seed: int) 
     ]
     if any(not s for s in shards):
         raise InvalidConfig("a client shard came out empty; add data or clients")
-    return Partition(
-        client_shards=shards, balance_profile=[_profile(ds, s) for s in shards]
-    )
+    return shards
 
 
-def partition_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed: int) -> Partition:
+def partition_dirichlet(ds: Dataset, num_clients: int, alpha: float,
+                        seed: int) -> list[list[int]]:
     """Split every class across clients by Dirichlet(alpha) proportions.
 
     Proportions are normalized Gamma draws; per-class counts are floored with
@@ -154,9 +142,7 @@ def partition_dirichlet(ds: Dataset, num_clients: int, alpha: float, seed: int) 
         shards[empty].append(shards[largest].pop())
     for s in shards:
         s.sort()
-    return Partition(
-        client_shards=shards, balance_profile=[_profile(ds, s) for s in shards]
-    )
+    return shards
 
 
 def _read_idx(path, magic: int, dims: int) -> tuple[list[int], np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, schema
-from .errors import DegenerateInput, InvalidInput, numerical_failure
+from .errors import InvalidInput, NumericalFailure, numerical_failure
 from .tinynn import ModelParams
 
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
@@ -134,7 +134,7 @@ def defend_grad_svd(g: np.ndarray, beta: float, layer_id: int = 0) -> DefensePac
         weighted = weights[:, None] * g
     factors = linalg.svd(weighted)
     if factors.sigma[0] == 0.0:  # w g underflowed: g is too small to weight
-        raise DegenerateInput("all singular values are zero")
+        raise NumericalFailure("all singular values are zero")
     k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(
         layer_id=layer_id,

@@ -13,10 +13,6 @@ class NumericalFailure(RuntimeError):
     """A numerical routine did not converge, or its arithmetic overflowed."""
 
 
-class DegenerateInput(ValueError):
-    """Input is degenerate for the requested operation (e.g. all-zero spectrum)."""
-
-
 class InvalidConfig(ValueError):
     """Configuration value or combination is not usable."""
 

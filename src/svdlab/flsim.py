@@ -197,7 +197,7 @@ def _split_idx_dataset(ds: data_mod.Dataset, per_class_test: int):
 
 def build_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
     """Deterministic dataset / partition / model setup shared by the CLI and
-    tests. Returns (train_ds, test_ds, partition, model)."""
+    tests. Returns (train_ds, test_ds, client shards, model)."""
     if data_cfg.idx_images is not None:
         loaded = data_mod.load_idx(data_cfg.idx_images, data_cfg.idx_labels, data_cfg.num_classes)
         if loaded.side != data_cfg.side:
@@ -215,14 +215,14 @@ def build_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
         )
     part_seed = int(_rng(fl.seed, _TAG_PARTITION).integers(2**31))
     if fl.partition_scheme == "dirichlet":
-        part = data_mod.partition_dirichlet(train, fl.num_clients, fl.dirichlet_alpha, part_seed)
+        shards = data_mod.partition_dirichlet(train, fl.num_clients, fl.dirichlet_alpha, part_seed)
     else:
-        part = data_mod.partition_rho_clients(train, fl.num_clients, fl.rho, part_seed)
+        shards = data_mod.partition_rho_clients(train, fl.num_clients, fl.rho, part_seed)
     model_seed = np.random.SeedSequence([fl.seed, _TAG_MODEL])
     model = tinynn.init_model(
         data_cfg.side**2, list(hidden_dims), data_cfg.num_classes, seed=model_seed
     )
-    return train, test, part, model
+    return train, test, shards, model
 
 
 def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
@@ -230,7 +230,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
     errors = fl.validate() + data_cfg.validate()
     if errors:
         raise InvalidConfig("; ".join(errors))
-    train, test, part, model = build_experiment(fl, data_cfg, hidden_dims)
+    train, test, shards, model = build_experiment(fl, data_cfg, hidden_dims)
     download_unit = model_bytes(model)
     dgp_residuals: dict[int, list] = {}
     reports = []
@@ -245,7 +245,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
         client_entropies = {}
         for cid in selected:
             update, new_residual = client_round(
-                model, train, part.client_shards[cid], fl, cid, rnd,
+                model, train, shards[cid], fl, cid, rnd,
                 dgp_residuals.get(cid),
             )
             if new_residual is not None:

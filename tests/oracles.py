@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from svdlab import attack, data, defense, linalg, tinynn
-from svdlab.errors import DegenerateInput, InvalidConfig, InvalidInput
+from svdlab.errors import InvalidConfig, InvalidInput
 
 
 def gram_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -229,7 +229,7 @@ def _energy_fractions(sigma) -> np.ndarray:
     if s.ndim != 1 or s.size == 0:
         raise InvalidInput("sigma must be a non-empty spectrum")
     if not s.any():
-        raise DegenerateInput("all singular values are zero")
+        raise InvalidInput("all singular values are zero")
     energy = np.square(s / np.abs(s).max())
     return energy / energy.sum()
 

@@ -176,10 +176,10 @@ def test_c05_fedavg_degeneracy():
         local_lr=0.5, defense=defense.DefenseConfig(method="none"), seed=21,
     )
     dc = flsim.DataConfig(num_classes=4, per_class=20, per_class_test=5, side=8)
-    train, _, part, model = flsim.build_experiment(fl, dc)
+    train, _, shards, model = flsim.build_experiment(fl, dc)
     reports, final = flsim.run_experiment(fl, dc)
     ref = fedavg_reference(
-        model, train, part.client_shards, [r.selected_clients for r in reports],
+        model, train, shards, [r.selected_clients for r in reports],
         fl.local_lr, fl.local_batch_size, fl.local_epochs, fl.seed,
     )
     worst = 0.0
@@ -197,8 +197,7 @@ def test_c06_entropy_tracks_class_balance():
         ds = data.make_synthetic(4, 40, 8, seed=50 + seed)
         model = tinynn.init_model(64, [32], 4, seed=200 + seed)
         for rho in np.arange(0.1, 1.05, 0.1):
-            part = data.partition_rho(ds, float(rho), seed=300 + seed)
-            shard = part.client_shards[0]
+            shard = data.partition_rho(ds, float(rho), seed=300 + seed)[0]
             _, grads = tinynn.loss_and_grad(model, ds.x[shard], ds.y[shard])
             per_layer = [singular_entropy(linalg.svd(w).sigma) for w in grads[::2]]
             rhos.append(float(rho))

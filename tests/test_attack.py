@@ -159,6 +159,23 @@ class TestRunAttack:
         res = run_attack(model, upload(g), 1, cfg)
         assert res.label == labels[0]
 
+    @pytest.mark.parametrize("label_mode", attack.LABEL_MODES)
+    @pytest.mark.parametrize("distance", attack.DISTANCES)
+    def test_tied_distances_keep_the_first_iterate(self, label_mode, distance):
+        # at lr 1e-300 Adam's step rounds away, so every iteration's distance
+        # ties, and only a strictly lower distance replaces iteration 0
+        model = tinynn.init_model(16, [7], 4, seed=5)
+        x, labels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), np.array([0, 1, 2])
+        _, g = tinynn.loss_and_grad(model, x, labels)
+        cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300, label_mode=label_mode,
+                           seed=11)
+        kwargs = {"labels": labels} if label_mode == "known" else {}
+        res = run_attack(model, upload(g), 3, cfg, restarts=2, **kwargs)
+        assert res.best_iteration == 0
+        assert len(np.unique(res.loss_trace)) == 1
+        start = np.random.default_rng(11 + 1000 * res.restart).uniform(0.0, 1.0, (3, 16))
+        np.testing.assert_array_equal(res.reconstructed_batch, start)
+
     def test_known_mode_needs_labels(self, setup):
         ds, model = setup
         _, g = tinynn.loss_and_grad(model, *one(ds, 0))

@@ -99,15 +99,14 @@ class TestConfigHandling:
         assert len(lines) == 1 and lines[0].startswith(f"config error: attack.adaptive '{adaptive}'")
         assert not (tmp_path / "o").exists()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_environment_does_not_change_the_run(self, tmp_path, monkeypatch):
+        # the config file alone sets the seed
         path = write_config(tmp_path)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        monkeypatch.setenv("SVDLAB_SEED", "3")
-        assert cli.main(["train", "--config", path, "--out", str(out_a)]) == 0
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "a")]) == 0
         monkeypatch.setenv("SVDLAB_SEED", "99")
-        assert cli.main(["train", "--config", path, "--out", str(out_b)]) == 0
-        assert (out_a / "rounds.csv").read_bytes() != (out_b / "rounds.csv").read_bytes()
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "b")]) == 0
+        for name in ("rounds.csv", "model.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestConfigSchema:
@@ -153,10 +152,6 @@ class TestConfigSchema:
         "rho_over_per_class": ({"fl.partition_scheme": "rho", "fl.num_clients": 21},
                                "fl.num_clients"),
     }
-
-    @pytest.fixture(autouse=True)
-    def _no_env_seed(self, monkeypatch):
-        monkeypatch.delenv("SVDLAB_SEED", raising=False)
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, case):
@@ -275,6 +270,23 @@ class TestExitCodes:
         path = write_config(tmp_path, {"fl.defense.method": "svdefense", "fl.defense.beta": 1000})
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
+    # each asks numpy for one array far beyond any memory, up front
+    @pytest.mark.parametrize("command, overrides", [
+        ("attack", {"attack.iterations": 10**13}),
+        ("attack", {"fl.defense.method": "dp_gauss", "attack.adaptive": "eot",
+                    "attack.eot_samples": 10**13}),
+        ("train", {"model.hidden_dims": [10**11]}),
+    ], ids=["iterations", "eot_samples", "hidden_dims"])
+    def test_unallocatable_config_exits_2(self, tmp_path, capsys, command, overrides):
+        path = write_config(tmp_path, overrides)
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "allocate" in lines[0]
+
     @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_divergence_exits_3(self, tmp_path, capsys, recwarn, method):
         path = write_config(tmp_path, {"fl.defense.method": method, "fl.local_lr": 1e308})
@@ -371,8 +383,8 @@ class TestExitCodes:
         # near 1e-170 the channel-weighted gradient (|g|^2) is below the
         # smallest double, so the defense cannot factor it
         assert self.attack_scaled_checkpoint(tmp_path, 1e-170, {}) == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: all singular values are zero"]
 
     def test_overflowing_weighted_update_exits_3(self, tmp_path, capsys):
         # a step of 1e100 leaves finite gradients whose channel-weighted
@@ -564,7 +576,6 @@ class TestBlasThreads:
             out = tmp_path / f"threads_{threads}"
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            env.pop("SVDLAB_SEED", None)
             for args in (["train"], ["attack", "--model", str(out / "model.bin")]):
                 subprocess.run([sys.executable, "-m", "svdlab.cli", *args, "--config", path,
                                 "--out", str(out if args == ["train"] else out / "atk")],
@@ -582,7 +593,6 @@ class TestMainModule:
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("SVDLAB_SEED", None)
         subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "prof.out"),
                         "-m", "svdlab.cli", "train", "--config", path,
                         "--out", str(tmp_path / "profiled")],

@@ -69,33 +69,33 @@ def tiny_setup():
         local_lr=0.5, defense=DefenseConfig(method="none"), seed=12,
     )
     dc = DataConfig(num_classes=4, per_class=20, per_class_test=5, side=8)
-    train, test, part, model = build_experiment(fl, dc)
-    return fl, dc, train, test, part, model
+    train, test, shards, model = build_experiment(fl, dc)
+    return fl, dc, train, test, shards, model
 
 
 class TestClientRound:
     def test_vanishing_lr_zero_update(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         cfg = FlConfig(**{**fl.__dict__, "local_lr": 1e-300})
-        update, _ = client_round(model, train, part.client_shards[0], cfg, 0, 0)
+        update, _ = client_round(model, train, shards[0], cfg, 0, 0)
         back = defense.packets_to_gradset(update.packets, model)
         for w in back[::2]:
             assert np.max(np.abs(w)) < 1e-290
 
     def test_diverged_update_raises(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         cfg = FlConfig(**{**fl.__dict__, "local_lr": 1e308})
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
-            client_round(model, train, part.client_shards[0], cfg, 0, 0)
+            client_round(model, train, shards[0], cfg, 0, 0)
 
     def test_defense_none_transmits_raw_update(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
-        update, _ = client_round(model, train, part.client_shards[1], fl, 1, 0)
+        fl, dc, train, test, shards, model = tiny_setup
+        update, _ = client_round(model, train, shards[1], fl, 1, 0)
         local = model
         rng = np.random.default_rng(
             np.random.SeedSequence([fl.seed, flsim._TAG_CLIENT_BATCHES, 0, 1])
         )
-        shard = part.client_shards[1]
+        shard = shards[1]
         order = rng.permutation(len(shard))
         for start in range(0, len(shard), fl.local_batch_size):
             batch = [shard[i] for i in order[start : start + fl.local_batch_size]]
@@ -107,10 +107,10 @@ class TestClientRound:
 
     def test_local_epochs_match_the_reference_loop(self, tiny_setup):
         # two epochs whose batches of 7 leave a ragged last batch on a shard
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         cfg = FlConfig(**{**fl.__dict__, "local_epochs": 2, "local_batch_size": 7})
-        assert any(len(shard) % cfg.local_batch_size for shard in part.client_shards)
-        for cid, shard in enumerate(part.client_shards):
+        assert any(len(shard) % cfg.local_batch_size for shard in shards)
+        for cid, shard in enumerate(shards):
             update, _ = client_round(model, train, shard, cfg, cid, 4)
             rng = np.random.default_rng(
                 np.random.SeedSequence([fl.seed, flsim._TAG_CLIENT_BATCHES, 4, cid])
@@ -127,8 +127,8 @@ class TestClientRound:
                 assert np.array_equal(b, g - l), cid
 
     def test_single_step_equals_lr_times_grad(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
-        shard = part.client_shards[2]
+        fl, dc, train, test, shards, model = tiny_setup
+        shard = shards[2]
         cfg = FlConfig(**{**fl.__dict__, "local_batch_size": len(shard)})
         update, _ = client_round(model, train, shard, cfg, 2, 0)
         _, grads = tinynn.loss_and_grad(model, train.x[shard], train.y[shard])
@@ -137,14 +137,14 @@ class TestClientRound:
             np.testing.assert_allclose(b, cfg.local_lr * g, atol=1e-12)
 
     def test_empty_shard_rejected(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         with pytest.raises(InvalidInput):
             client_round(model, train, [], fl, 0, 0)
 
     @pytest.mark.parametrize("label", [-1, 4])
     def test_label_outside_the_classes_rejected(self, tiny_setup, label):
-        fl, dc, train, test, part, model = tiny_setup
-        shard = part.client_shards[0]
+        fl, dc, train, test, shards, model = tiny_setup
+        shard = shards[0]
         y = train.y.copy()
         y[shard[-1]] = label
         bad = data.Dataset(train.x, y, train.num_classes, train.side)
@@ -168,9 +168,9 @@ class TestNoiseStreams:
         assert (flsim._TAG_DEFENSE_NOISE in tags) == (method in defense.NOISE_METHODS)
 
     def test_dp_gauss_draws_the_client_round_stream(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         dp = DefenseConfig(method="dp_gauss", noise_scale=0.1)
-        shard, cid, rnd = part.client_shards[2], 2, 1
+        shard, cid, rnd = shards[2], 2, 1
         noisy, _ = client_round(model, train, shard, FlConfig(**{**fl.__dict__, "defense": dp}),
                                 cid, rnd)
         raw, _ = client_round(model, train, shard, fl, cid, rnd)
@@ -185,16 +185,16 @@ class TestNoiseStreams:
 
 class TestAggregate:
     def test_single_client_moves_exactly(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
-        update, _ = client_round(model, train, part.client_shards[0], fl, 0, 0)
+        fl, dc, train, test, shards, model = tiny_setup
+        update, _ = client_round(model, train, shards[0], fl, 0, 0)
         new, _ = aggregate(model, [update])
         back = defense.packets_to_gradset(update.packets, model)
         for nl, ml, b in zip(new.layers, model.layers, back[::2]):
             np.testing.assert_allclose(nl.weight, ml.weight - b, atol=1e-15)
 
     def test_identical_updates_collapse(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
-        u0, _ = client_round(model, train, part.client_shards[0], fl, 0, 0)
+        fl, dc, train, test, shards, model = tiny_setup
+        u0, _ = client_round(model, train, shards[0], fl, 0, 0)
         u1 = ClientUpdate(1, u0.sample_count, u0.packets)
         both, _ = aggregate(model, [u0, u1])
         alone, _ = aggregate(model, [u0])
@@ -202,9 +202,9 @@ class TestAggregate:
             np.testing.assert_allclose(a.weight, b.weight, atol=1e-12)
 
     def test_order_independent(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         ups = [
-            client_round(model, train, part.client_shards[i], fl, i, 0)[0]
+            client_round(model, train, shards[i], fl, i, 0)[0]
             for i in range(3)
         ]
         a, _ = aggregate(model, ups)
@@ -215,9 +215,9 @@ class TestAggregate:
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
     @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_rejects_broken_upload(self, tiny_setup, method, how):
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method=method)})
-        good, _ = client_round(model, train, part.client_shards[0], cfg, 0, 0)
+        good, _ = client_round(model, train, shards[0], cfg, 0, 0)
         bad = ClientUpdate(1, good.sample_count, broken_upload(good.packets, how))
         with pytest.raises(InvalidInput):
             aggregate(model, [good, bad])
@@ -225,12 +225,12 @@ class TestAggregate:
 
 class TestRunExperiment:
     def test_matches_plain_fedavg_when_undefended(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
+        fl, dc, train, test, shards, model = tiny_setup
         cfg = FlConfig(**{**fl.__dict__, "rounds": 5})
         reports, final = run_experiment(cfg, dc)
         selections = [r.selected_clients for r in reports]
         ref = fedavg_reference(
-            model, train, part.client_shards, selections,
+            model, train, shards, selections,
             cfg.local_lr, cfg.local_batch_size, cfg.local_epochs, cfg.seed,
         )
         for a, b in zip(final.layers, ref.layers):
@@ -267,8 +267,8 @@ class TestRunExperiment:
         assert sum(r.bytes_up for r in r_svd) < sum(r.bytes_up for r in r_none)
 
     def test_bytes_match_serialization(self, tiny_setup):
-        fl, dc, train, test, part, model = tiny_setup
-        update, _ = client_round(model, train, part.client_shards[0], fl, 0, 0)
+        fl, dc, train, test, shards, model = tiny_setup
+        update, _ = client_round(model, train, shards[0], fl, 0, 0)
         expected = sum(len(defense.serialize_packet(p)) for p in update.packets)
         assert expected == sum(defense.packet_bytes(p) for p in update.packets)
 

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import energy_rank, gram_singular_values, singular_entropy, truncate_by_energy
 from svdlab import linalg
-from svdlab.errors import DegenerateInput, InvalidInput
+from svdlab.errors import InvalidInput
 from svdlab.linalg import svd
 
 # -(0.64 ln 0.64 + 0.36 ln 0.36), the entropy of the sigma = [4, 3] spectrum
@@ -174,7 +174,7 @@ class TestTruncateByEnergy:
             assert resid <= bound * (1.0 + 1e-9) + 1e-12
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidInput):
             truncate_by_energy(self._factors([0.0, 0.0]), 0.5)
         for bad in (1.5, -0.1, np.nan):
             with pytest.raises(InvalidInput):
@@ -212,6 +212,6 @@ class TestSingularEntropy:
                 assert singular_entropy(c * sigma) == pytest.approx(e, abs=1e-9)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InvalidInput):
             singular_entropy([0.0, 0.0])
 
