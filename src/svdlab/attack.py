@@ -309,16 +309,6 @@ def run_attack(
     )
 
 
-def write_pgm(image: np.ndarray, side: int, path) -> None:
-    """Plain-text P2 dump of one [0, 1] image for eyeballing."""
-    img = np.asarray(image, dtype=np.float64).reshape(side, side)
-    levels = np.clip(np.rint(img * 255.0), 0, 255).astype(int)
-    lines = ["P2", f"{side} {side}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in levels)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_image_csv(truth: np.ndarray, recon: np.ndarray, side: int, path) -> None:
     """Ground-truth and reconstructed pixel grids, stacked, as CSV."""
     with open(path, "w") as fh:

@@ -1,9 +1,10 @@
 """Command-line front end: train, attack, and sweep experiments.
 
 Configs are single JSON files mapped 1:1 onto the config dataclasses, with
-unknown keys rejected so parameter typos fail loudly. All results are CSV
-(plus PGM image dumps for attacks) under the requested output directory, and
-identical config + seed reproduces byte-identical files.
+unknown keys rejected so parameter typos fail loudly. Results are CSV files
+(for attacks, a metric table plus each victim's truth and reconstruction
+pixels) under the requested output directory, and identical config + seed
+reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     per-example metric values and the best attack result."""
     x, labels = ds.x[batch_indices], ds.y[batch_indices]
     with numerical_failure("the model's gradient on the victim batch"):
-        _, grads = tinynn.loss_and_grad(model, x, labels)
+        grads, _ = tinynn.backprop(model, x, np.eye(model.num_classes)[labels])
     noisy = spec.fl.defense.method in defense_mod.NOISE_METHODS
     packets, _ = defense_mod.defend_update(
         grads, spec.fl.defense,
@@ -215,12 +216,8 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
         values.append((m, p, s))
         rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s])
         if write_images:
-            truth = train.x[batch_indices[0]]
-            attack_mod.write_pgm(truth, train.side, os.path.join(out_dir, f"truth_{i:03d}.pgm"))
-            recon = best.reconstructed_batch[0]
-            attack_mod.write_pgm(recon, train.side, os.path.join(out_dir, f"recon_{i:03d}.pgm"))
-            attack_mod.write_image_csv(truth, recon, train.side,
-                                       os.path.join(out_dir, f"images_{i:03d}.csv"))
+            attack_mod.write_image_csv(train.x[batch_indices[0]], best.reconstructed_batch[0],
+                                       train.side, os.path.join(out_dir, f"images_{i:03d}.csv"))
     arr = np.array(values)
     rows.append(
         ["mean", spec.fl.defense.method, spec.attack.adaptive,

@@ -107,45 +107,21 @@ def forward_batch(params: ModelParams, x: np.ndarray):
     return preacts[-1], activations, preacts
 
 
-def deltas_from_forward(params: ModelParams, preacts, probs: np.ndarray, y: np.ndarray):
-    """Backpropagated error signals per layer for soft targets `y` (..., n, C)."""
-    n_layers = len(params.layers)
-    deltas = [None] * n_layers
-    deltas[-1] = probs - y
-    for l in range(n_layers - 2, -1, -1):
-        deltas[l] = (deltas[l + 1] @ params.layers[l + 1].weight) * (preacts[l] > 0.0)
-    return deltas
-
-
-def grads_from_deltas(activations, deltas, n: int) -> list:
-    """Mean parameter gradients over the n examples of each (..., n, .) batch,
-    in wire order (ModelParams.tensors)."""
-    return [t for a, d in zip(activations, deltas)
-            for t in (d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)]
-
-
 def backprop(params: ModelParams, x: np.ndarray, y: np.ndarray):
     """The one model pass over the (..., n, D) batch x with soft targets y
-    (..., n, C): mean parameter gradients, plus the (activations, preacts,
-    probs, deltas) cache that the loss and the attack engine read."""
+    (..., n, C): mean parameter gradients over the n examples of each batch,
+    in wire order (ModelParams.tensors), plus the (activations, preacts,
+    probs, deltas) cache that the attack engine reads; deltas[l] is layer l's
+    backpropagated error signal."""
     logits, activations, preacts = forward_batch(params, x)
     probs = _softmax(logits)
-    deltas = deltas_from_forward(params, preacts, probs, y)
-    return (grads_from_deltas(activations, deltas, activations[0].shape[-2]),
-            (activations, preacts, probs, deltas))
-
-
-def loss_and_grad(params: ModelParams, x, labels):
-    """Mean softmax cross-entropy and mean parameter gradients (wire order)
-    over the batch x (n, D) with integer labels (n,)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or not len(labels) or np.shape(x)[:-1] != labels.shape:
-        raise InvalidInput(f"need one label per input row, got {labels.shape} for {np.shape(x)}")
-    if np.any(labels < 0) or np.any(labels >= params.num_classes):
-        raise InvalidInput("label out of range")
-    grads, (_, _, probs, _) = backprop(params, x, np.eye(params.num_classes)[labels])
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300)))), grads
+    deltas = [probs - y]
+    for l in range(len(params.layers) - 2, -1, -1):
+        deltas.insert(0, (deltas[0] @ params.layers[l + 1].weight) * (preacts[l] > 0.0))
+    n = activations[0].shape[-2]
+    grads = [t for a, d in zip(activations, deltas)
+             for t in (d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)]
+    return grads, (activations, preacts, probs, deltas)
 
 
 def sgd_step(params: ModelParams, grads: list, lr: float) -> ModelParams:

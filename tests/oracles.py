@@ -3,13 +3,15 @@
 Each oracle deliberately takes a different route than the library code it
 checks: eigenvalues of the Gram matrix by deflated power iteration (instead
 of the LAPACK SVD that linalg.svd calls), rank statistics computed from
-first principles, the spectrum formulas of the defense one spectrum at a
-time (normalized by the largest singular value, where defense.rank_rule
-scales stacks by powers of two), and a plain sample-count-weighted
-federated averaging loop, and the class stripe templates through
-np.meshgrid. upload wraps a gradient set as the packets an undefended
-client sends, the one form attack.run_attack takes; broken_upload forges the
-bad uploads that the packet decoder must refuse. grad_distance and
+first principles, a forward pass and cross-entropy of its own to
+differentiate numerically (instead of tinynn's model pass), the spectrum
+formulas of the defense one spectrum at a time (normalized by the largest
+singular value, where defense.rank_rule scales stacks by powers of two), and
+a plain sample-count-weighted federated averaging loop, and the class stripe
+templates through np.meshgrid. one_hot_grads is how tests take a model's
+gradients on labelled examples; upload wraps a gradient set as the packets an
+undefended client sends, the one form attack.run_attack takes; broken_upload
+forges the bad uploads that the packet decoder must refuse. grad_distance and
 parameter_count are the test suite's scalar views of the attack distance and
 of a packet's payload size.
 """
@@ -96,9 +98,22 @@ def spearman(xs, ys) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
+def reference_loss(model, x, labels) -> float:
+    """Mean softmax cross-entropy of the model on the rows of x (n, D), from a
+    forward pass of its own: examples as columns, ReLU by np.where after every
+    layer but the last, and the log-partition by np.logaddexp."""
+    h = np.asarray(x, dtype=np.float64).T
+    for i, layer in enumerate(model.layers):
+        h = layer.weight @ h + layer.bias[:, None]
+        if i < len(model.layers) - 1:
+            h = np.where(h > 0.0, h, 0.0)
+    picked = h[labels, np.arange(h.shape[1])]
+    return float(np.mean(np.logaddexp.reduce(h, axis=0) - picked))
+
+
 def numeric_gradients(model, x, labels, h=1e-5) -> list:
-    """Central finite differences over every parameter of the model, in wire
-    order."""
+    """Central finite differences of reference_loss over every parameter of
+    the model, in wire order."""
     grads = []
     for arr in model.tensors():
         g = np.zeros_like(arr)
@@ -107,13 +122,20 @@ def numeric_gradients(model, x, labels, h=1e-5) -> list:
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            lp, _ = tinynn.loss_and_grad(model, x, labels)
+            lp = reference_loss(model, x, labels)
             arr[idx] = orig - h
-            lm, _ = tinynn.loss_and_grad(model, x, labels)
+            lm = reference_loss(model, x, labels)
             arr[idx] = orig
             g[idx] = (lp - lm) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def one_hot_grads(model, x, labels) -> list:
+    """The model's mean gradients on the rows of x with integer labels: one
+    tinynn.backprop pass with one-hot targets, as a client or victim
+    computes them."""
+    return tinynn.backprop(model, x, np.eye(model.num_classes)[labels])[0]
 
 
 def max_relative_grad_error(analytic: list, numeric: list, floor=1e-6) -> float:
@@ -144,7 +166,7 @@ def fedavg_reference(model, ds, shards, selections, lr, batch_size, epochs, seed
                 order = rng.permutation(len(shard))
                 for start in range(0, len(shard), batch_size):
                     batch = [shard[i] for i in order[start : start + batch_size]]
-                    _, grads = tinynn.loss_and_grad(local, ds.x[batch], ds.y[batch])
+                    grads = one_hot_grads(local, ds.x[batch], ds.y[batch])
                     local = tinynn.sgd_step(local, grads, lr)
             updates.append(
                 [

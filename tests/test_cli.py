@@ -495,8 +495,8 @@ class TestAttack:
         assert lines[0] == "example_id,defense,attack_mode,mse,psnr,ssim"
         assert len(lines) == 1 + 2 + 1  # rows + summary
         assert lines[-1].startswith("mean,")
-        assert (out / "truth_000.pgm").exists()
-        assert (out / "recon_000.pgm").exists()
+        assert {p.name for p in out.iterdir()} == {"attack.csv", "images_000.csv",
+                                                   "images_001.csv"}
 
     @pytest.mark.parametrize("label_mode", ["known", "optimized"])
     def test_byte_identical_rerun(self, tmp_path, capsys, label_mode):
@@ -582,7 +582,7 @@ class TestBlasThreads:
                                env=env, check=True, capture_output=True, timeout=60)
             outputs.append({p.relative_to(out): p.read_bytes()
                             for p in sorted(out.rglob("*")) if p.is_file()})
-        assert len(outputs[0]) == 9  # rounds.csv, model.bin, attack.csv, 3 dumps per victim
+        assert len(outputs[0]) == 5  # rounds.csv, model.bin, attack.csv, 1 dump per victim
         assert outputs[0] == outputs[1]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import BROKEN_UPLOADS, broken_upload, fedavg_reference
+from oracles import BROKEN_UPLOADS, broken_upload, fedavg_reference, one_hot_grads
 from svdlab import data, defense, flsim, tinynn
 from svdlab.defense import DefenseConfig, DefensePacket
 from svdlab.errors import InvalidConfig, InvalidInput, NumericalFailure
@@ -99,7 +99,7 @@ class TestClientRound:
         order = rng.permutation(len(shard))
         for start in range(0, len(shard), fl.local_batch_size):
             batch = [shard[i] for i in order[start : start + fl.local_batch_size]]
-            _, grads = tinynn.loss_and_grad(local, train.x[batch], train.y[batch])
+            grads = one_hot_grads(local, train.x[batch], train.y[batch])
             local = tinynn.sgd_step(local, grads, fl.local_lr)
         back = defense.packets_to_gradset(update.packets, model)
         for b, g, l in zip(back, model.tensors(), local.tensors()):
@@ -120,7 +120,7 @@ class TestClientRound:
                 order = rng.permutation(len(shard))
                 for start in range(0, len(shard), cfg.local_batch_size):
                     batch = [shard[i] for i in order[start : start + cfg.local_batch_size]]
-                    _, grads = tinynn.loss_and_grad(local, train.x[batch], train.y[batch])
+                    grads = one_hot_grads(local, train.x[batch], train.y[batch])
                     local = tinynn.sgd_step(local, grads, cfg.local_lr)
             back = defense.packets_to_gradset(update.packets, model)
             for b, g, l in zip(back, model.tensors(), local.tensors()):
@@ -131,7 +131,7 @@ class TestClientRound:
         shard = shards[2]
         cfg = FlConfig(**{**fl.__dict__, "local_batch_size": len(shard)})
         update, _ = client_round(model, train, shard, cfg, 2, 0)
-        _, grads = tinynn.loss_and_grad(model, train.x[shard], train.y[shard])
+        grads = one_hot_grads(model, train.x[shard], train.y[shard])
         back = defense.packets_to_gradset(update.packets, model)
         for b, g in zip(back[::2], grads[::2]):
             np.testing.assert_allclose(b, cfg.local_lr * g, atol=1e-12)

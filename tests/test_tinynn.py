@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from oracles import max_relative_grad_error, numeric_gradients
+from oracles import max_relative_grad_error, numeric_gradients, one_hot_grads
 from svdlab import tinynn
 from svdlab.errors import InvalidInput
-from svdlab.tinynn import (
-    LayerParams,
-    ModelParams,
-    forward_batch,
-    init_model,
-    loss_and_grad,
-    sgd_step,
-)
+from svdlab.tinynn import LayerParams, ModelParams, backprop, forward_batch, init_model, sgd_step
 
 
 def small_model(seed=0):
@@ -64,19 +57,12 @@ class TestForward:
         model = init_model(64, [32], 4, seed=5)
         x = rng.uniform(0.0, 1.0, size=(3, 4, 64))
         y = np.eye(4)[rng.integers(0, 4, size=(3, 4))]
-        logits, acts, preacts = forward_batch(model, x)
-        probs = tinynn._softmax(logits)
-        grads = tinynn.grads_from_deltas(
-            acts, tinynn.deltas_from_forward(model, preacts, probs, y), 4
-        )
+        grads, (acts, preacts, probs, deltas) = backprop(model, x, y)
         for j in range(3):
-            lj, aj, pj = forward_batch(model, x[j])
-            np.testing.assert_array_equal(logits[j], lj)
-            for stacked, alone in zip(acts + preacts, aj + pj):
-                np.testing.assert_array_equal(stacked[j], alone)
-            dj = tinynn.deltas_from_forward(model, pj, tinynn._softmax(lj), y[j])
-            for g, h in zip(grads, tinynn.grads_from_deltas(aj, dj, 4)):
-                np.testing.assert_array_equal(g[j], h)
+            gj, (aj, pj, qj, dj) = backprop(model, x[j], y[j])
+            for stacked, alone in zip(grads + acts + preacts + [probs] + deltas,
+                                      gj + aj + pj + [qj] + dj):
+                assert np.array_equal(stacked[j], alone)
 
     def test_layer_dims_must_chain(self):
         with pytest.raises(InvalidInput):
@@ -88,13 +74,7 @@ class TestForward:
             )
 
 
-class TestLossAndGrad:
-    def test_uniform_logits_loss(self):
-        model = ModelParams([LayerParams(np.zeros((4, 6)), np.zeros(4))])
-        rng = np.random.default_rng(0)
-        loss, _ = loss_and_grad(model, *random_batch(rng, model, 5))
-        assert loss == pytest.approx(np.log(4.0))
-
+class TestBackprop:
     def test_gradients_match_finite_differences(self):
         self.check_finite_differences(small_model(seed=3))
 
@@ -107,7 +87,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(5)
         assert model.num_params() <= 200
         batch = random_batch(rng, model, 4)
-        _, grads = loss_and_grad(model, *batch)
+        grads = one_hot_grads(model, *batch)
         numeric = numeric_gradients(model, *batch)
         assert max_relative_grad_error(grads, numeric) < 1e-4
 
@@ -115,9 +95,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(8)
         model = small_model()
         x, labels = random_batch(rng, model, 1)
-        l1, g1 = loss_and_grad(model, x, labels)
-        l2, g2 = loss_and_grad(model, x[[0, 0]], labels[[0, 0]])
-        assert l1 == pytest.approx(l2)
+        g1 = one_hot_grads(model, x, labels)
+        g2 = one_hot_grads(model, x[[0, 0]], labels[[0, 0]])
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
@@ -125,9 +104,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(9)
         model = small_model()
         x, labels = random_batch(rng, model, 5)
-        l1, g1 = loss_and_grad(model, x, labels)
-        l2, g2 = loss_and_grad(model, x[::-1], labels[::-1])
-        assert l1 == pytest.approx(l2, abs=1e-12)
+        g1 = one_hot_grads(model, x, labels)
+        g2 = one_hot_grads(model, x[::-1], labels[::-1])
         for a, b in zip(g1[::2], g2[::2]):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
@@ -135,15 +113,10 @@ class TestLossAndGrad:
         rng = np.random.default_rng(10)
         model = small_model()
         batch = random_batch(rng, model, 3)
-        l1, g1 = loss_and_grad(model, *batch)
-        l2, g2 = loss_and_grad(model, *batch)
-        assert l1 == l2
+        g1 = one_hot_grads(model, *batch)
+        g2 = one_hot_grads(model, *batch)
         for a, b in zip(g1, g2):
             np.testing.assert_array_equal(a, b)
-
-    def test_empty_batch(self):
-        with pytest.raises(InvalidInput):
-            loss_and_grad(small_model(), np.zeros((0, 8)), [])
 
 
 class TestSgdStep:
@@ -156,7 +129,7 @@ class TestSgdStep:
         rng = np.random.default_rng(1)
         model = small_model()
         batch = random_batch(rng, model, 2)
-        _, grads = loss_and_grad(model, *batch)
+        grads = one_hot_grads(model, *batch)
         new = sgd_step(model, grads, 1e-300)
         for a, b in zip(model.layers, new.layers):
             np.testing.assert_allclose(a.weight, b.weight, atol=1e-290)
@@ -167,9 +140,9 @@ class TestSgdStep:
         rng = np.random.default_rng(2)
         model = small_model()
         batch = random_batch(rng, model, 3)
-        _, g1 = loss_and_grad(model, *batch)
+        g1 = one_hot_grads(model, *batch)
         once = sgd_step(model, g1, 0.5)
-        _, g2 = loss_and_grad(once, *batch)
+        g2 = one_hot_grads(once, *batch)
         twice = sgd_step(once, g2, 0.5)
         summed = [a + b for a, b in zip(g1, g2)]
         combined = sgd_step(model, summed, 0.5)
@@ -178,7 +151,7 @@ class TestSgdStep:
             for a, b in zip(twice.layers, combined.layers)
         )
         assert diff < 1e-12  # same grads summed == same steps applied
-        _, g2_fresh = loss_and_grad(model, *batch)
+        g2_fresh = one_hot_grads(model, *batch)
         assert any(
             np.max(np.abs(a - b)) > 1e-9
             for a, b in zip(g2[::2], g2_fresh[::2])
