@@ -85,30 +85,33 @@ def _distance_with_sens(observed: list, dummy: list, metric: str, units=None):
     vectors, 0 where either has zero norm. Dummy tensors may carry leading
     (restart) axes; the distance then has those axes, each slice computed
     exactly as it would be alone. `units` are the _unit_vectors of
-    `observed`, computed here when not given."""
+    `observed`, computed here when not given. `observed` is only read, but l2
+    writes its sensitivities 2 (w - o) over `dummy`: pass arrays you own."""
     lead = dummy[1].shape[:-1]
-    total = np.zeros(lead)
+    total = None if metric == "l2" else np.zeros(lead)
     sens = []
     units = units or _unit_vectors(observed)
     for ow, ob, w, b, ou in zip(observed[::2], observed[1::2], dummy[::2], dummy[1::2], units):
         if metric == "l2":
-            dw, db = w - ow, b - ob
-            total += (dw * dw).reshape(*lead, -1).sum(axis=-1) + (db * db).sum(axis=-1)
-            sens += [2.0 * dw, 2.0 * db]
+            w -= ow
+            b -= ob
+            s = (w * w).reshape(*lead, -1).sum(axis=-1) + (b * b).sum(axis=-1)
+            total = s if total is None else total + s  # 0 + s is s: no zeros, no add
+            sens += [np.multiply(w, 2.0, out=w), np.multiply(b, 2.0, out=b)]
             continue
         # dummy vectors d are scaled exactly by 2**-e; 1 - cos(d, o) has the
-        # gradient (cos * d / |d| - o / |o|) / |d|
+        # gradient (cos * d / |d| - o / |o|) / |d|, written over d
         dvs, e = linalg._unit_scale(np.concatenate([w.reshape(*lead, -1), b], axis=-1), -1)
-        gvecs = np.zeros_like(dvs)
         for j in np.ndindex(lead):
             dv = dvs[j]  # Python floats: vectorized norms and dots round otherwise
             nd = math.sqrt(dv.dot(dv))
             if ou is None or nd == 0.0:
+                dv[...] = 0.0
                 continue
             c = float(dv @ ou) / nd
             total[j] += 1.0 - c
-            gvecs[j] = ((c / nd) * dv - ou) * math.ldexp(1.0 / nd, -int(e[j][0]))
-        sens += [gvecs[..., :ow.size].reshape(w.shape), gvecs[..., ow.size:]]
+            dv[...] = ((c / nd) * dv - ou) * math.ldexp(1.0 / nd, -int(e[j][0]))
+        sens += [dvs[..., :ow.size].reshape(w.shape), dvs[..., ow.size:]]
     return total, sens
 
 
@@ -188,9 +191,10 @@ def _input_label_grads(params: ModelParams, cache, sens: list):
 
     `sens` holds dE/d(gradient tensor) in wire order and `cache` is the
     tinynn.backprop cache of the dummy batch x with soft targets y (the
-    adaptive view changes only the gradients); returns (dE/dx, dE/dy).
+    adaptive view changes only the gradients); returns (dE/dx, dE/dy), new
+    arrays; `sens` and the cache are only read.
     """
-    acts, preacts, probs, deltas = cache
+    acts, masks, probs, deltas = cache
     n = acts[0].shape[-2]
     n_layers = len(params.layers)
 
@@ -198,30 +202,36 @@ def _input_label_grads(params: ModelParams, cache, sens: list):
     # layer upward because delta_l feeds delta_{l-1} in the backward pass
     d_delta = []
     for l in range(n_layers):
-        direct = (acts[l] @ sens[2 * l].swapaxes(-1, -2) + sens[2 * l + 1][..., None, :]) / n
+        direct = acts[l] @ sens[2 * l].swapaxes(-1, -2)
+        direct += sens[2 * l + 1][..., None, :]
+        direct /= n
         if l > 0:  # the layer below is hidden: ReLU
-            direct = direct + (d_delta[l - 1] * (preacts[l - 1] > 0.0)) @ params.layers[l].weight.T
+            direct += (d_delta[l - 1] * masks[l - 1]) @ params.layers[l].weight.T
         d_delta.append(direct)
 
     # softmax head: delta_L = probs - y
     d_probs = d_delta[-1]
     dy = -d_delta[-1]
     row = np.sum(probs * d_probs, axis=-1, keepdims=True)
-    d_z = probs * (d_probs - row)
+    d_z = d_probs - row
+    d_z *= probs
 
     # walk the forward chain back down to the input
     for l in range(n_layers - 1, -1, -1):
-        d_act = d_z @ params.layers[l].weight + (deltas[l] @ sens[2 * l]) / n
+        d_act = deltas[l] @ sens[2 * l]
+        d_act /= n
+        d_act += d_z @ params.layers[l].weight
         if l == 0:
             return d_act, dy
-        d_z = d_act * (preacts[l - 1] > 0.0)
+        d_act *= masks[l - 1]
+        d_z = d_act
 
 
-def _adam(p, g, m, v, t: int, lr: float):
-    """One Adam step on p; returns the new (p, m, v)."""
-    m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-    return p - lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS), m, v
+def _adam(p, g, m, v, t: int, lr: float) -> None:
+    """One Adam step on p, with p and the moments m and v updated in place."""
+    np.add(ADAM_BETA1 * m, (1 - ADAM_BETA1) * g, out=m)
+    np.add(ADAM_BETA2 * v, (1 - ADAM_BETA2) * g * g, out=v)
+    p -= lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)
 
 
 def run_attack(
@@ -269,34 +279,40 @@ def run_attack(
     masks = [t != 0.0 for t in observed]
     rngs = [np.random.default_rng(s + 1) for s in seeds]
     units = _unit_vectors(observed)
-    m_x = v_x = m_l = v_l = 0.0
+    m_x, v_x, m_l, v_l = (np.zeros_like(t) for t in (x, x, label_logits, label_logits))
 
     trace = np.empty((restarts, cfg.iterations))
     best_loss = np.full(restarts, np.inf)
     best_it = np.zeros(restarts, dtype=np.int64)
-    best_x, best_logits = x.copy(), label_logits.copy()
+    best_x, best_logits = x.copy(), label_logits.copy() if optimize_labels else None
 
     with numerical_failure("an attack iteration"):
         for it in range(cfg.iterations):
             if optimize_labels:
                 y = tinynn._softmax(label_logits)
 
+            # the view is this iteration's own arrays: the distance writes over it
             dummy, cache = tinynn.backprop(params, x, y)
             view, pullback = _adaptive_view(cfg, masks, rngs, dummy, cache)
             loss, sens = _distance_with_sens(observed, view, cfg.distance, units)
 
             trace[:, it] = loss
             better = loss < best_loss
-            best_loss[better], best_it[better] = loss[better], it
-            best_x[better], best_logits[better] = x[better], label_logits[better]
+            np.copyto(best_loss, loss, where=better)
+            best_it[better] = it
+            np.copyto(best_x, x, where=better[:, None, None])
+            if optimize_labels:
+                np.copyto(best_logits, label_logits, where=better[:, None, None])
 
+            # the cache holds x itself: pull back fully before Adam moves x
             gx, gy = _input_label_grads(params, cache, pullback(sens))
 
-            x, m_x, v_x = _adam(x, gx, m_x, v_x, it + 1, cfg.lr)
-            np.clip(x, 0.0, 1.0, out=x)
+            _adam(x, gx, m_x, v_x, it + 1, cfg.lr)
+            np.maximum(x, 0.0, out=x)  # x is never -0.0, so this is np.clip
+            np.minimum(x, 1.0, out=x)
             if optimize_labels:
                 gl = y * (gy - np.sum(y * gy, axis=-1, keepdims=True))
-                label_logits, m_l, v_l = _adam(label_logits, gl, m_l, v_l, it + 1, cfg.lr)
+                _adam(label_logits, gl, m_l, v_l, it + 1, cfg.lr)
 
     win = int(np.argmin(best_loss))  # first of the lowest
     return AttackResult(

@@ -83,7 +83,8 @@ def init_model(input_dim: int, hidden_dims, num_classes: int, seed: int = 0) -> 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def forward_batch(params: ModelParams, x: np.ndarray):
@@ -103,25 +104,33 @@ def forward_batch(params: ModelParams, x: np.ndarray):
     for layer in params.layers:
         if preacts:  # the layer before is hidden: ReLU
             activations.append(np.maximum(preacts[-1], 0.0))
-        preacts.append(activations[-1] @ layer.weight.T + layer.bias)
+        preacts.append(activations[-1] @ layer.weight.T)
+        preacts[-1] += layer.bias
     return preacts[-1], activations, preacts
 
 
 def backprop(params: ModelParams, x: np.ndarray, y: np.ndarray):
     """The one model pass over the (..., n, D) batch x with soft targets y
     (..., n, C): mean parameter gradients over the n examples of each batch,
-    in wire order (ModelParams.tensors), plus the (activations, preacts,
-    probs, deltas) cache that the attack engine reads; deltas[l] is layer l's
-    backpropagated error signal."""
+    in wire order (ModelParams.tensors), plus the (activations, masks, probs,
+    deltas) cache that the attack engine reads. activations[0] is x itself,
+    not a copy; masks[l] is hidden layer l's ReLU mask, 1.0 where its
+    pre-activation is > 0 and 0.0 elsewhere (float, so products with it need
+    no cast), formed once here; deltas[l] is layer l's backpropagated error
+    signal. The gradients are new arrays that the caller owns."""
     logits, activations, preacts = forward_batch(params, x)
     probs = _softmax(logits)
+    masks = [(z > 0.0).astype(np.float64) for z in preacts[:-1]]
     deltas = [probs - y]
     for l in range(len(params.layers) - 2, -1, -1):
-        deltas.insert(0, (deltas[0] @ params.layers[l + 1].weight) * (preacts[l] > 0.0))
+        deltas.insert(0, deltas[0] @ params.layers[l + 1].weight)
+        deltas[0] *= masks[l]
     n = activations[0].shape[-2]
     grads = [t for a, d in zip(activations, deltas)
-             for t in (d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)]
-    return grads, (activations, preacts, probs, deltas)
+             for t in (d.swapaxes(-1, -2) @ a, d.sum(axis=-2))]
+    for g in grads:
+        g /= n
+    return grads, (activations, masks, probs, deltas)
 
 
 def sgd_step(params: ModelParams, grads: list, lr: float) -> ModelParams:

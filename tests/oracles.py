@@ -13,7 +13,8 @@ gradients on labelled examples; upload wraps a gradient set as the packets an
 undefended client sends, the one form attack.run_attack takes; broken_upload
 forges the bad uploads that the packet decoder must refuse. grad_distance and
 parameter_count are the test suite's scalar views of the attack distance and
-of a packet's payload size.
+of a packet's payload size; reference_adam is the attack's Adam step written
+out of place.
 """
 
 import math
@@ -78,7 +79,8 @@ def gram_singular_values(w: np.ndarray) -> np.ndarray:
 
 
 def spearman(xs, ys) -> float:
-    """Rank correlation with average ranks on ties."""
+    """Rank correlation with average ranks on ties. It is undefined when
+    either input is constant, which raises ValueError."""
 
     def ranks(v):
         v = np.asarray(v, dtype=np.float64)
@@ -91,6 +93,9 @@ def spearman(xs, ys) -> float:
                 r[mask] = r[mask].mean()
         return r
 
+    for name, v in (("xs", xs), ("ys", ys)):
+        if len(np.unique(v)) < 2:
+            raise ValueError(f"spearman is undefined on constant input: {name} = {v!r}")
     rx = ranks(xs)
     ry = ranks(ys)
     rx -= rx.mean()
@@ -136,6 +141,16 @@ def one_hot_grads(model, x, labels) -> list:
     tinynn.backprop pass with one-hot targets, as a client or victim
     computes them."""
     return tinynn.backprop(model, x, np.eye(model.num_classes)[labels])[0]
+
+
+def reference_adam(p, g, m, v, t: int, lr: float):
+    """One Adam step written out of place, as one expression per quantity:
+    returns new (p, m, v) and leaves its arguments alone."""
+    m = attack.ADAM_BETA1 * m + (1 - attack.ADAM_BETA1) * g
+    v = attack.ADAM_BETA2 * v + (1 - attack.ADAM_BETA2) * g * g
+    p = p - lr * (m / (1 - attack.ADAM_BETA1**t)) / (
+        np.sqrt(v / (1 - attack.ADAM_BETA2**t)) + attack.ADAM_EPS)
+    return p, m, v
 
 
 def max_relative_grad_error(analytic: list, numeric: list, floor=1e-6) -> float:
@@ -228,12 +243,13 @@ def broken_upload(packets: list, how: str) -> list:
 
 
 def grad_distance(observed: list, dummy: list, metric: str) -> float:
-    """The attack's distance between two unstacked gradient sets, as a float."""
+    """The attack's distance between two unstacked gradient sets, as a float.
+    The distance may write over the dummy it is given, so it gets copies."""
     if metric not in attack.DISTANCES:
         raise InvalidConfig(f"unknown distance metric {metric!r}")
     if len(observed) != len(dummy):
         raise InvalidInput("gradient sets have different tensor counts")
-    return float(attack._distance_with_sens(observed, dummy, metric)[0])
+    return float(attack._distance_with_sens(observed, [t.copy() for t in dummy], metric)[0])
 
 
 def parameter_count(packet) -> int:

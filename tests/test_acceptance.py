@@ -353,3 +353,41 @@ def test_c12_byte_identical_reruns(tmp_path):
     ).read_bytes()
     ok = same_rounds and same_model and same_attack
     report(12, "byte-identical reruns", ok, f"rounds {same_rounds}, model {same_model}, attack {same_attack}")
+
+
+def test_c14_rank_the_threshold_keeps(monkeypatch):
+    # at the default beta 0.3 the energy threshold keeps rank 1 on every
+    # defended weight of a default run; at beta 10, on c06's grid, layer 0's
+    # rank follows the class balance rho (Spearman 0.847 when pinned). k is
+    # the length of each packet's sigma_star
+    start = time.monotonic()
+    ks, defend_update = [], defense.defend_update
+
+    def recording(*args, **kwargs):
+        packets, residual = defend_update(*args, **kwargs)
+        ks.extend(len(p.sigma_star) for p in packets if p.kind == "svd")
+        return packets, residual
+
+    monkeypatch.setattr(defense, "defend_update", recording)
+    flsim.run_experiment(flsim.FlConfig(defense=defense.DefenseConfig(method="svdefense")),
+                         flsim.DataConfig())
+    default_ok = len(ks) == 80 and set(ks) == {1}  # 10 rounds x 4 clients x 2 weights
+
+    rhos, ranks = [], []
+    for seed in range(5):
+        ds = data.make_synthetic(4, 40, 8, seed=50 + seed)
+        model = tinynn.init_model(64, [32], 4, seed=200 + seed)
+        for rho in np.arange(0.1, 1.05, 0.1):
+            shard = data.partition_rho(ds, float(rho), seed=300 + seed)[0]
+            grads = one_hot_grads(model, ds.x[shard], ds.y[shard])
+            rhos.append(round(float(rho), 1))
+            ranks.append(len(defense.defend_grad_svd(grads[0], beta=10.0).sigma_star))
+    corr = spearman(rhos, ranks)
+    mean_k = {r: float(np.mean([k for q, k in zip(rhos, ranks) if q == r])) for r in (0.1, 1.0)}
+    elapsed = time.monotonic() - start
+    ok = default_ok and corr > 0.8 and mean_k[0.1] == 1.0 and mean_k[1.0] >= 4.0 and elapsed < 30.0
+    report(
+        14, "rank the energy threshold keeps", ok,
+        f"beta 0.3: k = 1 on {ks.count(1)}/{len(ks)} packets; beta 10: spearman(rho, k) "
+        f"{corr:.3f}, mean k {mean_k[0.1]:.1f} at rho 0.1 -> {mean_k[1.0]:.1f} at 1.0, {elapsed:.1f}s",
+    )

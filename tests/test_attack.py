@@ -1,12 +1,13 @@
 """Inversion engine: distance metrics, differentiation through the backward
 pass, adaptive transforms, end-to-end reconstructions."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from oracles import BROKEN_UPLOADS, broken_upload, grad_distance, one_hot_grads, upload
+from oracles import (BROKEN_UPLOADS, broken_upload, grad_distance, one_hot_grads, reference_adam,
+                     upload)
 from svdlab import attack, data, defense, tinynn
 from svdlab.attack import AttackConfig, run_attack
 from svdlab.errors import InvalidConfig, InvalidInput
@@ -66,11 +67,39 @@ class TestGradDistance:
         b = [np.ones((2, 2)), np.ones(2)]
         assert grad_distance(a, b, "neg_cosine_layerwise") == 0.0
 
+    @pytest.mark.parametrize("metric", attack.DISTANCES)
+    def test_leaves_its_arguments_alone(self, setup, metric):
+        # one list passed as both gradient sets, as the oracle allows
+        ds, model = setup
+        g = one_hot_grads(model, *batch_for(ds, 0))
+        before = [t.copy() for t in g]
+        grad_distance(g, g, metric)
+        for t, t0 in zip(g, before):
+            assert np.array_equal(t, t0)
+
     def test_unknown_metric(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *batch_for(ds, 0))
         with pytest.raises(InvalidConfig):
             grad_distance(g, g, "manhattan")
+
+
+class TestAdam:
+    def test_in_place_step_matches_the_reference(self):
+        # attack._adam updates p, m and v in place; every step must give the
+        # bits of the out-of-place expression, over gradients from 1e-12 to
+        # 1e3 of either sign with exact zeros among them
+        rng = np.random.default_rng(23)
+        p = rng.uniform(0.0, 1.0, (3, 3, 64))
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        rp, rm, rv = p.copy(), 0.0, 0.0  # scalar zero moments: the same bits as zero arrays
+        for t in range(1, 101):
+            g = rng.choice([-1.0, 1.0], p.shape) * 10.0 ** rng.uniform(-12.0, 3.0, p.shape)
+            g[rng.uniform(size=p.shape) < 0.1] = 0.0
+            attack._adam(p, g, m, v, t, 0.1)
+            rp, rm, rv = reference_adam(rp, g, rm, rv, t, 0.1)
+            for mine, theirs in zip((p, m, v), (rp, rm, rv)):
+                assert np.array_equal(mine, theirs)
 
 
 FD_CASES = [(m, a, h) for h in ([7], [7, 5]) for a in ("none", "prune_mask", "eot")
@@ -255,6 +284,33 @@ class TestEngine:
         assert batched.best_iteration == best.best_iteration
         assert batched.label == best.label
         assert batched.final_distance == best.final_distance
+
+    @pytest.mark.parametrize("label_mode", attack.LABEL_MODES)
+    @pytest.mark.parametrize("distance", attack.DISTANCES)
+    @pytest.mark.parametrize("mode", attack.ADAPTIVE_MODES)
+    def test_writes_only_what_it_owns(self, mode, distance, label_mode):
+        # raw packets decode to views of their own values, and the engine
+        # updates its buffers in place: the upload, the labels and the model
+        # must come back bit for bit as they went in
+        model = tinynn.init_model(16, [6], 4, seed=5)
+        labels = np.array([0, 1, 2])
+        g = one_hot_grads(model, np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), labels)
+        dcfg = ENGINE_DEFENSES[mode]
+        packets, _ = defense.defend_update(g, dcfg, rng=np.random.default_rng(2))
+        cfg = AttackConfig(distance=distance, iterations=4, lr=0.1, label_mode=label_mode,
+                           adaptive=mode, eot_samples=2, seed=40, defense=dcfg)
+
+        def arrays():
+            owned = [getattr(p, f.name) for p in packets for f in fields(p)]
+            return [a for a in owned + [labels] + model.tensors() if isinstance(a, np.ndarray)]
+
+        before = [a.copy() for a in arrays()]
+        kwargs = {"labels": labels} if label_mode == "known" else {}
+        run_attack(model, packets, 3, cfg, restarts=2, **kwargs)
+        after = arrays()
+        assert len(after) == len(before)
+        for a, a0 in zip(after, before):
+            assert np.array_equal(a, a0)
 
     def test_one_forward_pass_per_iteration(self, setup, monkeypatch):
         model, observed, labels, dcfg = self.observed_for(setup, "defense_replay")

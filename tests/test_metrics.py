@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import spearman
 from svdlab import data, metrics
 from svdlab.errors import InvalidInput
 from svdlab.metrics import comm_reduction, mse, psnr, ssim
@@ -102,3 +103,16 @@ class TestCommReduction:
     def test_baseline_must_be_positive(self):
         with pytest.raises(InvalidInput):
             comm_reduction(10, 0)
+
+
+class TestSpearman:
+    def test_ties_take_average_ranks(self):
+        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
+        assert spearman([1, 2, 3, 4], [1, 1, 2, 2]) == pytest.approx(2 / 5**0.5)
+
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_constant_input_raises(self, side):
+        # undefined, not NaN: the error names the constant argument
+        xs, ys = ([1, 1, 1], [1, 2, 3]) if side == "xs" else ([1, 2, 3], [2, 2, 2])
+        with pytest.raises(ValueError, match=f"constant input: {side} = "):
+            spearman(xs, ys)

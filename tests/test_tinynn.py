@@ -52,17 +52,24 @@ class TestForward:
                 forward_batch(small_model(), bad)
 
     def test_stacked_batches_match_slices_exactly(self):
-        # a leading (restart) axis must not change any slice's arithmetic
+        # a leading (restart) axis must not change any slice's arithmetic;
+        # the cached ReLU masks are forward_batch's preacts > 0, one per
+        # hidden layer (two of them in the second model)
         rng = np.random.default_rng(3)
-        model = init_model(64, [32], 4, seed=5)
-        x = rng.uniform(0.0, 1.0, size=(3, 4, 64))
-        y = np.eye(4)[rng.integers(0, 4, size=(3, 4))]
-        grads, (acts, preacts, probs, deltas) = backprop(model, x, y)
-        for j in range(3):
-            gj, (aj, pj, qj, dj) = backprop(model, x[j], y[j])
-            for stacked, alone in zip(grads + acts + preacts + [probs] + deltas,
-                                      gj + aj + pj + [qj] + dj):
-                assert np.array_equal(stacked[j], alone)
+        for hidden in ([32], [32, 7]):
+            model = init_model(64, hidden, 4, seed=5)
+            x = rng.uniform(0.0, 1.0, size=(3, 4, 64))
+            y = np.eye(4)[rng.integers(0, 4, size=(3, 4))]
+            grads, (acts, masks, probs, deltas) = backprop(model, x, y)
+            preacts = forward_batch(model, x)[2]
+            assert len(masks) == len(hidden)
+            for mask, z in zip(masks, preacts):
+                assert np.array_equal(mask, z > 0.0)
+            for j in range(3):
+                gj, (aj, mj, qj, dj) = backprop(model, x[j], y[j])
+                for stacked, alone in zip(grads + acts + masks + [probs] + deltas,
+                                          gj + aj + mj + [qj] + dj):
+                    assert np.array_equal(stacked[j], alone)
 
     def test_layer_dims_must_chain(self):
         with pytest.raises(InvalidInput):
