@@ -23,13 +23,9 @@ from .tinynn import ModelParams
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
 NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise stream
 
-KIND_RAW = "raw"
-KIND_SVD = "svd"
-_KIND_CODES = {KIND_RAW: 0, KIND_SVD: 1}
-_SPARSE = 2  # the wire code of a raw packet sent as a bitmap and its stored entries
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()} | {_SPARSE: KIND_RAW}
+_DENSE, _SVD, _SPARSE = 0, 1, 2  # wire codes: raw values, factors, raw bitmap + stored values
 _RATE = {"ge": 0, "lt": 1}
-_HEADER_BYTES = 4 + 17  # total_len u32, then layer_id, kind, p, q, k
+_HEADER_BYTES = 17  # total_len u32, code u8, p u32, q u32, k u32
 _F8, _U8 = np.dtype("<f8"), np.dtype("<u8")
 
 
@@ -51,18 +47,17 @@ class DefenseConfig:
 
 @dataclass
 class DefensePacket:
-    """One transmitted tensor: either truncated factors or raw values."""
+    """One transmitted tensor, whose id is its position in the upload: the
+    truncated factors of a weight matrix (values is None), or the tensor's
+    raw values in its own shape."""
 
-    layer_id: int
-    kind: str
-    orig_shape: tuple
-    # svd kind
+    # factors
     channel_weights: np.ndarray | None = None
     u_star: np.ndarray | None = None
     sigma_star: np.ndarray | None = None
     vt_star: np.ndarray | None = None
     entropy: float = 0.0
-    # raw kind
+    # raw
     values: np.ndarray | None = None
 
 
@@ -108,7 +103,7 @@ def channel_weights(g: np.ndarray) -> np.ndarray:
     return np.maximum(norms, np.where(top > 0.0, 1e-8 * top, 1e-12))
 
 
-def defend_grad_svd(g: np.ndarray, beta: float, layer_id: int = 0) -> DefensePacket:
+def defend_grad_svd(g: np.ndarray, beta: float) -> DefensePacket:
     """Weighted truncation of one gradient matrix (rows = output channels).
 
     Zero matrices take a documented degenerate path: rank-1 zero factors and
@@ -121,9 +116,6 @@ def defend_grad_svd(g: np.ndarray, beta: float, layer_id: int = 0) -> DefensePac
     weights = channel_weights(g)
     if not np.any(g):
         return DefensePacket(
-            layer_id=layer_id,
-            kind=KIND_SVD,
-            orig_shape=(p, q),
             channel_weights=weights,
             u_star=np.zeros((p, 1)),
             sigma_star=np.zeros(1),
@@ -137,9 +129,6 @@ def defend_grad_svd(g: np.ndarray, beta: float, layer_id: int = 0) -> DefensePac
         raise NumericalFailure("all singular values are zero")
     k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(
-        layer_id=layer_id,
-        kind=KIND_SVD,
-        orig_shape=(p, q),
         channel_weights=weights,
         u_star=factors.u[:, :k].copy(),
         sigma_star=factors.sigma[:k].copy(),
@@ -150,9 +139,9 @@ def defend_grad_svd(g: np.ndarray, beta: float, layer_id: int = 0) -> DefensePac
 
 def reconstruct_packet(packet: DefensePacket) -> np.ndarray:
     """Server-side reassembly: undo the channel weighting around the
-    truncated factors, or just reshape raw values."""
-    if packet.kind == KIND_RAW:
-        return packet.values.reshape(packet.orig_shape)
+    truncated factors; raw values are the tensor itself."""
+    if packet.values is not None:
+        return packet.values
     approx = (packet.u_star * packet.sigma_star) @ packet.vt_star
     return approx / packet.channel_weights[:, None]
 
@@ -180,7 +169,7 @@ def _defend_tensor(t: np.ndarray, tid: int, cfg: DefenseConfig, rng, carried):
     ids and a bias at odd ones; the carry is None outside dgp."""
     method, carry = cfg.method, None
     if method == "svdefense" and tid % 2 == 0 and t.ndim == 2 and min(t.shape) >= 2:
-        return defend_grad_svd(t, cfg.beta, layer_id=tid), None
+        return defend_grad_svd(t, cfg.beta), None
     if method in NOISE_METHODS and cfg.noise_scale > 0.0:
         t = t + noise(rng, cfg, t.shape)
     elif method == "prune":
@@ -189,8 +178,7 @@ def _defend_tensor(t: np.ndarray, tid: int, cfg: DefenseConfig, rng, carried):
         t = t if carried is None else t + carried
         kept = _pruned(t, cfg.dgp_small_rate, cfg.dgp_large_rate)
         t, carry = kept, t - kept
-    return DefensePacket(layer_id=tid, kind=KIND_RAW, orig_shape=t.shape,
-                         values=t.ravel().copy()), carry
+    return DefensePacket(values=t.copy()), carry
 
 
 def defend_update(
@@ -217,18 +205,17 @@ def defend_update(
 
 
 def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> list:
-    """Decode one upload for the model `params`: packet i must carry tensor id
-    i (weight of layer l at 2l, its bias at 2l + 1) for every tensor of the
-    model, declaring and decoding to that tensor's shape. Any other upload
-    raises InvalidInput."""
+    """Decode one upload for the model `params`: packet i carries tensor i
+    (weight of layer l at 2l, its bias at 2l + 1), one packet for every
+    tensor of the model, each decoding to that tensor's shape. Any other
+    upload raises InvalidInput."""
     refs = params.tensors()
-    if [p.layer_id for p in packets] != list(range(len(refs))):
-        raise InvalidInput(f"packet ids must be 0..{len(refs) - 1} in order")
+    if len(packets) != len(refs):
+        raise InvalidInput(f"{len(packets)} packets for a model of {len(refs)} tensors")
     tensors = [reconstruct_packet(p) for p in packets]
-    for p, t, ref in zip(packets, tensors, refs):
-        if tuple(p.orig_shape) != t.shape or t.shape != ref.shape:
-            raise InvalidInput(f"tensor {p.layer_id} declares shape {tuple(p.orig_shape)} and "
-                               f"decodes to {t.shape}, the model's is {ref.shape}")
+    for tid, (t, ref) in enumerate(zip(tensors, refs)):
+        if t.shape != ref.shape:
+            raise InvalidInput(f"tensor {tid} decodes to {t.shape}, the model's is {ref.shape}")
     return tensors
 
 
@@ -241,19 +228,20 @@ def _sparse_pays(n: int, k: int) -> bool:
 def serialize_packet(packet: DefensePacket) -> bytes:
     """Length-prefixed little-endian layout.
 
-    header: total_len u32, layer_id u32, kind u8, p u32, q u32, k u32;
-    svd payload (kind 1): diag (p), u_star (p*k), sigma_star (k), vt_star
-    (k*q), entropy (1), all f64. A raw packet holds n = p values (q == 0
-    marks a 1-D tensor) or p*q, and takes the shorter of two lossless
-    payloads: dense (kind 0, k = 0) is the n values as f64; sparse (kind 2)
-    is np.packbits of the n-entry mask of stored values, those whose bits
-    are not all zero (so -0.0 is stored and +0.0 is not), then the k stored
-    values as f64 in flat order. Sparse is chosen iff ceil(n/8) + 8k < 8n.
+    header: total_len u32, code u8, p u32, q u32, k u32, with p, q and k
+    read off the packet's arrays (its tensor id is its position in the
+    upload); svd payload (code 1): diag (p), u_star (p*k), sigma_star (k),
+    vt_star (k*q), entropy (1), all f64. A raw packet holds n = p values
+    (q == 0 marks a 1-D tensor) or p*q, and takes the shorter of two
+    lossless payloads: dense (code 0, k = 0) is the n values as f64; sparse
+    (code 2) is np.packbits of the n-entry mask of stored values, those
+    whose bits are not all zero (so -0.0 is stored and +0.0 is not), then
+    the k stored values as f64 in flat order. Sparse is chosen iff
+    ceil(n/8) + 8k < 8n.
     """
-    if packet.kind == KIND_SVD:
-        p, q = packet.orig_shape
-        code, k = _KIND_CODES[KIND_SVD], len(packet.sigma_star)
-        payload = b"".join(
+    if packet.values is None:
+        (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
+        code, payload = _SVD, b"".join(
             a.astype("<f8").tobytes()
             for a in (
                 packet.channel_weights,
@@ -264,20 +252,17 @@ def serialize_packet(packet: DefensePacket) -> bytes:
             )
         )
     else:
-        if len(packet.orig_shape) == 2:
-            p, q = packet.orig_shape
-        else:
-            p, q = packet.orig_shape[0], 0
         values = np.asarray(packet.values, dtype=_F8)
+        p, q = values.shape if values.ndim == 2 else (values.size, 0)
+        values = values.ravel()
         stored = values.view(_U8).astype(bool)
         where = stored.nonzero()  # integer indices: a mask index branches per entry
-        code, k = _KIND_CODES[KIND_RAW], len(where[0])
+        code, k = _DENSE, len(where[0])
         if _sparse_pays(values.size, k):
             code, payload = _SPARSE, np.packbits(stored).tobytes() + values[where].tobytes()
         else:
             k, payload = 0, values.tobytes()
-    return struct.pack("<IIBIII", _HEADER_BYTES + len(payload), packet.layer_id, code, p, q,
-                       k) + payload
+    return struct.pack("<IBIII", _HEADER_BYTES + len(payload), code, p, q, k) + payload
 
 
 def _raw_values(blob: bytes, code: int, n: int, k: int) -> np.ndarray:
@@ -303,27 +288,27 @@ def _raw_values(blob: bytes, code: int, n: int, k: int) -> np.ndarray:
 
 
 def deserialize_packet(blob: bytes) -> DefensePacket:
-    """Inverse of serialize_packet, which it accepts only in the form
-    serialize_packet writes; any malformed or non-canonical blob, a raw NaN,
-    svd channel weights that are not finite and positive, svd factors that
-    are not finite, or an svd entropy outside [0, ln(min(p, q))] (relative
-    slack 1e-12), raise InvalidInput."""
+    """Inverse of serialize_packet (raw values come back in their (p, q) or
+    (p,) shape), which it accepts only in the form serialize_packet writes;
+    any malformed or non-canonical blob, a raw NaN, svd channel weights that
+    are not finite and positive, svd factors that are not finite, or an svd
+    entropy outside [0, ln(min(p, q))] (relative slack 1e-12), raise
+    InvalidInput."""
     if len(blob) < _HEADER_BYTES or struct.unpack_from("<I", blob, 0)[0] != len(blob):
         raise InvalidInput("packet length prefix does not match payload")
-    layer_id, code, p, q, k = struct.unpack_from("<IBIII", blob, 4)
-    kind = _CODE_KINDS.get(code)
-    if kind is None:
-        raise InvalidInput(f"unknown packet kind code {code}")
+    code, p, q, k = struct.unpack_from("<BIII", blob, 4)
+    if code not in (_DENSE, _SVD, _SPARSE):
+        raise InvalidInput(f"unknown packet code {code}")
     n = p * max(q, 1)
-    size = (8 * (p + p * k + k + k * q + 1) if kind == KIND_SVD
+    size = (8 * (p + p * k + k + k * q + 1) if code == _SVD
             else -(-n // 8) + 8 * k if code == _SPARSE else 8 * n)
-    if len(blob) - _HEADER_BYTES != size or (code == _KIND_CODES[KIND_RAW] and k != 0):
+    if len(blob) - _HEADER_BYTES != size or (code == _DENSE and k != 0):
         raise InvalidInput(f"packet payload does not hold the {size} bytes it declares")
-    if kind == KIND_RAW:
-        shape, values = (p, q) if q > 0 else (p,), _raw_values(blob, code, n, k)
+    if code != _SVD:
+        values = _raw_values(blob, code, n, k)
         if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
             raise InvalidInput("raw packet holds a NaN")
-        return DefensePacket(layer_id=layer_id, kind=kind, orig_shape=shape, values=values)
+        return DefensePacket(values=values.reshape((p, q) if q > 0 else (p,)))
     body = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES).copy()
     at_sigma = p + p * k  # after the diag and u_star
     at_vt, at_entropy = at_sigma + k, at_sigma + k + k * q
@@ -334,9 +319,6 @@ def deserialize_packet(blob: bytes) -> DefensePacket:
     if not (min(p, q) and 0.0 <= body[at_entropy] <= math.log(min(p, q)) * (1 + 1e-12)):
         raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
     return DefensePacket(
-        layer_id=layer_id,
-        kind=kind,
-        orig_shape=(p, q),
         channel_weights=body[:p],
         u_star=body[p:at_sigma].reshape(p, k),
         sigma_star=body[at_sigma:at_vt],

@@ -99,11 +99,6 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *path]))
 
 
-def model_bytes(params: ModelParams) -> int:
-    """Broadcast payload size: every parameter as f64."""
-    return 8 * params.num_params()
-
-
 def client_round(
     global_params: ModelParams,
     ds: data_mod.Dataset,
@@ -150,18 +145,18 @@ def client_round(
 def aggregation_weights(updates: list[ClientUpdate], tensor_id: int) -> np.ndarray:
     """Per-client weights for one tensor, summing to 1.
 
-    Factorized tensors weight clients by entropy times sample count; if every
-    entropy is zero the rule falls back to sample counts, which is also what
-    raw tensors (biases, undefended runs) use.
+    Factored packets (values None) weight clients by entropy times sample
+    count; if every entropy is zero the rule falls back to sample counts,
+    which is also what raw tensors (biases, undefended runs) use.
     """
     if not updates:
         raise InvalidInput("no updates to aggregate")
     packets = [u.packets[tensor_id] for u in updates]
     counts = np.array([float(u.sample_count) for u in updates])
-    kinds = {p.kind for p in packets}
-    if len(kinds) != 1:
-        raise InvalidInput(f"mixed packet kinds for tensor {tensor_id}")
-    if kinds == {defense_mod.KIND_SVD}:
+    factored = {p.values is None for p in packets}
+    if len(factored) != 1:
+        raise InvalidInput(f"tensor {tensor_id} is factored in some uploads and raw in others")
+    if factored == {True}:
         entropies = np.array([p.entropy for p in packets])
         mass = entropies * counts
         if mass.sum() > 0.0:
@@ -231,7 +226,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
     if errors:
         raise InvalidConfig("; ".join(errors))
     train, test, shards, model = build_experiment(fl, data_cfg, hidden_dims)
-    download_unit = model_bytes(model)
+    download_unit = 8 * model.num_params()  # the broadcast: every parameter as f64
     dgp_residuals: dict[int, list] = {}
     reports = []
     for rnd in range(fl.rounds):
@@ -255,7 +250,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             bytes_up += sum(len(b) for b in blobs)
             update.packets = [defense_mod.deserialize_packet(b) for b in blobs]
             updates.append(update)
-            svd_entropies = [p.entropy for p in update.packets if p.kind == defense_mod.KIND_SVD]
+            svd_entropies = [p.entropy for p in update.packets if p.values is None]
             client_entropies[cid] = float(np.mean(svd_entropies)) if svd_entropies else 0.0
         with numerical_failure(f"the aggregate of round {rnd}"):
             model, weights = aggregate(model, updates)

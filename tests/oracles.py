@@ -11,13 +11,15 @@ a plain sample-count-weighted federated averaging loop, and the class stripe
 templates through np.meshgrid. one_hot_grads is how tests take a model's
 gradients on labelled examples; upload wraps a gradient set as the packets an
 undefended client sends, the one form attack.run_attack takes; broken_upload
-forges the bad uploads that the packet decoder must refuse. grad_distance and
-parameter_count are the test suite's scalar views of the attack distance and
-of a packet's payload size; reference_adam is the attack's Adam step written
-out of place.
+forges the bad uploads that the packet decoder must refuse, and wire_blob
+writes a packet's bytes by hand to the wire layout HEADER_BYTES pins.
+grad_distance and parameter_count are the test suite's scalar views of the
+attack distance and of a packet's payload size; reference_adam is the
+attack's Adam step written out of place.
 """
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -221,14 +223,32 @@ def upload(grads: list) -> list:
     return defense.defend_update(grads, defense.DefenseConfig(method="none"))[0]
 
 
-BROKEN_UPLOADS = ("missing", "duplicated", "swapped", "relabeled", "reshaped")
+HEADER_BYTES = 17  # the wire header: total_len u32, code u8, p u32, q u32, k u32
+
+
+def wire_blob(code: int, p: int, q: int, k: int, payload: bytes) -> bytes:
+    """A packet of wire code `code` (0 dense, 1 svd, 2 sparse) and header
+    fields p, q, k, with a correct length prefix."""
+    return struct.pack("<IBIII", HEADER_BYTES + len(payload), code, p, q, k) + payload
+
+
+BROKEN_UPLOADS = ("missing", "duplicated", "swapped", "reshaped")
+
+
+def transposed(packet):
+    """A self-consistent packet of the transposed tensor: raw values
+    reshaped to the reversed shape, or the factors swapped and transposed
+    with channel weights for the new row count."""
+    if packet.values is not None:
+        return replace(packet, values=packet.values.reshape(packet.values.shape[::-1]))
+    return replace(packet, channel_weights=np.ones(packet.vt_star.shape[1]),
+                   u_star=packet.vt_star.T.copy(), vt_star=packet.u_star.T.copy())
 
 
 def broken_upload(packets: list, how: str) -> list:
     """A copy of a well-formed upload of at least two layers, broken one way:
     the last packet dropped or sent twice, the first two sent in swapped
-    order, the ids of the two weight packets exchanged in place, or the
-    first weight declared with its transposed shape."""
+    order, or the first weight sent transposed."""
     p = list(packets)
     if how == "missing":
         return p[:-1]
@@ -236,10 +256,8 @@ def broken_upload(packets: list, how: str) -> list:
         return p + p[-1:]
     if how == "swapped":
         return [p[1], p[0], *p[2:]]
-    if how == "relabeled":
-        return [replace(p[0], layer_id=2), p[1], replace(p[2], layer_id=0), *p[3:]]
     assert how == "reshaped"
-    return [replace(p[0], orig_shape=tuple(p[0].orig_shape[::-1])), *p[1:]]
+    return [transposed(p[0]), *p[1:]]
 
 
 def grad_distance(observed: list, dummy: list, metric: str) -> float:
@@ -254,11 +272,10 @@ def grad_distance(observed: list, dummy: list, metric: str) -> float:
 
 def parameter_count(packet) -> int:
     """Number of float64 values the packet payload carries."""
-    if packet.kind == "raw":
+    if packet.values is not None:
         return int(packet.values.size)
-    p, q = packet.orig_shape
-    k = len(packet.sigma_star)
-    return p + p * k + k + k * q + 1  # diag, U*, sigma*, V*^T, entropy
+    factors = (packet.channel_weights, packet.u_star, packet.sigma_star, packet.vt_star)
+    return sum(int(a.size) for a in factors) + 1  # diag, U*, sigma*, V*^T, entropy
 
 
 

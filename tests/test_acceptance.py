@@ -272,7 +272,6 @@ def test_c10_communication_accounting():
     trunc = truncate_by_energy(factors, threshold)
     assert len(trunc.sigma) == 8
     pkt = defense.DefensePacket(
-        layer_id=0, kind="svd", orig_shape=(64, 64),
         channel_weights=np.ones(64), u_star=trunc.u,
         sigma_star=trunc.sigma, vt_star=trunc.vt, entropy=1.0,
     )
@@ -365,7 +364,7 @@ def test_c14_rank_the_threshold_keeps(monkeypatch):
 
     def recording(*args, **kwargs):
         packets, residual = defend_update(*args, **kwargs)
-        ks.extend(len(p.sigma_star) for p in packets if p.kind == "svd")
+        ks.extend(len(p.sigma_star) for p in packets if p.values is None)
         return packets, residual
 
     monkeypatch.setattr(defense, "defend_update", recording)

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import energy_rank, parameter_count, singular_entropy, truncate_by_energy
+from oracles import (HEADER_BYTES, energy_rank, parameter_count, singular_entropy,
+                     truncate_by_energy, wire_blob)
 from svdlab import defense, linalg, tinynn
 from svdlab.defense import (
     DefenseConfig,
@@ -280,21 +281,16 @@ SPARSE_TEN = np.array([0.0, 1.5, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def raw_packet(values):
-    return defense.DefensePacket(layer_id=0, kind="raw", orig_shape=values.shape, values=values)
-
-
-def wire_blob(code, p, q, k, payload):
-    """A packet of kind `code` with a correct length prefix."""
-    return struct.pack("<IIBIII", 21 + len(payload), 0, code, p, q, k) + payload
+    return defense.DefensePacket(values=values)
 
 
 class TestPacketTransport:
     def test_svd_roundtrip(self):
         rng = np.random.default_rng(10)
-        pkt = defend_grad_svd(rng.normal(size=(8, 6)), beta=0.3, layer_id=4)
+        pkt = defend_grad_svd(rng.normal(size=(8, 6)), beta=0.3)
         blob = serialize_packet(pkt)
         back = deserialize_packet(blob)
-        assert back.layer_id == 4 and back.kind == "svd"
+        assert back.values is None and blob[4] == 1  # the code byte follows the length
         np.testing.assert_array_equal(back.u_star, pkt.u_star)
         np.testing.assert_array_equal(back.sigma_star, pkt.sigma_star)
         np.testing.assert_array_equal(back.vt_star, pkt.vt_star)
@@ -305,42 +301,36 @@ class TestPacketTransport:
         )
 
     def test_raw_roundtrip(self):
-        pkt = defense.DefensePacket(
-            layer_id=3, kind="raw", orig_shape=(5,), values=np.arange(5.0)
-        )
-        back = deserialize_packet(serialize_packet(pkt))
-        assert back.orig_shape == (5,)
-        np.testing.assert_array_equal(back.values, pkt.values)
+        back = deserialize_packet(serialize_packet(raw_packet(np.arange(5.0))))
+        assert back.values.shape == (5,)
+        np.testing.assert_array_equal(back.values, np.arange(5.0))
 
     def test_rejects_malformed_blobs(self):
-        import struct
-
-        raw = serialize_packet(
-            defense.DefensePacket(layer_id=0, kind="raw", orig_shape=(12,), values=np.ones(12))
-        )
-        unknown_kind = raw[:8] + bytes([7]) + raw[9:]
+        raw = serialize_packet(raw_packet(np.ones(12)))
+        assert raw == wire_blob(0, 12, 0, 0, np.ones(12).tobytes())
+        unknown_code = wire_blob(7, 12, 0, 0, raw[HEADER_BYTES:])
         # a declared 5x5 raw tensor over a 12-value payload
-        oversized = raw[:9] + struct.pack("<II", 5, 5) + raw[17:]
-        for blob in (unknown_kind, oversized, raw[:-8], raw[:10], b""):
+        oversized = wire_blob(0, 5, 5, 0, raw[HEADER_BYTES:])
+        for blob in (unknown_code, oversized, raw[:-8], raw[:10], b""):
             with pytest.raises(InvalidInput):
                 deserialize_packet(blob)
 
     def test_raw_picks_the_shorter_encoding_bit_exactly(self):
         blob = serialize_packet(raw_packet(SPARSE_TEN))
-        assert (blob[8], len(blob)) == (2, 21 + 2 + 16)
+        assert (blob[4], len(blob)) == (2, HEADER_BYTES + 2 + 16)
         assert deserialize_packet(blob).values.tobytes() == SPARSE_TEN.tobytes()
         dense = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
-        assert (dense[8], len(dense)) == (0, 21 + 80)
+        assert (dense[4], len(dense)) == (0, HEADER_BYTES + 80)
 
     @pytest.mark.parametrize("edit", ["pad bit", "mask count", "stored +0.0"])
     def test_rejects_non_canonical_sparse_blobs(self, edit):
         blob = bytearray(serialize_packet(raw_packet(SPARSE_TEN)))
         if edit == "pad bit":  # entries 8 and 9 fill the top 2 bits of the second byte
-            blob[22] |= 0x01
+            blob[HEADER_BYTES + 1] |= 0x01
         elif edit == "mask count":  # marks entry 0 stored: 3 set bits for k = 2
-            blob[21] |= 0x80
+            blob[HEADER_BYTES] |= 0x80
         else:  # the stored 1.5 becomes +0.0
-            blob[23:31] = bytes(8)
+            blob[HEADER_BYTES + 2 : HEADER_BYTES + 10] = bytes(8)
         with pytest.raises(InvalidInput):
             deserialize_packet(bytes(blob))
 
@@ -350,7 +340,7 @@ class TestPacketTransport:
             deserialize_packet(wire_blob(2, 1, 0, 1, bytes([0x80]) + struct.pack("<d", 1.0)))
 
     def test_rejects_a_dense_blob_sparse_would_shorten(self):
-        assert serialize_packet(raw_packet(np.zeros(10)))[8] == 2
+        assert serialize_packet(raw_packet(np.zeros(10)))[4] == 2
         with pytest.raises(InvalidInput):
             deserialize_packet(wire_blob(0, 10, 0, 0, bytes(80)))
 
@@ -377,7 +367,7 @@ class TestPacketTransport:
         values[at] = np.inf  # noise of scale 1e308 draws these honestly
         values[at + 2] = -np.inf
         blob = serialize_packet(raw_packet(values))
-        assert blob[8] == (2 if form == "sparse" else 0)
+        assert blob[4] == (2 if form == "sparse" else 0)
         assert deserialize_packet(blob).values.tobytes() == values.tobytes()
         values[at] = np.nan
         with pytest.raises(InvalidInput, match="NaN"):
@@ -411,7 +401,7 @@ class TestPacketTransport:
         rng = np.random.default_rng(12)
         pkt = defend_grad_svd(rng.normal(size=(6, 7)), beta=0.3)
         blob = serialize_packet(pkt)
-        assert len(blob) == 4 + 17 + 8 * parameter_count(pkt)
+        assert len(blob) == HEADER_BYTES + 8 * parameter_count(pkt)
 
 
 class TestDefendUpdate:
@@ -420,14 +410,14 @@ class TestDefendUpdate:
         grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
         packets, residual = defend_update(grads, DefenseConfig(method="none"))
         assert residual is None
-        assert [p.kind for p in packets] == ["raw", "raw"]
+        assert [p.values is None for p in packets] == [False, False]
         back = packets_to_gradset(packets, model_like(grads))
         np.testing.assert_array_equal(back[0], grads[0])
         np.testing.assert_array_equal(back[1], grads[1])
 
     def test_decoder_checks_decoded_shapes(self):
-        # factors whose product has another shape than the one the packet
-        # declares are refused, not handed on
+        # factors whose product has another shape than the model's tensor
+        # are refused, not handed on
         rng = np.random.default_rng(17)
         grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense", beta=0.3))
@@ -453,8 +443,7 @@ class TestDefendUpdate:
             ]
         )
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense", beta=0.3))
-        assert [p.kind for p in packets] == ["svd", "raw", "svd", "raw"]
-        assert [p.layer_id for p in packets] == [0, 1, 2, 3]
+        assert [p.values is None for p in packets] == [True, False, True, False]
 
     def test_config_validation(self):
         assert DefenseConfig(method="bogus").validate()

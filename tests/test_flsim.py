@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import BROKEN_UPLOADS, broken_upload, fedavg_reference, one_hot_grads
+from oracles import BROKEN_UPLOADS, HEADER_BYTES, broken_upload, fedavg_reference, one_hot_grads
 from svdlab import data, defense, flsim, tinynn
 from svdlab.defense import DefenseConfig, DefensePacket
 from svdlab.errors import InvalidConfig, InvalidInput, NumericalFailure
@@ -21,7 +21,6 @@ from svdlab.flsim import (
 
 def svd_update(client_id, count, entropy):
     pkt = DefensePacket(
-        layer_id=0, kind="svd", orig_shape=(2, 2),
         channel_weights=np.ones(2), u_star=np.eye(2)[:, :1],
         sigma_star=np.ones(1), vt_star=np.eye(2)[:1, :], entropy=entropy,
     )
@@ -179,7 +178,7 @@ class TestNoiseStreams:
             rng=flsim._rng(fl.seed, flsim._TAG_DEFENSE_NOISE, rnd, cid),
         )
         for got, ref in zip(noisy.packets, want):
-            assert got.layer_id == ref.layer_id and got.kind == ref.kind == "raw"
+            assert ref.values is not None  # dp_gauss sends every tensor raw
             np.testing.assert_array_equal(got.values, ref.values)
 
 
@@ -319,18 +318,17 @@ class TestRunExperiment:
         fields = ("values", "channel_weights", "u_star", "sigma_star", "vt_star")
         assert len(sent) == len(parsed) == 4 * cfg.rounds * cfg.clients_per_round
         for a, b in zip(sent, parsed):
-            assert (a.layer_id, a.kind, a.orig_shape, a.entropy) == (
-                b.layer_id, b.kind, b.orig_shape, b.entropy)
+            assert a.entropy == b.entropy
             for name in fields:
                 x, y = getattr(a, name), getattr(b, name)
-                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+                assert (x is None and y is None) or (x.shape, x.tobytes()) == (y.shape, y.tobytes())
         assert [r.accuracy for r in reports] == [r.accuracy for r in reports_bypassed]
         for x, y in zip(wired.tensors(), bypassed.tensors()):
             assert x.tobytes() == y.tobytes()
         if method in ("prune", "dgp"):  # a bitmap of the n entries, then the k stored ones
             def size(values):
                 n, k = values.size, np.count_nonzero(values.view(np.uint64))
-                return 21 + min(8 * n, -(-n // 8) + 8 * k)
+                return HEADER_BYTES + min(8 * n, -(-n // 8) + 8 * k)
 
             per_round = 4 * cfg.clients_per_round
             expected = [sum(size(p.values) for p in sent[r * per_round:(r + 1) * per_round])
@@ -365,7 +363,7 @@ class TestRunExperiment:
         shifted = tinynn.ModelParams([tinynn.LayerParams(l.weight, l.bias + 1.0)
                                       for l in model.layers])
         assert not any(l.bias.any() for l in model.layers)
-        dense = sum(21 + 8 * t.size for t in model.tensors())
+        dense = sum(HEADER_BYTES + 8 * t.size for t in model.tensors())
         assert flsim.raw_upload_bytes(model) == flsim.raw_upload_bytes(shifted) == dense
 
     def test_numerically_rank_one_update_trains(self):

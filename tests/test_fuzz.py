@@ -9,7 +9,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import HEADER_BYTES, transposed, wire_blob
 from svdlab import cli, defense, linalg, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
@@ -75,14 +76,12 @@ def _packets():
     dims = st.integers(min_value=0, max_value=4)
 
     def raw(shape):
-        return defense.DefensePacket(
-            layer_id=1, kind="raw", orig_shape=shape, values=np.arange(float(np.prod(shape)))
-        )
+        return defense.DefensePacket(values=np.arange(float(np.prod(shape))).reshape(shape))
 
     def svd(pqk):
         p, q, k = pqk
         return defense.DefensePacket(
-            layer_id=2, kind="svd", orig_shape=(p, q), channel_weights=np.ones(p),
+            channel_weights=np.ones(p),
             u_star=np.ones((p, k)), sigma_star=np.ones(k), vt_star=np.ones((k, q)), entropy=0.5,
         )
 
@@ -124,26 +123,25 @@ def _raw_values(draw):
 
 
 def _raw_blob(values: np.ndarray, mask=None) -> bytes:
-    """The raw packet of `values` built by hand: dense (kind 0) without a
-    mask, else sparse (kind 2), a bitmap of `mask` and the masked values."""
+    """The raw packet of `values` built by hand: dense (code 0) without a
+    mask, else sparse (code 2), a bitmap of `mask` and the masked values."""
     flat = values.ravel()
     payload = (flat.tobytes() if mask is None
                else np.packbits(mask).tobytes() + flat[mask].tobytes())
     p, q = (*values.shape, 0)[:2]
     k = 0 if mask is None else int(np.count_nonzero(mask))
-    return struct.pack("<IIBIII", 21 + len(payload), 3, 0 if mask is None else 2, p, q,
-                       k) + payload
+    return wire_blob(0 if mask is None else 2, p, q, k, payload)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(values=_raw_values(), extra=st.lists(st.integers(min_value=0, max_value=39), max_size=3),
        cut=st.none() | st.integers(min_value=0, max_value=400),
-       flips=st.lists(st.tuples(st.integers(0, 400) | st.integers(21, 25),  # or in the bitmap
+       flips=st.lists(st.tuples(st.integers(0, 400)
+                                | st.integers(HEADER_BYTES, HEADER_BYTES + 4),  # or the bitmap
                                 st.integers(0, 7)), max_size=3),
        tail=st.binary(max_size=9))
 def test_raw_packets_travel_bit_exact_in_the_shorter_form(values, extra, cut, flips, tail):
-    packet = defense.DefensePacket(layer_id=3, kind="raw", orig_shape=values.shape,
-                                   values=values.ravel())
+    packet = defense.DefensePacket(values=values)
     good = defense.serialize_packet(packet)
     stored = values.ravel().view(np.uint64) != 0  # -0.0 is stored, +0.0 is not
     if np.isnan(values).any():  # no honest upload holds one, so no form parses
@@ -151,7 +149,7 @@ def test_raw_packets_travel_bit_exact_in_the_shorter_form(values, extra, cut, fl
             defense.deserialize_packet(good)
         return
     back = defense.deserialize_packet(good)
-    assert back.orig_shape == values.shape and back.values.tobytes() == values.tobytes()
+    assert back.values.shape == values.shape and back.values.tobytes() == values.tobytes()
     # of the dense form, the sparse form, a sparse form that also stores
     # some +0.0 entries and one with a pad bit set, the serializer writes the
     # shorter of the first two and the parser accepts that one alone
@@ -161,7 +159,7 @@ def test_raw_packets_travel_bit_exact_in_the_shorter_form(values, extra, cut, fl
     assert good == min(forms[:2], key=len)
     if values.size % 8:
         padded = bytearray(forms[1])
-        padded[21 + (values.size - 1) // 8] |= 1
+        padded[HEADER_BYTES + (values.size - 1) // 8] |= 1
         forms.append(bytes(padded))
     for blob in forms:
         if blob != good:
@@ -188,7 +186,7 @@ def test_random_bytes_parse_or_raise_invalid_input(blob):
 
 
 _MODEL = tinynn.init_model(6, [3], 2, seed=0)
-_OTHER = tinynn.init_model(6, [4], 2, seed=0)  # the same tensor ids, other shapes
+_OTHER = tinynn.init_model(6, [4], 2, seed=0)  # as many tensors, other shapes
 _CHECKPOINT = tinynn.init_model(4, [3, 2], 2, seed=0)  # two hidden layers: three headers
 
 
@@ -258,10 +256,10 @@ def test_packet_lists_decode_or_raise_invalid_input(method, edits):
             packets.insert(j % (len(packets) + 1), packets[i])
         elif op == "move":
             packets.insert(j % len(packets), packets.pop(i))
-        elif op == "other":  # the same id from a model of other shapes
-            packets[i] = other[packets[i].layer_id]
+        elif op == "other":  # the same position from a model of other shapes
+            packets[i] = other[i % len(other)]
         else:
-            packets[i] = replace(packets[i], orig_shape=tuple(packets[i].orig_shape[::-1]))
+            packets[i] = transposed(packets[i])
     try:
         back = defense.packets_to_gradset(packets, _MODEL)
     except InvalidInput:
