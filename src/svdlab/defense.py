@@ -25,7 +25,7 @@ NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise str
 
 _DENSE, _SVD, _SPARSE = 0, 1, 2  # wire codes: raw values, factors, raw bitmap + stored values
 _RATE = {"ge": 0, "lt": 1}
-_HEADER_BYTES = 17  # total_len u32, code u8, p u32, q u32, k u32
+_HEADER_BYTES = 13  # code u8, p u32, q u32, k u32
 _F8, _U8 = np.dtype("<f8"), np.dtype("<u8")
 
 
@@ -45,7 +45,7 @@ class DefenseConfig:
         return errors
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DefensePacket:
     """One transmitted tensor, whose id is its position in the upload: the
     truncated factors of a weight matrix (values is None), or the tensor's
@@ -164,11 +164,11 @@ def _pruned(t: np.ndarray, small_rate: float, large_rate: float = 0.0) -> np.nda
     return flat.reshape(t.shape)
 
 
-def _defend_tensor(t: np.ndarray, tid: int, cfg: DefenseConfig, rng, carried):
-    """(packet, dgp carry) for tensor `tid` of an upload, a weight at even
-    ids and a bias at odd ones; the carry is None outside dgp."""
+def _defend_tensor(t: np.ndarray, cfg: DefenseConfig, rng, carried):
+    """(packet, dgp carry) for one tensor of an upload, a 2-D weight or a
+    1-D bias; the carry is None outside dgp."""
     method, carry = cfg.method, None
-    if method == "svdefense" and tid % 2 == 0 and t.ndim == 2 and min(t.shape) >= 2:
+    if method == "svdefense" and t.ndim == 2 and min(t.shape) >= 2:
         return defend_grad_svd(t, cfg.beta), None
     if method in NOISE_METHODS and cfg.noise_scale > 0.0:
         t = t + noise(rng, cfg, t.shape)
@@ -199,8 +199,7 @@ def defend_update(
     if rng is None and cfg.method in NOISE_METHODS:
         raise InvalidInput(f"defense method {cfg.method} needs a noise stream")
     carried = residual if residual is not None else [None] * len(grads)
-    packets, carries = zip(*(_defend_tensor(t, tid, cfg, rng, c)
-                             for tid, (t, c) in enumerate(zip(grads, carried))))
+    packets, carries = zip(*(_defend_tensor(t, cfg, rng, c) for t, c in zip(grads, carried)))
     return list(packets), list(carries) if cfg.method == "dgp" else None
 
 
@@ -226,11 +225,11 @@ def _sparse_pays(n: int, k: int) -> bool:
 
 
 def serialize_packet(packet: DefensePacket) -> bytes:
-    """Length-prefixed little-endian layout.
+    """Little-endian layout.
 
-    header: total_len u32, code u8, p u32, q u32, k u32, with p, q and k
-    read off the packet's arrays (its tensor id is its position in the
-    upload); svd payload (code 1): diag (p), u_star (p*k), sigma_star (k),
+    header: code u8, p u32, q u32, k u32, with p, q and k read off the
+    packet's arrays (its tensor id is its position in the upload), which fix
+    the payload size; svd payload (code 1): diag (p), u_star (p*k), sigma_star (k),
     vt_star (k*q), entropy (1), all f64. A raw packet holds n = p values
     (q == 0 marks a 1-D tensor) or p*q, and takes the shorter of two
     lossless payloads: dense (code 0, k = 0) is the n values as f64; sparse
@@ -262,7 +261,7 @@ def serialize_packet(packet: DefensePacket) -> bytes:
             code, payload = _SPARSE, np.packbits(stored).tobytes() + values[where].tobytes()
         else:
             k, payload = 0, values.tobytes()
-    return struct.pack("<IBIII", _HEADER_BYTES + len(payload), code, p, q, k) + payload
+    return struct.pack("<BIII", code, p, q, k) + payload
 
 
 def _raw_values(blob: bytes, code: int, n: int, k: int) -> np.ndarray:
@@ -294,9 +293,9 @@ def deserialize_packet(blob: bytes) -> DefensePacket:
     are not finite and positive, svd factors that are not finite, or an svd
     entropy outside [0, ln(min(p, q))] (relative slack 1e-12), raise
     InvalidInput."""
-    if len(blob) < _HEADER_BYTES or struct.unpack_from("<I", blob, 0)[0] != len(blob):
-        raise InvalidInput("packet length prefix does not match payload")
-    code, p, q, k = struct.unpack_from("<BIII", blob, 4)
+    if len(blob) < _HEADER_BYTES:
+        raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
+    code, p, q, k = struct.unpack_from("<BIII", blob)
     if code not in (_DENSE, _SVD, _SPARSE):
         raise InvalidInput(f"unknown packet code {code}")
     n = p * max(q, 1)

@@ -90,7 +90,6 @@ class RoundReport:
     mean_entropy: float
     bytes_up: int
     bytes_down: int
-    client_entropies: dict
     aggregation_weights: dict
     selected_clients: list[int]
 
@@ -237,7 +236,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
         )
         updates = []
         bytes_up = 0
-        client_entropies = {}
+        entropies = []  # each selected client's mean svd entropy, in `selected` order
         for cid in selected:
             update, new_residual = client_round(
                 model, train, shards[cid], fl, cid, rnd,
@@ -251,17 +250,16 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             update.packets = [defense_mod.deserialize_packet(b) for b in blobs]
             updates.append(update)
             svd_entropies = [p.entropy for p in update.packets if p.values is None]
-            client_entropies[cid] = float(np.mean(svd_entropies)) if svd_entropies else 0.0
+            entropies.append(float(np.mean(svd_entropies)) if svd_entropies else 0.0)
         with numerical_failure(f"the aggregate of round {rnd}"):
             model, weights = aggregate(model, updates)
         reports.append(
             RoundReport(
                 round_index=rnd,
                 accuracy=tinynn.accuracy(model, test.x, test.y),
-                mean_entropy=float(np.mean(list(client_entropies.values()))),
+                mean_entropy=float(np.mean(entropies)),
                 bytes_up=bytes_up,
                 bytes_down=download_unit * len(selected),
-                client_entropies=client_entropies,
                 aggregation_weights={tid: w.tolist() for tid, w in weights.items()},
                 selected_clients=selected,
             )
@@ -270,8 +268,9 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
 
 
 def raw_upload_bytes(params: ModelParams) -> int:
-    """Upload size of one update of `params`' shapes sent dense: a packet
-    header and every value as f64 for each tensor. This is the FedAvg
+    """Upload size of one update of `params`' shapes sent dense: the bytes
+    of a raw packet of every tensor with no zero values. This is the FedAvg
     baseline for communication accounting; unlike a serialized update, it
     does not depend on how many values are zero."""
-    return sum(defense_mod._HEADER_BYTES + 8 * t.size for t in params.tensors())
+    return sum(defense_mod.packet_bytes(defense_mod.DefensePacket(values=np.ones_like(t)))
+               for t in params.tensors())

@@ -18,26 +18,13 @@ import numpy as np
 
 from .errors import InvalidInput, numerical_failure
 
-MODEL_MAGIC = b"SVDLAB-MODEL-v1\n"
-
-
-def _kind_code(l: int, n_layers: int) -> int:
-    """Checkpoint kind byte of layer l: 1 hidden (dense + ReLU), 2 the output."""
-    return 2 if l == n_layers - 1 else 1
+MODEL_MAGIC = b"SVDLAB-MODEL-v2\n"
 
 
 @dataclass
 class LayerParams:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
 
 
 @dataclass
@@ -48,18 +35,18 @@ class ModelParams:
         if not self.layers:
             raise InvalidInput("model needs at least one layer")
         for prev, cur in zip(self.layers, self.layers[1:]):
-            if cur.in_dim != prev.out_dim:
+            if cur.weight.shape[1] != prev.weight.shape[0]:
                 raise InvalidInput(
-                    f"layer dims do not chain: {prev.out_dim} -> {cur.in_dim}"
+                    f"layer dims do not chain: {prev.weight.shape[0]} -> {cur.weight.shape[1]}"
                 )
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.layers[0].weight.shape[1]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].out_dim
+        return self.layers[-1].weight.shape[0]
 
     def num_params(self) -> int:
         return sum(l.weight.size + l.bias.size for l in self.layers)
@@ -153,19 +140,19 @@ def accuracy(params: ModelParams, x, labels) -> float:
 
 
 def save_model(params: ModelParams, path) -> None:
-    """Binary checkpoint: magic header, layer table, row-major f64 arrays."""
+    """Binary checkpoint: MODEL_MAGIC, the width count n u32, the n layer
+    widths u32 (input first, classes last), then every tensor in wire order
+    (ModelParams.tensors) as row-major little-endian f64."""
+    dims = [params.input_dim, *(layer.weight.shape[0] for layer in params.layers)]
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(params.layers)))
-        for l, layer in enumerate(params.layers):
-            fh.write(struct.pack("<BII", _kind_code(l, len(params.layers)), layer.out_dim,
-                                 layer.in_dim))
-            fh.write(layer.weight.astype("<f8").tobytes())
-            fh.write(layer.bias.astype("<f8").tobytes())
+        fh.write(MODEL_MAGIC + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims))
+        for t in params.tensors():
+            fh.write(t.astype("<f8").tobytes())
 
 
 def load_model(path) -> ModelParams:
-    """Read a save_model checkpoint; a malformed file raises InvalidInput."""
+    """Read a save_model checkpoint; a malformed file raises InvalidInput,
+    and a declared size is checked against the file before it is read."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0
@@ -179,15 +166,15 @@ def load_model(path) -> ModelParams:
 
     if take(len(MODEL_MAGIC)) != MODEL_MAGIC:
         raise InvalidInput(f"{path}: not a model checkpoint (bad magic)")
-    (n_layers,) = struct.unpack("<I", take(4))
+    (n,) = struct.unpack("<I", take(4))
+    dims = struct.unpack(f"<{n}I", take(4 * n))
+    if n < 2 or not all(dims):
+        raise InvalidInput(f"{path}: layer widths {list(dims)}; a model needs at least two "
+                           "widths, none of them 0")
     layers = []
-    for l in range(n_layers):
-        code, out_dim, in_dim = struct.unpack("<BII", take(9))
-        if code != _kind_code(l, n_layers) or not out_dim or not in_dim:
-            raise InvalidInput(f"{path}: layer {l} is {out_dim}x{in_dim} with kind code {code}; "
-                               f"it must be at least 1x1 with code {_kind_code(l, n_layers)}")
-        w = np.frombuffer(take(8 * out_dim * in_dim), dtype="<f8").reshape(out_dim, in_dim)
-        b = np.frombuffer(take(8 * out_dim), dtype="<f8")
+    for l, (i, o) in enumerate(zip(dims, dims[1:])):
+        w = np.frombuffer(take(8 * o * i), dtype="<f8").reshape(o, i)
+        b = np.frombuffer(take(8 * o), dtype="<f8")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise InvalidInput(f"{path}: layer {l} holds non-finite values")
         layers.append(LayerParams(w.astype(np.float64), b.astype(np.float64)))

@@ -11,8 +11,9 @@ a plain sample-count-weighted federated averaging loop, and the class stripe
 templates through np.meshgrid. one_hot_grads is how tests take a model's
 gradients on labelled examples; upload wraps a gradient set as the packets an
 undefended client sends, the one form attack.run_attack takes; broken_upload
-forges the bad uploads that the packet decoder must refuse, and wire_blob
-writes a packet's bytes by hand to the wire layout HEADER_BYTES pins.
+forges the bad uploads that the packet decoder must refuse, wire_blob
+writes a packet's bytes by hand to the wire layout HEADER_BYTES pins, and
+checkpoint_blob writes a checkpoint's bytes by hand.
 grad_distance and parameter_count are the test suite's scalar views of the
 attack distance and of a packet's payload size; reference_adam is the
 attack's Adam step written out of place.
@@ -223,13 +224,23 @@ def upload(grads: list) -> list:
     return defense.defend_update(grads, defense.DefenseConfig(method="none"))[0]
 
 
-HEADER_BYTES = 17  # the wire header: total_len u32, code u8, p u32, q u32, k u32
+HEADER_BYTES = 13  # the wire header: code u8, p u32, q u32, k u32
 
 
 def wire_blob(code: int, p: int, q: int, k: int, payload: bytes) -> bytes:
-    """A packet of wire code `code` (0 dense, 1 svd, 2 sparse) and header
-    fields p, q, k, with a correct length prefix."""
-    return struct.pack("<IBIII", HEADER_BYTES + len(payload), code, p, q, k) + payload
+    """A packet of wire code `code` (0 dense, 1 svd, 2 sparse), header fields
+    p, q, k and the bytes `payload`."""
+    return struct.pack("<BIII", code, p, q, k) + payload
+
+
+def checkpoint_blob(dims, tensors=None) -> bytes:
+    """A checkpoint of layer widths `dims` (input first) written by hand: the
+    v2 magic, the width count and the widths as u32, then `tensors` in wire
+    order as row-major f64, all zero when None."""
+    if tensors is None:
+        tensors = [np.zeros(shape) for i, o in zip(dims, dims[1:]) for shape in ((o, i), o)]
+    return (b"SVDLAB-MODEL-v2\n" + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+            + b"".join(np.asarray(t, dtype="<f8").tobytes() for t in tensors))
 
 
 BROKEN_UPLOADS = ("missing", "duplicated", "swapped", "reshaped")

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import checkpoint_blob
 from svdlab import cli, schema, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
@@ -297,10 +298,15 @@ class TestExitCodes:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "o" / "rounds.csv").exists()
 
-    @pytest.mark.parametrize("case", ["missing", "truncated", "input_dim", "trailing", "nan"])
+    @pytest.mark.parametrize("case", ["missing", "truncated", "input_dim", "trailing", "nan",
+                                      "v1_layout"])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, case):
         ckpt = tmp_path / "model.bin"
-        if case != "missing":
+        if case == "v1_layout":  # 64 -> 32 -> 4 with a kind byte and both widths per layer
+            ckpt.write_bytes(b"SVDLAB-MODEL-v1\n" + struct.pack("<I", 2)
+                             + struct.pack("<BII", 1, 32, 64) + bytes(8 * (32 * 64 + 32))
+                             + struct.pack("<BII", 2, 4, 32) + bytes(8 * (4 * 32 + 4)))
+        elif case != "missing":
             model = tinynn.init_model(100 if case == "input_dim" else 64, [32], 4)
             if case == "nan":
                 model.layers[1].weight[2, 3] = float("nan")
@@ -316,24 +322,21 @@ class TestExitCodes:
         assert rc == 2
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
-    # (layer widths, kind bytes, the layer at fault) of an all-zero
-    # checkpoint; save_model codes hidden layers 1 (dense + ReLU) and the
-    # last 2 (softmax output), and writes no zero-width layer
+    # (widths, a width count written over theirs, a fragment of the error
+    # line) of an all-zero checkpoint; save_model writes at least two
+    # widths, none of them 0, and the count of widths it writes
     LAYER_HEADERS = {
-        "hidden_linear": ([64, 16, 8, 4], [0, 1, 2], 0),
-        "hidden_output": ([64, 16, 8, 4], [1, 2, 2], 1),
-        "output_linear": ([64, 16, 8, 4], [1, 1, 0], 2),
-        "output_relu": ([64, 16, 8, 4], [1, 1, 1], 2),
-        "output_unknown": ([64, 16, 8, 4], [1, 1, 3], 2),
-        "zero_width": ([64, 16, 0, 4], [1, 1, 2], 1),
+        "zero_width": ([64, 16, 0, 4], None, "[64, 16, 0, 4]"),
+        "one_width": ([64], None, "[64]"),
+        "count_past_the_file": ([64, 4], 2**32 - 1, "truncated"),
     }
 
     @pytest.mark.parametrize("case", LAYER_HEADERS)
     def test_bad_layer_header_exits_2(self, tmp_path, capsys, case):
-        dims, codes, layer = self.LAYER_HEADERS[case]
-        blob = tinynn.MODEL_MAGIC + struct.pack("<I", len(codes))
-        for i, o, code in zip(dims, dims[1:], codes):
-            blob += struct.pack("<BII", code, o, i) + bytes(8 * (o * i + o))
+        dims, count, fragment = self.LAYER_HEADERS[case]
+        blob = bytearray(checkpoint_blob(dims))
+        if count is not None:
+            struct.pack_into("<I", blob, len(tinynn.MODEL_MAGIC), count)
         ckpt = tmp_path / "model.bin"
         ckpt.write_bytes(blob)
         path = write_config(tmp_path)
@@ -342,7 +345,7 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(lines) == 1 and lines[0].startswith("input error: ")
-        assert f"layer {layer}" in lines[0]
+        assert fragment in lines[0]
         assert not (tmp_path / "o" / "attack.csv").exists()
 
     @pytest.mark.parametrize("classes", [2, 6])

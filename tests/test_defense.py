@@ -290,7 +290,7 @@ class TestPacketTransport:
         pkt = defend_grad_svd(rng.normal(size=(8, 6)), beta=0.3)
         blob = serialize_packet(pkt)
         back = deserialize_packet(blob)
-        assert back.values is None and blob[4] == 1  # the code byte follows the length
+        assert back.values is None and blob[0] == 1  # the code byte leads the header
         np.testing.assert_array_equal(back.u_star, pkt.u_star)
         np.testing.assert_array_equal(back.sigma_star, pkt.sigma_star)
         np.testing.assert_array_equal(back.vt_star, pkt.vt_star)
@@ -311,16 +311,16 @@ class TestPacketTransport:
         unknown_code = wire_blob(7, 12, 0, 0, raw[HEADER_BYTES:])
         # a declared 5x5 raw tensor over a 12-value payload
         oversized = wire_blob(0, 5, 5, 0, raw[HEADER_BYTES:])
-        for blob in (unknown_code, oversized, raw[:-8], raw[:10], b""):
+        for blob in (unknown_code, oversized, raw[:-8], raw[:10], raw[:HEADER_BYTES - 1], b""):
             with pytest.raises(InvalidInput):
                 deserialize_packet(blob)
 
     def test_raw_picks_the_shorter_encoding_bit_exactly(self):
         blob = serialize_packet(raw_packet(SPARSE_TEN))
-        assert (blob[4], len(blob)) == (2, HEADER_BYTES + 2 + 16)
+        assert (blob[0], len(blob)) == (2, HEADER_BYTES + 2 + 16)
         assert deserialize_packet(blob).values.tobytes() == SPARSE_TEN.tobytes()
         dense = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
-        assert (dense[4], len(dense)) == (0, HEADER_BYTES + 80)
+        assert (dense[0], len(dense)) == (0, HEADER_BYTES + 80)
 
     @pytest.mark.parametrize("edit", ["pad bit", "mask count", "stored +0.0"])
     def test_rejects_non_canonical_sparse_blobs(self, edit):
@@ -340,7 +340,7 @@ class TestPacketTransport:
             deserialize_packet(wire_blob(2, 1, 0, 1, bytes([0x80]) + struct.pack("<d", 1.0)))
 
     def test_rejects_a_dense_blob_sparse_would_shorten(self):
-        assert serialize_packet(raw_packet(np.zeros(10)))[4] == 2
+        assert serialize_packet(raw_packet(np.zeros(10)))[0] == 2
         with pytest.raises(InvalidInput):
             deserialize_packet(wire_blob(0, 10, 0, 0, bytes(80)))
 
@@ -367,7 +367,7 @@ class TestPacketTransport:
         values[at] = np.inf  # noise of scale 1e308 draws these honestly
         values[at + 2] = -np.inf
         blob = serialize_packet(raw_packet(values))
-        assert blob[4] == (2 if form == "sparse" else 0)
+        assert blob[0] == (2 if form == "sparse" else 0)
         assert deserialize_packet(blob).values.tobytes() == values.tobytes()
         values[at] = np.nan
         with pytest.raises(InvalidInput, match="NaN"):

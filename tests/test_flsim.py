@@ -46,8 +46,8 @@ class TestAggregationWeights:
 
     def test_raw_uses_sample_counts(self):
         ups = [
-            ClientUpdate(0, 5, [DefensePacket(0, "raw", (3,), values=np.ones(3))]),
-            ClientUpdate(1, 15, [DefensePacket(0, "raw", (3,), values=np.ones(3))]),
+            ClientUpdate(0, 5, [DefensePacket(values=np.ones(3))]),
+            ClientUpdate(1, 15, [DefensePacket(values=np.ones(3))]),
         ]
         np.testing.assert_allclose(aggregation_weights(ups, 0), [0.25, 0.75])
 

@@ -187,27 +187,23 @@ def test_random_bytes_parse_or_raise_invalid_input(blob):
 
 _MODEL = tinynn.init_model(6, [3], 2, seed=0)
 _OTHER = tinynn.init_model(6, [4], 2, seed=0)  # as many tensors, other shapes
-_CHECKPOINT = tinynn.init_model(4, [3, 2], 2, seed=0)  # two hidden layers: three headers
+_CHECKPOINT = tinynn.init_model(4, [3, 2], 2, seed=0)  # two hidden layers: four widths
 
 
 @st.composite
 def _damaged_checkpoints(draw, blob: bytes):
-    """`blob`, the _CHECKPOINT file, cut short, with one field of a layer
-    header (kind byte, out_dim or in_dim) rewritten, with 1-4 of its bytes
-    overwritten, or extended."""
+    """`blob`, the _CHECKPOINT file, cut short, with its width count or one
+    of its widths rewritten, with 1-4 of its bytes overwritten, or
+    extended."""
     how = draw(st.sampled_from(["truncated", "header", "mutated", "extended"]))
     if how == "truncated":
         return blob[: draw(st.integers(0, len(blob) - 1))]
     if how == "extended":
         return blob + draw(st.binary(min_size=1, max_size=24))
     out = bytearray(blob)
-    if how == "header":
-        at = len(tinynn.MODEL_MAGIC) + 4
-        for layer in _CHECKPOINT.layers[: draw(st.integers(0, len(_CHECKPOINT.layers) - 1))]:
-            at += 9 + 8 * (layer.weight.size + layer.bias.size)
-        offset, fmt, top = draw(st.sampled_from([(0, "<B", 255), (1, "<I", 2**32 - 1),
-                                                 (5, "<I", 2**32 - 1)]))
-        struct.pack_into(fmt, out, at + offset, draw(st.integers(0, 4) | st.integers(0, top)))
+    if how == "header":  # u32 0 is the count, u32 j the j-th width
+        at = len(tinynn.MODEL_MAGIC) + 4 * draw(st.integers(0, len(_CHECKPOINT.layers) + 1))
+        struct.pack_into("<I", out, at, draw(st.integers(0, 4) | st.integers(0, 2**32 - 1)))
         return bytes(out)
     for at, value in draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
                                    min_size=1, max_size=4)):

@@ -1,9 +1,11 @@
 """Network forward/backward correctness, SGD steps, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from oracles import max_relative_grad_error, numeric_gradients, one_hot_grads
+from oracles import checkpoint_blob, max_relative_grad_error, numeric_gradients, one_hot_grads
 from svdlab import tinynn
 from svdlab.errors import InvalidInput
 from svdlab.tinynn import LayerParams, ModelParams, backprop, forward_batch, init_model, sgd_step
@@ -185,16 +187,25 @@ class TestCheckpoint:
             tinynn.load_model(path)
         good = tmp_path / "model.bin"
         tinynn.save_model(small_model(), good)
-        assert good.read_bytes().startswith(b"SVDLAB-MODEL-v1\n")
+        assert good.read_bytes().startswith(b"SVDLAB-MODEL-v2\n")
+
+    def test_layout(self, tmp_path):
+        # magic, the width count, the widths input first, then the tensors
+        # in wire order, each row-major
+        model = init_model(4, [3], 2)
+        path = tmp_path / "model.bin"
+        tinynn.save_model(model, path)
+        assert path.read_bytes() == (b"SVDLAB-MODEL-v2\n" + struct.pack("<4I", 3, 4, 3, 2)
+                                     + b"".join(t.tobytes() for t in model.tensors()))
+        assert path.read_bytes() == checkpoint_blob([4, 3, 2], model.tensors())
 
     def test_malformed_files(self, tmp_path):
         good = tmp_path / "model.bin"
         tinynn.save_model(small_model(), good)
         blob = good.read_bytes()
-        bad_code = bytearray(blob)
-        bad_code[len(tinynn.MODEL_MAGIC) + 4] = 9  # first layer's kind code
+        widths = [[], [6], [6, 0], [0, 4], [6, 4, 0]]  # fewer than two, or a 0
         for name, data in (("short", blob[:-1]), ("header_only", blob[:18]),
-                           ("bad_code", bytes(bad_code))):
+                           *((f"widths_{i}", checkpoint_blob(d)) for i, d in enumerate(widths))):
             path = tmp_path / f"{name}.bin"
             path.write_bytes(data)
             with pytest.raises(InvalidInput):
