@@ -1,7 +1,7 @@
 """Gradient inversion engine.
 
 Given a model and one client's (possibly defended) gradients, the engine
-optimizes dummy inputs, and optionally dummy labels, so the gradients they
+optimizes dummy inputs, under the batch's known labels, so the gradients they
 would produce match the observed ones. The matching loss is differentiated
 through the network's own backward pass analytically (second-order ReLU terms
 vanish almost everywhere), so no autodiff framework is involved and runs are
@@ -25,7 +25,6 @@ from .tinynn import ModelParams
 
 DISTANCES = ("l2", "neg_cosine_layerwise")
 ADAPTIVE_MODES = ("none", "prune_mask", "eot", "defense_replay")
-LABEL_MODES = ("known", "optimized")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -37,7 +36,6 @@ class AttackConfig:
     distance: str = field(default="l2", metadata={"choices": DISTANCES})
     iterations: int = field(default=1000, metadata={"ge": 1})
     lr: float = field(default=0.1, metadata={"gt": 0})
-    label_mode: str = field(default="known", metadata={"choices": LABEL_MODES})
     adaptive: str = field(default="none", metadata={"choices": ADAPTIVE_MODES})
     eot_samples: int = field(default=1, metadata={"ge": 1})
     seed: int = field(default=0, metadata={"derived": "seed"})
@@ -62,7 +60,6 @@ class AttackConfig:
 
 @dataclass
 class AttackResult:
-    label: int  # of the first slot: recovered under optimized labels
     loss_trace: np.ndarray  # distance value per iteration
     final_distance: float  # min over the trace
     best_iteration: int
@@ -186,13 +183,13 @@ def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shap
     return defense.noise(rng, d, (n, *shape)).mean(axis=0)
 
 
-def _input_label_grads(params: ModelParams, cache, sens: list):
+def _input_grads(params: ModelParams, cache, sens: list):
     """Differentiate an attack loss through the gradient computation.
 
     `sens` holds dE/d(gradient tensor) in wire order and `cache` is the
-    tinynn.backprop cache of the dummy batch x with soft targets y (the
-    adaptive view changes only the gradients); returns (dE/dx, dE/dy), new
-    arrays; `sens` and the cache are only read.
+    tinynn.backprop cache of the dummy batch x with targets y (the adaptive
+    view changes only the gradients); returns dE/dx, a new array; `sens` and
+    the cache are only read.
     """
     acts, masks, probs, deltas = cache
     n = acts[0].shape[-2]
@@ -211,7 +208,6 @@ def _input_label_grads(params: ModelParams, cache, sens: list):
 
     # softmax head: delta_L = probs - y
     d_probs = d_delta[-1]
-    dy = -d_delta[-1]
     row = np.sum(probs * d_probs, axis=-1, keepdims=True)
     d_z = d_probs - row
     d_z *= probs
@@ -222,7 +218,7 @@ def _input_label_grads(params: ModelParams, cache, sens: list):
         d_act /= n
         d_act += d_z @ params.layers[l].weight
         if l == 0:
-            return d_act, dy
+            return d_act
         d_act *= masks[l - 1]
         d_z = d_act
 
@@ -239,13 +235,13 @@ def run_attack(
     upload: list,
     batch: int,
     cfg: AttackConfig,
-    labels=None,
+    labels,
     restarts: int = 1,
 ) -> AttackResult:
     """Reconstruct the `batch` inputs behind one client's upload, the packet
     list that the server's own defense.packets_to_gradset decodes for
-    `params`. `labels` must be given in 'known' mode (an int, or one int
-    per slot). Inputs are clamped to [0, 1] after every step. An upload that
+    `params`, given the batch's `labels` (an int, or one int per slot).
+    Inputs are clamped to [0, 1] after every step. An upload that
     decodes to non-finite values, or an iteration that overflows, raises
     NumericalFailure.
 
@@ -264,33 +260,26 @@ def run_attack(
         raise NumericalFailure("the decoded upload holds non-finite values")
     dim, num_classes = params.input_dim, params.num_classes
 
-    optimize_labels = cfg.label_mode == "optimized"
-    if not optimize_labels:
-        if labels is None:
-            raise InvalidConfig("label_mode 'known' requires labels")
-        label_vec = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        if label_vec.shape != (batch,) or np.any((label_vec < 0) | (label_vec >= num_classes)):
-            raise InvalidConfig(f"need one label in [0, {num_classes}) per slot, got {labels!r}")
-        y = np.eye(num_classes)[label_vec]
+    label_vec = np.atleast_1d(np.asarray(labels))
+    if (label_vec.dtype.kind not in "iu" or label_vec.shape != (batch,)
+            or np.any((label_vec < 0) | (label_vec >= num_classes))):
+        raise InvalidConfig(f"need one label in [0, {num_classes}) per slot, got {labels!r}")
+    y = np.eye(num_classes)[label_vec]
 
     seeds = [cfg.seed + 1000 * j for j in range(restarts)]
     x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, size=(batch, dim)) for s in seeds])
-    label_logits = np.zeros((restarts, batch, num_classes))
     masks = [t != 0.0 for t in observed]
     rngs = [np.random.default_rng(s + 1) for s in seeds]
     units = _unit_vectors(observed)
-    m_x, v_x, m_l, v_l = (np.zeros_like(t) for t in (x, x, label_logits, label_logits))
+    m_x, v_x = np.zeros_like(x), np.zeros_like(x)
 
     trace = np.empty((restarts, cfg.iterations))
     best_loss = np.full(restarts, np.inf)
     best_it = np.zeros(restarts, dtype=np.int64)
-    best_x, best_logits = x.copy(), label_logits.copy() if optimize_labels else None
+    best_x = x.copy()
 
     with numerical_failure("an attack iteration"):
         for it in range(cfg.iterations):
-            if optimize_labels:
-                y = tinynn._softmax(label_logits)
-
             # the view is this iteration's own arrays: the distance writes over it
             dummy, cache = tinynn.backprop(params, x, y)
             view, pullback = _adaptive_view(cfg, masks, rngs, dummy, cache)
@@ -301,22 +290,16 @@ def run_attack(
             np.copyto(best_loss, loss, where=better)
             best_it[better] = it
             np.copyto(best_x, x, where=better[:, None, None])
-            if optimize_labels:
-                np.copyto(best_logits, label_logits, where=better[:, None, None])
 
             # the cache holds x itself: pull back fully before Adam moves x
-            gx, gy = _input_label_grads(params, cache, pullback(sens))
+            gx = _input_grads(params, cache, pullback(sens))
 
             _adam(x, gx, m_x, v_x, it + 1, cfg.lr)
             np.maximum(x, 0.0, out=x)  # x is never -0.0, so this is np.clip
             np.minimum(x, 1.0, out=x)
-            if optimize_labels:
-                gl = y * (gy - np.sum(y * gy, axis=-1, keepdims=True))
-                _adam(label_logits, gl, m_l, v_l, it + 1, cfg.lr)
 
     win = int(np.argmin(best_loss))  # first of the lowest
     return AttackResult(
-        label=int(np.argmax(best_logits[win, 0]) if optimize_labels else label_vec[0]),
         loss_trace=trace[win].copy(),
         final_distance=float(best_loss[win]),
         best_iteration=int(best_it[win]),

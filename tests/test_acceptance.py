@@ -57,8 +57,7 @@ def attack_study():
     svd_cfg = defense.DefenseConfig(method="svdefense", beta=0.3)
     prune_cfg = defense.DefenseConfig(method="prune", prune_rate=0.9)
     base = attack.AttackConfig(
-        distance="neg_cosine_layerwise", iterations=ATTACK_ITERS, lr=0.1,
-        label_mode="known", seed=0,
+        distance="neg_cosine_layerwise", iterations=ATTACK_ITERS, lr=0.1, seed=0,
     )
     arms = {k: [] for k in ("none", "svdef", "replay", "prune_plain", "prune_adapt")}
     for i in range(ATTACK_TARGETS):
@@ -246,7 +245,7 @@ def test_c09_averaged_noise_variance():
         base_var = scale**2 if dist == "dp_gauss" else 2.0 * scale**2
         for n in (4, 16):
             cfg = attack.AttackConfig(
-                adaptive="eot", eot_samples=n, label_mode="known",
+                adaptive="eot", eot_samples=n,
                 defense=defense.DefenseConfig(method=dist, noise_scale=scale),
             )
             shape = (draws,)
@@ -332,7 +331,7 @@ def test_c12_byte_identical_reruns(tmp_path):
         },
         "attack": {
             "distance": "neg_cosine_layerwise", "iterations": 60, "lr": 0.1,
-            "label_mode": "known", "batch_size": 3, "n_examples": 2, "restarts": 1,
+            "batch_size": 3, "n_examples": 2, "restarts": 1,
         },
     }
     import json

@@ -114,7 +114,7 @@ class TestInputGradients:
         # the replay is left out: its pullback holds the projector fixed, so
         # it is an adjoint (test_replay_pullback_is_the_adjoint), not this
         # derivative. Two hidden layers put a hidden-to-hidden ReLU mask in
-        # both chains of _input_label_grads
+        # both chains of _input_grads. y stays soft: it is a fixed input here
         rng = np.random.default_rng(7)
         model = tinynn.init_model(10, hidden, 4, seed=2)
         x = rng.uniform(0, 1, (1, 3, 10))  # a one-restart leading axis
@@ -125,35 +125,34 @@ class TestInputGradients:
         if adaptive == "prune_mask":  # zero about half the entries so the mask bites
             observed = [t * (rng.uniform(size=t.shape) < 0.5) for t in observed]
         masks = [t != 0.0 for t in observed]
-        cfg = AttackConfig(distance=metric, adaptive=adaptive, eot_samples=2, label_mode="known",
+        cfg = AttackConfig(distance=metric, adaptive=adaptive, eot_samples=2,
                            defense=defense.DefenseConfig(method="dp_gauss", noise_scale=0.01))
 
-        def view(xv, yv):  # eot draws the same noise on every evaluation
-            dummy, cache = tinynn.backprop(model, xv, yv)
+        def view(xv):  # eot draws the same noise on every evaluation
+            dummy, cache = tinynn.backprop(model, xv, y)
             return attack._adaptive_view(cfg, masks, [np.random.default_rng(3)], dummy, cache), cache
 
-        (shown, pullback), cache = view(x, y)
+        (shown, pullback), cache = view(x)
         _, sens = attack._distance_with_sens(observed, shown, metric)
-        gx, gy = attack._input_label_grads(model, cache, pullback(sens))
+        gx = attack._input_grads(model, cache, pullback(sens))
 
-        def value(xv, yv):
-            shown = view(xv, yv)[0][0]
+        def value(xv):
+            shown = view(xv)[0][0]
             return grad_distance(observed, [t[0] for t in shown], metric)
 
         h = 1e-6
         worst = 0.0
-        for arr, grad in ((x, gx), (y, gy)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = value(x, y)
-                arr[idx] = orig - h
-                down = value(x, y)
-                arr[idx] = orig
-                num = (up - down) / (2 * h)
-                worst = max(worst, abs(num - grad[idx]) / max(abs(num), abs(grad[idx]), 1e-4))
+        it = np.nditer(x, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = x[idx]
+            x[idx] = orig + h
+            up = value(x)
+            x[idx] = orig - h
+            down = value(x)
+            x[idx] = orig
+            num = (up - down) / (2 * h)
+            worst = max(worst, abs(num - gx[idx]) / max(abs(num), abs(gx[idx]), 1e-4))
         assert worst < 1e-5
 
 
@@ -164,62 +163,54 @@ class TestRunAttack:
         ds, model = setup
         x, labels = one(ds, 3)
         g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, label_mode="known", seed=0)
+        cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, seed=0)
         res = run_attack(model, upload(g), 1, cfg, labels=labels)
-        assert res.label == labels[0]
         assert float(np.mean((res.reconstructed_batch[0] - x[0]) ** 2)) < 1e-2
 
     def test_deterministic(self, setup):
         ds, model = setup
         x, labels = batch_for(ds, 4)
         g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1,
-                           label_mode="known", seed=9)
+        cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1, seed=9)
         r1 = run_attack(model, upload(g), 3, cfg, labels=labels)
         r2 = run_attack(model, upload(g), 3, cfg, labels=labels)
         np.testing.assert_array_equal(r1.reconstructed_batch, r2.reconstructed_batch)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
-    def test_optimized_labels_recover_class(self, setup):
-        ds, model = setup
-        x, labels = one(ds, 6)
-        g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(distance="l2", iterations=800, lr=0.1, label_mode="optimized", seed=1)
-        res = run_attack(model, upload(g), 1, cfg)
-        assert res.label == labels[0]
-
-    @pytest.mark.parametrize("label_mode", attack.LABEL_MODES)
     @pytest.mark.parametrize("distance", attack.DISTANCES)
-    def test_tied_distances_keep_the_first_iterate(self, label_mode, distance):
+    def test_tied_distances_keep_the_first_iterate(self, distance):
         # at lr 1e-300 Adam's step rounds away, so every iteration's distance
         # ties, and only a strictly lower distance replaces iteration 0
         model = tinynn.init_model(16, [7], 4, seed=5)
         x, labels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), np.array([0, 1, 2])
         g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300, label_mode=label_mode,
-                           seed=11)
-        kwargs = {"labels": labels} if label_mode == "known" else {}
-        res = run_attack(model, upload(g), 3, cfg, restarts=2, **kwargs)
+        cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300, seed=11)
+        res = run_attack(model, upload(g), 3, cfg, labels, restarts=2)
         assert res.best_iteration == 0
         assert len(np.unique(res.loss_trace)) == 1
         start = np.random.default_rng(11 + 1000 * res.restart).uniform(0.0, 1.0, (3, 16))
         np.testing.assert_array_equal(res.reconstructed_batch, start)
 
-    def test_known_mode_needs_labels(self, setup):
-        ds, model = setup
-        g = one_hot_grads(model, *one(ds, 0))
-        cfg = AttackConfig(label_mode="known")
-        with pytest.raises(InvalidConfig):
-            run_attack(model, upload(g), 1, cfg)
-
-    @pytest.mark.parametrize("label", [-1, 4])
-    def test_rejects_labels_outside_the_classes(self, setup, label):
+    @pytest.mark.parametrize("given", [
+        [0, -1, 2], [0, 4, 2], [0.7, 1.2, 2.9], [True, False, True], [0, 1, float("nan")],
+        ["a", "b", "c"], [0, 1, 2**63], None,
+    ], ids=["-1", "4", "fractional", "bool", "nan", "str", "past_int64", "none"])
+    def test_rejects_labels_outside_the_classes(self, setup, given):
         ds, model = setup
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(iterations=2, label_mode="known")
+        cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig, match="need one label in"):
-            run_attack(model, upload(g), 3, cfg, labels=[labels[0], label, labels[2]])
+            run_attack(model, upload(g), 3, cfg, labels=given)
+
+    def test_takes_unsigned_labels(self, setup):
+        ds, model = setup
+        x, labels = batch_for(ds, 7)
+        g = one_hot_grads(model, x, labels)
+        cfg = AttackConfig(iterations=2)
+        res = run_attack(model, upload(g), 3, cfg, labels.astype(np.uint8))
+        ref = run_attack(model, upload(g), 3, cfg, labels)
+        np.testing.assert_array_equal(res.loss_trace, ref.loss_trace)
 
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
     def test_rejects_broken_packets(self, setup, how):
@@ -227,7 +218,7 @@ class TestRunAttack:
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
         packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"))
-        cfg = AttackConfig(iterations=2, label_mode="known")
+        cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidInput):
             run_attack(model, broken_upload(packets, how), 3, cfg, labels=labels)
 
@@ -235,7 +226,7 @@ class TestRunAttack:
         model = tinynn.init_model(6, [3], 2, seed=0)
         g = one_hot_grads(model, np.full((1, 6), 0.5), [1])
         wrong_shape = [np.ones((3, 5)), *g[1:]]
-        cfg = AttackConfig(iterations=2, label_mode="known")
+        cfg = AttackConfig(iterations=2)
         for observed in (wrong_shape, g[:2]):
             with pytest.raises(InvalidInput):
                 run_attack(model, upload(observed), 1, cfg, labels=1)
@@ -260,17 +251,15 @@ class TestEngine:
         packets, _ = defense.defend_update(g, dcfg, rng=np.random.default_rng(2))
         return model, packets, labels, dcfg
 
-    @pytest.mark.parametrize("label_mode", ["known", "optimized"])
     @pytest.mark.parametrize("distance", attack.DISTANCES)
     @pytest.mark.parametrize("mode", attack.ADAPTIVE_MODES)
-    def test_restart_slices_equal_sequential_runs(self, setup, mode, distance, label_mode):
+    def test_restart_slices_equal_sequential_runs(self, setup, mode, distance):
         model, observed, labels, dcfg = self.observed_for(setup, mode)
-        cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, label_mode=label_mode,
-                           adaptive=mode, eot_samples=2, seed=40, defense=dcfg)
-        kwargs = {"labels": labels} if label_mode == "known" else {}
-        batched = run_attack(model, observed, 3, cfg, restarts=3, **kwargs)
+        cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, adaptive=mode,
+                           eot_samples=2, seed=40, defense=dcfg)
+        batched = run_attack(model, observed, 3, cfg, labels, restarts=3)
         singles = [
-            run_attack(model, observed, 3, replace(cfg, seed=40 + 1000 * j), **kwargs)
+            run_attack(model, observed, 3, replace(cfg, seed=40 + 1000 * j), labels)
             for j in range(3)
         ]
         win = 0
@@ -282,13 +271,11 @@ class TestEngine:
         np.testing.assert_array_equal(batched.loss_trace, best.loss_trace)
         np.testing.assert_array_equal(batched.reconstructed_batch, best.reconstructed_batch)
         assert batched.best_iteration == best.best_iteration
-        assert batched.label == best.label
         assert batched.final_distance == best.final_distance
 
-    @pytest.mark.parametrize("label_mode", attack.LABEL_MODES)
     @pytest.mark.parametrize("distance", attack.DISTANCES)
     @pytest.mark.parametrize("mode", attack.ADAPTIVE_MODES)
-    def test_writes_only_what_it_owns(self, mode, distance, label_mode):
+    def test_writes_only_what_it_owns(self, mode, distance):
         # raw packets decode to views of their own values, and the engine
         # updates its buffers in place: the upload, the labels and the model
         # must come back bit for bit as they went in
@@ -297,16 +284,15 @@ class TestEngine:
         g = one_hot_grads(model, np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), labels)
         dcfg = ENGINE_DEFENSES[mode]
         packets, _ = defense.defend_update(g, dcfg, rng=np.random.default_rng(2))
-        cfg = AttackConfig(distance=distance, iterations=4, lr=0.1, label_mode=label_mode,
-                           adaptive=mode, eot_samples=2, seed=40, defense=dcfg)
+        cfg = AttackConfig(distance=distance, iterations=4, lr=0.1, adaptive=mode,
+                           eot_samples=2, seed=40, defense=dcfg)
 
         def arrays():
             owned = [getattr(p, f.name) for p in packets for f in fields(p)]
             return [a for a in owned + [labels] + model.tensors() if isinstance(a, np.ndarray)]
 
         before = [a.copy() for a in arrays()]
-        kwargs = {"labels": labels} if label_mode == "known" else {}
-        run_attack(model, packets, 3, cfg, restarts=2, **kwargs)
+        run_attack(model, packets, 3, cfg, labels, restarts=2)
         after = arrays()
         assert len(after) == len(before)
         for a, a0 in zip(after, before):
@@ -323,8 +309,8 @@ class TestEngine:
 
         monkeypatch.setattr(tinynn, "forward_batch", counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
-                           label_mode="optimized", adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, 3, cfg, restarts=3)
+                           adaptive="defense_replay", defense=dcfg)
+        run_attack(model, observed, 3, cfg, labels, restarts=3)
         assert len(calls) == 25
 
     def test_replay_factorizations_per_iteration(self, setup, monkeypatch):
@@ -338,23 +324,23 @@ class TestEngine:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
-                           label_mode="known", adaptive="defense_replay", defense=dcfg)
+                           adaptive="defense_replay", defense=dcfg)
         run_attack(model, observed, 3, cfg, labels=labels, restarts=3)
         assert counts == {"qr": 25, "svd": 25}
 
     @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
     def test_rejects_bad_restarts(self, setup, restarts):
         model, observed, labels, _ = self.observed_for(setup, "none")
-        cfg = AttackConfig(iterations=2, label_mode="known")
+        cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig):
             run_attack(model, observed, 3, cfg, labels=labels, restarts=restarts)
 
     @pytest.mark.parametrize("batch", [0, -1, 1.5, True])
     def test_rejects_bad_batch(self, setup, batch):
-        model, observed, _, _ = self.observed_for(setup, "none")
-        cfg = AttackConfig(iterations=2, label_mode="optimized")
+        model, observed, labels, _ = self.observed_for(setup, "none")
+        cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig, match="batch must be an integer"):
-            run_attack(model, observed, batch, cfg)
+            run_attack(model, observed, batch, cfg, labels)
 
 
 class TestAdaptiveTransforms:
@@ -366,8 +352,8 @@ class TestAdaptiveTransforms:
         ds, model = setup
         rng = np.random.default_rng(17)
         observed = [rng.normal(size=t.shape) for t in model.tensors()]
-        cfg_none = AttackConfig(distance="l2", iterations=10, lr=0.1, label_mode="known", seed=3)
-        cfg_mask = AttackConfig(distance="l2", iterations=10, lr=0.1, label_mode="known",
+        cfg_none = AttackConfig(distance="l2", iterations=10, lr=0.1, seed=3)
+        cfg_mask = AttackConfig(distance="l2", iterations=10, lr=0.1,
                                 seed=3, adaptive="prune_mask")
         r1 = run_attack(model, upload(observed), 3, cfg_none, labels=[0, 1, 2])
         r2 = run_attack(model, upload(observed), 3, cfg_mask, labels=[0, 1, 2])
@@ -376,14 +362,14 @@ class TestAdaptiveTransforms:
     def test_eot_requires_noise_config(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *one(ds, 0))
-        cfg = AttackConfig(adaptive="eot", eot_samples=4, label_mode="known")
+        cfg = AttackConfig(adaptive="eot", eot_samples=4)
         with pytest.raises(InvalidConfig):
             run_attack(model, upload(g), 1, cfg, labels=0)
 
     def test_replay_requires_defense_config(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *one(ds, 0))
-        cfg = AttackConfig(adaptive="defense_replay", label_mode="known")
+        cfg = AttackConfig(adaptive="defense_replay")
         with pytest.raises(InvalidConfig):
             run_attack(model, upload(g), 1, cfg, labels=0)
 
@@ -396,7 +382,7 @@ class TestAdaptiveTransforms:
         dcfg = defense.DefenseConfig(method="svdefense", beta=0.3)
         pkt = defense.defend_grad_svd(g, beta=0.3)
         dummy = [g[None].copy(), np.zeros((1, 12))]
-        cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
+        cfg = AttackConfig(adaptive="defense_replay", defense=dcfg)
         cache = ([g[None]], None, None, [12.0 * np.eye(12)[None]])
         replayed, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
         np.testing.assert_allclose(replayed[0][0],
@@ -408,7 +394,7 @@ class TestAdaptiveTransforms:
         dummy = [t for a, d in zip(acts, deltas)
                  for t in (d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)]
         dcfg = defense.DefenseConfig(method="svdefense", beta=beta)
-        cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
+        cfg = AttackConfig(adaptive="defense_replay", defense=dcfg)
         cache = (acts, None, None, deltas)
         out, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
         projectors = attack._replay_projectors(cache, beta)
@@ -461,7 +447,7 @@ class TestAdaptiveTransforms:
         acts = [rng.uniform(size=(4, 3, q)) for _, q in shapes]
         deltas[0][1] = 0.0
         dcfg = defense.DefenseConfig(method="svdefense", beta=0.3)
-        cfg = AttackConfig(adaptive="defense_replay", label_mode="known", defense=dcfg)
+        cfg = AttackConfig(adaptive="defense_replay", defense=dcfg)
         x, y = ([t for p, q in shapes for t in (rng.normal(size=(4, p, q)),
                                                 rng.normal(size=(4, p)))] for _ in range(2))
         cache = (acts, None, None, deltas)
@@ -482,7 +468,7 @@ class TestAdaptiveTransforms:
         # averaging n draws leaves variance sigma^2 / n
         rng = np.random.default_rng(5)
         cfg = AttackConfig(
-            adaptive="eot", eot_samples=16, label_mode="known",
+            adaptive="eot", eot_samples=16,
             defense=defense.DefenseConfig(method="dp_gauss", noise_scale=0.5),
         )
         dummy = [np.zeros((1, 50, 40)), np.zeros((1, 50))]

@@ -33,7 +33,6 @@ BASE_CONFIG = {
         "distance": "neg_cosine_layerwise",
         "iterations": 60,
         "lr": 0.1,
-        "label_mode": "known",
         "batch_size": 3,
         "n_examples": 2,
         "restarts": 1,
@@ -137,6 +136,7 @@ class TestConfigSchema:
                                    "fl.defense.entropy_source"),
         "tv_weight_removed": ({"attack.tv_weight": 0.0}, "attack.tv_weight"),
         "inferred_removed": ({"attack.label_mode": "inferred"}, "attack.label_mode"),
+        "label_mode_removed": ({"attack.label_mode": "known"}, "attack.label_mode"),
         "section_not_object": ({"fl.defense": "svdefense"}, "fl.defense"),
         "model_not_object": ({"model": [32]}, "model"),
         "unknown_nested": ({"model.depth": 2}, "model.depth"),
@@ -221,7 +221,7 @@ class TestConfigSchema:
         # the README names every settable key, not only keys that still exist
         settable = {path for path, kind in schema._layout(cli.ExperimentSpec).items()
                     if kind == "leaf"}
-        assert leaves(json.loads(block)) == settable and len(settable) == 32
+        assert leaves(json.loads(block)) == settable and len(settable) == 31
 
         spec, errors = cli.load_spec(write_config(tmp_path))
         assert errors == []
@@ -231,8 +231,8 @@ class TestConfigSchema:
             data=DataConfig(num_classes=4, per_class=20, per_class_test=5, side=8),
             fl=FlConfig(num_clients=4, clients_per_round=2, rounds=3, local_batch_size=8,
                         local_lr=0.5, defense=defense, seed=3),
-            attack=AttackConfig(distance="neg_cosine_layerwise", iterations=60, lr=0.1,
-                                label_mode="known", seed=3, defense=defense),
+            attack=AttackConfig(distance="neg_cosine_layerwise", iterations=60, lr=0.1, seed=3,
+                                defense=defense),
             harness=cli.AttackHarnessConfig(batch_size=3, n_examples=2, restarts=1),
             hidden_dims=(32,),
         )
@@ -252,7 +252,7 @@ class TestConfigSchema:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         bullets = dict(b.split(": ", 1) for b in readme.split("\n- ")[1:] if ": " in b)
         found = dict(choice_fields(cli.ExperimentSpec))
-        assert len(found) == 5
+        assert len(found) == 4
         for key, choices in found.items():
             head = re.split(r"\. |; ", re.sub(r"\([^)]*\)", "", bullets[f"`{key}`"]))[0]
             assert tuple(re.findall(r"`([^`]+)`", head)) == choices, key
@@ -501,9 +501,8 @@ class TestAttack:
         assert {p.name for p in out.iterdir()} == {"attack.csv", "images_000.csv",
                                                    "images_001.csv"}
 
-    @pytest.mark.parametrize("label_mode", ["known", "optimized"])
-    def test_byte_identical_rerun(self, tmp_path, capsys, label_mode):
-        path = write_config(tmp_path, {"attack.label_mode": label_mode})
+    def test_byte_identical_rerun(self, tmp_path, capsys):
+        path = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["attack", "--config", path, "--out", str(out_a)]) == 0
         assert cli.main(["attack", "--config", path, "--out", str(out_b)]) == 0
