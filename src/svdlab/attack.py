@@ -266,14 +266,15 @@ def run_attack(
         raise InvalidConfig(f"need one label in [0, {num_classes}) per slot, got {labels!r}")
     y = np.eye(num_classes)[label_vec]
 
-    seeds = [cfg.seed + 1000 * j for j in range(restarts)]
-    x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, size=(batch, dim)) for s in seeds])
+    # the restart-sized arrays come first: a restart count beyond memory fails here
+    x, trace = np.empty((restarts, batch, dim)), np.empty((restarts, cfg.iterations))
+    for j in range(restarts):
+        x[j] = np.random.default_rng(cfg.seed + 1000 * j).uniform(0.0, 1.0, size=(batch, dim))
     masks = [t != 0.0 for t in observed]
-    rngs = [np.random.default_rng(s + 1) for s in seeds]
+    rngs = [np.random.default_rng(cfg.seed + 1000 * j + 1) for j in range(restarts)]
     units = _unit_vectors(observed)
     m_x, v_x = np.zeros_like(x), np.zeros_like(x)
 
-    trace = np.empty((restarts, cfg.iterations))
     best_loss = np.full(restarts, np.inf)
     best_it = np.zeros(restarts, dtype=np.int64)
     best_x = x.copy()
@@ -306,12 +307,3 @@ def run_attack(
         reconstructed_batch=best_x[win].copy(),
         restart=win,
     )
-
-
-def write_image_csv(truth: np.ndarray, recon: np.ndarray, side: int, path) -> None:
-    """Ground-truth and reconstructed pixel grids, stacked, as CSV."""
-    with open(path, "w") as fh:
-        fh.write("# truth rows, then reconstruction rows\n")
-        for block in (truth, recon):
-            for row in np.asarray(block).reshape(side, side):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -107,12 +107,14 @@ def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
     return spec, errors
 
 
-def _write_text_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, data: str | bytes) -> None:
+    """Write text or bytes through a temporary file beside `path`, so an
+    interrupted run leaves the whole file or none of it."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -142,8 +144,8 @@ def run_train(spec: ExperimentSpec, out_dir: str):
         for r in reports
     ]
     header = ["round", "accuracy", "bytes_up", "bytes_down", "mean_entropy", "defense_method"]
-    _write_text_atomic(os.path.join(out_dir, "rounds.csv"), _csv(rows, header))
-    tinynn.save_model(model, os.path.join(out_dir, "model.bin"))
+    _write_atomic(os.path.join(out_dir, "rounds.csv"), _csv(rows, header))
+    _write_atomic(os.path.join(out_dir, "model.bin"), tinynn.model_bytes(model))
     return reports, model
 
 
@@ -216,15 +218,16 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
         values.append((m, p, s))
         rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s])
         if write_images:
-            attack_mod.write_image_csv(train.x[batch_indices[0]], best.reconstructed_batch[0],
-                                       train.side, os.path.join(out_dir, f"images_{i:03d}.csv"))
+            grid = np.concatenate([train.x[batch_indices[0]], best.reconstructed_batch[0]])
+            _write_atomic(os.path.join(out_dir, f"images_{i:03d}.csv"), _csv(
+                grid.reshape(-1, train.side).tolist(), ["# truth rows, then reconstruction rows"]))
     arr = np.array(values)
     rows.append(
         ["mean", spec.fl.defense.method, spec.attack.adaptive,
          float(arr[:, 0].mean()), float(arr[:, 1].mean()), float(arr[:, 2].mean())]
     )
     header = ["example_id", "defense", "attack_mode", "mse", "psnr", "ssim"]
-    _write_text_atomic(os.path.join(out_dir, "attack.csv"), _csv(rows, header))
+    _write_atomic(os.path.join(out_dir, "attack.csv"), _csv(rows, header))
     return values
 
 
@@ -270,7 +273,7 @@ def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str
         )
     header = ["axis", "value", "final_accuracy", "mean_attack_mse",
               "comm_reduction_pct", "mean_entropy"]
-    _write_text_atomic(os.path.join(out_dir, "sweep.csv"), _csv(rows, header))
+    _write_atomic(os.path.join(out_dir, "sweep.csv"), _csv(rows, header))
     return rows
 
 

@@ -104,28 +104,19 @@ def channel_weights(g: np.ndarray) -> np.ndarray:
 
 
 def defend_grad_svd(g: np.ndarray, beta: float) -> DefensePacket:
-    """Weighted truncation of one gradient matrix (rows = output channels).
-
-    Zero matrices take a documented degenerate path: rank-1 zero factors and
-    zero entropy, so the transport layer never has to special-case them.
-    """
+    """Weighted truncation of one gradient matrix (rows = output channels):
+    channel weights, linalg.svd of the weighted matrix, then rank_rule on its
+    spectrum. An all-zero matrix keeps rank 0 (a p x 0 u_star, no sigma, a
+    0 x q vt_star, entropy 0); a nonzero one whose weighted product
+    underflows to zero raises NumericalFailure."""
     g = linalg.as_matrix(g)
-    p, q = g.shape
-    if p < 2 or q < 2:
+    if min(g.shape) < 2:
         raise InvalidInput("matrices below 2x2 take the raw path, not the SVD path")
     weights = channel_weights(g)
-    if not np.any(g):
-        return DefensePacket(
-            channel_weights=weights,
-            u_star=np.zeros((p, 1)),
-            sigma_star=np.zeros(1),
-            vt_star=np.zeros((1, q)),
-            entropy=0.0,
-        )
     with numerical_failure("the channel-weighted update"):
         weighted = weights[:, None] * g
     factors = linalg.svd(weighted)
-    if factors.sigma[0] == 0.0:  # w g underflowed: g is too small to weight
+    if factors.sigma[0] == 0.0 and g.any():  # w g underflowed: g is too small to weight
         raise NumericalFailure("all singular values are zero")
     k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(

@@ -142,25 +142,17 @@ def client_round(
 
 
 def aggregation_weights(updates: list[ClientUpdate], tensor_id: int) -> np.ndarray:
-    """Per-client weights for one tensor, summing to 1.
-
-    Factored packets (values None) weight clients by entropy times sample
-    count; if every entropy is zero the rule falls back to sample counts,
-    which is also what raw tensors (biases, undefended runs) use.
-    """
+    """Per-client weights for one tensor, summing to 1: entropy times sample
+    count, or sample counts alone when every entropy is zero. A raw packet's
+    entropy is 0, so raw tensors (biases, undefended runs) take the counts."""
     if not updates:
         raise InvalidInput("no updates to aggregate")
     packets = [u.packets[tensor_id] for u in updates]
-    counts = np.array([float(u.sample_count) for u in updates])
-    factored = {p.values is None for p in packets}
-    if len(factored) != 1:
+    if len({p.values is None for p in packets}) != 1:
         raise InvalidInput(f"tensor {tensor_id} is factored in some uploads and raw in others")
-    if factored == {True}:
-        entropies = np.array([p.entropy for p in packets])
-        mass = entropies * counts
-        if mass.sum() > 0.0:
-            return mass / mass.sum()
-    return counts / counts.sum()
+    counts = np.array([float(u.sample_count) for u in updates])
+    mass = np.array([p.entropy for p in packets]) * counts
+    return mass / mass.sum() if mass.sum() > 0.0 else counts / counts.sum()
 
 
 def aggregate(global_params: ModelParams, updates: list[ClientUpdate]) -> tuple[ModelParams, dict]:

@@ -6,7 +6,8 @@ are computed by hand so that (a) they can be checked against finite
 differences and (b) the attack engine can differentiate *through* the
 gradient computation without an autodiff framework.
 
-All functions are pure: parameters in, new values out.
+All functions are pure: parameters in, new values out. The one exception
+is load_model, which reads a checkpoint file.
 """
 
 from __future__ import annotations
@@ -139,20 +140,19 @@ def accuracy(params: ModelParams, x, labels) -> float:
         return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def save_model(params: ModelParams, path) -> None:
+def model_bytes(params: ModelParams) -> bytes:
     """Binary checkpoint: MODEL_MAGIC, the width count n u32, the n layer
     widths u32 (input first, classes last), then every tensor in wire order
     (ModelParams.tensors) as row-major little-endian f64."""
     dims = [params.input_dim, *(layer.weight.shape[0] for layer in params.layers)]
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims))
-        for t in params.tensors():
-            fh.write(t.astype("<f8").tobytes())
+    return b"".join([MODEL_MAGIC, struct.pack(f"<{len(dims) + 1}I", len(dims), *dims),
+                     *(t.astype("<f8").tobytes() for t in params.tensors())])
 
 
 def load_model(path) -> ModelParams:
-    """Read a save_model checkpoint; a malformed file raises InvalidInput,
-    and a declared size is checked against the file before it is read."""
+    """Read a model_bytes checkpoint from the file `path`; a malformed file
+    raises InvalidInput, and a declared size is checked against the file
+    before it is read."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = 0

@@ -475,14 +475,3 @@ class TestAdaptiveTransforms:
         out, _ = attack._adaptive_view(cfg, None, [rng], dummy, None)
         sample_var = float(np.var(out[0]))
         assert sample_var == pytest.approx(0.5**2 / 16, rel=0.15)
-
-
-class TestDumps:
-    def test_image_csv(self, tmp_path):
-        truth = np.zeros(16)
-        recon = np.ones(16)
-        path = tmp_path / "pair.csv"
-        attack.write_image_csv(truth, recon, 4, path)
-        rows = path.read_text().splitlines()
-        assert rows[0].startswith("#")
-        assert len(rows) == 9

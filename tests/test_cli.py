@@ -10,10 +10,11 @@ import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import checkpoint_blob
-from svdlab import cli, schema, tinynn
+from svdlab import cli, flsim, schema, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
 from svdlab.flsim import DataConfig, FlConfig
@@ -276,8 +277,9 @@ class TestExitCodes:
         ("attack", {"attack.iterations": 10**13}),
         ("attack", {"fl.defense.method": "dp_gauss", "attack.adaptive": "eot",
                     "attack.eot_samples": 10**13}),
+        ("attack", {"attack.restarts": 10**13}),
         ("train", {"model.hidden_dims": [10**11]}),
-    ], ids=["iterations", "eot_samples", "hidden_dims"])
+    ], ids=["iterations", "eot_samples", "restarts", "hidden_dims"])
     def test_unallocatable_config_exits_2(self, tmp_path, capsys, command, overrides):
         path = write_config(tmp_path, overrides)
         rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
@@ -310,7 +312,7 @@ class TestExitCodes:
             model = tinynn.init_model(100 if case == "input_dim" else 64, [32], 4)
             if case == "nan":
                 model.layers[1].weight[2, 3] = float("nan")
-            tinynn.save_model(model, ckpt)
+            ckpt.write_bytes(tinynn.model_bytes(model))
         if case == "truncated":
             ckpt.write_bytes(ckpt.read_bytes()[:200])
         if case == "trailing":
@@ -323,7 +325,7 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
     # (widths, a width count written over theirs, a fragment of the error
-    # line) of an all-zero checkpoint; save_model writes at least two
+    # line) of an all-zero checkpoint; model_bytes writes at least two
     # widths, none of them 0, and the count of widths it writes
     LAYER_HEADERS = {
         "zero_width": ([64, 16, 0, 4], None, "[64, 16, 0, 4]"),
@@ -351,7 +353,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("classes", [2, 6])
     def test_checkpoint_of_other_class_count_exits_2(self, tmp_path, capsys, classes):
         ckpt = tmp_path / "model.bin"
-        tinynn.save_model(tinynn.init_model(64, [32], classes), ckpt)
+        ckpt.write_bytes(tinynn.model_bytes(tinynn.init_model(64, [32], classes)))
         path = write_config(tmp_path)
         rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
                        "--model", str(ckpt)])
@@ -367,7 +369,7 @@ class TestExitCodes:
         for layer in model.layers:
             layer.weight *= scale
         ckpt = tmp_path / "tiny.bin"
-        tinynn.save_model(model, ckpt)
+        ckpt.write_bytes(tinynn.model_bytes(model))
         path = write_config(tmp_path, {"fl.defense.method": "svdefense", "attack.iterations": 5,
                                        **overrides})
         return cli.main(["attack", "--config", path, "--out", str(tmp_path / "o"),
@@ -509,6 +511,20 @@ class TestAttack:
         assert (out_a / "attack.csv").read_bytes() == (out_b / "attack.csv").read_bytes()
         assert capsys.readouterr().err == ""
 
+    def test_image_csv(self, tmp_path):
+        # a header, the victim's 8 x 8 truth rows, then its reconstruction's
+        path = write_config(tmp_path, {"attack.iterations": 5})
+        out = tmp_path / "atk"
+        assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
+        rows = (out / "images_000.csv").read_text().splitlines()
+        assert rows[0] == "# truth rows, then reconstruction rows"
+        grid = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        assert grid.shape == (16, 8) and ((grid >= 0.0) & (grid <= 1.0)).all()
+        spec, _ = cli.load_spec(path)
+        train = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)[0]
+        victim = cli.pick_victim_batches(train, 2, 3, spec.seed)[0][0]
+        assert grid[:8].tobytes() == train.x[victim].reshape(8, 8).tobytes()
+
     @pytest.mark.parametrize("side", [4, 6])
     def test_small_and_even_sides(self, tmp_path, side):
         # the SSIM window is the largest odd one up to 7 that fits the side
@@ -613,6 +629,24 @@ class TestOutputContainment:
         assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
         after = set(os.listdir(tmp_path))
         assert after - before == {"sandbox"}
+
+    @pytest.mark.parametrize("command, name", [("train", "model.bin"),
+                                               ("attack", "images_000.csv")])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, command, name):
+        # each output goes through a temporary file that replaces it whole
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError(f"cannot write {name}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        path = write_config(tmp_path, {"attack.iterations": 5})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: cannot write {name}\n"
+        assert not (out / name).exists() and not list(out.glob(".tmp-*.part"))
 
 
 def mean_attack_mse(tmp_path, name, defense_method, adaptive="none"):

@@ -151,10 +151,12 @@ class TestDefendGradSvd:
         resid = np.linalg.norm(g - reconstruct_packet(pkt))
         assert resid <= cond * math.sqrt(1.0 - t) * np.linalg.norm(g) * (1 + 1e-9)
 
-    def test_zero_matrix_degenerate_path(self):
+    def test_zero_matrix_keeps_the_rank_rules_rank(self):
+        # the one rank rule: a zero spectrum keeps nothing, as the replay assumes
         pkt = defend_grad_svd(np.zeros((4, 5)), beta=0.3)
+        assert len(pkt.sigma_star) == rank_rule(np.zeros(1), 0.3)[0] == 0
+        assert (pkt.u_star.shape, pkt.vt_star.shape) == ((4, 0), (0, 5))
         assert pkt.entropy == 0.0
-        assert len(pkt.sigma_star) == 1
         np.testing.assert_array_equal(reconstruct_packet(pkt), np.zeros((4, 5)))
 
     def test_rejects_vectors(self):
@@ -396,6 +398,18 @@ class TestPacketTransport:
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
         assert parameter_count(pkt) == 8 + 8 * k + k + k * 6 + 1
+
+    def test_zero_update_travels_as_rank_zero(self):
+        # 13 header bytes, then 4 channel weights and the entropy
+        grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
+        packets, _ = defend_update(grads, DefenseConfig(method="svdefense"))
+        blob = serialize_packet(packets[0])
+        assert len(blob) == HEADER_BYTES + 8 * (4 + 1) == 53
+        back = [deserialize_packet(blob), deserialize_packet(serialize_packet(packets[1]))]
+        assert back[0].u_star.shape == (4, 0)
+        decoded = packets_to_gradset(back, model_like(grads))
+        np.testing.assert_array_equal(decoded[0], np.zeros((4, 5)))
+        np.testing.assert_array_equal(decoded[1], np.zeros(4))
 
     def test_byte_count_matches_payload(self):
         rng = np.random.default_rng(12)

@@ -51,6 +51,11 @@ class TestAggregationWeights:
         ]
         np.testing.assert_allclose(aggregation_weights(ups, 0), [0.25, 0.75])
 
+    def test_mixed_kinds_are_refused(self):
+        ups = [svd_update(0, 10, 1.0), ClientUpdate(1, 10, [DefensePacket(values=np.ones(2))])]
+        with pytest.raises(InvalidInput, match="factored in some uploads and raw in others"):
+            aggregation_weights(ups, 0)
+
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -210,6 +215,21 @@ class TestAggregate:
         b, _ = aggregate(model, ups[::-1])
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
+
+    def test_a_zero_weight_update_is_averaged_in(self, tiny_setup):
+        # client 1 sends a rank-0 packet of entropy 0 for the weight it did
+        # not move: client 0 takes all of that tensor's weight
+        fl, dc, train, test, shards, model = tiny_setup
+        cfg = DefenseConfig(method="svdefense")
+        grads = one_hot_grads(model, train.x[:2], train.y[:2])
+        zero = [np.zeros_like(t) if tid == 0 else t for tid, t in enumerate(grads)]
+        ups = [ClientUpdate(i, 10, defense.defend_update(g, cfg)[0])
+               for i, g in enumerate([grads, zero])]
+        assert len(ups[1].packets[0].sigma_star) == 0
+        new, weights = aggregate(model, ups)
+        assert weights[0].tolist() == [1.0, 0.0]
+        decoded = defense.packets_to_gradset(ups[0].packets, model)
+        np.testing.assert_array_equal(new.layers[0].weight, model.layers[0].weight - decoded[0])
 
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
     @pytest.mark.parametrize("method", ["none", "svdefense"])

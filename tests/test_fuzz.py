@@ -214,22 +214,21 @@ def _damaged_checkpoints(draw, blob: bytes):
 @pytest.fixture(scope="module")
 def checkpoint_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("checkpoints")
-    tinynn.save_model(_CHECKPOINT, path / "good.bin")
+    (path / "good.bin").write_bytes(tinynn.model_bytes(_CHECKPOINT))
     return path
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_checkpoint_bytes_load_or_raise_invalid_input(checkpoint_dir, data):
-    # a file that loads is one save_model writes back byte for byte
+    # a file that loads is one model_bytes writes back byte for byte
     blob = data.draw(_damaged_checkpoints((checkpoint_dir / "good.bin").read_bytes()))
     (checkpoint_dir / "damaged.bin").write_bytes(blob)
     try:
         model = tinynn.load_model(checkpoint_dir / "damaged.bin")
     except InvalidInput:
         return
-    tinynn.save_model(model, checkpoint_dir / "again.bin")
-    assert (checkpoint_dir / "again.bin").read_bytes() == blob
+    assert tinynn.model_bytes(model) == blob
 
 
 def _upload(model, method):

@@ -171,14 +171,13 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = init_model(10, [5, 4], 3, seed=12)
         path = tmp_path / "model.bin"
-        tinynn.save_model(model, path)
+        path.write_bytes(tinynn.model_bytes(model))
         loaded = tinynn.load_model(path)
         assert len(loaded.layers) == len(model.layers)
         for a, b in zip(model.layers, loaded.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
             np.testing.assert_array_equal(a.bias, b.bias)
-        tinynn.save_model(loaded, tmp_path / "again.bin")
-        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+        assert tinynn.model_bytes(loaded) == path.read_bytes()
 
     def test_magic_header(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -186,7 +185,7 @@ class TestCheckpoint:
         with pytest.raises(InvalidInput):
             tinynn.load_model(path)
         good = tmp_path / "model.bin"
-        tinynn.save_model(small_model(), good)
+        good.write_bytes(tinynn.model_bytes(small_model()))
         assert good.read_bytes().startswith(b"SVDLAB-MODEL-v2\n")
 
     def test_layout(self, tmp_path):
@@ -194,14 +193,14 @@ class TestCheckpoint:
         # in wire order, each row-major
         model = init_model(4, [3], 2)
         path = tmp_path / "model.bin"
-        tinynn.save_model(model, path)
+        path.write_bytes(tinynn.model_bytes(model))
         assert path.read_bytes() == (b"SVDLAB-MODEL-v2\n" + struct.pack("<4I", 3, 4, 3, 2)
                                      + b"".join(t.tobytes() for t in model.tensors()))
         assert path.read_bytes() == checkpoint_blob([4, 3, 2], model.tensors())
 
     def test_malformed_files(self, tmp_path):
         good = tmp_path / "model.bin"
-        tinynn.save_model(small_model(), good)
+        good.write_bytes(tinynn.model_bytes(small_model()))
         blob = good.read_bytes()
         widths = [[], [6], [6, 0], [0, 4], [6, 4, 0]]  # fewer than two, or a 0
         for name, data in (("short", blob[:-1]), ("header_only", blob[:18]),
