@@ -245,9 +245,11 @@ def run_attack(
     decodes to non-finite values, or an iteration that overflows, raises
     NumericalFailure.
 
-    Restart j, seeded with cfg.seed + 1000 * j, runs as slice j of a leading
-    axis of every array and computes exactly what it would alone; the result
-    is the best iterate of the first restart with the lowest final distance.
+    Restart j, seeded with s = cfg.seed + 1000 * j (inputs from
+    default_rng(s), eot noise from default_rng([s, 1])), runs as slice j of
+    a leading axis of every array and computes exactly what it would alone;
+    the result is the best iterate of the first restart with the lowest
+    final distance.
     """
     errors = cfg.validate()
     for name, n in (("batch", batch), ("restarts", restarts)):
@@ -271,7 +273,7 @@ def run_attack(
     for j in range(restarts):
         x[j] = np.random.default_rng(cfg.seed + 1000 * j).uniform(0.0, 1.0, size=(batch, dim))
     masks = [t != 0.0 for t in observed]
-    rngs = [np.random.default_rng(cfg.seed + 1000 * j + 1) for j in range(restarts)]
+    rngs = [np.random.default_rng([cfg.seed + 1000 * j, 1]) for j in range(restarts)]
     units = _unit_vectors(observed)
     m_x, v_x = np.zeros_like(x), np.zeros_like(x)
 

@@ -177,13 +177,13 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     """Defend one victim batch per the fl defense and attack it; returns the
     per-example metric values and the best attack result."""
     x, labels = ds.x[batch_indices], ds.y[batch_indices]
-    with numerical_failure("the model's gradient on the victim batch"):
-        grads, _ = tinynn.backprop(model, x, np.eye(model.num_classes)[labels])
     noisy = spec.fl.defense.method in defense_mod.NOISE_METHODS
-    packets, _ = defense_mod.defend_update(
-        grads, spec.fl.defense,
-        rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed) if noisy else None,
-    )
+    with numerical_failure("the model's defended gradient on the victim batch"):
+        grads, _ = tinynn.backprop(model, x, np.eye(model.num_classes)[labels])
+        packets, _ = defense_mod.defend_update(
+            grads, spec.fl.defense,
+            rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed) if noisy else None,
+        )
     cfg = replace(spec.attack, seed=spec.seed + run_seed)
     best = attack_mod.run_attack(
         model, packets, len(x), cfg, labels=labels, restarts=spec.harness.restarts,

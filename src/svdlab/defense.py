@@ -23,7 +23,7 @@ from .tinynn import ModelParams
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
 NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise stream
 
-_DENSE, _SVD, _SPARSE = 0, 1, 2  # wire codes: raw values, factors, raw bitmap + stored values
+_SVD, _RAW = 1, 2  # wire codes: factors, raw bitmap + stored values
 _RATE = {"ge": 0, "lt": 1}
 _HEADER_BYTES = 13  # code u8, p u32, q u32, k u32
 _F8, _U8 = np.dtype("<f8"), np.dtype("<u8")
@@ -209,25 +209,16 @@ def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> lis
     return tensors
 
 
-def _sparse_pays(n: int, k: int) -> bool:
-    """Whether n raw values, k of them stored (not +0.0), are shorter sent as
-    a bitmap and the k values than as all n values."""
-    return -(-n // 8) + 8 * k < 8 * n
-
-
 def serialize_packet(packet: DefensePacket) -> bytes:
     """Little-endian layout.
 
     header: code u8, p u32, q u32, k u32, with p, q and k read off the
     packet's arrays (its tensor id is its position in the upload), which fix
     the payload size; svd payload (code 1): diag (p), u_star (p*k), sigma_star (k),
-    vt_star (k*q), entropy (1), all f64. A raw packet holds n = p values
-    (q == 0 marks a 1-D tensor) or p*q, and takes the shorter of two
-    lossless payloads: dense (code 0, k = 0) is the n values as f64; sparse
-    (code 2) is np.packbits of the n-entry mask of stored values, those
-    whose bits are not all zero (so -0.0 is stored and +0.0 is not), then
-    the k stored values as f64 in flat order. Sparse is chosen iff
-    ceil(n/8) + 8k < 8n.
+    vt_star (k*q), entropy (1), all f64. A raw packet (code 2) holds n = p
+    values (q == 0 marks a 1-D tensor) or p*q: np.packbits of the n-entry
+    mask of stored values, those whose bits are not all zero (so -0.0 is
+    stored and +0.0 is not), then the k stored values as f64 in flat order.
     """
     if packet.values is None:
         (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
@@ -247,31 +238,22 @@ def serialize_packet(packet: DefensePacket) -> bytes:
         values = values.ravel()
         stored = values.view(_U8).astype(bool)
         where = stored.nonzero()  # integer indices: a mask index branches per entry
-        code, k = _DENSE, len(where[0])
-        if _sparse_pays(values.size, k):
-            code, payload = _SPARSE, np.packbits(stored).tobytes() + values[where].tobytes()
-        else:
-            k, payload = 0, values.tobytes()
+        code, k = _RAW, len(where[0])
+        payload = np.packbits(stored).tobytes() + values[where].tobytes()
     return struct.pack("<BIII", code, p, q, k) + payload
 
 
-def _raw_values(blob: bytes, code: int, n: int, k: int) -> np.ndarray:
-    """The n values of a dense or sparse raw payload whose size is checked;
-    InvalidInput for an encoding serialize_packet would not have written."""
-    if code != _SPARSE:
-        values = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES).copy()
-        if _sparse_pays(n, np.count_nonzero(values.view(_U8))):
-            raise InvalidInput("dense raw packet that the sparse form would shorten")
-        return values
+def _raw_values(blob: bytes, n: int, k: int) -> np.ndarray:
+    """The n values of a raw payload whose size is checked; InvalidInput for
+    an encoding serialize_packet would not have written."""
     n_mask = -(-n // 8)
     pad_bits = n % 8 and blob[_HEADER_BYTES + n_mask - 1] & (0xFF >> n % 8)
     mask = np.unpackbits(np.frombuffer(blob, np.uint8, n_mask, _HEADER_BYTES), count=n)
     where = mask.view(bool).nonzero()
     stored = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES + n_mask)
-    if (pad_bits or len(where[0]) != k or not _sparse_pays(n, k)
-            or np.count_nonzero(stored.view(_U8)) != k):
-        raise InvalidInput("sparse raw packet is not in canonical form (pad bits, mask "
-                           "count, a stored +0.0, or no shorter than dense)")
+    if pad_bits or len(where[0]) != k or np.count_nonzero(stored.view(_U8)) != k:
+        raise InvalidInput("raw packet is not in canonical form (pad bits, mask count, "
+                           "or a stored +0.0)")
     values = np.zeros(n)
     values[where] = stored
     return values
@@ -287,15 +269,14 @@ def deserialize_packet(blob: bytes) -> DefensePacket:
     if len(blob) < _HEADER_BYTES:
         raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
     code, p, q, k = struct.unpack_from("<BIII", blob)
-    if code not in (_DENSE, _SVD, _SPARSE):
+    if code not in (_SVD, _RAW):
         raise InvalidInput(f"unknown packet code {code}")
     n = p * max(q, 1)
-    size = (8 * (p + p * k + k + k * q + 1) if code == _SVD
-            else -(-n // 8) + 8 * k if code == _SPARSE else 8 * n)
-    if len(blob) - _HEADER_BYTES != size or (code == _DENSE and k != 0):
+    size = 8 * (p + p * k + k + k * q + 1) if code == _SVD else -(-n // 8) + 8 * k
+    if len(blob) - _HEADER_BYTES != size:
         raise InvalidInput(f"packet payload does not hold the {size} bytes it declares")
-    if code != _SVD:
-        values = _raw_values(blob, code, n, k)
+    if code == _RAW:
+        values = _raw_values(blob, n, k)
         if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
             raise InvalidInput("raw packet holds a NaN")
         return DefensePacket(values=values.reshape((p, q) if q > 0 else (p,)))

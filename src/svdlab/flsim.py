@@ -17,7 +17,7 @@ import numpy as np
 from . import data as data_mod
 from . import defense as defense_mod
 from . import schema, tinynn
-from .errors import InvalidConfig, InvalidInput, NumericalFailure, numerical_failure
+from .errors import InvalidConfig, InvalidInput, numerical_failure
 from .tinynn import ModelParams
 
 # seed-sequence purpose tags
@@ -121,23 +121,19 @@ def client_round(
         raise InvalidInput(f"client {client_id} holds a label outside the model's classes")
     targets = np.eye(global_params.num_classes)[labels]
     batch_rng = _rng(cfg.seed, _TAG_CLIENT_BATCHES, round_index, client_id)
-    # a diverging run overflows here; the finiteness check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
+    noise_rng = (_rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
+                 if cfg.defense.method in defense_mod.NOISE_METHODS else None)
+    with numerical_failure(f"client {client_id} diverged in round {round_index}: its update"):
         for _ in range(cfg.local_epochs):
             order = batch_rng.permutation(len(shard))
             for start in range(0, len(shard), cfg.local_batch_size):
                 batch = order[start : start + cfg.local_batch_size]
                 grads, _ = tinynn.backprop(local, ds.x[rows[batch]], targets[batch])
                 local = tinynn.sgd_step(local, grads, cfg.local_lr)
-
-    update = [g - l for g, l in zip(global_params.tensors(), local.tensors())]
-    if not all(np.isfinite(t).all() for t in update):
-        raise NumericalFailure(f"client {client_id} diverged in round {round_index}")
-    noise_rng = (_rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
-                 if cfg.defense.method in defense_mod.NOISE_METHODS else None)
-    packets, new_residual = defense_mod.defend_update(
-        update, cfg.defense, rng=noise_rng, residual=dgp_residual
-    )
+        update = [g - l for g, l in zip(global_params.tensors(), local.tensors())]
+        packets, new_residual = defense_mod.defend_update(
+            update, cfg.defense, rng=noise_rng, residual=dgp_residual
+        )
     return ClientUpdate(client_id, len(shard), packets), new_residual
 
 
@@ -260,9 +256,9 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
 
 
 def raw_upload_bytes(params: ModelParams) -> int:
-    """Upload size of one update of `params`' shapes sent dense: the bytes
-    of a raw packet of every tensor with no zero values. This is the FedAvg
-    baseline for communication accounting; unlike a serialized update, it
-    does not depend on how many values are zero."""
+    """Upload size of one update of `params`' shapes with every value
+    stored: the bytes of a raw packet of every tensor with no zero values.
+    This is the FedAvg baseline for communication accounting; unlike a
+    serialized update, it does not depend on how many values are zero."""
     return sum(defense_mod.packet_bytes(defense_mod.DefensePacket(values=np.ones_like(t)))
                for t in params.tensors())

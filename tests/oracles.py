@@ -16,7 +16,9 @@ writes a packet's bytes by hand to the wire layout HEADER_BYTES pins, and
 checkpoint_blob writes a checkpoint's bytes by hand.
 grad_distance and parameter_count are the test suite's scalar views of the
 attack distance and of a packet's payload size; reference_adam is the
-attack's Adam step written out of place.
+attack's Adam step written out of place. span_read is an attacker that takes
+no optimizer: a least-squares read of a batch slot from a packet's kept
+factors.
 """
 
 import math
@@ -228,8 +230,8 @@ HEADER_BYTES = 13  # the wire header: code u8, p u32, q u32, k u32
 
 
 def wire_blob(code: int, p: int, q: int, k: int, payload: bytes) -> bytes:
-    """A packet of wire code `code` (0 dense, 1 svd, 2 sparse), header fields
-    p, q, k and the bytes `payload`."""
+    """A packet of wire code `code` (1 svd, 2 raw, any other to forge one),
+    header fields p, q, k and the bytes `payload`."""
     return struct.pack("<BIII", code, p, q, k) + payload
 
 
@@ -287,6 +289,18 @@ def parameter_count(packet) -> int:
         return int(packet.values.size)
     factors = (packet.channel_weights, packet.u_star, packet.sigma_star, packet.vt_star)
     return sum(int(a.size) for a in factors) + 1  # diag, U*, sigma*, V*^T, entropy
+
+
+def span_read(vt, priors, labels) -> np.ndarray:
+    """The closed-form read of slot 0 from kept right singular vectors (the
+    rows of `vt`), given the batch's `labels` and one prior image per class
+    (the rows of `priors`): each row v is fit by least squares as
+    sum_i a_i priors[labels[i]] + c, and the estimate is sum_v a_0(v) times
+    v's residual, which does not depend on the sign of v."""
+    vt = np.asarray(vt, dtype=np.float64)
+    design = np.column_stack([priors[labels].T, np.ones(vt.shape[1])])
+    coef = np.linalg.lstsq(design, vt.T, rcond=None)[0]
+    return (vt.T - design @ coef) @ coef[0]
 
 
 

@@ -22,6 +22,7 @@ from oracles import (
     one_hot_grads,
     parameter_count,
     singular_entropy,
+    span_read,
     spearman,
     truncate_by_energy,
     upload,
@@ -43,6 +44,19 @@ ATTACK_RESTARTS = 3
 ATTACK_ITERS = 2000
 
 
+def _study_batch(ds, target, size):
+    """The target example and the first companions of distinct labels."""
+    batch = [target]
+    used = {ds.y[target]}
+    for j, label in enumerate(ds.y):
+        if len(batch) == size:
+            break
+        if label not in used:
+            batch.append(j)
+            used.add(label)
+    return batch
+
+
 def _best_of(model, observed, cfg, labels):
     return attack.run_attack(
         model, observed, ATTACK_BATCH, cfg, labels=labels, restarts=ATTACK_RESTARTS
@@ -61,14 +75,7 @@ def attack_study():
     )
     arms = {k: [] for k in ("none", "svdef", "replay", "prune_plain", "prune_adapt")}
     for i in range(ATTACK_TARGETS):
-        batch = [i]
-        used = {ds.y[i]}
-        for j, label in enumerate(ds.y):
-            if len(batch) == ATTACK_BATCH:
-                break
-            if label not in used:
-                batch.append(j)
-                used.add(label)
+        batch = _study_batch(ds, i, ATTACK_BATCH)
         labels = ds.y[batch]
         truth = ds.x[i]
         grads = one_hot_grads(model, ds.x[batch], labels)
@@ -388,4 +395,37 @@ def test_c14_rank_the_threshold_keeps(monkeypatch):
         14, "rank the energy threshold keeps", ok,
         f"beta 0.3: k = 1 on {ks.count(1)}/{len(ks)} packets; beta 10: spearman(rho, k) "
         f"{corr:.3f}, mean k {mean_k[0.1]:.1f} at rho 0.1 -> {mean_k[1.0]:.1f} at 1.0, {elapsed:.1f}s",
+    )
+
+
+def test_c16_closed_form_read_of_the_kept_factors():
+    # an attacker with the batch's labels and a class-mean prior from a
+    # disjoint public split reads the target out of layer 0's kept right
+    # singular vectors by least squares, with no optimizer: at beta 0.3 it
+    # scores a residual cosine cos(est, truth - prior) of +0.205 on average
+    # at batch 3 (19 of 20 targets positive) and at least +0.939 on every
+    # target at batch 1, where the kept rank-1 factor is lossless
+    start = time.monotonic()
+    public = data.make_synthetic(4, 30, 8, seed=12)
+    priors = np.array([public.x[public.y == c].mean(axis=0) for c in range(4)])
+    ds = data.make_synthetic(4, 30, 8, seed=11)
+    model = tinynn.init_model(64, [32], 4, seed=5)
+    svd_cfg = defense.DefenseConfig(method="svdefense", beta=0.3)
+    cos = {}
+    for size in (1, ATTACK_BATCH):
+        cos[size] = []
+        for i in range(ATTACK_TARGETS):
+            batch = _study_batch(ds, i, size)
+            labels = ds.y[batch]
+            packets, _ = defense.defend_update(one_hot_grads(model, ds.x[batch], labels), svd_cfg)
+            est = span_read(packets[0].vt_star, priors, labels)
+            residual = ds.x[i] - priors[labels[0]]
+            cos[size].append(est @ residual / (np.linalg.norm(est) * np.linalg.norm(residual)))
+    one, three = np.array(cos[1]), np.array(cos[ATTACK_BATCH])
+    elapsed = time.monotonic() - start
+    ok = len(three) >= 20 and three.mean() > 0.15 and np.sum(three > 0.0) >= 15 and one.min() > 0.9
+    report(
+        16, "closed-form read of the kept factors", ok,
+        f"batch 3: mean residual cos {three.mean():+.3f}, {np.sum(three > 0.0)}/{len(three)} "
+        f"positive; batch 1: min {one.min():+.3f}; {elapsed:.2f}s",
     )

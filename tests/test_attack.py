@@ -273,6 +273,21 @@ class TestEngine:
         assert batched.best_iteration == best.best_iteration
         assert batched.final_distance == best.final_distance
 
+    def test_eot_noise_is_no_other_seeds_input_stream(self, setup, monkeypatch):
+        # cli.attack_one seeds victim i with seed + i; the eot stream of a run
+        # seeded s must not be the initial-input stream of the run seeded s + 1
+        model, observed, labels, dcfg = self.observed_for(setup, "eot")
+        states, mean_noise = [], attack._mean_noise
+
+        def capturing(rng, *args):
+            states.append(rng.bit_generator.state)
+            return mean_noise(rng, *args)
+
+        monkeypatch.setattr(attack, "_mean_noise", capturing)
+        cfg = AttackConfig(iterations=1, adaptive="eot", eot_samples=2, seed=40, defense=dcfg)
+        run_attack(model, observed, 3, cfg, labels)
+        assert states[0] != np.random.default_rng(41).bit_generator.state
+
     @pytest.mark.parametrize("distance", attack.DISTANCES)
     @pytest.mark.parametrize("mode", attack.ADAPTIVE_MODES)
     def test_writes_only_what_it_owns(self, mode, distance):

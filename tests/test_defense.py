@@ -309,20 +309,21 @@ class TestPacketTransport:
 
     def test_rejects_malformed_blobs(self):
         raw = serialize_packet(raw_packet(np.ones(12)))
-        assert raw == wire_blob(0, 12, 0, 0, np.ones(12).tobytes())
-        unknown_code = wire_blob(7, 12, 0, 0, raw[HEADER_BYTES:])
+        assert raw == wire_blob(2, 12, 0, 12, bytes([0xFF, 0xF0]) + np.ones(12).tobytes())
+        unknown_code = wire_blob(7, 12, 0, 12, raw[HEADER_BYTES:])
         # a declared 5x5 raw tensor over a 12-value payload
-        oversized = wire_blob(0, 5, 5, 0, raw[HEADER_BYTES:])
+        oversized = wire_blob(2, 5, 5, 12, raw[HEADER_BYTES:])
         for blob in (unknown_code, oversized, raw[:-8], raw[:10], raw[:HEADER_BYTES - 1], b""):
             with pytest.raises(InvalidInput):
                 deserialize_packet(blob)
 
-    def test_raw_picks_the_shorter_encoding_bit_exactly(self):
+    def test_raw_is_its_bitmap_and_stored_values_bit_exactly(self):
         blob = serialize_packet(raw_packet(SPARSE_TEN))
         assert (blob[0], len(blob)) == (2, HEADER_BYTES + 2 + 16)
         assert deserialize_packet(blob).values.tobytes() == SPARSE_TEN.tobytes()
-        dense = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
-        assert (dense[0], len(dense)) == (0, HEADER_BYTES + 80)
+        full = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
+        assert (full[0], len(full)) == (2, HEADER_BYTES + 2 + 80)
+        assert deserialize_packet(full).values.tobytes() == np.arange(1.0, 11.0).tobytes()
 
     @pytest.mark.parametrize("edit", ["pad bit", "mask count", "stored +0.0"])
     def test_rejects_non_canonical_sparse_blobs(self, edit):
@@ -336,15 +337,16 @@ class TestPacketTransport:
         with pytest.raises(InvalidInput):
             deserialize_packet(bytes(blob))
 
-    def test_rejects_a_sparse_blob_no_shorter_than_dense(self):
-        # one stored entry of one: 1 + 8 bytes against 8 dense
-        with pytest.raises(InvalidInput):
-            deserialize_packet(wire_blob(2, 1, 0, 1, bytes([0x80]) + struct.pack("<d", 1.0)))
+    def test_accepts_a_fully_stored_blob(self):
+        # one stored entry of one: a 1-byte bitmap and the value
+        blob = wire_blob(2, 1, 0, 1, bytes([0x80]) + struct.pack("<d", 1.0))
+        assert serialize_packet(raw_packet(np.array([1.0]))) == blob
+        assert deserialize_packet(blob).values.tobytes() == np.array([1.0]).tobytes()
 
-    def test_rejects_a_dense_blob_sparse_would_shorten(self):
-        assert serialize_packet(raw_packet(np.zeros(10)))[0] == 2
-        with pytest.raises(InvalidInput):
-            deserialize_packet(wire_blob(0, 10, 0, 0, bytes(80)))
+    def test_rejects_the_retired_dense_code(self):
+        # code 0 once carried the n values alone, without a bitmap
+        with pytest.raises(InvalidInput, match="code 0"):
+            deserialize_packet(wire_blob(0, 10, 0, 0, np.arange(1.0, 11.0).tobytes()))
 
     @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, np.inf, np.nan])
     def test_rejects_svd_weights_not_finite_and_positive(self, weight):
@@ -363,13 +365,13 @@ class TestPacketTransport:
             deserialize_packet(serialize_packet(pkt))
 
     @pytest.mark.parametrize("at", [0, 1, 4])
-    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])  # the values, not the encoding
     def test_rejects_a_raw_nan_and_keeps_infinities(self, form, at):
         values = SPARSE_TEN.copy() if form == "sparse" else np.arange(1.0, 11.0)
         values[at] = np.inf  # noise of scale 1e308 draws these honestly
         values[at + 2] = -np.inf
         blob = serialize_packet(raw_packet(values))
-        assert blob[0] == (2 if form == "sparse" else 0)
+        assert blob[0] == 2
         assert deserialize_packet(blob).values.tobytes() == values.tobytes()
         values[at] = np.nan
         with pytest.raises(InvalidInput, match="NaN"):

@@ -348,14 +348,14 @@ class TestRunExperiment:
         if method in ("prune", "dgp"):  # a bitmap of the n entries, then the k stored ones
             def size(values):
                 n, k = values.size, np.count_nonzero(values.view(np.uint64))
-                return HEADER_BYTES + min(8 * n, -(-n // 8) + 8 * k)
+                return HEADER_BYTES + -(-n // 8) + 8 * k
 
             per_round = 4 * cfg.clients_per_round
             expected = [sum(size(p.values) for p in sent[r * per_round:(r + 1) * per_round])
                         for r in range(cfg.rounds)]
             assert [r.bytes_up for r in reports] == expected
-            dense_round = flsim.raw_upload_bytes(wired) * cfg.clients_per_round
-            assert max(expected) < dense_round
+            full_round = flsim.raw_upload_bytes(wired) * cfg.clients_per_round
+            assert max(expected) < full_round
 
     def test_one_defend_update_per_client_round(self, tiny_setup, monkeypatch):
         # benchmarks/workloads.py counts uploads and their bytes by wrapping
@@ -383,7 +383,7 @@ class TestRunExperiment:
         shifted = tinynn.ModelParams([tinynn.LayerParams(l.weight, l.bias + 1.0)
                                       for l in model.layers])
         assert not any(l.bias.any() for l in model.layers)
-        dense = sum(HEADER_BYTES + 8 * t.size for t in model.tensors())
+        dense = sum(HEADER_BYTES + -(-t.size // 8) + 8 * t.size for t in model.tensors())
         assert flsim.raw_upload_bytes(model) == flsim.raw_upload_bytes(shifted) == dense
 
     def test_numerically_rank_one_update_trains(self):

@@ -1,6 +1,6 @@
 """Fuzzed config files, packet bytes, packet lists and checkpoint bytes: bad
 input is reported, never raised as anything but the documented error, and
-raw packets travel bit-exact in their shorter encoding. Fuzzed matrices:
+raw packets travel bit-exact as their bitmap and stored values. Fuzzed matrices:
 linalg.svd keeps its contract at every shape, rank and power-of-two scale.
 Fuzzed uploads: pruning and noise match independent references. Fuzzed noise
 scales: a training run exits 0 or with one numerical failure line, and no warning."""
@@ -122,15 +122,13 @@ def _raw_values(draw):
                     np.where(rng.random(shape) < 0.5, -0.0, 0.0))
 
 
-def _raw_blob(values: np.ndarray, mask=None) -> bytes:
-    """The raw packet of `values` built by hand: dense (code 0) without a
-    mask, else sparse (code 2), a bitmap of `mask` and the masked values."""
+def _raw_blob(values: np.ndarray, mask, code: int = 2) -> bytes:
+    """The raw packet of `values` built by hand: a bitmap of `mask` and the
+    masked values, under wire code `code`."""
     flat = values.ravel()
-    payload = (flat.tobytes() if mask is None
-               else np.packbits(mask).tobytes() + flat[mask].tobytes())
     p, q = (*values.shape, 0)[:2]
-    k = 0 if mask is None else int(np.count_nonzero(mask))
-    return wire_blob(0 if mask is None else 2, p, q, k, payload)
+    k = int(np.count_nonzero(mask))
+    return wire_blob(code, p, q, k, np.packbits(mask).tobytes() + flat[mask].tobytes())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -140,7 +138,7 @@ def _raw_blob(values: np.ndarray, mask=None) -> bytes:
                                 | st.integers(HEADER_BYTES, HEADER_BYTES + 4),  # or the bitmap
                                 st.integers(0, 7)), max_size=3),
        tail=st.binary(max_size=9))
-def test_raw_packets_travel_bit_exact_in_the_shorter_form(values, extra, cut, flips, tail):
+def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, flips, tail):
     packet = defense.DefensePacket(values=values)
     good = defense.serialize_packet(packet)
     stored = values.ravel().view(np.uint64) != 0  # -0.0 is stored, +0.0 is not
@@ -150,16 +148,18 @@ def test_raw_packets_travel_bit_exact_in_the_shorter_form(values, extra, cut, fl
         return
     back = defense.deserialize_packet(good)
     assert back.values.shape == values.shape and back.values.tobytes() == values.tobytes()
-    # of the dense form, the sparse form, a sparse form that also stores
-    # some +0.0 entries and one with a pad bit set, the serializer writes the
-    # shorter of the first two and the parser accepts that one alone
+    # of the bitmap form, one that also stores some +0.0 entries, one under
+    # the retired dense code 0 and one with a pad bit set, the serializer
+    # writes the first and the parser accepts that one alone
+    n, k = values.size, int(np.count_nonzero(stored))
+    assert (good[0], len(good)) == (2, HEADER_BYTES + -(-n // 8) + 8 * k)
     more = stored.copy()
-    more[[i % values.size for i in extra if values.size]] = True
-    forms = [_raw_blob(values), _raw_blob(values, stored), _raw_blob(values, more)]
-    assert good == min(forms[:2], key=len)
-    if values.size % 8:
-        padded = bytearray(forms[1])
-        padded[HEADER_BYTES + (values.size - 1) // 8] |= 1
+    more[[i % n for i in extra if n]] = True
+    forms = [_raw_blob(values, stored), _raw_blob(values, more), _raw_blob(values, stored, 0)]
+    assert good == forms[0]
+    if n % 8:
+        padded = bytearray(forms[0])
+        padded[HEADER_BYTES + (n - 1) // 8] |= 1
         forms.append(bytes(padded))
     for blob in forms:
         if blob != good:
