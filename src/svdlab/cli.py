@@ -256,7 +256,7 @@ def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str
         point_dir = os.path.join(out_dir, name)
         os.makedirs(point_dir, exist_ok=True)
         reports, model = run_train(point, point_dir)
-        attack_values = run_attack_suite(point, point_dir, write_images=False)
+        attack_values = run_attack_suite(point, point_dir, model=model, write_images=False)
         baseline_up = (
             flsim.raw_upload_bytes(model) * point.fl.clients_per_round * point.fl.rounds
         )

@@ -25,7 +25,7 @@ NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise str
 
 _SVD, _RAW = 1, 2  # wire codes: factors, raw bitmap + stored values
 _RATE = {"ge": 0, "lt": 1}
-_HEADER_BYTES = 13  # code u8, p u32, q u32, k u32
+_HEADER_BYTES = 5  # code u8, k u32
 _F8, _U8 = np.dtype("<f8"), np.dtype("<u8")
 
 
@@ -76,7 +76,7 @@ def rank_rule(sigma, beta: float):
     (..., r) stacked on leading axes. H is the Shannon entropy (nats, with
     0 ln 0 = 0) of the normalized squared sigma, T = adaptive_threshold(H,
     beta), and k the smallest count whose cumulative squared-sigma fraction
-    strictly exceeds T, at most r, then clamped to the count of sigma >
+    strictly exceeds T, clamped to the count (at most r) of sigma >
     RANK_TOL * max sigma, linalg.svd's own cut: a zero spectrum gets k = 0.
     Spectra are scaled exactly by powers of two before squaring, so that tiny
     or huge ones neither underflow nor overflow. Returns (k, H)."""
@@ -87,7 +87,7 @@ def rank_rule(sigma, beta: float):
     tilde = e / total
     h = -(tilde * np.log(tilde, out=np.zeros_like(tilde), where=tilde > 0.0)).sum(axis=-1)
     t = np.array([adaptive_threshold(x, beta) for x in np.ravel(h).tolist()]).reshape(h.shape)
-    k = np.minimum((e.cumsum(axis=-1) / total <= t[..., None]).sum(axis=-1) + 1, e.shape[-1])
+    k = (e.cumsum(axis=-1) / total <= t[..., None]).sum(axis=-1) + 1
     return np.minimum(k, (sigma > linalg.RANK_TOL * sigma[..., :1]).sum(axis=-1)), h
 
 
@@ -212,35 +212,26 @@ def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> lis
 def serialize_packet(packet: DefensePacket) -> bytes:
     """Little-endian layout.
 
-    header: code u8, p u32, q u32, k u32, with p, q and k read off the
-    packet's arrays (its tensor id is its position in the upload), which fix
-    the payload size; svd payload (code 1): diag (p), u_star (p*k), sigma_star (k),
-    vt_star (k*q), entropy (1), all f64. A raw packet (code 2) holds n = p
-    values (q == 0 marks a 1-D tensor) or p*q: np.packbits of the n-entry
-    mask of stored values, those whose bits are not all zero (so -0.0 is
-    stored and +0.0 is not), then the k stored values as f64 in flat order.
+    header: code u8, k u32. The tensor's id is its position in the upload
+    and its shape, (p, q) or (p,), is the model's, so with k they fix the
+    payload size. svd payload (code 1): diag (p), u_star (p*k), sigma_star
+    (k), vt_star (k*q), entropy (1), all f64. A raw packet (code 2) of n
+    values: np.packbits of the n-entry mask of stored values, those whose
+    bits are not all zero (so -0.0 is stored and +0.0 is not), then the k
+    stored values as f64 in flat order.
     """
     if packet.values is None:
-        (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
-        code, payload = _SVD, b"".join(
-            a.astype("<f8").tobytes()
-            for a in (
-                packet.channel_weights,
-                packet.u_star.ravel(),
-                packet.sigma_star,
-                packet.vt_star.ravel(),
-                np.array([packet.entropy]),
-            )
-        )
+        parts = (packet.channel_weights, packet.u_star, packet.sigma_star, packet.vt_star,
+                 np.array([packet.entropy]))  # tobytes writes row-major
+        code, k = _SVD, packet.sigma_star.size
+        payload = b"".join(a.astype(_F8).tobytes() for a in parts)
     else:
-        values = np.asarray(packet.values, dtype=_F8)
-        p, q = values.shape if values.ndim == 2 else (values.size, 0)
-        values = values.ravel()
+        values = np.asarray(packet.values, dtype=_F8).ravel()
         stored = values.view(_U8).astype(bool)
         where = stored.nonzero()  # integer indices: a mask index branches per entry
         code, k = _RAW, len(where[0])
         payload = np.packbits(stored).tobytes() + values[where].tobytes()
-    return struct.pack("<BIII", code, p, q, k) + payload
+    return struct.pack("<BI", code, k) + payload
 
 
 def _raw_values(blob: bytes, n: int, k: int) -> np.ndarray:
@@ -259,40 +250,46 @@ def _raw_values(blob: bytes, n: int, k: int) -> np.ndarray:
     return values
 
 
-def deserialize_packet(blob: bytes) -> DefensePacket:
-    """Inverse of serialize_packet (raw values come back in their (p, q) or
-    (p,) shape), which it accepts only in the form serialize_packet writes;
-    any malformed or non-canonical blob, a raw NaN, svd channel weights that
-    are not finite and positive, svd factors that are not finite, or an svd
-    entropy outside [0, ln(min(p, q))] (relative slack 1e-12), raise
-    InvalidInput."""
+def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
+    """Inverse of serialize_packet for a tensor of the model's `shape`, (p, q)
+    or (p,) (then q = 0, so no svd packet fits), in which raw values come
+    back. It accepts only the form serialize_packet writes; any malformed or
+    non-canonical blob, a raw NaN, svd channel weights that are not finite
+    and positive, svd factors that are not finite, more than min(p, q) kept
+    values, a negative or increasing sigma_star, or an svd entropy outside
+    [0, ln(min(p, q))] (relative slack 1e-12), raise InvalidInput."""
     if len(blob) < _HEADER_BYTES:
         raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
-    code, p, q, k = struct.unpack_from("<BIII", blob)
+    code, k = struct.unpack_from("<BI", blob)
     if code not in (_SVD, _RAW):
         raise InvalidInput(f"unknown packet code {code}")
-    n = p * max(q, 1)
+    p, q = (*shape, 0)[:2]
+    n = math.prod(shape)
     size = 8 * (p + p * k + k + k * q + 1) if code == _SVD else -(-n // 8) + 8 * k
     if len(blob) - _HEADER_BYTES != size:
-        raise InvalidInput(f"packet payload does not hold the {size} bytes it declares")
+        raise InvalidInput(f"packet payload does not hold the {size} bytes its tensor needs")
     if code == _RAW:
         values = _raw_values(blob, n, k)
         if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
             raise InvalidInput("raw packet holds a NaN")
-        return DefensePacket(values=values.reshape((p, q) if q > 0 else (p,)))
+        return DefensePacket(values=values.reshape(shape))
     body = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES).copy()
     at_sigma = p + p * k  # after the diag and u_star
     at_vt, at_entropy = at_sigma + k, at_sigma + k + k * q
+    sigma = body[at_sigma:at_vt]
     if not np.all((body[:p] > 0.0) & (body[:p] < np.inf)):
         raise InvalidInput("svd packet channel weights must be finite and positive")
     if not np.isfinite(body[p:at_entropy]).all():
         raise InvalidInput("svd packet factors must be finite")
+    if k > min(p, q) or (sigma < 0.0).any() or (np.diff(sigma) > 0.0).any():
+        raise InvalidInput("svd packet sigma_star must be at most min(p, q) non-negative, "
+                           "non-increasing values")
     if not (min(p, q) and 0.0 <= body[at_entropy] <= math.log(min(p, q)) * (1 + 1e-12)):
         raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
     return DefensePacket(
         channel_weights=body[:p],
         u_star=body[p:at_sigma].reshape(p, k),
-        sigma_star=body[at_sigma:at_vt],
+        sigma_star=sigma,
         vt_star=body[at_vt:at_entropy].reshape(k, q),
         entropy=float(body[at_entropy]),
     )

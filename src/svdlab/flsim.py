@@ -235,7 +235,8 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             # the server counts and parses the bytes on the wire
             blobs = [defense_mod.serialize_packet(p) for p in update.packets]
             bytes_up += sum(len(b) for b in blobs)
-            update.packets = [defense_mod.deserialize_packet(b) for b in blobs]
+            update.packets = [defense_mod.deserialize_packet(b, t.shape)
+                              for b, t in zip(blobs, model.tensors(), strict=True)]
             updates.append(update)
             svd_entropies = [p.entropy for p in update.packets if p.values is None]
             entropies.append(float(np.mean(svd_entropies)) if svd_entropies else 0.0)

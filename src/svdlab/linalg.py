@@ -78,7 +78,6 @@ def svd(m) -> SvdFactors:
     else:
         r = int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
         u, sigma, vt = u[:, :r], sigma[:r], vt[:r]
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
-    u[:, flip], vt[flip] = -u[:, flip], -vt[flip]
-    return SvdFactors(u=u, sigma=np.ldexp(sigma, scale.item()), vt=vt)
+    sign = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    return SvdFactors(u=u * sign, sigma=np.ldexp(sigma, scale.item()), vt=vt * sign[:, None])
 

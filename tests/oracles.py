@@ -14,8 +14,8 @@ undefended client sends, the one form attack.run_attack takes; broken_upload
 forges the bad uploads that the packet decoder must refuse, wire_blob
 writes a packet's bytes by hand to the wire layout HEADER_BYTES pins, and
 checkpoint_blob writes a checkpoint's bytes by hand.
-grad_distance and parameter_count are the test suite's scalar views of the
-attack distance and of a packet's payload size; reference_adam is the
+grad_distance, parameter_count and payload_bytes are the test suite's
+scalar views of the attack distance and of a packet's payload size; reference_adam is the
 attack's Adam step written out of place. span_read is an attacker that takes
 no optimizer: a least-squares read of a batch slot from a packet's kept
 factors.
@@ -226,13 +226,13 @@ def upload(grads: list) -> list:
     return defense.defend_update(grads, defense.DefenseConfig(method="none"))[0]
 
 
-HEADER_BYTES = 13  # the wire header: code u8, p u32, q u32, k u32
+HEADER_BYTES = 5  # the wire header: code u8, k u32; the shape is the model's
 
 
-def wire_blob(code: int, p: int, q: int, k: int, payload: bytes) -> bytes:
+def wire_blob(code: int, k: int, payload: bytes) -> bytes:
     """A packet of wire code `code` (1 svd, 2 raw, any other to forge one),
-    header fields p, q, k and the bytes `payload`."""
-    return struct.pack("<BIII", code, p, q, k) + payload
+    header field k and the bytes `payload`."""
+    return struct.pack("<BI", code, k) + payload
 
 
 def checkpoint_blob(dims, tensors=None) -> bytes:
@@ -289,6 +289,15 @@ def parameter_count(packet) -> int:
         return int(packet.values.size)
     factors = (packet.channel_weights, packet.u_star, packet.sigma_star, packet.vt_star)
     return sum(int(a.size) for a in factors) + 1  # diag, U*, sigma*, V*^T, entropy
+
+
+def payload_bytes(packet) -> int:
+    """Size of the packet's payload on the wire: 8 bytes per value of an svd
+    packet, or a raw packet's one-bit-per-entry bitmap and 8 bytes per
+    stored entry (one whose bits are not all zero)."""
+    if packet.values is None:
+        return 8 * parameter_count(packet)
+    return -(-packet.values.size // 8) + 8 * int(np.count_nonzero(packet.values.view(np.uint64)))
 
 
 def span_read(vt, priors, labels) -> np.ndarray:

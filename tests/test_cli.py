@@ -552,6 +552,20 @@ class TestSweep:
         assert len(lines) == 4
         assert all(line.startswith("beta,") for line in lines[1:])
 
+    def test_a_point_attacks_the_model_it_trained(self, tmp_path):
+        # a sweep point at the config's own beta attacks its checkpoint, as
+        # `attack --model` on that checkpoint does
+        path = write_config(
+            tmp_path,
+            {"fl.defense.method": "svdefense", "attack.n_examples": 1, "attack.iterations": 30},
+        )
+        out, atk = tmp_path / "sweep", tmp_path / "atk"
+        assert cli.main(["sweep", "--config", path, "--axis", "beta", "--values", "0.3",
+                         "--out", str(out)]) == 0
+        assert cli.main(["attack", "--config", path, "--model", str(out / "beta_0.3" / "model.bin"),
+                         "--out", str(atk)]) == 0
+        assert (out / "beta_0.3" / "attack.csv").read_bytes() == (atk / "attack.csv").read_bytes()
+
     def test_empty_axis_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
         rc = cli.main(

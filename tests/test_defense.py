@@ -286,12 +286,21 @@ def raw_packet(values):
     return defense.DefensePacket(values=values)
 
 
+def svd_packet(p, q, sigma):
+    """An svd packet of a p x q tensor around the spectrum `sigma`: factors
+    of ones, unit channel weights and an entropy that p, q >= 2 allow."""
+    k = len(sigma)
+    return defense.DefensePacket(channel_weights=np.ones(p), u_star=np.ones((p, k)),
+                                 sigma_star=np.array(sigma, dtype=float),
+                                 vt_star=np.ones((k, q)), entropy=0.5)
+
+
 class TestPacketTransport:
     def test_svd_roundtrip(self):
         rng = np.random.default_rng(10)
         pkt = defend_grad_svd(rng.normal(size=(8, 6)), beta=0.3)
         blob = serialize_packet(pkt)
-        back = deserialize_packet(blob)
+        back = deserialize_packet(blob, (8, 6))
         assert back.values is None and blob[0] == 1  # the code byte leads the header
         np.testing.assert_array_equal(back.u_star, pkt.u_star)
         np.testing.assert_array_equal(back.sigma_star, pkt.sigma_star)
@@ -303,27 +312,29 @@ class TestPacketTransport:
         )
 
     def test_raw_roundtrip(self):
-        back = deserialize_packet(serialize_packet(raw_packet(np.arange(5.0))))
+        back = deserialize_packet(serialize_packet(raw_packet(np.arange(5.0))), (5,))
         assert back.values.shape == (5,)
         np.testing.assert_array_equal(back.values, np.arange(5.0))
 
     def test_rejects_malformed_blobs(self):
         raw = serialize_packet(raw_packet(np.ones(12)))
-        assert raw == wire_blob(2, 12, 0, 12, bytes([0xFF, 0xF0]) + np.ones(12).tobytes())
-        unknown_code = wire_blob(7, 12, 0, 12, raw[HEADER_BYTES:])
-        # a declared 5x5 raw tensor over a 12-value payload
-        oversized = wire_blob(2, 5, 5, 12, raw[HEADER_BYTES:])
-        for blob in (unknown_code, oversized, raw[:-8], raw[:10], raw[:HEADER_BYTES - 1], b""):
+        assert raw == wire_blob(2, 12, bytes([0xFF, 0xF0]) + np.ones(12).tobytes())
+        unknown_code = wire_blob(7, 12, raw[HEADER_BYTES:])
+        for blob in (unknown_code, raw[:-8], raw[:10], raw[:HEADER_BYTES - 1], b""):
             with pytest.raises(InvalidInput):
-                deserialize_packet(blob)
+                deserialize_packet(blob, (12,))
+        for shape in ((5, 5), (2, 4), (11,)):  # 12 set bits for a tensor of 25, 8 or 11
+            with pytest.raises(InvalidInput):
+                deserialize_packet(raw, shape)
+        assert deserialize_packet(raw, (3, 4)).values.tobytes() == np.ones(12).tobytes()
 
     def test_raw_is_its_bitmap_and_stored_values_bit_exactly(self):
         blob = serialize_packet(raw_packet(SPARSE_TEN))
         assert (blob[0], len(blob)) == (2, HEADER_BYTES + 2 + 16)
-        assert deserialize_packet(blob).values.tobytes() == SPARSE_TEN.tobytes()
+        assert deserialize_packet(blob, (10,)).values.tobytes() == SPARSE_TEN.tobytes()
         full = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
         assert (full[0], len(full)) == (2, HEADER_BYTES + 2 + 80)
-        assert deserialize_packet(full).values.tobytes() == np.arange(1.0, 11.0).tobytes()
+        assert deserialize_packet(full, (10,)).values.tobytes() == np.arange(1.0, 11.0).tobytes()
 
     @pytest.mark.parametrize("edit", ["pad bit", "mask count", "stored +0.0"])
     def test_rejects_non_canonical_sparse_blobs(self, edit):
@@ -335,25 +346,25 @@ class TestPacketTransport:
         else:  # the stored 1.5 becomes +0.0
             blob[HEADER_BYTES + 2 : HEADER_BYTES + 10] = bytes(8)
         with pytest.raises(InvalidInput):
-            deserialize_packet(bytes(blob))
+            deserialize_packet(bytes(blob), (10,))
 
     def test_accepts_a_fully_stored_blob(self):
         # one stored entry of one: a 1-byte bitmap and the value
-        blob = wire_blob(2, 1, 0, 1, bytes([0x80]) + struct.pack("<d", 1.0))
+        blob = wire_blob(2, 1, bytes([0x80]) + struct.pack("<d", 1.0))
         assert serialize_packet(raw_packet(np.array([1.0]))) == blob
-        assert deserialize_packet(blob).values.tobytes() == np.array([1.0]).tobytes()
+        assert deserialize_packet(blob, (1,)).values.tobytes() == np.array([1.0]).tobytes()
 
     def test_rejects_the_retired_dense_code(self):
         # code 0 once carried the n values alone, without a bitmap
         with pytest.raises(InvalidInput, match="code 0"):
-            deserialize_packet(wire_blob(0, 10, 0, 0, np.arange(1.0, 11.0).tobytes()))
+            deserialize_packet(wire_blob(0, 0, np.arange(1.0, 11.0).tobytes()), (10,))
 
     @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, np.inf, np.nan])
     def test_rejects_svd_weights_not_finite_and_positive(self, weight):
         pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
         pkt.channel_weights[2] = weight
         with pytest.raises(InvalidInput):
-            deserialize_packet(serialize_packet(pkt))
+            deserialize_packet(serialize_packet(pkt), (4, 5))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("factor", ["u_star", "sigma_star", "vt_star"])
@@ -362,7 +373,7 @@ class TestPacketTransport:
         pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
         getattr(pkt, factor).flat[-1] = bad
         with pytest.raises(InvalidInput, match="factors"):
-            deserialize_packet(serialize_packet(pkt))
+            deserialize_packet(serialize_packet(pkt), (4, 5))
 
     @pytest.mark.parametrize("at", [0, 1, 4])
     @pytest.mark.parametrize("form", ["dense", "sparse"])  # the values, not the encoding
@@ -372,10 +383,10 @@ class TestPacketTransport:
         values[at + 2] = -np.inf
         blob = serialize_packet(raw_packet(values))
         assert blob[0] == 2
-        assert deserialize_packet(blob).values.tobytes() == values.tobytes()
+        assert deserialize_packet(blob, (10,)).values.tobytes() == values.tobytes()
         values[at] = np.nan
         with pytest.raises(InvalidInput, match="NaN"):
-            deserialize_packet(serialize_packet(raw_packet(values)))
+            deserialize_packet(serialize_packet(raw_packet(values)), (10,))
 
     @pytest.mark.parametrize("entropy", [np.nan, np.inf, -np.inf, -3.0, -1e-300, 1e300,
                                          math.log(4) * (1 + 1e-11)])
@@ -385,14 +396,37 @@ class TestPacketTransport:
         pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
         pkt.entropy = entropy
         with pytest.raises(InvalidInput, match="entropy"):
-            deserialize_packet(serialize_packet(pkt))
+            deserialize_packet(serialize_packet(pkt), (4, 5))
 
     @pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (5, 7), (32, 64), (200, 203)])
     def test_accepts_the_largest_honest_entropy(self, p, q):
         # an identity's flat spectrum gives H = ln(min(p, q)) up to round-off
         pkt = defend_grad_svd(np.eye(p, q), beta=0.3)
         assert pkt.entropy == pytest.approx(math.log(min(p, q)), rel=1e-14)
-        assert deserialize_packet(serialize_packet(pkt)).entropy == pkt.entropy
+        assert deserialize_packet(serialize_packet(pkt), (p, q)).entropy == pkt.entropy
+
+    # no defender writes these: it keeps k <= min(p, q) of LAPACK's spectrum,
+    # which is non-negative and non-increasing
+    @pytest.mark.parametrize("sigma", [[4.0, 3.0, 2.0, 1.0], [1.0, 2.0, -3.0, 0.5]])
+    def test_rejects_more_values_than_min_p_q(self, sigma):
+        with pytest.raises(InvalidInput, match="sigma_star"):
+            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3))
+
+    @pytest.mark.parametrize("sigma", [[3.0, 2.0, -1.0], [-0.5], [2.0, -5e-324]])
+    def test_rejects_a_negative_singular_value(self, sigma):
+        with pytest.raises(InvalidInput, match="sigma_star"):
+            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3))
+
+    @pytest.mark.parametrize("sigma", [[1.0, 2.0, 0.5], [3.0, 3.0, 3.0000000000000004]])
+    def test_rejects_an_increasing_spectrum(self, sigma):
+        with pytest.raises(InvalidInput, match="sigma_star"):
+            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3))
+
+    def test_accepts_equal_and_subnormal_kept_values(self):
+        # the kept values of a near-underflow update can be subnormal
+        sigma = np.array([1.0, 1.0, 5e-324])
+        back = deserialize_packet(serialize_packet(svd_packet(3, 4, sigma)), (3, 4))
+        assert back.sigma_star.tobytes() == sigma.tobytes()
 
     def test_parameter_count_formula(self):
         rng = np.random.default_rng(11)
@@ -402,12 +436,13 @@ class TestPacketTransport:
         assert parameter_count(pkt) == 8 + 8 * k + k + k * 6 + 1
 
     def test_zero_update_travels_as_rank_zero(self):
-        # 13 header bytes, then 4 channel weights and the entropy
+        # 5 header bytes, then 4 channel weights and the entropy
         grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense"))
         blob = serialize_packet(packets[0])
-        assert len(blob) == HEADER_BYTES + 8 * (4 + 1) == 53
-        back = [deserialize_packet(blob), deserialize_packet(serialize_packet(packets[1]))]
+        assert len(blob) == HEADER_BYTES + 8 * (4 + 1) == 45
+        back = [deserialize_packet(blob, (4, 5)),
+                deserialize_packet(serialize_packet(packets[1]), (4,))]
         assert back[0].u_star.shape == (4, 0)
         decoded = packets_to_gradset(back, model_like(grads))
         np.testing.assert_array_equal(decoded[0], np.zeros((4, 5)))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import BROKEN_UPLOADS, HEADER_BYTES, broken_upload, fedavg_reference, one_hot_grads
+from oracles import (BROKEN_UPLOADS, HEADER_BYTES, broken_upload, fedavg_reference, one_hot_grads,
+                     payload_bytes)
 from svdlab import data, defense, flsim, tinynn
 from svdlab.defense import DefenseConfig, DefensePacket
 from svdlab.errors import InvalidConfig, InvalidInput, NumericalFailure
@@ -297,9 +298,9 @@ class TestRunExperiment:
         parse, rebuild = defense.deserialize_packet, defense.reconstruct_packet
         parsed, aggregated, wire = [], [], []
 
-        def deserialize(blob):
+        def deserialize(blob, shape):
             wire.append(len(blob))
-            parsed.append(parse(blob))
+            parsed.append(parse(blob, shape))
             return parsed[-1]
 
         def reconstruct(packet):
@@ -328,8 +329,8 @@ class TestRunExperiment:
             sent.append(packet)
             return serialize(packet)
 
-        def bypass(blob):
-            parsed.append(parse(blob))
+        def bypass(blob, shape):
+            parsed.append(parse(blob, shape))
             return sent[len(parsed) - 1]
 
         monkeypatch.setattr(defense, "serialize_packet", keep)
@@ -346,12 +347,9 @@ class TestRunExperiment:
         for x, y in zip(wired.tensors(), bypassed.tensors()):
             assert x.tobytes() == y.tobytes()
         if method in ("prune", "dgp"):  # a bitmap of the n entries, then the k stored ones
-            def size(values):
-                n, k = values.size, np.count_nonzero(values.view(np.uint64))
-                return HEADER_BYTES + -(-n // 8) + 8 * k
-
             per_round = 4 * cfg.clients_per_round
-            expected = [sum(size(p.values) for p in sent[r * per_round:(r + 1) * per_round])
+            expected = [sum(HEADER_BYTES + payload_bytes(p)
+                            for p in sent[r * per_round:(r + 1) * per_round])
                         for r in range(cfg.rounds)]
             assert [r.bytes_up for r in reports] == expected
             full_round = flsim.raw_upload_bytes(wired) * cfg.clients_per_round
@@ -376,6 +374,23 @@ class TestRunExperiment:
             assert (cfg.rounds, cfg.clients_per_round, len(uploads)) == (3, 2, 6)
             assert (sum(defense.packet_bytes(p) for packets in uploads for p in packets)
                     == sum(r.bytes_up for r in reports))
+
+    @pytest.mark.parametrize("method", ["none", "svdefense"])
+    def test_a_default_round_uploads_header_and_payload(self, monkeypatch, method):
+        # 4 clients x 4 tensors, each packet 5 header bytes and its payload:
+        # the shapes come from the model, not the wire
+        defend, packets = defense.defend_update, []
+
+        def keep(*args, **kwargs):
+            out = defend(*args, **kwargs)
+            packets.extend(out[0])
+            return out
+
+        monkeypatch.setattr(defense, "defend_update", keep)
+        cfg = FlConfig(rounds=1, defense=DefenseConfig(method=method))
+        reports, _ = run_experiment(cfg, DataConfig())
+        assert len(packets) == 16
+        assert reports[0].bytes_up == sum(5 + payload_bytes(p) for p in packets)
 
     def test_raw_upload_bytes_is_the_dense_size(self, tiny_setup):
         # the baseline counts every value, zero or not: init_model's biases are 0

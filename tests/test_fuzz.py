@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import HEADER_BYTES, transposed, wire_blob
+from oracles import HEADER_BYTES, payload_bytes, transposed, wire_blob
 from svdlab import cli, defense, linalg, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
@@ -73,38 +73,42 @@ def test_load_spec_reports_never_raises(config_path, raw):
 
 
 def _packets():
+    """(packet, the shape of its tensor): raw values of any shape, or svd
+    factors of a p x q tensor that keep k <= min(p, q) values."""
     dims = st.integers(min_value=0, max_value=4)
 
     def raw(shape):
-        return defense.DefensePacket(values=np.arange(float(np.prod(shape))).reshape(shape))
+        return defense.DefensePacket(values=np.arange(float(np.prod(shape))).reshape(shape)), shape
 
-    def svd(pqk):
-        p, q, k = pqk
+    def svd(p, q, k):
         return defense.DefensePacket(
             channel_weights=np.ones(p),
             u_star=np.ones((p, k)), sigma_star=np.ones(k), vt_star=np.ones((k, q)), entropy=0.5,
-        )
+        ), (p, q)
 
     shapes = st.tuples(dims) | st.tuples(dims.filter(bool), dims.filter(bool))
     sides = st.integers(min_value=2, max_value=4)  # H = 0.5 <= ln(min(p, q))
-    return st.builds(raw, shapes) | st.builds(svd, st.tuples(sides, sides, dims))
+    svds = st.tuples(sides, sides).flatmap(
+        lambda pq: st.builds(svd, st.just(pq[0]), st.just(pq[1]), st.integers(0, min(pq))))
+    return st.builds(raw, shapes) | svds
 
 
 @settings(max_examples=300, deadline=None)
-@given(packet=_packets(), cut=st.integers(min_value=0, max_value=400),
+@given(packet_shape=_packets(), cut=st.integers(min_value=0, max_value=400),
        flips=st.lists(st.tuples(st.integers(min_value=0, max_value=400),
                                 st.integers(min_value=0, max_value=255)), max_size=3),
        tail=st.binary(max_size=9))
-def test_deserialize_is_strict(packet, cut, flips, tail):
+def test_deserialize_is_strict(packet_shape, cut, flips, tail):
+    packet, shape = packet_shape
     good = defense.serialize_packet(packet)
-    back = defense.deserialize_packet(good)
+    back = defense.deserialize_packet(good, shape)
     assert defense.serialize_packet(back) == good
     blob = bytearray(good[:cut] + tail)
     for at, value in flips:
         if at < len(blob):
             blob[at] = value
     try:
-        parsed = defense.deserialize_packet(bytes(blob))
+        parsed = defense.deserialize_packet(bytes(blob), shape)
     except InvalidInput:
         return
     assert defense.serialize_packet(parsed) == bytes(blob)
@@ -126,9 +130,8 @@ def _raw_blob(values: np.ndarray, mask, code: int = 2) -> bytes:
     """The raw packet of `values` built by hand: a bitmap of `mask` and the
     masked values, under wire code `code`."""
     flat = values.ravel()
-    p, q = (*values.shape, 0)[:2]
     k = int(np.count_nonzero(mask))
-    return wire_blob(code, p, q, k, np.packbits(mask).tobytes() + flat[mask].tobytes())
+    return wire_blob(code, k, np.packbits(mask).tobytes() + flat[mask].tobytes())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -144,9 +147,9 @@ def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, fli
     stored = values.ravel().view(np.uint64) != 0  # -0.0 is stored, +0.0 is not
     if np.isnan(values).any():  # no honest upload holds one, so no form parses
         with pytest.raises(InvalidInput, match="NaN"):
-            defense.deserialize_packet(good)
+            defense.deserialize_packet(good, values.shape)
         return
-    back = defense.deserialize_packet(good)
+    back = defense.deserialize_packet(good, values.shape)
     assert back.values.shape == values.shape and back.values.tobytes() == values.tobytes()
     # of the bitmap form, one that also stores some +0.0 entries, one under
     # the retired dense code 0 and one with a pad bit set, the serializer
@@ -164,25 +167,50 @@ def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, fli
     for blob in forms:
         if blob != good:
             with pytest.raises(InvalidInput):
-                defense.deserialize_packet(blob)
+                defense.deserialize_packet(blob, values.shape)
     blob = bytearray(good if cut is None else good[:cut] + tail)
     for at, bit in flips:
         if blob:
             blob[at % len(blob)] ^= 1 << bit
     try:
-        parsed = defense.deserialize_packet(bytes(blob))
+        parsed = defense.deserialize_packet(bytes(blob), values.shape)
     except InvalidInput:
         return
     assert defense.serialize_packet(parsed) == bytes(blob)
 
 
 @settings(max_examples=300, deadline=None)
-@given(blob=st.binary(max_size=120))
-def test_random_bytes_parse_or_raise_invalid_input(blob):
+@given(blob=st.binary(max_size=120),
+       shape=st.tuples(st.integers(0, 12)) | st.tuples(st.integers(1, 4), st.integers(1, 4)))
+def test_random_bytes_parse_or_raise_invalid_input(blob, shape):
     try:
-        defense.deserialize_packet(blob)
+        defense.deserialize_packet(blob, shape)
     except InvalidInput:
         pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(method=st.sampled_from(defense.METHODS),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)),
+       density=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_defended_packets_travel_against_their_tensor_shapes(method, dims, density, seed):
+    # each packet is the header and its payload, parses back bit-exactly
+    # against its tensor's shape, and an svd one against no other shape
+    d, h, c = dims
+    rng = np.random.default_rng(seed)
+    grads = [rng.normal(size=s) * (rng.random(s) < density) for s in ((h, d), (h,), (c, h), (c,))]
+    packets, _ = defense.defend_update(grads, DefenseConfig(method=method), rng=rng)
+    for packet, t in zip(packets, grads, strict=True):
+        blob = defense.serialize_packet(packet)
+        assert len(blob) == HEADER_BYTES + payload_bytes(packet)
+        back = defense.deserialize_packet(blob, t.shape)
+        assert back.entropy == packet.entropy
+        for name in ("values", "channel_weights", "u_star", "sigma_star", "vt_star"):
+            x, y = getattr(packet, name), getattr(back, name)
+            assert (x is None and y is None) or (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+        for shape in {t.shape[::-1], (t.size,)} - {t.shape} if packet.values is None else ():
+            with pytest.raises(InvalidInput):
+                defense.deserialize_packet(blob, shape)
 
 
 _MODEL = tinynn.init_model(6, [3], 2, seed=0)
