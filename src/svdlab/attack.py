@@ -40,20 +40,19 @@ class AttackConfig:
     eot_samples: int = field(default=1, metadata={"ge": 1})
     seed: int = field(default=0, metadata={"derived": "seed"})
     # known to adaptive attackers
-    defense: defense.DefenseConfig | None = field(
-        default=None, metadata={"derived": "fl.defense"}
+    defense: defense.DefenseConfig = field(
+        default_factory=defense.DefenseConfig, metadata={"derived": "fl.defense"}
     )
 
     def validate(self) -> list[str]:
         errors, d = schema.check(self), self.defense
-        if d is not None and d.validate():  # those errors are fl.defense's to report
+        if d.validate():  # those errors are fl.defense's to report
             return errors
-        if self.adaptive == "eot" and (
-            d is None or d.method not in defense.NOISE_METHODS or d.noise_scale <= 0.0
-        ):
+        if self.adaptive == "eot" and (d.method not in defense.NOISE_METHODS
+                                       or d.noise_scale <= 0.0):
             errors.append("adaptive 'eot' requires fl.defense.method dp_gauss or dp_lap "
                           "with noise_scale > 0")
-        if self.adaptive == "defense_replay" and (d is None or d.method != "svdefense"):
+        if self.adaptive == "defense_replay" and d.method != "svdefense":
             errors.append("adaptive 'defense_replay' requires fl.defense.method svdefense")
         return errors
 
@@ -75,19 +74,18 @@ def _unit_vectors(observed: list) -> list:
     return [v / math.sqrt(v.dot(v)) if v.any() else None for v in vs]
 
 
-def _distance_with_sens(observed: list, dummy: list, metric: str, units=None):
+def _distance_with_sens(observed: list, dummy: list, metric: str, units: list):
     """Distance plus its gradient with respect to every dummy tensor, for two
     gradient sets in wire order. l2: total squared entry difference;
     neg_cosine_layerwise: per layer, 1 - cosine of the flattened weight+bias
     vectors, 0 where either has zero norm. Dummy tensors may carry leading
     (restart) axes; the distance then has those axes, each slice computed
     exactly as it would be alone. `units` are the _unit_vectors of
-    `observed`, computed here when not given. `observed` is only read, but l2
-    writes its sensitivities 2 (w - o) over `dummy`: pass arrays you own."""
+    `observed`. `observed` is only read, but l2 writes its sensitivities
+    2 (w - o) over `dummy`: pass arrays you own."""
     lead = dummy[1].shape[:-1]
     total = None if metric == "l2" else np.zeros(lead)
     sens = []
-    units = units or _unit_vectors(observed)
     for ow, ob, w, b, ou in zip(observed[::2], observed[1::2], dummy[::2], dummy[1::2], units):
         if metric == "l2":
             w -= ow
@@ -192,18 +190,17 @@ def _input_grads(params: ModelParams, cache, sens: list):
     the cache are only read.
     """
     acts, masks, probs, deltas = cache
-    n = acts[0].shape[-2]
-    n_layers = len(params.layers)
+    n, weights = acts[0].shape[-2], params.tensors()[::2]
 
     # sensitivities of the per-example error signals, built from the first
     # layer upward because delta_l feeds delta_{l-1} in the backward pass
     d_delta = []
-    for l in range(n_layers):
+    for l in range(len(weights)):
         direct = acts[l] @ sens[2 * l].swapaxes(-1, -2)
         direct += sens[2 * l + 1][..., None, :]
         direct /= n
         if l > 0:  # the layer below is hidden: ReLU
-            direct += (d_delta[l - 1] * masks[l - 1]) @ params.layers[l].weight.T
+            direct += (d_delta[l - 1] * masks[l - 1]) @ weights[l].T
         d_delta.append(direct)
 
     # softmax head: delta_L = probs - y
@@ -213,10 +210,10 @@ def _input_grads(params: ModelParams, cache, sens: list):
     d_z *= probs
 
     # walk the forward chain back down to the input
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(weights) - 1, -1, -1):
         d_act = deltas[l] @ sens[2 * l]
         d_act /= n
-        d_act += d_z @ params.layers[l].weight
+        d_act += d_z @ weights[l]
         if l == 0:
             return d_act
         d_act *= masks[l - 1]
@@ -233,14 +230,14 @@ def _adam(p, g, m, v, t: int, lr: float) -> None:
 def run_attack(
     params: ModelParams,
     upload: list,
-    batch: int,
     cfg: AttackConfig,
     labels,
     restarts: int = 1,
 ) -> AttackResult:
-    """Reconstruct the `batch` inputs behind one client's upload, the packet
-    list that the server's own defense.packets_to_gradset decodes for
-    `params`, given the batch's `labels` (an int, or one int per slot).
+    """Reconstruct the inputs behind one client's upload, the packet list
+    that the server's own defense.packets_to_gradset decodes for `params`,
+    given the batch's `labels`: one int in [0, C) per slot, which also fix
+    the batch size.
     Inputs are clamped to [0, 1] after every step. An upload that
     decodes to non-finite values, or an iteration that overflows, raises
     NumericalFailure.
@@ -252,9 +249,8 @@ def run_attack(
     final distance.
     """
     errors = cfg.validate()
-    for name, n in (("batch", batch), ("restarts", restarts)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            errors.append(f"{name} must be an integer >= 1, got {n!r}")
+    if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
+        errors.append(f"restarts must be an integer >= 1, got {restarts!r}")
     if errors:
         raise InvalidConfig("; ".join(errors))
     observed = defense.packets_to_gradset(upload, params)
@@ -262,16 +258,16 @@ def run_attack(
         raise NumericalFailure("the decoded upload holds non-finite values")
     dim, num_classes = params.input_dim, params.num_classes
 
-    label_vec = np.atleast_1d(np.asarray(labels))
-    if (label_vec.dtype.kind not in "iu" or label_vec.shape != (batch,)
+    label_vec = np.asarray(labels)
+    if (label_vec.dtype.kind not in "iu" or label_vec.ndim != 1 or not label_vec.size
             or np.any((label_vec < 0) | (label_vec >= num_classes))):
         raise InvalidConfig(f"need one label in [0, {num_classes}) per slot, got {labels!r}")
     y = np.eye(num_classes)[label_vec]
 
     # the restart-sized arrays come first: a restart count beyond memory fails here
-    x, trace = np.empty((restarts, batch, dim)), np.empty((restarts, cfg.iterations))
+    x, trace = np.empty((restarts, len(y), dim)), np.empty((restarts, cfg.iterations))
     for j in range(restarts):
-        x[j] = np.random.default_rng(cfg.seed + 1000 * j).uniform(0.0, 1.0, size=(batch, dim))
+        x[j] = np.random.default_rng(cfg.seed + 1000 * j).uniform(0.0, 1.0, size=(len(y), dim))
     masks = [t != 0.0 for t in observed]
     rngs = [np.random.default_rng([cfg.seed + 1000 * j, 1]) for j in range(restarts)]
     units = _unit_vectors(observed)

@@ -185,9 +185,7 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
             rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed) if noisy else None,
         )
     cfg = replace(spec.attack, seed=spec.seed + run_seed)
-    best = attack_mod.run_attack(
-        model, packets, len(x), cfg, labels=labels, restarts=spec.harness.restarts,
-    )
+    best = attack_mod.run_attack(model, packets, cfg, labels, restarts=spec.harness.restarts)
     truth, recon = x[0], best.reconstructed_batch[0]
     return (
         metrics.mse(truth, recon),

@@ -153,17 +153,16 @@ def aggregation_weights(updates: list[ClientUpdate], tensor_id: int) -> np.ndarr
 
 def aggregate(global_params: ModelParams, updates: list[ClientUpdate]) -> tuple[ModelParams, dict]:
     """Decode every upload (defense.packets_to_gradset), weight the clients
-    per tensor (aggregation_weights) and subtract the weighted sum of the
-    decoded tensors from the global parameters. Clients are folded in
-    ascending id order so the floating-point result does not depend on
-    arrival order. Returns (new params, {tensor id: client weights})."""
+    per tensor (aggregation_weights) and step the global parameters by the
+    weighted sum (tinynn.sgd_step, learning rate 1), folding clients in
+    ascending id order so the result does not depend on arrival order.
+    Returns (new params, {tensor id: client weights})."""
     updates = sorted(updates, key=lambda u: u.client_id)
     grads = [defense_mod.packets_to_gradset(u.packets, global_params) for u in updates]
-    n_tensors = 2 * len(global_params.layers)
-    weights = {tid: aggregation_weights(updates, tid) for tid in range(n_tensors)}
-    new = [t - sum(w * g[tid] for w, g in zip(weights[tid], grads))
-           for tid, t in enumerate(global_params.tensors())]
-    return ModelParams([tinynn.LayerParams(w, b) for w, b in zip(new[::2], new[1::2])]), weights
+    weights = {tid: aggregation_weights(updates, tid)
+               for tid in range(len(global_params.tensors()))}
+    step = [sum(w * g[tid] for w, g in zip(weights[tid], grads)) for tid in weights]
+    return tinynn.sgd_step(global_params, step, 1.0), weights
 
 
 def _split_idx_dataset(ds: data_mod.Dataset, per_class_test: int):

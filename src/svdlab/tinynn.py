@@ -136,7 +136,7 @@ def accuracy(params: ModelParams, x, labels) -> float:
     if not len(labels):
         raise InvalidInput("empty evaluation set")
     with numerical_failure("the forward pass of the evaluation set"):
-        logits, _, _ = forward_batch(params, np.atleast_2d(x))
+        logits, _, _ = forward_batch(params, x)
         return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

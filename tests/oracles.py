@@ -280,7 +280,9 @@ def grad_distance(observed: list, dummy: list, metric: str) -> float:
         raise InvalidConfig(f"unknown distance metric {metric!r}")
     if len(observed) != len(dummy):
         raise InvalidInput("gradient sets have different tensor counts")
-    return float(attack._distance_with_sens(observed, [t.copy() for t in dummy], metric)[0])
+    dummy = [t.copy() for t in dummy]
+    return float(attack._distance_with_sens(observed, dummy, metric,
+                                            attack._unit_vectors(observed))[0])
 
 
 def parameter_count(packet) -> int:

@@ -58,9 +58,7 @@ def _study_batch(ds, target, size):
 
 
 def _best_of(model, observed, cfg, labels):
-    return attack.run_attack(
-        model, observed, ATTACK_BATCH, cfg, labels=labels, restarts=ATTACK_RESTARTS
-    )
+    return attack.run_attack(model, observed, cfg, labels=labels, restarts=ATTACK_RESTARTS)
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,8 @@ class TestInputGradients:
             return attack._adaptive_view(cfg, masks, [np.random.default_rng(3)], dummy, cache), cache
 
         (shown, pullback), cache = view(x)
-        _, sens = attack._distance_with_sens(observed, shown, metric)
+        _, sens = attack._distance_with_sens(observed, shown, metric,
+                                             attack._unit_vectors(observed))
         gx = attack._input_grads(model, cache, pullback(sens))
 
         def value(xv):
@@ -164,7 +165,7 @@ class TestRunAttack:
         x, labels = one(ds, 3)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, seed=0)
-        res = run_attack(model, upload(g), 1, cfg, labels=labels)
+        res = run_attack(model, upload(g), cfg, labels=labels)
         assert float(np.mean((res.reconstructed_batch[0] - x[0]) ** 2)) < 1e-2
 
     def test_deterministic(self, setup):
@@ -172,8 +173,8 @@ class TestRunAttack:
         x, labels = batch_for(ds, 4)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1, seed=9)
-        r1 = run_attack(model, upload(g), 3, cfg, labels=labels)
-        r2 = run_attack(model, upload(g), 3, cfg, labels=labels)
+        r1 = run_attack(model, upload(g), cfg, labels=labels)
+        r2 = run_attack(model, upload(g), cfg, labels=labels)
         np.testing.assert_array_equal(r1.reconstructed_batch, r2.reconstructed_batch)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
@@ -185,7 +186,7 @@ class TestRunAttack:
         x, labels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), np.array([0, 1, 2])
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300, seed=11)
-        res = run_attack(model, upload(g), 3, cfg, labels, restarts=2)
+        res = run_attack(model, upload(g), cfg, labels, restarts=2)
         assert res.best_iteration == 0
         assert len(np.unique(res.loss_trace)) == 1
         start = np.random.default_rng(11 + 1000 * res.restart).uniform(0.0, 1.0, (3, 16))
@@ -194,22 +195,32 @@ class TestRunAttack:
     @pytest.mark.parametrize("given", [
         [0, -1, 2], [0, 4, 2], [0.7, 1.2, 2.9], [True, False, True], [0, 1, float("nan")],
         ["a", "b", "c"], [0, 1, 2**63], None,
-    ], ids=["-1", "4", "fractional", "bool", "nan", "str", "past_int64", "none"])
+        1, np.array(1), np.array([[0, 1, 2]]), [], np.array([], dtype=np.int64),
+    ], ids=["-1", "4", "fractional", "bool", "nan", "str", "past_int64", "none",
+            "int", "0-d", "2-d", "empty", "empty-int"])
     def test_rejects_labels_outside_the_classes(self, setup, given):
         ds, model = setup
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig, match="need one label in"):
-            run_attack(model, upload(g), 3, cfg, labels=given)
+            run_attack(model, upload(g), cfg, labels=given)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_the_labels_fix_the_batch_size(self, setup, size):
+        ds, model = setup
+        x, labels = batch_for(ds, 7, size)
+        g = one_hot_grads(model, x, labels)
+        res = run_attack(model, upload(g), AttackConfig(iterations=2), labels)
+        assert res.reconstructed_batch.shape == (size, model.input_dim)
 
     def test_takes_unsigned_labels(self, setup):
         ds, model = setup
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(iterations=2)
-        res = run_attack(model, upload(g), 3, cfg, labels.astype(np.uint8))
-        ref = run_attack(model, upload(g), 3, cfg, labels)
+        res = run_attack(model, upload(g), cfg, labels.astype(np.uint8))
+        ref = run_attack(model, upload(g), cfg, labels)
         np.testing.assert_array_equal(res.loss_trace, ref.loss_trace)
 
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
@@ -220,7 +231,7 @@ class TestRunAttack:
         packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"))
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidInput):
-            run_attack(model, broken_upload(packets, how), 3, cfg, labels=labels)
+            run_attack(model, broken_upload(packets, how), cfg, labels=labels)
 
     def test_rejects_a_gradset_of_other_shapes(self):
         model = tinynn.init_model(6, [3], 2, seed=0)
@@ -229,7 +240,7 @@ class TestRunAttack:
         cfg = AttackConfig(iterations=2)
         for observed in (wrong_shape, g[:2]):
             with pytest.raises(InvalidInput):
-                run_attack(model, upload(observed), 1, cfg, labels=1)
+                run_attack(model, upload(observed), cfg, labels=[1])
 
 
 ENGINE_DEFENSES = {
@@ -257,9 +268,9 @@ class TestEngine:
         model, observed, labels, dcfg = self.observed_for(setup, mode)
         cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, adaptive=mode,
                            eot_samples=2, seed=40, defense=dcfg)
-        batched = run_attack(model, observed, 3, cfg, labels, restarts=3)
+        batched = run_attack(model, observed, cfg, labels, restarts=3)
         singles = [
-            run_attack(model, observed, 3, replace(cfg, seed=40 + 1000 * j), labels)
+            run_attack(model, observed, replace(cfg, seed=40 + 1000 * j), labels)
             for j in range(3)
         ]
         win = 0
@@ -285,7 +296,7 @@ class TestEngine:
 
         monkeypatch.setattr(attack, "_mean_noise", capturing)
         cfg = AttackConfig(iterations=1, adaptive="eot", eot_samples=2, seed=40, defense=dcfg)
-        run_attack(model, observed, 3, cfg, labels)
+        run_attack(model, observed, cfg, labels)
         assert states[0] != np.random.default_rng(41).bit_generator.state
 
     @pytest.mark.parametrize("distance", attack.DISTANCES)
@@ -307,7 +318,7 @@ class TestEngine:
             return [a for a in owned + [labels] + model.tensors() if isinstance(a, np.ndarray)]
 
         before = [a.copy() for a in arrays()]
-        run_attack(model, packets, 3, cfg, labels, restarts=2)
+        run_attack(model, packets, cfg, labels, restarts=2)
         after = arrays()
         assert len(after) == len(before)
         for a, a0 in zip(after, before):
@@ -325,7 +336,7 @@ class TestEngine:
         monkeypatch.setattr(tinynn, "forward_batch", counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
                            adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, 3, cfg, labels, restarts=3)
+        run_attack(model, observed, cfg, labels, restarts=3)
         assert len(calls) == 25
 
     def test_replay_factorizations_per_iteration(self, setup, monkeypatch):
@@ -340,7 +351,7 @@ class TestEngine:
             monkeypatch.setattr(np.linalg, name, counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
                            adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, 3, cfg, labels=labels, restarts=3)
+        run_attack(model, observed, cfg, labels=labels, restarts=3)
         assert counts == {"qr": 25, "svd": 25}
 
     @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
@@ -348,14 +359,7 @@ class TestEngine:
         model, observed, labels, _ = self.observed_for(setup, "none")
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig):
-            run_attack(model, observed, 3, cfg, labels=labels, restarts=restarts)
-
-    @pytest.mark.parametrize("batch", [0, -1, 1.5, True])
-    def test_rejects_bad_batch(self, setup, batch):
-        model, observed, labels, _ = self.observed_for(setup, "none")
-        cfg = AttackConfig(iterations=2)
-        with pytest.raises(InvalidConfig, match="batch must be an integer"):
-            run_attack(model, observed, batch, cfg, labels)
+            run_attack(model, observed, cfg, labels=labels, restarts=restarts)
 
 
 class TestAdaptiveTransforms:
@@ -370,23 +374,34 @@ class TestAdaptiveTransforms:
         cfg_none = AttackConfig(distance="l2", iterations=10, lr=0.1, seed=3)
         cfg_mask = AttackConfig(distance="l2", iterations=10, lr=0.1,
                                 seed=3, adaptive="prune_mask")
-        r1 = run_attack(model, upload(observed), 3, cfg_none, labels=[0, 1, 2])
-        r2 = run_attack(model, upload(observed), 3, cfg_mask, labels=[0, 1, 2])
+        r1 = run_attack(model, upload(observed), cfg_none, labels=[0, 1, 2])
+        r2 = run_attack(model, upload(observed), cfg_mask, labels=[0, 1, 2])
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
+
+    @pytest.mark.parametrize("mode, message", [
+        ("eot", "adaptive 'eot' requires fl.defense.method dp_gauss or dp_lap with "
+                "noise_scale > 0"),
+        ("defense_replay", "adaptive 'defense_replay' requires fl.defense.method svdefense"),
+    ], ids=["eot", "defense_replay"])
+    def test_the_default_defense_is_a_config_the_adaptive_modes_refuse(self, mode, message):
+        cfg = AttackConfig(adaptive=mode)
+        assert cfg.defense == defense.DefenseConfig()
+        assert cfg.validate() == [message]
+        assert replace(cfg, defense=defense.DefenseConfig(method="prune")).validate() == [message]
 
     def test_eot_requires_noise_config(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="eot", eot_samples=4)
         with pytest.raises(InvalidConfig):
-            run_attack(model, upload(g), 1, cfg, labels=0)
+            run_attack(model, upload(g), cfg, labels=[0])
 
     def test_replay_requires_defense_config(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="defense_replay")
         with pytest.raises(InvalidConfig):
-            run_attack(model, upload(g), 1, cfg, labels=0)
+            run_attack(model, upload(g), cfg, labels=[0])
 
     def test_replay_matches_defense_pipeline(self, setup):
         # the attacker's replay of the defense must reproduce what the

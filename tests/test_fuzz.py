@@ -3,10 +3,12 @@ input is reported, never raised as anything but the documented error, and
 raw packets travel bit-exact as their bitmap and stored values. Fuzzed matrices:
 linalg.svd keeps its contract at every shape, rank and power-of-two scale.
 Fuzzed uploads: pruning and noise match independent references. Fuzzed noise
-scales: a training run exits 0 or with one numerical failure line, and no warning."""
+scales: a training run exits 0 or with one numerical failure line, and no warning.
+Fuzzed tiny train and attack runs: exit 0, 2 or 3, only error lines on stderr, no NaN written."""
 
 import json
 import math
+import shutil
 import struct
 import warnings
 from dataclasses import fields
@@ -428,3 +430,66 @@ def test_any_noise_scale_trains_or_fails_numerically(noise_dir, capsys, method, 
     if rc == 0:
         rows = (out / "rounds.csv").read_text().splitlines()[1:]
         assert rows and all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
+
+ADAPTIVE_FOR = {"none": "none", "svdefense": "defense_replay", "dp_gauss": "eot", "dp_lap": "eot",
+                "prune": "prune_mask", "dgp": "prune_mask"}
+FLOAT_KEYS = ["fl.local_lr", "fl.dirichlet_alpha", "fl.rho", "fl.defense.beta",
+              "fl.defense.noise_scale", "attack.lr"]
+RATE_KEYS = {"prune": ["fl.defense.prune_rate"],
+             "dgp": ["fl.defense.dgp_small_rate", "fl.defense.dgp_large_rate"]}
+
+
+@st.composite
+def _runs(draw):
+    """(command, config): a tiny train or attack run under one defense and
+    its own adaptive attacker, each float key either left at its default or
+    drawn log-uniformly from 1e-300 to 1e300. Rates are drawn only for the
+    defense that reads them: every rate is validated, and one above 1 ends
+    the run at the config."""
+    method = draw(st.sampled_from(sorted(ADAPTIVE_FOR)))
+    small = st.integers(1, 2)
+    cfg = {"seed": draw(st.integers(0, 3)),
+           "data": {"num_classes": 3, "per_class": 4, "per_class_test": 1, "side": 4},
+           "model": {"hidden_dims": [3]},
+           "fl": {"num_clients": 2, "clients_per_round": draw(small), "rounds": draw(small),
+                  "partition_scheme": draw(st.sampled_from(["dirichlet", "rho"])),
+                  "defense": {"method": method}},
+           "attack": {"adaptive": ADAPTIVE_FOR[method],
+                      "distance": draw(st.sampled_from(["l2", "neg_cosine_layerwise"])),
+                      "iterations": draw(st.integers(1, 3)), "eot_samples": draw(small),
+                      "batch_size": draw(small), "n_examples": draw(small),
+                      "restarts": draw(small)}}
+    for key in FLOAT_KEYS + RATE_KEYS.get(method, []):
+        exponent = draw(st.none() | st.floats(-300.0, 300.0))
+        if exponent is not None:
+            *sections, name = key.split(".")
+            node = cfg
+            for section in sections:
+                node = node[section]
+            node[name] = 10.0**exponent
+    return draw(st.sampled_from(["train", "attack"])), cfg
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("runs")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(run=_runs())
+def test_any_tiny_run_exits_cleanly(run_dir, capsys, run):
+    command, cfg = run
+    path, out = run_dir / "cfg.json", run_dir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc in (0, 2, 3)
+    assert all(line.startswith(("config error: ", "input error: ", "numerical failure: "))
+               for line in lines) and bool(lines) == (rc != 0)
+    for written in out.glob("*.csv"):
+        assert "nan" not in written.read_text().lower(), written.name
+    if rc == 0 and command == "train":
+        tinynn.load_model(out / "model.bin")  # refuses a non-finite tensor

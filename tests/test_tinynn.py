@@ -167,6 +167,14 @@ class TestSgdStep:
         )
 
 
+class TestAccuracy:
+    def test_rejects_a_single_unbatched_row(self):
+        # the evaluation set is (n, D): a bare (D,) row is not a one-row set
+        model = ModelParams([LayerParams(np.eye(2), np.zeros(2))])
+        with pytest.raises(InvalidInput):
+            tinynn.accuracy(model, np.array([1.0, 0.0]), np.array([0]))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = init_model(10, [5, 4], 3, seed=12)
