@@ -111,26 +111,23 @@ def _distance_with_sens(observed: list, dummy: list, metric: str, units: list):
 
 
 def _replay_projectors(cache, beta: float) -> list:
-    """(layer, a, b, touched) for each stacked weight gradient g = delta^T act
-    / n of at least 2x2 in a backprop cache. The defense replays as g -> a b^T
-    g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds the channel
-    weights, scaled exactly to a maximum in [0.5, 1), and the columns of u the
-    left singular vectors of w g that the defense keeps. Its pullback is
-    s -> b a^T s; touched says whether g is nonzero. g itself is never formed:
-    a thin QR act^T = Q R gives g = K Q^T with K = delta^T R^T / n, p x min(n,
-    q), and since Q^T has orthonormal rows, K has g's row norms, singular
-    values and left singular vectors. So w comes from K, u from one SVD of
-    w K, and k from defense.rank_rule, for all layers at once: zero-padding
-    to one shape changes no singular value or vector."""
+    """(a, b, touched) for each layer, in layer order, of its stacked weight
+    gradient g = delta^T act / n in a backprop cache. The defense replays as
+    g -> a b^T g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds
+    the channel weights, scaled exactly to a maximum in [0.5, 1), and the
+    columns of u the left singular vectors of w g that the defense keeps. Its
+    pullback is s -> b a^T s; touched says whether g is nonzero. g itself is
+    never formed: a thin QR act^T = Q R gives g = K Q^T with K = delta^T R^T /
+    n, p x min(n, q), and since Q^T has orthonormal rows, K has g's row norms,
+    singular values and left singular vectors. So w comes from K, u from one
+    SVD of w K, and k from defense.rank_rule, for all layers at once:
+    zero-padding to one shape changes no singular value or vector."""
     acts, _, _, deltas = cache
-    ids = [l for l, (a, d) in enumerate(zip(acts, deltas)) if min(a.shape[-1], d.shape[-1]) >= 2]
-    if not ids:
-        return []
-    dims = [(deltas[l].shape[-1], acts[l].shape[-1]) for l in ids]
-    (p, q), lead = map(max, zip(*dims)), (len(ids), *acts[0].shape[:-1])
+    dims = [(d.shape[-1], a.shape[-1]) for a, d in zip(acts, deltas)]
+    (p, q), lead = map(max, zip(*dims)), (len(dims), *acts[0].shape[:-1])
     delta, act = np.zeros((*lead, p)), np.zeros((*lead, q))
-    for i, (l, (p_l, q_l)) in enumerate(zip(ids, dims)):
-        delta[i, ..., :p_l], act[i, ..., :q_l] = deltas[l], acts[l]
+    for l, (p_l, q_l) in enumerate(dims):
+        delta[l, ..., :p_l], act[l, ..., :q_l] = deltas[l], acts[l]
     r = np.linalg.qr(act.swapaxes(-1, -2), mode="r")
     k_mat = delta.swapaxes(-1, -2) @ r.swapaxes(-1, -2) / act.shape[-2]
     w = linalg._unit_scale(defense.channel_weights(k_mat), -1)[0][..., None]
@@ -138,8 +135,8 @@ def _replay_projectors(cache, beta: float) -> list:
     k = defense.rank_rule(sig, beta)[0]
     u = u * (np.arange(sig.shape[-1]) < k[..., None])[..., None, :]
     a, b, touched = u / w, w * u, k_mat.any(axis=(-2, -1))[..., None, None]
-    return [(l, a[i, ..., :p_l, :], b[i, ..., :p_l, :], touched[i])
-            for i, (l, (p_l, _)) in enumerate(zip(ids, dims))]
+    return [(a[l, ..., :p_l, :], b[l, ..., :p_l, :], touched[l])
+            for l, (p_l, _) in enumerate(dims)]
 
 
 def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
@@ -167,7 +164,7 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
 
     def replayed(grads, adjoint: bool):
         ts = list(grads)
-        for l, a, b, touched in projectors:
+        for l, (a, b, touched) in enumerate(projectors):
             g = ts[2 * l]
             ts[2 * l] = (np.where(touched, b @ (a.swapaxes(-1, -2) @ g), g) if adjoint
                          else a @ (b.swapaxes(-1, -2) @ g))
@@ -274,7 +271,6 @@ def run_attack(
     m_x, v_x = np.zeros_like(x), np.zeros_like(x)
 
     best_loss = np.full(restarts, np.inf)
-    best_it = np.zeros(restarts, dtype=np.int64)
     best_x = x.copy()
 
     with numerical_failure("an attack iteration"):
@@ -287,7 +283,6 @@ def run_attack(
             trace[:, it] = loss
             better = loss < best_loss
             np.copyto(best_loss, loss, where=better)
-            best_it[better] = it
             np.copyto(best_x, x, where=better[:, None, None])
 
             # the cache holds x itself: pull back fully before Adam moves x
@@ -301,7 +296,7 @@ def run_attack(
     return AttackResult(
         loss_trace=trace[win].copy(),
         final_distance=float(best_loss[win]),
-        best_iteration=int(best_it[win]),
+        best_iteration=int(np.argmin(trace[win])),
         reconstructed_batch=best_x[win].copy(),
         restart=win,
     )

@@ -190,7 +190,7 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     return (
         metrics.mse(truth, recon),
         metrics.psnr(truth, recon),
-        metrics.ssim(truth, recon, window=min(7, ds.side - 1 + ds.side % 2)),
+        metrics.ssim(truth, recon),
         best,
     )
 

@@ -110,8 +110,6 @@ def defend_grad_svd(g: np.ndarray, beta: float) -> DefensePacket:
     0 x q vt_star, entropy 0); a nonzero one whose weighted product
     underflows to zero raises NumericalFailure."""
     g = linalg.as_matrix(g)
-    if min(g.shape) < 2:
-        raise InvalidInput("matrices below 2x2 take the raw path, not the SVD path")
     weights = channel_weights(g)
     with numerical_failure("the channel-weighted update"):
         weighted = weights[:, None] * g
@@ -159,7 +157,7 @@ def _defend_tensor(t: np.ndarray, cfg: DefenseConfig, rng, carried):
     """(packet, dgp carry) for one tensor of an upload, a 2-D weight or a
     1-D bias; the carry is None outside dgp."""
     method, carry = cfg.method, None
-    if method == "svdefense" and t.ndim == 2 and min(t.shape) >= 2:
+    if method == "svdefense" and t.ndim == 2:
         return defend_grad_svd(t, cfg.beta), None
     if method in NOISE_METHODS and cfg.noise_scale > 0.0:
         t = t + noise(rng, cfg, t.shape)

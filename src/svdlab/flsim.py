@@ -213,7 +213,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
         raise InvalidConfig("; ".join(errors))
     train, test, shards, model = build_experiment(fl, data_cfg, hidden_dims)
     download_unit = 8 * model.num_params()  # the broadcast: every parameter as f64
-    dgp_residuals: dict[int, list] = {}
+    dgp_residuals: dict[int, list | None] = {}
     reports = []
     for rnd in range(fl.rounds):
         sampler = _rng(fl.seed, _TAG_SAMPLING, rnd)
@@ -225,12 +225,10 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
         bytes_up = 0
         entropies = []  # each selected client's mean svd entropy, in `selected` order
         for cid in selected:
-            update, new_residual = client_round(
+            update, dgp_residuals[cid] = client_round(
                 model, train, shards[cid], fl, cid, rnd,
                 dgp_residuals.get(cid),
             )
-            if new_residual is not None:
-                dgp_residuals[cid] = new_residual
             # the server counts and parses the bytes on the wire
             blobs = [defense_mod.serialize_packet(p) for p in update.packets]
             bytes_up += sum(len(b) for b in blobs)

@@ -31,20 +31,18 @@ def psnr(truth, recon) -> float:
     return float(10.0 * np.log10(1.0 / err))
 
 
-def ssim(truth, recon, window: int = 7) -> float:
-    """Mean local structural similarity with a uniform (box) window.
+def ssim(truth, recon) -> float:
+    """Mean local structural similarity with a uniform (box) window, the
+    largest odd one up to 7x7 that fits the image side (at least 3).
 
     Local statistics come from every window fully inside the image; the
-    default 7x7 window fits the default 8x8 images. Identical images score 1.
+    default 8x8 images take the 7x7 window. Identical images score 1.
     """
     t, r = _pair(truth, recon)
     side = int(round(np.sqrt(t.size)))
-    if side * side != t.size:
-        raise InvalidInput("ssim needs square images")
-    if window % 2 != 1 or window < 3:
-        raise InvalidInput("window must be odd and >= 3")
-    if window > side:
-        raise InvalidInput(f"window {window} exceeds image side {side}")
+    if side * side != t.size or side < 3:
+        raise InvalidInput(f"ssim needs square images of side >= 3, got {t.size} pixels")
+    window = min(7, side - 1 + side % 2)
     ti = t.reshape(side, side)
     ri = r.reshape(side, side)
     tw = np.lib.stride_tricks.sliding_window_view(ti, (window, window))

@@ -133,8 +133,9 @@ def sgd_step(params: ModelParams, grads: list, lr: float) -> ModelParams:
 def accuracy(params: ModelParams, x, labels) -> float:
     """Fraction of the rows of x (n, D) predicted as their labels (n,). A
     forward pass that overflows raises NumericalFailure."""
-    if not len(labels):
-        raise InvalidInput("empty evaluation set")
+    if np.ndim(x) != 2 or not len(labels) or len(labels) != len(x):
+        raise InvalidInput(f"need a non-empty (n, D) evaluation set and n labels, "
+                           f"got {np.shape(x)} and {len(labels)} labels")
     with numerical_failure("the forward pass of the evaluation set"):
         logits, _, _ = forward_batch(params, x)
         return float(np.mean(np.argmax(logits, axis=1) == labels))

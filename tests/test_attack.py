@@ -428,10 +428,10 @@ class TestAdaptiveTransforms:
         cache = (acts, None, None, deltas)
         out, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
         projectors = attack._replay_projectors(cache, beta)
-        assert [proj[0] for proj in projectors] == [0, 1]
+        assert len(projectors) == len(acts)  # one per layer, in layer order
         for j in range(len(acts[0])):  # restart j against the defender's upload of its slice
             sent, _ = defense.defend_update([t[j] for t in dummy], dcfg)
-            for l, a, _, _ in projectors:  # a = u / w keeps u's zero columns
+            for l, (a, _, _) in enumerate(projectors):  # a = u / w keeps u's zero columns
                 g, pkt = dummy[2 * l][j], sent[2 * l]
                 assert np.count_nonzero(a[j].any(axis=0)) == np.count_nonzero(pkt.sigma_star)
                 np.testing.assert_allclose(out[2 * l][j],
@@ -468,6 +468,17 @@ class TestAdaptiveTransforms:
         for beta in (0.3, 1000.0):
             self.assert_replay_equals_the_defender(acts, deltas, beta)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_thin_layers_replay_as_the_defender(self, n):
+        # a width-1 hidden layer: the 1x6 and 3x1 weight gradients have one
+        # singular value each and are factored, and replayed, like the rest
+        rng = np.random.default_rng(10 + n)
+        shapes = [(1, 6), (3, 1)]
+        deltas = [rng.normal(size=(2, n, p)) for p, _ in shapes]
+        acts = [rng.uniform(size=(2, n, q)) for _, q in shapes]
+        for beta in (0.3, 1000.0):
+            self.assert_replay_equals_the_defender(acts, deltas, beta)
+
     def test_replay_pullback_is_the_adjoint(self):
         # per restart, <P x, y> = <x, P^T y> for the replayed map P of a
         # nonzero layer; a zero layer passes its sensitivities through
@@ -484,7 +495,7 @@ class TestAdaptiveTransforms:
         px, pullback = attack._adaptive_view(cfg, None, [], x, cache)
         pty = pullback(y)
         projectors = attack._replay_projectors(cache, dcfg.beta)
-        for l, _, _, touched in projectors:
+        for l, (_, _, touched) in enumerate(projectors):
             for j in range(4):
                 xs, ys = x[2 * l][j], y[2 * l][j]
                 if touched[j]:
@@ -492,7 +503,7 @@ class TestAdaptiveTransforms:
                         np.vdot(xs, pty[2 * l][j]), rel=1e-12)
                 else:
                     np.testing.assert_array_equal(pty[2 * l][j], ys)
-        assert [t[3].all() for t in projectors] == [False, True]
+        assert [t[2].all() for t in projectors] == [False, True]
 
     def test_eot_noise_variance_shrinks(self):
         # averaging n draws leaves variance sigma^2 / n

@@ -159,9 +159,20 @@ class TestDefendGradSvd:
         assert pkt.entropy == 0.0
         np.testing.assert_array_equal(reconstruct_packet(pkt), np.zeros((4, 5)))
 
-    def test_rejects_vectors(self):
-        with pytest.raises(InvalidInput):
-            defend_grad_svd(np.ones((1, 5)), beta=0.3)
+    @pytest.mark.parametrize("shape", [(1, 5), (6, 1)])
+    def test_thin_matrices_keep_rank_one_losslessly(self, shape):
+        # one singular value: H = 0, T = 0 and k = 1, so the factors are the
+        # matrix; defend_update factors thin weights like any other
+        g = np.random.default_rng(sum(shape)).normal(size=shape)
+        bias = np.ones(shape[0])
+        (pkt, raw), _ = defend_update([g, bias], DefenseConfig(method="svdefense", beta=0.3))
+        assert raw.values is not None and pkt.values is None
+        assert len(pkt.sigma_star) == 1 and pkt.entropy == 0.0
+        cond = float(pkt.channel_weights.max() / pkt.channel_weights.min())
+        np.testing.assert_allclose(reconstruct_packet(pkt), g, rtol=0,
+                                   atol=1e-14 * cond * np.abs(g).max())
+        back = deserialize_packet(serialize_packet(pkt), shape)
+        np.testing.assert_array_equal(reconstruct_packet(back), reconstruct_packet(pkt))
 
     def test_residual_touches_every_channel(self):
         # the removed part is dense: no surviving structure an adaptive

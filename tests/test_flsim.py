@@ -232,6 +232,20 @@ class TestAggregate:
         decoded = defense.packets_to_gradset(ups[0].packets, model)
         np.testing.assert_array_equal(new.layers[0].weight, model.layers[0].weight - decoded[0])
 
+    def test_width_one_weights_travel_as_factors(self, tiny_setup):
+        # the 64x1 and 4x1 weights of a width-1 model are factored too; their
+        # one singular value has entropy 0, so they take the sample counts
+        fl, dc, *_ = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method="svdefense")})
+        train, _, shards, model = build_experiment(cfg, dc, hidden_dims=(1,))
+        ups = [client_round(model, train, shards[i], cfg, i, 0)[0] for i in range(2)]
+        _, weights = aggregate(model, ups)
+        counts = np.array([u.sample_count for u in ups], dtype=float)
+        for tid in (0, 2):
+            assert [(len(u.packets[tid].sigma_star), u.packets[tid].entropy) for u in ups] == [
+                (1, 0.0), (1, 0.0)]
+            assert weights[tid].tolist() == (counts / counts.sum()).tolist()
+
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
     @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_rejects_broken_upload(self, tiny_setup, method, how):

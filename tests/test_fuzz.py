@@ -443,7 +443,8 @@ RATE_KEYS = {"prune": ["fl.defense.prune_rate"],
 @st.composite
 def _runs(draw):
     """(command, config): a tiny train or attack run under one defense and
-    its own adaptive attacker, each float key either left at its default or
+    its own adaptive attacker on 1-2 hidden layers of width 1-4 (a width of 1
+    makes thin weight matrices), each float key either left at its default or
     drawn log-uniformly from 1e-300 to 1e300. Rates are drawn only for the
     defense that reads them: every rate is validated, and one above 1 ends
     the run at the config."""
@@ -451,7 +452,7 @@ def _runs(draw):
     small = st.integers(1, 2)
     cfg = {"seed": draw(st.integers(0, 3)),
            "data": {"num_classes": 3, "per_class": 4, "per_class_test": 1, "side": 4},
-           "model": {"hidden_dims": [3]},
+           "model": {"hidden_dims": draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))},
            "fl": {"num_clients": 2, "clients_per_round": draw(small), "rounds": draw(small),
                   "partition_scheme": draw(st.sampled_from(["dirichlet", "rho"])),
                   "defense": {"method": method}},

@@ -174,6 +174,13 @@ class TestAccuracy:
         with pytest.raises(InvalidInput):
             tinynn.accuracy(model, np.array([1.0, 0.0]), np.array([0]))
 
+    @pytest.mark.parametrize("shape, count", [((2, 3, 2), 3), ((3, 2), 1), ((3, 2), 2), ((3, 2), 4)])
+    def test_rejects_a_stack_or_a_label_count_other_than_the_rows(self, shape, count):
+        # forward_batch takes a (2, 3, 2) stack; one label would broadcast
+        model = ModelParams([LayerParams(np.eye(2), np.zeros(2))])
+        with pytest.raises(InvalidInput):
+            tinynn.accuracy(model, np.ones(shape), np.zeros(count, dtype=int))
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
