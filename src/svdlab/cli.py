@@ -138,12 +138,9 @@ def run_train(spec: ExperimentSpec, out_dir: str):
     """Train and persist rounds CSV plus the final checkpoint. Returns the
     report list and final model for reuse by sweep."""
     reports, model = flsim.run_experiment(spec.fl, spec.data, spec.hidden_dims)
-    rows = [
-        [r.round_index, r.accuracy, r.bytes_up, r.bytes_down, r.mean_entropy,
-         spec.fl.defense.method]
-        for r in reports
-    ]
-    header = ["round", "accuracy", "bytes_up", "bytes_down", "mean_entropy", "defense_method"]
+    rows = [[i, r.accuracy, r.bytes_up, r.mean_entropy, spec.fl.defense.method]
+            for i, r in enumerate(reports)]
+    header = ["round", "accuracy", "bytes_up", "mean_entropy", "defense_method"]
     _write_atomic(os.path.join(out_dir, "rounds.csv"), _csv(rows, header))
     _write_atomic(os.path.join(out_dir, "model.bin"), tinynn.model_bytes(model))
     return reports, model

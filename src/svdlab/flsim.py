@@ -85,11 +85,9 @@ class ClientUpdate:
 
 @dataclass
 class RoundReport:
-    round_index: int
     accuracy: float
     mean_entropy: float
     bytes_up: int
-    bytes_down: int
     aggregation_weights: dict
     selected_clients: list[int]
 
@@ -212,7 +210,6 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
     if errors:
         raise InvalidConfig("; ".join(errors))
     train, test, shards, model = build_experiment(fl, data_cfg, hidden_dims)
-    download_unit = 8 * model.num_params()  # the broadcast: every parameter as f64
     dgp_residuals: dict[int, list | None] = {}
     reports = []
     for rnd in range(fl.rounds):
@@ -241,11 +238,9 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             model, weights = aggregate(model, updates)
         reports.append(
             RoundReport(
-                round_index=rnd,
                 accuracy=tinynn.accuracy(model, test.x, test.y),
                 mean_entropy=float(np.mean(entropies)),
                 bytes_up=bytes_up,
-                bytes_down=download_unit * len(selected),
                 aggregation_weights={tid: w.tolist() for tid, w in weights.items()},
                 selected_clients=selected,
             )

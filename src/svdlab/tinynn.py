@@ -49,9 +49,6 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.layers[-1].weight.shape[0]
 
-    def num_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
-
     def tensors(self) -> list:
         """Every parameter in wire order: layer l's weight is id 2l, its bias
         2l + 1. A gradient set is a list of arrays in this order and shape."""

@@ -478,8 +478,9 @@ class TestTrain:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
         lines = (out / "rounds.csv").read_text().splitlines()
-        assert lines[0] == "round,accuracy,bytes_up,bytes_down,mean_entropy,defense_method"
-        assert len(lines) == 1 + BASE_CONFIG["fl"]["rounds"]
+        assert lines[0] == "round,accuracy,bytes_up,mean_entropy,defense_method"
+        rounds = [line.split(",")[0] for line in lines[1:]]
+        assert rounds == [str(r) for r in range(BASE_CONFIG["fl"]["rounds"])]
         assert (out / "model.bin").exists()
 
     def test_byte_identical_rerun(self, tmp_path):
@@ -593,6 +594,21 @@ class TestSweep:
         )
         assert rc == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
+class TestReadmeColumns:
+    def test_readme_lists_the_headers_each_command_writes(self, tmp_path):
+        path = write_config(tmp_path, {"fl.rounds": 1, "attack.n_examples": 1,
+                                       "attack.iterations": 2})
+        runs = {"rounds.csv": ["train"], "attack.csv": ["attack"],
+                "sweep.csv": ["sweep", "--axis", "beta", "--values", "0.3"]}
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = {name: re.sub(r"\s", "", cols)
+                  for name, cols in re.findall(r"`(\w+\.csv)` \(`([^`]+)`", readme)}
+        for name, command in runs.items():
+            out = tmp_path / name
+            assert cli.main([*command, "--config", path, "--out", str(out)]) == 0
+            assert listed[name] == (out / name).read_text().splitlines()[0], name
 
 
 class TestBlasThreads:

@@ -4,7 +4,7 @@ raw packets travel bit-exact as their bitmap and stored values. Fuzzed matrices:
 linalg.svd keeps its contract at every shape, rank and power-of-two scale.
 Fuzzed uploads: pruning and noise match independent references. Fuzzed noise
 scales: a training run exits 0 or with one numerical failure line, and no warning.
-Fuzzed tiny train and attack runs: exit 0, 2 or 3, only error lines on stderr, no NaN written."""
+Fuzzed tiny train, attack and sweep runs: exit 0, 2 or 3, only error lines on stderr, no NaN written."""
 
 import json
 import math
@@ -440,20 +440,27 @@ RATE_KEYS = {"prune": ["fl.defense.prune_rate"],
              "dgp": ["fl.defense.dgp_small_rate", "fl.defense.dgp_large_rate"]}
 
 
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+
+
 @st.composite
 def _runs(draw):
-    """(command, config): a tiny train or attack run under one defense and
-    its own adaptive attacker on 1-2 hidden layers of width 1-4 (a width of 1
-    makes thin weight matrices), each float key either left at its default or
-    drawn log-uniformly from 1e-300 to 1e300. Rates are drawn only for the
-    defense that reads them: every rate is validated, and one above 1 ends
-    the run at the config."""
+    """(command words, config): a tiny train, attack or sweep run under one
+    defense and its own adaptive attacker on 1-2 hidden layers of width 1-4
+    (a width of 1 makes thin weight matrices), with 1-2 sweep values and
+    each float key either left at its default or drawn log-uniformly from
+    1e-300 to 1e300. The data, client and batch sizes are drawn small.
+    Rates are drawn only for the defense that reads them: every rate is
+    validated, and one above 1 ends the run at the config."""
     method = draw(st.sampled_from(sorted(ADAPTIVE_FOR)))
     small = st.integers(1, 2)
     cfg = {"seed": draw(st.integers(0, 3)),
-           "data": {"num_classes": 3, "per_class": 4, "per_class_test": 1, "side": 4},
+           "data": {"num_classes": draw(st.integers(2, 4)), "per_class": draw(st.integers(1, 4)),
+                    "per_class_test": draw(small), "side": draw(st.integers(4, 6))},
            "model": {"hidden_dims": draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))},
-           "fl": {"num_clients": 2, "clients_per_round": draw(small), "rounds": draw(small),
+           "fl": {"num_clients": draw(st.integers(1, 4)), "clients_per_round": draw(small),
+                  "rounds": draw(small), "local_epochs": draw(small),
+                  "local_batch_size": draw(st.integers(1, 3)),
                   "partition_scheme": draw(st.sampled_from(["dirichlet", "rho"])),
                   "defense": {"method": method}},
            "attack": {"adaptive": ADAPTIVE_FOR[method],
@@ -462,14 +469,18 @@ def _runs(draw):
                       "batch_size": draw(small), "n_examples": draw(small),
                       "restarts": draw(small)}}
     for key in FLOAT_KEYS + RATE_KEYS.get(method, []):
-        exponent = draw(st.none() | st.floats(-300.0, 300.0))
-        if exponent is not None:
+        value = draw(st.none() | LOG_UNIFORM)
+        if value is not None:
             *sections, name = key.split(".")
             node = cfg
             for section in sections:
                 node = node[section]
-            node[name] = 10.0**exponent
-    return draw(st.sampled_from(["train", "attack"])), cfg
+            node[name] = value
+    command = draw(st.sampled_from(["train", "attack", "sweep"]))
+    if command != "sweep":
+        return [command], cfg
+    values = ",".join(map(repr, draw(st.lists(LOG_UNIFORM, min_size=1, max_size=2))))
+    return [command, "--axis", draw(st.sampled_from(cli.SWEEP_AXES)), "--values", values], cfg
 
 
 @pytest.fixture(scope="module")
@@ -485,12 +496,15 @@ def test_any_tiny_run_exits_cleanly(run_dir, capsys, run):
     path, out = run_dir / "cfg.json", run_dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     path.write_text(json.dumps(cfg))
-    rc = cli.main([command, "--config", str(path), "--out", str(out)])
+    rc = cli.main([*command, "--config", str(path), "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert rc in (0, 2, 3)
     assert all(line.startswith(("config error: ", "input error: ", "numerical failure: "))
                for line in lines) and bool(lines) == (rc != 0)
-    for written in out.glob("*.csv"):
+    for written in out.rglob("*.csv"):
         assert "nan" not in written.read_text().lower(), written.name
-    if rc == 0 and command == "train":
-        tinynn.load_model(out / "model.bin")  # refuses a non-finite tensor
+    if rc == 0 and command[0] != "attack":
+        models = list(out.rglob("model.bin"))
+        assert models
+        for model in models:
+            tinynn.load_model(model)  # refuses a non-finite tensor
