@@ -124,6 +124,8 @@ def _write_atomic(path: str, data: str | bytes) -> None:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
+        if np.isnan(value):
+            raise NumericalFailure("a result to be written is NaN")
         return repr(value)
     return str(value)
 
@@ -174,12 +176,10 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
     """Defend one victim batch per the fl defense and attack it; returns the
     per-example metric values and the best attack result."""
     x, labels = ds.x[batch_indices], ds.y[batch_indices]
-    noisy = spec.fl.defense.method in defense_mod.NOISE_METHODS
     with numerical_failure("the model's defended gradient on the victim batch"):
         grads, _ = tinynn.backprop(model, x, np.eye(model.num_classes)[labels])
         packets, _ = defense_mod.defend_update(
-            grads, spec.fl.defense,
-            rng=flsim._rng(spec.seed, flsim._TAG_VICTIM_NOISE, run_seed) if noisy else None,
+            grads, spec.fl.defense, [spec.seed, flsim._TAG_VICTIM_NOISE, run_seed]
         )
     cfg = replace(spec.attack, seed=spec.seed + run_seed)
     best = attack_mod.run_attack(model, packets, cfg, labels, restarts=spec.harness.restarts)
@@ -195,7 +195,7 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
 def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_images=True):
     """Attack a sampled set of victims; emits the metric CSV and image dumps.
 
-    Returns the list of (mse, psnr, ssim) rows.
+    Returns the (victims, 3) array of their (mse, psnr, ssim).
     """
     train, _, _, built_model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
     if model is None:
@@ -207,23 +207,22 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
         train, spec.harness.n_examples, spec.harness.batch_size, spec.seed
     )
     rows = []
-    values = []
     for i, batch_indices in enumerate(batches):
         m, p, s, best = attack_one(model, train, batch_indices, spec, run_seed=i)
-        values.append((m, p, s))
         rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s])
         if write_images:
             grid = np.concatenate([train.x[batch_indices[0]], best.reconstructed_batch[0]])
             _write_atomic(os.path.join(out_dir, f"images_{i:03d}.csv"), _csv(
-                grid.reshape(-1, train.side).tolist(), ["# truth rows, then reconstruction rows"]))
-    arr = np.array(values)
+                grid.reshape(-1, spec.data.side).tolist(),
+                ["# truth rows, then reconstruction rows"]))
+    arr = np.array([row[3:] for row in rows])
     rows.append(
         ["mean", spec.fl.defense.method, spec.attack.adaptive,
          float(arr[:, 0].mean()), float(arr[:, 1].mean()), float(arr[:, 2].mean())]
     )
     header = ["example_id", "defense", "attack_mode", "mse", "psnr", "ssim"]
     _write_atomic(os.path.join(out_dir, "attack.csv"), _csv(rows, header))
-    return values
+    return arr
 
 
 def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec:
@@ -261,7 +260,7 @@ def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str
                 axis,
                 value,
                 reports[-1].accuracy,
-                float(np.mean([v[0] for v in attack_values])),
+                float(np.mean(attack_values[:, 0])),
                 metrics.comm_reduction(total_up, baseline_up),
                 float(np.mean([r.mean_entropy for r in reports])),
             ]

@@ -38,7 +38,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     num_classes: int
-    side: int
 
 
 def class_template(cls: int, side: int) -> np.ndarray:
@@ -65,7 +64,7 @@ def make_synthetic(num_classes: int, per_class: int, side: int, seed: int) -> Da
     rng = np.random.default_rng(seed)
     templates = np.repeat([class_template(c, side) for c in range(num_classes)], per_class, axis=0)
     x = np.clip(templates + rng.normal(0.0, NOISE_SIGMA, templates.shape), 0.0, 1.0)
-    return Dataset(x, np.repeat(np.arange(num_classes), per_class), num_classes, side)
+    return Dataset(x, np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
 def _class_indices(ds: Dataset) -> list[np.ndarray]:
@@ -164,9 +163,9 @@ def _read_idx(path, magic: int, dims: int) -> tuple[list[int], np.ndarray]:
     return sizes, np.frombuffer(raw, dtype=np.uint8, count=need, offset=head)
 
 
-def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
-    """Read an IDX image/label file pair (the classic ubyte format) whose
-    labels lie in [0, num_classes).
+def load_idx(images_path, labels_path, num_classes: int, side: int) -> Dataset:
+    """Read an IDX image/label file pair (the classic ubyte format) of
+    side x side images whose labels lie in [0, num_classes).
 
     Pixels are scaled to [0, 1]. Optional hook for running on real data; the
     synthetic generator needs no files.
@@ -177,10 +176,10 @@ def load_idx(images_path, labels_path, num_classes: int) -> Dataset:
         raise InvalidInput("image/label counts differ")
     if count * rows * cols == 0:
         raise InvalidInput(f"{images_path}: holds no pixels")
-    if rows != cols:
-        raise InvalidInput("only square images are supported")
+    if (rows, cols) != (side, side):
+        raise InvalidInput(f"{images_path}: images are {rows}x{cols}, data.side is {side}")
     if int(labels.max()) >= num_classes:
         raise InvalidInput(f"{labels_path}: label {int(labels.max())} is outside "
                            f"[0, data.num_classes = {num_classes})")
     images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    return Dataset(images, labels.astype(np.int64), num_classes, rows)
+    return Dataset(images, labels.astype(np.int64), num_classes)

@@ -170,23 +170,17 @@ def _defend_tensor(t: np.ndarray, cfg: DefenseConfig, rng, carried):
     return DefensePacket(values=t.copy()), carry
 
 
-def defend_update(
-    grads: list,
-    cfg: DefenseConfig,
-    rng: np.random.Generator | None = None,
-    residual: list | None = None,
-):
+def defend_update(grads: list, cfg: DefenseConfig, seed, residual: list | None = None):
     """Turn a gradient set, a list of tensors in wire order (the order of
     ModelParams.tensors()), into transmittable packets under the configured
-    method, one tensor at a time; the NOISE_METHODS draw from `rng` in that
-    order, and raise InvalidInput without one; the others take no stream.
+    method, one tensor at a time; the NOISE_METHODS draw from the stream
+    np.random.default_rng(seed) in that order, and the others build none.
 
     Returns (packets, residual). For dgp the residual is the error feedback:
     what pruning removed from each tensor once the previous `residual` was
     added back in. It is None for the other methods.
     """
-    if rng is None and cfg.method in NOISE_METHODS:
-        raise InvalidInput(f"defense method {cfg.method} needs a noise stream")
+    rng = np.random.default_rng(seed) if cfg.method in NOISE_METHODS else None
     carried = residual if residual is not None else [None] * len(grads)
     packets, carries = zip(*(_defend_tensor(t, cfg, rng, c) for t, c in zip(grads, carried)))
     return list(packets), list(carries) if cfg.method == "dgp" else None

@@ -93,7 +93,7 @@ class RoundReport:
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, *path]))
+    return np.random.default_rng([seed, *path])
 
 
 def client_round(
@@ -119,8 +119,7 @@ def client_round(
         raise InvalidInput(f"client {client_id} holds a label outside the model's classes")
     targets = np.eye(global_params.num_classes)[labels]
     batch_rng = _rng(cfg.seed, _TAG_CLIENT_BATCHES, round_index, client_id)
-    noise_rng = (_rng(cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id)
-                 if cfg.defense.method in defense_mod.NOISE_METHODS else None)
+    noise_seed = [cfg.seed, _TAG_DEFENSE_NOISE, round_index, client_id]
     with numerical_failure(f"client {client_id} diverged in round {round_index}: its update"):
         for _ in range(cfg.local_epochs):
             order = batch_rng.permutation(len(shard))
@@ -129,9 +128,8 @@ def client_round(
                 grads, _ = tinynn.backprop(local, ds.x[rows[batch]], targets[batch])
                 local = tinynn.sgd_step(local, grads, cfg.local_lr)
         update = [g - l for g, l in zip(global_params.tensors(), local.tensors())]
-        packets, new_residual = defense_mod.defend_update(
-            update, cfg.defense, rng=noise_rng, residual=dgp_residual
-        )
+        packets, new_residual = defense_mod.defend_update(update, cfg.defense, noise_seed,
+                                                          residual=dgp_residual)
     return ClientUpdate(client_id, len(shard), packets), new_residual
 
 
@@ -170,18 +168,16 @@ def _split_idx_dataset(ds: data_mod.Dataset, per_class_test: int):
         held[idxs[:per_class_test]] = True
     if held.all() or not held.any():
         raise InvalidConfig("IDX dataset too small for the requested test split")
-    return (data_mod.Dataset(ds.x[~held], ds.y[~held], ds.num_classes, ds.side),
-            data_mod.Dataset(ds.x[held], ds.y[held], ds.num_classes, ds.side))
+    return (data_mod.Dataset(ds.x[~held], ds.y[~held], ds.num_classes),
+            data_mod.Dataset(ds.x[held], ds.y[held], ds.num_classes))
 
 
 def build_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
     """Deterministic dataset / partition / model setup shared by the CLI and
     tests. Returns (train_ds, test_ds, client shards, model)."""
     if data_cfg.idx_images is not None:
-        loaded = data_mod.load_idx(data_cfg.idx_images, data_cfg.idx_labels, data_cfg.num_classes)
-        if loaded.side != data_cfg.side:
-            raise InvalidInput(f"{data_cfg.idx_images}: image side {loaded.side} != data.side "
-                               f"{data_cfg.side}")
+        loaded = data_mod.load_idx(data_cfg.idx_images, data_cfg.idx_labels,
+                                   data_cfg.num_classes, data_cfg.side)
         train, test = _split_idx_dataset(loaded, data_cfg.per_class_test)
     else:
         train_seed = int(_rng(fl.seed, _TAG_TRAIN_DATA).integers(2**31))

@@ -223,7 +223,7 @@ def upload(grads: list) -> list:
     """The method-none packets of a wire-order gradient set, which
     defense.packets_to_gradset decodes to the same bits: how tests hand
     gradients to attack.run_attack."""
-    return defense.defend_update(grads, defense.DefenseConfig(method="none"))[0]
+    return defense.defend_update(grads, defense.DefenseConfig(method="none"), seed=0)[0]
 
 
 HEADER_BYTES = 5  # the wire header: code u8, k u32; the shape is the model's

@@ -84,12 +84,12 @@ def attack_study():
             return metrics.mse(truth, best.reconstructed_batch[0])
 
         arms["none"].append(run(upload(grads), cfg))
-        packets, _ = defense.defend_update(grads, svd_cfg)
+        packets, _ = defense.defend_update(grads, svd_cfg, seed=0)
         arms["svdef"].append(run(packets, cfg))
         arms["replay"].append(
             run(packets, replace(cfg, adaptive="defense_replay", defense=svd_cfg))
         )
-        pruned, _ = defense.defend_update(grads, prune_cfg)
+        pruned, _ = defense.defend_update(grads, prune_cfg, seed=0)
         arms["prune_plain"].append(run(pruned, cfg))
         arms["prune_adapt"].append(run(pruned, replace(cfg, adaptive="prune_mask")))
     return {k: np.array(v) for k, v in arms.items()}
@@ -415,7 +415,8 @@ def test_c16_closed_form_read_of_the_kept_factors():
         for i in range(ATTACK_TARGETS):
             batch = _study_batch(ds, i, size)
             labels = ds.y[batch]
-            packets, _ = defense.defend_update(one_hot_grads(model, ds.x[batch], labels), svd_cfg)
+            grads = one_hot_grads(model, ds.x[batch], labels)
+            packets, _ = defense.defend_update(grads, svd_cfg, seed=0)
             est = span_read(packets[0].vt_star, priors, labels)
             residual = ds.x[i] - priors[labels[0]]
             cos[size].append(est @ residual / (np.linalg.norm(est) * np.linalg.norm(residual)))

@@ -228,7 +228,7 @@ class TestRunAttack:
         ds, model = setup
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
-        packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"))
+        packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"), seed=0)
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidInput):
             run_attack(model, broken_upload(packets, how), cfg, labels=labels)
@@ -259,7 +259,7 @@ class TestEngine:
         x, labels = batch_for(ds, 8)
         g = one_hot_grads(model, x, labels)
         dcfg = ENGINE_DEFENSES[mode]
-        packets, _ = defense.defend_update(g, dcfg, rng=np.random.default_rng(2))
+        packets, _ = defense.defend_update(g, dcfg, seed=2)
         return model, packets, labels, dcfg
 
     @pytest.mark.parametrize("distance", attack.DISTANCES)
@@ -309,7 +309,7 @@ class TestEngine:
         labels = np.array([0, 1, 2])
         g = one_hot_grads(model, np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), labels)
         dcfg = ENGINE_DEFENSES[mode]
-        packets, _ = defense.defend_update(g, dcfg, rng=np.random.default_rng(2))
+        packets, _ = defense.defend_update(g, dcfg, seed=2)
         cfg = AttackConfig(distance=distance, iterations=4, lr=0.1, adaptive=mode,
                            eot_samples=2, seed=40, defense=dcfg)
 
@@ -430,7 +430,7 @@ class TestAdaptiveTransforms:
         projectors = attack._replay_projectors(cache, beta)
         assert len(projectors) == len(acts)  # one per layer, in layer order
         for j in range(len(acts[0])):  # restart j against the defender's upload of its slice
-            sent, _ = defense.defend_update([t[j] for t in dummy], dcfg)
+            sent, _ = defense.defend_update([t[j] for t in dummy], dcfg, seed=0)
             for l, (a, _, _) in enumerate(projectors):  # a = u / w keeps u's zero columns
                 g, pkt = dummy[2 * l][j], sent[2 * l]
                 assert np.count_nonzero(a[j].any(axis=0)) == np.count_nonzero(pkt.sigma_star)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import checkpoint_blob
-from svdlab import cli, flsim, schema, tinynn
+from svdlab import cli, flsim, metrics, schema, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
 from svdlab.flsim import DataConfig, FlConfig
@@ -471,6 +471,21 @@ class TestExitCodes:
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("command, module, name, outputs", [
+        ("attack", metrics, "ssim", ["attack.csv"]),
+        ("train", tinynn, "accuracy", ["rounds.csv", "model.bin"]),
+    ], ids=["attack_ssim", "train_accuracy"])
+    def test_a_nan_result_exits_3_unwritten(self, tmp_path, capsys, monkeypatch, command,
+                                            module, name, outputs):
+        # no CSV cell may read nan: the writer refuses it before any output
+        monkeypatch.setattr(module, name, lambda *args: float("nan"))
+        path = write_config(tmp_path, {"attack.iterations": 5})
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert not any((tmp_path / "o" / out).exists() for out in outputs)
+
 
 class TestTrain:
     def test_outputs_and_schema(self, tmp_path):
@@ -711,13 +726,14 @@ class TestAttackOrderings:
 
 class TestIdxDataset:
     @staticmethod
-    def write_idx(tmp_path, n=60, side=8, cut_images=0, cut_labels=0, label_values=(0, 1, 2)):
+    def write_idx(tmp_path, n=60, side=(8, 8), cut_images=0, cut_labels=0,
+                  label_values=(0, 1, 2)):
         import numpy as np
 
         rng = np.random.default_rng(0)
-        images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
+        images = rng.integers(0, 256, size=(n, *side), dtype=np.uint8)
         labels = np.repeat(np.array(label_values, dtype=np.uint8), n // len(label_values))
-        img = struct.pack(">IIII", 2051, n, side, side) + images.tobytes()
+        img = struct.pack(">IIII", 2051, n, *side) + images.tobytes()
         lab = struct.pack(">II", 2049, n) + labels.tobytes()
         (tmp_path / "img.idx").write_bytes(img[: len(img) - cut_images])
         (tmp_path / "lab.idx").write_bytes(lab[: len(lab) - cut_labels])
@@ -756,16 +772,19 @@ class TestIdxDataset:
         assert len(lines) == 1 and lines[0].startswith("input error: ")
 
     @pytest.mark.parametrize(
-        "mismatch", [{"label_values": (0, 1, 2, 7)}, {"side": 9}], ids=["label_7", "side_9"]
+        "mismatch, names",
+        [({"label_values": (0, 1, 2, 7)}, "label 7"), ({"side": (9, 9)}, "9x9, data.side is 8"),
+         ({"side": (8, 9)}, "8x9, data.side is 8")],
+        ids=["label_7", "side_9", "rows_8_cols_9"],
     )
-    def test_idx_must_match_data_config(self, tmp_path, capsys, mismatch):
-        # data.num_classes is 3 and data.side 8: a label 7 or 9x9 images are
-        # refused, not silently adopted
+    def test_idx_must_match_data_config(self, tmp_path, capsys, mismatch, names):
+        # data.num_classes is 3 and data.side 8: a label 7, 9x9 or 8x9 images
+        # are refused, not silently adopted
         path = self.write_idx(tmp_path, **mismatch)
         rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
         lines = capsys.readouterr().err.splitlines()
         assert rc == 2
-        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert len(lines) == 1 and lines[0].startswith("input error: ") and names in lines[0]
 
     def test_idx_paths_must_pair(self, tmp_path, capsys):
         path = write_config(tmp_path, {"data.idx_images": "only_images.idx"})

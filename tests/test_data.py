@@ -158,8 +158,8 @@ class TestIdxLoader:
         with open(lab_path, "wb") as fh:
             fh.write(struct.pack(">II", 2049, 7))
             fh.write(labels.tobytes())
-        ds = data.load_idx(img_path, lab_path, 3)
+        ds = data.load_idx(img_path, lab_path, 3, 5)
         assert len(ds.y) == 7
-        assert ds.side == 5
+        assert ds.x.shape == (7, 25)
         np.testing.assert_allclose(ds.x[0], images[0].reshape(25) / 255.0)
         np.testing.assert_array_equal(ds.y, labels)

@@ -36,10 +36,10 @@ def model_like(grads):
     return tinynn.ModelParams([tinynn.LayerParams(w, b)])
 
 
-def defended(grads, cfg, **kwargs):
+def defended(grads, cfg, seed=0, **kwargs):
     """The one-layer upload defend_update makes of `grads`, as the server
     decodes it, and the residual."""
-    packets, residual = defend_update(grads, cfg, **kwargs)
+    packets, residual = defend_update(grads, cfg, seed, **kwargs)
     return packets_to_gradset(packets, model_like(grads)), residual
 
 
@@ -165,7 +165,8 @@ class TestDefendGradSvd:
         # matrix; defend_update factors thin weights like any other
         g = np.random.default_rng(sum(shape)).normal(size=shape)
         bias = np.ones(shape[0])
-        (pkt, raw), _ = defend_update([g, bias], DefenseConfig(method="svdefense", beta=0.3))
+        (pkt, raw), _ = defend_update([g, bias], DefenseConfig(method="svdefense", beta=0.3),
+                                      seed=0)
         assert raw.values is not None and pkt.values is None
         assert len(pkt.sigma_star) == 1 and pkt.entropy == 0.0
         cond = float(pkt.channel_weights.max() / pkt.channel_weights.min())
@@ -266,16 +267,35 @@ class TestBaselines:
         rng = np.random.default_rng(8)
         grads = gradset_from([(rng.normal(size=(3, 3)), rng.normal(size=3))])
         for method in ("dp_gauss", "dp_lap"):
-            out, _ = defended(grads, DefenseConfig(method=method, noise_scale=0.0),
-                              rng=np.random.default_rng(0))
+            out, _ = defended(grads, DefenseConfig(method=method, noise_scale=0.0), seed=0)
             np.testing.assert_array_equal(out[0], grads[0])
 
     @pytest.mark.parametrize("method", defense.NOISE_METHODS)
-    def test_noise_methods_need_a_stream(self, method):
-        # a shared fallback stream would give every client the same noise
-        grads = gradset_from([(np.ones((3, 4)), np.ones(3))])
-        with pytest.raises(InvalidInput, match="noise stream"):
-            defend_update(grads, DefenseConfig(method=method))
+    def test_noise_comes_from_the_named_seed(self, method):
+        # the seed names the upload's own stream, drawn tensor by tensor in
+        # wire order: the same seed repeats the noise, another changes it
+        rng = np.random.default_rng(19)
+        grads = gradset_from([(rng.normal(size=(3, 4)), rng.normal(size=3)),
+                              (rng.normal(size=(2, 3)), rng.normal(size=2))])
+        cfg = DefenseConfig(method=method, noise_scale=0.1)
+        once, again, other = (defend_update(grads, cfg, seed)[0] for seed in ([5, 6], [5, 6], 7))
+        ref = np.random.default_rng([5, 6])
+        for t, a, b, c in zip(grads, once, again, other, strict=True):
+            np.testing.assert_array_equal(a.values, t + defense.noise(ref, cfg, t.shape))
+            np.testing.assert_array_equal(a.values, b.values)
+            assert not (a.values == c.values).any()
+
+    @pytest.mark.parametrize("method", ["none", "svdefense", "prune", "dgp"])
+    def test_noise_free_methods_build_no_stream(self, method):
+        # np.random.default_rng refuses -1, so the seed must never be read
+        rng = np.random.default_rng(20)
+        grads = gradset_from([(rng.normal(size=(4, 5)), rng.normal(size=4))])
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        cfg = DefenseConfig(method=method)
+        for got, want in zip(defend_update(grads, cfg, -1)[0], defend_update(grads, cfg, 0)[0],
+                             strict=True):
+            assert serialize_packet(got) == serialize_packet(want)
 
     def test_noise_scale_applied(self):
         rng_check = np.random.default_rng(9)
@@ -283,7 +303,7 @@ class TestBaselines:
         for method, var in (("dp_gauss", 0.03**2), ("dp_lap", 2 * 0.03**2)):
             out, _ = defended(
                 grads, DefenseConfig(method=method, noise_scale=0.03),
-                rng=np.random.default_rng(rng_check.integers(2**31)),
+                seed=rng_check.integers(2**31),
             )
             sample_var = np.var(out[0])
             assert sample_var == pytest.approx(var, rel=0.15)
@@ -449,7 +469,7 @@ class TestPacketTransport:
     def test_zero_update_travels_as_rank_zero(self):
         # 5 header bytes, then 4 channel weights and the entropy
         grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
-        packets, _ = defend_update(grads, DefenseConfig(method="svdefense"))
+        packets, _ = defend_update(grads, DefenseConfig(method="svdefense"), seed=0)
         blob = serialize_packet(packets[0])
         assert len(blob) == HEADER_BYTES + 8 * (4 + 1) == 45
         back = [deserialize_packet(blob, (4, 5)),
@@ -470,7 +490,7 @@ class TestDefendUpdate:
     def test_none_is_raw_identity(self):
         rng = np.random.default_rng(13)
         grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
-        packets, residual = defend_update(grads, DefenseConfig(method="none"))
+        packets, residual = defend_update(grads, DefenseConfig(method="none"), seed=0)
         assert residual is None
         assert [p.values is None for p in packets] == [False, False]
         back = packets_to_gradset(packets, model_like(grads))
@@ -482,7 +502,7 @@ class TestDefendUpdate:
         # are refused, not handed on
         rng = np.random.default_rng(17)
         grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
-        packets, _ = defend_update(grads, DefenseConfig(method="svdefense", beta=0.3))
+        packets, _ = defend_update(grads, DefenseConfig(method="svdefense", beta=0.3), seed=0)
         k = len(packets[0].sigma_star)
         packets[0].vt_star = np.ones((k, 5))
         with pytest.raises(InvalidInput):
@@ -492,7 +512,7 @@ class TestDefendUpdate:
         rng = np.random.default_rng(18)
         grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
         packets, _ = defend_update([rng.normal(size=(4, 5)), grads[1]],
-                                   DefenseConfig(method="none"))
+                                   DefenseConfig(method="none"), seed=0)
         with pytest.raises(InvalidInput, match=r"tensor 0 .* the model's is \(4, 6\)"):
             packets_to_gradset(packets, model_like(grads))
 
@@ -504,7 +524,7 @@ class TestDefendUpdate:
                 (rng.normal(size=(3, 6)), rng.normal(size=3)),
             ]
         )
-        packets, _ = defend_update(grads, DefenseConfig(method="svdefense", beta=0.3))
+        packets, _ = defend_update(grads, DefenseConfig(method="svdefense", beta=0.3), seed=0)
         assert [p.values is None for p in packets] == [True, False, True, False]
 
     def test_config_validation(self):

@@ -152,7 +152,7 @@ class TestClientRound:
         shard = shards[0]
         y = train.y.copy()
         y[shard[-1]] = label
-        bad = data.Dataset(train.x, y, train.num_classes, train.side)
+        bad = data.Dataset(train.x, y, train.num_classes)
         with pytest.raises(InvalidInput, match="label"):
             client_round(model, bad, shard, fl, 0, 0)
 
@@ -161,14 +161,15 @@ class TestNoiseStreams:
     @pytest.mark.parametrize("method", defense.METHODS)
     def test_only_noise_methods_get_a_noise_stream(self, tiny_setup, monkeypatch, method):
         fl, dc, *_ = tiny_setup
-        rng, tags = flsim._rng, []
+        default_rng, seeds = np.random.default_rng, []
 
-        def recording(seed, *path):
-            tags.append(path[0])
-            return rng(seed, *path)
+        def recording(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
 
-        monkeypatch.setattr(flsim, "_rng", recording)
+        monkeypatch.setattr(np.random, "default_rng", recording)
         run_experiment(FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method=method)}), dc)
+        tags = [s[1] for s in seeds if isinstance(s, list) and s[0] == fl.seed]
         assert flsim._TAG_CLIENT_BATCHES in tags
         assert (flsim._TAG_DEFENSE_NOISE in tags) == (method in defense.NOISE_METHODS)
 
@@ -181,7 +182,7 @@ class TestNoiseStreams:
         raw, _ = client_round(model, train, shard, fl, cid, rnd)
         want, _ = defense.defend_update(
             defense.packets_to_gradset(raw.packets, model), dp,
-            rng=flsim._rng(fl.seed, flsim._TAG_DEFENSE_NOISE, rnd, cid),
+            seed=[fl.seed, flsim._TAG_DEFENSE_NOISE, rnd, cid],
         )
         for got, ref in zip(noisy.packets, want):
             assert ref.values is not None  # dp_gauss sends every tensor raw
@@ -224,7 +225,7 @@ class TestAggregate:
         cfg = DefenseConfig(method="svdefense")
         grads = one_hot_grads(model, train.x[:2], train.y[:2])
         zero = [np.zeros_like(t) if tid == 0 else t for tid, t in enumerate(grads)]
-        ups = [ClientUpdate(i, 10, defense.defend_update(g, cfg)[0])
+        ups = [ClientUpdate(i, 10, defense.defend_update(g, cfg, seed=0)[0])
                for i, g in enumerate([grads, zero])]
         assert len(ups[1].packets[0].sigma_star) == 0
         new, weights = aggregate(model, ups)

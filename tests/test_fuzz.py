@@ -201,7 +201,7 @@ def test_defended_packets_travel_against_their_tensor_shapes(method, dims, densi
     d, h, c = dims
     rng = np.random.default_rng(seed)
     grads = [rng.normal(size=s) * (rng.random(s) < density) for s in ((h, d), (h,), (c, h), (c,))]
-    packets, _ = defense.defend_update(grads, DefenseConfig(method=method), rng=rng)
+    packets, _ = defense.defend_update(grads, DefenseConfig(method=method), seed=rng)
     for packet, t in zip(packets, grads, strict=True):
         blob = defense.serialize_packet(packet)
         assert len(blob) == HEADER_BYTES + payload_bytes(packet)
@@ -262,7 +262,7 @@ def test_checkpoint_bytes_load_or_raise_invalid_input(checkpoint_dir, data):
 
 
 def _upload(model, method):
-    return defense.defend_update(model.tensors(), DefenseConfig(method=method))[0]
+    return defense.defend_update(model.tensors(), DefenseConfig(method=method), seed=0)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -377,7 +377,7 @@ def test_pruning_matches_the_reference(case, method, small, large, carried):
     large = large if method == "dgp" else 0.0
     cfg = DefenseConfig(method=method, prune_rate=small, dgp_small_rate=small, dgp_large_rate=large)
     residual = carry_in if method == "dgp" and carried else None
-    packets, carry = defense.defend_update(grads, cfg, residual=residual)
+    packets, carry = defense.defend_update(grads, cfg, seed=0, residual=residual)
     sent = defense.packets_to_gradset(packets, params)
     inputs = grads if residual is None else [t + c for t, c in zip(grads, residual)]
     for x, s in zip(inputs, sent):
@@ -397,7 +397,7 @@ def test_pruning_matches_the_reference(case, method, small, large, carried):
 def test_noise_is_drawn_in_wire_order(case, method, seed):
     params, grads, _ = case
     cfg = DefenseConfig(method=method, noise_scale=0.5)
-    packets, _ = defense.defend_update(grads, cfg, rng=np.random.default_rng(seed))
+    packets, _ = defense.defend_update(grads, cfg, seed=seed)
     ref = np.random.default_rng(seed)
     draw = ref.normal if method == "dp_gauss" else ref.laplace
     for t, s in zip(grads, defense.packets_to_gradset(packets, params)):
