@@ -14,7 +14,6 @@ low-rank defense pipeline on the dummy gradients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +65,18 @@ class AttackResult:
     restart: int  # index of the winning restart
 
 
+def _layer_vectors(grads: list):
+    """Per layer of a gradient set in wire order: (v, e, |v|), v its weight+bias
+    vector over any leading axes scaled exactly by 2**-e (linalg._unit_scale).
+    np.vecdot gives each slice's norm the bits it has alone (one BLAS dot)."""
+    for w, b in zip(grads[::2], grads[1::2]):
+        v, e = linalg._unit_scale(np.concatenate([w.reshape(*b.shape[:-1], -1), b], axis=-1), -1)
+        yield v, e, np.sqrt(np.vecdot(v, v))
+
+
 def _unit_vectors(observed: list) -> list:
-    """Each observed layer's weight+bias vector over its norm (None if zero),
-    scaled exactly first so that the norm cannot underflow or overflow."""
-    vs = [linalg._unit_scale(np.concatenate([w.ravel(), b]))[0]
-          for w, b in zip(observed[::2], observed[1::2])]
-    return [v / math.sqrt(v.dot(v)) if v.any() else None for v in vs]
+    """Each observed layer's weight+bias vector over its norm (None if zero)."""
+    return [v / n if n else None for v, _, n in _layer_vectors(observed)]
 
 
 def _distance_with_sens(observed: list, dummy: list, metric: str, units: list):
@@ -85,7 +90,7 @@ def _distance_with_sens(observed: list, dummy: list, metric: str, units: list):
     2 (w - o) over `dummy`: pass arrays you own."""
     lead = dummy[1].shape[:-1]
     total = None if metric == "l2" else np.zeros(lead)
-    sens = []
+    sens, vectors = [], _layer_vectors(dummy)
     for ow, ob, w, b, ou in zip(observed[::2], observed[1::2], dummy[::2], dummy[1::2], units):
         if metric == "l2":
             w -= ow
@@ -95,18 +100,16 @@ def _distance_with_sens(observed: list, dummy: list, metric: str, units: list):
             sens += [np.multiply(w, 2.0, out=w), np.multiply(b, 2.0, out=b)]
             continue
         # dummy vectors d are scaled exactly by 2**-e; 1 - cos(d, o) has the
-        # gradient (cos * d / |d| - o / |o|) / |d|, written over d
-        dvs, e = linalg._unit_scale(np.concatenate([w.reshape(*lead, -1), b], axis=-1), -1)
-        for j in np.ndindex(lead):
-            dv = dvs[j]  # Python floats: vectorized norms and dots round otherwise
-            nd = math.sqrt(dv.dot(dv))
-            if ou is None or nd == 0.0:
-                dv[...] = 0.0
-                continue
-            c = float(dv @ ou) / nd
-            total[j] += 1.0 - c
-            dv[...] = ((c / nd) * dv - ou) * math.ldexp(1.0 / nd, -int(e[j][0]))
-        sens += [dvs[..., :ow.size].reshape(w.shape), dvs[..., ow.size:]]
+        # gradient (cos * d / |d| - o / |o|) / |d|, and 0 where d or o is zero
+        d, e, nd = next(vectors)
+        zero = nd == 0.0
+        if ou is not None:  # else no arithmetic: 1 / |d| may overflow for nothing
+            nd = np.where(zero, 1.0, nd)[..., None]
+            c = np.vecdot(d, ou)[..., None] / nd
+            np.add(total, 1.0 - c[..., 0], out=total, where=~zero)
+            d = (c / nd * d - ou) * np.ldexp(1.0 / nd, -e)
+        d[zero | (ou is None)] = 0.0
+        sens += [d[..., :ow.size].reshape(w.shape), d[..., ow.size:]]
     return total, sens
 
 

@@ -203,25 +203,22 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
     elif (model.input_dim, model.num_classes) != (train.x.shape[1], spec.data.num_classes):
         raise InvalidInput(f"checkpoint has input dim {model.input_dim} and {model.num_classes} "
                            f"classes, the data {train.x.shape[1]} and {spec.data.num_classes}")
-    batches = pick_victim_batches(
-        train, spec.harness.n_examples, spec.harness.batch_size, spec.seed
-    )
-    rows = []
+    batches = pick_victim_batches(train, spec.harness.n_examples, spec.harness.batch_size,
+                                  spec.seed)
+    rows, csvs = [], {}  # every file's text, so a failure leaves no file
     for i, batch_indices in enumerate(batches):
         m, p, s, best = attack_one(model, train, batch_indices, spec, run_seed=i)
         rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s])
         if write_images:
             grid = np.concatenate([train.x[batch_indices[0]], best.reconstructed_batch[0]])
-            _write_atomic(os.path.join(out_dir, f"images_{i:03d}.csv"), _csv(
-                grid.reshape(-1, spec.data.side).tolist(),
-                ["# truth rows, then reconstruction rows"]))
+            csvs[f"images_{i:03d}.csv"] = _csv(grid.reshape(-1, spec.data.side).tolist(),
+                                               ["# truth rows, then reconstruction rows"])
     arr = np.array([row[3:] for row in rows])
-    rows.append(
-        ["mean", spec.fl.defense.method, spec.attack.adaptive,
-         float(arr[:, 0].mean()), float(arr[:, 1].mean()), float(arr[:, 2].mean())]
-    )
-    header = ["example_id", "defense", "attack_mode", "mse", "psnr", "ssim"]
-    _write_atomic(os.path.join(out_dir, "attack.csv"), _csv(rows, header))
+    rows.append(["mean", spec.fl.defense.method, spec.attack.adaptive,
+                 float(arr[:, 0].mean()), float(arr[:, 1].mean()), float(arr[:, 2].mean())])
+    csvs["attack.csv"] = _csv(rows, ["example_id", "defense", "attack_mode", "mse", "psnr", "ssim"])
+    for name, text in csvs.items():
+        _write_atomic(os.path.join(out_dir, name), text)
     return arr
 
 

@@ -67,6 +67,29 @@ class TestGradDistance:
         b = [np.ones((2, 2)), np.ones(2)]
         assert grad_distance(a, b, "neg_cosine_layerwise") == 0.0
 
+    def test_zero_restart_in_a_stack_is_computed_alone(self):
+        # restart 1 of three is all zero and the observed middle layer is zero:
+        # each slice gets the loss and sensitivities it gets alone, bit for bit,
+        # and the zero restart adds 0 and gets +0 everywhere
+        rng = np.random.default_rng(17)
+        shapes = [(5, 7), (5,), (4, 5), (4,), (3, 4), (3,)]
+        observed = [rng.normal(size=s) for s in shapes]
+        observed[2][:] = observed[3][:] = 0.0
+        dummy = [rng.normal(size=(3, *s)) for s in shapes]
+        for t in dummy:
+            t[1] = 0.0
+        units = attack._unit_vectors(observed)
+        assert [u is None for u in units] == [False, True, False]
+        metric = "neg_cosine_layerwise"
+        loss, sens = attack._distance_with_sens(observed, [t.copy() for t in dummy], metric, units)
+        for j in range(3):
+            alone, alone_sens = attack._distance_with_sens(observed, [t[j].copy() for t in dummy],
+                                                           metric, units)
+            assert loss[j].tobytes() == alone.tobytes()
+            assert [s[j].tobytes() for s in sens] == [s.tobytes() for s in alone_sens]
+        assert loss[1] == 0.0 and loss[0] > 0.0 and loss[2] > 0.0
+        assert all(s[1].tobytes() == bytes(s[1].nbytes) for s in sens)
+
     @pytest.mark.parametrize("metric", attack.DISTANCES)
     def test_leaves_its_arguments_alone(self, setup, metric):
         # one list passed as both gradient sets, as the oracle allows

@@ -1,5 +1,6 @@
 """Command-line behavior: config validation, outputs, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 
 from oracles import checkpoint_blob
 from svdlab import cli, flsim, metrics, schema, tinynn
-from svdlab.attack import AttackConfig
+from svdlab.attack import DISTANCES, AttackConfig
 from svdlab.defense import DefenseConfig
 from svdlab.flsim import DataConfig, FlConfig
 
@@ -384,6 +385,44 @@ class TestExitCodes:
         assert self.attack_scaled_checkpoint(tmp_path, 1e-160, overrides) == 0
         assert "Traceback" not in capsys.readouterr().err
 
+    SCALED_DEFENSES = [("none", "none"), ("svdefense", "defense_replay"), ("svdefense", "none"),
+                       ("prune", "prune_mask"), ("dp_gauss", "eot"), ("dgp", "prune_mask")]
+
+    def test_scaled_checkpoints_write_everything_or_exit_3(self, tmp_path, capsys):
+        # one layer's weights near either end of the double range, under each
+        # defense with its adaptive attacker and both distances: a run writes
+        # all its outputs, or nothing and one numerical-failure line (an
+        # exception or a numpy warning fails the test)
+        runs = {}
+        for layer, scale in itertools.product((0, 1), (1e-310, 1e-200, 1e200, 1e300)):
+            model = tinynn.init_model(64, [32], 4, seed=0)
+            model.layers[layer].weight *= scale
+            ckpt = tmp_path / f"{layer}_{scale:g}.bin"
+            ckpt.write_bytes(tinynn.model_bytes(model))
+            for (method, adaptive), distance in itertools.product(self.SCALED_DEFENSES,
+                                                                  DISTANCES):
+                case = (layer, scale, method, adaptive, distance)
+                path = write_config(tmp_path, {
+                    "fl.defense.method": method, "attack.adaptive": adaptive,
+                    "attack.distance": distance, "attack.iterations": 5,
+                    "attack.n_examples": 1, "attack.restarts": 2})
+                out = tmp_path / "_".join(map(str, case))
+                rc = cli.main(["attack", "--config", path, "--out", str(out),
+                               "--model", str(ckpt)])
+                lines = capsys.readouterr().err.splitlines()
+                runs[case] = rc, lines
+                written = sorted(p.name for p in out.iterdir())
+                if rc == 0:
+                    assert lines == [] and written == ["attack.csv", "images_000.csv"], case
+                else:
+                    assert rc == 3 and len(lines) == 1 and not written, (case, rc)
+                    assert lines[0].startswith("numerical failure: "), case
+        assert len(runs) == 96
+        # output weights near 1e-310 leave the dummy's first-layer vector so
+        # small that the cosine's sensitivity 1 / |d| is beyond the doubles
+        rc, lines = runs[(1, 1e-310, "none", "none", "neg_cosine_layerwise")]
+        assert rc == 3 and "an attack iteration" in lines[0]
+
     def test_unrepresentable_weighted_update_exits_3(self, tmp_path, capsys):
         # near 1e-170 the channel-weighted gradient (|g|^2) is below the
         # smallest double, so the defense cannot factor it
@@ -485,6 +524,7 @@ class TestExitCodes:
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert not any((tmp_path / "o" / out).exists() for out in outputs)
+        assert not list((tmp_path / "o").glob("images_*.csv"))
 
 
 class TestTrain:
@@ -627,12 +667,13 @@ class TestReadmeColumns:
 
 
 class TestBlasThreads:
-    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, distance):
         # train and attack --model in fresh interpreters under one and two
         # OpenBLAS threads write the same bytes
         path = write_config(tmp_path, {"fl.defense.method": "svdefense", "fl.rounds": 2,
                                        "attack.adaptive": "defense_replay",
-                                       "attack.iterations": 20})
+                                       "attack.distance": distance, "attack.iterations": 20})
         src = str(Path(cli.__file__).parents[1])
         outputs = []
         for threads in ("1", "2"):
