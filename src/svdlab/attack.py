@@ -117,7 +117,7 @@ def _replay_projectors(cache, beta: float) -> list:
     """(a, b, touched) for each layer, in layer order, of its stacked weight
     gradient g = delta^T act / n in a backprop cache. The defense replays as
     g -> a b^T g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds
-    the channel weights, scaled exactly to a maximum in [0.5, 1), and the
+    defense.channel_weights, the weights the defender sends, and the
     columns of u the left singular vectors of w g that the defense keeps. Its
     pullback is s -> b a^T s; touched says whether g is nonzero. g itself is
     never formed: a thin QR act^T = Q R gives g = K Q^T with K = delta^T R^T /
@@ -133,7 +133,7 @@ def _replay_projectors(cache, beta: float) -> list:
         delta[l, ..., :p_l], act[l, ..., :q_l] = deltas[l], acts[l]
     r = np.linalg.qr(act.swapaxes(-1, -2), mode="r")
     k_mat = delta.swapaxes(-1, -2) @ r.swapaxes(-1, -2) / act.shape[-2]
-    w = linalg._unit_scale(defense.channel_weights(k_mat), -1)[0][..., None]
+    w = defense.channel_weights(k_mat)[..., None]
     u, sig, _ = np.linalg.svd(w * k_mat, full_matrices=False)
     k = defense.rank_rule(sig, beta)[0]
     u = u * (np.arange(sig.shape[-1]) < k[..., None])[..., None, :]

@@ -92,29 +92,26 @@ def rank_rule(sigma, beta: float):
 
 
 def channel_weights(g: np.ndarray) -> np.ndarray:
-    """Per-row root-sum-square magnitudes of each (..., p, q) matrix, floored
-    so the diagonal weight matrix stays invertible. Each matrix is scaled by
-    an exact power of two first, so norms of tiny or huge rows stay exact."""
-    g = np.asarray(g, dtype=np.float64)
-    linalg.as_matrix(g.reshape(-1, g.shape[-1]) if g.ndim > 2 else g)  # finite, non-empty
-    unit, e = linalg._unit_scale(g, (-2, -1))
-    norms = np.ldexp(np.sqrt(np.square(unit).sum(axis=-1)), e[..., 0])
+    """Per-row root-sum-square magnitudes of each (..., p, q) matrix relative
+    to its largest row, floored so the diagonal weight matrix stays invertible,
+    and scaled exactly to a maximum in [0.5, 1): only their ratios matter, as
+    the server divides them out, so g and g * 2**e get the same weights."""
+    norms = np.sqrt(np.square(linalg._unit_scale(g, (-2, -1))[0]).sum(axis=-1))
     top = norms.max(axis=-1, keepdims=True)
-    return np.maximum(norms, np.where(top > 0.0, 1e-8 * top, 1e-12))
+    return linalg._unit_scale(np.maximum(norms, np.where(top > 0.0, 1e-8 * top, 1e-12)), -1)[0]
 
 
 def defend_grad_svd(g: np.ndarray, beta: float) -> DefensePacket:
     """Weighted truncation of one gradient matrix (rows = output channels):
-    channel weights, linalg.svd of the weighted matrix, then rank_rule on its
-    spectrum. An all-zero matrix keeps rank 0 (a p x 0 u_star, no sigma, a
-    0 x q vt_star, entropy 0); a nonzero one whose weighted product
-    underflows to zero raises NumericalFailure."""
+    rank_rule on the spectrum of w g, w its channel weights; g * 2**e changes
+    only sigma_star, by 2**e. An all-zero g keeps rank 0 (a p x 0 u_star, no
+    sigma, a 0 x q vt_star, entropy 0). NumericalFailure remains for subnormal
+    entries that w g rounds to zero and for sigma beyond the largest double."""
     g = linalg.as_matrix(g)
     weights = channel_weights(g)
-    with numerical_failure("the channel-weighted update"):
-        weighted = weights[:, None] * g
-    factors = linalg.svd(weighted)
-    if factors.sigma[0] == 0.0 and g.any():  # w g underflowed: g is too small to weight
+    with numerical_failure("the update's spectrum"):
+        factors = linalg.svd(weights[:, None] * g)
+    if factors.sigma[0] == 0.0 and g.any():  # w g underflowed: g's entries are subnormal
         raise NumericalFailure("all singular values are zero")
     k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(

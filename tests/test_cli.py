@@ -379,11 +379,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("adaptive", ["none", "defense_replay"])
     @pytest.mark.parametrize("distance", ["l2", "neg_cosine_layerwise"])
     def test_tiny_checkpoint_attacks_under_svdefense(self, tmp_path, capsys, distance, adaptive):
-        # gradients near 1e-160 square below the smallest double; the SVD,
-        # the replay and the cosine distance must still see their norms
+        # gradients near 1e-160 to 1e-200 square below the smallest double;
+        # the scale-free weighting, the SVD, the replay and the cosine
+        # distance must still see their norms
         overrides = {"attack.distance": distance, "attack.adaptive": adaptive}
-        assert self.attack_scaled_checkpoint(tmp_path, 1e-160, overrides) == 0
-        assert "Traceback" not in capsys.readouterr().err
+        for scale in (1e-160, 1e-170, 1e-200):
+            run = tmp_path / f"{scale:g}"
+            run.mkdir()
+            assert self.attack_scaled_checkpoint(run, scale, overrides) == 0, scale
+            assert capsys.readouterr().err == ""
+            assert (run / "o" / "attack.csv").exists() and (run / "o" / "images_000.csv").exists()
 
     SCALED_DEFENSES = [("none", "none"), ("svdefense", "defense_replay"), ("svdefense", "none"),
                        ("prune", "prune_mask"), ("dp_gauss", "eot"), ("dgp", "prune_mask")]
@@ -418,21 +423,26 @@ class TestExitCodes:
                     assert rc == 3 and len(lines) == 1 and not written, (case, rc)
                     assert lines[0].startswith("numerical failure: "), case
         assert len(runs) == 96
+        # the defense factors every representable update: a svdefense run
+        # completes or stops in an attack iteration
+        for (_, _, method, _, _), (rc, lines) in runs.items():
+            assert method != "svdefense" or rc == 0 or "an attack iteration" in lines[0]
         # output weights near 1e-310 leave the dummy's first-layer vector so
         # small that the cosine's sensitivity 1 / |d| is beyond the doubles
         rc, lines = runs[(1, 1e-310, "none", "none", "neg_cosine_layerwise")]
         assert rc == 3 and "an attack iteration" in lines[0]
 
     def test_unrepresentable_weighted_update_exits_3(self, tmp_path, capsys):
-        # near 1e-170 the channel-weighted gradient (|g|^2) is below the
-        # smallest double, so the defense cannot factor it
-        assert self.attack_scaled_checkpoint(tmp_path, 1e-170, {}) == 3
+        # near 1e-323 the gradient's entries are the smallest subnormals,
+        # which w g (w <= 1) rounds to zero, so the defense cannot factor it
+        assert self.attack_scaled_checkpoint(tmp_path, 1e-323, {}) == 3
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: all singular values are zero"]
+        assert not (tmp_path / "o" / "attack.csv").exists()
 
-    def test_overflowing_weighted_update_exits_3(self, tmp_path, capsys):
-        # a step of 1e100 leaves finite gradients whose channel-weighted
-        # product w g overflows before the defense can factor it
+    def test_diverging_local_training_exits_3(self, tmp_path, capsys):
+        # a step of 1e100 overflows a client's local training before its
+        # update reaches the defense
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"fl": {"rounds": 1, "local_lr": 1e100,
                                            "defense": {"method": "svdefense"}}}))
@@ -440,7 +450,7 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
-        assert "channel-weighted update" in lines[0]
+        assert "client" in lines[0] and "diverged in round 0" in lines[0]
 
     def test_overflowing_eval_exits_3(self, tmp_path, capsys):
         # noise of scale 1e300 aggregates to weights near 1e300, and the

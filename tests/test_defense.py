@@ -22,7 +22,7 @@ from svdlab.defense import (
     reconstruct_packet,
     serialize_packet,
 )
-from svdlab.errors import InvalidInput
+from svdlab.errors import InvalidInput, NumericalFailure
 
 
 def gradset_from(tensors):
@@ -99,17 +99,27 @@ class TestRankRule:
 
 class TestChannelWeights:
     def test_pythagorean_rows(self):
+        # relative row norms, floored, then scaled exactly to a maximum in [0.5, 1)
         w = channel_weights(np.array([[3.0, 4.0], [0.0, 0.0]]))
-        assert w[0] == pytest.approx(5.0)
-        assert 0.0 < w[1] <= 1e-7  # floored, not zero
+        assert w.tolist() == [0.625, 1e-8 * 0.625]
 
     def test_all_zero_rows(self):
         w = channel_weights(np.zeros((3, 4)))
-        assert np.all(w == 1e-12)
+        assert np.all(w == w[0]) and 0.5 <= w.max() < 1.0
 
     def test_tiny_rows_keep_their_norms(self):
-        # squares of 1e-170 underflow; the power-of-two scaling keeps them
-        assert channel_weights(np.full((3, 4), 1e-170)).tolist() == [2e-170] * 3
+        # squares of 1e-170 underflow; the power-of-two scaling gives them the
+        # weights of a copy whose squares do not
+        g = np.full((3, 4), 1e-170)
+        np.testing.assert_array_equal(channel_weights(g), channel_weights(np.ldexp(g, 600)))
+
+    def test_a_stack_is_weighted_slice_by_slice(self):
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(2, 3, 5, 7)) * 10.0 ** rng.integers(-300, 300, (2, 3, 1, 1))
+        g[1, 2] = 0.0
+        w = channel_weights(g)
+        for i, j in np.ndindex(2, 3):
+            np.testing.assert_array_equal(w[i, j], channel_weights(g[i, j]))
 
     def test_weighting_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -158,6 +168,32 @@ class TestDefendGradSvd:
         assert (pkt.u_star.shape, pkt.vt_star.shape) == ((4, 0), (0, 5))
         assert pkt.entropy == 0.0
         np.testing.assert_array_equal(reconstruct_packet(pkt), np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("beta", [0.3, 3.0, 10.0])
+    def test_power_of_two_scaling_is_exact(self, beta):
+        # the weights are scale-free and linalg.svd prescales, so 2**k g
+        # changes only sigma_star, by 2**k, across the double range
+        rng = np.random.default_rng(0)
+        full = rng.normal(size=(32, 64))
+        rank5 = rng.normal(size=(32, 5)) @ rng.normal(size=(5, 64))
+        for g in (full, rank5):
+            ref = defend_grad_svd(g, beta)
+            back = reconstruct_packet(ref)
+            for k in (-1000, -600, -300, 300, 600, 1000):
+                pkt = defend_grad_svd(np.ldexp(g, k), beta)
+                assert (len(pkt.sigma_star), pkt.entropy) == (len(ref.sigma_star), ref.entropy)
+                np.testing.assert_array_equal(reconstruct_packet(pkt), np.ldexp(back, k))
+
+    def test_subnormal_update_has_no_spectrum(self):
+        # w < 1 rounds entries of 5e-324 to zero: the one underflow left
+        with pytest.raises(NumericalFailure, match="all singular values are zero"):
+            defend_grad_svd(np.full((3, 4), 5e-324), beta=0.3)
+
+    def test_spectrum_beyond_the_doubles_raises(self):
+        # w = 1/2, so sigma = 2**1019 sqrt(32 * 64) overflows; a numpy warning
+        # would fail the test before the NumericalFailure
+        with pytest.raises(NumericalFailure, match="the update's spectrum is not finite"):
+            defend_grad_svd(np.full((32, 64), 2.0**1020), beta=0.3)
 
     @pytest.mark.parametrize("shape", [(1, 5), (6, 1)])
     def test_thin_matrices_keep_rank_one_losslessly(self, shape):
