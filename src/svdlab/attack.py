@@ -8,8 +8,9 @@ vanish almost everywhere), so no autodiff framework is involved and runs are
 bit-deterministic for a fixed seed.
 
 Adaptive modes mirror what an attacker who knows the defense would do:
-re-apply a detected prune mask, average away injected noise, or replay the
-low-rank defense pipeline on the dummy gradients.
+re-apply a detected prune mask (with the bound it puts on what was pruned),
+average away injected noise, or replay the low-rank defense pipeline on the
+dummy gradients.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class AttackConfig:
     lr: float = field(default=0.1, metadata={"gt": 0})
     adaptive: str = field(default="none", metadata={"choices": ADAPTIVE_MODES})
     eot_samples: int = field(default=1, metadata={"ge": 1})
-    seed: int = field(default=0, metadata={"derived": "seed"})
     # known to adaptive attackers
     defense: defense.DefenseConfig = field(
         default_factory=defense.DefenseConfig, metadata={"derived": "fl.defense"}
@@ -146,17 +146,19 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
     """(view, pullback): the dummy gradients as the adaptive attacker compares
     them, and the pullback of distance sensitivities through that view.
     Tensors carry a leading restart axis; restart j draws its EOT noise from
-    rngs[j]. The prune mask (`masks`, the observed nonzeros) is its own
-    pullback; eot and none pull back through the identity. The replay builds
+    rngs[j]. Under prune_mask, `masks` holds _known_zeros: off the observed
+    nonzeros m the view keeps only what exceeds the bound tau, 0 for the
+    true gradient, and the pullback passes m and those excesses; eot and
+    none pull back through the identity. The replay builds
     every restart's projector a b^T once from the tinynn.backprop `cache` and
     maps g -> a b^T g and s -> b a^T s (all-zero matrices pass). That
     pullback holds the projector fixed: it is the adjoint of a b^T, not the
     derivative of the defense, so finite differences do not check it."""
     mode = cfg.adaptive
     if mode == "prune_mask":
-        def mask(grads):
-            return [t * m for t, m in zip(grads, masks)]
-        return mask(dummy), mask
+        view = [np.where(m, t, t - np.clip(t, -tau, tau)) for t, (m, tau) in zip(dummy, masks)]
+        live = [m | (np.abs(t) > tau) for t, (m, tau) in zip(dummy, masks)]
+        return view, lambda sens: [s * keep for s, keep in zip(sens, live)]
     if mode != "defense_replay":
         if mode == "eot":
             d, n = cfg.defense, cfg.eot_samples
@@ -174,6 +176,14 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
         return ts
 
     return replayed(dummy, False), lambda sens: replayed(sens, True)
+
+
+def _known_zeros(observed: list, d: defense.DefenseConfig) -> list:
+    """(m, tau) per observed tensor: m its nonzeros, tau a bound on the
+    magnitudes the defense zeroed. prune zeroes none above the smallest it
+    keeps; other defenses give no bound (inf)."""
+    return [(t != 0.0, np.abs(t[t != 0.0]).min(initial=np.inf) if d.method == "prune" else np.inf)
+            for t in observed]
 
 
 def _mean_noise(rng: np.random.Generator, d: defense.DefenseConfig, n: int, shape) -> np.ndarray:
@@ -232,6 +242,7 @@ def run_attack(
     upload: list,
     cfg: AttackConfig,
     labels,
+    seed,
     restarts: int = 1,
 ) -> AttackResult:
     """Reconstruct the inputs behind one client's upload, the packet list
@@ -242,11 +253,11 @@ def run_attack(
     decodes to non-finite values, or an iteration that overflows, raises
     NumericalFailure.
 
-    Restart j, seeded with s = cfg.seed + 1000 * j (inputs from
-    default_rng(s), eot noise from default_rng([s, 1])), runs as slice j of
-    a leading axis of every array and computes exactly what it would alone;
-    the result is the best iterate of the first restart with the lowest
-    final distance.
+    Restart j draws its start inputs, then its eot noise, from
+    default_rng([*seed, j]) for the victim's key `seed`, ints set apart by
+    a tag, never by length (SeedSequence reads s as [s, 0]). It runs as
+    slice j of a leading axis and computes exactly what it would alone;
+    the result is the best iterate of the first lowest restart.
     """
     errors = cfg.validate()
     if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
@@ -266,10 +277,10 @@ def run_attack(
 
     # the restart-sized arrays come first: a restart count beyond memory fails here
     x, trace = np.empty((restarts, len(y), dim)), np.empty((restarts, cfg.iterations))
-    for j in range(restarts):
-        x[j] = np.random.default_rng(cfg.seed + 1000 * j).uniform(0.0, 1.0, size=(len(y), dim))
-    masks = [t != 0.0 for t in observed]
-    rngs = [np.random.default_rng([cfg.seed + 1000 * j, 1]) for j in range(restarts)]
+    rngs = [np.random.default_rng([*seed, j]) for j in range(restarts)]
+    for j, rng in enumerate(rngs):
+        x[j] = rng.uniform(0.0, 1.0, size=(len(y), dim))
+    masks = _known_zeros(observed, cfg.defense)
     units = _unit_vectors(observed)
     m_x, v_x = np.zeros_like(x), np.zeros_like(x)
 

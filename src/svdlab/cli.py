@@ -35,10 +35,11 @@ class AttackHarnessConfig:
     """How the attack evaluation samples victims.
 
     Each victim update is the gradient of a small batch: the target example
-    plus companions with distinct labels. batch_size 1 reproduces the
-    single-example setting (where plain low-rank truncation is lossless);
+    plus companions with distinct labels. batch_size 1 is the single-example
+    setting, where low-rank truncation is lossless and one division W_j / b_j
+    returns the input with no optimizer (every baseline defense leaks less);
     sizes 2-4 give the gradients genuine rank for the defenses to act on.
-    `restarts` runs the optimizer from that many seeds at once (see
+    `restarts` runs the optimizer from that many start points at once (see
     attack.run_attack) and keeps the run with the lowest gradient distance.
     """
 
@@ -102,7 +103,7 @@ def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
 
     spec, errors = schema.from_json(ExperimentSpec, raw)
     spec = replace(spec, fl=replace(spec.fl, seed=spec.seed),
-                   attack=replace(spec.attack, seed=spec.seed, defense=spec.fl.defense))
+                   attack=replace(spec.attack, defense=spec.fl.defense))
     errors.extend(spec.validate())
     return spec, errors
 
@@ -181,8 +182,8 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
         packets, _ = defense_mod.defend_update(
             grads, spec.fl.defense, [spec.seed, flsim._TAG_VICTIM_NOISE, run_seed]
         )
-    cfg = replace(spec.attack, seed=spec.seed + run_seed)
-    best = attack_mod.run_attack(model, packets, cfg, labels, restarts=spec.harness.restarts)
+    best = attack_mod.run_attack(model, packets, spec.attack, labels,
+                                 [spec.seed, flsim._TAG_ATTACK, run_seed], spec.harness.restarts)
     truth, recon = x[0], best.reconstructed_batch[0]
     return (
         metrics.mse(truth, recon),
@@ -195,7 +196,8 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
 def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_images=True):
     """Attack a sampled set of victims; emits the metric CSV and image dumps.
 
-    Returns the (victims, 3) array of their (mse, psnr, ssim).
+    attack.csv also names each victim's winning restart, best iteration and
+    final distance. Returns the (victims, 3) array of their (mse, psnr, ssim).
     """
     train, _, _, built_model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
     if model is None:
@@ -208,15 +210,17 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
     rows, csvs = [], {}  # every file's text, so a failure leaves no file
     for i, batch_indices in enumerate(batches):
         m, p, s, best = attack_one(model, train, batch_indices, spec, run_seed=i)
-        rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s])
+        rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s,
+                     best.restart, best.best_iteration, best.final_distance])
         if write_images:
             grid = np.concatenate([train.x[batch_indices[0]], best.reconstructed_batch[0]])
             csvs[f"images_{i:03d}.csv"] = _csv(grid.reshape(-1, spec.data.side).tolist(),
                                                ["# truth rows, then reconstruction rows"])
-    arr = np.array([row[3:] for row in rows])
+    arr = np.array([row[3:6] for row in rows])
     rows.append(["mean", spec.fl.defense.method, spec.attack.adaptive,
-                 float(arr[:, 0].mean()), float(arr[:, 1].mean()), float(arr[:, 2].mean())])
-    csvs["attack.csv"] = _csv(rows, ["example_id", "defense", "attack_mode", "mse", "psnr", "ssim"])
+                 *(float(np.mean(column)) for column in list(zip(*rows))[3:])])
+    csvs["attack.csv"] = _csv(rows, ["example_id", "defense", "attack_mode", "mse", "psnr", "ssim",
+                                     "restart", "best_iteration", "final_distance"])
     for name, text in csvs.items():
         _write_atomic(os.path.join(out_dir, name), text)
     return arr

@@ -30,6 +30,7 @@ _TAG_CLIENT_BATCHES = 5
 _TAG_DEFENSE_NOISE = 6
 _TAG_VICTIMS = 7  # cli.pick_victim_batches
 _TAG_VICTIM_NOISE = 8  # cli.attack_one
+_TAG_ATTACK = 9  # cli.attack_one: attack.run_attack's restart streams
 
 
 _AT_LEAST_1 = {"ge": 1}

@@ -314,6 +314,14 @@ def span_read(vt, priors, labels) -> np.ndarray:
     return (vt.T - design @ coef) @ coef[0]
 
 
+def bias_division_read(weight, bias) -> np.ndarray:
+    """The one-division read of a batch-1 input from layer 0's weight and
+    bias gradients: one sample's weight gradient row j is delta_j x and its
+    bias entry delta_j, so W_j / b_j is x; j is the row with the largest
+    |b_j|."""
+    j = int(np.argmax(np.abs(bias)))
+    return np.asarray(weight)[j] / bias[j]
+
 
 def _energy_fractions(sigma) -> np.ndarray:
     s = np.asarray(sigma, dtype=np.float64)

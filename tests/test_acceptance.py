@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bias_division_read,
     fedavg_reference,
     gram_singular_values,
     max_relative_grad_error,
@@ -57,8 +58,8 @@ def _study_batch(ds, target, size):
     return batch
 
 
-def _best_of(model, observed, cfg, labels):
-    return attack.run_attack(model, observed, cfg, labels=labels, restarts=ATTACK_RESTARTS)
+def _best_of(model, observed, cfg, labels, seed):
+    return attack.run_attack(model, observed, cfg, labels, seed, restarts=ATTACK_RESTARTS)
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +70,7 @@ def attack_study():
     svd_cfg = defense.DefenseConfig(method="svdefense", beta=0.3)
     prune_cfg = defense.DefenseConfig(method="prune", prune_rate=0.9)
     base = attack.AttackConfig(
-        distance="neg_cosine_layerwise", iterations=ATTACK_ITERS, lr=0.1, seed=0,
+        distance="neg_cosine_layerwise", iterations=ATTACK_ITERS, lr=0.1,
     )
     arms = {k: [] for k in ("none", "svdef", "replay", "prune_plain", "prune_adapt")}
     for i in range(ATTACK_TARGETS):
@@ -77,21 +78,22 @@ def attack_study():
         labels = ds.y[batch]
         truth = ds.x[i]
         grads = one_hot_grads(model, ds.x[batch], labels)
-        cfg = replace(base, seed=100 + i)
 
-        def run(observed, c):
-            best = _best_of(model, observed, c, labels)
+        def run(observed, c):  # restart j of target i draws from [100 + i, j]
+            best = _best_of(model, observed, c, labels, [100 + i])
             return metrics.mse(truth, best.reconstructed_batch[0])
 
-        arms["none"].append(run(upload(grads), cfg))
+        arms["none"].append(run(upload(grads), base))
         packets, _ = defense.defend_update(grads, svd_cfg, seed=0)
-        arms["svdef"].append(run(packets, cfg))
+        arms["svdef"].append(run(packets, base))
         arms["replay"].append(
-            run(packets, replace(cfg, adaptive="defense_replay", defense=svd_cfg))
+            run(packets, replace(base, adaptive="defense_replay", defense=svd_cfg))
         )
         pruned, _ = defense.defend_update(grads, prune_cfg, seed=0)
-        arms["prune_plain"].append(run(pruned, cfg))
-        arms["prune_adapt"].append(run(pruned, replace(cfg, adaptive="prune_mask")))
+        arms["prune_plain"].append(run(pruned, base))
+        arms["prune_adapt"].append(
+            run(pruned, replace(base, adaptive="prune_mask", defense=prune_cfg))
+        )
     return {k: np.array(v) for k, v in arms.items()}
 
 
@@ -427,4 +429,42 @@ def test_c16_closed_form_read_of_the_kept_factors():
         16, "closed-form read of the kept factors", ok,
         f"batch 3: mean residual cos {three.mean():+.3f}, {np.sum(three > 0.0)}/{len(three)} "
         f"positive; batch 1: min {one.min():+.3f}; {elapsed:.2f}s",
+    )
+
+
+def test_c19_one_division_returns_a_batch_1_input():
+    # at batch 1 the weight gradient is rank 1, so svdefense keeps all of it
+    # and the bias travels raw: W_j / b_j of the decoded upload returns the
+    # input to rounding with no optimizer at beta 0.3 and 10, while every baseline
+    # defense damages the read on all 20 targets
+    start = time.monotonic()
+    ds = data.make_synthetic(4, 30, 8, seed=11)
+    model = tinynn.init_model(64, [32], 4, seed=5)
+    arms = {
+        "svdefense 0.3": defense.DefenseConfig(method="svdefense", beta=0.3),
+        "svdefense 10": defense.DefenseConfig(method="svdefense", beta=10.0),
+        "none": defense.DefenseConfig(method="none"),
+        "prune 0.9": defense.DefenseConfig(method="prune", prune_rate=0.9),
+        "dgp": defense.DefenseConfig(method="dgp"),
+        "dp_gauss 0.01": defense.DefenseConfig(method="dp_gauss", noise_scale=0.01),
+        "dp_gauss 0.1": defense.DefenseConfig(method="dp_gauss", noise_scale=0.1),
+    }
+    errors = {name: [] for name in arms}
+    for i in range(ATTACK_TARGETS):
+        grads = one_hot_grads(model, ds.x[i : i + 1], ds.y[i : i + 1])
+        for name, cfg in arms.items():
+            packets, _ = defense.defend_update(grads, cfg, seed=0)
+            decoded = defense.packets_to_gradset(packets, model)
+            est = bias_division_read(decoded[0], decoded[1])
+            errors[name].append(float(np.max(np.abs(est - ds.x[i]))))
+    exact = {n: max(e) for n, e in errors.items() if n.startswith(("svdefense", "none"))}
+    damaged = {n: min(e) for n, e in errors.items() if n not in exact}
+    elapsed = time.monotonic() - start
+    ok = (len(errors["none"]) >= 20 and max(exact.values()) <= 1e-12
+          and min(damaged.values()) >= 0.05)
+    report(
+        19, "one division returns a batch-1 input", ok,
+        "largest error " + ", ".join(f"{n} {e:.1e}" for n, e in exact.items())
+        + "; smallest error " + ", ".join(f"{n} {e:.3f}" for n, e in damaged.items())
+        + f"; {elapsed:.2f}s",
     )

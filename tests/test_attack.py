@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (BROKEN_UPLOADS, broken_upload, grad_distance, one_hot_grads, reference_adam,
                      upload)
-from svdlab import attack, data, defense, tinynn
+from svdlab import attack, cli, data, defense, flsim, tinynn
 from svdlab.attack import AttackConfig, run_attack
 from svdlab.errors import InvalidConfig, InvalidInput
 
@@ -147,9 +147,10 @@ class TestInputGradients:
         observed, _ = tinynn.backprop(model, rng.uniform(0, 1, (3, 10)), obs_y)
         if adaptive == "prune_mask":  # zero about half the entries so the mask bites
             observed = [t * (rng.uniform(size=t.shape) < 0.5) for t in observed]
-        masks = [t != 0.0 for t in observed]
+        method = "prune" if adaptive == "prune_mask" else "dp_gauss"  # prune's bound bites too
         cfg = AttackConfig(distance=metric, adaptive=adaptive, eot_samples=2,
-                           defense=defense.DefenseConfig(method="dp_gauss", noise_scale=0.01))
+                           defense=defense.DefenseConfig(method=method, noise_scale=0.01))
+        masks = attack._known_zeros(observed, cfg.defense)
 
         def view(xv):  # eot draws the same noise on every evaluation
             dummy, cache = tinynn.backprop(model, xv, y)
@@ -187,17 +188,17 @@ class TestRunAttack:
         ds, model = setup
         x, labels = one(ds, 3)
         g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1, seed=0)
-        res = run_attack(model, upload(g), cfg, labels=labels)
+        cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1)
+        res = run_attack(model, upload(g), cfg, labels, [0])
         assert float(np.mean((res.reconstructed_batch[0] - x[0]) ** 2)) < 1e-2
 
     def test_deterministic(self, setup):
         ds, model = setup
         x, labels = batch_for(ds, 4)
         g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1, seed=9)
-        r1 = run_attack(model, upload(g), cfg, labels=labels)
-        r2 = run_attack(model, upload(g), cfg, labels=labels)
+        cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1)
+        r1 = run_attack(model, upload(g), cfg, labels, [9])
+        r2 = run_attack(model, upload(g), cfg, labels, [9])
         np.testing.assert_array_equal(r1.reconstructed_batch, r2.reconstructed_batch)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
@@ -208,11 +209,11 @@ class TestRunAttack:
         model = tinynn.init_model(16, [7], 4, seed=5)
         x, labels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), np.array([0, 1, 2])
         g = one_hot_grads(model, x, labels)
-        cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300, seed=11)
-        res = run_attack(model, upload(g), cfg, labels, restarts=2)
+        cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300)
+        res = run_attack(model, upload(g), cfg, labels, [11], restarts=2)
         assert res.best_iteration == 0
         assert len(np.unique(res.loss_trace)) == 1
-        start = np.random.default_rng(11 + 1000 * res.restart).uniform(0.0, 1.0, (3, 16))
+        start = np.random.default_rng([11, res.restart]).uniform(0.0, 1.0, (3, 16))
         np.testing.assert_array_equal(res.reconstructed_batch, start)
 
     @pytest.mark.parametrize("given", [
@@ -227,14 +228,14 @@ class TestRunAttack:
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig, match="need one label in"):
-            run_attack(model, upload(g), cfg, labels=given)
+            run_attack(model, upload(g), cfg, given, [0])
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_the_labels_fix_the_batch_size(self, setup, size):
         ds, model = setup
         x, labels = batch_for(ds, 7, size)
         g = one_hot_grads(model, x, labels)
-        res = run_attack(model, upload(g), AttackConfig(iterations=2), labels)
+        res = run_attack(model, upload(g), AttackConfig(iterations=2), labels, [0])
         assert res.reconstructed_batch.shape == (size, model.input_dim)
 
     def test_takes_unsigned_labels(self, setup):
@@ -242,8 +243,8 @@ class TestRunAttack:
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(iterations=2)
-        res = run_attack(model, upload(g), cfg, labels.astype(np.uint8))
-        ref = run_attack(model, upload(g), cfg, labels)
+        res = run_attack(model, upload(g), cfg, labels.astype(np.uint8), [0])
+        ref = run_attack(model, upload(g), cfg, labels, [0])
         np.testing.assert_array_equal(res.loss_trace, ref.loss_trace)
 
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
@@ -254,7 +255,7 @@ class TestRunAttack:
         packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"), seed=0)
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidInput):
-            run_attack(model, broken_upload(packets, how), cfg, labels=labels)
+            run_attack(model, broken_upload(packets, how), cfg, labels, [0])
 
     def test_rejects_a_gradset_of_other_shapes(self):
         model = tinynn.init_model(6, [3], 2, seed=0)
@@ -263,7 +264,7 @@ class TestRunAttack:
         cfg = AttackConfig(iterations=2)
         for observed in (wrong_shape, g[:2]):
             with pytest.raises(InvalidInput):
-                run_attack(model, upload(observed), cfg, labels=[1])
+                run_attack(model, upload(observed), cfg, [1], [0])
 
 
 ENGINE_DEFENSES = {
@@ -287,40 +288,67 @@ class TestEngine:
 
     @pytest.mark.parametrize("distance", attack.DISTANCES)
     @pytest.mark.parametrize("mode", attack.ADAPTIVE_MODES)
-    def test_restart_slices_equal_sequential_runs(self, setup, mode, distance):
+    def test_restart_slices_equal_sequential_runs(self, setup, monkeypatch, mode, distance):
+        # restart j's per-iteration distances are the same bits in a run of
+        # j + 1 restarts as in one of 3, and the winner is the first lowest:
+        # the run of win + 1 restarts returns exactly what the run of 3 does
         model, observed, labels, dcfg = self.observed_for(setup, mode)
         cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, adaptive=mode,
-                           eot_samples=2, seed=40, defense=dcfg)
-        batched = run_attack(model, observed, cfg, labels, restarts=3)
-        singles = [
-            run_attack(model, observed, replace(cfg, seed=40 + 1000 * j), labels)
-            for j in range(3)
-        ]
-        win = 0
-        for j in (1, 2):
-            if singles[j].final_distance < singles[win].final_distance:
-                win = j
-        best = singles[win]
-        assert batched.restart == win and best.restart == 0
-        np.testing.assert_array_equal(batched.loss_trace, best.loss_trace)
-        np.testing.assert_array_equal(batched.reconstructed_batch, best.reconstructed_batch)
-        assert batched.best_iteration == best.best_iteration
-        assert batched.final_distance == best.final_distance
+                           eot_samples=2, defense=dcfg)
+        losses, distance_with_sens = [], attack._distance_with_sens
 
-    def test_eot_noise_is_no_other_seeds_input_stream(self, setup, monkeypatch):
-        # cli.attack_one seeds victim i with seed + i; the eot stream of a run
-        # seeded s must not be the initial-input stream of the run seeded s + 1
-        model, observed, labels, dcfg = self.observed_for(setup, "eot")
-        states, mean_noise = [], attack._mean_noise
+        def recording(*args):
+            loss, sens = distance_with_sens(*args)
+            losses[-1].append(loss.copy())
+            return loss, sens
 
-        def capturing(rng, *args):
-            states.append(rng.bit_generator.state)
-            return mean_noise(rng, *args)
+        monkeypatch.setattr(attack, "_distance_with_sens", recording)
+        results = []
+        for restarts in (1, 2, 3):
+            losses.append([])
+            results.append(run_attack(model, observed, cfg, labels, [40], restarts=restarts))
+        traces = [np.array(t) for t in losses]  # (iterations, restarts)
+        for trace in traces:
+            assert trace.tobytes() == traces[-1][:, :trace.shape[1]].tobytes()
+        best = traces[-1].min(axis=0)
+        win = int(np.flatnonzero(best == best.min())[0])
+        batched, alone = results[-1], results[win]
+        assert batched.restart == alone.restart == win
+        assert (batched.loss_trace.tobytes() == alone.loss_trace.tobytes()
+                == traces[-1][:, win].tobytes())
+        np.testing.assert_array_equal(batched.reconstructed_batch, alone.reconstructed_batch)
+        assert batched.best_iteration == alone.best_iteration
+        assert batched.final_distance == alone.final_distance == best[win]
 
-        monkeypatch.setattr(attack, "_mean_noise", capturing)
-        cfg = AttackConfig(iterations=1, adaptive="eot", eot_samples=2, seed=40, defense=dcfg)
-        run_attack(model, observed, cfg, labels)
-        assert states[0] != np.random.default_rng(41).bit_generator.state
+    def test_no_two_random_streams_share_a_state(self, monkeypatch):
+        # every generator built by a one-round dp_gauss training run and by
+        # two eot victims of 2 restarts each starts from its own state: no
+        # restart replays another victim's restart (run_seed 0 and 1000) or
+        # a training stream (the training and test data draw from [s, 0] and
+        # [s, 1], which default_rng(s) and default_rng([s, 1]) would repeat)
+        dcfg = defense.DefenseConfig(method="dp_gauss", noise_scale=0.01)
+        spec = cli.ExperimentSpec(
+            seed=7, fl=flsim.FlConfig(rounds=1, defense=dcfg, seed=7),
+            attack=AttackConfig(iterations=3, adaptive="eot", eot_samples=2, defense=dcfg),
+            harness=cli.AttackHarnessConfig(restarts=2),
+        )
+        train, _, _, model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
+        batch = cli.pick_victim_batches(train, 1, spec.harness.batch_size, spec.seed)[0]
+        states, default_rng = [], np.random.default_rng
+
+        def recording(*args, **kwargs):
+            rng = default_rng(*args, **kwargs)
+            states.append(rng.bit_generator.state["state"])
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        flsim.run_experiment(spec.fl, spec.data, spec.hidden_dims)
+        trained = len(states)
+        for run_seed in (0, 1000):
+            cli.attack_one(model, train, batch, spec, run_seed)
+        keys = [(s["state"], s["inc"]) for s in states]
+        assert len(set(keys)) == len(keys)
+        assert len(keys) == trained + 2 * 3  # per victim: its noise, then 2 restarts
 
     @pytest.mark.parametrize("distance", attack.DISTANCES)
     @pytest.mark.parametrize("mode", attack.ADAPTIVE_MODES)
@@ -334,14 +362,14 @@ class TestEngine:
         dcfg = ENGINE_DEFENSES[mode]
         packets, _ = defense.defend_update(g, dcfg, seed=2)
         cfg = AttackConfig(distance=distance, iterations=4, lr=0.1, adaptive=mode,
-                           eot_samples=2, seed=40, defense=dcfg)
+                           eot_samples=2, defense=dcfg)
 
         def arrays():
             owned = [getattr(p, f.name) for p in packets for f in fields(p)]
             return [a for a in owned + [labels] + model.tensors() if isinstance(a, np.ndarray)]
 
         before = [a.copy() for a in arrays()]
-        run_attack(model, packets, cfg, labels, restarts=2)
+        run_attack(model, packets, cfg, labels, [40], restarts=2)
         after = arrays()
         assert len(after) == len(before)
         for a, a0 in zip(after, before):
@@ -359,7 +387,7 @@ class TestEngine:
         monkeypatch.setattr(tinynn, "forward_batch", counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
                            adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, cfg, labels, restarts=3)
+        run_attack(model, observed, cfg, labels, [0], restarts=3)
         assert len(calls) == 25
 
     def test_replay_factorizations_per_iteration(self, setup, monkeypatch):
@@ -374,7 +402,7 @@ class TestEngine:
             monkeypatch.setattr(np.linalg, name, counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
                            adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, cfg, labels=labels, restarts=3)
+        run_attack(model, observed, cfg, labels, [0], restarts=3)
         assert counts == {"qr": 25, "svd": 25}
 
     @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
@@ -382,7 +410,7 @@ class TestEngine:
         model, observed, labels, _ = self.observed_for(setup, "none")
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig):
-            run_attack(model, observed, cfg, labels=labels, restarts=restarts)
+            run_attack(model, observed, cfg, labels, [0], restarts=restarts)
 
 
 class TestAdaptiveTransforms:
@@ -394,12 +422,28 @@ class TestAdaptiveTransforms:
         ds, model = setup
         rng = np.random.default_rng(17)
         observed = [rng.normal(size=t.shape) for t in model.tensors()]
-        cfg_none = AttackConfig(distance="l2", iterations=10, lr=0.1, seed=3)
-        cfg_mask = AttackConfig(distance="l2", iterations=10, lr=0.1,
-                                seed=3, adaptive="prune_mask")
-        r1 = run_attack(model, upload(observed), cfg_none, labels=[0, 1, 2])
-        r2 = run_attack(model, upload(observed), cfg_mask, labels=[0, 1, 2])
+        cfg_none = AttackConfig(distance="l2", iterations=10, lr=0.1)
+        cfg_mask = AttackConfig(distance="l2", iterations=10, lr=0.1, adaptive="prune_mask")
+        r1 = run_attack(model, upload(observed), cfg_none, [0, 1, 2], [3])
+        r2 = run_attack(model, upload(observed), cfg_mask, [0, 1, 2], [3])
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
+
+    @pytest.mark.parametrize("method", ["prune", "dgp"])
+    def test_prune_mask_view_bounds_what_prune_zeroed(self, setup, method):
+        # the view of the true gradient is the upload. prune zeroes no
+        # magnitude above the smallest it keeps, so doubling the gradient
+        # shows off the mask; dgp also zeroes its largest entries, gives no
+        # bound, and its view is the mask alone
+        ds, model = setup
+        x, labels = batch_for(ds, 4)
+        grads = one_hot_grads(model, x, labels)
+        d = defense.DefenseConfig(method=method, prune_rate=0.9)
+        observed = defense.packets_to_gradset(defense.defend_update(grads, d, seed=0)[0], model)
+        cfg, masks = AttackConfig(adaptive="prune_mask", defense=d), attack._known_zeros(observed, d)
+        for scale in (1.0, 2.0):
+            view, _ = attack._adaptive_view(cfg, masks, [], [scale * g for g in grads], None)
+            masked_only = all(np.array_equal(v, scale * o) for v, o in zip(view, observed))
+            assert masked_only == (scale == 1.0 or method == "dgp")
 
     @pytest.mark.parametrize("mode, message", [
         ("eot", "adaptive 'eot' requires fl.defense.method dp_gauss or dp_lap with "
@@ -417,14 +461,14 @@ class TestAdaptiveTransforms:
         g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="eot", eot_samples=4)
         with pytest.raises(InvalidConfig):
-            run_attack(model, upload(g), cfg, labels=[0])
+            run_attack(model, upload(g), cfg, [0], [0])
 
     def test_replay_requires_defense_config(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="defense_replay")
         with pytest.raises(InvalidConfig):
-            run_attack(model, upload(g), cfg, labels=[0])
+            run_attack(model, upload(g), cfg, [0], [0])
 
     def test_replay_matches_defense_pipeline(self, setup):
         # the attacker's replay of the defense must reproduce what the

@@ -233,7 +233,7 @@ class TestConfigSchema:
             data=DataConfig(num_classes=4, per_class=20, per_class_test=5, side=8),
             fl=FlConfig(num_clients=4, clients_per_round=2, rounds=3, local_batch_size=8,
                         local_lr=0.5, defense=defense, seed=3),
-            attack=AttackConfig(distance="neg_cosine_layerwise", iterations=60, lr=0.1, seed=3,
+            attack=AttackConfig(distance="neg_cosine_layerwise", iterations=60, lr=0.1,
                                 defense=defense),
             harness=cli.AttackHarnessConfig(batch_size=3, n_examples=2, restarts=1),
             hidden_dims=(32,),
@@ -258,6 +258,22 @@ class TestConfigSchema:
         for key, choices in found.items():
             head = re.split(r"\. |; ", re.sub(r"\([^)]*\)", "", bullets[f"`{key}`"]))[0]
             assert tuple(re.findall(r"`([^`]+)`", head)) == choices, key
+
+    def test_config_holding_a_list_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config file {path} must hold a JSON object\n"
+
+    def test_sweep_values_that_are_not_numbers_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        rc = cli.main(["sweep", "--config", path, "--axis", "beta", "--values", "a,b",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: bad sweep values 'a,b'\n"
+        assert os.listdir(tmp_path / "o") == []
 
     def test_bad_sweep_value_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -563,11 +579,30 @@ class TestAttack:
         out = tmp_path / "atk"
         assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
         lines = (out / "attack.csv").read_text().splitlines()
-        assert lines[0] == "example_id,defense,attack_mode,mse,psnr,ssim"
+        assert lines[0] == ("example_id,defense,attack_mode,mse,psnr,ssim,"
+                            "restart,best_iteration,final_distance")
         assert len(lines) == 1 + 2 + 1  # rows + summary
         assert lines[-1].startswith("mean,")
         assert {p.name for p in out.iterdir()} == {"attack.csv", "images_000.csv",
                                                    "images_001.csv"}
+
+    def test_rows_name_the_restart_that_won(self, tmp_path):
+        # a victim's last three columns are attack_one's winning restart,
+        # best iteration and final distance; the mean row averages them
+        path = write_config(tmp_path, {"attack.restarts": 3, "attack.iterations": 10})
+        out = tmp_path / "atk"
+        assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "attack.csv").read_text().splitlines()[1:]]
+        spec, _ = cli.load_spec(path)
+        train, _, _, model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
+        batches = cli.pick_victim_batches(train, 2, 3, spec.seed)
+        wins = [cli.attack_one(model, train, b, spec, run_seed=i)[3] for i, b in enumerate(batches)]
+        for row, best in zip(rows, wins):
+            assert row[6:] == [str(best.restart), str(best.best_iteration),
+                               repr(best.final_distance)]
+        assert rows[-1][6:] == [repr(float(np.mean([b.restart for b in wins]))),
+                                repr(float(np.mean([b.best_iteration for b in wins]))),
+                                repr(float(np.mean([b.final_distance for b in wins])))]
 
     def test_byte_identical_rerun(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -778,14 +813,15 @@ class TestAttackOrderings:
 class TestIdxDataset:
     @staticmethod
     def write_idx(tmp_path, n=60, side=(8, 8), cut_images=0, cut_labels=0,
-                  label_values=(0, 1, 2)):
+                  label_values=(0, 1, 2), magic=2051, n_labels=None):
         import numpy as np
 
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(n, *side), dtype=np.uint8)
         labels = np.repeat(np.array(label_values, dtype=np.uint8), n // len(label_values))
-        img = struct.pack(">IIII", 2051, n, *side) + images.tobytes()
-        lab = struct.pack(">II", 2049, n) + labels.tobytes()
+        labels = labels[:n_labels]
+        img = struct.pack(">IIII", magic, n, *side) + images.tobytes()
+        lab = struct.pack(">II", 2049, len(labels)) + labels.tobytes()
         (tmp_path / "img.idx").write_bytes(img[: len(img) - cut_images])
         (tmp_path / "lab.idx").write_bytes(lab[: len(lab) - cut_labels])
         return write_config(
@@ -806,21 +842,24 @@ class TestIdxDataset:
         assert len((out / "rounds.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize(
-        "malformed",
+        "malformed, says",
         [
-            {"cut_images": 60 * 64 + 6},  # shorter than the 16-byte header
-            {"cut_images": 1},  # pixel payload short of count * rows * cols
-            {"cut_labels": 1},  # label payload short of its count
-            {"n": 0},  # zero images
+            ({"cut_images": 60 * 64 + 6}, "shorter than its 16-byte IDX header"),
+            ({"cut_images": 1}, "header declares 3840 payload bytes"),
+            ({"cut_labels": 1}, "header declares 60 payload bytes"),
+            ({"n": 0}, "holds no pixels"),
+            ({"magic": 2052}, "bad IDX magic 2052, expected 2051"),
+            ({"n_labels": 59}, "image/label counts differ"),
         ],
-        ids=["short_header", "short_pixels", "short_labels", "zero_images"],
+        ids=["short_header", "short_pixels", "short_labels", "zero_images", "bad_magic",
+             "one_label_short"],
     )
-    def test_malformed_idx_exits_2(self, tmp_path, capsys, malformed):
+    def test_malformed_idx_exits_2(self, tmp_path, capsys, malformed, says):
         path = self.write_idx(tmp_path, **malformed)
         rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
         lines = capsys.readouterr().err.splitlines()
         assert rc == 2
-        assert len(lines) == 1 and lines[0].startswith("input error: ")
+        assert len(lines) == 1 and lines[0].startswith("input error: ") and says in lines[0]
 
     @pytest.mark.parametrize(
         "mismatch, names",
