@@ -117,14 +117,14 @@ def _replay_projectors(cache, beta: float) -> list:
     """(a, b, touched) for each layer, in layer order, of its stacked weight
     gradient g = delta^T act / n in a backprop cache. The defense replays as
     g -> a b^T g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds
-    defense.channel_weights, the weights the defender sends, and the
-    columns of u the left singular vectors of w g that the defense keeps. Its
+    defense.channel_weights, the weights the defender sends, and the columns
+    of u the kept left singular vectors of w g, zero where g's row is. Its
     pullback is s -> b a^T s; touched says whether g is nonzero. g itself is
     never formed: a thin QR act^T = Q R gives g = K Q^T with K = delta^T R^T /
     n, p x min(n, q), and since Q^T has orthonormal rows, K has g's row norms,
-    singular values and left singular vectors. So w comes from K, u from one
-    SVD of w K, and k from defense.rank_rule, for all layers at once:
-    zero-padding to one shape changes no singular value or vector."""
+    singular values and left singular vectors. So w and g's zero rows come
+    from K, u from one SVD of w K, k from defense.rank_rule, for all layers at
+    once: zero-padding to one shape changes no singular value or vector."""
     acts, _, _, deltas = cache
     dims = [(d.shape[-1], a.shape[-1]) for a, d in zip(acts, deltas)]
     (p, q), lead = map(max, zip(*dims)), (len(dims), *acts[0].shape[:-1])
@@ -135,9 +135,9 @@ def _replay_projectors(cache, beta: float) -> list:
     k_mat = delta.swapaxes(-1, -2) @ r.swapaxes(-1, -2) / act.shape[-2]
     w = defense.channel_weights(k_mat)[..., None]
     u, sig, _ = np.linalg.svd(w * k_mat, full_matrices=False)
-    k = defense.rank_rule(sig, beta)[0]
-    u = u * (np.arange(sig.shape[-1]) < k[..., None])[..., None, :]
-    a, b, touched = u / w, w * u, k_mat.any(axis=(-2, -1))[..., None, None]
+    k, live = defense.rank_rule(sig, beta)[0], k_mat.any(axis=-1)[..., None]
+    u = u * ((np.arange(sig.shape[-1]) < k[..., None])[..., None, :] & live)
+    a, b, touched = u / w, w * u, live.any(axis=-2, keepdims=True)
     return [(a[l, ..., :p_l, :], b[l, ..., :p_l, :], touched[l])
             for l, (p_l, _) in enumerate(dims)]
 

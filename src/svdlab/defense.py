@@ -116,7 +116,7 @@ def defend_grad_svd(g: np.ndarray, beta: float) -> DefensePacket:
     k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(
         channel_weights=weights,
-        u_star=factors.u[:, :k].copy(),
+        u_star=factors.u[:, :k] * g.any(axis=1)[:, None],  # g's zero rows rebuild as zeros
         sigma_star=factors.sigma[:k].copy(),
         vt_star=factors.vt[:k].copy(),
         entropy=float(entropy),

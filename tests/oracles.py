@@ -16,9 +16,10 @@ writes a packet's bytes by hand to the wire layout HEADER_BYTES pins, and
 checkpoint_blob writes a checkpoint's bytes by hand.
 grad_distance, parameter_count and payload_bytes are the test suite's
 scalar views of the attack distance and of a packet's payload size; reference_adam is the
-attack's Adam step written out of place. span_read is an attacker that takes
-no optimizer: a least-squares read of a batch slot from a packet's kept
-factors.
+attack's Adam step written out of place. span_read and bias_division_read
+are attackers that take no optimizer: a least-squares read of a batch slot
+from a packet's kept factors, and one division of a layer-0 weight row by
+its bias entry.
 """
 
 import math
@@ -314,13 +315,20 @@ def span_read(vt, priors, labels) -> np.ndarray:
     return (vt.T - design @ coef) @ coef[0]
 
 
-def bias_division_read(weight, bias) -> np.ndarray:
-    """The one-division read of a batch-1 input from layer 0's weight and
-    bias gradients: one sample's weight gradient row j is delta_j x and its
-    bias entry delta_j, so W_j / b_j is x; j is the row with the largest
-    |b_j|."""
-    j = int(np.argmax(np.abs(bias)))
-    return np.asarray(weight)[j] / bias[j]
+def bias_division_read(weight, bias, prior=None) -> np.ndarray:
+    """The one-division read of an input from layer 0's weight and bias
+    gradients: one sample's weight gradient row j is delta_j x and its bias
+    entry delta_j, so W_j / b_j is x. j is the row with the largest |b_j|,
+    or, given the target's `prior` image, the live row (b_j != 0) whose
+    quotient is nearest it: in a larger batch, a row that only the target
+    activates still divides exactly."""
+    weight, bias = np.asarray(weight), np.asarray(bias)
+    if prior is None:
+        j = int(np.argmax(np.abs(bias)))
+        return weight[j] / bias[j]
+    live = bias != 0.0
+    quotients = weight[live] / bias[live, None]
+    return quotients[np.argmin(np.linalg.norm(quotients - prior, axis=1))]
 
 
 def _energy_fractions(sigma) -> np.ndarray:

@@ -7,6 +7,7 @@ fixed tolerances. Expensive attack arms are computed once in a shared
 fixture and reused.
 """
 
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -436,8 +437,16 @@ def test_c19_one_division_returns_a_batch_1_input():
     # at batch 1 the weight gradient is rank 1, so svdefense keeps all of it
     # and the bias travels raw: W_j / b_j of the decoded upload returns the
     # input to rounding with no optimizer at beta 0.3 and 10, while every baseline
-    # defense damages the read on all 20 targets
+    # defense damages the read on all 20 targets. At batches 2 and 3 each arm
+    # scores the larger mean residual cosine, against c16's priors, of two
+    # reads: the division by the live row whose quotient is nearest the
+    # target's prior, and c16's span read (of the kept vt, or of a raw
+    # weight's top 3 right singular vectors). The division still returns an
+    # undefended target exactly but reads svdefense at most +0.10; c16's read
+    # scores svdefense +0.19 to +0.22, between dp_gauss 0.1 and 0.01
     start = time.monotonic()
+    public = data.make_synthetic(4, 30, 8, seed=12)
+    priors = np.array([public.x[public.y == c].mean(axis=0) for c in range(4)])
     ds = data.make_synthetic(4, 30, 8, seed=11)
     model = tinynn.init_model(64, [32], 4, seed=5)
     arms = {
@@ -450,21 +459,46 @@ def test_c19_one_division_returns_a_batch_1_input():
         "dp_gauss 0.1": defense.DefenseConfig(method="dp_gauss", noise_scale=0.1),
     }
     errors = {name: [] for name in arms}
-    for i in range(ATTACK_TARGETS):
-        grads = one_hot_grads(model, ds.x[i : i + 1], ds.y[i : i + 1])
+    reads = {(size, name): [] for size in (2, 3) for name in arms}  # (span, division) cosines
+    for size, i in itertools.product((1, 2, 3), range(ATTACK_TARGETS)):
+        batch = _study_batch(ds, i, size)
+        labels = ds.y[batch]
+        grads = one_hot_grads(model, ds.x[batch], labels)
+        prior = priors[labels[0]]
+        residual = ds.x[i] - prior
         for name, cfg in arms.items():
             packets, _ = defense.defend_update(grads, cfg, seed=0)
             decoded = defense.packets_to_gradset(packets, model)
-            est = bias_division_read(decoded[0], decoded[1])
-            errors[name].append(float(np.max(np.abs(est - ds.x[i]))))
+            if size == 1:
+                est = bias_division_read(decoded[0], decoded[1])
+                errors[name].append(float(np.max(np.abs(est - ds.x[i]))))
+                continue
+            vt = packets[0].vt_star if packets[0].values is None else linalg.svd(decoded[0]).vt[:3]
+            ests = (span_read(vt, priors, labels),
+                    bias_division_read(decoded[0], decoded[1], prior) - prior)
+            reads[size, name].append([e @ residual / (np.linalg.norm(e) * np.linalg.norm(residual))
+                                      for e in ests])
     exact = {n: max(e) for n, e in errors.items() if n.startswith(("svdefense", "none"))}
     damaged = {n: min(e) for n, e in errors.items() if n not in exact}
+    span, division = ({key: float(np.mean(r, axis=0)[m]) for key, r in reads.items()}
+                      for m in (0, 1))
+    score = {key: max(span[key], division[key]) for key in reads}
     elapsed = time.monotonic() - start
     ok = (len(errors["none"]) >= 20 and max(exact.values()) <= 1e-12
-          and min(damaged.values()) >= 0.05)
+          and min(damaged.values()) >= 0.05
+          and all(division[size, "none"] > 0.999
+                  and division[size, "svdefense 0.3"] <= 0.10
+                  and division[size, "svdefense 10"] <= 0.10
+                  and score[size, "dp_gauss 0.1"] < score[size, "svdefense 0.3"]
+                  < score[size, "dp_gauss 0.01"]
+                  for size in (2, 3)))
     report(
-        19, "one division returns a batch-1 input", ok,
+        19, "reads with no optimizer: one division at batch 1, two reads at 2 and 3", ok,
         "largest error " + ", ".join(f"{n} {e:.1e}" for n, e in exact.items())
         + "; smallest error " + ", ".join(f"{n} {e:.3f}" for n, e in damaged.items())
+        + "".join(f"; batch {size} score (span, division) "
+                  + ", ".join(f"{n} {score[size, n]:+.3f} ({span[size, n]:+.3f}, "
+                              f"{division[size, n]:+.3f})" for n in arms)
+                  for size in (2, 3))
         + f"; {elapsed:.2f}s",
     )

@@ -505,6 +505,7 @@ class TestAdaptiveTransforms:
                                            defense.reconstruct_packet(pkt), rtol=0,
                                            atol=1e-8 * np.linalg.norm(g))
                 np.testing.assert_array_equal(out[2 * l + 1][j], sent[2 * l + 1].values)
+                assert not out[2 * l][j][~g.any(axis=1)].any()  # g's zero rows replay as zeros
 
     @pytest.mark.parametrize("beta", [0.3, 1000.0])  # 1000: T rounds to 1
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -518,11 +519,12 @@ class TestAdaptiveTransforms:
         deltas[0][1] = 0.0
         self.assert_replay_equals_the_defender(acts, deltas, beta)
 
-    @pytest.mark.parametrize("case", ["duplicated example", "dead layer", "n > q"])
+    @pytest.mark.parametrize("case", ["duplicated example", "dead layer", "n > q", "dead rows"])
     def test_rank_deficient_replay_equals_the_defender(self, case):
         # a batch holding one example twice (rank(act) < n), a restart whose
-        # activations into the second layer are all zero (R = 0), and a
-        # batch larger than every layer's input width
+        # activations into the second layer are all zero (R = 0), a batch
+        # larger than every layer's input width, and units that no example
+        # of the batch reaches (zero delta columns, so zero rows of g)
         rng = np.random.default_rng(8)
         n, shapes = (9, [(6, 4), (3, 5)]) if case == "n > q" else (4, [(32, 64), (4, 32)])
         deltas = [rng.normal(size=(3, n, p)) for p, _ in shapes]
@@ -532,6 +534,9 @@ class TestAdaptiveTransforms:
                 t[:, 1] = t[:, 0]
         if case == "dead layer":
             acts[1][2] = 0.0
+        if case == "dead rows":
+            deltas[0][..., [0, 1, 17]] = 0.0
+            deltas[1][1:, :, 0] = 0.0
         for beta in (0.3, 1000.0):
             self.assert_replay_equals_the_defender(acts, deltas, beta)
 

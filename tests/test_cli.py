@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -711,6 +712,22 @@ class TestReadmeColumns:
             assert listed[name] == (out / name).read_text().splitlines()[0], name
 
 
+def cli_env(**overrides):
+    """This process's environment, with svdlab's source first on PYTHONPATH
+    and `overrides` set (None removes a variable), for a fresh interpreter."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **overrides}
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time,
+    so that OPENBLAS_CORETYPE can force another one."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
 class TestBlasThreads:
     @pytest.mark.parametrize("distance", DISTANCES)
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, distance):
@@ -719,12 +736,10 @@ class TestBlasThreads:
         path = write_config(tmp_path, {"fl.defense.method": "svdefense", "fl.rounds": 2,
                                        "attack.adaptive": "defense_replay",
                                        "attack.distance": distance, "attack.iterations": 20})
-        src = str(Path(cli.__file__).parents[1])
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads_{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            env = cli_env(OPENBLAS_NUM_THREADS=threads)
             for args in (["train"], ["attack", "--model", str(out / "model.bin")]):
                 subprocess.run([sys.executable, "-m", "svdlab.cli", *args, "--config", path,
                                 "--out", str(out if args == ["train"] else out / "atk")],
@@ -735,17 +750,36 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
+class TestBlasKernels:
+    @pytest.mark.skipif(platform.machine() != "x86_64" or not dynamic_arch_openblas(),
+                        reason="needs an x86_64 OpenBLAS built with DYNAMIC_ARCH")
+    def test_svdefense_model_agrees_across_kernels(self, tmp_path):
+        # 3 default svdefense rounds under the host's kernel and under
+        # Prescott's (SSE3, which every x86_64 CPU numpy runs on has). The
+        # kernels round differently, but a channel no client touched rebuilds
+        # as zeros, not as rounding noise over the 1e-8 weight floor, so the
+        # models agree as closely as the other methods' do
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"fl": {"rounds": 3, "defense": {"method": "svdefense"}}}))
+        models = []
+        for coretype in (None, "Prescott"):
+            out = tmp_path / (coretype or "host")
+            subprocess.run([sys.executable, "-m", "svdlab.cli", "train", "--config", str(path),
+                            "--out", str(out)], env=cli_env(OPENBLAS_CORETYPE=coretype),
+                           check=True, capture_output=True, timeout=60)
+            models.append(tinynn.load_model(out / "model.bin"))
+        for host, forced in zip(*(m.tensors() for m in models)):
+            assert np.abs(host - forced).max() <= 1e-12 * np.abs(host).max()
+
+
 class TestMainModule:
     def test_profiled_run_writes_what_the_plain_run_writes(self, tmp_path):
         # under cProfile the run's __main__ is the profiler's, not cli.py's
         path = write_config(tmp_path, {"fl.rounds": 1})
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-m", "cProfile", "-o", str(tmp_path / "prof.out"),
                         "-m", "svdlab.cli", "train", "--config", path,
                         "--out", str(tmp_path / "profiled")],
-                       env=env, check=True, capture_output=True, timeout=60)
+                       env=cli_env(), check=True, capture_output=True, timeout=60)
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "plain")]) == 0
         for name in ("rounds.csv", "model.bin"):
             assert ((tmp_path / "profiled" / name).read_bytes()
@@ -813,7 +847,7 @@ class TestAttackOrderings:
 class TestIdxDataset:
     @staticmethod
     def write_idx(tmp_path, n=60, side=(8, 8), cut_images=0, cut_labels=0,
-                  label_values=(0, 1, 2), magic=2051, n_labels=None):
+                  label_values=(0, 1, 2), magic=2051, n_labels=None, config=None):
         import numpy as np
 
         rng = np.random.default_rng(0)
@@ -832,6 +866,7 @@ class TestIdxDataset:
                 "data.num_classes": 3,
                 "fl.num_clients": 3,
                 "fl.rounds": 2,
+                **(config or {}),
             },
         )
 
@@ -860,6 +895,29 @@ class TestIdxDataset:
         lines = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert len(lines) == 1 and lines[0].startswith("input error: ") and says in lines[0]
+
+    @pytest.mark.parametrize(
+        "command, files, config, says",
+        [("attack", {"label_values": (0, 1)}, {"attack.batch_size": 3},
+          "not enough distinct labels for the requested attack batch size"),
+         ("train", {}, {"data.per_class_test": 20},
+          "IDX dataset too small for the requested test split"),
+         ("train", {}, {"fl.partition_scheme": "rho", "fl.num_clients": 11,
+                        "data.per_class_test": 10},
+          "a client shard came out empty; add data or clients")],
+        ids=["two_labels_batch_3", "test_split_takes_every_example", "empty_rho_shard"],
+    )
+    def test_data_too_small_for_the_config_exits_2(self, tmp_path, capsys, command, files,
+                                                    config, says):
+        # the config is valid, and only the loaded files make it unworkable:
+        # 2 distinct labels for a batch of 3 (data.num_classes is 3), 20 test
+        # examples of a class of 20, and 11 rho clients sharing a class's 10
+        # training examples, so the last client's slice of every class is
+        # empty; 2 clients a round throughout
+        path = self.write_idx(tmp_path, config={"fl.clients_per_round": 2, **config}, **files)
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {says}"]
 
     @pytest.mark.parametrize(
         "mismatch, names",

@@ -36,6 +36,16 @@ def model_like(grads):
     return tinynn.ModelParams([tinynn.LayerParams(w, b)])
 
 
+DEAD_ROWS = [1, 17]
+
+
+def with_dead_rows(g):
+    """A copy of the weight update `g` whose DEAD_ROWS are exactly zero."""
+    g = np.array(g, dtype=float)
+    g[DEAD_ROWS] = 0.0
+    return g
+
+
 def defended(grads, cfg, seed=0, **kwargs):
     """The one-layer upload defend_update makes of `grads`, as the server
     decodes it, and the residual."""
@@ -176,13 +186,25 @@ class TestDefendGradSvd:
         rng = np.random.default_rng(0)
         full = rng.normal(size=(32, 64))
         rank5 = rng.normal(size=(32, 5)) @ rng.normal(size=(5, 64))
-        for g in (full, rank5):
+        for g in (full, rank5, with_dead_rows(rank5)):
             ref = defend_grad_svd(g, beta)
             back = reconstruct_packet(ref)
             for k in (-1000, -600, -300, 300, 600, 1000):
                 pkt = defend_grad_svd(np.ldexp(g, k), beta)
                 assert (len(pkt.sigma_star), pkt.entropy) == (len(ref.sigma_star), ref.entropy)
                 np.testing.assert_array_equal(reconstruct_packet(pkt), np.ldexp(back, k))
+
+    @pytest.mark.parametrize("beta", [0.3, 10.0, 1000.0])
+    def test_dead_rows_rebuild_as_exact_zeros(self, beta):
+        # a channel the client never touched (a ReLU unit no sample activates)
+        # comes back through the wire as zeros, not as LAPACK rounding noise
+        # divided by the 1e-8 weight floor
+        rng = np.random.default_rng(0)
+        g = with_dead_rows(rng.normal(size=(32, 5)) @ rng.normal(size=(5, 64)))
+        sent = deserialize_packet(serialize_packet(defend_grad_svd(g, beta)), g.shape)
+        back = reconstruct_packet(sent)
+        assert np.all(back[DEAD_ROWS] == 0.0)
+        assert np.all(back[np.any(g, axis=1)].any(axis=1))
 
     def test_subnormal_update_has_no_spectrum(self):
         # w < 1 rounds entries of 5e-324 to zero: the one underflow left
