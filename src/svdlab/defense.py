@@ -139,15 +139,37 @@ def noise(rng: np.random.Generator, cfg: DefenseConfig, size) -> np.ndarray:
     return draw(0.0, cfg.noise_scale, size)
 
 
+def _at_or_above(mag: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the entries of `mag` from position m, 0 < m < n, of the
+    ascending order in which, of equal magnitudes, the lower flat index comes
+    later; `s` is np.sort(mag). A tie group is split by flat index only if it
+    straddles m."""
+    v = s[m]
+    if s[m - 1] < v:
+        return mag >= v
+    above = mag > v
+    ties = np.flatnonzero(mag == v)
+    above[ties[: np.searchsorted(s, v, "right") - m]] = True
+    return above
+
+
 def _pruned(t: np.ndarray, small_rate: float, large_rate: float = 0.0) -> np.ndarray:
-    """`t` with its floor(large_rate n) largest and floor(small_rate n)
-    smallest magnitudes zeroed; of equal magnitudes the lower flat index
-    counts as the larger."""
-    flat = t.ravel().copy()
-    order = np.argsort(-np.abs(flat), kind="stable")
-    flat[order[: math.floor(large_rate * flat.size)]] = 0.0
-    flat[order[flat.size - math.floor(small_rate * flat.size) :]] = 0.0
-    return flat.reshape(t.shape)
+    """A copy of the NaN-free `t` with its floor(large_rate n) largest and
+    floor(small_rate n) smallest magnitudes zeroed, rates in [0, 1); -0.0
+    has magnitude 0, and of equal magnitudes the lower flat index counts as
+    the larger. The cuts are read off the sorted magnitudes, a sort of
+    values that any sort algorithm returns alike."""
+    flat = t.ravel()
+    n = flat.size
+    n_small, n_large = math.floor(small_rate * n), math.floor(large_rate * n)
+    mag = np.abs(flat)
+    s = np.sort(mag)
+    keep = True
+    if n_small:
+        keep = _at_or_above(mag, s, n_small)
+    if n_large:
+        keep = keep & ~_at_or_above(mag, s, n - n_large)
+    return np.where(keep, flat, 0.0).reshape(t.shape)
 
 
 def _defend_tensor(t: np.ndarray, cfg: DefenseConfig, rng, carried):

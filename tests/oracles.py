@@ -16,10 +16,11 @@ writes a packet's bytes by hand to the wire layout HEADER_BYTES pins, and
 checkpoint_blob writes a checkpoint's bytes by hand.
 grad_distance, parameter_count and payload_bytes are the test suite's
 scalar views of the attack distance and of a packet's payload size; reference_adam is the
-attack's Adam step written out of place. span_read and bias_division_read
-are attackers that take no optimizer: a least-squares read of a batch slot
-from a packet's kept factors, and one division of a layer-0 weight row by
-its bias entry.
+attack's Adam step written out of place, and reference_pruned the pruning
+defenses' rule by a Python sort of (magnitude, index) keys. span_read and
+bias_division_read are attackers that take no optimizer: a least-squares
+read of a batch slot from a packet's kept factors, and one division of a
+layer-0 weight row by its bias entry.
 """
 
 import math
@@ -157,6 +158,16 @@ def reference_adam(p, g, m, v, t: int, lr: float):
     p = p - lr * (m / (1 - attack.ADAM_BETA1**t)) / (
         np.sqrt(v / (1 - attack.ADAM_BETA2**t)) + attack.ADAM_EPS)
     return p, m, v
+
+
+def reference_pruned(x, small: float, large: float) -> np.ndarray:
+    """x with the entries ranked by (-|x|, flat index) zeroed at the first
+    floor(large n) and the last floor(small n) ranks."""
+    flat = x.ravel().tolist()
+    n = len(flat)
+    rank = {i: r for r, i in enumerate(sorted(range(n), key=lambda i: (-abs(flat[i]), i)))}
+    lo, hi = math.floor(large * n), n - math.floor(small * n)
+    return np.array([v if lo <= rank[i] < hi else 0.0 for i, v in enumerate(flat)]).reshape(x.shape)
 
 
 def max_relative_grad_error(analytic: list, numeric: list, floor=1e-6) -> float:

@@ -7,8 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import (HEADER_BYTES, energy_rank, parameter_count, singular_entropy,
-                     truncate_by_energy, wire_blob)
+from oracles import (HEADER_BYTES, energy_rank, parameter_count, reference_pruned,
+                     singular_entropy, truncate_by_energy, wire_blob)
 from svdlab import defense, linalg, tinynn
 from svdlab.defense import (
     DefenseConfig,
@@ -320,6 +320,39 @@ class TestBaselines:
         out2, res2 = defended(g2, cfg, residual=res1)
         effective = g2[0] + res1[0]
         np.testing.assert_array_equal(effective - out2[0], res2[0])
+
+    @pytest.mark.parametrize("shape", [(32, 64), (32,), (4, 32), (4,)])
+    def test_cuts_inside_tie_groups_match_the_reference(self, shape):
+        """The default model's shapes, drawn from few magnitudes so that the
+        cuts fall inside tie groups: at prune 0.9, at dgp's defaults, at
+        rates that cut 0, 1 and n - 1 entries from either end, and at the
+        end of the zeros and of the largest magnitudes, between two groups."""
+        entries = [0.0, -0.0, 1e-300, 1.0, -1.0, 2.5, -2.5]
+        x = np.random.default_rng(10).choice(entries, size=shape)
+        n = x.size
+        small_counts = (0, 1, n - 1, np.count_nonzero(x == 0.0))
+        large_counts = (0, 1, n - 1, np.count_nonzero(np.abs(x) == 2.5))
+        cases = [(0.9, 0.0), (0.75, 0.05), *(((c + 0.5) / n, 0.0) for c in small_counts),
+                 *((0.0, (c + 0.5) / n) for c in large_counts)]
+        if n == 2048:  # every cut splits a tie group
+            s = np.sort(np.abs(x), axis=None)
+            assert all(s[m - 1] == s[m] for m in (1, 1536, 1843, 1946, 2047))
+        for small, large in cases:
+            want = reference_pruned(x, small, large)
+            assert defense._pruned(x, small, large).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method, carried", [("prune", False), ("dgp", False), ("dgp", True)])
+    def test_packets_and_carry_own_their_values(self, method, carried):
+        rng = np.random.default_rng(11)
+        grads = gradset_from([(rng.normal(size=(4, 6)), rng.normal(size=4))])
+        residual = [rng.normal(size=t.shape) for t in grads] if carried else None
+        inputs = grads + (residual or [])
+        before = [t.copy() for t in inputs]
+        packets, carry = defend_update(grads, DefenseConfig(method=method), 0, residual=residual)
+        for written in [p.values for p in packets] + (carry or []):
+            written[...] = 7.0
+        for t, b in zip(inputs, before):
+            np.testing.assert_array_equal(t, b)
 
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(8)

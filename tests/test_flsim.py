@@ -247,6 +247,12 @@ class TestAggregate:
                 (1, 0.0), (1, 0.0)]
             assert weights[tid].tolist() == (counts / counts.sum()).tolist()
 
+    def test_no_updates_are_refused(self, tiny_setup):
+        # the CLI's clients_per_round >= 1 stops this first, so only a direct call reaches it
+        model = tiny_setup[-1]
+        with pytest.raises(InvalidInput, match="no updates to aggregate"):
+            aggregate(model, [])
+
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
     @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_rejects_broken_upload(self, tiny_setup, method, how):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import HEADER_BYTES, payload_bytes, transposed, wire_blob
+from oracles import HEADER_BYTES, payload_bytes, reference_pruned, transposed, wire_blob
 from svdlab import cli, defense, linalg, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
@@ -356,16 +356,6 @@ def _uploads(draw):
     return params, grads, carry
 
 
-def _reference_pruned(x, small, large):
-    """x with the entries ranked by (-|x|, flat index) zeroed at the first
-    floor(large n) and the last floor(small n) ranks."""
-    flat = x.ravel().tolist()
-    n = len(flat)
-    rank = {i: r for r, i in enumerate(sorted(range(n), key=lambda i: (-abs(flat[i]), i)))}
-    lo, hi = math.floor(large * n), n - math.floor(small * n)
-    return np.array([v if lo <= rank[i] < hi else 0.0 for i, v in enumerate(flat)]).reshape(x.shape)
-
-
 RATES = st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
 
 
@@ -381,7 +371,7 @@ def test_pruning_matches_the_reference(case, method, small, large, carried):
     sent = defense.packets_to_gradset(packets, params)
     inputs = grads if residual is None else [t + c for t, c in zip(grads, residual)]
     for x, s in zip(inputs, sent):
-        np.testing.assert_array_equal(s, _reference_pruned(x, small, large))
+        np.testing.assert_array_equal(s, reference_pruned(x, small, large))
         if small == large == 0.0:  # a zero rate zeroes nothing
             np.testing.assert_array_equal(s, x)
     if method == "prune":

@@ -143,6 +143,14 @@ class TestSgdStep:
         for a, b in zip(model.layers, new.layers):
             np.testing.assert_allclose(a.weight, b.weight, atol=1e-290)
 
+    @pytest.mark.parametrize("lr", [0.0, -0.5])
+    def test_rejects_a_learning_rate_that_is_not_positive(self, lr):
+        # the CLI's fl.local_lr > 0 stops this first, so only a direct call reaches it
+        model = small_model()
+        grads = [np.zeros_like(t) for t in model.tensors()]
+        with pytest.raises(InvalidInput, match="learning rate must be positive"):
+            sgd_step(model, grads, lr)
+
     def test_two_steps_differ_from_one_summed(self):
         # recomputing gradients between steps matters; guard against
         # accidentally linearizing local training
