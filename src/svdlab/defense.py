@@ -175,7 +175,7 @@ def _pruned(t: np.ndarray, small_rate: float, large_rate: float = 0.0) -> np.nda
 def _defend_tensor(t: np.ndarray, cfg: DefenseConfig, rng, carried):
     """(packet, dgp carry) for one tensor of an upload, a 2-D weight or a
     1-D bias; the carry is None outside dgp."""
-    method, carry = cfg.method, None
+    method, carry, given = cfg.method, None, t
     if method == "svdefense" and t.ndim == 2:
         return defend_grad_svd(t, cfg.beta), None
     if method in NOISE_METHODS and cfg.noise_scale > 0.0:
@@ -186,7 +186,7 @@ def _defend_tensor(t: np.ndarray, cfg: DefenseConfig, rng, carried):
         t = t if carried is None else t + carried
         kept = _pruned(t, cfg.dgp_small_rate, cfg.dgp_large_rate)
         t, carry = kept, t - kept
-    return DefensePacket(values=t.copy()), carry
+    return DefensePacket(values=t.copy() if t is given else t), carry  # never share `given`
 
 
 def defend_update(grads: list, cfg: DefenseConfig, seed, residual: list | None = None):
@@ -224,18 +224,21 @@ def serialize_packet(packet: DefensePacket) -> bytes:
     """Little-endian layout.
 
     header: code u8, k u32. The tensor's id is its position in the upload
-    and its shape, (p, q) or (p,), is the model's, so with k they fix the
-    payload size. svd payload (code 1): diag (p), u_star (p*k), sigma_star
-    (k), vt_star (k*q), entropy (1), all f64. A raw packet (code 2) of n
-    values: np.packbits of the n-entry mask of stored values, those whose
-    bits are not all zero (so -0.0 is stored and +0.0 is not), then the k
-    stored values as f64 in flat order.
+    and its shape, (p, q) or (p,), is the model's. svd payload (code 1):
+    np.packbits of the p-entry mask of u_star's rows that hold a nonzero
+    entry, then as f64 the channel weights (p), the marked rows of u_star,
+    sigma_star (k), vt_star (k*q) and the entropy (1), so code, shape, k
+    and the mask fix the size. A raw packet (code 2) of n values:
+    np.packbits of the n-entry mask of stored values, those whose bits are
+    not all zero (so -0.0 is stored and +0.0 is not), then the k stored
+    values as f64 in flat order.
     """
     if packet.values is None:
-        parts = (packet.channel_weights, packet.u_star, packet.sigma_star, packet.vt_star,
+        rows = packet.u_star.any(axis=1)
+        parts = (packet.channel_weights, packet.u_star[rows], packet.sigma_star, packet.vt_star,
                  np.array([packet.entropy]))  # tobytes writes row-major
         code, k = _SVD, packet.sigma_star.size
-        payload = b"".join(a.astype(_F8).tobytes() for a in parts)
+        payload = np.packbits(rows).tobytes() + b"".join(a.astype(_F8).tobytes() for a in parts)
     else:
         values = np.asarray(packet.values, dtype=_F8).ravel()
         stored = values.view(_U8).astype(bool)
@@ -245,17 +248,23 @@ def serialize_packet(packet: DefensePacket) -> bytes:
     return struct.pack("<BI", code, k) + payload
 
 
+def _mask(blob: bytes, at: int, n: int) -> np.ndarray:
+    """The positions of the set bits of the n-entry bitmap at byte `at` of
+    `blob`; InvalidInput if the blob ends inside it or a pad bit is set."""
+    end = at + -(-n // 8)
+    if len(blob) < end or n % 8 and blob[end - 1] & (0xFF >> n % 8):
+        raise InvalidInput(f"packet of {len(blob)} bytes cuts its {n}-entry mask short or sets "
+                           "a pad bit")
+    return np.unpackbits(np.frombuffer(blob, np.uint8, end - at, at)).view(bool).nonzero()[0]
+
+
 def _raw_values(blob: bytes, n: int, k: int) -> np.ndarray:
     """The n values of a raw payload whose size is checked; InvalidInput for
     an encoding serialize_packet would not have written."""
-    n_mask = -(-n // 8)
-    pad_bits = n % 8 and blob[_HEADER_BYTES + n_mask - 1] & (0xFF >> n % 8)
-    mask = np.unpackbits(np.frombuffer(blob, np.uint8, n_mask, _HEADER_BYTES), count=n)
-    where = mask.view(bool).nonzero()
-    stored = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES + n_mask)
-    if pad_bits or len(where[0]) != k or np.count_nonzero(stored.view(_U8)) != k:
-        raise InvalidInput("raw packet is not in canonical form (pad bits, mask count, "
-                           "or a stored +0.0)")
+    where = _mask(blob, _HEADER_BYTES, n)
+    stored = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES + -(-n // 8))
+    if len(where) != k or np.count_nonzero(stored.view(_U8)) != k:
+        raise InvalidInput("raw packet is not in canonical form (mask count or a stored +0.0)")
     values = np.zeros(n)
     values[where] = stored
     return values
@@ -263,12 +272,13 @@ def _raw_values(blob: bytes, n: int, k: int) -> np.ndarray:
 
 def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
     """Inverse of serialize_packet for a tensor of the model's `shape`, (p, q)
-    or (p,) (then q = 0, so no svd packet fits), in which raw values come
-    back. It accepts only the form serialize_packet writes; any malformed or
-    non-canonical blob, a raw NaN, svd channel weights that are not finite
-    and positive, svd factors that are not finite, more than min(p, q) kept
-    values, a negative or increasing sigma_star, or an svd entropy outside
-    [0, ln(min(p, q))] (relative slack 1e-12), raise InvalidInput."""
+    or (p,) (then q = 0, so no svd packet fits); unmarked rows of u_star come
+    back as +0.0. It accepts only the form serialize_packet writes; any
+    malformed or non-canonical blob (a mask pad bit, a marked row all zero),
+    a raw NaN, svd channel weights that are not finite and positive, svd
+    factors that are not finite, more than min(p, q) kept values, a negative
+    or increasing sigma_star, or an svd entropy outside [0, ln(min(p, q))]
+    (relative slack 1e-12), raise InvalidInput."""
     if len(blob) < _HEADER_BYTES:
         raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
     code, k = struct.unpack_from("<BI", blob)
@@ -276,7 +286,9 @@ def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
         raise InvalidInput(f"unknown packet code {code}")
     p, q = (*shape, 0)[:2]
     n = math.prod(shape)
-    size = 8 * (p + p * k + k + k * q + 1) if code == _SVD else -(-n // 8) + 8 * k
+    rows = _mask(blob, _HEADER_BYTES, p) if code == _SVD else ()  # u_star's marked rows
+    svd_size = -(-p // 8) + 8 * (p + len(rows) * k + k + k * q + 1)
+    size = svd_size if code == _SVD else -(-n // 8) + 8 * k
     if len(blob) - _HEADER_BYTES != size:
         raise InvalidInput(f"packet payload does not hold the {size} bytes its tensor needs")
     if code == _RAW:
@@ -284,22 +296,26 @@ def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
         if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
             raise InvalidInput("raw packet holds a NaN")
         return DefensePacket(values=values.reshape(shape))
-    body = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES).copy()
-    at_sigma = p + p * k  # after the diag and u_star
+    body = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES + -(-p // 8)).copy()
+    at_sigma = p + len(rows) * k  # after the diag and the marked rows of u_star
     at_vt, at_entropy = at_sigma + k, at_sigma + k + k * q
-    sigma = body[at_sigma:at_vt]
+    sigma, u = body[at_sigma:at_vt], body[p:at_sigma].reshape(len(rows), k)
     if not np.all((body[:p] > 0.0) & (body[:p] < np.inf)):
         raise InvalidInput("svd packet channel weights must be finite and positive")
     if not np.isfinite(body[p:at_entropy]).all():
         raise InvalidInput("svd packet factors must be finite")
+    if not u.any(axis=1).all():
+        raise InvalidInput("svd packet marks a row of u_star that is all zero")
     if k > min(p, q) or (sigma < 0.0).any() or (np.diff(sigma) > 0.0).any():
         raise InvalidInput("svd packet sigma_star must be at most min(p, q) non-negative, "
                            "non-increasing values")
     if not (min(p, q) and 0.0 <= body[at_entropy] <= math.log(min(p, q)) * (1 + 1e-12)):
         raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
+    u_star = np.zeros((p, k))
+    u_star[rows] = u
     return DefensePacket(
         channel_weights=body[:p],
-        u_star=body[p:at_sigma].reshape(p, k),
+        u_star=u_star,
         sigma_star=sigma,
         vt_star=body[at_vt:at_entropy].reshape(k, q),
         entropy=float(body[at_entropy]),

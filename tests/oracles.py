@@ -298,19 +298,23 @@ def grad_distance(observed: list, dummy: list, metric: str) -> float:
 
 
 def parameter_count(packet) -> int:
-    """Number of float64 values the packet payload carries."""
+    """Number of float64 values the packet payload carries: a raw packet's
+    values, or an svd packet's channel weights, the rows of u_star with a
+    nonzero entry, its kept values, vt_star and the entropy."""
     if packet.values is not None:
         return int(packet.values.size)
-    factors = (packet.channel_weights, packet.u_star, packet.sigma_star, packet.vt_star)
-    return sum(int(a.size) for a in factors) + 1  # diag, U*, sigma*, V*^T, entropy
+    (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
+    rows = int(np.count_nonzero(np.any(packet.u_star != 0.0, axis=1)))
+    return p + rows * k + k + k * q + 1
 
 
 def payload_bytes(packet) -> int:
-    """Size of the packet's payload on the wire: 8 bytes per value of an svd
-    packet, or a raw packet's one-bit-per-entry bitmap and 8 bytes per
-    stored entry (one whose bits are not all zero)."""
+    """Size of the packet's payload on the wire: an svd packet's row bitmap
+    (one bit per row of u_star) and 8 bytes per value it carries, or a raw
+    packet's one-bit-per-entry bitmap and 8 bytes per stored entry (one
+    whose bits are not all zero)."""
     if packet.values is None:
-        return 8 * parameter_count(packet)
+        return -(-packet.u_star.shape[0] // 8) + 8 * parameter_count(packet)
     return -(-packet.values.size // 8) + 8 * int(np.count_nonzero(packet.values.view(np.uint64)))
 
 

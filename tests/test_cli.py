@@ -19,6 +19,7 @@ from oracles import checkpoint_blob
 from svdlab import cli, flsim, metrics, schema, tinynn
 from svdlab.attack import DISTANCES, AttackConfig
 from svdlab.defense import DefenseConfig
+from svdlab.errors import InvalidConfig
 from svdlab.flsim import DataConfig, FlConfig
 
 BASE_CONFIG = {
@@ -638,6 +639,11 @@ class TestAttack:
 
 
 class TestSweep:
+    def test_unknown_axis_is_refused(self):
+        # the CLI's --axis choices stop it first, so the library is called
+        with pytest.raises(InvalidConfig, match="unknown sweep axis 'alpha'"):
+            cli._apply_axis(cli.ExperimentSpec(), "alpha", 1.0)
+
     def test_schema_and_rows(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -40,6 +40,11 @@ class TestMakeSynthetic:
         with pytest.raises(InvalidConfig):
             data.make_synthetic(3, 5, 3, seed=0)
 
+    def test_no_template_beyond_the_twelfth(self):
+        for make in (lambda: data.class_template(12, 8), lambda: data.make_synthetic(13, 1, 8, 0)):
+            with pytest.raises(InvalidConfig, match="only 12 distinct class templates"):
+                make()
+
     def test_template_matches_the_meshgrid_formula(self):
         for cls in range(len(data._TEMPLATE_PARAMS)):
             for side in range(4, 33):
@@ -129,6 +134,13 @@ class TestPartitionDirichlet:
         with pytest.raises(InvalidConfig):
             data.partition_dirichlet(ds, 5, 0.5, seed=0)
 
+    @pytest.mark.parametrize("clients, alpha, says", [(1, 0.5, "at least two clients"),
+                                                      (2, 0.0, "alpha must be positive")])
+    def test_needs_two_clients_and_a_positive_alpha(self, clients, alpha, says):
+        ds = data.make_synthetic(2, 4, 8, seed=0)
+        with pytest.raises(InvalidConfig, match=says):
+            data.partition_dirichlet(ds, clients, alpha, seed=0)
+
 
 class TestPartitionRhoClients:
     def test_shards_disjoint(self):
@@ -137,6 +149,11 @@ class TestPartitionRhoClients:
         merged = [i for s in shards for i in s]
         assert len(merged) == len(set(merged))
         assert len(shards) == 4
+
+    def test_needs_a_client(self):
+        ds = data.make_synthetic(2, 4, 8, seed=0)
+        with pytest.raises(InvalidConfig, match="at least one client"):
+            data.partition_rho_clients(ds, 0, 1.0, seed=0)
 
     def test_rho_one_covers_everything(self):
         ds = data.make_synthetic(3, 30, 8, seed=10)

@@ -3,13 +3,14 @@ baselines, packet transport."""
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import (HEADER_BYTES, energy_rank, parameter_count, reference_pruned,
+from oracles import (HEADER_BYTES, energy_rank, parameter_count, payload_bytes, reference_pruned,
                      singular_entropy, truncate_by_energy, wire_blob)
-from svdlab import defense, linalg, tinynn
+from svdlab import cli, defense, flsim, linalg, tinynn
 from svdlab.defense import (
     DefenseConfig,
     adaptive_threshold,
@@ -424,6 +425,7 @@ class TestPacketTransport:
         blob = serialize_packet(pkt)
         back = deserialize_packet(blob, (8, 6))
         assert back.values is None and blob[0] == 1  # the code byte leads the header
+        assert blob[HEADER_BYTES] == 0xFF  # the row mask: every row of u_star is marked
         np.testing.assert_array_equal(back.u_star, pkt.u_star)
         np.testing.assert_array_equal(back.sigma_star, pkt.sigma_star)
         np.testing.assert_array_equal(back.vt_star, pkt.vt_star)
@@ -558,23 +560,160 @@ class TestPacketTransport:
         assert parameter_count(pkt) == 8 + 8 * k + k + k * 6 + 1
 
     def test_zero_update_travels_as_rank_zero(self):
-        # 5 header bytes, then 4 channel weights and the entropy
+        # 5 header bytes, an empty row mask byte, then 4 channel weights and
+        # the entropy, -0.0 (minus an empty sum)
         grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense"), seed=0)
         blob = serialize_packet(packets[0])
-        assert len(blob) == HEADER_BYTES + 8 * (4 + 1) == 45
+        weights = packets[0].channel_weights.tobytes()
+        assert blob == wire_blob(1, 0, bytes(1) + weights + struct.pack("<d", -0.0))
+        assert len(blob) == HEADER_BYTES + 1 + 8 * (4 + 1) == 46
         back = [deserialize_packet(blob, (4, 5)),
                 deserialize_packet(serialize_packet(packets[1]), (4,))]
         assert back[0].u_star.shape == (4, 0)
+        assert back[0].channel_weights.tobytes() == weights
         decoded = packets_to_gradset(back, model_like(grads))
         np.testing.assert_array_equal(decoded[0], np.zeros((4, 5)))
         np.testing.assert_array_equal(decoded[1], np.zeros(4))
 
     def test_byte_count_matches_payload(self):
+        # a dead row costs its mask bit and its channel weight, not its u_star row
         rng = np.random.default_rng(12)
-        pkt = defend_grad_svd(rng.normal(size=(6, 7)), beta=0.3)
+        g = rng.normal(size=(6, 7))
+        pkt = defend_grad_svd(g, beta=0.3)
+        k = len(pkt.sigma_star)
+        assert len(serialize_packet(pkt)) == HEADER_BYTES + 1 + 8 * parameter_count(pkt)
+        assert parameter_count(pkt) == 6 + 6 * k + k + k * 7 + 1
+        g[[1, 4]] = 0.0
+        pkt = defend_grad_svd(g, beta=0.3)
+        k = len(pkt.sigma_star)
+        assert parameter_count(pkt) == 6 + 4 * k + k + k * 7 + 1
+        assert len(serialize_packet(pkt)) == HEADER_BYTES + 1 + 8 * parameter_count(pkt)
+
+
+def masked_blob(k=1, rows=0b10100000, values=None) -> bytes:
+    """A hand-written svd packet of a 3 x 4 tensor: the row mask byte, then
+    the f64 values. By default rows 0 and 2 are marked, and the values are
+    canonical: weights 0.5, 1.0 and 0.75, u_star rows 0 and 2, sigma 3, the
+    vt_star row (1, -1, 0, 0) and the entropy 0."""
+    if values is None:
+        values = [0.5, 1.0, 0.75, 1.0, 2.0, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0]
+    return wire_blob(1, k, bytes([rows]) + np.array(values, dtype="<f8").tobytes())
+
+
+def assert_travels_bit_exactly(packet, shape):
+    """The packet's blob has the oracle's size, re-serializes unchanged once
+    parsed, and the parsed packet rebuilds to the sent one's bits, the signs
+    of its zeros included."""
+    blob = serialize_packet(packet)
+    back = deserialize_packet(blob, shape)
+    assert len(blob) == HEADER_BYTES + payload_bytes(packet)
+    assert serialize_packet(back) == blob
+    sent, got = reconstruct_packet(packet), reconstruct_packet(back)
+    assert np.array_equal(sent, got) and np.array_equal(np.signbit(sent), np.signbit(got))
+
+
+SVDEFENSE = DefenseConfig(method="svdefense")
+
+
+def capture_uploads(monkeypatch) -> list:
+    """The list that every later defense.defend_update call adds its
+    packets to."""
+    defend, packets = defense.defend_update, []
+
+    def keep(*args, **kwargs):
+        out = defend(*args, **kwargs)
+        packets.extend(out[0])
+        return out
+
+    monkeypatch.setattr(defense, "defend_update", keep)
+    return packets
+
+
+def assert_uploads_travel_bit_exactly(packets, uploads):
+    """`uploads` one-hidden-layer uploads, every packet of which travels bit
+    exactly, among them factored ones with unmarked rows."""
+    assert len(packets) == 4 * uploads
+    svd = [p for p in packets if p.values is None]
+    for p in svd:
+        assert_travels_bit_exactly(p, (p.u_star.shape[0], p.vt_star.shape[1]))
+    assert any(not p.u_star.any(axis=1).all() for p in svd)
+
+
+class TestSvdRowMask:
+    def test_hand_written_blob_parses(self):
+        back = deserialize_packet(masked_blob(), (3, 4))
+        assert back.channel_weights.tobytes() == np.array([0.5, 1.0, 0.75]).tobytes()
+        assert back.u_star.tobytes() == np.array([[1.0], [0.0], [2.0]]).tobytes()
+        assert back.vt_star.tobytes() == np.array([[1.0, -1.0, 0.0, 0.0]]).tobytes()
+        assert serialize_packet(back) == masked_blob()
+
+    @pytest.mark.parametrize("u_row", [0.0, -0.0])
+    def test_rejects_a_marked_row_that_is_all_zero(self, u_row):
+        blob = masked_blob(values=[0.5, 1.0, 0.75, 1.0, u_row, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(InvalidInput, match="all zero"):
+            deserialize_packet(blob, (3, 4))
+
+    @pytest.mark.parametrize("rows", [0b10100001, 0b10110000])
+    def test_rejects_mask_pad_bits(self, rows):
+        # 3 rows use the top 3 bits of the mask byte
+        with pytest.raises(InvalidInput, match="pad bit"):
+            deserialize_packet(masked_blob(rows=rows), (3, 4))
+
+    @pytest.mark.parametrize("edit", ["extra row bit", "trailing value", "missing value",
+                                      "no mask"])
+    def test_rejects_a_length_the_mask_does_not_fix(self, edit):
+        blob = {"extra row bit": masked_blob(rows=0b11100000),
+                "trailing value": masked_blob() + bytes(8),
+                "missing value": masked_blob()[:-8],
+                "no mask": masked_blob()[:HEADER_BYTES]}[edit]
+        with pytest.raises(InvalidInput, match="bytes"):
+            deserialize_packet(blob, (3, 4))
+
+    def test_rejects_a_marked_row_at_rank_zero(self):
+        # at k = 0 a row carries no values, so every marked row is all zero
+        rank_zero = [0.5, 1.0, 0.75, 0.0]
+        assert deserialize_packet(masked_blob(0, 0, rank_zero), (3, 4)).u_star.shape == (3, 0)
+        with pytest.raises(InvalidInput, match="all zero"):
+            deserialize_packet(masked_blob(0, 0b10000000, rank_zero), (3, 4))
+
+    def test_a_dead_row_sends_its_weight_and_no_u_star_row(self):
+        g = with_dead_rows(np.random.default_rng(14).normal(size=(32, 64)))
+        pkt = defend_grad_svd(g, beta=0.3)
         blob = serialize_packet(pkt)
-        assert len(blob) == HEADER_BYTES + 8 * parameter_count(pkt)
+        k = len(pkt.sigma_star)  # 32 row bits, 32 weights, 30 live rows of u_star
+        assert len(blob) == HEADER_BYTES + 4 + 8 * (32 + 30 * k + k + k * 64 + 1)
+        back = deserialize_packet(blob, (32, 64))
+        assert back.channel_weights.tobytes() == pkt.channel_weights.tobytes()
+        assert np.array_equal(back.u_star, pkt.u_star)  # equal up to the signs of zeros
+        assert not back.u_star[DEAD_ROWS].any()
+
+    @pytest.mark.parametrize("shape", [(1, 64), (32, 1), (1, 1)])
+    @pytest.mark.parametrize("density", [1.0, 0.5])
+    def test_thin_matrices_travel_bit_exactly(self, shape, density):
+        rng = np.random.default_rng(15)
+        g = rng.normal(size=shape) * (rng.random(shape) < density)
+        g.flat[0] = 1.0  # not all zero, so the packet keeps rank 1
+        pkt = defend_grad_svd(g, beta=0.3)
+        assert_travels_bit_exactly(pkt, shape)
+        if shape == (1, 64) and density == 1.0:  # 25 bytes over the raw form
+            raw = serialize_packet(defense.DefensePacket(values=g))
+            assert len(serialize_packet(pkt)) == len(raw) + 25
+
+    def test_a_default_train_run_travels_bit_exactly(self, monkeypatch):
+        packets = capture_uploads(monkeypatch)
+        flsim.run_experiment(flsim.FlConfig(defense=SVDEFENSE), flsim.DataConfig())
+        assert_uploads_travel_bit_exactly(packets, 10 * 4)
+
+    def test_a_default_attack_run_travels_bit_exactly(self, monkeypatch, tmp_path):
+        # the upload does not depend on the attacker, so one iteration will do
+        packets = capture_uploads(monkeypatch)
+        base = cli.ExperimentSpec()
+        spec = replace(base, fl=replace(base.fl, defense=SVDEFENSE),
+                       attack=replace(base.attack, iterations=1, defense=SVDEFENSE),
+                       harness=replace(base.harness, restarts=1))
+        cli.run_attack_suite(spec, str(tmp_path), write_images=False)
+        assert_uploads_travel_bit_exactly(packets, spec.harness.n_examples)
 
 
 class TestDefendUpdate:

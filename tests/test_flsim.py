@@ -338,8 +338,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("method", defense.METHODS)
     def test_the_wire_is_lossless(self, tiny_setup, monkeypatch, method):
-        # the server parses exactly the values each client holds in memory,
-        # so the model trains as if the packets had never been serialized
+        # the server rebuilds exactly the tensors each client's packets
+        # hold, so the model trains as if they had never been serialized
         fl, dc, *_ = tiny_setup
         cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method=method)})
         reports, wired = run_experiment(cfg, dc)
@@ -357,13 +357,11 @@ class TestRunExperiment:
         monkeypatch.setattr(defense, "serialize_packet", keep)
         monkeypatch.setattr(defense, "deserialize_packet", bypass)
         reports_bypassed, bypassed = run_experiment(cfg, dc)
-        fields = ("values", "channel_weights", "u_star", "sigma_star", "vt_star")
         assert len(sent) == len(parsed) == 4 * cfg.rounds * cfg.clients_per_round
         for a, b in zip(sent, parsed):
-            assert a.entropy == b.entropy
-            for name in fields:
-                x, y = getattr(a, name), getattr(b, name)
-                assert (x is None and y is None) or (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+            assert a.entropy == b.entropy and serialize(a) == serialize(b)
+            x, y = defense.reconstruct_packet(a), defense.reconstruct_packet(b)
+            assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
         assert [r.accuracy for r in reports] == [r.accuracy for r in reports_bypassed]
         for x, y in zip(wired.tensors(), bypassed.tensors()):
             assert x.tobytes() == y.tobytes()

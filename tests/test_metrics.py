@@ -26,6 +26,12 @@ class TestMse:
         a, b = rng.uniform(0, 1, 36), rng.uniform(0, 1, 36)
         assert mse(a, b) == mse(b, a)
 
+    def test_rejects_images_of_different_lengths(self):
+        # every metric reads its pair through metrics._pair
+        for metric in (mse, psnr, ssim):
+            with pytest.raises(InvalidInput, match="mismatched lengths"):
+                metric(np.zeros(16), np.zeros(25))
+
 
 class TestPsnr:
     def test_formula_points(self):

@@ -73,6 +73,10 @@ class TestForward:
                                           gj + aj + mj + [qj] + dj):
                     assert np.array_equal(stacked[j], alone)
 
+    def test_a_model_needs_a_layer(self):
+        with pytest.raises(InvalidInput, match="at least one layer"):
+            ModelParams([])
+
     def test_layer_dims_must_chain(self):
         with pytest.raises(InvalidInput):
             ModelParams(
