@@ -23,9 +23,9 @@ from .tinynn import ModelParams
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
 NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise stream
 
-_SVD, _RAW = 1, 2  # wire codes: factors, raw bitmap + stored values
+_SVD, _RAW = 1, 2  # wire codes: factors, raw values
 _RATE = {"ge": 0, "lt": 1}
-_HEADER_BYTES = 5  # code u8, k u32
+_SVD_HEADER = 5  # code u8, k u32; a raw header is its code alone
 _F8, _U8 = np.dtype("<f8"), np.dtype("<u8")
 
 
@@ -74,18 +74,19 @@ def adaptive_threshold(entropy: float, beta: float) -> float:
 def rank_rule(sigma, beta: float):
     """The defense's entropy -> threshold -> rank rule on descending spectra
     (..., r) stacked on leading axes. H is the Shannon entropy (nats, with
-    0 ln 0 = 0) of the normalized squared sigma, T = adaptive_threshold(H,
-    beta), and k the smallest count whose cumulative squared-sigma fraction
-    strictly exceeds T, clamped to the count (at most r) of sigma >
-    RANK_TOL * max sigma, linalg.svd's own cut: a zero spectrum gets k = 0.
-    Spectra are scaled exactly by powers of two before squaring, so that tiny
-    or huge ones neither underflow nor overflow. Returns (k, H)."""
+    0 ln 0 = 0, so H = +0.0 for at most one nonzero value) of the normalized
+    squared sigma, T = adaptive_threshold(H, beta), and k the smallest count
+    whose cumulative squared-sigma fraction strictly exceeds T, clamped to
+    the count (at most r) of sigma > RANK_TOL * max sigma, linalg.svd's own
+    cut: a zero spectrum gets k = 0. Spectra are scaled exactly by powers of
+    two before squaring, so tiny or huge ones neither underflow nor
+    overflow. Returns (k, H)."""
     sigma = np.asarray(sigma, dtype=np.float64)
     e = np.square(linalg._unit_scale(sigma, -1)[0])
     total = e.sum(axis=-1, keepdims=True)
     total = np.where(total > 0.0, total, 1.0)
     tilde = e / total
-    h = -(tilde * np.log(tilde, out=np.zeros_like(tilde), where=tilde > 0.0)).sum(axis=-1)
+    h = 0.0 - (tilde * np.log(tilde, out=np.zeros_like(tilde), where=tilde > 0.0)).sum(axis=-1)
     t = np.array([adaptive_threshold(x, beta) for x in np.ravel(h).tolist()]).reshape(h.shape)
     k = (e.cumsum(axis=-1) / total <= t[..., None]).sum(axis=-1) + 1
     return np.minimum(k, (sigma > linalg.RANK_TOL * sigma[..., :1]).sum(axis=-1)), h
@@ -116,7 +117,7 @@ def defend_grad_svd(g: np.ndarray, beta: float) -> DefensePacket:
     k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(
         channel_weights=weights,
-        u_star=factors.u[:, :k] * g.any(axis=1)[:, None],  # g's zero rows rebuild as zeros
+        u_star=np.where(g.any(axis=1)[:, None], factors.u[:, :k], 0.0),  # g's zero rows: +0.0
         sigma_star=factors.sigma[:k].copy(),
         vt_star=factors.vt[:k].copy(),
         entropy=float(entropy),
@@ -220,102 +221,91 @@ def packets_to_gradset(packets: list[DefensePacket], params: ModelParams) -> lis
     return tensors
 
 
+def _sparse(a: np.ndarray) -> bytes:
+    """The sparse block of `a`'s entries (see serialize_packet)."""
+    flat = np.asarray(a, dtype=_F8).ravel()
+    stored = flat.view(_U8).astype(bool)
+    where = stored.nonzero()  # integer indices: a mask index branches per entry
+    return np.packbits(stored).tobytes() + flat[where].tobytes()
+
+
 def serialize_packet(packet: DefensePacket) -> bytes:
-    """Little-endian layout.
+    """Little-endian layout. The tensor's id is its position in the upload
+    and its shape, (p, q) or (p,), is the model's. A sparse block of n
+    entries is np.packbits of the n-entry mask of the stored entries, those
+    whose bits are not all zero (so -0.0 is stored and +0.0 is not), then
+    the stored entries as f64 in flat order.
 
-    header: code u8, k u32. The tensor's id is its position in the upload
-    and its shape, (p, q) or (p,), is the model's. svd payload (code 1):
-    np.packbits of the p-entry mask of u_star's rows that hold a nonzero
-    entry, then as f64 the channel weights (p), the marked rows of u_star,
-    sigma_star (k), vt_star (k*q) and the entropy (1), so code, shape, k
-    and the mask fix the size. A raw packet (code 2) of n values:
-    np.packbits of the n-entry mask of stored values, those whose bits are
-    not all zero (so -0.0 is stored and +0.0 is not), then the k stored
-    values as f64 in flat order.
+    svd (code u8 1, k u32): the sparse block of u_star (p*k entries), then
+    as f64 the channel weights (p), sigma_star (k), vt_star (k*q) and the
+    entropy (1). raw (code u8 2): the sparse block of the tensor's values.
     """
-    if packet.values is None:
-        rows = packet.u_star.any(axis=1)
-        parts = (packet.channel_weights, packet.u_star[rows], packet.sigma_star, packet.vt_star,
-                 np.array([packet.entropy]))  # tobytes writes row-major
-        code, k = _SVD, packet.sigma_star.size
-        payload = np.packbits(rows).tobytes() + b"".join(a.astype(_F8).tobytes() for a in parts)
-    else:
-        values = np.asarray(packet.values, dtype=_F8).ravel()
-        stored = values.view(_U8).astype(bool)
-        where = stored.nonzero()  # integer indices: a mask index branches per entry
-        code, k = _RAW, len(where[0])
-        payload = np.packbits(stored).tobytes() + values[where].tobytes()
-    return struct.pack("<BI", code, k) + payload
+    if packet.values is not None:
+        return bytes([_RAW]) + _sparse(packet.values)
+    dense = (packet.channel_weights, packet.sigma_star, packet.vt_star, np.array([packet.entropy]))
+    return (struct.pack("<BI", _SVD, packet.sigma_star.size) + _sparse(packet.u_star)
+            + b"".join(a.astype(_F8).tobytes() for a in dense))  # tobytes writes row-major
 
 
-def _mask(blob: bytes, at: int, n: int) -> np.ndarray:
-    """The positions of the set bits of the n-entry bitmap at byte `at` of
-    `blob`; InvalidInput if the blob ends inside it or a pad bit is set."""
+def _read_sparse(blob: bytes, at: int, n: int, tail: int):
+    """(the n entries of the sparse block at byte `at` of `blob`, the offset
+    past the block), where `tail` more bytes end the blob; InvalidInput if
+    the mask is cut short or sets a pad bit, the blob has another length, or
+    the block stores a +0.0. The mask is read only once the blob holds it."""
     end = at + -(-n // 8)
     if len(blob) < end or n % 8 and blob[end - 1] & (0xFF >> n % 8):
         raise InvalidInput(f"packet of {len(blob)} bytes cuts its {n}-entry mask short or sets "
                            "a pad bit")
-    return np.unpackbits(np.frombuffer(blob, np.uint8, end - at, at)).view(bool).nonzero()[0]
-
-
-def _raw_values(blob: bytes, n: int, k: int) -> np.ndarray:
-    """The n values of a raw payload whose size is checked; InvalidInput for
-    an encoding serialize_packet would not have written."""
-    where = _mask(blob, _HEADER_BYTES, n)
-    stored = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES + -(-n // 8))
-    if len(where) != k or np.count_nonzero(stored.view(_U8)) != k:
-        raise InvalidInput("raw packet is not in canonical form (mask count or a stored +0.0)")
+    where = np.unpackbits(np.frombuffer(blob, np.uint8, end - at, at)).view(bool).nonzero()[0]
+    stop = end + 8 * len(where)
+    if len(blob) != stop + tail:
+        raise InvalidInput(f"packet of {len(blob)} bytes, where its header, mask and tensor fix "
+                           f"{stop + tail}")
+    stored = np.frombuffer(blob, _F8, len(where), end)
+    if not stored.view(_U8).all():
+        raise InvalidInput("packet is not in canonical form: it stores a +0.0")
     values = np.zeros(n)
     values[where] = stored
-    return values
+    return values, stop
 
 
 def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
     """Inverse of serialize_packet for a tensor of the model's `shape`, (p, q)
-    or (p,) (then q = 0, so no svd packet fits); unmarked rows of u_star come
-    back as +0.0. It accepts only the form serialize_packet writes; any
-    malformed or non-canonical blob (a mask pad bit, a marked row all zero),
-    a raw NaN, svd channel weights that are not finite and positive, svd
-    factors that are not finite, more than min(p, q) kept values, a negative
-    or increasing sigma_star, or an svd entropy outside [0, ln(min(p, q))]
+    or (p,) (then q = 0, so no svd packet fits): every field comes back with
+    the bits it was sent with. It accepts only the form serialize_packet
+    writes; any malformed or non-canonical blob (a mask pad bit, a stored
+    +0.0, a length that the header, mask and shape do not fix), a raw NaN,
+    svd channel weights that are not finite and positive, svd factors that
+    are not finite, more than min(p, q) kept values, a negative or
+    increasing sigma_star, or an svd entropy outside [0, ln(min(p, q))]
     (relative slack 1e-12), raise InvalidInput."""
-    if len(blob) < _HEADER_BYTES:
-        raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
-    code, k = struct.unpack_from("<BI", blob)
-    if code not in (_SVD, _RAW):
-        raise InvalidInput(f"unknown packet code {code}")
+    if not blob or blob[0] not in (_SVD, _RAW):
+        raise InvalidInput(f"unknown packet code {blob[0]}" if blob else "empty packet")
     p, q = (*shape, 0)[:2]
-    n = math.prod(shape)
-    rows = _mask(blob, _HEADER_BYTES, p) if code == _SVD else ()  # u_star's marked rows
-    svd_size = -(-p // 8) + 8 * (p + len(rows) * k + k + k * q + 1)
-    size = svd_size if code == _SVD else -(-n // 8) + 8 * k
-    if len(blob) - _HEADER_BYTES != size:
-        raise InvalidInput(f"packet payload does not hold the {size} bytes its tensor needs")
-    if code == _RAW:
-        values = _raw_values(blob, n, k)
+    if blob[0] == _RAW:
+        values = _read_sparse(blob, 1, math.prod(shape), 0)[0]
         if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
             raise InvalidInput("raw packet holds a NaN")
         return DefensePacket(values=values.reshape(shape))
-    body = np.frombuffer(blob, dtype=_F8, offset=_HEADER_BYTES + -(-p // 8)).copy()
-    at_sigma = p + len(rows) * k  # after the diag and the marked rows of u_star
-    at_vt, at_entropy = at_sigma + k, at_sigma + k + k * q
-    sigma, u = body[at_sigma:at_vt], body[p:at_sigma].reshape(len(rows), k)
-    if not np.all((body[:p] > 0.0) & (body[:p] < np.inf)):
+    if len(blob) < _SVD_HEADER:
+        raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
+    (k,) = struct.unpack_from("<I", blob, 1)
+    u, at = _read_sparse(blob, _SVD_HEADER, p * k, 8 * (p + k + k * q + 1))
+    body = np.frombuffer(blob, dtype=_F8, offset=at).copy()
+    at_vt, at_entropy = p + k, p + k + k * q
+    weights, sigma = body[:p], body[p:at_vt]
+    if not np.all((weights > 0.0) & (weights < np.inf)):
         raise InvalidInput("svd packet channel weights must be finite and positive")
-    if not np.isfinite(body[p:at_entropy]).all():
+    if not (np.isfinite(u).all() and np.isfinite(body[p:at_entropy]).all()):
         raise InvalidInput("svd packet factors must be finite")
-    if not u.any(axis=1).all():
-        raise InvalidInput("svd packet marks a row of u_star that is all zero")
     if k > min(p, q) or (sigma < 0.0).any() or (np.diff(sigma) > 0.0).any():
         raise InvalidInput("svd packet sigma_star must be at most min(p, q) non-negative, "
                            "non-increasing values")
     if not (min(p, q) and 0.0 <= body[at_entropy] <= math.log(min(p, q)) * (1 + 1e-12)):
         raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
-    u_star = np.zeros((p, k))
-    u_star[rows] = u
     return DefensePacket(
-        channel_weights=body[:p],
-        u_star=u_star,
+        channel_weights=weights,
+        u_star=u.reshape(p, k),
         sigma_star=sigma,
         vt_star=body[at_vt:at_entropy].reshape(k, q),
         entropy=float(body[at_entropy]),

@@ -14,13 +14,14 @@ undefended client sends, the one form attack.run_attack takes; broken_upload
 forges the bad uploads that the packet decoder must refuse, wire_blob
 writes a packet's bytes by hand to the wire layout HEADER_BYTES pins, and
 checkpoint_blob writes a checkpoint's bytes by hand.
-grad_distance, parameter_count and payload_bytes are the test suite's
-scalar views of the attack distance and of a packet's payload size; reference_adam is the
-attack's Adam step written out of place, and reference_pruned the pruning
-defenses' rule by a Python sort of (magnitude, index) keys. span_read and
-bias_division_read are attackers that take no optimizer: a least-squares
-read of a batch slot from a packet's kept factors, and one division of a
-layer-0 weight row by its bias entry.
+grad_distance, parameter_count, payload_bytes and wire_bytes are the test
+suite's scalar views of the attack distance and of a packet's size;
+reference_adam is the attack's Adam step written out of place, and
+reference_pruned the pruning defenses' rule by a Python sort of
+(magnitude, index) keys. span_read and bias_division_read are attackers
+that take no optimizer: a least-squares read of a batch slot from a
+packet's kept factors, and one division of a layer-0 weight row by its
+bias entry.
 """
 
 import math
@@ -238,13 +239,13 @@ def upload(grads: list) -> list:
     return defense.defend_update(grads, defense.DefenseConfig(method="none"), seed=0)[0]
 
 
-HEADER_BYTES = 5  # the wire header: code u8, k u32; the shape is the model's
+HEADER_BYTES = {1: 5, 2: 1}  # by wire code: svd is code u8, k u32; raw its code alone
 
 
-def wire_blob(code: int, k: int, payload: bytes) -> bytes:
+def wire_blob(code: int, payload: bytes, k: int | None = None) -> bytes:
     """A packet of wire code `code` (1 svd, 2 raw, any other to forge one),
-    header field k and the bytes `payload`."""
-    return struct.pack("<BI", code, k) + payload
+    the u32 header field k unless it is None, and the bytes `payload`."""
+    return bytes([code]) + (b"" if k is None else struct.pack("<I", k)) + payload
 
 
 def checkpoint_blob(dims, tensors=None) -> bytes:
@@ -297,25 +298,38 @@ def grad_distance(observed: list, dummy: list, metric: str) -> float:
                                             attack._unit_vectors(observed))[0])
 
 
+def _stored(a) -> int:
+    """How many entries of `a` have bits that are not all zero: -0.0 counts,
+    +0.0 does not."""
+    return int(np.count_nonzero(np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)))
+
+
 def parameter_count(packet) -> int:
     """Number of float64 values the packet payload carries: a raw packet's
-    values, or an svd packet's channel weights, the rows of u_star with a
-    nonzero entry, its kept values, vt_star and the entropy."""
+    values, or an svd packet's channel weights, the stored entries of u_star
+    (-0.0 counts, +0.0 does not), its kept values, vt_star and the entropy."""
     if packet.values is not None:
         return int(packet.values.size)
     (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
-    rows = int(np.count_nonzero(np.any(packet.u_star != 0.0, axis=1)))
-    return p + rows * k + k + k * q + 1
+    return p + _stored(packet.u_star) + k + k * q + 1
 
 
 def payload_bytes(packet) -> int:
-    """Size of the packet's payload on the wire: an svd packet's row bitmap
-    (one bit per row of u_star) and 8 bytes per value it carries, or a raw
-    packet's one-bit-per-entry bitmap and 8 bytes per stored entry (one
-    whose bits are not all zero)."""
-    if packet.values is None:
-        return -(-packet.u_star.shape[0] // 8) + 8 * parameter_count(packet)
-    return -(-packet.values.size // 8) + 8 * int(np.count_nonzero(packet.values.view(np.uint64)))
+    """Size of the packet on the wire after its header: a sparse block of
+    the raw values or of u_star, one bit per entry and 8 bytes per stored
+    entry, then an svd packet's 8 bytes per channel weight, kept value,
+    vt_star entry and the entropy."""
+    if packet.values is not None:
+        sparse, dense = packet.values, 0
+    else:
+        (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
+        sparse, dense = packet.u_star, p + k + k * q + 1
+    return -(-sparse.size // 8) + 8 * (_stored(sparse) + dense)
+
+
+def wire_bytes(packet) -> int:
+    """Size of the packet on the wire: its kind's header and payload_bytes."""
+    return HEADER_BYTES[2 if packet.values is not None else 1] + payload_bytes(packet)
 
 
 def span_read(vt, priors, labels) -> np.ndarray:

@@ -3,13 +3,14 @@ baselines, packet transport."""
 
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import (HEADER_BYTES, energy_rank, parameter_count, payload_bytes, reference_pruned,
-                     singular_entropy, truncate_by_energy, wire_blob)
+from oracles import (HEADER_BYTES, energy_rank, parameter_count, reference_pruned, singular_entropy,
+                     truncate_by_energy, wire_blob, wire_bytes)
 from svdlab import cli, defense, flsim, linalg, tinynn
 from svdlab.defense import (
     DefenseConfig,
@@ -106,6 +107,14 @@ class TestRankRule:
         k, h = rank_rule(np.full((2, 2), 3.0), 1.0)
         assert adaptive_threshold(float(h[0]), 1.0) == 0.5
         assert k.tolist() == [2, 2]
+
+    def test_at_most_one_nonzero_value_has_entropy_plus_zero(self):
+        # no spread, no entropy: +0.0, never the bits of -0.0
+        for sigma in ([3.0], [3.0, 0.0], np.zeros(3)):
+            h = rank_rule(sigma, 0.3)[1]
+            assert h == 0.0 and not np.signbit(h)
+        thin = defend_grad_svd(np.random.default_rng(31).normal(size=(32, 1)), beta=0.3)
+        assert thin.entropy == 0.0 and not np.signbit(thin.entropy)
 
 
 class TestChannelWeights:
@@ -425,7 +434,7 @@ class TestPacketTransport:
         blob = serialize_packet(pkt)
         back = deserialize_packet(blob, (8, 6))
         assert back.values is None and blob[0] == 1  # the code byte leads the header
-        assert blob[HEADER_BYTES] == 0xFF  # the row mask: every row of u_star is marked
+        assert blob[HEADER_BYTES[1]] == 0xFF  # u_star's mask: its first 8 entries are stored
         np.testing.assert_array_equal(back.u_star, pkt.u_star)
         np.testing.assert_array_equal(back.sigma_star, pkt.sigma_star)
         np.testing.assert_array_equal(back.vt_star, pkt.vt_star)
@@ -442,9 +451,9 @@ class TestPacketTransport:
 
     def test_rejects_malformed_blobs(self):
         raw = serialize_packet(raw_packet(np.ones(12)))
-        assert raw == wire_blob(2, 12, bytes([0xFF, 0xF0]) + np.ones(12).tobytes())
-        unknown_code = wire_blob(7, 12, raw[HEADER_BYTES:])
-        for blob in (unknown_code, raw[:-8], raw[:10], raw[:HEADER_BYTES - 1], b""):
+        assert raw == wire_blob(2, bytes([0xFF, 0xF0]) + np.ones(12).tobytes())
+        unknown_code = wire_blob(7, raw[HEADER_BYTES[2]:])
+        for blob in (unknown_code, raw[:-8], raw[:10], raw[:HEADER_BYTES[2]], b""):
             with pytest.raises(InvalidInput):
                 deserialize_packet(blob, (12,))
         for shape in ((5, 5), (2, 4), (11,)):  # 12 set bits for a tensor of 25, 8 or 11
@@ -454,34 +463,35 @@ class TestPacketTransport:
 
     def test_raw_is_its_bitmap_and_stored_values_bit_exactly(self):
         blob = serialize_packet(raw_packet(SPARSE_TEN))
-        assert (blob[0], len(blob)) == (2, HEADER_BYTES + 2 + 16)
+        assert (blob[0], len(blob)) == (2, HEADER_BYTES[2] + 2 + 16)
         assert deserialize_packet(blob, (10,)).values.tobytes() == SPARSE_TEN.tobytes()
         full = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
-        assert (full[0], len(full)) == (2, HEADER_BYTES + 2 + 80)
+        assert (full[0], len(full)) == (2, HEADER_BYTES[2] + 2 + 80)
         assert deserialize_packet(full, (10,)).values.tobytes() == np.arange(1.0, 11.0).tobytes()
 
     @pytest.mark.parametrize("edit", ["pad bit", "mask count", "stored +0.0"])
     def test_rejects_non_canonical_sparse_blobs(self, edit):
         blob = bytearray(serialize_packet(raw_packet(SPARSE_TEN)))
+        at = HEADER_BYTES[2]
         if edit == "pad bit":  # entries 8 and 9 fill the top 2 bits of the second byte
-            blob[HEADER_BYTES + 1] |= 0x01
-        elif edit == "mask count":  # marks entry 0 stored: 3 set bits for k = 2
-            blob[HEADER_BYTES] |= 0x80
+            blob[at + 1] |= 0x01
+        elif edit == "mask count":  # marks entry 0 stored: 3 set bits and 2 values
+            blob[at] |= 0x80
         else:  # the stored 1.5 becomes +0.0
-            blob[HEADER_BYTES + 2 : HEADER_BYTES + 10] = bytes(8)
+            blob[at + 2 : at + 10] = bytes(8)
         with pytest.raises(InvalidInput):
             deserialize_packet(bytes(blob), (10,))
 
     def test_accepts_a_fully_stored_blob(self):
         # one stored entry of one: a 1-byte bitmap and the value
-        blob = wire_blob(2, 1, bytes([0x80]) + struct.pack("<d", 1.0))
+        blob = wire_blob(2, bytes([0x80]) + struct.pack("<d", 1.0))
         assert serialize_packet(raw_packet(np.array([1.0]))) == blob
         assert deserialize_packet(blob, (1,)).values.tobytes() == np.array([1.0]).tobytes()
 
     def test_rejects_the_retired_dense_code(self):
         # code 0 once carried the n values alone, without a bitmap
         with pytest.raises(InvalidInput, match="code 0"):
-            deserialize_packet(wire_blob(0, 0, np.arange(1.0, 11.0).tobytes()), (10,))
+            deserialize_packet(wire_blob(0, np.arange(1.0, 11.0).tobytes(), k=0), (10,))
 
     @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, np.inf, np.nan])
     def test_rejects_svd_weights_not_finite_and_positive(self, weight):
@@ -560,14 +570,14 @@ class TestPacketTransport:
         assert parameter_count(pkt) == 8 + 8 * k + k + k * 6 + 1
 
     def test_zero_update_travels_as_rank_zero(self):
-        # 5 header bytes, an empty row mask byte, then 4 channel weights and
-        # the entropy, -0.0 (minus an empty sum)
+        # 5 header bytes, u_star's mask of 0 entries (no byte), then 4
+        # channel weights and the entropy +0.0
         grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense"), seed=0)
         blob = serialize_packet(packets[0])
         weights = packets[0].channel_weights.tobytes()
-        assert blob == wire_blob(1, 0, bytes(1) + weights + struct.pack("<d", -0.0))
-        assert len(blob) == HEADER_BYTES + 1 + 8 * (4 + 1) == 46
+        assert blob == wire_blob(1, weights + struct.pack("<d", 0.0), k=0)
+        assert len(blob) == HEADER_BYTES[1] + 8 * (4 + 1) == 45
         back = [deserialize_packet(blob, (4, 5)),
                 deserialize_packet(serialize_packet(packets[1]), (4,))]
         assert back[0].u_star.shape == (4, 0)
@@ -577,40 +587,69 @@ class TestPacketTransport:
         np.testing.assert_array_equal(decoded[1], np.zeros(4))
 
     def test_byte_count_matches_payload(self):
-        # a dead row costs its mask bit and its channel weight, not its u_star row
+        # a dead row costs its k mask bits and its channel weight, not its
+        # u_star row
         rng = np.random.default_rng(12)
         g = rng.normal(size=(6, 7))
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
-        assert len(serialize_packet(pkt)) == HEADER_BYTES + 1 + 8 * parameter_count(pkt)
+        mask = -(-6 * k // 8)
+        assert len(serialize_packet(pkt)) == HEADER_BYTES[1] + mask + 8 * parameter_count(pkt)
         assert parameter_count(pkt) == 6 + 6 * k + k + k * 7 + 1
         g[[1, 4]] = 0.0
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
+        mask = -(-6 * k // 8)
         assert parameter_count(pkt) == 6 + 4 * k + k + k * 7 + 1
-        assert len(serialize_packet(pkt)) == HEADER_BYTES + 1 + 8 * parameter_count(pkt)
+        assert len(serialize_packet(pkt)) == HEADER_BYTES[1] + mask + 8 * parameter_count(pkt)
+
+    def test_a_huge_header_rank_allocates_nothing(self):
+        # k = 2**32 - 1 asks for a mask of 32 * k bits (16 GiB); the parser
+        # refuses the blob before it reads or allocates one
+        blob = wire_blob(1, bytes(64), k=2**32 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match="mask short"):
+                deserialize_packet(blob, (32, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
-def masked_blob(k=1, rows=0b10100000, values=None) -> bytes:
-    """A hand-written svd packet of a 3 x 4 tensor: the row mask byte, then
-    the f64 values. By default rows 0 and 2 are marked, and the values are
-    canonical: weights 0.5, 1.0 and 0.75, u_star rows 0 and 2, sigma 3, the
-    vt_star row (1, -1, 0, 0) and the entropy 0."""
+def masked_blob(k=1, mask=0b10100000, values=None) -> bytes:
+    """A hand-written svd packet of a 3 x 4 tensor: the header, u_star's
+    mask byte, then the f64 values. By default u_star's entries 0 and 2 are
+    stored, and the values are canonical: u_star (1, +0.0, 2), the weights
+    0.5, 1.0 and 0.75, sigma 3, the vt_star row (1, -1, 0, 0) and the
+    entropy 0."""
     if values is None:
-        values = [0.5, 1.0, 0.75, 1.0, 2.0, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0]
-    return wire_blob(1, k, bytes([rows]) + np.array(values, dtype="<f8").tobytes())
+        values = [1.0, 2.0, 0.5, 1.0, 0.75, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0]
+    return wire_blob(1, bytes([mask]) + np.array(values, dtype="<f8").tobytes(), k=k)
 
 
-def assert_travels_bit_exactly(packet, shape):
-    """The packet's blob has the oracle's size, re-serializes unchanged once
-    parsed, and the parsed packet rebuilds to the sent one's bits, the signs
-    of its zeros included."""
+FIELDS = ("values", "channel_weights", "u_star", "sigma_star", "vt_star", "entropy")
+
+
+def assert_travels_bit_exactly(packet):
+    """The packet's blob has the oracle's size, and it parses, against the
+    shape of its tensor, to every field of the sent packet bit for bit, the
+    signs of its zeros included, so it re-serializes unchanged."""
     blob = serialize_packet(packet)
+    if packet.values is not None:
+        shape = packet.values.shape
+    else:
+        shape = packet.u_star.shape[0], packet.vt_star.shape[1]
     back = deserialize_packet(blob, shape)
-    assert len(blob) == HEADER_BYTES + payload_bytes(packet)
+    assert len(blob) == wire_bytes(packet)
+    for name in FIELDS:
+        sent, got = getattr(packet, name), getattr(back, name)
+        assert (sent is None) == (got is None), name
+        if sent is not None:
+            sent, got = np.asarray(sent, dtype=np.float64), np.asarray(got)
+            assert (got.dtype, got.shape, got.tobytes()) == (sent.dtype, sent.shape,
+                                                             sent.tobytes()), name
     assert serialize_packet(back) == blob
-    sent, got = reconstruct_packet(packet), reconstruct_packet(back)
-    assert np.array_equal(sent, got) and np.array_equal(np.signbit(sent), np.signbit(got))
 
 
 SVDEFENSE = DefenseConfig(method="svdefense")
@@ -632,15 +671,17 @@ def capture_uploads(monkeypatch) -> list:
 
 def assert_uploads_travel_bit_exactly(packets, uploads):
     """`uploads` one-hidden-layer uploads, every packet of which travels bit
-    exactly, among them factored ones with unmarked rows."""
+    exactly, among them factored ones with dead rows."""
     assert len(packets) == 4 * uploads
-    svd = [p for p in packets if p.values is None]
-    for p in svd:
-        assert_travels_bit_exactly(p, (p.u_star.shape[0], p.vt_star.shape[1]))
-    assert any(not p.u_star.any(axis=1).all() for p in svd)
+    for p in packets:
+        assert_travels_bit_exactly(p)
+    assert any(not p.u_star.any(axis=1).all() for p in packets if p.values is None)
 
 
 class TestSvdRowMask:
+    """u_star's sparse block: the mask of its stored entries, one bit per
+    row at k = 1, then the stored entries."""
+
     def test_hand_written_blob_parses(self):
         back = deserialize_packet(masked_blob(), (3, 4))
         assert back.channel_weights.tobytes() == np.array([0.5, 1.0, 0.75]).tobytes()
@@ -648,45 +689,53 @@ class TestSvdRowMask:
         assert back.vt_star.tobytes() == np.array([[1.0, -1.0, 0.0, 0.0]]).tobytes()
         assert serialize_packet(back) == masked_blob()
 
-    @pytest.mark.parametrize("u_row", [0.0, -0.0])
-    def test_rejects_a_marked_row_that_is_all_zero(self, u_row):
-        blob = masked_blob(values=[0.5, 1.0, 0.75, 1.0, u_row, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(InvalidInput, match="all zero"):
-            deserialize_packet(blob, (3, 4))
+    @pytest.mark.parametrize("u_entry", [0.0, -0.0])
+    def test_a_stored_u_star_entry_is_never_plus_zero(self, u_entry):
+        # entry 2 stored as +0.0 is refused; as -0.0 it is the canonical
+        # form of a u_star whose entry 2 is -0.0, and travels with its sign
+        blob = masked_blob(values=[1.0, u_entry, 0.5, 1.0, 0.75, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0])
+        if not np.signbit(u_entry):
+            with pytest.raises(InvalidInput, match=r"\+0\.0"):
+                deserialize_packet(blob, (3, 4))
+            return
+        back = deserialize_packet(blob, (3, 4))
+        assert back.u_star.tobytes() == np.array([[1.0], [0.0], [-0.0]]).tobytes()
+        assert_travels_bit_exactly(back)
 
     @pytest.mark.parametrize("rows", [0b10100001, 0b10110000])
     def test_rejects_mask_pad_bits(self, rows):
-        # 3 rows use the top 3 bits of the mask byte
+        # 3 entries use the top 3 bits of the mask byte
         with pytest.raises(InvalidInput, match="pad bit"):
-            deserialize_packet(masked_blob(rows=rows), (3, 4))
+            deserialize_packet(masked_blob(mask=rows), (3, 4))
 
     @pytest.mark.parametrize("edit", ["extra row bit", "trailing value", "missing value",
                                       "no mask"])
     def test_rejects_a_length_the_mask_does_not_fix(self, edit):
-        blob = {"extra row bit": masked_blob(rows=0b11100000),
+        blob = {"extra row bit": masked_blob(mask=0b11100000),
                 "trailing value": masked_blob() + bytes(8),
                 "missing value": masked_blob()[:-8],
-                "no mask": masked_blob()[:HEADER_BYTES]}[edit]
+                "no mask": masked_blob()[:HEADER_BYTES[1]]}[edit]
         with pytest.raises(InvalidInput, match="bytes"):
             deserialize_packet(blob, (3, 4))
 
     def test_rejects_a_marked_row_at_rank_zero(self):
-        # at k = 0 a row carries no values, so every marked row is all zero
+        # at k = 0 u_star has no entries, so its mask has no byte and a
+        # byte that marks a row is one too many
         rank_zero = [0.5, 1.0, 0.75, 0.0]
-        assert deserialize_packet(masked_blob(0, 0, rank_zero), (3, 4)).u_star.shape == (3, 0)
-        with pytest.raises(InvalidInput, match="all zero"):
+        blob = wire_blob(1, np.array(rank_zero, dtype="<f8").tobytes(), k=0)
+        assert deserialize_packet(blob, (3, 4)).u_star.shape == (3, 0)
+        with pytest.raises(InvalidInput, match="bytes"):
             deserialize_packet(masked_blob(0, 0b10000000, rank_zero), (3, 4))
 
     def test_a_dead_row_sends_its_weight_and_no_u_star_row(self):
         g = with_dead_rows(np.random.default_rng(14).normal(size=(32, 64)))
         pkt = defend_grad_svd(g, beta=0.3)
         blob = serialize_packet(pkt)
-        k = len(pkt.sigma_star)  # 32 row bits, 32 weights, 30 live rows of u_star
-        assert len(blob) == HEADER_BYTES + 4 + 8 * (32 + 30 * k + k + k * 64 + 1)
-        back = deserialize_packet(blob, (32, 64))
-        assert back.channel_weights.tobytes() == pkt.channel_weights.tobytes()
-        assert np.array_equal(back.u_star, pkt.u_star)  # equal up to the signs of zeros
-        assert not back.u_star[DEAD_ROWS].any()
+        # 32 k mask bits, 30 k stored entries of u_star, 32 weights
+        k = len(pkt.sigma_star)
+        assert len(blob) == HEADER_BYTES[1] + 4 * k + 8 * (30 * k + 32 + k + k * 64 + 1)
+        assert not pkt.u_star[DEAD_ROWS].any() and not np.signbit(pkt.u_star[DEAD_ROWS]).any()
+        assert_travels_bit_exactly(pkt)
 
     @pytest.mark.parametrize("shape", [(1, 64), (32, 1), (1, 1)])
     @pytest.mark.parametrize("density", [1.0, 0.5])
@@ -695,15 +744,24 @@ class TestSvdRowMask:
         g = rng.normal(size=shape) * (rng.random(shape) < density)
         g.flat[0] = 1.0  # not all zero, so the packet keeps rank 1
         pkt = defend_grad_svd(g, beta=0.3)
-        assert_travels_bit_exactly(pkt, shape)
-        if shape == (1, 64) and density == 1.0:  # 25 bytes over the raw form
+        assert_travels_bit_exactly(pkt)
+        if shape == (1, 64) and density == 1.0:  # 29 bytes over the raw form
             raw = serialize_packet(defense.DefensePacket(values=g))
-            assert len(serialize_packet(pkt)) == len(raw) + 25
+            assert len(serialize_packet(pkt)) == len(raw) + 29
 
     def test_a_default_train_run_travels_bit_exactly(self, monkeypatch):
         packets = capture_uploads(monkeypatch)
         flsim.run_experiment(flsim.FlConfig(defense=SVDEFENSE), flsim.DataConfig())
         assert_uploads_travel_bit_exactly(packets, 10 * 4)
+
+    @pytest.mark.parametrize("method", defense.METHODS)
+    def test_every_method_travels_bit_exactly(self, monkeypatch, method):
+        packets = capture_uploads(monkeypatch)
+        cfg = flsim.FlConfig(rounds=2, defense=DefenseConfig(method=method))
+        flsim.run_experiment(cfg, flsim.DataConfig())
+        assert len(packets) == 4 * cfg.rounds * cfg.clients_per_round
+        for p in packets:
+            assert_travels_bit_exactly(p)
 
     def test_a_default_attack_run_travels_bit_exactly(self, monkeypatch, tmp_path):
         # the upload does not depend on the attacker, so one iteration will do

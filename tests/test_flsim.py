@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (BROKEN_UPLOADS, HEADER_BYTES, broken_upload, fedavg_reference, one_hot_grads,
-                     payload_bytes)
+                     wire_bytes)
 from svdlab import data, defense, flsim, tinynn
 from svdlab.defense import DefenseConfig, DefensePacket
 from svdlab.errors import InvalidConfig, InvalidInput, NumericalFailure
@@ -367,8 +367,7 @@ class TestRunExperiment:
             assert x.tobytes() == y.tobytes()
         if method in ("prune", "dgp"):  # a bitmap of the n entries, then the k stored ones
             per_round = 4 * cfg.clients_per_round
-            expected = [sum(HEADER_BYTES + payload_bytes(p)
-                            for p in sent[r * per_round:(r + 1) * per_round])
+            expected = [sum(wire_bytes(p) for p in sent[r * per_round:(r + 1) * per_round])
                         for r in range(cfg.rounds)]
             assert [r.bytes_up for r in reports] == expected
             full_round = flsim.raw_upload_bytes(wired) * cfg.clients_per_round
@@ -396,7 +395,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_a_default_round_uploads_header_and_payload(self, monkeypatch, method):
-        # 4 clients x 4 tensors, each packet 5 header bytes and its payload:
+        # 4 clients x 4 tensors, each packet its header and its payload:
         # the shapes come from the model, not the wire
         defend, packets = defense.defend_update, []
 
@@ -409,7 +408,7 @@ class TestRunExperiment:
         cfg = FlConfig(rounds=1, defense=DefenseConfig(method=method))
         reports, _ = run_experiment(cfg, DataConfig())
         assert len(packets) == 16
-        assert reports[0].bytes_up == sum(5 + payload_bytes(p) for p in packets)
+        assert reports[0].bytes_up == sum(wire_bytes(p) for p in packets)
 
     def test_raw_upload_bytes_is_the_dense_size(self, tiny_setup):
         # the baseline counts every value, zero or not: init_model's biases are 0
@@ -417,7 +416,7 @@ class TestRunExperiment:
         shifted = tinynn.ModelParams([tinynn.LayerParams(l.weight, l.bias + 1.0)
                                       for l in model.layers])
         assert not any(l.bias.any() for l in model.layers)
-        dense = sum(HEADER_BYTES + -(-t.size // 8) + 8 * t.size for t in model.tensors())
+        dense = sum(HEADER_BYTES[2] + -(-t.size // 8) + 8 * t.size for t in model.tensors())
         assert flsim.raw_upload_bytes(model) == flsim.raw_upload_bytes(shifted) == dense
 
     def test_numerically_rank_one_update_trains(self):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import HEADER_BYTES, payload_bytes, reference_pruned, transposed, wire_blob
+from oracles import HEADER_BYTES, reference_pruned, transposed, wire_blob, wire_bytes
 from svdlab import cli, defense, linalg, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
@@ -76,34 +76,38 @@ def test_load_spec_reports_never_raises(config_path, raw):
 
 def _packets():
     """(packet, the shape of its tensor): raw values of any shape, or svd
-    factors of a p x q tensor that keep k <= min(p, q) values (rank 0
-    included), some rows of u_star and columns of vt_star all +0.0 or all
-    -0.0."""
+    factors of a p x q tensor that keep k <= min(p, q) values (rank 0 and
+    k >= 2 included), some rows of u_star and columns of vt_star all +0.0
+    or all -0.0, and some single entries of u_star +0.0 or -0.0."""
     dims = st.integers(min_value=0, max_value=4)
     picks = st.lists(st.integers(0, 3), max_size=3)
+    zeros = st.sampled_from([0.0, -0.0])
 
     def raw(shape):
         return defense.DefensePacket(values=np.arange(float(np.prod(shape))).reshape(shape)), shape
 
-    def svd(p, q, k, dead_rows, dead_cols, zero):
+    def svd(p, q, k, dead_rows, dead_cols, zero, holes):
         u, vt = np.ones((p, k)), np.ones((k, q))
         u[[j % p for j in dead_rows]] = zero
         vt[:, [i % q for i in dead_cols]] = zero
+        for at, hole in holes if k else ():
+            u.flat[at % u.size] = hole
         return defense.DefensePacket(channel_weights=np.ones(p), u_star=u, sigma_star=np.ones(k),
                                      vt_star=vt, entropy=0.5), (p, q)
 
     shapes = st.tuples(dims) | st.tuples(dims.filter(bool), dims.filter(bool))
     sides = st.integers(min_value=2, max_value=4)  # H = 0.5 <= ln(min(p, q))
+    holes = st.lists(st.tuples(st.integers(0, 15), zeros), max_size=3)
     svds = st.tuples(sides, sides).flatmap(
         lambda pq: st.builds(svd, st.just(pq[0]), st.just(pq[1]), st.integers(0, min(pq)),
-                             picks, picks, st.sampled_from([0.0, -0.0])))
+                             picks, picks, zeros, holes))
     return st.builds(raw, shapes) | svds
 
 
 @settings(max_examples=300, deadline=None)
 @given(packet_shape=_packets(), cut=st.integers(min_value=0, max_value=400),
        flips=st.lists(st.tuples(st.integers(min_value=0, max_value=400)
-                                | st.just(HEADER_BYTES),  # or the first mask byte
+                                | st.none(),  # or the first mask byte
                                 st.integers(min_value=0, max_value=255)), max_size=3),
        tail=st.binary(max_size=9))
 def test_deserialize_is_strict(packet_shape, cut, flips, tail):
@@ -113,6 +117,7 @@ def test_deserialize_is_strict(packet_shape, cut, flips, tail):
     assert defense.serialize_packet(back) == good
     blob = bytearray(good[:cut] + tail)
     for at, value in flips:
+        at = HEADER_BYTES[good[0]] if at is None else at
         if at < len(blob):
             blob[at] = value
     try:
@@ -137,16 +142,14 @@ def _raw_values(draw):
 def _raw_blob(values: np.ndarray, mask, code: int = 2) -> bytes:
     """The raw packet of `values` built by hand: a bitmap of `mask` and the
     masked values, under wire code `code`."""
-    flat = values.ravel()
-    k = int(np.count_nonzero(mask))
-    return wire_blob(code, k, np.packbits(mask).tobytes() + flat[mask].tobytes())
+    return wire_blob(code, np.packbits(mask).tobytes() + values.ravel()[mask].tobytes())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(values=_raw_values(), extra=st.lists(st.integers(min_value=0, max_value=39), max_size=3),
        cut=st.none() | st.integers(min_value=0, max_value=400),
-       flips=st.lists(st.tuples(st.integers(0, 400)
-                                | st.integers(HEADER_BYTES, HEADER_BYTES + 4),  # or the bitmap
+       flips=st.lists(st.tuples(st.integers(0, 400)  # or the bitmap:
+                                | st.integers(HEADER_BYTES[2], HEADER_BYTES[2] + 4),
                                 st.integers(0, 7)), max_size=3),
        tail=st.binary(max_size=9))
 def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, flips, tail):
@@ -163,14 +166,14 @@ def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, fli
     # the retired dense code 0 and one with a pad bit set, the serializer
     # writes the first and the parser accepts that one alone
     n, k = values.size, int(np.count_nonzero(stored))
-    assert (good[0], len(good)) == (2, HEADER_BYTES + -(-n // 8) + 8 * k)
+    assert (good[0], len(good)) == (2, HEADER_BYTES[2] + -(-n // 8) + 8 * k)
     more = stored.copy()
     more[[i % n for i in extra if n]] = True
     forms = [_raw_blob(values, stored), _raw_blob(values, more), _raw_blob(values, stored, 0)]
     assert good == forms[0]
     if n % 8:
         padded = bytearray(forms[0])
-        padded[HEADER_BYTES + (n - 1) // 8] |= 1
+        padded[HEADER_BYTES[2] + (n - 1) // 8] |= 1
         forms.append(bytes(padded))
     for blob in forms:
         if blob != good:
@@ -205,14 +208,14 @@ def test_defended_packets_travel_against_their_tensor_shapes(method, dims, densi
     # each packet is the header and its payload, parses back against its
     # tensor's shape to a packet that rebuilds the same bits and writes the
     # same blob; against another shape an svd blob is refused or read as a
-    # canonical packet of that shape (its row mask may fit both)
+    # canonical packet of that shape (its mask may fit both)
     d, h, c = dims
     rng = np.random.default_rng(seed)
     grads = [rng.normal(size=s) * (rng.random(s) < density) for s in ((h, d), (h,), (c, h), (c,))]
     packets, _ = defense.defend_update(grads, DefenseConfig(method=method), seed=rng)
     for packet, t in zip(packets, grads, strict=True):
         blob = defense.serialize_packet(packet)
-        assert len(blob) == HEADER_BYTES + payload_bytes(packet)
+        assert len(blob) == wire_bytes(packet)
         back = defense.deserialize_packet(blob, t.shape)
         assert back.entropy == packet.entropy and defense.serialize_packet(back) == blob
         x, y = defense.reconstruct_packet(packet), defense.reconstruct_packet(back)
