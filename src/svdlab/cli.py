@@ -70,8 +70,9 @@ class ExperimentSpec:
     def validate(self) -> list[str]:
         """The sections' own rules, then the client counts the partitioner can
         fill: dirichlet needs two, and on synthetic data at most one client
-        per training example (dirichlet) or per example of a class (rho)."""
-        errors, fl, d = schema.check(self), self.fl, self.data
+        per training example (dirichlet) or per example of a class (rho);
+        then the sizes of the arrays that data, model and attacker allocate."""
+        errors, fl, d, a, h = schema.check(self), self.fl, self.data, self.attack, self.harness
         if errors:
             return errors
         least = 2 if fl.partition_scheme == "dirichlet" else 1
@@ -80,7 +81,18 @@ class ExperimentSpec:
         if not least <= fl.num_clients <= most:
             errors.append(f"fl.num_clients must be in [{least}, {most}] for {fl.partition_scheme}"
                           f" partitioning of this data (got {fl.num_clients})")
-        return errors
+        widths = (d.side**2, *self.hidden_dims, d.num_classes)
+        draws = a.eot_samples if a.adaptive == "eot" else 1  # eot draws them all at once
+        sizes = {"data.num_classes, per_class, per_class_test and side ask for a dataset":
+                 d.num_classes * max(d.per_class, d.per_class_test) * d.side**2,
+                 "data.side, model.hidden_dims and attack.eot_samples ask for a tensor":
+                 max(p * q for p, q in zip(widths, widths[1:])) * draws,
+                 "attack.restarts, batch_size, iterations and data.side ask for a restart array":
+                 h.restarts * max(h.batch_size * d.side**2, a.iterations)}
+        # near 2**60 float64 entries numpy's byte count overflows: a ValueError or a
+        # crash. The first such array is named, as data.side feeds all three
+        return errors + [f"{what} of {n} entries (at most 2**59 - 1)"
+                         for what, n in sizes.items() if n >= 2**59][:1]
 
     def victim_errors(self) -> list[str]:
         """The victim harness's rules, which only `attack` and `sweep` apply."""
@@ -96,7 +108,7 @@ def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
             raw = json.load(fh)
     except OSError as exc:
         return None, [f"config file {path} cannot be read: {exc.strerror or exc}"]
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes not UTF-8, nesting too deep
         return None, [f"config file {path} is not valid JSON: {exc}"]
     if not isinstance(raw, dict):
         return None, [f"config file {path} must hold a JSON object"]

@@ -230,43 +230,43 @@ def _sparse(a: np.ndarray) -> bytes:
 
 
 def serialize_packet(packet: DefensePacket) -> bytes:
-    """Little-endian layout. The tensor's id is its position in the upload
-    and its shape, (p, q) or (p,), is the model's. A sparse block of n
-    entries is np.packbits of the n-entry mask of the stored entries, those
-    whose bits are not all zero (so -0.0 is stored and +0.0 is not), then
-    the stored entries as f64 in flat order.
+    """Little-endian layout: a header, then one sparse block. The tensor's
+    id is its position in the upload and its shape, (p, q) or (p,), is the
+    model's. A sparse block of n entries is np.packbits of the n-entry mask
+    of the stored entries, those whose bits are not all zero (so -0.0 is
+    stored and +0.0 is not), then the stored entries as f64 in flat order.
 
-    svd (code u8 1, k u32): the sparse block of u_star (p*k entries), then
-    as f64 the channel weights (p), sigma_star (k), vt_star (k*q) and the
-    entropy (1). raw (code u8 2): the sparse block of the tensor's values.
+    svd (code u8 1, k u32): the block of u_star (p*k entries), the channel
+    weights (p), sigma_star (k), vt_star (k*q) and the entropy (1). raw
+    (code u8 2): the block of the tensor's values.
     """
     if packet.values is not None:
         return bytes([_RAW]) + _sparse(packet.values)
-    dense = (packet.channel_weights, packet.sigma_star, packet.vt_star, np.array([packet.entropy]))
-    return (struct.pack("<BI", _SVD, packet.sigma_star.size) + _sparse(packet.u_star)
-            + b"".join(a.astype(_F8).tobytes() for a in dense))  # tobytes writes row-major
+    floats = np.concatenate((packet.u_star, packet.channel_weights, packet.sigma_star,
+                             packet.vt_star, packet.entropy), axis=None)
+    return struct.pack("<BI", _SVD, packet.sigma_star.size) + _sparse(floats)
 
 
-def _read_sparse(blob: bytes, at: int, n: int, tail: int):
-    """(the n entries of the sparse block at byte `at` of `blob`, the offset
-    past the block), where `tail` more bytes end the blob; InvalidInput if
-    the mask is cut short or sets a pad bit, the blob has another length, or
-    the block stores a +0.0. The mask is read only once the blob holds it."""
+def _read_sparse(blob: bytes, at: int, n: int) -> np.ndarray:
+    """The n entries of the sparse block from byte `at` to the end of
+    `blob`; InvalidInput if the mask is cut short or sets a pad bit, the
+    blob has another length, or the block stores a +0.0. The mask is read
+    only once the blob holds it."""
     end = at + -(-n // 8)
     if len(blob) < end or n % 8 and blob[end - 1] & (0xFF >> n % 8):
         raise InvalidInput(f"packet of {len(blob)} bytes cuts its {n}-entry mask short or sets "
                            "a pad bit")
     where = np.unpackbits(np.frombuffer(blob, np.uint8, end - at, at)).view(bool).nonzero()[0]
     stop = end + 8 * len(where)
-    if len(blob) != stop + tail:
+    if len(blob) != stop:
         raise InvalidInput(f"packet of {len(blob)} bytes, where its header, mask and tensor fix "
-                           f"{stop + tail}")
+                           f"{stop}")
     stored = np.frombuffer(blob, _F8, len(where), end)
     if not stored.view(_U8).all():
         raise InvalidInput("packet is not in canonical form: it stores a +0.0")
     values = np.zeros(n)
     values[where] = stored
-    return values, stop
+    return values
 
 
 def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
@@ -283,32 +283,31 @@ def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
         raise InvalidInput(f"unknown packet code {blob[0]}" if blob else "empty packet")
     p, q = (*shape, 0)[:2]
     if blob[0] == _RAW:
-        values = _read_sparse(blob, 1, math.prod(shape), 0)[0]
+        values = _read_sparse(blob, 1, math.prod(shape))
         if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
             raise InvalidInput("raw packet holds a NaN")
         return DefensePacket(values=values.reshape(shape))
     if len(blob) < _SVD_HEADER:
         raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
     (k,) = struct.unpack_from("<I", blob, 1)
-    u, at = _read_sparse(blob, _SVD_HEADER, p * k, 8 * (p + k + k * q + 1))
-    body = np.frombuffer(blob, dtype=_F8, offset=at).copy()
-    at_vt, at_entropy = p + k, p + k + k * q
-    weights, sigma = body[:p], body[p:at_vt]
+    floats = _read_sparse(blob, _SVD_HEADER, k * (p + q + 1) + p + 1)
+    u, rest = floats[:p * k], floats[p * k:]
+    weights, sigma, vt = rest[:p], rest[p:p + k], rest[p + k:-1]
     if not np.all((weights > 0.0) & (weights < np.inf)):
         raise InvalidInput("svd packet channel weights must be finite and positive")
-    if not (np.isfinite(u).all() and np.isfinite(body[p:at_entropy]).all()):
+    if not np.isfinite(floats[:-1]).all():  # the weights are finite, so a factor is not
         raise InvalidInput("svd packet factors must be finite")
     if k > min(p, q) or (sigma < 0.0).any() or (np.diff(sigma) > 0.0).any():
         raise InvalidInput("svd packet sigma_star must be at most min(p, q) non-negative, "
                            "non-increasing values")
-    if not (min(p, q) and 0.0 <= body[at_entropy] <= math.log(min(p, q)) * (1 + 1e-12)):
+    if not (min(p, q) and 0.0 <= floats[-1] <= math.log(min(p, q)) * (1 + 1e-12)):
         raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
     return DefensePacket(
         channel_weights=weights,
         u_star=u.reshape(p, k),
         sigma_star=sigma,
-        vt_star=body[at_vt:at_entropy].reshape(k, q),
-        entropy=float(body[at_entropy]),
+        vt_star=vt.reshape(k, q),
+        entropy=float(floats[-1]),
     )
 
 

@@ -20,9 +20,11 @@ class InvalidConfig(ValueError):
 @contextlib.contextmanager
 def numerical_failure(what: str):
     """Raise NumericalFailure at the first floating-point overflow, division
-    by zero or invalid operation in the block, where numpy would warn."""
+    by zero, invalid operation (where numpy would warn) or LAPACK error."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
         raise NumericalFailure(f"{what} is not finite ({exc})") from None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{what} did not converge ({exc})") from None

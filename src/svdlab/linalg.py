@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 
 # Only singular values strictly above RANK_TOL * sigma_max are kept; dropping
 # the rest keeps reconstruction well inside the 1e-8 * ||input||_F contract.
@@ -69,10 +69,7 @@ def svd(m) -> SvdFactors:
     and leaves the vectors bit for bit as they were.
     """
     m, scale = _unit_scale(as_matrix(m))
-    try:
-        u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from None
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
     if sigma[0] == 0.0:  # zero matrix: any unit vectors complete the factors
         u, sigma, vt = np.eye(m.shape[0], 1), np.zeros(1), np.eye(1, m.shape[1])
     else:

@@ -244,7 +244,11 @@ HEADER_BYTES = {1: 5, 2: 1}  # by wire code: svd is code u8, k u32; raw its code
 
 def wire_blob(code: int, payload: bytes, k: int | None = None) -> bytes:
     """A packet of wire code `code` (1 svd, 2 raw, any other to forge one),
-    the u32 header field k unless it is None, and the bytes `payload`."""
+    the u32 header field k unless it is None, and the bytes `payload`. The
+    payload of either kind is one sparse block: np.packbits of the mask of
+    stored entries (bits not all zero), then those entries as f64; an svd
+    block runs over u_star (p*k), the channel weights (p), sigma_star (k),
+    vt_star (k*q) and the entropy (1)."""
     return bytes([code]) + (b"" if k is None else struct.pack("<I", k)) + payload
 
 
@@ -304,27 +308,26 @@ def _stored(a) -> int:
     return int(np.count_nonzero(np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)))
 
 
-def parameter_count(packet) -> int:
-    """Number of float64 values the packet payload carries: a raw packet's
-    values, or an svd packet's channel weights, the stored entries of u_star
-    (-0.0 counts, +0.0 does not), its kept values, vt_star and the entropy."""
+def _floats(packet) -> list:
+    """The packet's f64 values in wire order: a raw packet's values, or an
+    svd packet's u_star, channel weights, kept values, vt_star and entropy."""
     if packet.values is not None:
-        return int(packet.values.size)
-    (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
-    return p + _stored(packet.u_star) + k + k * q + 1
+        return [packet.values]
+    return [packet.u_star, packet.channel_weights, packet.sigma_star, packet.vt_star,
+            np.array([packet.entropy])]
+
+
+def parameter_count(packet) -> int:
+    """Number of float64 values the packet payload carries: the stored
+    entries of its floats (-0.0 counts, +0.0 does not)."""
+    return sum(_stored(a) for a in _floats(packet))
 
 
 def payload_bytes(packet) -> int:
-    """Size of the packet on the wire after its header: a sparse block of
-    the raw values or of u_star, one bit per entry and 8 bytes per stored
-    entry, then an svd packet's 8 bytes per channel weight, kept value,
-    vt_star entry and the entropy."""
-    if packet.values is not None:
-        sparse, dense = packet.values, 0
-    else:
-        (p, k), q = packet.u_star.shape, packet.vt_star.shape[1]
-        sparse, dense = packet.u_star, p + k + k * q + 1
-    return -(-sparse.size // 8) + 8 * (_stored(sparse) + dense)
+    """Size of the packet on the wire after its header: one sparse block
+    over all its floats, one bit per entry (rounded up to whole bytes) and
+    8 bytes per stored entry."""
+    return -(-sum(np.size(a) for a in _floats(packet)) // 8) + 8 * parameter_count(packet)
 
 
 def wire_bytes(packet) -> int:

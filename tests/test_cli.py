@@ -75,6 +75,18 @@ class TestConfigHandling:
         assert rc == 2
         assert err.count("\n") == 1 and str(path) in err
 
+    @pytest.mark.parametrize("where", ["top", "fl.rounds"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, where):
+        # json.load raises RecursionError from about 990 levels on
+        deep = "[" * 2000 + "]" * 2000
+        path = tmp_path / "cfg.json"
+        path.write_text(deep if where == "top" else '{"fl": {"rounds": %s}}' % deep)
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "not valid JSON" in lines[0]
+
     def test_unknown_keys_listed(self, tmp_path, capsys):
         path = write_config(tmp_path, {"fl.typo_key": 1, "banana": 2})
         rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
@@ -309,6 +321,30 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert "allocate" in lines[0]
 
+    # numpy would crash (np.repeat's SIGSEGV) or raise on these, so they are
+    # probed through load_spec only, never run
+    @pytest.mark.parametrize("overrides, keys", [
+        ({"data.per_class": 2**62}, "data.num_classes"),
+        ({"data.per_class_test": 2**62}, "data.num_classes"),
+        ({"data.per_class": 10**30}, "data.num_classes"),
+        ({"data.side": 10**30}, "data.num_classes"),
+        ({"model.hidden_dims": [10**30]}, "data.side, model.hidden_dims"),
+        ({"attack.restarts": 2**62}, "attack.restarts"),
+        ({"attack.iterations": 2**62}, "attack.restarts"),
+        ({"attack.iterations": 2**59}, "attack.restarts"),
+        ({"fl.defense.method": "dp_gauss", "attack.adaptive": "eot",
+          "attack.eot_samples": 10**30}, "data.side, model.hidden_dims and attack.eot_samples"),
+    ])
+    def test_a_config_past_numpy_sizes_is_a_config_error(self, tmp_path, overrides, keys):
+        errors = cli.load_spec(write_config(tmp_path, overrides))[1]
+        assert len(errors) == 1 and errors[0].startswith(keys) and "2**59" in errors[0]
+
+    def test_the_size_limit_is_2_to_the_59_entries(self, tmp_path):
+        # restarts 1: the distance trace holds `iterations` entries
+        assert not cli.load_spec(write_config(tmp_path, {"attack.iterations": 2**59 - 1}))[1]
+        path = write_config(tmp_path, {"attack.eot_samples": 10**30})
+        assert not cli.load_spec(path)[1]  # no eot attacker draws them
+
     @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_divergence_exits_3(self, tmp_path, capsys, recwarn, method):
         path = write_config(tmp_path, {"fl.defense.method": method, "fl.local_lr": 1e308})
@@ -537,6 +573,27 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+    def test_replay_svd_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the replaying attacker's stacked LAPACK call fails; the defender's
+        # 2-D calls do not
+        import numpy as np
+
+        svd = np.linalg.svd
+
+        def stacked_fails(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", stacked_fails)
+        path = write_config(tmp_path, {"fl.defense.method": "svdefense", "attack.iterations": 2,
+                                       "attack.adaptive": "defense_replay"})
+        rc = cli.main(["attack", "--config", path, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "did not converge" in lines[0]
 
     @pytest.mark.parametrize("command, module, name, outputs", [
         ("attack", metrics, "ssim", ["attack.csv"]),

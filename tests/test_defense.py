@@ -570,14 +570,14 @@ class TestPacketTransport:
         assert parameter_count(pkt) == 8 + 8 * k + k + k * 6 + 1
 
     def test_zero_update_travels_as_rank_zero(self):
-        # 5 header bytes, u_star's mask of 0 entries (no byte), then 4
-        # channel weights and the entropy +0.0
+        # 5 header bytes, then the block of 5 entries: its mask byte (the 4
+        # channel weights stored, the entropy +0.0 not) and the 4 weights
         grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense"), seed=0)
         blob = serialize_packet(packets[0])
         weights = packets[0].channel_weights.tobytes()
-        assert blob == wire_blob(1, weights + struct.pack("<d", 0.0), k=0)
-        assert len(blob) == HEADER_BYTES[1] + 8 * (4 + 1) == 45
+        assert blob == wire_blob(1, bytes([0xF0]) + weights, k=0)
+        assert len(blob) == HEADER_BYTES[1] + 1 + 8 * 4 == 38
         back = [deserialize_packet(blob, (4, 5)),
                 deserialize_packet(serialize_packet(packets[1]), (4,))]
         assert back[0].u_star.shape == (4, 0)
@@ -587,19 +587,19 @@ class TestPacketTransport:
         np.testing.assert_array_equal(decoded[1], np.zeros(4))
 
     def test_byte_count_matches_payload(self):
-        # a dead row costs its k mask bits and its channel weight, not its
-        # u_star row
+        # one mask bit for each of the k (p + q + 1) + p + 1 floats; a dead
+        # row costs its k mask bits and its channel weight, not its u_star row
         rng = np.random.default_rng(12)
         g = rng.normal(size=(6, 7))
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
-        mask = -(-6 * k // 8)
+        mask = -(-(k * (6 + 7 + 1) + 6 + 1) // 8)
         assert len(serialize_packet(pkt)) == HEADER_BYTES[1] + mask + 8 * parameter_count(pkt)
         assert parameter_count(pkt) == 6 + 6 * k + k + k * 7 + 1
         g[[1, 4]] = 0.0
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
-        mask = -(-6 * k // 8)
+        mask = -(-(k * (6 + 7 + 1) + 6 + 1) // 8)
         assert parameter_count(pkt) == 6 + 4 * k + k + k * 7 + 1
         assert len(serialize_packet(pkt)) == HEADER_BYTES[1] + mask + 8 * parameter_count(pkt)
 
@@ -617,15 +617,19 @@ class TestPacketTransport:
         assert peak < 2**16
 
 
-def masked_blob(k=1, mask=0b10100000, values=None) -> bytes:
-    """A hand-written svd packet of a 3 x 4 tensor: the header, u_star's
-    mask byte, then the f64 values. By default u_star's entries 0 and 2 are
-    stored, and the values are canonical: u_star (1, +0.0, 2), the weights
-    0.5, 1.0 and 0.75, sigma 3, the vt_star row (1, -1, 0, 0) and the
-    entropy 0."""
-    if values is None:
-        values = [1.0, 2.0, 0.5, 1.0, 0.75, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0]
-    return wire_blob(1, bytes([mask]) + np.array(values, dtype="<f8").tobytes(), k=k)
+# the stored values of MASK: u_star's entries 0 and 2, the 3 channel
+# weights, sigma and vt_star's entries 0 and 1
+STORED = [1.0, 2.0, 0.5, 1.0, 0.75, 3.0, 1.0, -1.0]
+MASK = bytes([0b10111111, 0b10000000])
+
+
+def masked_blob(k=1, mask=MASK, values=STORED) -> bytes:
+    """A hand-written svd packet of a 3 x 4 tensor: the header, the block's
+    mask bytes, then the stored f64 values. By default the 12 entries of
+    the block (u_star, weights, sigma, vt_star, entropy) are canonical:
+    u_star (1, +0.0, 2), the weights 0.5, 1.0 and 0.75, sigma 3, the
+    vt_star row (1, -1, 0, 0) and the entropy 0."""
+    return wire_blob(1, mask + np.array(values, dtype="<f8").tobytes(), k=k)
 
 
 FIELDS = ("values", "channel_weights", "u_star", "sigma_star", "vt_star", "entropy")
@@ -679,8 +683,9 @@ def assert_uploads_travel_bit_exactly(packets, uploads):
 
 
 class TestSvdRowMask:
-    """u_star's sparse block: the mask of its stored entries, one bit per
-    row at k = 1, then the stored entries."""
+    """The svd packet's sparse block: the mask of its stored entries (one
+    bit per u_star row at k = 1, per weight, kept value, vt_star entry and
+    the entropy), then the stored entries."""
 
     def test_hand_written_blob_parses(self):
         back = deserialize_packet(masked_blob(), (3, 4))
@@ -693,7 +698,7 @@ class TestSvdRowMask:
     def test_a_stored_u_star_entry_is_never_plus_zero(self, u_entry):
         # entry 2 stored as +0.0 is refused; as -0.0 it is the canonical
         # form of a u_star whose entry 2 is -0.0, and travels with its sign
-        blob = masked_blob(values=[1.0, u_entry, 0.5, 1.0, 0.75, 3.0, 1.0, -1.0, 0.0, 0.0, 0.0])
+        blob = masked_blob(values=[1.0, u_entry, *STORED[2:]])
         if not np.signbit(u_entry):
             with pytest.raises(InvalidInput, match=r"\+0\.0"):
                 deserialize_packet(blob, (3, 4))
@@ -702,16 +707,24 @@ class TestSvdRowMask:
         assert back.u_star.tobytes() == np.array([[1.0], [0.0], [-0.0]]).tobytes()
         assert_travels_bit_exactly(back)
 
-    @pytest.mark.parametrize("rows", [0b10100001, 0b10110000])
+    @pytest.mark.parametrize("at", range(len(STORED)))
+    def test_a_stored_entry_is_never_plus_zero_anywhere(self, at):
+        # u_star, a weight, sigma or vt_star: the block refuses them alike
+        values = list(STORED)
+        values[at] = 0.0
+        with pytest.raises(InvalidInput, match=r"\+0\.0"):
+            deserialize_packet(masked_blob(values=values), (3, 4))
+
+    @pytest.mark.parametrize("rows", [0b10000001, 0b10001000])
     def test_rejects_mask_pad_bits(self, rows):
-        # 3 entries use the top 3 bits of the mask byte
+        # 12 entries use the top 4 bits of the second mask byte
         with pytest.raises(InvalidInput, match="pad bit"):
-            deserialize_packet(masked_blob(mask=rows), (3, 4))
+            deserialize_packet(masked_blob(mask=MASK[:1] + bytes([rows])), (3, 4))
 
     @pytest.mark.parametrize("edit", ["extra row bit", "trailing value", "missing value",
                                       "no mask"])
     def test_rejects_a_length_the_mask_does_not_fix(self, edit):
-        blob = {"extra row bit": masked_blob(mask=0b11100000),
+        blob = {"extra row bit": masked_blob(mask=bytes([0xFF]) + MASK[1:]),
                 "trailing value": masked_blob() + bytes(8),
                 "missing value": masked_blob()[:-8],
                 "no mask": masked_blob()[:HEADER_BYTES[1]]}[edit]
@@ -719,22 +732,56 @@ class TestSvdRowMask:
             deserialize_packet(blob, (3, 4))
 
     def test_rejects_a_marked_row_at_rank_zero(self):
-        # at k = 0 u_star has no entries, so its mask has no byte and a
-        # byte that marks a row is one too many
-        rank_zero = [0.5, 1.0, 0.75, 0.0]
-        blob = wire_blob(1, np.array(rank_zero, dtype="<f8").tobytes(), k=0)
-        assert deserialize_packet(blob, (3, 4)).u_star.shape == (3, 0)
-        with pytest.raises(InvalidInput, match="bytes"):
-            deserialize_packet(masked_blob(0, 0b10000000, rank_zero), (3, 4))
+        # at k = 0 u_star has no entries: the block is the 3 weights and
+        # the entropy, so the rank-1 mask sets pad bits
+        blob = masked_blob(0, bytes([0b11100000]), STORED[2:5])
+        back = deserialize_packet(blob, (3, 4))
+        assert (back.u_star.shape, back.vt_star.shape) == ((3, 0), (0, 4))
+        assert_travels_bit_exactly(back)
+        with pytest.raises(InvalidInput, match="pad bit"):
+            deserialize_packet(masked_blob(0), (3, 4))
+
+    @pytest.mark.parametrize("entropy", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entropy_is_an_entropy_error(self, entropy):
+        # the entropy ends the block that the factors' finiteness check reads
+        blob = masked_blob(0, bytes([0b11110000]), [*STORED[2:5], entropy])
+        with pytest.raises(InvalidInput, match="entropy"):
+            deserialize_packet(blob, (3, 4))
 
     def test_a_dead_row_sends_its_weight_and_no_u_star_row(self):
         g = with_dead_rows(np.random.default_rng(14).normal(size=(32, 64)))
         pkt = defend_grad_svd(g, beta=0.3)
         blob = serialize_packet(pkt)
-        # 32 k mask bits, 30 k stored entries of u_star, 32 weights
+        # 97 k + 33 mask bits, 30 k stored entries of u_star, 32 weights
         k = len(pkt.sigma_star)
-        assert len(blob) == HEADER_BYTES[1] + 4 * k + 8 * (30 * k + 32 + k + k * 64 + 1)
+        mask = -(-(97 * k + 33) // 8)
+        assert len(blob) == HEADER_BYTES[1] + mask + 8 * (30 * k + 32 + k + k * 64 + 1)
         assert not pkt.u_star[DEAD_ROWS].any() and not np.signbit(pkt.u_star[DEAD_ROWS]).any()
+        assert_travels_bit_exactly(pkt)
+
+    def test_an_exact_zero_vt_star_entry_costs_one_bit(self):
+        # the update of the layer above a dead ReLU unit has a zero column,
+        # whose k vt_star entries LAPACK may return as exact zeros: each
+        # +0.0 is one mask bit, each -0.0 or other value 8 bytes more
+        dead = [3, 40]
+        g = np.random.default_rng(16).normal(size=(32, 64))
+        g[:, dead] = 0.0
+        pkt = defend_grad_svd(g, beta=0.3)
+        k, sizes = len(pkt.sigma_star), []
+        for fill in (0.0, -0.0, 1e-17):
+            pkt.vt_star[:, dead] = fill
+            assert_travels_bit_exactly(pkt)
+            sizes.append(len(serialize_packet(pkt)))
+        assert sizes == [sizes[2] - 8 * k * len(dead), sizes[2], sizes[2]]
+
+    @pytest.mark.parametrize("g", [np.zeros((3, 4)), np.arange(1.0, 5.0)[None, :],
+                                   np.arange(1.0, 4.0)[:, None]])
+    def test_a_zero_entropy_costs_one_bit(self, g):
+        # a rank-0 or thin (1 x q, p x 1) update has H = +0.0, which the
+        # block does not store
+        pkt = defend_grad_svd(g, beta=0.3)
+        assert np.float64(pkt.entropy).tobytes() == bytes(8)
+        assert len(serialize_packet(replace(pkt, entropy=0.5))) == len(serialize_packet(pkt)) + 8
         assert_travels_bit_exactly(pkt)
 
     @pytest.mark.parametrize("shape", [(1, 64), (32, 1), (1, 1)])
