@@ -38,22 +38,18 @@ class AttackConfig:
     lr: float = field(default=0.1, metadata={"gt": 0})
     adaptive: str = field(default="none", metadata={"choices": ADAPTIVE_MODES})
     eot_samples: int = field(default=1, metadata={"ge": 1})
-    # known to adaptive attackers
-    defense: defense.DefenseConfig = field(
-        default_factory=defense.DefenseConfig, metadata={"derived": "fl.defense"}
-    )
 
-    def validate(self) -> list[str]:
-        errors, d = schema.check(self), self.defense
-        if d.validate():  # those errors are fl.defense's to report
-            return errors
-        if self.adaptive == "eot" and (d.method not in defense.NOISE_METHODS
-                                       or d.noise_scale <= 0.0):
-            errors.append("adaptive 'eot' requires fl.defense.method dp_gauss or dp_lap "
-                          "with noise_scale > 0")
-        if self.adaptive == "defense_replay" and d.method != "svdefense":
-            errors.append("adaptive 'defense_replay' requires fl.defense.method svdefense")
-        return errors
+
+def pairing_errors(mode: str, faced: defense.DefenseConfig) -> list[str]:
+    """Why adaptive `mode` cannot face the defense `faced`, whose own fields
+    are valid: eot averages away noise the defense must add, and
+    defense_replay replays svdefense."""
+    if mode == "eot" and (faced.method not in defense.NOISE_METHODS or faced.noise_scale <= 0.0):
+        return ["adaptive 'eot' requires fl.defense.method dp_gauss or dp_lap "
+                "with noise_scale > 0"]
+    if mode == "defense_replay" and faced.method != "svdefense":
+        return ["adaptive 'defense_replay' requires fl.defense.method svdefense"]
+    return []
 
 
 @dataclass
@@ -142,7 +138,7 @@ def _replay_projectors(cache, beta: float) -> list:
             for l, (p_l, _) in enumerate(dims)]
 
 
-def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
+def _adaptive_view(cfg: AttackConfig, faced, masks, rngs, dummy: list, cache):
     """(view, pullback): the dummy gradients as the adaptive attacker compares
     them, and the pullback of distance sensitivities through that view.
     Tensors carry a leading restart axis; restart j draws its EOT noise from
@@ -161,11 +157,10 @@ def _adaptive_view(cfg: AttackConfig, masks, rngs, dummy: list, cache):
         return view, lambda sens: [s * keep for s, keep in zip(sens, live)]
     if mode != "defense_replay":
         if mode == "eot":
-            d, n = cfg.defense, cfg.eot_samples
-            dummy = [np.stack([tj + _mean_noise(rng, d, n, tj.shape) for tj, rng in zip(t, rngs)])
-                     for t in dummy]
+            dummy = [np.stack([tj + _mean_noise(rng, faced, cfg.eot_samples, tj.shape)
+                               for tj, rng in zip(t, rngs)]) for t in dummy]
         return dummy, lambda sens: sens
-    projectors = _replay_projectors(cache, cfg.defense.beta)
+    projectors = _replay_projectors(cache, faced.beta)
 
     def replayed(grads, adjoint: bool):
         ts = list(grads)
@@ -241,14 +236,15 @@ def run_attack(
     params: ModelParams,
     upload: list,
     cfg: AttackConfig,
+    faced: defense.DefenseConfig,
     labels,
     seed,
     restarts: int = 1,
 ) -> AttackResult:
     """Reconstruct the inputs behind one client's upload, the packet list
     that the server's own defense.packets_to_gradset decodes for `params`,
-    given the batch's `labels`: one int in [0, C) per slot, which also fix
-    the batch size.
+    given the defense `faced` that made it and the batch's `labels`: one
+    int in [0, C) per slot, which also fix the batch size.
     Inputs are clamped to [0, 1] after every step. An upload that
     decodes to non-finite values, or an iteration that overflows, raises
     NumericalFailure.
@@ -259,7 +255,7 @@ def run_attack(
     slice j of a leading axis and computes exactly what it would alone;
     the result is the best iterate of the first lowest restart.
     """
-    errors = cfg.validate()
+    errors = schema.check(cfg) + (faced.validate() or pairing_errors(cfg.adaptive, faced))
     if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
         errors.append(f"restarts must be an integer >= 1, got {restarts!r}")
     if errors:
@@ -280,7 +276,7 @@ def run_attack(
     rngs = [np.random.default_rng([*seed, j]) for j in range(restarts)]
     for j, rng in enumerate(rngs):
         x[j] = rng.uniform(0.0, 1.0, size=(len(y), dim))
-    masks = _known_zeros(observed, cfg.defense)
+    masks = _known_zeros(observed, faced)
     units = _unit_vectors(observed)
     m_x, v_x = np.zeros_like(x), np.zeros_like(x)
 
@@ -291,7 +287,7 @@ def run_attack(
         for it in range(cfg.iterations):
             # the view is this iteration's own arrays: the distance writes over it
             dummy, cache = tinynn.backprop(params, x, y)
-            view, pullback = _adaptive_view(cfg, masks, rngs, dummy, cache)
+            view, pullback = _adaptive_view(cfg, faced, masks, rngs, dummy, cache)
             loss, sens = _distance_with_sens(observed, view, cfg.distance, units)
 
             trace[:, it] = loss

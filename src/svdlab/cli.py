@@ -47,14 +47,11 @@ class AttackHarnessConfig:
     n_examples: int = field(default=8, metadata={"ge": 1})
     restarts: int = field(default=3, metadata={"ge": 1})
 
-    def validate(self) -> list[str]:
-        return schema.check(self)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A whole config file. The harness shares the JSON `attack` section with
-    the attack config; load_spec copies the seed and fl.defense where used."""
+    the attack config; load_spec copies the seed into fl."""
 
     seed: int = field(default=0, metadata={"ge": 0})
     data: flsim.DataConfig = field(default_factory=flsim.DataConfig)
@@ -68,11 +65,14 @@ class ExperimentSpec:
     )
 
     def validate(self) -> list[str]:
-        """The sections' own rules, then the client counts the partitioner can
-        fill: dirichlet needs two, and on synthetic data at most one client
-        per training example (dirichlet) or per example of a class (rho);
-        then the sizes of the arrays that data, model and attacker allocate."""
+        """The sections' own rules and the adaptive mode's pairing with a valid
+        fl.defense, then the client counts the partitioner can fill: dirichlet
+        needs two, and on synthetic data at most one client per training
+        example (dirichlet) or per example of a class (rho); then the sizes
+        of the arrays that data, model and attacker allocate."""
         errors, fl, d, a, h = schema.check(self), self.fl, self.data, self.attack, self.harness
+        if not fl.defense.validate():
+            errors += [f"attack.{e}" for e in attack_mod.pairing_errors(a.adaptive, fl.defense)]
         if errors:
             return errors
         least = 2 if fl.partition_scheme == "dirichlet" else 1
@@ -114,8 +114,7 @@ def load_spec(path: str) -> tuple[ExperimentSpec | None, list[str]]:
         return None, [f"config file {path} must hold a JSON object"]
 
     spec, errors = schema.from_json(ExperimentSpec, raw)
-    spec = replace(spec, fl=replace(spec.fl, seed=spec.seed),
-                   attack=replace(spec.attack, defense=spec.fl.defense))
+    spec = replace(spec, fl=replace(spec.fl, seed=spec.seed))
     errors.extend(spec.validate())
     return spec, errors
 
@@ -194,7 +193,7 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
         packets, _ = defense_mod.defend_update(
             grads, spec.fl.defense, [spec.seed, flsim._TAG_VICTIM_NOISE, run_seed]
         )
-    best = attack_mod.run_attack(model, packets, spec.attack, labels,
+    best = attack_mod.run_attack(model, packets, spec.attack, spec.fl.defense, labels,
                                  [spec.seed, flsim._TAG_ATTACK, run_seed], spec.harness.restarts)
     truth, recon = x[0], best.reconstructed_batch[0]
     return (
@@ -245,7 +244,7 @@ def _apply_axis(spec: ExperimentSpec, axis: str, value: float) -> ExperimentSpec
         fl = replace(spec.fl, defense=replace(spec.fl.defense, **{axis: value}))
     else:
         raise InvalidConfig(f"unknown sweep axis {axis!r}")
-    return replace(spec, fl=fl, attack=replace(spec.attack, defense=fl.defense))
+    return replace(spec, fl=fl)
 
 
 def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str):

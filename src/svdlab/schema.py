@@ -6,7 +6,7 @@ the enclosing section, if not its name), or `derived` (the setting it is
 copied from; never read from JSON, never checked). The annotation gives the
 type: `int` rejects bools and floats, `float` takes finite reals, `str | None`
 takes null, `tuple[int, ...]` a non-empty list, and a nested config class is
-checked by its own `validate()`.
+checked by its own `validate()`, or by its fields if it defines none.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def check(obj) -> list[str]:
             continue
         tp, key, value = _hints(type(obj))[f.name], ".".join(_key(f)), getattr(obj, f.name)
         if is_dataclass(tp):
-            errors.extend(f"{key}.{e}" for e in value.validate())
+            errors.extend(f"{key}.{e}" for e in getattr(value, "validate", lambda: check(value))())
         elif (problem := _problem(tp, f.metadata, value)) is not None:
             errors.append(f"{key} {problem}")
     return errors

@@ -1,7 +1,7 @@
 """Inversion engine: distance metrics, differentiation through the backward
 pass, adaptive transforms, end-to-end reconstructions."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from oracles import (BROKEN_UPLOADS, broken_upload, grad_distance, one_hot_grads
 from svdlab import attack, cli, data, defense, flsim, tinynn
 from svdlab.attack import AttackConfig, run_attack
 from svdlab.errors import InvalidConfig, InvalidInput
+
+UNDEFENDED = defense.DefenseConfig()  # the defense a plain upload faces
 
 
 @pytest.fixture(scope="module")
@@ -148,13 +150,14 @@ class TestInputGradients:
         if adaptive == "prune_mask":  # zero about half the entries so the mask bites
             observed = [t * (rng.uniform(size=t.shape) < 0.5) for t in observed]
         method = "prune" if adaptive == "prune_mask" else "dp_gauss"  # prune's bound bites too
-        cfg = AttackConfig(distance=metric, adaptive=adaptive, eot_samples=2,
-                           defense=defense.DefenseConfig(method=method, noise_scale=0.01))
-        masks = attack._known_zeros(observed, cfg.defense)
+        cfg = AttackConfig(distance=metric, adaptive=adaptive, eot_samples=2)
+        faced = defense.DefenseConfig(method=method, noise_scale=0.01)
+        masks = attack._known_zeros(observed, faced)
 
         def view(xv):  # eot draws the same noise on every evaluation
             dummy, cache = tinynn.backprop(model, xv, y)
-            return attack._adaptive_view(cfg, masks, [np.random.default_rng(3)], dummy, cache), cache
+            rngs = [np.random.default_rng(3)]
+            return attack._adaptive_view(cfg, faced, masks, rngs, dummy, cache), cache
 
         (shown, pullback), cache = view(x)
         _, sens = attack._distance_with_sens(observed, shown, metric,
@@ -189,7 +192,7 @@ class TestRunAttack:
         x, labels = one(ds, 3)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance="l2", iterations=1000, lr=0.1)
-        res = run_attack(model, upload(g), cfg, labels, [0])
+        res = run_attack(model, upload(g), cfg, UNDEFENDED, labels, [0])
         assert float(np.mean((res.reconstructed_batch[0] - x[0]) ** 2)) < 1e-2
 
     def test_deterministic(self, setup):
@@ -197,8 +200,8 @@ class TestRunAttack:
         x, labels = batch_for(ds, 4)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=50, lr=0.1)
-        r1 = run_attack(model, upload(g), cfg, labels, [9])
-        r2 = run_attack(model, upload(g), cfg, labels, [9])
+        r1 = run_attack(model, upload(g), cfg, UNDEFENDED, labels, [9])
+        r2 = run_attack(model, upload(g), cfg, UNDEFENDED, labels, [9])
         np.testing.assert_array_equal(r1.reconstructed_batch, r2.reconstructed_batch)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
@@ -210,7 +213,7 @@ class TestRunAttack:
         x, labels = np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), np.array([0, 1, 2])
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(distance=distance, iterations=6, lr=1e-300)
-        res = run_attack(model, upload(g), cfg, labels, [11], restarts=2)
+        res = run_attack(model, upload(g), cfg, UNDEFENDED, labels, [11], restarts=2)
         assert res.best_iteration == 0
         assert len(np.unique(res.loss_trace)) == 1
         start = np.random.default_rng([11, res.restart]).uniform(0.0, 1.0, (3, 16))
@@ -228,14 +231,14 @@ class TestRunAttack:
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig, match="need one label in"):
-            run_attack(model, upload(g), cfg, given, [0])
+            run_attack(model, upload(g), cfg, UNDEFENDED, given, [0])
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_the_labels_fix_the_batch_size(self, setup, size):
         ds, model = setup
         x, labels = batch_for(ds, 7, size)
         g = one_hot_grads(model, x, labels)
-        res = run_attack(model, upload(g), AttackConfig(iterations=2), labels, [0])
+        res = run_attack(model, upload(g), AttackConfig(iterations=2), UNDEFENDED, labels, [0])
         assert res.reconstructed_batch.shape == (size, model.input_dim)
 
     def test_takes_unsigned_labels(self, setup):
@@ -243,8 +246,8 @@ class TestRunAttack:
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
         cfg = AttackConfig(iterations=2)
-        res = run_attack(model, upload(g), cfg, labels.astype(np.uint8), [0])
-        ref = run_attack(model, upload(g), cfg, labels, [0])
+        res = run_attack(model, upload(g), cfg, UNDEFENDED, labels.astype(np.uint8), [0])
+        ref = run_attack(model, upload(g), cfg, UNDEFENDED, labels, [0])
         np.testing.assert_array_equal(res.loss_trace, ref.loss_trace)
 
     @pytest.mark.parametrize("how", BROKEN_UPLOADS)
@@ -252,10 +255,11 @@ class TestRunAttack:
         ds, model = setup
         x, labels = batch_for(ds, 7)
         g = one_hot_grads(model, x, labels)
-        packets, _ = defense.defend_update(g, defense.DefenseConfig(method="svdefense"), seed=0)
+        dcfg = defense.DefenseConfig(method="svdefense")
+        packets, _ = defense.defend_update(g, dcfg, seed=0)
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidInput):
-            run_attack(model, broken_upload(packets, how), cfg, labels, [0])
+            run_attack(model, broken_upload(packets, how), cfg, dcfg, labels, [0])
 
     def test_rejects_a_gradset_of_other_shapes(self):
         model = tinynn.init_model(6, [3], 2, seed=0)
@@ -264,7 +268,24 @@ class TestRunAttack:
         cfg = AttackConfig(iterations=2)
         for observed in (wrong_shape, g[:2]):
             with pytest.raises(InvalidInput):
-                run_attack(model, upload(observed), cfg, [1], [0])
+                run_attack(model, upload(observed), cfg, UNDEFENDED, [1], [0])
+
+    @pytest.mark.parametrize("mode, faced, field", [
+        ("defense_replay", defense.DefenseConfig(method="svdefense", beta=-1.0), "beta"),
+        ("prune_mask", defense.DefenseConfig(method="prune", prune_rate=1.5), "prune_rate"),
+        ("eot", defense.DefenseConfig(method="dp_gauss", noise_scale=-1.0), "noise_scale"),
+    ], ids=["beta", "prune_rate", "noise_scale"])
+    def test_rejects_a_bad_defense_before_any_work(self, monkeypatch, mode, faced, field):
+        # the defense handed in is checked as the restarts and labels are:
+        # one InvalidConfig naming the field, before the first model pass
+        model, labels = tinynn.init_model(64, [32], 4, seed=0), np.array([0, 1, 2])
+        g = one_hot_grads(model, np.random.default_rng(0).uniform(0.0, 1.0, (3, 64)), labels)
+        passes = []
+        monkeypatch.setattr(tinynn, "backprop", lambda *args: passes.append(1))
+        cfg = AttackConfig(iterations=3, adaptive=mode, eot_samples=2)
+        with pytest.raises(InvalidConfig, match=rf"^{field} must be "):
+            run_attack(model, upload(g), cfg, faced, labels, [0])
+        assert passes == []
 
 
 ENGINE_DEFENSES = {
@@ -293,8 +314,7 @@ class TestEngine:
         # j + 1 restarts as in one of 3, and the winner is the first lowest:
         # the run of win + 1 restarts returns exactly what the run of 3 does
         model, observed, labels, dcfg = self.observed_for(setup, mode)
-        cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, adaptive=mode,
-                           eot_samples=2, defense=dcfg)
+        cfg = AttackConfig(distance=distance, iterations=30, lr=0.1, adaptive=mode, eot_samples=2)
         losses, distance_with_sens = [], attack._distance_with_sens
 
         def recording(*args):
@@ -306,7 +326,7 @@ class TestEngine:
         results = []
         for restarts in (1, 2, 3):
             losses.append([])
-            results.append(run_attack(model, observed, cfg, labels, [40], restarts=restarts))
+            results.append(run_attack(model, observed, cfg, dcfg, labels, [40], restarts=restarts))
         traces = [np.array(t) for t in losses]  # (iterations, restarts)
         for trace in traces:
             assert trace.tobytes() == traces[-1][:, :trace.shape[1]].tobytes()
@@ -329,7 +349,7 @@ class TestEngine:
         dcfg = defense.DefenseConfig(method="dp_gauss", noise_scale=0.01)
         spec = cli.ExperimentSpec(
             seed=7, fl=flsim.FlConfig(rounds=1, defense=dcfg, seed=7),
-            attack=AttackConfig(iterations=3, adaptive="eot", eot_samples=2, defense=dcfg),
+            attack=AttackConfig(iterations=3, adaptive="eot", eot_samples=2),
             harness=cli.AttackHarnessConfig(restarts=2),
         )
         train, _, _, model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
@@ -361,15 +381,14 @@ class TestEngine:
         g = one_hot_grads(model, np.random.default_rng(0).uniform(0.0, 1.0, (3, 16)), labels)
         dcfg = ENGINE_DEFENSES[mode]
         packets, _ = defense.defend_update(g, dcfg, seed=2)
-        cfg = AttackConfig(distance=distance, iterations=4, lr=0.1, adaptive=mode,
-                           eot_samples=2, defense=dcfg)
+        cfg = AttackConfig(distance=distance, iterations=4, lr=0.1, adaptive=mode, eot_samples=2)
 
         def arrays():
             owned = [getattr(p, f.name) for p in packets for f in fields(p)]
             return [a for a in owned + [labels] + model.tensors() if isinstance(a, np.ndarray)]
 
         before = [a.copy() for a in arrays()]
-        run_attack(model, packets, cfg, labels, [40], restarts=2)
+        run_attack(model, packets, cfg, dcfg, labels, [40], restarts=2)
         after = arrays()
         assert len(after) == len(before)
         for a, a0 in zip(after, before):
@@ -386,8 +405,8 @@ class TestEngine:
 
         monkeypatch.setattr(tinynn, "forward_batch", counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
-                           adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, cfg, labels, [0], restarts=3)
+                           adaptive="defense_replay")
+        run_attack(model, observed, cfg, dcfg, labels, [0], restarts=3)
         assert len(calls) == 25
 
     def test_replay_factorizations_per_iteration(self, setup, monkeypatch):
@@ -401,17 +420,16 @@ class TestEngine:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
         cfg = AttackConfig(distance="neg_cosine_layerwise", iterations=25, lr=0.1,
-                           adaptive="defense_replay", defense=dcfg)
-        run_attack(model, observed, cfg, labels, [0], restarts=3)
+                           adaptive="defense_replay")
+        run_attack(model, observed, cfg, dcfg, labels, [0], restarts=3)
         assert counts == {"qr": 25, "svd": 25}
 
     @pytest.mark.parametrize("restarts", [0, -1, 1.5, True])
     def test_rejects_bad_restarts(self, setup, restarts):
-        model, observed, labels, _ = self.observed_for(setup, "none")
+        model, observed, labels, dcfg = self.observed_for(setup, "none")
         cfg = AttackConfig(iterations=2)
         with pytest.raises(InvalidConfig):
-            run_attack(model, observed, cfg, labels, [0], restarts=restarts)
-
+            run_attack(model, observed, cfg, dcfg, labels, [0], restarts=restarts)
 
 class TestAdaptiveTransforms:
     def test_prune_mask_identity_when_no_zeros(self, setup):
@@ -424,8 +442,8 @@ class TestAdaptiveTransforms:
         observed = [rng.normal(size=t.shape) for t in model.tensors()]
         cfg_none = AttackConfig(distance="l2", iterations=10, lr=0.1)
         cfg_mask = AttackConfig(distance="l2", iterations=10, lr=0.1, adaptive="prune_mask")
-        r1 = run_attack(model, upload(observed), cfg_none, [0, 1, 2], [3])
-        r2 = run_attack(model, upload(observed), cfg_mask, [0, 1, 2], [3])
+        r1 = run_attack(model, upload(observed), cfg_none, UNDEFENDED, [0, 1, 2], [3])
+        r2 = run_attack(model, upload(observed), cfg_mask, UNDEFENDED, [0, 1, 2], [3])
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
     @pytest.mark.parametrize("method", ["prune", "dgp"])
@@ -439,9 +457,9 @@ class TestAdaptiveTransforms:
         grads = one_hot_grads(model, x, labels)
         d = defense.DefenseConfig(method=method, prune_rate=0.9)
         observed = defense.packets_to_gradset(defense.defend_update(grads, d, seed=0)[0], model)
-        cfg, masks = AttackConfig(adaptive="prune_mask", defense=d), attack._known_zeros(observed, d)
+        cfg, masks = AttackConfig(adaptive="prune_mask"), attack._known_zeros(observed, d)
         for scale in (1.0, 2.0):
-            view, _ = attack._adaptive_view(cfg, masks, [], [scale * g for g in grads], None)
+            view, _ = attack._adaptive_view(cfg, d, masks, [], [scale * g for g in grads], None)
             masked_only = all(np.array_equal(v, scale * o) for v, o in zip(view, observed))
             assert masked_only == (scale == 1.0 or method == "dgp")
 
@@ -451,24 +469,22 @@ class TestAdaptiveTransforms:
         ("defense_replay", "adaptive 'defense_replay' requires fl.defense.method svdefense"),
     ], ids=["eot", "defense_replay"])
     def test_the_default_defense_is_a_config_the_adaptive_modes_refuse(self, mode, message):
-        cfg = AttackConfig(adaptive=mode)
-        assert cfg.defense == defense.DefenseConfig()
-        assert cfg.validate() == [message]
-        assert replace(cfg, defense=defense.DefenseConfig(method="prune")).validate() == [message]
+        assert attack.pairing_errors(mode, defense.DefenseConfig()) == [message]
+        assert attack.pairing_errors(mode, defense.DefenseConfig(method="prune")) == [message]
 
     def test_eot_requires_noise_config(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="eot", eot_samples=4)
         with pytest.raises(InvalidConfig):
-            run_attack(model, upload(g), cfg, [0], [0])
+            run_attack(model, upload(g), cfg, UNDEFENDED, [0], [0])
 
     def test_replay_requires_defense_config(self, setup):
         ds, model = setup
         g = one_hot_grads(model, *one(ds, 0))
         cfg = AttackConfig(adaptive="defense_replay")
         with pytest.raises(InvalidConfig):
-            run_attack(model, upload(g), cfg, [0], [0])
+            run_attack(model, upload(g), cfg, UNDEFENDED, [0], [0])
 
     def test_replay_matches_defense_pipeline(self, setup):
         # the attacker's replay of the defense must reproduce what the
@@ -479,9 +495,9 @@ class TestAdaptiveTransforms:
         dcfg = defense.DefenseConfig(method="svdefense", beta=0.3)
         pkt = defense.defend_grad_svd(g, beta=0.3)
         dummy = [g[None].copy(), np.zeros((1, 12))]
-        cfg = AttackConfig(adaptive="defense_replay", defense=dcfg)
+        cfg = AttackConfig(adaptive="defense_replay")
         cache = ([g[None]], None, None, [12.0 * np.eye(12)[None]])
-        replayed, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
+        replayed, _ = attack._adaptive_view(cfg, dcfg, None, [], dummy, cache)
         np.testing.assert_allclose(replayed[0][0],
                                    defense.reconstruct_packet(pkt), atol=1e-8)
 
@@ -491,9 +507,9 @@ class TestAdaptiveTransforms:
         dummy = [t for a, d in zip(acts, deltas)
                  for t in (d.swapaxes(-1, -2) @ a / n, d.sum(axis=-2) / n)]
         dcfg = defense.DefenseConfig(method="svdefense", beta=beta)
-        cfg = AttackConfig(adaptive="defense_replay", defense=dcfg)
+        cfg = AttackConfig(adaptive="defense_replay")
         cache = (acts, None, None, deltas)
-        out, _ = attack._adaptive_view(cfg, None, [], dummy, cache)
+        out, _ = attack._adaptive_view(cfg, dcfg, None, [], dummy, cache)
         projectors = attack._replay_projectors(cache, beta)
         assert len(projectors) == len(acts)  # one per layer, in layer order
         for j in range(len(acts[0])):  # restart j against the defender's upload of its slice
@@ -560,11 +576,11 @@ class TestAdaptiveTransforms:
         acts = [rng.uniform(size=(4, 3, q)) for _, q in shapes]
         deltas[0][1] = 0.0
         dcfg = defense.DefenseConfig(method="svdefense", beta=0.3)
-        cfg = AttackConfig(adaptive="defense_replay", defense=dcfg)
+        cfg = AttackConfig(adaptive="defense_replay")
         x, y = ([t for p, q in shapes for t in (rng.normal(size=(4, p, q)),
                                                 rng.normal(size=(4, p)))] for _ in range(2))
         cache = (acts, None, None, deltas)
-        px, pullback = attack._adaptive_view(cfg, None, [], x, cache)
+        px, pullback = attack._adaptive_view(cfg, dcfg, None, [], x, cache)
         pty = pullback(y)
         projectors = attack._replay_projectors(cache, dcfg.beta)
         for l, (_, _, touched) in enumerate(projectors):
@@ -580,11 +596,9 @@ class TestAdaptiveTransforms:
     def test_eot_noise_variance_shrinks(self):
         # averaging n draws leaves variance sigma^2 / n
         rng = np.random.default_rng(5)
-        cfg = AttackConfig(
-            adaptive="eot", eot_samples=16,
-            defense=defense.DefenseConfig(method="dp_gauss", noise_scale=0.5),
-        )
+        cfg = AttackConfig(adaptive="eot", eot_samples=16)
+        faced = defense.DefenseConfig(method="dp_gauss", noise_scale=0.5)
         dummy = [np.zeros((1, 50, 40)), np.zeros((1, 50))]
-        out, _ = attack._adaptive_view(cfg, None, [rng], dummy, None)
+        out, _ = attack._adaptive_view(cfg, faced, None, [rng], dummy, None)
         sample_var = float(np.var(out[0]))
         assert sample_var == pytest.approx(0.5**2 / 16, rel=0.15)

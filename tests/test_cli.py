@@ -228,7 +228,7 @@ class TestConfigSchema:
         (tmp_path / "readme.json").write_text(block)
         spec, errors = cli.load_spec(str(tmp_path / "readme.json"))
         assert errors == []
-        assert spec == replace(cli.ExperimentSpec(), attack=AttackConfig(defense=DefenseConfig()))
+        assert spec == cli.ExperimentSpec()
 
         def leaves(node, where=()):
             return {path for key, value in node.items()
@@ -241,14 +241,12 @@ class TestConfigSchema:
 
         spec, errors = cli.load_spec(write_config(tmp_path))
         assert errors == []
-        defense = DefenseConfig(method="none")
         assert spec == cli.ExperimentSpec(
             seed=3,
             data=DataConfig(num_classes=4, per_class=20, per_class_test=5, side=8),
             fl=FlConfig(num_clients=4, clients_per_round=2, rounds=3, local_batch_size=8,
-                        local_lr=0.5, defense=defense, seed=3),
-            attack=AttackConfig(distance="neg_cosine_layerwise", iterations=60, lr=0.1,
-                                defense=defense),
+                        local_lr=0.5, defense=DefenseConfig(method="none"), seed=3),
+            attack=AttackConfig(distance="neg_cosine_layerwise", iterations=60, lr=0.1),
             harness=cli.AttackHarnessConfig(batch_size=3, n_examples=2, restarts=1),
             hidden_dims=(32,),
         )
@@ -730,6 +728,24 @@ class TestSweep:
         assert cli.main(["attack", "--config", path, "--model", str(out / "beta_0.3" / "model.bin"),
                          "--out", str(atk)]) == 0
         assert (out / "beta_0.3" / "attack.csv").read_bytes() == (atk / "attack.csv").read_bytes()
+
+    def test_a_replaying_point_replays_its_own_beta(self, tmp_path):
+        # the point at beta 3 of a beta 0.3 config attacks as a beta 3
+        # config's `attack --model` does, not as the config's own beta would
+        overrides = {"fl.defense.method": "svdefense", "attack.adaptive": "defense_replay",
+                     "attack.n_examples": 1, "attack.iterations": 30}
+        path = write_config(tmp_path, overrides)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", path, "--axis", "beta", "--values", "3",
+                         "--out", str(out)]) == 0
+        model = str(out / "beta_3" / "model.bin")
+        csvs = {}
+        for beta in (3, 0.3):
+            cfg = write_config(tmp_path, {**overrides, "fl.defense.beta": beta}, f"b{beta}.json")
+            atk = tmp_path / f"atk{beta}"
+            assert cli.main(["attack", "--config", cfg, "--model", model, "--out", str(atk)]) == 0
+            csvs[beta] = (atk / "attack.csv").read_bytes()
+        assert (out / "beta_3" / "attack.csv").read_bytes() == csvs[3] != csvs[0.3]
 
     def test_empty_axis_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -815,7 +815,7 @@ class TestSvdRowMask:
         packets = capture_uploads(monkeypatch)
         base = cli.ExperimentSpec()
         spec = replace(base, fl=replace(base.fl, defense=SVDEFENSE),
-                       attack=replace(base.attack, iterations=1, defense=SVDEFENSE),
+                       attack=replace(base.attack, iterations=1),
                        harness=replace(base.harness, restarts=1))
         cli.run_attack_suite(spec, str(tmp_path), write_images=False)
         assert_uploads_travel_bit_exactly(packets, spec.harness.n_examples)
