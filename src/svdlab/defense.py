@@ -105,21 +105,23 @@ def channel_weights(g: np.ndarray) -> np.ndarray:
 def defend_grad_svd(g: np.ndarray, beta: float) -> DefensePacket:
     """Weighted truncation of one gradient matrix (rows = output channels):
     rank_rule on the spectrum of w g, w its channel weights; g * 2**e changes
-    only sigma_star, by 2**e. An all-zero g keeps rank 0 (a p x 0 u_star, no
-    sigma, a 0 x q vt_star, entropy 0). NumericalFailure remains for subnormal
-    entries that w g rounds to zero and for sigma beyond the largest double."""
+    only sigma_star, by 2**e. A dead unit's zeros travel as +0.0: g's zero
+    rows as u_star rows and channel weights, g's zero columns as vt_star
+    columns. An all-zero g keeps rank 0 (a p x 0 u_star, no sigma, a 0 x q
+    vt_star, entropy 0). NumericalFailure remains for subnormal entries that
+    w g rounds to zero and for sigma beyond the largest double."""
     g = linalg.as_matrix(g)
-    weights = channel_weights(g)
+    weights, live = channel_weights(g), g.any(axis=1)
     with numerical_failure("the update's spectrum"):
         factors = linalg.svd(weights[:, None] * g)
-    if factors.sigma[0] == 0.0 and g.any():  # w g underflowed: g's entries are subnormal
+    if factors.sigma[0] == 0.0 and live.any():  # w g underflowed: g's entries are subnormal
         raise NumericalFailure("all singular values are zero")
     k, entropy = rank_rule(factors.sigma, beta)
     return DefensePacket(
-        channel_weights=weights,
-        u_star=np.where(g.any(axis=1)[:, None], factors.u[:, :k], 0.0),  # g's zero rows: +0.0
+        channel_weights=np.where(live, weights, 0.0),
+        u_star=np.where(live[:, None], factors.u[:, :k], 0.0),
         sigma_star=factors.sigma[:k].copy(),
-        vt_star=factors.vt[:k].copy(),
+        vt_star=np.where(g.any(axis=0), factors.vt[:k], 0.0),
         entropy=float(entropy),
     )
 
@@ -130,7 +132,7 @@ def reconstruct_packet(packet: DefensePacket) -> np.ndarray:
     if packet.values is not None:
         return packet.values
     approx = (packet.u_star * packet.sigma_star) @ packet.vt_star
-    return approx / packet.channel_weights[:, None]
+    return approx / np.where(packet.channel_weights > 0.0, packet.channel_weights, 1.0)[:, None]
 
 
 def noise(rng: np.random.Generator, cfg: DefenseConfig, size) -> np.ndarray:
@@ -275,10 +277,10 @@ def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
     the bits it was sent with. It accepts only the form serialize_packet
     writes; any malformed or non-canonical blob (a mask pad bit, a stored
     +0.0, a length that the header, mask and shape do not fix), a raw NaN,
-    svd channel weights that are not finite and positive, svd factors that
-    are not finite, more than min(p, q) kept values, a negative or
-    increasing sigma_star, or an svd entropy outside [0, ln(min(p, q))]
-    (relative slack 1e-12), raise InvalidInput."""
+    svd channel weights not finite and positive (but +0.0 beside a u_star
+    row of +0.0), svd factors not finite, more than min(p, q) kept values, a
+    negative or increasing sigma_star, or an svd entropy outside
+    [0, ln(min(p, q))] (relative slack 1e-12), raise InvalidInput."""
     if not blob or blob[0] not in (_SVD, _RAW):
         raise InvalidInput(f"unknown packet code {blob[0]}" if blob else "empty packet")
     p, q = (*shape, 0)[:2]
@@ -293,8 +295,10 @@ def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
     floats = _read_sparse(blob, _SVD_HEADER, k * (p + q + 1) + p + 1)
     u, rest = floats[:p * k], floats[p * k:]
     weights, sigma, vt = rest[:p], rest[p:p + k], rest[p + k:-1]
-    if not np.all((weights > 0.0) & (weights < np.inf)):
-        raise InvalidInput("svd packet channel weights must be finite and positive")
+    dead = ~u.reshape(p, k).view(_U8).any(axis=1)  # rows of u_star that are all +0.0
+    if not np.all((weights < np.inf) & ~np.signbit(weights) & ((weights > 0.0) | dead)):
+        raise InvalidInput("svd packet channel weights must be finite and positive, or +0.0 "
+                           "on a channel whose u_star row is all +0.0")
     if not np.isfinite(floats[:-1]).all():  # the weights are finite, so a factor is not
         raise InvalidInput("svd packet factors must be finite")
     if k > min(p, q) or (sigma < 0.0).any() or (np.diff(sigma) > 0.0).any():

@@ -828,6 +828,48 @@ class TestBlasThreads:
         assert len(outputs[0]) == 5  # rounds.csv, model.bin, attack.csv, 1 dump per victim
         assert outputs[0] == outputs[1]
 
+    def test_dead_units_store_nothing_under_any_thread_count(self, tmp_path):
+        # a default svdefense train in fresh interpreters under one and two
+        # OpenBLAS threads: parsed back from its blob, every packet holds
+        # +0.0, stored nowhere, in each dead channel's weight and each dead
+        # input unit's vt_star column, whatever LAPACK returned there
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"fl": {"defense": {"method": "svdefense"}}}))
+        counts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            subprocess.run([sys.executable, "-c", COUNT_DEAD_UNITS, str(tmp_path / threads),
+                            "train", "--config", str(path), "--out", str(out)],
+                           env=cli_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                           capture_output=True, timeout=60)
+            counts.append(json.loads((tmp_path / threads).read_text()))
+        packets, rows, column_entries, stored = counts[0]
+        assert packets == 10 * 4 * 2 and rows > 0 and column_entries > 0 and stored == 0
+        assert counts[0] == counts[1]
+
+
+# argv: the file to write the counts to, then svdlab's own arguments
+COUNT_DEAD_UNITS = """
+import json, sys
+import numpy as np
+from svdlab import cli, defense
+defend, seen = defense.defend_grad_svd, []
+def keep(g, beta):
+    seen.append((g.copy(), defend(g, beta)))
+    return seen[-1][1]
+defense.defend_grad_svd = keep
+assert cli.main(sys.argv[2:]) == 0
+rows = column_entries = stored = 0
+for g, packet in seen:
+    back = defense.deserialize_packet(defense.serialize_packet(packet), g.shape)
+    dead_rows, dead_cols = ~g.any(axis=1), ~g.any(axis=0)
+    dead = np.concatenate([back.channel_weights[dead_rows], back.vt_star[:, dead_cols].ravel()])
+    rows, column_entries = rows + dead_rows.sum(), column_entries + back.vt_star[:, dead_cols].size
+    stored += np.count_nonzero(dead.view(np.uint64))
+with open(sys.argv[1], "w") as fh:
+    json.dump([len(seen), int(rows), int(column_entries), int(stored)], fh)
+"""
+
 
 class TestBlasKernels:
     @pytest.mark.skipif(platform.machine() != "x86_64" or not dynamic_arch_openblas(),

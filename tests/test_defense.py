@@ -570,25 +570,24 @@ class TestPacketTransport:
         assert parameter_count(pkt) == 8 + 8 * k + k + k * 6 + 1
 
     def test_zero_update_travels_as_rank_zero(self):
-        # 5 header bytes, then the block of 5 entries: its mask byte (the 4
-        # channel weights stored, the entropy +0.0 not) and the 4 weights
+        # 5 header bytes, then the block of 5 entries, all +0.0 (4 dead
+        # channels' weights and the entropy): its one mask byte, no value
         grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense"), seed=0)
         blob = serialize_packet(packets[0])
-        weights = packets[0].channel_weights.tobytes()
-        assert blob == wire_blob(1, bytes([0xF0]) + weights, k=0)
-        assert len(blob) == HEADER_BYTES[1] + 1 + 8 * 4 == 38
+        assert blob == wire_blob(1, bytes([0x00]), k=0)
+        assert len(blob) == HEADER_BYTES[1] + 1 == 6
         back = [deserialize_packet(blob, (4, 5)),
                 deserialize_packet(serialize_packet(packets[1]), (4,))]
         assert back[0].u_star.shape == (4, 0)
-        assert back[0].channel_weights.tobytes() == weights
+        assert back[0].channel_weights.tobytes() == bytes(32)
         decoded = packets_to_gradset(back, model_like(grads))
         np.testing.assert_array_equal(decoded[0], np.zeros((4, 5)))
         np.testing.assert_array_equal(decoded[1], np.zeros(4))
 
     def test_byte_count_matches_payload(self):
         # one mask bit for each of the k (p + q + 1) + p + 1 floats; a dead
-        # row costs its k mask bits and its channel weight, not its u_star row
+        # row costs its k + 1 mask bits, neither its u_star row nor its weight
         rng = np.random.default_rng(12)
         g = rng.normal(size=(6, 7))
         pkt = defend_grad_svd(g, beta=0.3)
@@ -600,7 +599,7 @@ class TestPacketTransport:
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
         mask = -(-(k * (6 + 7 + 1) + 6 + 1) // 8)
-        assert parameter_count(pkt) == 6 + 4 * k + k + k * 7 + 1
+        assert parameter_count(pkt) == 4 + 4 * k + k + k * 7 + 1
         assert len(serialize_packet(pkt)) == HEADER_BYTES[1] + mask + 8 * parameter_count(pkt)
 
     def test_a_huge_header_rank_allocates_nothing(self):
@@ -748,21 +747,70 @@ class TestSvdRowMask:
         with pytest.raises(InvalidInput, match="entropy"):
             deserialize_packet(blob, (3, 4))
 
-    def test_a_dead_row_sends_its_weight_and_no_u_star_row(self):
+    def test_a_dead_row_sends_neither_its_weight_nor_its_u_star_row(self):
         g = with_dead_rows(np.random.default_rng(14).normal(size=(32, 64)))
         pkt = defend_grad_svd(g, beta=0.3)
         blob = serialize_packet(pkt)
-        # 97 k + 33 mask bits, 30 k stored entries of u_star, 32 weights
+        # 97 k + 33 mask bits, 30 k stored entries of u_star, 30 weights
         k = len(pkt.sigma_star)
         mask = -(-(97 * k + 33) // 8)
-        assert len(blob) == HEADER_BYTES[1] + mask + 8 * (30 * k + 32 + k + k * 64 + 1)
-        assert not pkt.u_star[DEAD_ROWS].any() and not np.signbit(pkt.u_star[DEAD_ROWS]).any()
+        assert len(blob) == HEADER_BYTES[1] + mask + 8 * (30 * k + 30 + k + k * 64 + 1)
+        for dead in (pkt.u_star[DEAD_ROWS], pkt.channel_weights[DEAD_ROWS]):
+            assert dead.tobytes() == bytes(dead.nbytes)  # +0.0, no sign bit
         assert_travels_bit_exactly(pkt)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dead_units_travel_as_plus_zeros(self, seed):
+        # a dead output channel's weight and a dead input unit's vt_star
+        # column are exact +0.0 whatever LAPACK returns there, so each
+        # entry costs one mask bit; rank-1 4 x 32 updates with zero columns
+        # are where LAPACK's own zeros held noise or a flipped -0.0
+        rng = np.random.default_rng(seed)
+        rows, cols = [2], [5, 17, 30]
+        for g in (np.outer(rng.normal(size=4), rng.normal(size=32)),
+                  rng.normal(size=(4, 3)) @ rng.normal(size=(3, 32))):
+            g[rows], g[:, cols] = 0.0, 0.0
+            pkt = defend_grad_svd(g, beta=0.3)
+            k = len(pkt.sigma_star)
+            dead = (pkt.channel_weights[rows], pkt.vt_star[:, cols])
+            assert all(d.tobytes() == bytes(d.nbytes) for d in dead)
+            filled = replace(pkt, channel_weights=pkt.channel_weights.copy(),
+                             vt_star=pkt.vt_star.copy())
+            filled.channel_weights[rows], filled.vt_star[:, cols] = 1.0, 1.0
+            assert (len(serialize_packet(filled)) - len(serialize_packet(pkt))
+                    == 8 * (len(rows) + k * len(cols)))
+            assert_travels_bit_exactly(pkt)
+
+    @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("u_entry", [0.0, -0.0])
+    def test_a_weight_is_plus_zero_only_beside_a_plus_zero_row(self, u_entry, weight):
+        # the hand-written blob's row 1 stores no u_star entry: its weight
+        # may be +0.0 (and rebuilds as zeros), but no other non-positive or
+        # non-finite value; once the row holds a -0.0 it is a stored entry,
+        # and +0.0 is refused there as on any row that stores one
+        pkt = deserialize_packet(masked_blob(), (3, 4))
+        pkt.u_star[1], pkt.channel_weights[1] = u_entry, weight
+        blob = serialize_packet(pkt)
+        if not np.signbit(u_entry) and weight == 0.0 and not np.signbit(weight):
+            back = deserialize_packet(blob, (3, 4))
+            assert_travels_bit_exactly(back)
+            assert reconstruct_packet(back)[1].tobytes() == bytes(32)
+            return
+        with pytest.raises(InvalidInput, match="channel weights"):
+            deserialize_packet(blob, (3, 4))
+
+    def test_a_rank_zero_packet_may_send_all_zero_weights(self):
+        # k = 0: every u_star row is empty, so every weight may be +0.0; the
+        # block is one mask byte with nothing stored
+        back = deserialize_packet(masked_blob(0, bytes(1), []), (3, 4))
+        assert back.channel_weights.tobytes() == bytes(24)
+        assert reconstruct_packet(back).tobytes() == bytes(96)
+        assert_travels_bit_exactly(back)
 
     def test_an_exact_zero_vt_star_entry_costs_one_bit(self):
         # the update of the layer above a dead ReLU unit has a zero column,
-        # whose k vt_star entries LAPACK may return as exact zeros: each
-        # +0.0 is one mask bit, each -0.0 or other value 8 bytes more
+        # whose k vt_star entries the defender sends as +0.0: each +0.0 is
+        # one mask bit, each -0.0 or other value 8 bytes more
         dead = [3, 40]
         g = np.random.default_rng(16).normal(size=(32, 64))
         g[:, dead] = 0.0

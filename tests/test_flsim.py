@@ -394,6 +394,37 @@ class TestRunExperiment:
                     == sum(r.bytes_up for r in reports))
 
     @pytest.mark.parametrize("method", ["none", "svdefense"])
+    def test_defends_each_selected_client_once_in_id_order(self, tiny_setup, monkeypatch,
+                                                            method):
+        # benchmarks/workloads.py takes each defend_update call for one
+        # client's upload, in the round's order: a defender that stacked
+        # several clients into one call would break its upload count and
+        # per-round bytes. One local batch covers each shard, so a client's
+        # update is local_lr times its gradient at the round's global model
+        fl, dc, train, _, shards, model = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "local_batch_size": 1000,
+                          "defense": DefenseConfig(method=method)})
+        defend, calls = defense.defend_update, []
+
+        def keep(grads, *args, **kwargs):
+            calls.append([t.copy() for t in grads])
+            return defend(grads, *args, **kwargs)
+
+        monkeypatch.setattr(defense, "defend_update", keep)
+        reports, _ = run_experiment(cfg, dc)
+        monkeypatch.undo()
+        assert len(calls) == cfg.rounds * cfg.clients_per_round
+        for rnd, report in enumerate(reports):
+            start = model if rnd == 0 else run_experiment(
+                FlConfig(**{**cfg.__dict__, "rounds": rnd}), dc)[1]
+            selected = report.selected_clients
+            assert selected == sorted(set(selected)) and len(selected) == cfg.clients_per_round
+            for cid, update in zip(selected, calls[rnd * len(selected):]):
+                grads = one_hot_grads(start, train.x[shards[cid]], train.y[shards[cid]])
+                for u, g in zip(update, grads, strict=True):
+                    np.testing.assert_allclose(u, cfg.local_lr * g, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_a_default_round_uploads_header_and_payload(self, monkeypatch, method):
         # 4 clients x 4 tensors, each packet its header and its payload:
         # the shapes come from the model, not the wire

@@ -78,7 +78,9 @@ def _packets():
     """(packet, the shape of its tensor): raw values of any shape, or svd
     factors of a p x q tensor that keep k <= min(p, q) values (rank 0 and
     k >= 2 included), some rows of u_star and columns of vt_star all +0.0
-    or all -0.0, and some single entries of u_star +0.0 or -0.0."""
+    or all -0.0, and some single entries of u_star +0.0 or -0.0; a row of
+    u_star left all +0.0 may send the channel weight +0.0, as a dead
+    channel does (so may every row at rank 0)."""
     dims = st.integers(min_value=0, max_value=4)
     picks = st.lists(st.integers(0, 3), max_size=3)
     zeros = st.sampled_from([0.0, -0.0])
@@ -86,21 +88,22 @@ def _packets():
     def raw(shape):
         return defense.DefensePacket(values=np.arange(float(np.prod(shape))).reshape(shape)), shape
 
-    def svd(p, q, k, dead_rows, dead_cols, zero, holes):
+    def svd(p, q, k, dead_rows, dead_cols, zero, holes, dead_weights):
         u, vt = np.ones((p, k)), np.ones((k, q))
         u[[j % p for j in dead_rows]] = zero
         vt[:, [i % q for i in dead_cols]] = zero
         for at, hole in holes if k else ():
             u.flat[at % u.size] = hole
-        return defense.DefensePacket(channel_weights=np.ones(p), u_star=u, sigma_star=np.ones(k),
-                                     vt_star=vt, entropy=0.5), (p, q)
+        dead = dead_weights & ~u.view(np.uint64).any(axis=1)
+        return defense.DefensePacket(channel_weights=np.where(dead, 0.0, 1.0), u_star=u,
+                                     sigma_star=np.ones(k), vt_star=vt, entropy=0.5), (p, q)
 
     shapes = st.tuples(dims) | st.tuples(dims.filter(bool), dims.filter(bool))
     sides = st.integers(min_value=2, max_value=4)  # H = 0.5 <= ln(min(p, q))
     holes = st.lists(st.tuples(st.integers(0, 15), zeros), max_size=3)
     svds = st.tuples(sides, sides).flatmap(
         lambda pq: st.builds(svd, st.just(pq[0]), st.just(pq[1]), st.integers(0, min(pq)),
-                             picks, picks, zeros, holes))
+                             picks, picks, zeros, holes, st.booleans()))
     return st.builds(raw, shapes) | svds
 
 
