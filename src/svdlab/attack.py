@@ -113,7 +113,8 @@ def _replay_projectors(cache, beta: float) -> list:
     """(a, b, touched) for each layer, in layer order, of its stacked weight
     gradient g = delta^T act / n in a backprop cache. The defense replays as
     g -> a b^T g, with a = u / w and b = w u (..., p, m): w (..., p, 1) holds
-    defense.channel_weights, the weights the defender sends, and the columns
+    defense.channel_weights, the weights of the defender's SVD (it sends +0.0
+    for a dead channel, where u's row, and so a's, is zero), and the columns
     of u the kept left singular vectors of w g, zero where g's row is. Its
     pullback is s -> b a^T s; touched says whether g is nonzero. g itself is
     never formed: a thin QR act^T = Q R gives g = K Q^T with K = delta^T R^T /

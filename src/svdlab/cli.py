@@ -136,8 +136,8 @@ def _write_atomic(path: str, data: str | bytes) -> None:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        if np.isnan(value):
-            raise NumericalFailure("a result to be written is NaN")
+        if not np.isfinite(value):
+            raise NumericalFailure(f"a result to be written is {value!r}")
         return repr(value)
     return str(value)
 
@@ -185,8 +185,8 @@ def pick_victim_batches(ds, n_examples: int, batch_size: int, seed: int):
 
 
 def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
-    """Defend one victim batch per the fl defense and attack it; returns the
-    per-example metric values and the best attack result."""
+    """Defend one victim batch per the fl defense and attack it; returns slot
+    0's MSE, truth and label, and the best attack result."""
     x, labels = ds.x[batch_indices], ds.y[batch_indices]
     with numerical_failure("the model's defended gradient on the victim batch"):
         grads, _ = tinynn.backprop(model, x, np.eye(model.num_classes)[labels])
@@ -195,22 +195,18 @@ def attack_one(model, ds, batch_indices, spec: ExperimentSpec, run_seed: int):
         )
     best = attack_mod.run_attack(model, packets, spec.attack, spec.fl.defense, labels,
                                  [spec.seed, flsim._TAG_ATTACK, run_seed], spec.harness.restarts)
-    truth, recon = x[0], best.reconstructed_batch[0]
-    return (
-        metrics.mse(truth, recon),
-        metrics.psnr(truth, recon),
-        metrics.ssim(truth, recon),
-        best,
-    )
+    return metrics.mse(x[0], best.reconstructed_batch[0]), x[0], labels[0], best
 
 
 def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_images=True):
     """Attack a sampled set of victims; emits the metric CSV and image dumps.
 
-    attack.csv also names each victim's winning restart, best iteration and
-    final distance. Returns the (victims, 3) array of their (mse, psnr, ssim).
+    Each victim's slot 0 is scored by MSE and by its residual cosine against
+    the prior, the mean of the test split's images of its label. attack.csv
+    also names each victim's winning restart, best iteration and final
+    distance. Returns the (victims, 2) array of their (mse, residual_cos).
     """
-    train, _, _, built_model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
+    train, test, _, built_model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
     if model is None:
         model = built_model
     elif (model.input_dim, model.num_classes) != (train.x.shape[1], spec.data.num_classes):
@@ -220,18 +216,21 @@ def run_attack_suite(spec: ExperimentSpec, out_dir: str, model=None, write_image
                                   spec.seed)
     rows, csvs = [], {}  # every file's text, so a failure leaves no file
     for i, batch_indices in enumerate(batches):
-        m, p, s, best = attack_one(model, train, batch_indices, spec, run_seed=i)
-        rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, p, s,
+        m, truth, label, best = attack_one(model, train, batch_indices, spec, run_seed=i)
+        recon = best.reconstructed_batch[0]
+        cos = metrics.residual_cosine(truth, recon, test.x[test.y == label].mean(axis=0))
+        rows.append([i, spec.fl.defense.method, spec.attack.adaptive, m, cos,
                      best.restart, best.best_iteration, best.final_distance])
         if write_images:
-            grid = np.concatenate([train.x[batch_indices[0]], best.reconstructed_batch[0]])
+            grid = np.concatenate([truth, recon])
             csvs[f"images_{i:03d}.csv"] = _csv(grid.reshape(-1, spec.data.side).tolist(),
                                                ["# truth rows, then reconstruction rows"])
-    arr = np.array([row[3:6] for row in rows])
+    arr = np.array([row[3:5] for row in rows])
     rows.append(["mean", spec.fl.defense.method, spec.attack.adaptive,
                  *(float(np.mean(column)) for column in list(zip(*rows))[3:])])
-    csvs["attack.csv"] = _csv(rows, ["example_id", "defense", "attack_mode", "mse", "psnr", "ssim",
-                                     "restart", "best_iteration", "final_distance"])
+    csvs["attack.csv"] = _csv(rows, ["example_id", "defense", "attack_mode", "mse",
+                                     "residual_cos", "restart", "best_iteration",
+                                     "final_distance"])
     for name, text in csvs.items():
         _write_atomic(os.path.join(out_dir, name), text)
     return arr
@@ -273,11 +272,12 @@ def run_sweep(spec: ExperimentSpec, axis: str, values: list[float], out_dir: str
                 value,
                 reports[-1].accuracy,
                 float(np.mean(attack_values[:, 0])),
+                float(np.mean(attack_values[:, 1])),
                 metrics.comm_reduction(total_up, baseline_up),
                 float(np.mean([r.mean_entropy for r in reports])),
             ]
         )
-    header = ["axis", "value", "final_accuracy", "mean_attack_mse",
+    header = ["axis", "value", "final_accuracy", "mean_attack_mse", "mean_residual_cos",
               "comm_reduction_pct", "mean_entropy"]
     _write_atomic(os.path.join(out_dir, "sweep.csv"), _csv(rows, header))
     return rows

@@ -21,7 +21,8 @@ reference_pruned the pruning defenses' rule by a Python sort of
 (magnitude, index) keys. span_read and bias_division_read are attackers
 that take no optimizer: a least-squares read of a batch slot from a
 packet's kept factors, and one division of a layer-0 weight row by its
-bias entry.
+bias entry. residual_cosine scores a reconstruction's leakage beyond a
+prior with math.fsum sums.
 """
 
 import math
@@ -333,6 +334,17 @@ def payload_bytes(packet) -> int:
 def wire_bytes(packet) -> int:
     """Size of the packet on the wire: its kind's header and payload_bytes."""
     return HEADER_BYTES[2 if packet.values is not None else 1] + payload_bytes(packet)
+
+
+def residual_cosine(truth, recon, prior) -> float:
+    """cos(recon - prior, truth - prior) from plain-Python fsum sums, 0 where
+    either residual is zero."""
+    guess = [float(r) - float(p) for r, p in zip(recon, prior)]
+    target = [float(t) - float(p) for t, p in zip(truth, prior)]
+    ng, nt = (math.sqrt(math.fsum(v * v for v in vec)) for vec in (guess, target))
+    if ng == 0.0 or nt == 0.0:
+        return 0.0
+    return math.fsum(g * t for g, t in zip(guess, target)) / (ng * nt)
 
 
 def span_read(vt, priors, labels) -> np.ndarray:

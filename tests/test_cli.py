@@ -593,14 +593,15 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
         assert "did not converge" in lines[0]
 
-    @pytest.mark.parametrize("command, module, name, outputs", [
-        ("attack", metrics, "ssim", ["attack.csv"]),
-        ("train", tinynn, "accuracy", ["rounds.csv", "model.bin"]),
-    ], ids=["attack_ssim", "train_accuracy"])
+    @pytest.mark.parametrize("command, module, name, value, outputs", [
+        ("attack", metrics, "residual_cosine", float("nan"), ["attack.csv"]),
+        ("attack", metrics, "residual_cosine", float("inf"), ["attack.csv"]),
+        ("train", tinynn, "accuracy", float("nan"), ["rounds.csv", "model.bin"]),
+    ], ids=["attack_residual_cos", "attack_residual_cos_inf", "train_accuracy"])
     def test_a_nan_result_exits_3_unwritten(self, tmp_path, capsys, monkeypatch, command,
-                                            module, name, outputs):
-        # no CSV cell may read nan: the writer refuses it before any output
-        monkeypatch.setattr(module, name, lambda *args: float("nan"))
+                                            module, name, value, outputs):
+        # no CSV cell may read nan or inf: the writer refuses it before any output
+        monkeypatch.setattr(module, name, lambda *args: value)
         path = write_config(tmp_path, {"attack.iterations": 5})
         rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
         lines = capsys.readouterr().err.splitlines()
@@ -636,7 +637,7 @@ class TestAttack:
         out = tmp_path / "atk"
         assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
         lines = (out / "attack.csv").read_text().splitlines()
-        assert lines[0] == ("example_id,defense,attack_mode,mse,psnr,ssim,"
+        assert lines[0] == ("example_id,defense,attack_mode,mse,residual_cos,"
                             "restart,best_iteration,final_distance")
         assert len(lines) == 1 + 2 + 1  # rows + summary
         assert lines[-1].startswith("mean,")
@@ -655,11 +656,28 @@ class TestAttack:
         batches = cli.pick_victim_batches(train, 2, 3, spec.seed)
         wins = [cli.attack_one(model, train, b, spec, run_seed=i)[3] for i, b in enumerate(batches)]
         for row, best in zip(rows, wins):
-            assert row[6:] == [str(best.restart), str(best.best_iteration),
+            assert row[5:] == [str(best.restart), str(best.best_iteration),
                                repr(best.final_distance)]
-        assert rows[-1][6:] == [repr(float(np.mean([b.restart for b in wins]))),
+        assert rows[-1][5:] == [repr(float(np.mean([b.restart for b in wins]))),
                                 repr(float(np.mean([b.best_iteration for b in wins]))),
                                 repr(float(np.mean([b.final_distance for b in wins])))]
+
+    def test_residual_cos_scores_slot_0_against_its_labels_test_mean(self, tmp_path):
+        # the prior is public: the test split's mean image of the target's
+        # label, never a training-split image
+        path = write_config(tmp_path, {"attack.iterations": 5})
+        out = tmp_path / "atk"
+        assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "attack.csv").read_text().splitlines()[1:]]
+        spec, _ = cli.load_spec(path)
+        train, test, _, model = flsim.build_experiment(spec.fl, spec.data, spec.hidden_dims)
+        batches = cli.pick_victim_batches(train, 2, 3, spec.seed)
+        for i, (row, batch) in enumerate(zip(rows, batches)):
+            m, truth, label, best = cli.attack_one(model, train, batch, spec, run_seed=i)
+            assert truth.tobytes() == train.x[batch[0]].tobytes() and label == train.y[batch[0]]
+            prior = test.x[test.y == label].mean(axis=0)
+            assert row[3:5] == [repr(m), repr(metrics.residual_cosine(
+                truth, best.reconstructed_batch[0], prior))]
 
     def test_byte_identical_rerun(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -685,7 +703,7 @@ class TestAttack:
 
     @pytest.mark.parametrize("side", [4, 6])
     def test_small_and_even_sides(self, tmp_path, side):
-        # the SSIM window is the largest odd one up to 7 that fits the side
+        # images of side 4 and of an even side attack and score cleanly
         path = write_config(tmp_path, {"data.side": side, "attack.iterations": 5})
         out = tmp_path / "atk"
         assert cli.main(["attack", "--config", path, "--out", str(out)]) == 0
@@ -711,7 +729,8 @@ class TestSweep:
         )
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "axis,value,final_accuracy,mean_attack_mse,comm_reduction_pct,mean_entropy"
+        assert lines[0] == ("axis,value,final_accuracy,mean_attack_mse,mean_residual_cos,"
+                            "comm_reduction_pct,mean_entropy")
         assert len(lines) == 4
         assert all(line.startswith("beta,") for line in lines[1:])
 

@@ -1,12 +1,13 @@
-"""Image quality and communication metrics."""
+"""Leakage and communication metrics."""
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import spearman
-from svdlab import data, metrics
+from svdlab import data
 from svdlab.errors import InvalidInput
-from svdlab.metrics import comm_reduction, mse, psnr, ssim
+from svdlab.metrics import comm_reduction, mse, residual_cosine
 
 
 class TestMse:
@@ -28,66 +29,42 @@ class TestMse:
 
     def test_rejects_images_of_different_lengths(self):
         # every metric reads its pair through metrics._pair
-        for metric in (mse, psnr, ssim):
+        with pytest.raises(InvalidInput, match="mismatched lengths"):
+            mse(np.zeros(16), np.zeros(25))
+        for lengths in ((16, 25, 16), (16, 16, 25)):
             with pytest.raises(InvalidInput, match="mismatched lengths"):
-                metric(np.zeros(16), np.zeros(25))
+                residual_cosine(*(np.zeros(n) for n in lengths))
 
 
-class TestPsnr:
-    def test_formula_points(self):
-        x = np.zeros(100)
-        assert psnr(x, x + 0.1) == pytest.approx(20.0)
-        assert psnr(np.zeros(16), np.ones(16)) == pytest.approx(0.0)
+class TestResidualCosine:
+    def test_matches_the_fsum_oracle(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 16, 64, 784):
+            for _ in range(10):
+                truth, recon, prior = rng.uniform(0, 1, (3, n))
+                assert residual_cosine(truth, recon, prior) == pytest.approx(
+                    oracles.residual_cosine(truth, recon, prior), rel=0, abs=1e-12)
 
-    def test_identical_is_infinite(self):
+    def test_truth_scores_one_and_the_prior_zero(self):
+        rng = np.random.default_rng(6)
+        truth, prior = rng.uniform(0, 1, (2, 64))
+        assert residual_cosine(truth, truth, prior) == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert residual_cosine(truth, 2 * prior - truth, prior) == pytest.approx(-1.0, abs=1e-15)
+        assert residual_cosine(truth, prior, prior) == 0.0
+
+    def test_a_zero_residual_scores_zero_not_nan(self):
         x = np.linspace(0, 1, 16)
-        assert psnr(x, x) == float("inf")
+        assert residual_cosine(x, x, x) == 0.0
+        assert residual_cosine(x, 1.0 - x, x) == 0.0  # the truth is the prior
 
-    def test_decreasing_in_mse(self):
-        x = np.zeros(64)
-        values = [psnr(x, x + eps) for eps in (0.01, 0.05, 0.2, 0.6)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-
-class TestSsim:
-    def test_identical_is_one(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            x = rng.uniform(0, 1, 64)
-            assert ssim(x, x) == pytest.approx(1.0)
-
-    def test_negative_image_scores_low(self):
-        # a high-contrast template against its negative: frozen regression
-        template = data.class_template(0, 8)
-        assert ssim(template, 1.0 - template) < 0.2
-
-    def test_tiny_noise_stays_high(self):
-        rng = np.random.default_rng(2)
-        x = np.full(64, 0.5)
-        noisy = x + rng.normal(0, 1e-4, 64)
-        assert ssim(x, noisy) > 0.99
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.uniform(0, 1, 64), rng.uniform(0, 1, 64)
-        assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-12)
-
-    def test_shift_sensitive(self):
-        img = data.class_template(2, 8).reshape(8, 8)
-        shifted = np.roll(img, 1, axis=1)
-        assert ssim(img.ravel(), shifted.ravel()) < 0.999
-
-    def test_rejects_sides_below_3(self):
-        # the window is the largest odd one up to 7 that fits the side: 3 at least
-        with pytest.raises(InvalidInput):
-            ssim(np.zeros(4), np.zeros(4))
-        assert ssim(np.zeros(9), np.zeros(9)) == 1.0
-
-    def test_range(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a, b = rng.uniform(0, 1, 64), rng.uniform(0, 1, 64)
-            assert -1.0 <= ssim(a, b) <= 1.0
+    def test_a_flat_gray_guess_leaks_nothing(self):
+        # a guess that knows neither the prior nor the target: on
+        # attack_study's 20 targets against c16's public priors (-0.001)
+        ds, public = data.make_synthetic(4, 30, 8, seed=11), data.make_synthetic(4, 30, 8, seed=12)
+        priors = [public.x[public.y == c].mean(axis=0) for c in range(4)]
+        gray = np.full(ds.x.shape[1], 0.5)
+        scores = [residual_cosine(ds.x[i], gray, priors[ds.y[i]]) for i in range(20)]
+        assert abs(float(np.mean(scores))) <= 0.05
 
 
 class TestCommReduction:
