@@ -23,9 +23,7 @@ from .tinynn import ModelParams
 METHODS = ("none", "svdefense", "dp_gauss", "dp_lap", "prune", "dgp")
 NOISE_METHODS = ("dp_gauss", "dp_lap")  # the methods that draw from a noise stream
 
-_SVD, _RAW = 1, 2  # wire codes: factors, raw values
 _RATE = {"ge": 0, "lt": 1}
-_SVD_HEADER = 5  # code u8, k u32; a raw header is its code alone
 _F8, _U8 = np.dtype("<f8"), np.dtype("<u8")
 
 
@@ -47,9 +45,9 @@ class DefenseConfig:
 
 @dataclass(kw_only=True)
 class DefensePacket:
-    """One transmitted tensor, whose id is its position in the upload: the
-    truncated factors of a weight matrix (values is None), or the tensor's
-    raw values in its own shape."""
+    """One transmitted tensor, whose id is its position in the upload and
+    whose kind the run's defense fixes (`factored`): the truncated factors
+    of a weight matrix (values is None), or the tensor's raw values."""
 
     # factors
     channel_weights: np.ndarray | None = None
@@ -59,6 +57,11 @@ class DefensePacket:
     entropy: float = 0.0
     # raw
     values: np.ndarray | None = None
+
+
+def factored(shape: tuple, cfg: DefenseConfig) -> bool:
+    """Whether `cfg` sends a tensor of `shape` as factors: svdefense's 2-D ones."""
+    return cfg.method == "svdefense" and len(shape) == 2
 
 
 def adaptive_threshold(entropy: float, beta: float) -> float:
@@ -179,7 +182,7 @@ def _defend_tensor(t: np.ndarray, cfg: DefenseConfig, rng, carried):
     """(packet, dgp carry) for one tensor of an upload, a 2-D weight or a
     1-D bias; the carry is None outside dgp."""
     method, carry, given = cfg.method, None, t
-    if method == "svdefense" and t.ndim == 2:
+    if factored(t.shape, cfg):
         return defend_grad_svd(t, cfg.beta), None
     if method in NOISE_METHODS and cfg.noise_scale > 0.0:
         t = t + noise(rng, cfg, t.shape)
@@ -232,21 +235,20 @@ def _sparse(a: np.ndarray) -> bytes:
 
 
 def serialize_packet(packet: DefensePacket) -> bytes:
-    """Little-endian layout: a header, then one sparse block. The tensor's
-    id is its position in the upload and its shape, (p, q) or (p,), is the
-    model's. A sparse block of n entries is np.packbits of the n-entry mask
-    of the stored entries, those whose bits are not all zero (so -0.0 is
-    stored and +0.0 is not), then the stored entries as f64 in flat order.
-
-    svd (code u8 1, k u32): the block of u_star (p*k entries), the channel
-    weights (p), sigma_star (k), vt_star (k*q) and the entropy (1). raw
-    (code u8 2): the block of the tensor's values.
+    """Little-endian layout with no id, kind or shape: the tensor's id is its
+    position in the upload, its kind the run's defense's (`factored`) and its
+    shape, (p, q) or (p,), the model's. A sparse block of n entries is
+    np.packbits of the n-entry mask of the stored entries, those whose bits
+    are not all zero (so -0.0 is stored and +0.0 is not), then the stored
+    entries as f64 in flat order. svd: k u32, then the block of u_star (p*k
+    entries), the channel weights (p), sigma_star (k), vt_star (k*q) and the
+    entropy (1). raw: the block of the tensor's values alone.
     """
     if packet.values is not None:
-        return bytes([_RAW]) + _sparse(packet.values)
+        return _sparse(packet.values)
     floats = np.concatenate((packet.u_star, packet.channel_weights, packet.sigma_star,
                              packet.vt_star, packet.entropy), axis=None)
-    return struct.pack("<BI", _SVD, packet.sigma_star.size) + _sparse(floats)
+    return struct.pack("<I", packet.sigma_star.size) + _sparse(floats)
 
 
 def _read_sparse(blob: bytes, at: int, n: int) -> np.ndarray:
@@ -271,28 +273,27 @@ def _read_sparse(blob: bytes, at: int, n: int) -> np.ndarray:
     return values
 
 
-def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
-    """Inverse of serialize_packet for a tensor of the model's `shape`, (p, q)
-    or (p,) (then q = 0, so no svd packet fits): every field comes back with
-    the bits it was sent with. It accepts only the form serialize_packet
-    writes; any malformed or non-canonical blob (a mask pad bit, a stored
-    +0.0, a length that the header, mask and shape do not fix), a raw NaN,
+def deserialize_packet(blob: bytes, shape: tuple, cfg: DefenseConfig) -> DefensePacket:
+    """Inverse of serialize_packet for a tensor of the model's `shape` in a
+    run under the defense `cfg`, which fixes the kind (`factored`): every
+    field comes back with the bits it was sent with. It accepts only the
+    form serialize_packet writes of that kind; any malformed or
+    non-canonical blob (a mask pad bit, a stored +0.0, a length that k, the
+    mask and the shape do not fix: a blob of the other kind too), a raw NaN,
     svd channel weights not finite and positive (but +0.0 beside a u_star
     row of +0.0), svd factors not finite, more than min(p, q) kept values, a
     negative or increasing sigma_star, or an svd entropy outside
     [0, ln(min(p, q))] (relative slack 1e-12), raise InvalidInput."""
-    if not blob or blob[0] not in (_SVD, _RAW):
-        raise InvalidInput(f"unknown packet code {blob[0]}" if blob else "empty packet")
-    p, q = (*shape, 0)[:2]
-    if blob[0] == _RAW:
-        values = _read_sparse(blob, 1, math.prod(shape))
+    if not factored(shape, cfg):
+        values = _read_sparse(blob, 0, math.prod(shape))
         if np.isnan(values).any():  # honest noise overflows to +-inf, never to NaN
             raise InvalidInput("raw packet holds a NaN")
         return DefensePacket(values=values.reshape(shape))
-    if len(blob) < _SVD_HEADER:
+    if len(blob) < 4:
         raise InvalidInput(f"packet of {len(blob)} bytes is shorter than its header")
-    (k,) = struct.unpack_from("<I", blob, 1)
-    floats = _read_sparse(blob, _SVD_HEADER, k * (p + q + 1) + p + 1)
+    (k,) = struct.unpack_from("<I", blob)
+    p, q = shape
+    floats = _read_sparse(blob, 4, k * (p + q + 1) + p + 1)
     u, rest = floats[:p * k], floats[p * k:]
     weights, sigma, vt = rest[:p], rest[p:p + k], rest[p + k:-1]
     dead = ~u.reshape(p, k).view(_U8).any(axis=1)  # rows of u_star that are all +0.0
@@ -304,7 +305,7 @@ def deserialize_packet(blob: bytes, shape: tuple) -> DefensePacket:
     if k > min(p, q) or (sigma < 0.0).any() or (np.diff(sigma) > 0.0).any():
         raise InvalidInput("svd packet sigma_star must be at most min(p, q) non-negative, "
                            "non-increasing values")
-    if not (min(p, q) and 0.0 <= floats[-1] <= math.log(min(p, q)) * (1 + 1e-12)):
+    if not 0.0 <= floats[-1] <= math.log(min(p, q)) * (1 + 1e-12):
         raise InvalidInput("svd packet entropy must lie in [0, ln(min(p, q))]")
     return DefensePacket(
         channel_weights=weights,

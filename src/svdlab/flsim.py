@@ -136,13 +136,11 @@ def client_round(
 
 def aggregation_weights(updates: list[ClientUpdate], tensor_id: int) -> np.ndarray:
     """Per-client weights for one tensor, summing to 1: entropy times sample
-    count, or sample counts alone when every entropy is zero. A raw packet's
-    entropy is 0, so raw tensors (biases, undefended runs) take the counts."""
+    count, or counts alone when every entropy is 0, as for a raw tensor (a
+    bias, an undefended run): the run's defense fixes each tensor's kind."""
     if not updates:
         raise InvalidInput("no updates to aggregate")
     packets = [u.packets[tensor_id] for u in updates]
-    if len({p.values is None for p in packets}) != 1:
-        raise InvalidInput(f"tensor {tensor_id} is factored in some uploads and raw in others")
     counts = np.array([float(u.sample_count) for u in updates])
     mass = np.array([p.entropy for p in packets]) * counts
     return mass / mass.sum() if mass.sum() > 0.0 else counts / counts.sum()
@@ -226,7 +224,7 @@ def run_experiment(fl: FlConfig, data_cfg: DataConfig, hidden_dims=(32,)):
             # the server counts and parses the bytes on the wire
             blobs = [defense_mod.serialize_packet(p) for p in update.packets]
             bytes_up += sum(len(b) for b in blobs)
-            update.packets = [defense_mod.deserialize_packet(b, t.shape)
+            update.packets = [defense_mod.deserialize_packet(b, t.shape, fl.defense)
                               for b, t in zip(blobs, model.tensors(), strict=True)]
             updates.append(update)
             svd_entropies = [p.entropy for p in update.packets if p.values is None]

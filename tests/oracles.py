@@ -12,7 +12,8 @@ templates through np.meshgrid. one_hot_grads is how tests take a model's
 gradients on labelled examples; upload wraps a gradient set as the packets an
 undefended client sends, the one form attack.run_attack takes; broken_upload
 forges the bad uploads that the packet decoder must refuse, wire_blob
-writes a packet's bytes by hand to the wire layout HEADER_BYTES pins, and
+writes a packet's bytes by hand to the wire layout HEADER_BYTES pins,
+kind_defense names a defense that sends a packet's kind, and
 checkpoint_blob writes a checkpoint's bytes by hand.
 grad_distance, parameter_count, payload_bytes and wire_bytes are the test
 suite's scalar views of the attack distance and of a packet's size;
@@ -240,17 +241,24 @@ def upload(grads: list) -> list:
     return defense.defend_update(grads, defense.DefenseConfig(method="none"), seed=0)[0]
 
 
-HEADER_BYTES = {1: 5, 2: 1}  # by wire code: svd is code u8, k u32; raw its code alone
+HEADER_BYTES = {"svd": 4, "raw": 0}  # by kind: svd is k u32; a raw packet has no header
 
 
-def wire_blob(code: int, payload: bytes, k: int | None = None) -> bytes:
-    """A packet of wire code `code` (1 svd, 2 raw, any other to forge one),
-    the u32 header field k unless it is None, and the bytes `payload`. The
-    payload of either kind is one sparse block: np.packbits of the mask of
-    stored entries (bits not all zero), then those entries as f64; an svd
-    block runs over u_star (p*k), the channel weights (p), sigma_star (k),
+def wire_blob(payload: bytes, k: int | None = None) -> bytes:
+    """A packet written by hand: an svd packet, its header k u32 and then
+    the bytes `payload`, or a raw packet (k None), the payload alone. The
+    run's defense fixes the kind, so no byte states it. The payload of
+    either kind is one sparse block: np.packbits of the mask of stored
+    entries (bits not all zero), then those entries as f64; an svd block
+    runs over u_star (p*k), the channel weights (p), sigma_star (k),
     vt_star (k*q) and the entropy (1)."""
-    return bytes([code]) + (b"" if k is None else struct.pack("<I", k)) + payload
+    return (b"" if k is None else struct.pack("<I", k)) + payload
+
+
+def kind_defense(packet) -> defense.DefenseConfig:
+    """A defense whose run sends the packet's kind for its tensor: svdefense
+    for factors, none for raw values."""
+    return defense.DefenseConfig(method="none" if packet.values is not None else "svdefense")
 
 
 def checkpoint_blob(dims, tensors=None) -> bytes:
@@ -333,7 +341,7 @@ def payload_bytes(packet) -> int:
 
 def wire_bytes(packet) -> int:
     """Size of the packet on the wire: its kind's header and payload_bytes."""
-    return HEADER_BYTES[2 if packet.values is not None else 1] + payload_bytes(packet)
+    return HEADER_BYTES["raw" if packet.values is not None else "svd"] + payload_bytes(packet)
 
 
 def residual_cosine(truth, recon, prior) -> float:

@@ -880,7 +880,8 @@ defense.defend_grad_svd = keep
 assert cli.main(sys.argv[2:]) == 0
 rows = column_entries = stored = 0
 for g, packet in seen:
-    back = defense.deserialize_packet(defense.serialize_packet(packet), g.shape)
+    back = defense.deserialize_packet(defense.serialize_packet(packet), g.shape,
+                                      defense.DefenseConfig(method="svdefense"))
     dead_rows, dead_cols = ~g.any(axis=1), ~g.any(axis=0)
     dead = np.concatenate([back.channel_weights[dead_rows], back.vt_star[:, dead_cols].ravel()])
     rows, column_entries = rows + dead_rows.sum(), column_entries + back.vt_star[:, dead_cols].size

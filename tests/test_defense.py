@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (HEADER_BYTES, energy_rank, parameter_count, reference_pruned, singular_entropy,
-                     truncate_by_energy, wire_blob, wire_bytes)
+from oracles import (HEADER_BYTES, energy_rank, kind_defense, parameter_count, reference_pruned,
+                     singular_entropy, truncate_by_energy, wire_blob, wire_bytes)
 from svdlab import cli, defense, flsim, linalg, tinynn
 from svdlab.defense import (
     DefenseConfig,
@@ -36,6 +36,9 @@ def model_like(grads):
     """A model whose tensors have the shapes of the one-layer `grads`."""
     w, b = grads
     return tinynn.ModelParams([tinynn.LayerParams(w, b)])
+
+
+NONE, SVDEFENSE = DefenseConfig(), DefenseConfig(method="svdefense")
 
 
 DEAD_ROWS = [1, 17]
@@ -211,7 +214,7 @@ class TestDefendGradSvd:
         # divided by the 1e-8 weight floor
         rng = np.random.default_rng(0)
         g = with_dead_rows(rng.normal(size=(32, 5)) @ rng.normal(size=(5, 64)))
-        sent = deserialize_packet(serialize_packet(defend_grad_svd(g, beta)), g.shape)
+        sent = deserialize_packet(serialize_packet(defend_grad_svd(g, beta)), g.shape, SVDEFENSE)
         back = reconstruct_packet(sent)
         assert np.all(back[DEAD_ROWS] == 0.0)
         assert np.all(back[np.any(g, axis=1)].any(axis=1))
@@ -240,7 +243,7 @@ class TestDefendGradSvd:
         cond = float(pkt.channel_weights.max() / pkt.channel_weights.min())
         np.testing.assert_allclose(reconstruct_packet(pkt), g, rtol=0,
                                    atol=1e-14 * cond * np.abs(g).max())
-        back = deserialize_packet(serialize_packet(pkt), shape)
+        back = deserialize_packet(serialize_packet(pkt), shape, SVDEFENSE)
         np.testing.assert_array_equal(reconstruct_packet(back), reconstruct_packet(pkt))
 
     def test_residual_touches_every_channel(self):
@@ -432,9 +435,9 @@ class TestPacketTransport:
         rng = np.random.default_rng(10)
         pkt = defend_grad_svd(rng.normal(size=(8, 6)), beta=0.3)
         blob = serialize_packet(pkt)
-        back = deserialize_packet(blob, (8, 6))
-        assert back.values is None and blob[0] == 1  # the code byte leads the header
-        assert blob[HEADER_BYTES[1]] == 0xFF  # u_star's mask: its first 8 entries are stored
+        back = deserialize_packet(blob, (8, 6), SVDEFENSE)
+        assert back.values is None and blob[:4] == struct.pack("<I", len(pkt.sigma_star))
+        assert blob[HEADER_BYTES["svd"]] == 0xFF  # u_star's mask: its first 8 entries are stored
         np.testing.assert_array_equal(back.u_star, pkt.u_star)
         np.testing.assert_array_equal(back.sigma_star, pkt.sigma_star)
         np.testing.assert_array_equal(back.vt_star, pkt.vt_star)
@@ -445,34 +448,37 @@ class TestPacketTransport:
         )
 
     def test_raw_roundtrip(self):
-        back = deserialize_packet(serialize_packet(raw_packet(np.arange(5.0))), (5,))
+        back = deserialize_packet(serialize_packet(raw_packet(np.arange(5.0))), (5,), NONE)
         assert back.values.shape == (5,)
         np.testing.assert_array_equal(back.values, np.arange(5.0))
 
     def test_rejects_malformed_blobs(self):
         raw = serialize_packet(raw_packet(np.ones(12)))
-        assert raw == wire_blob(2, bytes([0xFF, 0xF0]) + np.ones(12).tobytes())
-        unknown_code = wire_blob(7, raw[HEADER_BYTES[2]:])
-        for blob in (unknown_code, raw[:-8], raw[:10], raw[:HEADER_BYTES[2]], b""):
+        assert raw == wire_blob(bytes([0xFF, 0xF0]) + np.ones(12).tobytes())
+        for blob in (raw[:-8], raw[:10], raw[:1], b""):
             with pytest.raises(InvalidInput):
-                deserialize_packet(blob, (12,))
+                deserialize_packet(blob, (12,), NONE)
         for shape in ((5, 5), (2, 4), (11,)):  # 12 set bits for a tensor of 25, 8 or 11
             with pytest.raises(InvalidInput):
-                deserialize_packet(raw, shape)
-        assert deserialize_packet(raw, (3, 4)).values.tobytes() == np.ones(12).tobytes()
+                deserialize_packet(raw, shape, NONE)
+        assert deserialize_packet(raw, (3, 4), NONE).values.tobytes() == np.ones(12).tobytes()
 
     def test_raw_is_its_bitmap_and_stored_values_bit_exactly(self):
+        # no header: the bitmap of entries 1 and 4, then 1.5 and -0.0
         blob = serialize_packet(raw_packet(SPARSE_TEN))
-        assert (blob[0], len(blob)) == (2, HEADER_BYTES[2] + 2 + 16)
-        assert deserialize_packet(blob, (10,)).values.tobytes() == SPARSE_TEN.tobytes()
-        full = serialize_packet(raw_packet(np.arange(1.0, 11.0)))
-        assert (full[0], len(full)) == (2, HEADER_BYTES[2] + 2 + 80)
-        assert deserialize_packet(full, (10,)).values.tobytes() == np.arange(1.0, 11.0).tobytes()
+        assert blob == wire_blob(bytes([0b01001000, 0]) + struct.pack("<2d", 1.5, -0.0))
+        assert len(blob) == HEADER_BYTES["raw"] + 2 + 16
+        assert deserialize_packet(blob, (10,), NONE).values.tobytes() == SPARSE_TEN.tobytes()
+        values = np.arange(1.0, 11.0)
+        full = serialize_packet(raw_packet(values))
+        assert full == wire_blob(bytes([0xFF, 0xC0]) + values.tobytes())
+        assert len(full) == HEADER_BYTES["raw"] + 2 + 80
+        assert deserialize_packet(full, (10,), NONE).values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("edit", ["pad bit", "mask count", "stored +0.0"])
     def test_rejects_non_canonical_sparse_blobs(self, edit):
         blob = bytearray(serialize_packet(raw_packet(SPARSE_TEN)))
-        at = HEADER_BYTES[2]
+        at = HEADER_BYTES["raw"]
         if edit == "pad bit":  # entries 8 and 9 fill the top 2 bits of the second byte
             blob[at + 1] |= 0x01
         elif edit == "mask count":  # marks entry 0 stored: 3 set bits and 2 values
@@ -480,25 +486,29 @@ class TestPacketTransport:
         else:  # the stored 1.5 becomes +0.0
             blob[at + 2 : at + 10] = bytes(8)
         with pytest.raises(InvalidInput):
-            deserialize_packet(bytes(blob), (10,))
+            deserialize_packet(bytes(blob), (10,), NONE)
 
     def test_accepts_a_fully_stored_blob(self):
         # one stored entry of one: a 1-byte bitmap and the value
-        blob = wire_blob(2, bytes([0x80]) + struct.pack("<d", 1.0))
+        blob = wire_blob(bytes([0x80]) + struct.pack("<d", 1.0))
         assert serialize_packet(raw_packet(np.array([1.0]))) == blob
-        assert deserialize_packet(blob, (1,)).values.tobytes() == np.array([1.0]).tobytes()
+        assert deserialize_packet(blob, (1,), NONE).values.tobytes() == np.array([1.0]).tobytes()
 
-    def test_rejects_the_retired_dense_code(self):
-        # code 0 once carried the n values alone, without a bitmap
-        with pytest.raises(InvalidInput, match="code 0"):
-            deserialize_packet(wire_blob(0, np.arange(1.0, 11.0).tobytes(), k=0), (10,))
+    def test_rejects_the_retired_dense_form(self):
+        # a retired packet form carried the n values alone, without a bitmap;
+        # read as one, their first bytes are a mask that fixes another length
+        dense = np.arange(1.0, 11.0).tobytes()
+        for blob, shape, cfg in ((dense, (10,), NONE), (dense, (2, 5), NONE),
+                                 (wire_blob(dense, k=0), (2, 5), SVDEFENSE)):
+            with pytest.raises(InvalidInput, match="bytes"):
+                deserialize_packet(blob, shape, cfg)
 
     @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, np.inf, np.nan])
     def test_rejects_svd_weights_not_finite_and_positive(self, weight):
         pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
         pkt.channel_weights[2] = weight
         with pytest.raises(InvalidInput):
-            deserialize_packet(serialize_packet(pkt), (4, 5))
+            deserialize_packet(serialize_packet(pkt), (4, 5), SVDEFENSE)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("factor", ["u_star", "sigma_star", "vt_star"])
@@ -507,7 +517,7 @@ class TestPacketTransport:
         pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
         getattr(pkt, factor).flat[-1] = bad
         with pytest.raises(InvalidInput, match="factors"):
-            deserialize_packet(serialize_packet(pkt), (4, 5))
+            deserialize_packet(serialize_packet(pkt), (4, 5), SVDEFENSE)
 
     @pytest.mark.parametrize("at", [0, 1, 4])
     @pytest.mark.parametrize("form", ["dense", "sparse"])  # the values, not the encoding
@@ -516,11 +526,11 @@ class TestPacketTransport:
         values[at] = np.inf  # noise of scale 1e308 draws these honestly
         values[at + 2] = -np.inf
         blob = serialize_packet(raw_packet(values))
-        assert blob[0] == 2
-        assert deserialize_packet(blob, (10,)).values.tobytes() == values.tobytes()
+        assert len(blob) == wire_bytes(raw_packet(values))
+        assert deserialize_packet(blob, (10,), NONE).values.tobytes() == values.tobytes()
         values[at] = np.nan
         with pytest.raises(InvalidInput, match="NaN"):
-            deserialize_packet(serialize_packet(raw_packet(values)), (10,))
+            deserialize_packet(serialize_packet(raw_packet(values)), (10,), NONE)
 
     @pytest.mark.parametrize("entropy", [np.nan, np.inf, -np.inf, -3.0, -1e-300, 1e300,
                                          math.log(4) * (1 + 1e-11)])
@@ -530,36 +540,36 @@ class TestPacketTransport:
         pkt = defend_grad_svd(np.random.default_rng(13).normal(size=(4, 5)), beta=0.3)
         pkt.entropy = entropy
         with pytest.raises(InvalidInput, match="entropy"):
-            deserialize_packet(serialize_packet(pkt), (4, 5))
+            deserialize_packet(serialize_packet(pkt), (4, 5), SVDEFENSE)
 
     @pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (5, 7), (32, 64), (200, 203)])
     def test_accepts_the_largest_honest_entropy(self, p, q):
         # an identity's flat spectrum gives H = ln(min(p, q)) up to round-off
         pkt = defend_grad_svd(np.eye(p, q), beta=0.3)
         assert pkt.entropy == pytest.approx(math.log(min(p, q)), rel=1e-14)
-        assert deserialize_packet(serialize_packet(pkt), (p, q)).entropy == pkt.entropy
+        assert deserialize_packet(serialize_packet(pkt), (p, q), SVDEFENSE).entropy == pkt.entropy
 
     # no defender writes these: it keeps k <= min(p, q) of LAPACK's spectrum,
     # which is non-negative and non-increasing
     @pytest.mark.parametrize("sigma", [[4.0, 3.0, 2.0, 1.0], [1.0, 2.0, -3.0, 0.5]])
     def test_rejects_more_values_than_min_p_q(self, sigma):
         with pytest.raises(InvalidInput, match="sigma_star"):
-            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3))
+            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3), SVDEFENSE)
 
     @pytest.mark.parametrize("sigma", [[3.0, 2.0, -1.0], [-0.5], [2.0, -5e-324]])
     def test_rejects_a_negative_singular_value(self, sigma):
         with pytest.raises(InvalidInput, match="sigma_star"):
-            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3))
+            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3), SVDEFENSE)
 
     @pytest.mark.parametrize("sigma", [[1.0, 2.0, 0.5], [3.0, 3.0, 3.0000000000000004]])
     def test_rejects_an_increasing_spectrum(self, sigma):
         with pytest.raises(InvalidInput, match="sigma_star"):
-            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3))
+            deserialize_packet(serialize_packet(svd_packet(3, 3, sigma)), (3, 3), SVDEFENSE)
 
     def test_accepts_equal_and_subnormal_kept_values(self):
         # the kept values of a near-underflow update can be subnormal
         sigma = np.array([1.0, 1.0, 5e-324])
-        back = deserialize_packet(serialize_packet(svd_packet(3, 4, sigma)), (3, 4))
+        back = deserialize_packet(serialize_packet(svd_packet(3, 4, sigma)), (3, 4), SVDEFENSE)
         assert back.sigma_star.tobytes() == sigma.tobytes()
 
     def test_parameter_count_formula(self):
@@ -570,15 +580,15 @@ class TestPacketTransport:
         assert parameter_count(pkt) == 8 + 8 * k + k + k * 6 + 1
 
     def test_zero_update_travels_as_rank_zero(self):
-        # 5 header bytes, then the block of 5 entries, all +0.0 (4 dead
-        # channels' weights and the entropy): its one mask byte, no value
+        # 4 header bytes (k = 0), then the block of 5 entries, all +0.0 (4
+        # dead channels' weights and the entropy): its one mask byte, no value
         grads = gradset_from([(np.zeros((4, 5)), np.zeros(4))])
         packets, _ = defend_update(grads, DefenseConfig(method="svdefense"), seed=0)
         blob = serialize_packet(packets[0])
-        assert blob == wire_blob(1, bytes([0x00]), k=0)
-        assert len(blob) == HEADER_BYTES[1] + 1 == 6
-        back = [deserialize_packet(blob, (4, 5)),
-                deserialize_packet(serialize_packet(packets[1]), (4,))]
+        assert blob == wire_blob(bytes([0x00]), k=0)
+        assert len(blob) == HEADER_BYTES["svd"] + 1 == 5
+        back = [deserialize_packet(blob, (4, 5), SVDEFENSE),
+                deserialize_packet(serialize_packet(packets[1]), (4,), SVDEFENSE)]
         assert back[0].u_star.shape == (4, 0)
         assert back[0].channel_weights.tobytes() == bytes(32)
         decoded = packets_to_gradset(back, model_like(grads))
@@ -593,27 +603,61 @@ class TestPacketTransport:
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
         mask = -(-(k * (6 + 7 + 1) + 6 + 1) // 8)
-        assert len(serialize_packet(pkt)) == HEADER_BYTES[1] + mask + 8 * parameter_count(pkt)
+        assert len(serialize_packet(pkt)) == HEADER_BYTES["svd"] + mask + 8 * parameter_count(pkt)
         assert parameter_count(pkt) == 6 + 6 * k + k + k * 7 + 1
         g[[1, 4]] = 0.0
         pkt = defend_grad_svd(g, beta=0.3)
         k = len(pkt.sigma_star)
         mask = -(-(k * (6 + 7 + 1) + 6 + 1) // 8)
         assert parameter_count(pkt) == 4 + 4 * k + k + k * 7 + 1
-        assert len(serialize_packet(pkt)) == HEADER_BYTES[1] + mask + 8 * parameter_count(pkt)
+        assert len(serialize_packet(pkt)) == HEADER_BYTES["svd"] + mask + 8 * parameter_count(pkt)
 
     def test_a_huge_header_rank_allocates_nothing(self):
         # k = 2**32 - 1 asks for a mask of 32 * k bits (16 GiB); the parser
         # refuses the blob before it reads or allocates one
-        blob = wire_blob(1, bytes(64), k=2**32 - 1)
+        blob = wire_blob(bytes(64), k=2**32 - 1)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInput, match="mask short"):
-                deserialize_packet(blob, (32, 64))
+                deserialize_packet(blob, (32, 64), SVDEFENSE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+
+class TestPacketKind:
+    """The run's defense fixes each tensor's kind (defense.factored): the
+    defender writes that kind and the server parses only that kind."""
+
+    @pytest.mark.parametrize("method", defense.METHODS)
+    def test_the_defender_sends_the_kind_the_server_parses(self, method):
+        cfg = DefenseConfig(method=method)
+        grads = gradset_from([(np.random.default_rng(17).normal(size=(4, 5)), np.ones(4))])
+        packets, _ = defend_update(grads, cfg, seed=0)
+        for packet, t in zip(packets, grads, strict=True):
+            assert (packet.values is None) == defense.factored(t.shape, cfg)
+            back = deserialize_packet(serialize_packet(packet), t.shape, cfg)
+            assert (back.values is None) == (packet.values is None)
+
+    def test_svdefense_refuses_a_weight_sent_raw(self):
+        # k u32 reads the first 4 bytes of the 256-byte bitmap: a mask of
+        # 2**32 - 1 ranks that the blob cuts short
+        g = np.random.default_rng(18).normal(size=(32, 64))
+        blob = serialize_packet(raw_packet(g))
+        assert deserialize_packet(blob, g.shape, NONE).values.tobytes() == g.tobytes()
+        with pytest.raises(InvalidInput) as refused:
+            deserialize_packet(blob, g.shape, SVDEFENSE)
+        assert len(str(refused.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("method", [m for m in defense.METHODS if m != "svdefense"])
+    def test_other_defenses_refuse_a_weight_sent_as_factors(self, method):
+        g = np.random.default_rng(18).normal(size=(32, 64))
+        blob = serialize_packet(defend_grad_svd(g, beta=0.3))
+        assert deserialize_packet(blob, g.shape, SVDEFENSE).values is None
+        with pytest.raises(InvalidInput) as refused:
+            deserialize_packet(blob, g.shape, DefenseConfig(method=method))
+        assert len(str(refused.value).splitlines()) == 1
 
 
 # the stored values of MASK: u_star's entries 0 and 2, the 3 channel
@@ -628,7 +672,7 @@ def masked_blob(k=1, mask=MASK, values=STORED) -> bytes:
     the block (u_star, weights, sigma, vt_star, entropy) are canonical:
     u_star (1, +0.0, 2), the weights 0.5, 1.0 and 0.75, sigma 3, the
     vt_star row (1, -1, 0, 0) and the entropy 0."""
-    return wire_blob(1, mask + np.array(values, dtype="<f8").tobytes(), k=k)
+    return wire_blob(mask + np.array(values, dtype="<f8").tobytes(), k=k)
 
 
 FIELDS = ("values", "channel_weights", "u_star", "sigma_star", "vt_star", "entropy")
@@ -643,7 +687,7 @@ def assert_travels_bit_exactly(packet):
         shape = packet.values.shape
     else:
         shape = packet.u_star.shape[0], packet.vt_star.shape[1]
-    back = deserialize_packet(blob, shape)
+    back = deserialize_packet(blob, shape, kind_defense(packet))
     assert len(blob) == wire_bytes(packet)
     for name in FIELDS:
         sent, got = getattr(packet, name), getattr(back, name)
@@ -653,9 +697,6 @@ def assert_travels_bit_exactly(packet):
             assert (got.dtype, got.shape, got.tobytes()) == (sent.dtype, sent.shape,
                                                              sent.tobytes()), name
     assert serialize_packet(back) == blob
-
-
-SVDEFENSE = DefenseConfig(method="svdefense")
 
 
 def capture_uploads(monkeypatch) -> list:
@@ -687,7 +728,7 @@ class TestSvdRowMask:
     the entropy), then the stored entries."""
 
     def test_hand_written_blob_parses(self):
-        back = deserialize_packet(masked_blob(), (3, 4))
+        back = deserialize_packet(masked_blob(), (3, 4), SVDEFENSE)
         assert back.channel_weights.tobytes() == np.array([0.5, 1.0, 0.75]).tobytes()
         assert back.u_star.tobytes() == np.array([[1.0], [0.0], [2.0]]).tobytes()
         assert back.vt_star.tobytes() == np.array([[1.0, -1.0, 0.0, 0.0]]).tobytes()
@@ -700,9 +741,9 @@ class TestSvdRowMask:
         blob = masked_blob(values=[1.0, u_entry, *STORED[2:]])
         if not np.signbit(u_entry):
             with pytest.raises(InvalidInput, match=r"\+0\.0"):
-                deserialize_packet(blob, (3, 4))
+                deserialize_packet(blob, (3, 4), SVDEFENSE)
             return
-        back = deserialize_packet(blob, (3, 4))
+        back = deserialize_packet(blob, (3, 4), SVDEFENSE)
         assert back.u_star.tobytes() == np.array([[1.0], [0.0], [-0.0]]).tobytes()
         assert_travels_bit_exactly(back)
 
@@ -712,13 +753,13 @@ class TestSvdRowMask:
         values = list(STORED)
         values[at] = 0.0
         with pytest.raises(InvalidInput, match=r"\+0\.0"):
-            deserialize_packet(masked_blob(values=values), (3, 4))
+            deserialize_packet(masked_blob(values=values), (3, 4), SVDEFENSE)
 
     @pytest.mark.parametrize("rows", [0b10000001, 0b10001000])
     def test_rejects_mask_pad_bits(self, rows):
         # 12 entries use the top 4 bits of the second mask byte
         with pytest.raises(InvalidInput, match="pad bit"):
-            deserialize_packet(masked_blob(mask=MASK[:1] + bytes([rows])), (3, 4))
+            deserialize_packet(masked_blob(mask=MASK[:1] + bytes([rows])), (3, 4), SVDEFENSE)
 
     @pytest.mark.parametrize("edit", ["extra row bit", "trailing value", "missing value",
                                       "no mask"])
@@ -726,26 +767,26 @@ class TestSvdRowMask:
         blob = {"extra row bit": masked_blob(mask=bytes([0xFF]) + MASK[1:]),
                 "trailing value": masked_blob() + bytes(8),
                 "missing value": masked_blob()[:-8],
-                "no mask": masked_blob()[:HEADER_BYTES[1]]}[edit]
+                "no mask": masked_blob()[:HEADER_BYTES["svd"]]}[edit]
         with pytest.raises(InvalidInput, match="bytes"):
-            deserialize_packet(blob, (3, 4))
+            deserialize_packet(blob, (3, 4), SVDEFENSE)
 
     def test_rejects_a_marked_row_at_rank_zero(self):
         # at k = 0 u_star has no entries: the block is the 3 weights and
         # the entropy, so the rank-1 mask sets pad bits
         blob = masked_blob(0, bytes([0b11100000]), STORED[2:5])
-        back = deserialize_packet(blob, (3, 4))
+        back = deserialize_packet(blob, (3, 4), SVDEFENSE)
         assert (back.u_star.shape, back.vt_star.shape) == ((3, 0), (0, 4))
         assert_travels_bit_exactly(back)
         with pytest.raises(InvalidInput, match="pad bit"):
-            deserialize_packet(masked_blob(0), (3, 4))
+            deserialize_packet(masked_blob(0), (3, 4), SVDEFENSE)
 
     @pytest.mark.parametrize("entropy", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_entropy_is_an_entropy_error(self, entropy):
         # the entropy ends the block that the factors' finiteness check reads
         blob = masked_blob(0, bytes([0b11110000]), [*STORED[2:5], entropy])
         with pytest.raises(InvalidInput, match="entropy"):
-            deserialize_packet(blob, (3, 4))
+            deserialize_packet(blob, (3, 4), SVDEFENSE)
 
     def test_a_dead_row_sends_neither_its_weight_nor_its_u_star_row(self):
         g = with_dead_rows(np.random.default_rng(14).normal(size=(32, 64)))
@@ -754,7 +795,7 @@ class TestSvdRowMask:
         # 97 k + 33 mask bits, 30 k stored entries of u_star, 30 weights
         k = len(pkt.sigma_star)
         mask = -(-(97 * k + 33) // 8)
-        assert len(blob) == HEADER_BYTES[1] + mask + 8 * (30 * k + 30 + k + k * 64 + 1)
+        assert len(blob) == HEADER_BYTES["svd"] + mask + 8 * (30 * k + 30 + k + k * 64 + 1)
         for dead in (pkt.u_star[DEAD_ROWS], pkt.channel_weights[DEAD_ROWS]):
             assert dead.tobytes() == bytes(dead.nbytes)  # +0.0, no sign bit
         assert_travels_bit_exactly(pkt)
@@ -788,21 +829,21 @@ class TestSvdRowMask:
         # may be +0.0 (and rebuilds as zeros), but no other non-positive or
         # non-finite value; once the row holds a -0.0 it is a stored entry,
         # and +0.0 is refused there as on any row that stores one
-        pkt = deserialize_packet(masked_blob(), (3, 4))
+        pkt = deserialize_packet(masked_blob(), (3, 4), SVDEFENSE)
         pkt.u_star[1], pkt.channel_weights[1] = u_entry, weight
         blob = serialize_packet(pkt)
         if not np.signbit(u_entry) and weight == 0.0 and not np.signbit(weight):
-            back = deserialize_packet(blob, (3, 4))
+            back = deserialize_packet(blob, (3, 4), SVDEFENSE)
             assert_travels_bit_exactly(back)
             assert reconstruct_packet(back)[1].tobytes() == bytes(32)
             return
         with pytest.raises(InvalidInput, match="channel weights"):
-            deserialize_packet(blob, (3, 4))
+            deserialize_packet(blob, (3, 4), SVDEFENSE)
 
     def test_a_rank_zero_packet_may_send_all_zero_weights(self):
         # k = 0: every u_star row is empty, so every weight may be +0.0; the
         # block is one mask byte with nothing stored
-        back = deserialize_packet(masked_blob(0, bytes(1), []), (3, 4))
+        back = deserialize_packet(masked_blob(0, bytes(1), []), (3, 4), SVDEFENSE)
         assert back.channel_weights.tobytes() == bytes(24)
         assert reconstruct_packet(back).tobytes() == bytes(96)
         assert_travels_bit_exactly(back)

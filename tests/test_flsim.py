@@ -52,11 +52,6 @@ class TestAggregationWeights:
         ]
         np.testing.assert_allclose(aggregation_weights(ups, 0), [0.25, 0.75])
 
-    def test_mixed_kinds_are_refused(self):
-        ups = [svd_update(0, 10, 1.0), ClientUpdate(1, 10, [DefensePacket(values=np.ones(2))])]
-        with pytest.raises(InvalidInput, match="factored in some uploads and raw in others"):
-            aggregation_weights(ups, 0)
-
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -319,9 +314,9 @@ class TestRunExperiment:
         parse, rebuild = defense.deserialize_packet, defense.reconstruct_packet
         parsed, aggregated, wire = [], [], []
 
-        def deserialize(blob, shape):
+        def deserialize(blob, shape, faced):
             wire.append(len(blob))
-            parsed.append(parse(blob, shape))
+            parsed.append(parse(blob, shape, faced))
             return parsed[-1]
 
         def reconstruct(packet):
@@ -350,8 +345,8 @@ class TestRunExperiment:
             sent.append(packet)
             return serialize(packet)
 
-        def bypass(blob, shape):
-            parsed.append(parse(blob, shape))
+        def bypass(blob, shape, faced):
+            parsed.append(parse(blob, shape, faced))
             return sent[len(parsed) - 1]
 
         monkeypatch.setattr(defense, "serialize_packet", keep)
@@ -426,8 +421,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("method", ["none", "svdefense"])
     def test_a_default_round_uploads_header_and_payload(self, monkeypatch, method):
-        # 4 clients x 4 tensors, each packet its header and its payload:
-        # the shapes come from the model, not the wire
+        # 4 clients x 4 tensors, each packet its header and its payload: the
+        # shapes come from the model and the kinds from the run's defense,
+        # not the wire, so only a weight's factors carry a header, k u32
         defend, packets = defense.defend_update, []
 
         def keep(*args, **kwargs):
@@ -440,6 +436,24 @@ class TestRunExperiment:
         reports, _ = run_experiment(cfg, DataConfig())
         assert len(packets) == 16
         assert reports[0].bytes_up == sum(wire_bytes(p) for p in packets)
+        headers = sum(HEADER_BYTES["raw" if p.values is not None else "svd"] for p in packets)
+        assert headers == {"none": 0, "svdefense": 4 * 2 * 4}[method]
+
+    def test_a_weight_sent_raw_under_svdefense_is_refused(self, tiny_setup, monkeypatch):
+        # every client sends its first weight raw, so no client's factors
+        # disagree with it: the server refuses it for the run's defense
+        fl, dc, *_ = tiny_setup
+        cfg = FlConfig(**{**fl.__dict__, "defense": DefenseConfig(method="svdefense")})
+        defend = defense.defend_update
+
+        def raw_first(*args, **kwargs):
+            packets, residual = defend(*args, **kwargs)
+            raw = DefensePacket(values=defense.reconstruct_packet(packets[0]))
+            return [raw, *packets[1:]], residual
+
+        monkeypatch.setattr(defense, "defend_update", raw_first)
+        with pytest.raises(InvalidInput, match="mask short"):
+            run_experiment(cfg, dc)
 
     def test_raw_upload_bytes_is_the_dense_size(self, tiny_setup):
         # the baseline counts every value, zero or not: init_model's biases are 0
@@ -447,7 +461,7 @@ class TestRunExperiment:
         shifted = tinynn.ModelParams([tinynn.LayerParams(l.weight, l.bias + 1.0)
                                       for l in model.layers])
         assert not any(l.bias.any() for l in model.layers)
-        dense = sum(HEADER_BYTES[2] + -(-t.size // 8) + 8 * t.size for t in model.tensors())
+        dense = sum(HEADER_BYTES["raw"] + -(-t.size // 8) + 8 * t.size for t in model.tensors())
         assert flsim.raw_upload_bytes(model) == flsim.raw_upload_bytes(shifted) == dense
 
     def test_numerically_rank_one_update_trains(self):

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import HEADER_BYTES, reference_pruned, transposed, wire_blob, wire_bytes
+from oracles import HEADER_BYTES, kind_defense, reference_pruned, transposed, wire_blob, wire_bytes
 from svdlab import cli, defense, linalg, tinynn
 from svdlab.attack import AttackConfig
 from svdlab.defense import DefenseConfig
@@ -112,22 +112,30 @@ def _packets():
        flips=st.lists(st.tuples(st.integers(min_value=0, max_value=400)
                                 | st.none(),  # or the first mask byte
                                 st.integers(min_value=0, max_value=255)), max_size=3),
-       tail=st.binary(max_size=9))
-def test_deserialize_is_strict(packet_shape, cut, flips, tail):
+       tail=st.binary(max_size=9), other_kind=st.booleans())
+def test_deserialize_is_strict(packet_shape, cut, flips, tail, other_kind):
     packet, shape = packet_shape
+    cfg, kind = kind_defense(packet), "raw" if packet.values is not None else "svd"
     good = defense.serialize_packet(packet)
-    back = defense.deserialize_packet(good, shape)
+    back = defense.deserialize_packet(good, shape, cfg)
     assert defense.serialize_packet(back) == good
+    if other_kind and len(shape) == 2:  # a run whose defense sends the other kind
+        cfg = DefenseConfig(method="svdefense" if kind == "raw" else "none")
+        with pytest.raises(InvalidInput):
+            defense.deserialize_packet(good, shape, cfg)
     blob = bytearray(good[:cut] + tail)
     for at, value in flips:
-        at = HEADER_BYTES[good[0]] if at is None else at
+        at = HEADER_BYTES[kind] if at is None else at
         if at < len(blob):
             blob[at] = value
     try:
-        parsed = defense.deserialize_packet(bytes(blob), shape)
+        parsed = defense.deserialize_packet(bytes(blob), shape, cfg)
     except InvalidInput:
         return
     assert defense.serialize_packet(parsed) == bytes(blob)
+
+
+NONE = DefenseConfig()
 
 
 @st.composite
@@ -142,17 +150,17 @@ def _raw_values(draw):
                     np.where(rng.random(shape) < 0.5, -0.0, 0.0))
 
 
-def _raw_blob(values: np.ndarray, mask, code: int = 2) -> bytes:
+def _raw_blob(values: np.ndarray, mask) -> bytes:
     """The raw packet of `values` built by hand: a bitmap of `mask` and the
-    masked values, under wire code `code`."""
-    return wire_blob(code, np.packbits(mask).tobytes() + values.ravel()[mask].tobytes())
+    masked values."""
+    return wire_blob(np.packbits(mask).tobytes() + values.ravel()[mask].tobytes())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(values=_raw_values(), extra=st.lists(st.integers(min_value=0, max_value=39), max_size=3),
        cut=st.none() | st.integers(min_value=0, max_value=400),
        flips=st.lists(st.tuples(st.integers(0, 400)  # or the bitmap:
-                                | st.integers(HEADER_BYTES[2], HEADER_BYTES[2] + 4),
+                                | st.integers(HEADER_BYTES["raw"], HEADER_BYTES["raw"] + 4),
                                 st.integers(0, 7)), max_size=3),
        tail=st.binary(max_size=9))
 def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, flips, tail):
@@ -161,33 +169,33 @@ def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, fli
     stored = values.ravel().view(np.uint64) != 0  # -0.0 is stored, +0.0 is not
     if np.isnan(values).any():  # no honest upload holds one, so no form parses
         with pytest.raises(InvalidInput, match="NaN"):
-            defense.deserialize_packet(good, values.shape)
+            defense.deserialize_packet(good, values.shape, NONE)
         return
-    back = defense.deserialize_packet(good, values.shape)
+    back = defense.deserialize_packet(good, values.shape, NONE)
     assert back.values.shape == values.shape and back.values.tobytes() == values.tobytes()
-    # of the bitmap form, one that also stores some +0.0 entries, one under
-    # the retired dense code 0 and one with a pad bit set, the serializer
-    # writes the first and the parser accepts that one alone
+    # of the bitmap form, one that also stores some +0.0 entries, the
+    # retired dense form (the values alone) and one with a pad bit set, the
+    # serializer writes the first and the parser accepts that one alone
     n, k = values.size, int(np.count_nonzero(stored))
-    assert (good[0], len(good)) == (2, HEADER_BYTES[2] + -(-n // 8) + 8 * k)
+    assert len(good) == HEADER_BYTES["raw"] + -(-n // 8) + 8 * k
     more = stored.copy()
     more[[i % n for i in extra if n]] = True
-    forms = [_raw_blob(values, stored), _raw_blob(values, more), _raw_blob(values, stored, 0)]
+    forms = [_raw_blob(values, stored), _raw_blob(values, more), values.tobytes()]
     assert good == forms[0]
     if n % 8:
         padded = bytearray(forms[0])
-        padded[HEADER_BYTES[2] + (n - 1) // 8] |= 1
+        padded[HEADER_BYTES["raw"] + (n - 1) // 8] |= 1
         forms.append(bytes(padded))
     for blob in forms:
         if blob != good:
             with pytest.raises(InvalidInput):
-                defense.deserialize_packet(blob, values.shape)
+                defense.deserialize_packet(blob, values.shape, NONE)
     blob = bytearray(good if cut is None else good[:cut] + tail)
     for at, bit in flips:
         if blob:
             blob[at % len(blob)] ^= 1 << bit
     try:
-        parsed = defense.deserialize_packet(bytes(blob), values.shape)
+        parsed = defense.deserialize_packet(bytes(blob), values.shape, NONE)
     except InvalidInput:
         return
     assert defense.serialize_packet(parsed) == bytes(blob)
@@ -195,10 +203,11 @@ def test_raw_packets_travel_bit_exact_in_the_bitmap_form(values, extra, cut, fli
 
 @settings(max_examples=300, deadline=None)
 @given(blob=st.binary(max_size=120),
-       shape=st.tuples(st.integers(0, 12)) | st.tuples(st.integers(1, 4), st.integers(1, 4)))
-def test_random_bytes_parse_or_raise_invalid_input(blob, shape):
+       shape=st.tuples(st.integers(0, 12)) | st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       method=st.sampled_from(defense.METHODS))
+def test_random_bytes_parse_or_raise_invalid_input(blob, shape, method):
     try:
-        defense.deserialize_packet(blob, shape)
+        defense.deserialize_packet(blob, shape, DefenseConfig(method=method))
     except InvalidInput:
         pass
 
@@ -210,22 +219,24 @@ def test_random_bytes_parse_or_raise_invalid_input(blob, shape):
 def test_defended_packets_travel_against_their_tensor_shapes(method, dims, density, seed):
     # each packet is the header and its payload, parses back against its
     # tensor's shape to a packet that rebuilds the same bits and writes the
-    # same blob; against another shape an svd blob is refused or read as a
-    # canonical packet of that shape (its mask may fit both)
+    # same blob; against another 2-D shape an svd blob is refused or read as
+    # a canonical packet of that shape (its mask may fit both), and a 1-D
+    # shape, whose kind is raw, refuses it
     d, h, c = dims
     rng = np.random.default_rng(seed)
     grads = [rng.normal(size=s) * (rng.random(s) < density) for s in ((h, d), (h,), (c, h), (c,))]
-    packets, _ = defense.defend_update(grads, DefenseConfig(method=method), seed=rng)
+    cfg = DefenseConfig(method=method)
+    packets, _ = defense.defend_update(grads, cfg, seed=rng)
     for packet, t in zip(packets, grads, strict=True):
         blob = defense.serialize_packet(packet)
         assert len(blob) == wire_bytes(packet)
-        back = defense.deserialize_packet(blob, t.shape)
+        back = defense.deserialize_packet(blob, t.shape, cfg)
         assert back.entropy == packet.entropy and defense.serialize_packet(back) == blob
         x, y = defense.reconstruct_packet(packet), defense.reconstruct_packet(back)
         assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
         for shape in {t.shape[::-1], (t.size,)} - {t.shape} if packet.values is None else ():
             try:
-                other = defense.deserialize_packet(blob, shape)
+                other = defense.deserialize_packet(blob, shape, cfg)
             except InvalidInput:
                 continue
             assert len(shape) == 2 and defense.serialize_packet(other) == blob
